@@ -674,8 +674,9 @@ func main() {
 				served += srv.Served()
 			}
 		}
-		fmt.Printf("sched: steals=%d served_keys=%d\n",
-			metrics.CounterValue("netstore_sched_steals_total"), served)
+		fmt.Printf("sched: steals=%d served_keys=%d multiget_subtasks=%d multiget_batches=%d\n",
+			metrics.CounterValue("netstore_sched_steals_total"), served,
+			metrics.CounterValue("netstore_multiget_subtasks_total"), metrics.CounterValue("netstore_multiget_batches_total"))
 	}
 	if *cacheSize > 0 {
 		cc := metrics.CountersWithPrefix("netstore_cache_")

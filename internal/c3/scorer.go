@@ -63,6 +63,12 @@ type Scorer struct {
 
 	mu    sync.Mutex
 	state []scorerState
+	// msgEWMA is the observed cost of one more message to this replica
+	// set: the part of a batch's round trip spent outside the server's
+	// queue and workers (wire, kernel, goroutine hand-offs). Spread
+	// weighs it against the service time a second message would save.
+	msgEWMA float64
+	haveMsg bool
 }
 
 type scorerState struct {
@@ -104,6 +110,10 @@ func (s *Scorer) scoreLocked(replica int) float64 {
 func (s *Scorer) Best(eligible func(replica int) bool) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.bestLocked(eligible)
+}
+
+func (s *Scorer) bestLocked(eligible func(replica int) bool) int {
 	best := -1
 	var bestScore float64
 	for r := range s.state {
@@ -116,6 +126,65 @@ func (s *Scorer) Best(eligible func(replica int) bool) int {
 		}
 	}
 	return best
+}
+
+// InlineReplicas is the replica count up to which Spread and its callers
+// keep their per-replica scratch on the stack.
+const InlineReplicas = 8
+
+// Spread places the n requests of one sub-task over the eligible
+// replicas and counts them outstanding there, as OnSend would: counts[r]
+// (len Replicas()) receives how many went to replica r. It returns the
+// replica Best ranks first, or -1 if eligible admits none.
+//
+// Requests are placed one at a time, each on the replica with the
+// lowest score given the ones placed before it, so outstanding pressure
+// moves later requests to a sibling the way a depleting credit balance
+// does. The sub-task stays whole on the first-ranked replica while any
+// eligible replica lacks feedback, and whenever a split would not pay
+// for its extra message: a sibling keeps its requests only if the
+// service time they take off the first replica (their count × its
+// service EWMA ÷ Concurrency) exceeds the observed per-message overhead
+// (ObserveMessage).
+func (s *Scorer) Spread(n int, eligible func(replica int) bool, counts []int) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var buf [InlineReplicas]bool
+	ok := buf[:0]
+	if len(s.state) > len(buf) {
+		ok = make([]bool, 0, len(s.state))
+	}
+	warm := s.haveMsg
+	for r := range s.state {
+		counts[r] = 0
+		ok = append(ok, eligible == nil || eligible(r))
+		warm = warm && (!ok[r] || s.state[r].haveData)
+	}
+	admitted := func(r int) bool { return ok[r] }
+	first := s.bestLocked(admitted)
+	if first < 0 {
+		return -1
+	}
+	if !warm {
+		s.state[first].outstand += n
+		counts[first] = n
+		return first
+	}
+	for i := 0; i < n; i++ {
+		r := s.bestLocked(admitted)
+		s.state[r].outstand++
+		counts[r]++
+	}
+	saved := s.state[first].svcEWMA / s.opts.Concurrency // per request moved
+	for r, k := range counts {
+		if r != first && k > 0 && float64(k)*saved <= s.msgEWMA {
+			s.state[r].outstand -= k
+			s.state[first].outstand += k
+			counts[first] += k
+			counts[r] = 0
+		}
+	}
+	return first
 }
 
 // OnSend records n requests dispatched to a replica (outstanding grows).
@@ -163,6 +232,22 @@ func (s *Scorer) Observe(replica, n int, respNanos, svcNanos float64, queueLen i
 	st.respEWMA = a*st.respEWMA + (1-a)*respNanos
 	st.svcEWMA = a*st.svcEWMA + (1-a)*svcNanos
 	st.qEWMA = a*st.qEWMA + (1-a)*float64(queueLen)
+}
+
+// ObserveMessage folds one batch's per-message overhead — its round
+// trip minus the time the server held it — into the scorer's EWMA.
+func (s *Scorer) ObserveMessage(overheadNanos float64) {
+	if overheadNanos < 0 {
+		overheadNanos = 0
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.haveMsg {
+		s.msgEWMA, s.haveMsg = overheadNanos, true
+		return
+	}
+	a := s.opts.Alpha
+	s.msgEWMA = a*s.msgEWMA + (1-a)*overheadNanos
 }
 
 // ResponseQuantile estimates the q-quantile of one replica's response

@@ -96,3 +96,77 @@ func TestScorerReset(t *testing.T) {
 		t.Fatalf("Reset replica scores %v, untouched cold replica %v", a, b)
 	}
 }
+
+// warmPair returns a two-replica scorer (two workers per server) whose
+// replicas both report svc-long requests and which has seen one
+// message's overhead.
+func warmPair(svc, overhead float64) *Scorer {
+	sc := NewScorer(2, ScorerOptions{Concurrency: 2})
+	for r := 0; r < 2; r++ {
+		sc.Observe(r, 0, svc+overhead, svc, 0)
+	}
+	sc.ObserveMessage(overhead)
+	return sc
+}
+
+func TestScorerSpread(t *testing.T) {
+	counts := make([]int, 2)
+	// Two idle, equal replicas, 1 ms requests behind a 0.1 ms message:
+	// outstanding pressure alternates the eight requests between them.
+	sc := warmPair(1e6, 1e5)
+	if first := sc.Spread(8, nil, counts); first != 0 || counts[0] != 4 || counts[1] != 4 {
+		t.Fatalf("Spread over idle pair = first %d counts %v, want 0 [4 4]", first, counts)
+	}
+	if a, b := sc.Outstanding(0), sc.Outstanding(1); a != 4 || b != 4 {
+		t.Fatalf("Outstanding after Spread = %d, %d, want 4, 4", a, b)
+	}
+	// The sibling is already loaded by that spread: the next sub-task
+	// leans on whichever replica ranks better, and still sums to n.
+	sc.OnError(0, 4)
+	if first := sc.Spread(3, nil, counts); first != 0 || counts[0]+counts[1] != 3 || counts[0] < counts[1] {
+		t.Fatalf("Spread beside a loaded sibling = first %d counts %v, want most of 3 on replica 0", first, counts)
+	}
+	// Eligibility: a lone admitted replica takes the sub-task whole.
+	sc = warmPair(1e6, 1e5)
+	if first := sc.Spread(8, func(r int) bool { return r == 1 }, counts); first != 1 || counts[0] != 0 || counts[1] != 8 {
+		t.Fatalf("Spread with one eligible replica = first %d counts %v, want 1 [0 8]", first, counts)
+	}
+	if first := sc.Spread(8, func(int) bool { return false }, counts); first != -1 {
+		t.Fatalf("Spread with no eligible replica = %d, want -1", first)
+	}
+}
+
+func TestScorerSpreadKeepsWhole(t *testing.T) {
+	counts := make([]int, 2)
+	whole := func(what string, sc *Scorer, n int) {
+		t.Helper()
+		first := sc.Spread(n, nil, counts)
+		if first < 0 || counts[first] != n || counts[1-first] != 0 {
+			t.Fatalf("%s: Spread = first %d counts %v, want all %d on the first-ranked replica", what, first, counts, n)
+		}
+		if got := sc.Outstanding(first); got != n {
+			t.Fatalf("%s: Outstanding(first) = %d, want %d", what, got, n)
+		}
+	}
+	// No feedback at all, no message overhead seen, one replica cold.
+	whole("cold scorer", NewScorer(2, ScorerOptions{Concurrency: 2}), 8)
+	sc := NewScorer(2, ScorerOptions{Concurrency: 2})
+	sc.Observe(0, 0, 1e6, 1e6, 0)
+	sc.Observe(1, 0, 1e6, 1e6, 0)
+	whole("no overhead observed", sc, 8)
+	sc = NewScorer(2, ScorerOptions{Concurrency: 2})
+	sc.Observe(0, 0, 1e6, 1e6, 0)
+	sc.ObserveMessage(1e5)
+	whole("cold sibling", sc, 8)
+	// A split must pay for its message: 0.4 µs of service per request
+	// against 100 µs per message never does …
+	whole("service far below overhead", warmPair(400, 1e5), 40)
+	// … and at 30 µs per request (15 µs saved per request moved, two
+	// workers) eight requests would move four, saving 60 µs < 100 µs.
+	whole("moved share below overhead", warmPair(3e4, 1e5), 8)
+	// Sixteen requests move eight: 120 µs saved, the split stays.
+	sc = warmPair(3e4, 1e5)
+	if sc.Spread(16, nil, counts); counts[0] != 8 || counts[1] != 8 {
+		t.Fatalf("Spread(16) at 30 µs/request = %v, want [8 8]", counts)
+	}
+}

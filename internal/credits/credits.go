@@ -9,7 +9,7 @@
 // Mechanics:
 //
 //   - Every client holds a credit balance per server, topped up each
-//     measurement interval (default 100 ms) from the controller's current
+//     measurement interval (default 25 ms) from the controller's current
 //     allocation. Credits are denominated in estimated service
 //     nanoseconds (shares of server capacity).
 //   - Replica selection for a sub-task picks the replica with the largest

@@ -60,9 +60,10 @@ func (d *Duration) UnmarshalJSON(b []byte) error {
 }
 
 // ClassBiasUnit is the wire-priority spread between adjacent SLO class
-// levels: one second in forecast-cost units, far wider than any
-// per-request cost estimate, so class ordering is strict on server
-// queues while task-aware ordering keeps operating within a class.
+// levels: one second, far wider than any per-request cost estimate, so
+// task-aware ordering keeps operating within a class and a lower class
+// is served only when nothing of a higher one received within the last
+// second is queued (servers rank by receipt time + priority).
 const ClassBiasUnit = int64(time.Second)
 
 // ClassSpec names one SLO class. Priority 0 is the most urgent; each

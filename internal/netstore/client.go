@@ -23,8 +23,9 @@ type ClientOptions struct {
 	// Assigner is the priority-assignment algorithm (default EqualMax).
 	Assigner core.Assigner
 	// CostModel forecasts per-key service cost from the value size
-	// (default: 1 µs + 1 ns/byte — only relative order matters for
-	// scheduling).
+	// (default: 1 µs + 1 ns/byte). Only relative order matters: the
+	// client rescales forecasts to the service times servers report
+	// before they go on the wire (forecastScale).
 	CostModel core.CostModel
 	// DefaultSize is the assumed size for keys not yet seen (sizes are
 	// learned from responses). Default 1024.
@@ -67,6 +68,8 @@ type Client struct {
 
 	// sizes caches learned value sizes for cost forecasting.
 	sizes sync.Map // string -> int64
+	// scale turns forecasts into the servers' nanoseconds.
+	scale forecastScale
 
 	// outstanding[s] is the estimated in-flight service time (ns) at
 	// server s from this client.
@@ -313,6 +316,7 @@ func (c *Client) Multiget(ctx context.Context, keys []string, opts ReadOptions) 
 	// Batches are keyed by server, of which a task touches at most a
 	// handful — a linear scan beats a map allocation per call.
 	var batches []*outBatch
+	scale := c.scale.factor()
 	for _, sub := range subs {
 		reps := topo.Replicas(sub.Group)
 		for _, r := range sub.Requests {
@@ -337,7 +341,7 @@ func (c *Client) Multiget(ctx context.Context, keys []string, opts ReadOptions) 
 				batches = append(batches, b)
 			}
 			b.keys = append(b.keys, keys[r.ID])
-			b.prios = append(b.prios, r.Priority+opts.PriorityBias)
+			b.prios = append(b.prios, int64(float64(r.Priority)*scale)+opts.PriorityBias)
 			b.idx = append(b.idx, int(r.ID))
 			c.outstanding[best].Add(r.EstCost)
 			if c.credits != nil {
@@ -356,13 +360,11 @@ func (c *Client) Multiget(ctx context.Context, keys []string, opts ReadOptions) 
 		// every exit — a failed batch is no longer outstanding, and
 		// leaving it accounted would permanently penalize the replica
 		// in future pickReplica calls.
-		defer func() {
-			var est int64
-			for _, orig := range b.idx {
-				est += task.Requests[orig].EstCost
-			}
-			c.outstanding[b.sid].Add(-est)
-		}()
+		var est int64
+		for _, orig := range b.idx {
+			est += task.Requests[orig].EstCost
+		}
+		defer c.outstanding[b.sid].Add(-est)
 		// Single-tier deployments leave the Shard/Replica routing
 		// header zero (see wire.BatchReq).
 		resp, err := c.conns[b.sid].batch(ctx, &wire.BatchReq{
@@ -394,6 +396,7 @@ func (c *Client) Multiget(ctx context.Context, keys []string, opts ReadOptions) 
 		if expired > 0 {
 			return expiredKeysError(expired)
 		}
+		c.scale.observe(resp.ServiceNanos, est)
 		return nil
 	}
 	// Fan out to all batches but the first, which runs on this

@@ -29,7 +29,9 @@ type ClusterOptions struct {
 	// whole multiget fan-out (default EqualMax).
 	Assigner core.Assigner
 	// CostModel forecasts per-key service cost from the value size
-	// (default: 1 µs + 1 ns/byte).
+	// (default: 1 µs + 1 ns/byte). Only relative order matters: the
+	// client rescales forecasts to the service times servers report
+	// before they go on the wire (forecastScale).
 	CostModel core.CostModel
 	// DefaultSize is the assumed size for keys not yet seen. Default 1024.
 	DefaultSize int64
@@ -127,6 +129,12 @@ var (
 	hintOverflowsTotal = metrics.GetCounter("netstore_hint_overflow_total")
 	topoRefreshesTotal = metrics.GetCounter("netstore_topology_refresh_total")
 	strayRetriesTotal  = metrics.GetCounter("netstore_stray_key_retries_total")
+	// Sub-tasks multigets decomposed into, and BatchReq messages sent for
+	// them (hedges, failovers and stray retries included): batches ÷
+	// subtasks is the message amplification of task-wide replica
+	// selection.
+	multigetSubtasksTotal = metrics.GetCounter("netstore_multiget_subtasks_total")
+	multigetBatchesTotal  = metrics.GetCounter("netstore_multiget_batches_total")
 )
 
 // multigetLatencyNS is the process-wide multiget completion-time
@@ -218,8 +226,10 @@ func (st *topoState) slotOf(shard, replica int) *serverSlot {
 // Cluster is the sharded, replica-aware client of the networked store:
 // keys consistent-hash across shard groups, a multiget decomposes into
 // one BRB sub-task per shard with task-aware priorities preserved
-// end-to-end, each sub-task picks its replica by C3 score, and batches
-// scatter-gather with failover to the next-ranked replica when one dies.
+// end-to-end, each sub-task's keys are placed on the shard's replicas by
+// C3 score (one batch per replica that received keys; see place), and
+// batches scatter-gather with failover to the next-ranked replica when
+// one dies.
 //
 // Routing is epoch-versioned: the client caches a cluster.ShardTopology
 // and servers validate ownership per key against their own. When a
@@ -248,6 +258,8 @@ type Cluster struct {
 
 	// sizes caches learned value sizes for cost forecasting.
 	sizes sync.Map // string -> int64
+	// scale turns forecasts into the servers' nanoseconds.
+	scale forecastScale
 
 	// written records the version this client last wrote per key; batch
 	// responses carrying older versions reveal stale replicas. Like
@@ -944,14 +956,14 @@ func (c *Cluster) Get(ctx context.Context, key string, opts ReadOptions) ([]byte
 }
 
 // Multiget performs one batched read across the cluster: the full BRB
-// pipeline (forecast → decompose per shard → prioritize → C3 replica
-// selection → scatter-gather), with failover to the next-ranked replica
-// on transport errors and per-key re-routing across topology epochs
-// when a rebalance moves keys mid-flight. On error the partial
-// TaskResult is still returned — shards that answered have their
-// Values/Found filled — with all per-shard errors joined
-// (errors.Is(err, ErrNoReplica) matches a shard whose whole replica set
-// was down).
+// pipeline (forecast → decompose per shard → prioritize → task-wide C3
+// replica selection → scatter-gather of one batch per shard replica
+// chosen), with failover to the next-ranked replica on transport errors
+// and per-key re-routing across topology epochs when a rebalance moves
+// keys mid-flight. On error the partial TaskResult is still returned —
+// shards that answered have their Values/Found filled — with all
+// per-shard errors joined (errors.Is(err, ErrNoReplica) matches a shard
+// whose whole replica set was down).
 //
 // The wait is bounded by ctx, opts.Timeout, and the client's
 // RequestTimeout (earliest wins): against a stalled replica the call
@@ -1025,48 +1037,61 @@ func (c *Cluster) Multiget(ctx context.Context, keys []string, opts ReadOptions)
 	}
 	subs := core.Prepare(task, c.opts.Assigner)
 	res.Bottleneck = core.Bottleneck(subs)
-	var wg sync.WaitGroup
-	errCh := make(chan error, len(subs))
+	// One slab each for the keys, priorities and result slots of the whole
+	// task, sub-task after sub-task; batches and pieces are windows onto
+	// them.
+	ks := make([]string, 0, pending)
+	ps := make([]int64, 0, pending)
+	ix := make([]int, 0, pending)
+	pieces := make([]piece, 0, len(subs))
+	scale := c.scale.factor()
 	for i := range subs {
 		sub := &subs[i]
-		wg.Add(1)
+		lo := len(ks)
+		for _, r := range sub.Requests {
+			ks = append(ks, keys[r.ID])
+			ps = append(ps, int64(float64(r.Priority)*scale)+opts.PriorityBias)
+			ix = append(ix, int(r.ID))
+		}
+		b := shardBatch{shard: int(sub.Group), taskID: task.ID, cost: sub.Cost, keys: ks[lo:], prios: ps[lo:], idx: ix[lo:]}
+		pieces = c.place(st, b, opts.Replica, pieces)
+	}
+	multigetSubtasksTotal.Add(uint64(len(subs)))
+	// Every piece but the last gets a goroutine and reports on errCh; the
+	// last runs here, so a multiget that is one message (Get, a
+	// single-shard read) starts none.
+	last := len(pieces) - 1
+	var errCh chan error
+	if last > 0 {
+		errCh = make(chan error, last)
+	}
+	for _, p := range pieces[:last] {
 		go func() {
-			defer wg.Done()
-			b := shardBatch{
-				shard:  int(sub.Group),
-				taskID: task.ID,
-				cost:   sub.Cost,
-				keys:   make([]string, len(sub.Requests)),
-				prios:  make([]int64, len(sub.Requests)),
-				idx:    make([]int, len(sub.Requests)),
-			}
-			for j, r := range sub.Requests {
-				b.keys[j] = keys[r.ID]
-				b.prios[j] = r.Priority + opts.PriorityBias
-				b.idx[j] = int(r.ID)
-			}
-			if ferr := c.fetchBatch(ctx, st, b, res, 0, opts); ferr != nil {
-				errCh <- ferr
-			}
+			errCh <- c.fetchBatch(ctx, st, p.shardBatch, p.rep, res, 0, opts)
 		}()
 	}
-	wg.Wait()
-	close(errCh)
+	var errs []error
+	if ferr := c.fetchBatch(ctx, st, pieces[last].shardBatch, pieces[last].rep, res, 0, opts); ferr != nil {
+		errs = append(errs, ferr)
+	}
+	for range pieces[:last] {
+		if ferr := <-errCh; ferr != nil {
+			errs = append(errs, ferr)
+		}
+	}
 	res.Latency = time.Since(start)
 	multigetLatencyNS.Record(res.Latency.Nanoseconds())
-	var errs []error
-	for e := range errCh {
-		errs = append(errs, e)
-	}
 	if len(errs) > 0 {
 		return res, errors.Join(errs...)
 	}
 	return res, nil
 }
 
-// shardBatch is one shard's worth of a multiget: keys, their BRB
-// priorities, and their slots in the original key list. Stray keys
-// re-bucket into fresh shardBatches under the refreshed topology.
+// shardBatch is keys of one shard within a multiget — a whole sub-task
+// or the part of it bound for one replica: the keys, their BRB
+// priorities, their slots in the original key list, and their forecast
+// cost (credit accounting). Stray keys re-bucket into fresh
+// shardBatches under the refreshed topology.
 type shardBatch struct {
 	shard  int
 	taskID uint64
@@ -1076,8 +1101,102 @@ type shardBatch struct {
 	idx    []int
 }
 
-// fetchBatch sends one shard's sub-task to its C3-ranked best replica,
+// slice returns keys [lo, hi) of b with their share of its cost.
+func (b shardBatch) slice(lo, hi int) shardBatch {
+	b.cost = b.cost * int64(hi-lo) / int64(len(b.keys))
+	b.keys, b.prios, b.idx = b.keys[lo:hi], b.prios[lo:hi], b.idx[lo:hi]
+	return b
+}
+
+// piece is one message of a multiget's scatter: the keys of one
+// sub-task that placement put on replica rep, already counted
+// outstanding in the shard's scorer. rep < 0: the shard has no live
+// replica.
+type piece struct {
+	shardBatch
+	rep int
+}
+
+// nextReplica picks the replica for one whole batch of n keys — a
+// pinned sub-task, a failover, a hedge, a stray re-bucket — and counts
+// the keys outstanding there: the best-ranked live replica of the shard
+// not yet tried. With a controller attached the replicas the client
+// still holds credits at rank first, and pure C3 ranking takes over
+// when every balance is exhausted: credits steer, never block. It
+// returns -1 when no replica is left.
+func (c *Cluster) nextReplica(st *topoState, shard, n int, tried []bool) int {
+	scorer := st.scorers[shard]
+	eligible := func(r int) bool {
+		return !(r < len(tried) && tried[r]) && !st.slotOf(shard, r).down.Load()
+	}
+	rep := -1
+	if c.credits != nil {
+		rep = scorer.Best(func(r int) bool { return eligible(r) && c.funded(st, shard, r) })
+	}
+	if rep < 0 {
+		rep = scorer.Best(eligible)
+	}
+	if rep >= 0 {
+		scorer.OnSend(rep, n)
+	}
+	return rep
+}
+
+// funded reports whether the client still holds credits at a replica.
+func (c *Cluster) funded(st *topoState, shard, replica int) bool {
+	return c.credits.balance(st.topo.Server(shard, replica)) > 0
+}
+
+// place decides which replica serves each key of sub-task b and appends
+// one piece per replica that received keys. Selection is task-wide:
+// the scorer places the keys one at a time (c3.Scorer.Spread, funded
+// replicas first as in nextReplica), so a sub-task larger than one
+// replica's idle workers spills onto the sibling instead of queueing
+// for several rounds behind itself. The sub-task stays one message
+// under ReplicaPrimary (on replica 0 while it is live), with one live
+// replica, before the scorer has feedback, and whenever the service
+// time a second message would save is less than a message costs.
+func (c *Cluster) place(st *topoState, b shardBatch, pref ReplicaPreference, pieces []piece) []piece {
+	scorer := st.scorers[b.shard]
+	n := len(b.keys)
+	live := func(r int) bool { return !st.slotOf(b.shard, r).down.Load() }
+	if pref == ReplicaPrimary {
+		if live(0) {
+			scorer.OnSend(0, n)
+			return append(pieces, piece{b, 0})
+		}
+		return append(pieces, piece{b, c.nextReplica(st, b.shard, n, nil)})
+	}
+	var buf [c3.InlineReplicas]int
+	counts := buf[:]
+	if r := st.topo.Replicas(); r <= len(buf) {
+		counts = counts[:r]
+	} else {
+		counts = make([]int, r)
+	}
+	first := -1
+	if c.credits != nil {
+		first = scorer.Spread(n, func(r int) bool { return live(r) && c.funded(st, b.shard, r) }, counts)
+	}
+	if first < 0 && scorer.Spread(n, live, counts) < 0 {
+		return append(pieces, piece{b, -1})
+	}
+	lo := 0
+	for r, k := range counts {
+		if k > 0 {
+			pieces = append(pieces, piece{b.slice(lo, lo+k), r})
+			lo += k
+		}
+	}
+	return pieces
+}
+
+// fetchBatch sends one batch of a shard's keys to replica rep, where
+// the caller already counted them outstanding (place, nextReplica),
 // failing over through the remaining replicas on transport errors.
+// Every path out balances the scorer: a counted attempt ends in Observe
+// (answered) or OnError (send failure, dead connection, ctx).
+//
 // Keys the server rejects as strays (a rebalance moved them) are
 // re-bucketed under a refreshed topology and retried, up to
 // maxEpochHops epochs deep. Result slots are disjoint across concurrent
@@ -1093,35 +1212,14 @@ type shardBatch struct {
 // replica and the first complete answer wins (hedge.go). The hedged
 // replicas share this call's tried set, so the failover loop never
 // re-picks a replica a hedge already asked.
-func (c *Cluster) fetchBatch(ctx context.Context, st *topoState, b shardBatch, res *TaskResult, depth int, opts ReadOptions) error {
+func (c *Cluster) fetchBatch(ctx context.Context, st *topoState, b shardBatch, rep int, res *TaskResult, depth int, opts ReadOptions) error {
 	// b.shard is always bucketed from st.topo by the caller (Multiget or
 	// retryStrays), so the shard exists in st by construction.
 	scorer := st.scorers[b.shard]
 	n := len(b.keys)
-	pref := opts.Replica
 	pol := opts.Hedge.withDefaults()
 	tried := make([]bool, st.topo.Replicas())
-	eligible := func(r int) bool {
-		return !tried[r] && !st.slotOf(b.shard, r).down.Load()
-	}
-	for {
-		// Replica preference: primary pins to replica 0 while it is
-		// live, then falls back to ranked selection. With a controller
-		// attached, prefer replicas the client still holds credits for;
-		// fall back to pure C3 ranking when every eligible balance is
-		// exhausted (credits steer, never block).
-		rep := -1
-		if pref == ReplicaPrimary && eligible(0) {
-			rep = 0
-		}
-		if rep < 0 && c.credits != nil {
-			rep = scorer.Best(func(r int) bool {
-				return eligible(r) && c.credits.balance(st.topo.Server(b.shard, r)) > 0
-			})
-		}
-		if rep < 0 {
-			rep = scorer.Best(eligible)
-		}
+	for ; ; rep = c.nextReplica(st, b.shard, n, tried) {
 		if rep < 0 {
 			// Every replica of the shard is exhausted under THIS state —
 			// either our view is stale (a rebalance retired the shard and
@@ -1148,8 +1246,10 @@ func (c *Cluster) fetchBatch(ctx context.Context, st *topoState, b shardBatch, r
 		slot := st.slotOf(b.shard, rep)
 		sc := slot.pick()
 		if sc == nil {
-			// Lost a race with markDown's connection teardown: treat like
-			// a transport failure and fail over.
+			// The replica went down since it was chosen (or we lost a race
+			// with markDown's connection teardown): treat like a transport
+			// failure and fail over.
+			scorer.OnError(rep, n)
 			continue
 		}
 
@@ -1176,17 +1276,10 @@ func (c *Cluster) fetchBatch(ctx context.Context, st *topoState, b shardBatch, r
 				continue
 			}
 		} else {
-			scorer.OnSend(rep, n)
 			sent := time.Now()
 			var err error
-			resp, err = sc.batch(ctx, &wire.BatchReq{
-				TaskID:   b.taskID,
-				Shard:    uint32(b.shard),
-				Replica:  uint32(rep),
-				Epoch:    st.topo.Epoch(),
-				Priority: b.prios,
-				Keys:     b.keys,
-			})
+			multigetBatchesTotal.Inc()
+			resp, err = sc.batch(ctx, batchReq(st, b, rep))
 			if err != nil {
 				// The scorer only unwinds outstanding — an aborted batch says
 				// nothing about service times.
@@ -1202,8 +1295,7 @@ func (c *Cluster) fetchBatch(ctx context.Context, st *topoState, b shardBatch, r
 				c.markDown(slot, sc)
 				continue
 			}
-			rtt := float64(time.Since(sent).Nanoseconds())
-			scorer.Observe(rep, n, rtt, float64(resp.ServiceNanos)/float64(n), int(resp.QueueLen))
+			c.observe(scorer, rep, b, sent, resp)
 		}
 		if resp.Epoch > st.topo.Epoch() {
 			// The server is ahead of us. Our keys were still served (any
@@ -1279,6 +1371,32 @@ func (c *Cluster) fetchBatch(ctx context.Context, st *topoState, b shardBatch, r
 	}
 }
 
+// batchReq builds the wire request carrying batch b to replica rep.
+func batchReq(st *topoState, b shardBatch, rep int) *wire.BatchReq {
+	return &wire.BatchReq{
+		TaskID:   b.taskID,
+		Shard:    uint32(b.shard),
+		Replica:  uint32(rep),
+		Epoch:    st.topo.Epoch(),
+		Priority: b.prios,
+		Keys:     b.keys,
+	}
+}
+
+// observe folds batch b, sent at sent and answered by replica rep, into
+// the shard's scorer — the replica's latency feedback, and the message's
+// overhead: the round trip less the time the server held the batch —
+// and, when every key was served, into the forecast scale.
+func (c *Cluster) observe(scorer *c3.Scorer, rep int, b shardBatch, sent time.Time, resp *wire.BatchResp) {
+	n := len(b.keys)
+	rtt := float64(time.Since(sent).Nanoseconds())
+	scorer.Observe(rep, n, rtt, float64(resp.ServiceNanos)/float64(n), int(resp.QueueLen))
+	scorer.ObserveMessage(rtt - float64(resp.WaitNanos))
+	if resp.Stray == nil && resp.Expired == nil {
+		c.scale.observe(resp.ServiceNanos, b.cost)
+	}
+}
+
 // retryStrays refreshes the topology and re-buckets the given keys by
 // their new owners, fetching each bucket one epoch deeper. A server
 // that rejected keys holds a newer topology by definition, so if the
@@ -1313,7 +1431,8 @@ func (c *Cluster) retryStrays(ctx context.Context, st *topoState, b shardBatch, 
 	opts.Replica = ReplicaAuto
 	var errs []error
 	for _, nb := range buckets {
-		if err := c.fetchBatch(ctx, nst, *nb, res, depth+1, opts); err != nil {
+		rep := c.nextReplica(nst, nb.shard, len(nb.keys), nil)
+		if err := c.fetchBatch(ctx, nst, *nb, rep, res, depth+1, opts); err != nil {
 			errs = append(errs, err)
 		}
 	}

@@ -161,8 +161,9 @@ func (c *Cluster) newHedgeTimer(d time.Duration) (<-chan time.Time, func()) {
 	return t.C, func() { t.Stop() }
 }
 
-// hedgedBatch issues one shard batch to the picked replica and, when it
-// stays outstanding past the policy's trigger, re-issues the same keys
+// hedgedBatch issues one shard batch to the picked replica — already
+// counted outstanding in the scorer by the caller — and, when it stays
+// outstanding past the policy's trigger, re-issues the same keys
 // to the next-ranked untried replica, returning the first complete
 // answer (and which replica produced it). Losing attempts are not
 // cancelled on the wire — the protocol has no cancel frame — but their
@@ -193,16 +194,11 @@ func (c *Cluster) hedgedBatch(ctx context.Context, st *topoState, scorer *c3.Sco
 	// Buffered for every possible attempt, so a loser's goroutine can
 	// always deliver its outcome and exit even after this call returned.
 	results := make(chan outcome, maxAttempts)
+	// launch sends the batch to a replica where the scorer already counts
+	// its keys outstanding; every way the attempt can end unwinds them.
 	launch := func(rep int, slot *serverSlot, sc *serverConn) bool {
-		scorer.OnSend(rep, n)
-		id, ch, err := sc.startBatch(ctx, &wire.BatchReq{
-			TaskID:   b.taskID,
-			Shard:    uint32(b.shard),
-			Replica:  uint32(rep),
-			Epoch:    st.topo.Epoch(),
-			Priority: b.prios,
-			Keys:     b.keys,
-		})
+		multigetBatchesTotal.Inc()
+		id, ch, err := sc.startBatch(ctx, batchReq(st, b, rep))
 		if err != nil {
 			scorer.OnError(rep, n)
 			if ctx.Err() == nil {
@@ -222,7 +218,7 @@ func (c *Cluster) hedgedBatch(ctx context.Context, st *topoState, scorer *c3.Sco
 					results <- outcome{rep: rep}
 					return
 				}
-				scorer.Observe(rep, n, float64(time.Since(sent).Nanoseconds()), float64(resp.ServiceNanos)/float64(n), int(resp.QueueLen))
+				c.observe(scorer, rep, b, sent, resp)
 				// Even a losing answer carries authoritative versions:
 				// let the cache check its entries against them.
 				c.noteResponseVersions(b, resp)
@@ -288,19 +284,18 @@ func (c *Cluster) hedgedBatch(ctx context.Context, st *topoState, scorer *c3.Sco
 			arm(first)
 		case <-timerC:
 			disarm()
-			rep := scorer.Best(func(r int) bool {
-				return !tried[r] && !st.slotOf(b.shard, r).down.Load()
-			})
-			if rep < 0 {
-				continue // nothing left to hedge to; ride out the in-flight attempts
-			}
 			if _, ok := budgetOf(ctx); !ok {
 				continue // deadline spent: a hedge would be shed on arrival
+			}
+			rep := c.nextReplica(st, b.shard, n, tried)
+			if rep < 0 {
+				continue // nothing left to hedge to; ride out the in-flight attempts
 			}
 			tried[rep] = true
 			hslot := st.slotOf(b.shard, rep)
 			hsc := hslot.pick()
 			if hsc == nil {
+				scorer.OnError(rep, n)
 				arm(first) // lost a race with markDown; re-arm and re-rank
 				continue
 			}

@@ -203,6 +203,7 @@ func TestHedgedReadBeatsStalledReplica(t *testing.T) {
 		t.Fatalf("armed trigger delays = %v, want the 5ms cold-start floor first", armed)
 	}
 	injs[0].Release()
+	waitScorerBalanced(t, c) // the abandoned primary attempt unwinds too
 }
 
 // A hedge that loses the race is counted wasted, not won: both replicas
@@ -244,6 +245,7 @@ func TestHedgeWastedWhenPrimaryWins(t *testing.T) {
 		t.Fatalf("hedge counters fired=%d won=%d wasted=%d, want 1/0/1", fired, won, wasted)
 	}
 	injs[1].Release()
+	waitScorerBalanced(t, c) // the wasted hedge unwinds too
 }
 
 // HedgeOff (the zero ReadOptions) never arms a trigger: the fake timer

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -172,10 +173,13 @@ func TestClientDelete(t *testing.T) {
 func TestPriorityOrderOnServer(t *testing.T) {
 	// Single-worker server; the fault injector parks the first batch at
 	// the service gate while three more queue up; they must be serviced
-	// in priority order, not arrival order. Each priority reads a key
-	// whose value length encodes it (prio+1 bytes), so the ServiceDelay
-	// hook — called by the lone worker, in service order — can record
-	// which request it is serving without racing client goroutines.
+	// in priority order, not arrival order. Priorities are spaced by
+	// seconds: the server ranks a key by receipt time + priority, and the
+	// milliseconds between the stall-gated arrivals must not reorder them.
+	// Each priority reads a key whose value length encodes it (prio+1
+	// bytes), so the ServiceDelay hook — called by the lone worker, in
+	// service order — can record which request it is serving without
+	// racing client goroutines.
 	var mu sync.Mutex
 	var order []int64
 	fi := NewFaultInjector()
@@ -211,7 +215,7 @@ func TestPriorityOrderOnServer(t *testing.T) {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			if _, err := c.conns[0].batch(bg, &wire.BatchReq{TaskID: 1, Priority: []int64{prio}, Keys: []string{fmt.Sprintf("k%d", prio)}}); err != nil {
+			if _, err := c.conns[0].batch(bg, &wire.BatchReq{TaskID: 1, Priority: []int64{prio * int64(time.Second)}, Keys: []string{fmt.Sprintf("k%d", prio)}}); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -253,7 +257,8 @@ func TestPriorityBiasOrdersAcrossCalls(t *testing.T) {
 	// priorities travel through the public Store API: the Oblivious
 	// assigner stamps 0 on every request, leaving the bias as the only
 	// ordering signal — exactly how workload SLO classes ride on top of
-	// task-aware priorities.
+	// task-aware priorities. Biases are spaced by seconds, as SLO classes
+	// are (loadgen.ClassBiasUnit), so arrival gaps cannot reorder them.
 	var mu sync.Mutex
 	var order []int64
 	fi := NewFaultInjector()
@@ -289,7 +294,7 @@ func TestPriorityBiasOrdersAcrossCalls(t *testing.T) {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			if _, err := c.Multiget(bg, []string{fmt.Sprintf("k%d", bias)}, ReadOptions{PriorityBias: bias}); err != nil {
+			if _, err := c.Multiget(bg, []string{fmt.Sprintf("k%d", bias)}, ReadOptions{PriorityBias: bias * int64(time.Second)}); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -320,6 +325,131 @@ func TestPriorityBiasOrdersAcrossCalls(t *testing.T) {
 		if order[i] != want[i] {
 			t.Fatalf("service order %v, want %v", order, want)
 		}
+	}
+}
+
+func TestPriorityRankIsReceiptTimePlusPriority(t *testing.T) {
+	// The Priority discipline ranks a key by receipt time + wire priority
+	// (earliest virtual finish first), not by priority alone: a key with a
+	// large priority that has already waited longer than the gap to a
+	// smaller one is served first. Same parked-worker scheme as
+	// TestPriorityOrderOnServer: k1 (priority = gap) queues first, k2
+	// (priority 0) is sent only once more than gap has passed since k1
+	// was seen queued, and the lone worker must serve k1 first.
+	const gap = time.Millisecond
+	var mu sync.Mutex
+	var order []int64
+	fi := NewFaultInjector()
+	srv, c := startSchedServer(t, ServerOptions{
+		Workers:    1,
+		Discipline: Priority,
+		Fault:      fi,
+		ServiceDelay: func(valueSize int64) time.Duration {
+			mu.Lock()
+			order = append(order, valueSize-1)
+			mu.Unlock()
+			return 0
+		},
+	}, []int{0, 1, 2})
+	issue := func(key int, prio time.Duration) chan struct{} {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			if _, err := c.conns[0].batch(bg, &wire.BatchReq{TaskID: 1, Priority: []int64{int64(prio)}, Keys: []string{fmt.Sprintf("k%d", key)}}); err != nil {
+				t.Error(err)
+			}
+		}()
+		return done
+	}
+	fi.StallNext(1)
+	first := issue(0, 0)
+	waitFor(t, 5*time.Second, "first batch parked in service", func() bool {
+		return fi.StalledCount() == 1
+	})
+	big := issue(1, gap)
+	waitFor(t, 5*time.Second, "k1 queued", func() bool { return srv.QueueLen() == 1 })
+	queued := time.Now() // k1 was received before this instant
+	waitFor(t, 5*time.Second, "more than the gap to pass", func() bool { return time.Since(queued) > gap })
+	small := issue(2, 0)
+	waitFor(t, 5*time.Second, "k2 queued", func() bool { return srv.QueueLen() == 2 })
+	fi.Release()
+	<-first
+	<-big
+	<-small
+	mu.Lock()
+	defer mu.Unlock()
+	want := []int64{0, 1, 2}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("service order %v, want %v (k1 waited out its gap to k2)", order, want)
+		}
+	}
+}
+
+func TestUncalibratedForecastsStillOrderTasks(t *testing.T) {
+	// The library-default CostModel (1 µs + 1 ns/byte) against a server
+	// whose real service time is tens of milliseconds: raw forecasts are
+	// lost beside receipt times, so a small task arriving after a large
+	// one would queue behind all of it. The client rescales forecasts by
+	// the service times servers report (forecastScale), and the small task
+	// overtakes. Two slow warm-up reads calibrate the scale; the ordering
+	// phase then runs without a delay behind a parked worker.
+	const warm = 50 * time.Millisecond
+	var delay atomic.Int64
+	var mu sync.Mutex
+	var order []int64
+	fi := NewFaultInjector()
+	srv, c := startSchedServer(t, ServerOptions{
+		Workers:    1,
+		Discipline: Priority,
+		Fault:      fi,
+		ServiceDelay: func(valueSize int64) time.Duration {
+			mu.Lock()
+			order = append(order, valueSize-1)
+			mu.Unlock()
+			return time.Duration(delay.Load())
+		},
+	}, []int{0, 1, 2, 3, 4, 5, 6, 7, 8})
+	delay.Store(int64(warm))
+	for i := 0; i < 2; i++ {
+		if _, _, err := c.Get(bg, "k0", ReadOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if f, min := c.scale.factor(), float64(warm)/float64(c.opts.CostModel.Estimate(c.opts.DefaultSize)); f < min {
+		t.Fatalf("forecast scale %.0f after two %v reads, want at least %.0f", f, warm, min)
+	}
+	delay.Store(0)
+	mu.Lock()
+	order = nil
+	mu.Unlock()
+	issue := func(keys ...string) chan struct{} {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			if _, err := c.Multiget(bg, keys, ReadOptions{}); err != nil {
+				t.Error(err)
+			}
+		}()
+		return done
+	}
+	fi.StallNext(1)
+	first := issue("k0")
+	waitFor(t, 5*time.Second, "first batch parked in service", func() bool {
+		return fi.StalledCount() == 1
+	})
+	large := issue("k1", "k2", "k3", "k4", "k5", "k6", "k7")
+	waitFor(t, 5*time.Second, "large task queued", func() bool { return srv.QueueLen() == 7 })
+	small := issue("k8")
+	waitFor(t, 5*time.Second, "small task queued", func() bool { return srv.QueueLen() == 8 })
+	fi.Release()
+	<-first
+	<-large
+	<-small
+	mu.Lock()
+	defer mu.Unlock()
+	if order[0] != 0 || order[1] != 8 {
+		t.Fatalf("service order %v: the later small task (k8) must be served right after the parked k0", order)
 	}
 }
 

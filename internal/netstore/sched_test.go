@@ -22,7 +22,10 @@ import (
 
 // startSchedServer launches one loopback server with the given options
 // and a connected flat client; values encode their priority as
-// len(value)-1 so the ServiceDelay hook can observe service order.
+// len(value)-1 so the ServiceDelay hook can observe service order. Tests
+// that depend on priority order send prio seconds on the wire: the
+// server ranks by receipt time + priority, and the gaps between
+// stall-gated arrivals must not reorder them.
 func startSchedServer(t *testing.T, opts ServerOptions, prios []int) (*Server, *Client) {
 	t.Helper()
 	srv := NewServer(kv.New(0), opts)
@@ -66,10 +69,11 @@ func TestSchedStealStarvationFreedom(t *testing.T) {
 
 // TestSchedPerShardPriorityOrder: ordering is per shard, not global.
 // With two shards and a single stalled worker, batches with priorities
-// 10, 30, 20 are parked so that 30 sits alone on the worker's home
-// shard while 10 and 20 share the other: the release order is then
-// home-first (30), followed by the steals in priority order (10, 20) —
-// a sequence the old global queue could never produce.
+// 20, 30, 10 (seconds) are parked so that 30 sits alone on the worker's
+// home shard while 20 and 10 share the other: the release order is then
+// home-first (30), followed by the steals in priority order (10, 20),
+// against their arrival order — a sequence the old global queue could
+// never produce.
 func TestSchedPerShardPriorityOrder(t *testing.T) {
 	var mu sync.Mutex
 	var order []int64
@@ -90,7 +94,7 @@ func TestSchedPerShardPriorityOrder(t *testing.T) {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			if _, err := c.conns[0].batch(bg, &wire.BatchReq{TaskID: 1, Priority: []int64{prio}, Keys: []string{fmt.Sprintf("k%d", prio)}}); err != nil {
+			if _, err := c.conns[0].batch(bg, &wire.BatchReq{TaskID: 1, Priority: []int64{prio * int64(time.Second)}, Keys: []string{fmt.Sprintf("k%d", prio)}}); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -102,13 +106,13 @@ func TestSchedPerShardPriorityOrder(t *testing.T) {
 	waitFor(t, 5*time.Second, "first batch parked in service", func() bool {
 		return fi.StalledCount() == 1
 	})
-	// Push 2 (shard 1): prio 10. Push 3 (shard 0): prio 30. Push 4
-	// (shard 1): prio 20. QueueLen waits pin the round-robin sequence.
-	d1 := issue(10)
+	// Push 2 (shard 1): prio 20. Push 3 (shard 0): prio 30. Push 4
+	// (shard 1): prio 10. QueueLen waits pin the round-robin sequence.
+	d1 := issue(20)
 	waitFor(t, 5*time.Second, "second batch queued", func() bool { return srv.QueueLen() == 1 })
 	d2 := issue(30)
 	waitFor(t, 5*time.Second, "third batch queued", func() bool { return srv.QueueLen() == 2 })
-	d3 := issue(20)
+	d3 := issue(10)
 	waitFor(t, 5*time.Second, "fourth batch queued", func() bool { return srv.QueueLen() == 3 })
 	fi.Release()
 	<-first

@@ -33,7 +33,13 @@ type Discipline int
 
 // Disciplines.
 const (
-	// Priority serves the lowest-priority-value pending key first (BRB).
+	// Priority serves the pending key with the earliest virtual finish
+	// time first: its batch's receipt time plus its wire priority (BRB's
+	// forecast nanoseconds), the stamp of fair queueing. Among keys that
+	// arrive together the lowest priority value wins, as the paper orders
+	// them; a key that has waited longer than the gap between two
+	// priorities overtakes the lower one, so no key waits forever behind
+	// a stream of cheaper arrivals.
 	Priority Discipline = iota
 	// FIFO serves keys in arrival order (task-oblivious baseline).
 	FIFO
@@ -142,6 +148,9 @@ type Server struct {
 	// it upgrades shard validation to per-key ownership checks.
 	topo atomic.Pointer[cluster.ShardTopology]
 
+	// start is the origin of the Priority discipline's receipt times.
+	start time.Time
+
 	mu     sync.Mutex
 	ln     net.Listener
 	conns  map[net.Conn]struct{}
@@ -209,6 +218,7 @@ func newServer(store *kv.Store, dur *kv.Durable, opts ServerOptions) *Server {
 		store: store,
 		dur:   dur,
 		sched: newScheduler(opts.Discipline, opts.SchedShards),
+		start: time.Now(),
 		conns: make(map[net.Conn]struct{}),
 	}
 	if opts.TombstoneGCHorizon > 0 {
@@ -423,11 +433,14 @@ var batchPool = sync.Pool{New: func() any { return new(batchState) }}
 // keys alias frame. stray, when non-nil, marks keys the server refused
 // for ownership: they are answered in place (found=false, stray=true)
 // and never enqueued — only owned keys become work items. epoch is the
-// server's topology epoch, piggybacked on the response.
-func newBatchState(cs *connState, m *wire.BatchReq, frame *wire.Frame, stray []bool, epoch uint64) *batchState {
+// server's topology epoch, piggybacked on the response. Each work item
+// is ranked by the batch's receipt time, in nanoseconds since start,
+// plus the key's wire priority (see Priority).
+func newBatchState(cs *connState, m *wire.BatchReq, frame *wire.Frame, stray []bool, epoch uint64, start time.Time) *batchState {
 	n := len(m.Keys)
 	bs := batchPool.Get().(*batchState)
 	bs.enqueued = time.Now()
+	received := bs.enqueued.Sub(start).Nanoseconds()
 	// The budget is "nanoseconds the client had left at send": the
 	// server assumes negligible transfer time and anchors the deadline
 	// at receipt. Queue wait — the thing BRB actually bounds — happens
@@ -469,7 +482,7 @@ func newBatchState(cs *connState, m *wire.BatchReq, frame *wire.Frame, stray []b
 		if stray != nil && stray[i] {
 			continue
 		}
-		bs.items[j] = workItem{key: m.Keys[i], priority: m.Priority[i], index: i, batch: bs}
+		bs.items[j] = workItem{key: m.Keys[i], priority: received + m.Priority[i], index: i, batch: bs}
 		j++
 	}
 	return bs
@@ -494,7 +507,9 @@ func (bs *batchState) release() {
 
 // workItem is one key awaiting service.
 type workItem struct {
-	key      string
+	key string
+	// priority is the scheduler's rank, lowest first: receipt time plus
+	// wire priority (newBatchState).
 	priority int64
 	index    int // position within the batch
 	batch    *batchState
@@ -973,7 +988,7 @@ func (s *Server) enqueueBatch(cs *connState, m *wire.BatchReq, frame *wire.Frame
 		frame.Release()
 		return
 	}
-	bs := newBatchState(cs, m, frame, stray, epoch)
+	bs := newBatchState(cs, m, frame, stray, epoch, s.start)
 	if bs.remaining == 0 {
 		// Every key was a stray: nothing to schedule, answer now.
 		//brb:allow stickyerr response send on a sticky-errored conn is moot: the readLoop tears the conn down

@@ -88,10 +88,12 @@ type ReadOptions struct {
 	// PriorityBias shifts the task-aware wire priority of every key this
 	// call issues (lower priorities serve sooner, so a positive bias
 	// deprioritizes the call relative to unbiased traffic). Workload SLO
-	// classes map onto biases — see internal/loadgen — spaced wider than
-	// per-request cost forecasts, so classes order strictly on server
-	// queues while task-awareness keeps operating within each class.
-	// Local applies work inline and ignores it.
+	// classes map onto biases — see internal/loadgen — spaced a second
+	// apart, wider than any cost forecast, so task-awareness keeps
+	// operating within each class and a higher class is served first
+	// unless the lower one has queued for longer than the spacing (the
+	// Priority discipline ranks by receipt time + priority). Local
+	// applies work inline and ignores it.
 	PriorityBias int64
 }
 

@@ -33,6 +33,7 @@ test:
 
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -run 'TestSched' ./internal/netstore/
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 100x -benchmem ./internal/wire/ ./internal/netstore/

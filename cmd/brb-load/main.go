@@ -666,16 +666,15 @@ func main() {
 			h["netstore_hedge_fired_total"], h["netstore_hedge_won_total"], h["netstore_hedge_wasted_total"])
 	}
 	if len(spawned) > 0 {
-		// The steal counter is process-wide, so it only describes this
-		// run's servers when they were spawned in-process.
+		// Served is per server, so the line exists only for servers
+		// spawned in-process.
 		var served uint64
 		for _, srv := range spawned {
 			if srv != nil {
 				served += srv.Served()
 			}
 		}
-		fmt.Printf("sched: steals=%d served_keys=%d multiget_subtasks=%d multiget_batches=%d\n",
-			metrics.CounterValue("netstore_sched_steals_total"), served,
+		fmt.Printf("sched: served_keys=%d multiget_subtasks=%d multiget_batches=%d\n", served,
 			metrics.CounterValue("netstore_multiget_subtasks_total"), metrics.CounterValue("netstore_multiget_batches_total"))
 	}
 	if *cacheSize > 0 {

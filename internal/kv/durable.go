@@ -212,6 +212,59 @@ func (d *Durable) DeleteVersion(key string, ver uint64) (bool, error) {
 	return true, d.w.append(opDel, key, nil, ver)
 }
 
+// Commit is a mutation that is applied to memory and buffered in the
+// log but whose durability has not been waited for. The zero Commit (a
+// replicated mutation that lost its LWW race, so nothing was logged)
+// has nothing to wait for.
+type Commit struct {
+	w   *wal
+	seq uint64
+}
+
+// Logged reports whether the mutation produced a log record, i.e.
+// whether Wait may block on the disk.
+func (c Commit) Logged() bool { return c.w != nil }
+
+// Wait blocks until the mutation has the durability the fsync policy
+// promises. Commits staged back to back share flushes: one fsync covers
+// every record buffered before it started.
+func (c Commit) Wait() error {
+	if c.w == nil {
+		return nil
+	}
+	return c.w.wait(c.seq)
+}
+
+// StageSet is Set (ver 0) or SetVersion (ver > 0) split at the disk:
+// the write is applied and its record buffered in call order, and the
+// caller owes the returned Commit a Wait before acknowledging the write
+// to anyone. A server's connection loop stages and hands the Wait to
+// another goroutine, so the reads behind a write on the same connection
+// do not queue behind its fsync.
+func (d *Durable) StageSet(key string, value []byte, ver uint64) (Commit, error) {
+	if ver == 0 {
+		ver = d.store.Set(key, value)
+	} else if !d.store.SetVersion(key, value, ver) {
+		return Commit{}, nil
+	}
+	seq, err := d.w.buffer(opSet, key, value, ver)
+	return Commit{w: d.w, seq: seq}, err
+}
+
+// StageDelete is Delete (ver 0) or DeleteVersion (ver > 0), split like
+// StageSet.
+func (d *Durable) StageDelete(key string, ver uint64) (Commit, error) {
+	op := opDel
+	if ver == 0 {
+		d.store.Delete(key)
+		op = opRawDel
+	} else if !d.store.DeleteVersion(key, ver) {
+		return Commit{}, nil
+	}
+	seq, err := d.w.buffer(op, key, nil, ver)
+	return Commit{w: d.w, seq: seq}, err
+}
+
 // Snapshot writes a snapshot now and truncates the log behind it. See
 // the package comment for the crash-safety argument.
 func (d *Durable) Snapshot() error {

@@ -158,15 +158,22 @@ func openWAL(dir string, opts walOptions) (*wal, error) {
 }
 
 // append buffers one record and waits for the durability the policy
-// promises: an fsync covering it (FsyncAlways) or its write reaching
-// the file (FsyncInterval/FsyncNever).
+// promises (see wait).
 func (w *wal) append(op byte, key string, value []byte, ver uint64) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	seq, err := w.bufferLocked(op, key, value, ver)
+	seq, err := w.buffer(op, key, value, ver)
 	if err != nil {
 		return err
 	}
+	return w.wait(seq)
+}
+
+// wait blocks until record seq has the durability the policy promises:
+// an fsync covering it (FsyncAlways) or its write reaching the file
+// (FsyncInterval/FsyncNever). The first waiter to find no flush in
+// flight performs one for everything buffered so far.
+func (w *wal) wait(seq uint64) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	wantSync := w.opts.fsync == FsyncAlways
 	for {
 		if w.err != nil {
@@ -195,15 +202,15 @@ func (w *wal) append(op byte, key string, value []byte, ver uint64) error {
 // they ride the next flush a durable append, the interval ticker, a
 // rotation, or Close performs.
 func (w *wal) appendAsync(op byte, key string, value []byte, ver uint64) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	_, err := w.bufferLocked(op, key, value, ver)
+	_, err := w.buffer(op, key, value, ver)
 	return err
 }
 
-// bufferLocked encodes one record into pending (mu held), returning its
-// sequence.
-func (w *wal) bufferLocked(op byte, key string, value []byte, ver uint64) (uint64, error) {
+// buffer encodes one record into the pending buffer, in call order,
+// and returns its sequence for wait. It never touches the disk.
+func (w *wal) buffer(op byte, key string, value []byte, ver uint64) (uint64, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.err != nil {
 		return 0, w.err
 	}
@@ -278,7 +285,7 @@ func (w *wal) fsync(f *os.File) error {
 	}
 	w.fsyncs.Add(1)
 	walFsyncsTotal.Inc()
-	return f.Sync()
+	return syncFile(f)
 }
 
 // rotate cuts the log over to a fresh segment, returning the new (tail)

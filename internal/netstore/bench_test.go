@@ -14,7 +14,7 @@ import (
 
 // benchStore starts one server on loopback with nKeys preloaded and
 // returns a connected single-server client. The caller must Close both.
-func benchStore(b *testing.B, nKeys int) (*Server, *Client) {
+func benchStore(b testing.TB, nKeys int) (*Server, *Client) {
 	b.Helper()
 	store := kv.New(0)
 	for i := 0; i < nKeys; i++ {
@@ -37,28 +37,28 @@ func benchStore(b *testing.B, nKeys int) (*Server, *Client) {
 	return srv, c
 }
 
+// pipelineKeys is the 8-key batch BenchmarkServerPipeline and
+// TestServerPipelineAllocs round-trip.
+func pipelineKeys() []string {
+	keys := make([]string, 8)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key:%d", i)
+	}
+	return keys
+}
+
 // BenchmarkServerPipeline measures the full batched-read round trip —
 // client encode, server decode/schedule/serve, response encode, client
 // decode — for an 8-key batch. allocs/op covers both endpoints; this is
 // the hot path whose per-frame allocation cost the pooled codec and
-// coalesced ConnWriter are meant to eliminate.
-//
-// Regression guard: allocs/op must stay ≤ 36 (the PR 2 floor; PR 9
-// re-earned it with the pooled default-timeout context, the slab-backed
-// value decode, and the map-free batch grouping after hedging/caching
-// had pushed it to 43). If a change lifts it past 36, find the new
-// allocations with -memprofilerate=1 and remove them — don't bump this
-// number.
+// coalesced ConnWriter are meant to eliminate. TestServerPipelineAllocs
+// guards the allocation count.
 func BenchmarkServerPipeline(b *testing.B) {
-	const nKeys = 64
-	srv, c := benchStore(b, nKeys)
+	srv, c := benchStore(b, 64)
 	defer srv.Close()
 	defer c.Close()
 
-	keys := make([]string, 8)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("key:%d", i%nKeys)
-	}
+	keys := pipelineKeys()
 	// Warm size cache and connections.
 	if _, err := c.Multiget(bg, keys, ReadOptions{}); err != nil {
 		b.Fatal(err)
@@ -76,14 +76,35 @@ func BenchmarkServerPipeline(b *testing.B) {
 	}
 }
 
+// TestServerPipelineAllocs is the regression guard on the round trip
+// BenchmarkServerPipeline times: allocations across both endpoints must
+// stay ≤ 36 (the PR 2 floor; PR 9 re-earned it with the pooled
+// default-timeout context, the slab-backed value decode, and the
+// map-free batch grouping after hedging/caching had pushed it to 43).
+// If a change lifts it past 36, find the new allocations with
+// -memprofilerate=1 and remove them — don't bump this number. (31 today;
+// 34 under -race, whose sync.Pool drops entries at random.)
+func TestServerPipelineAllocs(t *testing.T) {
+	srv, c := benchStore(t, 64)
+	defer srv.Close()
+	defer c.Close()
+	keys := pipelineKeys()
+	// AllocsPerRun's own warm-up call fills the size cache and pools.
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := c.Multiget(bg, keys, ReadOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 36 {
+		t.Fatalf("8-key round trip: %.0f allocs, must stay ≤ 36", allocs)
+	}
+}
+
 // BenchmarkServerSaturation drives one server to saturation from many
 // client goroutines over loopback and reports aggregate read throughput
 // (keys/s). The values are 4 KiB — past the writev threshold, so the
-// response path exercises the vectored burst writer — and the sharded
-// variant enables both PR 9 server-side levers: per-core scheduler
-// shards (vs a single global lock+heap) and two connections per
-// replica. Run with -cpu 1,2,4 to see the scaling; at GOMAXPROCS 1 the
-// sharded default collapses to one shard and the two variants converge.
+// response path exercises the vectored burst writer. Run with -cpu 1,2,4
+// to see the scaling.
 func BenchmarkServerSaturation(b *testing.B) {
 	const (
 		nKeys     = 512
@@ -91,131 +112,95 @@ func BenchmarkServerSaturation(b *testing.B) {
 		batchKeys = 8
 		nClients  = 4
 	)
-	for _, cfg := range []struct {
-		name        string
-		schedShards int // ServerOptions.SchedShards (0 = per-core default)
-		conns       int // ClusterOptions.ConnsPerReplica
-	}{
-		{"unsharded", 1, 1},
-		{"sharded", 0, 2},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			store := kv.New(0)
-			for i := 0; i < nKeys; i++ {
-				store.Set(fmt.Sprintf("key:%d", i), make([]byte, valSize))
+	store := kv.New(0)
+	for i := 0; i < nKeys; i++ {
+		store.Set(fmt.Sprintf("key:%d", i), make([]byte, valSize))
+	}
+	srv := NewServer(store, ServerOptions{Workers: max(4, runtime.GOMAXPROCS(0))})
+	defer srv.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	go func() { _ = srv.Serve(ln) }()
+	m := cluster.MustNewShardTopology(cluster.ShardConfig{Shards: 1, Replicas: 1})
+	clients := make([]*Cluster, nClients)
+	for i := range clients {
+		c, err := DialCluster([]string{ln.Addr().String()}, ClusterOptions{Topology: m})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer c.Close()
+		clients[i] = c
+	}
+	// Warm connections and size caches.
+	warm := []string{"key:0"}
+	for _, c := range clients {
+		if _, err := c.Multiget(bg, warm, ReadOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var next atomic.Uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		c := clients[int(next.Add(1))%nClients]
+		keys := make([]string, batchKeys)
+		off := int(next.Add(1)) * 31
+		for pb.Next() {
+			for i := range keys {
+				keys[i] = fmt.Sprintf("key:%d", (off+i)%nKeys)
 			}
-			workers := runtime.GOMAXPROCS(0)
-			if workers < 4 {
-				workers = 4
-			}
-			srv := NewServer(store, ServerOptions{Workers: workers, SchedShards: cfg.schedShards})
-			defer srv.Close()
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			off += batchKeys
+			res, err := c.Multiget(bg, keys, ReadOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
-			go func() { _ = srv.Serve(ln) }()
-			m := cluster.MustNewShardTopology(cluster.ShardConfig{Shards: 1, Replicas: 1})
-			clients := make([]*Cluster, nClients)
-			for i := range clients {
-				c, err := DialCluster([]string{ln.Addr().String()}, ClusterOptions{
-					Topology:        m,
-					ConnsPerReplica: cfg.conns,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer c.Close()
-				clients[i] = c
+			if len(res.Values) != batchKeys {
+				b.Fatalf("got %d values", len(res.Values))
 			}
-			// Warm connections and size caches.
-			warm := []string{"key:0"}
-			for _, c := range clients {
-				if _, err := c.Multiget(bg, warm, ReadOptions{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			var next atomic.Uint64
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				c := clients[int(next.Add(1))%nClients]
-				keys := make([]string, batchKeys)
-				off := int(next.Add(1)) * 31
-				for pb.Next() {
-					for i := range keys {
-						keys[i] = fmt.Sprintf("key:%d", (off+i)%nKeys)
-					}
-					off += batchKeys
-					res, err := c.Multiget(bg, keys, ReadOptions{})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if len(res.Values) != batchKeys {
-						b.Fatalf("got %d values", len(res.Values))
-					}
-				}
-			})
-			b.ReportMetric(float64(b.N*batchKeys)/b.Elapsed().Seconds(), "keys/s")
-		})
-	}
+		}
+	})
+	b.ReportMetric(float64(b.N*batchKeys)/b.Elapsed().Seconds(), "keys/s")
 }
 
-// BenchmarkSchedShards isolates the scheduler itself — no sockets, no
-// codec — so the cost of the queue lock is visible even on machines
-// where the end-to-end saturation benchmark is bottlenecked elsewhere
-// (a single-core box time-slices BenchmarkServerSaturation's clients
-// and server, burying lock contention in scheduling noise). Producers
-// push 8-item batches and the worker pool pops them; global=1 shard is
-// the pre-sharding scheduler, percore spreads the same load over
-// GOMAXPROCS shards.
-func BenchmarkSchedShards(b *testing.B) {
+// BenchmarkSched isolates the run queue itself — no sockets, no codec —
+// so the cost of its one lock is visible even on machines where the
+// end-to-end saturation benchmark is bottlenecked elsewhere. Producers
+// push 8-item batches and a worker pool pops them.
+func BenchmarkSched(b *testing.B) {
 	const batchItems = 8
-	for _, cfg := range []struct {
-		name   string
-		shards int
-	}{
-		{"global", 1},
-		{"percore", runtime.GOMAXPROCS(0)},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			s := newScheduler(Priority, cfg.shards)
-			workers := runtime.GOMAXPROCS(0)
-			if workers < 2 {
-				workers = 2
-			}
-			var served atomic.Int64
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(home int) {
-					defer wg.Done()
-					for {
-						if _, _, ok := s.pop(home % cfg.shards); !ok {
-							return
-						}
-						served.Add(1)
-					}
-				}(w)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					items := make([]workItem, batchItems)
-					for i := range items {
-						items[i].priority = int64(i)
-					}
-					s.pushAll(items)
+	s := newScheduler(Priority)
+	var served atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < max(2, runtime.GOMAXPROCS(0)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				if _, _, ok := s.pop(); !ok {
+					return
 				}
-			})
-			s.close()
-			wg.Wait()
-			b.StopTimer()
-			if got := served.Load(); got != int64(b.N)*batchItems {
-				b.Fatalf("served %d of %d items", got, int64(b.N)*batchItems)
+				served.Add(1)
 			}
-			b.ReportMetric(float64(b.N*batchItems)/b.Elapsed().Seconds(), "items/s")
-		})
+		}()
 	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			items := make([]workItem, batchItems)
+			for i := range items {
+				items[i].priority = int64(i)
+			}
+			s.pushAll(items)
+		}
+	})
+	s.close()
+	wg.Wait()
+	b.StopTimer()
+	if got := served.Load(); got != int64(b.N)*batchItems {
+		b.Fatalf("served %d of %d items", got, int64(b.N)*batchItems)
+	}
+	b.ReportMetric(float64(b.N*batchItems)/b.Elapsed().Seconds(), "items/s")
 }

@@ -1199,7 +1199,8 @@ func (c *Cluster) place(st *topoState, b shardBatch, pref ReplicaPreference, pie
 //
 // Keys the server rejects as strays (a rebalance moved them) are
 // re-bucketed under a refreshed topology and retried, up to
-// maxEpochHops epochs deep. Result slots are disjoint across concurrent
+// maxEpochHops epochs deep; strays from a server still BEHIND st's epoch
+// are re-sent under st instead. Result slots are disjoint across concurrent
 // calls, so writes into res need no locking.
 //
 // The whole failover chain observes ctx: each attempt's wait selects on
@@ -1219,7 +1220,22 @@ func (c *Cluster) fetchBatch(ctx context.Context, st *topoState, b shardBatch, r
 	n := len(b.keys)
 	pol := opts.Hedge.withDefaults()
 	tried := make([]bool, st.topo.Replicas())
+	// behind: a replica answered strays from an OLDER topology than st's
+	// (see the stray handling below); b has shrunk to those strays.
+	behind := false
+	// expired counts keys shed by answers whose strays went around again.
+	expired := 0
 	for ; ; rep = c.nextReplica(st, b.shard, n, tried) {
+		if rep < 0 && behind {
+			// Every sibling has been asked and the lagging replicas are
+			// about to install st's epoch: wait a beat, then ask again.
+			if !sleepCtx(ctx, strayBeat) {
+				return ctxErr(ctx, fmt.Sprintf("shard %d replicas behind epoch %d", b.shard, st.topo.Epoch()))
+			}
+			clear(tried)
+			behind = false
+			continue
+		}
 		if rep < 0 {
 			// Every replica of the shard is exhausted under THIS state —
 			// either our view is stale (a rebalance retired the shard and
@@ -1232,7 +1248,7 @@ func (c *Cluster) fetchBatch(ctx context.Context, st *topoState, b shardBatch, r
 			// fresh state.
 			if depth < maxEpochHops {
 				if nst := c.refreshTopology(ctx, st); nst != st {
-					return c.retryStrays(ctx, st, b, res, b.idx, b.keys, b.prios, depth, opts)
+					return c.retryStrays(ctx, st, b, res, depth, opts)
 				}
 			}
 			if ctx.Err() != nil {
@@ -1312,15 +1328,12 @@ func (c *Cluster) fetchBatch(ctx context.Context, st *topoState, b shardBatch, r
 		if len(resp.Values) != n {
 			return fmt.Errorf("netstore: shard %d returned %d values for %d keys", b.shard, len(resp.Values), n)
 		}
-		var strayIdx []int
-		var strayKeys []string
-		var strayPrios []int64
-		expired := 0
+		stray := shardBatch{shard: b.shard, taskID: b.taskID, cost: b.cost}
 		for i := range b.keys {
 			if resp.Stray != nil && resp.Stray[i] {
-				strayIdx = append(strayIdx, b.idx[i])
-				strayKeys = append(strayKeys, b.keys[i])
-				strayPrios = append(strayPrios, b.prios[i])
+				stray.idx = append(stray.idx, b.idx[i])
+				stray.keys = append(stray.keys, b.keys[i])
+				stray.prios = append(stray.prios, b.prios[i])
 				continue
 			}
 			if resp.Expired != nil && resp.Expired[i] {
@@ -1356,18 +1369,29 @@ func (c *Cluster) fetchBatch(ctx context.Context, st *topoState, b shardBatch, r
 		if expired > 0 {
 			expErr = expiredKeysError(expired)
 		}
-		if len(strayIdx) == 0 {
+		if len(stray.keys) == 0 {
 			return expErr
 		}
-		// The server owns only part of this batch under its (newer)
-		// topology: refresh ours and re-route exactly the strays. The
-		// multiget now spans two epochs — served keys stand, strays go
-		// around again.
-		strayRetriesTotal.Add(uint64(len(strayIdx)))
-		if depth >= maxEpochHops {
-			return errors.Join(expErr, fmt.Errorf("%w (%d stray keys on shard %d)", ErrTopologySkew, len(strayIdx), b.shard))
+		// Served keys stand, strays go around again.
+		strayRetriesTotal.Add(uint64(len(stray.keys)))
+		if resp.Epoch < st.topo.Epoch() {
+			// The server is BEHIND us: a rebalance's push reached the
+			// server we learned st from before it reached this one, so
+			// the strays are keys st rightly routes here and this replica
+			// does not know it yet. There is nothing newer to refresh to;
+			// re-send exactly the strays under the SAME state, untried
+			// siblings first (they may already hold st's epoch).
+			b, n = stray, len(stray.keys)
+			behind = true
+			continue
 		}
-		return errors.Join(expErr, c.retryStrays(ctx, st, b, res, strayIdx, strayKeys, strayPrios, depth, opts))
+		// The server owns only part of this batch under its newer
+		// topology: refresh ours and re-route the strays. The multiget
+		// now spans two epochs.
+		if depth >= maxEpochHops {
+			return errors.Join(expErr, fmt.Errorf("%w (%d stray keys on shard %d)", ErrTopologySkew, len(stray.keys), b.shard))
+		}
+		return errors.Join(expErr, c.retryStrays(ctx, st, stray, res, depth, opts))
 	}
 }
 
@@ -1397,24 +1421,30 @@ func (c *Cluster) observe(scorer *c3.Scorer, rep int, b shardBatch, sent time.Ti
 	}
 }
 
-// retryStrays refreshes the topology and re-buckets the given keys by
-// their new owners, fetching each bucket one epoch deeper. A server
-// that rejected keys holds a newer topology by definition, so if the
-// poll comes back empty it raced the rebalancer's push — wait a beat
-// (ctx-bounded) and poll again before declaring skew.
-func (c *Cluster) retryStrays(ctx context.Context, st *topoState, b shardBatch, res *TaskResult, idx []int, keys []string, prios []int64, depth int, opts ReadOptions) error {
+// strayBeat is how long a reader waits for a topology push it has seen
+// evidence of to reach the server it is talking to.
+const strayBeat = 25 * time.Millisecond
+
+// retryStrays refreshes the topology and re-buckets b's keys by their
+// new owners, fetching each bucket one epoch deeper. Its callers hold
+// evidence of a newer topology (a server AHEAD of st rejected the keys,
+// or an install retired the shard's connections), so if the poll comes
+// back empty it raced the rebalancer's push — wait a beat (ctx-bounded)
+// and poll again before declaring skew. A server BEHIND st never gets
+// here: fetchBatch re-sends its strays under st.
+func (c *Cluster) retryStrays(ctx context.Context, st *topoState, b shardBatch, res *TaskResult, depth int, opts ReadOptions) error {
 	nst := c.refreshTopology(ctx, st)
 	for i := 0; i < 4 && nst == st; i++ {
-		if !sleepCtx(ctx, 25*time.Millisecond) {
+		if !sleepCtx(ctx, strayBeat) {
 			return ctxErr(ctx, fmt.Sprintf("stray retry on shard %d", b.shard))
 		}
 		nst = c.refreshTopology(ctx, st)
 	}
 	if nst == st && nst.topo.HasShard(b.shard) {
-		return fmt.Errorf("%w (%d keys of shard %d)", ErrTopologySkew, len(keys), b.shard)
+		return fmt.Errorf("%w (%d keys of shard %d)", ErrTopologySkew, len(b.keys), b.shard)
 	}
 	buckets := make(map[int]*shardBatch)
-	for i, k := range keys {
+	for i, k := range b.keys {
 		sh := nst.topo.ShardOfKey(k)
 		nb := buckets[sh]
 		if nb == nil {
@@ -1422,8 +1452,8 @@ func (c *Cluster) retryStrays(ctx context.Context, st *topoState, b shardBatch, 
 			buckets[sh] = nb
 		}
 		nb.keys = append(nb.keys, k)
-		nb.prios = append(nb.prios, prios[i])
-		nb.idx = append(nb.idx, idx[i])
+		nb.prios = append(nb.prios, b.prios[i])
+		nb.idx = append(nb.idx, b.idx[i])
 	}
 	// Stray retries keep the caller's hedge policy but drop any primary
 	// pin: the re-bucketed shard's replica 0 has no relation to the one

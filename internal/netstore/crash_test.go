@@ -401,3 +401,71 @@ func mustWithAddrs(t *testing.T, m *cluster.ShardTopology, addrs []string) *clus
 	}
 	return topo
 }
+
+// startFaulty starts a 1×1 durable deployment whose disk the returned
+// injector controls, and dials it (one connection: reads and writes
+// share it).
+func startFaulty(t *testing.T) (*Cluster, *kv.DiskFaultInjector) {
+	t.Helper()
+	fault := kv.NewDiskFaultInjector()
+	srv, _, err := NewDurableServer(kv.New(0), ServerOptions{
+		Workers: 2, DataDir: t.TempDir(), Fsync: kv.FsyncAlways, DiskFault: fault,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = srv.Serve(ln) }()
+	t.Cleanup(srv.Kill) // Kill, not Close: a test may leave an fsync stalled
+	m := cluster.MustNewShardTopology(cluster.ShardConfig{Shards: 1, Replicas: 1})
+	c, err := DialCluster([]string{ln.Addr().String()}, ClusterOptions{Topology: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	return c, fault
+}
+
+// TestReadNotBehindWriteFsync pins the connection loop's split of a
+// durable write: the write is applied and logged in arrival order, but
+// its fsync is waited for off the loop, so a read that arrives behind
+// it on the same connection is answered while the disk is still busy —
+// and the write is not acknowledged until the disk is done.
+func TestReadNotBehindWriteFsync(t *testing.T) {
+	c, fault := startFaulty(t)
+	if err := c.Set(bg, "old", []byte("v"), WriteOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	fault.StallFsyncs(1)
+	acked := make(chan error, 1)
+	go func() { acked <- c.Set(bg, "new", []byte("w"), WriteOptions{}) }()
+	waitUntil(t, "the write's fsync to stall", func() bool { return fault.StalledFsyncs() == 1 })
+
+	v, found, err := c.Get(bg, "old", ReadOptions{Timeout: 5 * time.Second})
+	if err != nil || !found || string(v) != "v" {
+		t.Fatalf("read behind a stalled fsync: %q found=%v err=%v", v, found, err)
+	}
+	select {
+	case err := <-acked:
+		t.Fatalf("write acknowledged (err=%v) before its fsync finished", err)
+	default:
+	}
+	fault.Release()
+	if err := <-acked; err != nil {
+		t.Fatalf("write after release: %v", err)
+	}
+}
+
+// TestFsyncFailureDropsUnackedWrite: when the fsync a staged write waits
+// on fails, the write is never acknowledged and the connection drops.
+func TestFsyncFailureDropsUnackedWrite(t *testing.T) {
+	c, fault := startFaulty(t)
+	fault.FailFsyncs(1)
+	if err := c.Set(bg, "k", []byte("v"), WriteOptions{Timeout: 5 * time.Second}); err == nil {
+		t.Fatal("write acknowledged although its fsync failed")
+	}
+	waitUntil(t, "the replica to be marked down", func() bool { return c.ReplicaDown(0, 0) })
+}

@@ -17,6 +17,7 @@ import (
 
 	"github.com/brb-repro/brb/internal/cluster"
 	"github.com/brb-repro/brb/internal/kv"
+	"github.com/brb-repro/brb/internal/metrics"
 	"github.com/brb-repro/brb/internal/wire"
 )
 
@@ -592,5 +593,89 @@ func TestClusterMisconfiguredLayoutSelfHeals(t *testing.T) {
 	}
 	if c.TopologyEpoch() != topo.Epoch() || c.Topology().Replicas() != 2 {
 		t.Fatalf("client topology not healed: epoch %d replicas %d", c.TopologyEpoch(), c.Topology().Replicas())
+	}
+}
+
+// TestClusterReaderAheadOfLaggingReplica pins the window RemoveShard
+// opens between its pushes: the client already routes under the shrunk
+// epoch, a surviving shard's replica 0 still holds the old one and
+// rejects the keys it is about to inherit as strays — with an epoch
+// BEHIND the client's. There is no newer topology to refresh to; the
+// read must be served under the state the client has, by the sibling
+// that holds it already, or by the laggard once the push lands.
+func TestClusterReaderAheadOfLaggingReplica(t *testing.T) {
+	base := cluster.MustNewShardTopology(cluster.ShardConfig{Shards: 3, Replicas: 2})
+	addrs, servers := startShardedCluster(t, base, nil)
+	old, err := base.WithAddrs(addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const victim = 2
+	shrunk, err := old.RemoveShard(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Keys the shrink moves, loaded where the copy pass would have put
+	// them: on every replica of their new owner.
+	var moved []string
+	for i := 0; len(moved) < 16; i++ {
+		k := fmt.Sprintf("key:%d", i)
+		if old.ShardOfKey(k) != victim {
+			continue
+		}
+		moved = append(moved, k)
+		for _, sid := range shrunk.ReplicaServers(shrunk.ShardOfKey(k)) {
+			servers[sid].Store().Set(k, []byte(k))
+		}
+	}
+	for _, srv := range servers {
+		srv.SetTopology(old)
+	}
+	read := func(c *Cluster) error {
+		// Primary-pinned, so every sub-task meets replica 0 first.
+		res, err := c.Multiget(bg, moved, ReadOptions{Replica: ReplicaPrimary})
+		if err != nil {
+			return err
+		}
+		for i, k := range moved {
+			if !res.Found[i] || string(res.Values[i]) != k {
+				return fmt.Errorf("%s: found=%v val=%q", k, res.Found[i], res.Values[i])
+			}
+		}
+		return nil
+	}
+
+	c, err := DialCluster(nil, ClusterOptions{Topology: shrunk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	// Every replica lags: the read goes round both, then waits out the
+	// push. It lands on the siblings once each replica has rejected each
+	// key.
+	rejected := metrics.CounterValue("netstore_stray_key_retries_total")
+	done := make(chan error, 1)
+	go func() { done <- read(c) }()
+	waitFor(t, 5*time.Second, "both replicas of both shards rejecting the keys", func() bool {
+		select {
+		case err := <-done:
+			t.Fatalf("read gave up while every replica lagged: %v", err)
+		default:
+		}
+		return metrics.CounterValue("netstore_stray_key_retries_total") >= rejected+2*uint64(len(moved))
+	})
+	for _, sh := range shrunk.ShardIDs() {
+		servers[shrunk.Server(sh, 1)].SetTopology(shrunk)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("read while every replica lagged: %v", err)
+	}
+	// Replica 0 still lags, its sibling holds the epoch: served at once.
+	if err := read(c); err != nil {
+		t.Fatalf("read through a lagging replica: %v", err)
+	}
+	if got := c.TopologyEpoch(); got != shrunk.Epoch() {
+		t.Fatalf("client moved to epoch %d, want %d", got, shrunk.Epoch())
 	}
 }

@@ -3,64 +3,45 @@ package netstore
 import (
 	"sync"
 	"sync/atomic"
-
-	"github.com/brb-repro/brb/internal/metrics"
 )
 
-// srvSchedSteals counts work items a worker popped from a scheduler
-// shard other than its home shard — the work-stealing that keeps a
-// drained shard's workers serving instead of idling. A steal rate
-// rivaling the served-key rate means batch placement and the
-// worker/shard ratio are mismatched (e.g. far more shards than
-// concurrently busy connections).
-var srvSchedSteals = metrics.GetCounter("netstore_sched_steals_total")
-
-// scheduler is the server's scheduling queue, sharded per core: N
-// independent shards — each a stable min-priority heap (or FIFO ring)
-// behind its own lock — drained by the worker pool with work-stealing
-// on pop. Each worker homes on one shard (worker i → shard i mod N) and
-// under load only ever touches its home shard's lock; it reaches for a
-// neighbor's only when its own runs dry, and parks on the shared idle
-// handshake only when every shard is empty. A steal takes the victim's
-// best (minimum-priority) item, so stolen work is exactly what the
-// victim's own workers would have served next and the discipline's
-// ordering survives the steal.
+// scheduler is the server's run queue: ONE queue per server — a stable
+// min-heap (Priority) or a FIFO queue behind one lock — drained by every
+// worker. This is the pooled M/G/k queue the paper's server model
+// assumes; the Priority rank (receipt time + forecast, a virtual finish
+// time) only means something inside one ordered queue.
 //
-// Ordering guarantees: an arriving batch is placed whole on ONE shard,
-// so priority decisions still see the whole batch at once (the
-// simultaneous-arrival semantics of Figure 1) and per-shard ordering is
-// exactly the unsharded scheduler's (priority, then arrival seq).
-// Ordering BETWEEN batches on different shards is not defined — that is
-// the concurrency being bought. SchedShards=1 recovers the global
-// queue's total order, which is what the deterministic ordering tests
-// pin.
+// Ordering guarantee, stated here once for the whole package: the
+// server serves queued keys in a per-server TOTAL order. Under Priority
+// that order is (rank, arrival seq) — every worker pops the global
+// minimum, so a cheap key never waits behind a dearer one that some
+// other worker's private queue happened to hold — and under FIFO it is
+// arrival seq alone. A batch's items enter under a single lock hold, so
+// priority decisions see the whole batch at once (the
+// simultaneous-arrival semantics of Figure 1) and no other batch's keys
+// interleave with its arrival seqs.
 type scheduler struct {
-	disc   Discipline
-	shards []schedShard
+	disc Discipline
 
-	// rr places each arriving batch on the next shard round-robin
-	// (first batch lands on shard 0 — the steal tests pin this).
-	rr atomic.Uint32
+	mu   sync.Mutex
+	heap itemHeap    // Priority
+	fifo []*workItem // FIFO
+	seq  uint64
 
-	// pending is the queued-item count across all shards, incremented
-	// BEFORE the items become poppable and decremented under the shard
-	// lock at pop, so it never goes negative and a zero read under
-	// idleMu really means "nothing to serve". It doubles as QueueLen
-	// telemetry.
+	// pending is the queued-item count, incremented BEFORE the items
+	// become poppable and decremented under mu at pop, so it never goes
+	// negative and a zero read under idleMu really means "nothing to
+	// serve". It doubles as QueueLen telemetry.
 	pending atomic.Int64
 
-	// steals counts cross-shard pops for this scheduler instance (the
-	// process-wide aggregate is srvSchedSteals).
-	steals atomic.Uint64
-
-	// Idle handshake. Workers that find every shard empty park on
+	// Idle handshake. Workers that find the queue empty park on
 	// idleCond; pushers wake them only when idlers says someone is (or
 	// is about to be) parked, so the loaded hot path never touches
 	// idleMu. The handshake is Dekker-shaped: the parking worker
 	// publishes idlers before reading pending, the pusher publishes
 	// pending before reading idlers, and Go atomics are sequentially
 	// consistent — so at least one side always sees the other, and a
-	// push can never slip between a worker's empty scan and its Wait
+	// push can never slip between a worker's empty pop and its Wait
 	// unobserved.
 	idleMu   sync.Mutex
 	idleCond *sync.Cond
@@ -68,45 +49,31 @@ type scheduler struct {
 	closed   bool // guarded by idleMu
 }
 
-// schedShard is one scheduler shard: the unsharded scheduler's queue
-// state behind its own lock. The struct is exactly 64 bytes (8+24+24+8)
-// so adjacent shards tend to land on distinct cache lines.
-type schedShard struct {
-	mu   sync.Mutex
-	heap itemHeap
-	fifo []*workItem
-	seq  uint64
-}
-
-func newScheduler(d Discipline, shards int) *scheduler {
-	if shards < 1 {
-		shards = 1
-	}
-	s := &scheduler{disc: d, shards: make([]schedShard, shards)}
+func newScheduler(d Discipline) *scheduler {
+	s := &scheduler{disc: d}
 	s.idleCond = sync.NewCond(&s.idleMu)
 	return s
 }
 
-// pushAll enqueues a batch's work-item slab atomically on one shard and
+// pushAll enqueues a batch's work-item slab under one lock hold and
 // wakes parked workers; the scheduler holds pointers into the slab
 // until each item is popped. pending is published before the items so
 // it never undercounts (a popper may transiently spin on a nonzero
-// pending while the shard lock is still held here — bounded by this
-// critical section).
+// pending while mu is still held here — bounded by this critical
+// section).
 func (s *scheduler) pushAll(items []workItem) {
 	s.pending.Add(int64(len(items)))
-	sh := &s.shards[int(s.rr.Add(1)-1)%len(s.shards)]
-	sh.mu.Lock()
+	s.mu.Lock()
 	for i := range items {
 		it := &items[i]
 		if s.disc == FIFO {
-			sh.fifo = append(sh.fifo, it)
+			s.fifo = append(s.fifo, it)
 		} else {
-			sh.heap.push(heapEntry{it: it, prio: it.priority, seq: sh.seq})
-			sh.seq++
+			s.heap.push(heapEntry{it: it, prio: it.priority, seq: s.seq})
+			s.seq++
 		}
 	}
-	sh.mu.Unlock()
+	s.mu.Unlock()
 	if s.idlers.Load() != 0 {
 		s.idleMu.Lock()
 		s.idleCond.Broadcast()
@@ -114,22 +81,20 @@ func (s *scheduler) pushAll(items []workItem) {
 	}
 }
 
-// pop blocks until an item is available — home shard first, then a
-// stealing scan of the others in ring order — returning the item and
-// the remaining queue length across all shards, or ok=false once the
-// scheduler is closed and drained.
-func (s *scheduler) pop(home int) (*workItem, int, bool) {
+// pop blocks until an item is available, returning the queue's minimum
+// and the remaining queue length, or ok=false once the scheduler is
+// closed and drained.
+func (s *scheduler) pop() (*workItem, int, bool) {
 	for {
-		if it, qlen, ok := s.tryPopAny(home); ok {
+		if it, qlen, ok := s.tryPop(); ok {
 			return it, qlen, true
 		}
 		s.idleMu.Lock()
 		if s.closed {
 			s.idleMu.Unlock()
-			// Drain semantics of the unsharded scheduler: anything
-			// pushed before (or racing) close is still served; only an
-			// empty scan after close exits.
-			if it, qlen, ok := s.tryPopAny(home); ok {
+			// Drain: anything pushed before (or racing) close is still
+			// served; only an empty pop after close exits.
+			if it, qlen, ok := s.tryPop(); ok {
 				return it, qlen, true
 			}
 			return nil, 0, false
@@ -143,48 +108,26 @@ func (s *scheduler) pop(home int) (*workItem, int, bool) {
 	}
 }
 
-// tryPopAny scans home first, then the other shards in ring order,
-// counting any non-home pop as a steal.
-func (s *scheduler) tryPopAny(home int) (*workItem, int, bool) {
-	n := len(s.shards)
-	for off := 0; off < n; off++ {
-		v := home + off
-		if v >= n {
-			v -= n
-		}
-		it, qlen, ok := s.tryPopShard(&s.shards[v])
-		if !ok {
-			continue
-		}
-		if off != 0 {
-			srvSchedSteals.Inc()
-			s.steals.Add(1)
-		}
-		return it, qlen, true
-	}
-	return nil, 0, false
-}
-
-func (s *scheduler) tryPopShard(sh *schedShard) (*workItem, int, bool) {
-	sh.mu.Lock()
+func (s *scheduler) tryPop() (*workItem, int, bool) {
+	s.mu.Lock()
 	var it *workItem
 	if s.disc == FIFO {
-		if len(sh.fifo) == 0 {
-			sh.mu.Unlock()
+		if len(s.fifo) == 0 {
+			s.mu.Unlock()
 			return nil, 0, false
 		}
-		it = sh.fifo[0]
-		sh.fifo[0] = nil
-		sh.fifo = sh.fifo[1:]
+		it = s.fifo[0]
+		s.fifo[0] = nil
+		s.fifo = s.fifo[1:]
 	} else {
-		if sh.heap.Len() == 0 {
-			sh.mu.Unlock()
+		if s.heap.Len() == 0 {
+			s.mu.Unlock()
 			return nil, 0, false
 		}
-		it = sh.heap.pop().it
+		it = s.heap.pop().it
 	}
 	qlen := int(s.pending.Add(-1))
-	sh.mu.Unlock()
+	s.mu.Unlock()
 	return it, qlen, true
 }
 

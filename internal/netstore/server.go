@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -28,7 +27,8 @@ import (
 	"github.com/brb-repro/brb/internal/wire"
 )
 
-// Discipline selects the server's scheduling queue.
+// Discipline selects the order of the server's one run queue; either
+// order is total per server (see scheduler).
 type Discipline int
 
 // Disciplines.
@@ -47,17 +47,10 @@ const (
 
 // ServerOptions configure a Server.
 type ServerOptions struct {
-	// Workers is the number of service goroutines ("cores"). Default 4,
-	// the paper's concurrency level.
+	// Workers is the number of service goroutines ("cores") draining the
+	// server's one run queue, and the only concurrency setting. Default
+	// 4, the paper's concurrency level.
 	Workers int
-	// SchedShards is the number of scheduler shards (default
-	// min(Workers, GOMAXPROCS)). Each worker homes on one shard and
-	// steals from the others when its own runs dry; 1 recovers the
-	// single global queue. Arriving batches are placed whole on one
-	// shard round-robin, so ordering within a batch is always the
-	// discipline's; ordering BETWEEN batches is guaranteed per shard
-	// only (see DESIGN.md §13).
-	SchedShards int
 	// Discipline selects priority (default) or FIFO scheduling.
 	Discipline Discipline
 	// ServiceDelay, when non-nil, adds an artificial per-key service
@@ -121,15 +114,6 @@ func (o ServerOptions) withDefaults() ServerOptions {
 	if o.Workers <= 0 {
 		o.Workers = 4
 	}
-	if o.SchedShards <= 0 {
-		o.SchedShards = o.Workers
-		if p := runtime.GOMAXPROCS(0); p < o.SchedShards {
-			o.SchedShards = p
-		}
-		if o.SchedShards < 1 {
-			o.SchedShards = 1
-		}
-	}
 	return o
 }
 
@@ -164,9 +148,11 @@ type Server struct {
 // Served returns the number of keys this server has serviced.
 func (s *Server) Served() uint64 { return s.served.Load() }
 
-// SchedSteals returns the number of work items this server's workers
-// popped from a scheduler shard other than their home shard.
-func (s *Server) SchedSteals() uint64 { return s.sched.steals.Load() }
+// SchedSteals always returns 0: the server has one run queue, so there
+// is no foreign queue to steal from. It survives only because the
+// repository benchmark (bench/trace.go, frozen for the PR that removed
+// the sharded scheduler) still calls it; delete it with that call.
+func (s *Server) SchedSteals() uint64 { return 0 }
 
 // NewServer creates a memory-only server over the given store. For a
 // durable server (opts.DataDir set) use NewDurableServer, which can
@@ -217,7 +203,7 @@ func newServer(store *kv.Store, dur *kv.Durable, opts ServerOptions) *Server {
 		opts:  opts,
 		store: store,
 		dur:   dur,
-		sched: newScheduler(opts.Discipline, opts.SchedShards),
+		sched: newScheduler(opts.Discipline),
 		start: time.Now(),
 		conns: make(map[net.Conn]struct{}),
 	}
@@ -233,7 +219,7 @@ func newServer(store *kv.Store, dur *kv.Durable, opts ServerOptions) *Server {
 	}
 	for i := 0; i < opts.Workers; i++ {
 		s.wg.Add(1)
-		go s.worker(i % opts.SchedShards)
+		go s.worker()
 	}
 	return s
 }
@@ -560,37 +546,11 @@ func (s *Server) handle(conn net.Conn) {
 			// key's version; a non-zero version is a replicated write
 			// applied last-writer-wins, so hinted-handoff replays and
 			// read-repair pushes are idempotent.
-			if err := s.applySet(strings.Clone(m.Key), m.Value, m.Version); err != nil {
-				// Durability failure: fail-stop the write path. No ack is
-				// sent and the connection drops, so the client marks this
-				// replica down and hints/reroutes the write — an acked
-				// write is never one the WAL refused.
-				srvDurabilityErrors.Inc()
-				frame.Release()
-				return
-			}
-			// Ownership is re-checked AFTER the apply: a topology install
-			// landing between the check above and the store write could
-			// otherwise let a migration's catch-up scan pass this key
-			// before the write became visible — the donor would then ack
-			// a write the new owner never receives. Post-apply, either
-			// the install came later (the catch-up scan, which starts
-			// after the push completes, sees the applied write) or this
-			// recheck sees the new topology and converts the ack into
-			// NotOwner, making the client re-route the same versioned
-			// write to the real owner.
-			if owner, epoch, ok := s.ownsKey(m.Key, m.Epoch); !ok {
-				srvNotOwnerWrites.Inc()
-				seq := m.Seq
-				frame.Release()
-				if cs.send(&wire.NotOwner{ID: seq, Epoch: epoch, Hint: uint32(owner)}) != nil {
-					return
-				}
-				continue
-			}
-			seq := m.Seq
+			key := strings.Clone(m.Key)
+			c, err := s.applySet(key, m.Value, m.Version)
+			seq, epoch := m.Seq, m.Epoch
 			frame.Release()
-			if cs.send(&wire.SetResp{Seq: seq}) != nil {
+			if err != nil || !s.ackWrite(cs, c, key, epoch, seq, false) {
 				return
 			}
 		case *wire.Del:
@@ -605,25 +565,11 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			// DeleteVersion retains the key in its tombstone: clone it off
 			// the pooled frame like Set does.
-			if err := s.applyDelete(strings.Clone(m.Key), m.Version); err != nil {
-				srvDurabilityErrors.Inc()
-				frame.Release()
-				return
-			}
-			// Post-apply ownership recheck, for the same catch-up-scan
-			// race Set guards against above.
-			if owner, epoch, ok := s.ownsKey(m.Key, m.Epoch); !ok {
-				srvNotOwnerWrites.Inc()
-				seq := m.Seq
-				frame.Release()
-				if cs.send(&wire.NotOwner{ID: seq, Epoch: epoch, Hint: uint32(owner)}) != nil {
-					return
-				}
-				continue
-			}
-			seq := m.Seq
+			key := strings.Clone(m.Key)
+			c, err := s.applyDelete(key, m.Version)
+			seq, epoch := m.Seq, m.Epoch
 			frame.Release()
-			if cs.send(&wire.DelResp{Seq: seq}) != nil {
+			if err != nil || !s.ackWrite(cs, c, key, epoch, seq, true) {
 				return
 			}
 		case *wire.TopoGet:
@@ -666,39 +612,90 @@ func (s *Server) handle(conn net.Conn) {
 }
 
 // applySet applies one write to the store and, on a durable server,
-// logs it. ver 0 is a local auto-versioned write.
-func (s *Server) applySet(key string, value []byte, ver uint64) error {
-	if s.dur == nil {
-		if ver == 0 {
-			s.store.Set(key, value)
-		} else {
-			s.store.SetVersion(key, value, ver)
+// buffers its log record; the returned Commit is what ackWrite waits on.
+// ver 0 is a local auto-versioned write. An error is a durability
+// failure: fail-stop the write path — no ack is sent and the connection
+// drops, so the client marks this replica down and hints/reroutes the
+// write, and an acked write is never one the WAL refused.
+func (s *Server) applySet(key string, value []byte, ver uint64) (kv.Commit, error) {
+	if s.dur != nil {
+		c, err := s.dur.StageSet(key, value, ver)
+		if err != nil {
+			srvDurabilityErrors.Inc()
 		}
-		return nil
+		return c, err
 	}
 	if ver == 0 {
-		return s.dur.Set(key, value)
+		s.store.Set(key, value)
+	} else {
+		s.store.SetVersion(key, value, ver)
 	}
-	_, err := s.dur.SetVersion(key, value, ver)
-	return err
+	return kv.Commit{}, nil
 }
 
-// applyDelete applies one delete to the store and, on a durable server,
-// logs it. ver 0 is a local delete-outright; non-zero lays a tombstone.
-func (s *Server) applyDelete(key string, ver uint64) error {
-	if s.dur == nil {
-		if ver == 0 {
-			s.store.Delete(key)
-		} else {
-			s.store.DeleteVersion(key, ver)
+// applyDelete is applySet for a delete. ver 0 is a local
+// delete-outright; non-zero lays a tombstone.
+func (s *Server) applyDelete(key string, ver uint64) (kv.Commit, error) {
+	if s.dur != nil {
+		c, err := s.dur.StageDelete(key, ver)
+		if err != nil {
+			srvDurabilityErrors.Inc()
 		}
-		return nil
+		return c, err
 	}
 	if ver == 0 {
-		return s.dur.Delete(key)
+		s.store.Delete(key)
+	} else {
+		s.store.DeleteVersion(key, ver)
 	}
-	_, err := s.dur.DeleteVersion(key, ver)
-	return err
+	return kv.Commit{}, nil
+}
+
+// ackWrite answers an applied write (del: a delete), reporting false
+// when the connection is finished. A logged write is acknowledged from a
+// goroutine of its own once the WAL says it is durable, so the
+// connection loop goes straight back to reading: the requests behind a
+// write — reads above all — do not queue behind its fsync, and writes
+// pipelined on one connection share group commits. Acks may therefore
+// overtake each other; clients match them by Seq. If the wait fails the
+// write path fail-stops as in applySet, by closing the connection under
+// the loop.
+//
+// Ownership is re-checked here, AFTER the apply: a topology install
+// landing between handle's check and the store write could otherwise
+// let a migration's catch-up scan pass this key before the write became
+// visible — the donor would then ack a write the new owner never
+// receives. Post-apply, either the install came later (the catch-up
+// scan, which starts after the push completes, sees the applied write)
+// or this recheck sees the new topology and converts the ack into
+// NotOwner, making the client re-route the same versioned write to the
+// real owner.
+func (s *Server) ackWrite(cs *connState, c kv.Commit, key string, epoch, seq uint64, del bool) bool {
+	finish := func() error {
+		if owner, cur, ok := s.ownsKey(key, epoch); !ok {
+			srvNotOwnerWrites.Inc()
+			return cs.send(&wire.NotOwner{ID: seq, Epoch: cur, Hint: uint32(owner)})
+		}
+		if del {
+			return cs.send(&wire.DelResp{Seq: seq})
+		}
+		return cs.send(&wire.SetResp{Seq: seq})
+	}
+	if !c.Logged() {
+		return finish() == nil
+	}
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		if err := c.Wait(); err != nil {
+			srvDurabilityErrors.Inc()
+			_ = cs.conn.Close()
+			return
+		}
+		//brb:allow stickyerr ack send on a sticky-errored conn is moot: the handle loop tears the conn down
+		_ = finish()
+	}()
+	return true
 }
 
 // Ownership-rejection counters: how often this process refused work for
@@ -940,11 +937,11 @@ func topoFromWire(tp *wire.Topo) (*cluster.ShardTopology, error) {
 	return cluster.AssembleTopology(tp.Epoch, int(tp.Replicas), int(tp.VNodes), shards)
 }
 
-// enqueueBatch splits a batch into per-key work items. All items enter
-// the scheduler before workers are woken, so priority decisions see the
-// whole batch (the simultaneous-arrival semantics of Figure 1). The
-// items are one slab owned by the batch's pooled state; m's keys alias
-// frame, which is released when the batch completes.
+// enqueueBatch splits a batch into per-key work items and hands them to
+// the scheduler in one pushAll (the ordering guarantee is on the
+// scheduler type). The items are one slab owned by the batch's pooled
+// state; m's keys alias frame, which is released when the batch
+// completes.
 //
 // Shard validation has two tiers. Before a topology is installed, the
 // whole batch is checked against the client's Shard header (the static
@@ -999,10 +996,10 @@ func (s *Server) enqueueBatch(cs *connState, m *wire.BatchReq, frame *wire.Frame
 	s.sched.pushAll(bs.items)
 }
 
-func (s *Server) worker(home int) {
+func (s *Server) worker() {
 	defer s.wg.Done()
 	for {
-		it, qlen, ok := s.sched.pop(home)
+		it, qlen, ok := s.sched.pop()
 		if !ok {
 			return
 		}

@@ -2,13 +2,13 @@
 // controller: clients stream demand reports and receive per-interval
 // credit grants proportional to demand (paper §2.2).
 //
-// Usage (flat server tier):
+// Usage (-servers is just a count: the length of every demand and grant
+// vector, indexed in the dense shard·R+replica order netstore.DialCluster
+// uses):
 //
 //	brb-controller -listen :7080 -clients 18 -servers 9 -capacity 4 -interval 100ms
 //
-// Sharded cluster (server count derived from the shard layout; demand
-// vectors and grants are indexed by the same dense shard·R+replica order
-// netstore.DialCluster uses):
+// or with the count derived from the shard layout:
 //
 //	brb-controller -listen :7080 -clients 18 -shards 3 -replicas 2
 //
@@ -45,9 +45,9 @@ import (
 func main() {
 	listen := flag.String("listen", ":7080", "listen address")
 	clients := flag.Int("clients", 18, "number of clients")
-	servers := flag.Int("servers", 9, "number of storage servers (flat tier)")
-	shards := flag.Int("shards", 0, "shard groups (sharded mode; overrides -servers with shards×replicas)")
-	replicas := flag.Int("replicas", 3, "replicas per shard (sharded mode)")
+	servers := flag.Int("servers", 9, "number of storage servers (shards × replicas)")
+	shards := flag.Int("shards", 0, "shard groups (when set, overrides -servers with shards×replicas)")
+	replicas := flag.Int("replicas", 3, "replicas per shard (with -shards)")
 	capacity := flag.Float64("capacity", 4, "per-server parallel capacity (worker count)")
 	interval := flag.Duration("interval", 0, "grant interval (default 100ms)")
 	clusterAddrs := flag.String("cluster", "", "running cluster's server addresses, dense shard·R+replica order (topology admin modes)")

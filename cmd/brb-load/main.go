@@ -2,21 +2,22 @@
 // SoundCloud-like batched-read workload and reports task latency
 // percentiles — the networked counterpart of brb-sim's Figure 2 runs.
 //
-// Usage (3 servers already running on :7071..:7073):
+// Usage (3 servers already running on :7071..:7073, one replica set):
 //
 //	brb-load -servers 127.0.0.1:7071,127.0.0.1:7072,127.0.0.1:7073 \
 //	         -replication 3 -keys 1000 -tasks 5000 -fanout 8.6 \
 //	         -assigner EqualMax [-controller 127.0.0.1:7080]
 //
-// Sharded-cluster mode (-shards > 0): addresses are dense shard·R+replica
-// order — replicas of shard 0 first, then shard 1, as launched by
-// `brb-server -shard s -group-listen ...` — keys consistent-hash across
-// shards, and each task scatter-gathers with C3 replica selection:
+// The deployment is -shards × -replication servers (default 1 × 3):
+// addresses are dense shard·R+replica order — replicas of shard 0 first,
+// then shard 1, as launched by `brb-server -shard s -group-listen ...` —
+// keys consistent-hash across shards, and each task scatter-gathers with
+// C3 replica selection:
 //
 //	brb-load -shards 3 -replication 2 \
 //	         -servers :7071,:7072,:7073,:7074,:7075,:7076
 //
-// Fault injection (sharded mode only): -kill-replica severs one
+// Fault injection: -kill-replica severs one
 // replica's connectivity mid-run through an in-process TCP proxy and
 // restores it later, exercising the client's down-marking, hinted
 // handoff, revival probing, and read-repair; -write-frac mixes writes
@@ -26,7 +27,7 @@
 //	brb-load -shards 3 -replication 2 -servers ... \
 //	         -write-frac 0.1 -kill-replica 4 -kill-after 2s -restart-after 3s
 //
-// Tail-cutting (sharded mode only): -spawn runs the cluster's servers
+// Tail-cutting: -spawn runs the cluster's servers
 // in-process with fault injectors attached, -slow-replica slows one of
 // them by -slow-latency per request after the load phase, and -hedge
 // re-issues straggling batches to the next-ranked replica (fixed delay
@@ -48,7 +49,7 @@
 //	brb-load -shards 2 -replication 2 -spawn -write-frac 0.2 \
 //	         -crash-replica 1 -crash-after 2s -recover-after 1s
 //
-// Live rebalancing (sharded mode only): -add-shard-after grows the
+// Live rebalancing: -add-shard-after grows the
 // cluster by one shard mid-run (spawning the new shard's replicas
 // in-process), -remove-shard-after drains the highest shard onto the
 // survivors. Both push the epoch-versioned topology to every server at
@@ -86,8 +87,8 @@ import (
 func main() {
 	serversFlag := flag.String("servers", "127.0.0.1:7071,127.0.0.1:7072,127.0.0.1:7073", "comma-separated server addresses")
 	controller := flag.String("controller", "", "credits controller address (optional)")
-	shards := flag.Int("shards", 0, "shard groups (0 = flat single-tier store; >0 = sharded cluster, addresses in dense shard·R+replica order)")
-	replication := flag.Int("replication", 3, "replication factor (replicas per shard in sharded mode)")
+	shards := flag.Int("shards", 1, "shard groups (addresses in dense shard·R+replica order)")
+	replication := flag.Int("replication", 3, "replication factor (replicas per shard)")
 	keys := flag.Int("keys", 1000, "key-space size to load")
 	tasks := flag.Int("tasks", 5000, "tasks to issue")
 	clients := flag.Int("clients", 4, "concurrent client connections")
@@ -98,19 +99,18 @@ func main() {
 	skipLoad := flag.Bool("skip-load", false, "skip the initial data load")
 	allocStats := flag.Bool("allocstats", false, "report client-process allocs/op and bytes/op over the measurement phase")
 	writeFrac := flag.Float64("write-frac", 0, "fraction of tasks that are writes instead of multigets (fault runs need >0 to create divergence)")
-	killReplica := flag.Int("kill-replica", -1, "dense server index to fault mid-run (sharded mode only; -1 = no fault injection)")
+	killReplica := flag.Int("kill-replica", -1, "dense server index to fault mid-run (-1 = no fault injection)")
 	killAfter := flag.Duration("kill-after", 2*time.Second, "measurement time before the fault is injected")
 	restartAfter := flag.Duration("restart-after", 3*time.Second, "outage duration before the replica is restored")
 	probeInterval := flag.Duration("probe-interval", 250*time.Millisecond, "cluster client's replica revival probe interval")
-	addShardAfter := flag.Duration("add-shard-after", 0, "measurement time before a new shard is added live (sharded mode; 0 = off)")
-	removeShardAfter := flag.Duration("remove-shard-after", 0, "measurement time before the highest shard is drained live (sharded mode; 0 = off)")
+	addShardAfter := flag.Duration("add-shard-after", 0, "measurement time before a new shard is added live (0 = off)")
+	removeShardAfter := flag.Duration("remove-shard-after", 0, "measurement time before the highest shard is drained live (0 = off)")
 	deadline := flag.Duration("deadline", 0, "per-task deadline propagated to the servers (0 = the client's default request timeout); tasks that exceed it count as expired in the run output instead of aborting the client")
-	hedgeMode := flag.String("hedge", "off", "hedged reads: off|fixed|adaptive (sharded mode only)")
+	hedgeMode := flag.String("hedge", "off", "hedged reads: off|fixed|adaptive")
 	hedgeDelay := flag.Duration("hedge-delay", 0, "hedge trigger delay (fixed mode) and cold-start floor (adaptive); 0 = policy default")
 	hedgeQuantile := flag.Float64("hedge-quantile", 0, "adaptive hedge trigger quantile in (0,1); 0 = policy default")
-	cacheSize := flag.Int("cache", 0, "client hot-key cache entries per client (sharded mode only; 0 = off)")
-	connsPerReplica := flag.Int("conns-per-replica", 1, "TCP connections per replica per cluster client, batches round-robin across them (sharded mode only)")
-	spawn := flag.Bool("spawn", false, "spawn the cluster's servers in-process instead of dialing -servers (sharded mode only; self-contained smoke runs)")
+	cacheSize := flag.Int("cache", 0, "client hot-key cache entries per client (0 = off)")
+	spawn := flag.Bool("spawn", false, "spawn the cluster's servers in-process instead of dialing -servers (self-contained smoke runs)")
 	slowReplica := flag.Int("slow-replica", -1, "dense server index slowed by -slow-latency per request after the load phase (requires -spawn; -1 = none)")
 	slowLatency := flag.Duration("slow-latency", 2*time.Millisecond, "added service latency for -slow-replica")
 	zipfS := flag.Float64("zipf", 0, "Zipf exponent for key popularity (0 = uniform; >1 concentrates reads on hot keys)")
@@ -127,6 +127,10 @@ func main() {
 
 	bg := context.Background()
 
+	if *shards < 1 {
+		fmt.Fprintln(os.Stderr, "brb-load: -shards must be at least 1 (a flat replicated tier is -shards 1)")
+		os.Exit(2)
+	}
 	addrs := strings.Split(*serversFlag, ",")
 	assigner, err := core.NewAssigner(*assignerName)
 	if err != nil {
@@ -147,10 +151,6 @@ func main() {
 	}
 	if err := hedgePol.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "brb-load:", err)
-		os.Exit(2)
-	}
-	if (hedgePol.Mode != netstore.HedgeOff || *cacheSize > 0) && *shards <= 0 {
-		fmt.Fprintln(os.Stderr, "brb-load: -hedge/-cache need -shards > 0 (the flat client has no replica ranking or cache)")
 		os.Exit(2)
 	}
 
@@ -234,10 +234,6 @@ func main() {
 	var fsyncPolicy kv.FsyncPolicy
 	durableSpawn := *spawn && (*crashReplica >= 0 || *dataDir != "")
 	if *spawn {
-		if *shards <= 0 {
-			fmt.Fprintln(os.Stderr, "brb-load: -spawn needs -shards > 0")
-			os.Exit(2)
-		}
 		n := *shards * *replication
 		if *crashReplica >= n {
 			fmt.Fprintf(os.Stderr, "brb-load: -crash-replica %d out of range (%d servers)\n", *crashReplica, n)
@@ -313,10 +309,6 @@ func main() {
 	realAddrs := append([]string(nil), addrs...)
 	var proxy *faultProxy
 	if *killReplica >= 0 {
-		if *shards <= 0 {
-			fmt.Fprintln(os.Stderr, "brb-load: -kill-replica needs -shards > 0")
-			os.Exit(2)
-		}
 		if *killReplica >= len(addrs) {
 			fmt.Fprintf(os.Stderr, "brb-load: -kill-replica %d out of range (%d servers)\n", *killReplica, len(addrs))
 			os.Exit(2)
@@ -330,27 +322,19 @@ func main() {
 	}
 
 	rebalancing := *addShardAfter > 0 || *removeShardAfter > 0
-	if rebalancing && (*shards <= 0 || *killReplica >= 0 || *crashReplica >= 0) {
-		fmt.Fprintln(os.Stderr, "brb-load: -add-shard-after/-remove-shard-after need -shards > 0 and no -kill-replica/-crash-replica")
+	if rebalancing && (*killReplica >= 0 || *crashReplica >= 0) {
+		fmt.Fprintln(os.Stderr, "brb-load: -add-shard-after/-remove-shard-after need no -kill-replica/-crash-replica")
 		os.Exit(2)
 	}
 
-	// dialStore connects one workload client in the selected mode: a flat
-	// task-aware client, or the sharded replica-aware cluster client.
-	var topo *cluster.Topology
-	var shardTopo *cluster.ShardTopology
-	if *shards > 0 {
-		shardTopo, err = cluster.NewShardTopology(cluster.ShardConfig{Shards: *shards, Replicas: *replication})
-		if err == nil && shardTopo.NumServers() != len(addrs) {
-			err = fmt.Errorf("%d addresses for %d shards × %d replicas", len(addrs), *shards, *replication)
-		}
-		if err == nil {
-			// Clients dial through the fault proxy when one is armed;
-			// the topology carries those client-facing addresses.
-			shardTopo, err = shardTopo.WithAddrs(addrs)
-		}
-	} else {
-		topo, err = cluster.New(cluster.Config{Servers: len(addrs), Replication: *replication})
+	shardTopo, err := cluster.NewShardTopology(cluster.ShardConfig{Shards: *shards, Replicas: *replication})
+	if err == nil && shardTopo.NumServers() != len(addrs) {
+		err = fmt.Errorf("%d addresses for %d shards × %d replicas", len(addrs), *shards, *replication)
+	}
+	if err == nil {
+		// Clients dial through the fault proxy when one is armed; the
+		// topology carries those client-facing addresses.
+		shardTopo, err = shardTopo.WithAddrs(addrs)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "brb-load:", err)
@@ -365,28 +349,11 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	// Both client flavors present the same context-first netstore.Store
-	// interface; the workload below programs against it alone.
-	dialStore := func(client int) (netstore.Store, error) {
-		if shardTopo != nil {
-			c, err := netstore.DialCluster(nil, netstore.ClusterOptions{
-				Topology: shardTopo, Client: client, Clients: totalConns, Assigner: assigner,
-				ProbeInterval: *probeInterval, CacheSize: *cacheSize,
-				ConnsPerReplica: *connsPerReplica,
-			})
-			if err != nil {
-				return nil, err
-			}
-			if *controller != "" {
-				if err := c.AttachController(*controller, 0); err != nil {
-					c.Close()
-					return nil, err
-				}
-			}
-			return c, nil
-		}
-		c, err := netstore.Dial(addrs, netstore.ClientOptions{
-			Topology: topo, Client: client, Assigner: assigner,
+	// dialStore connects one workload client.
+	dialStore := func(client int) (*netstore.Cluster, error) {
+		c, err := netstore.DialCluster(nil, netstore.ClusterOptions{
+			Topology: shardTopo, Client: client, Clients: totalConns, Assigner: assigner,
+			ProbeInterval: *probeInterval, CacheSize: *cacheSize,
 		})
 		if err != nil {
 			return nil, err
@@ -407,9 +374,8 @@ func main() {
 	// written-version floors here before closing.
 	var ackedMu sync.Mutex
 	ackedVers := map[string]uint64{}
-	harvestAcked := func(c netstore.Store) {
-		cc, ok := c.(*netstore.Cluster)
-		if !ok || *crashReplica < 0 {
+	harvestAcked := func(cc *netstore.Cluster) {
+		if *crashReplica < 0 {
 			return
 		}
 		ackedMu.Lock()
@@ -571,9 +537,9 @@ func main() {
 	// hint buffer dropped. The engine runs this after a worker's last
 	// op, before closing its store.
 	postWorker := func(client string, worker int, c netstore.Store) {
+		cc := c.(*netstore.Cluster) // every store of the run came from dialStore
 		func() {
-			cc, ok := c.(*netstore.Cluster)
-			if !ok || downServer < 0 {
+			if downServer < 0 {
 				return
 			}
 			shard, rep := downServer / *replication, downServer%*replication
@@ -605,11 +571,15 @@ func main() {
 			// Read-repair pushes are asynchronous; give them a beat.
 			time.Sleep(500 * time.Millisecond)
 		}()
-		harvestAcked(c)
+		harvestAcked(cc)
 	}
 	rep, err := loadgen.Run(bg, header.Classes, wops, loadgen.RunConfig{
 		Dial: func(client string, worker, idx int) (netstore.Store, error) {
-			return dialStore(idx)
+			c, err := dialStore(idx)
+			if err != nil {
+				return nil, err // not a typed-nil Store
+			}
+			return c, nil
 		},
 		ClassBias:   header.ClassBias,
 		Timeout:     *deadline,

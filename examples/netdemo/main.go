@@ -61,11 +61,12 @@ func main() {
 	defer ctrl.Close()
 	fmt.Println("started credits controller:", cln.Addr())
 
-	// Task-aware client.
-	topo := cluster.MustNew(cluster.Config{Servers: servers, Replication: 3})
-	client, err := netstore.Dial(addrs, netstore.ClientOptions{
-		Topology: topo,
-		Assigner: core.EqualMax{},
+	// Task-aware client: the three servers are one shard's replica set.
+	topo := cluster.MustNewShardTopology(cluster.ShardConfig{Shards: 1, Replicas: servers})
+	client, err := netstore.DialCluster(addrs, netstore.ClusterOptions{
+		Topology:      topo,
+		Assigner:      core.EqualMax{},
+		ServerWorkers: 2,
 	})
 	if err != nil {
 		log.Fatal(err)

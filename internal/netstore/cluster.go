@@ -69,17 +69,6 @@ type ClusterOptions struct {
 	// local writes/deletes, wire-version proof of staleness, and
 	// topology epoch changes (see cache.go). 0 (default) disables it.
 	CacheSize int
-	// ConnsPerReplica is the number of parallel TCP connections the
-	// client keeps to each replica (default 1). A single hot
-	// client→replica link serializes every coalesced frame through one
-	// socket's send buffer and one readLoop goroutine; extra conns
-	// spread that load, with batches rotating round-robin across them.
-	// Each conn runs its own readLoop and batch-ID space, so routing is
-	// untouched; failover semantics are per-replica — any conn's
-	// transport failure downs the replica and tears down its siblings
-	// (the failure mode is the process, not the socket), and the
-	// revival prober redials the full set before re-admitting it.
-	ConnsPerReplica int
 
 	// hedgeTimer overrides the hedge-trigger timer (test hook): it
 	// returns a channel that fires after d plus an idempotent stop
@@ -99,9 +88,6 @@ func (o ClusterOptions) withDefaults() ClusterOptions {
 	}
 	if o.Clients <= 0 {
 		o.Clients = 1
-	}
-	if o.ConnsPerReplica <= 0 {
-		o.ConnsPerReplica = 1
 	}
 	if o.ServerWorkers <= 0 {
 		o.ServerWorkers = 4
@@ -145,64 +131,25 @@ var (
 // allocation, hot-path safe.
 var multigetLatencyNS = metrics.GetHistogram("netstore_multiget_latency_ns")
 
-// serverSlot is one server's client-side state: its live connections
-// (swapped atomically by the revival prober), the down mark, and the
-// hinted-handoff buffer. Slots are keyed by stable server ID and
-// SHARED between topology states, so hints and down-marks survive a
-// topology refresh.
+// serverSlot is one server's client-side state: its one live connection
+// (nil while down; swapped atomically by the revival prober), the down
+// mark, and the hinted-handoff buffer. Slots are keyed by stable server
+// ID and SHARED between topology states, so hints and down-marks
+// survive a topology refresh.
 type serverSlot struct {
 	id   int
 	addr string
-	// conns holds ClusterOptions.ConnsPerReplica parallel connections.
-	// Liveness is per-replica, not per-conn: all entries are live or
-	// the slot is down — any conn's transport failure tears the whole
-	// set down (markDown) and the prober redials the full set before
-	// clearing the down mark (tryRevive).
-	conns []atomic.Pointer[serverConn]
-	// rr rotates batch traffic across conns (pick).
-	rr   atomic.Uint32
+	conn atomic.Pointer[serverConn]
 	down atomic.Bool
 	// hints buffers writes this server missed while down, for replay
 	// when the prober revives it.
 	hints hintBuffer
 }
 
-func newServerSlot(id int, addr string, conns int) *serverSlot {
-	if conns < 1 {
-		conns = 1
-	}
-	return &serverSlot{id: id, addr: addr, conns: make([]atomic.Pointer[serverConn], conns)}
-}
-
-// pick returns a live connection for new batch traffic, rotating
-// round-robin across the slot's parallel connections (nil when none —
-// the slot is down or being torn down). With one conn it is the plain
-// load it always was.
-func (s *serverSlot) pick() *serverConn {
-	n := uint32(len(s.conns))
-	if n == 1 {
-		return s.conns[0].Load()
-	}
-	start := s.rr.Add(1)
-	for i := uint32(0); i < n; i++ {
-		if sc := s.conns[(start+i)%n].Load(); sc != nil {
-			return sc
-		}
-	}
-	return nil
-}
-
-// primary returns the slot's first connection (nil when down): the
-// stable choice for control-plane traffic — topology polls, hint
-// replay, repair pushes — which stays off the batch rotation.
-func (s *serverSlot) primary() *serverConn { return s.conns[0].Load() }
-
-// closeAll swaps every connection out and closes it.
-func (s *serverSlot) closeAll() {
-	for i := range s.conns {
-		if sc := s.conns[i].Swap(nil); sc != nil {
-			sc.close()
-		}
+// closeConn swaps the connection out and closes it.
+func (s *serverSlot) closeConn() {
+	if sc := s.conn.Swap(nil); sc != nil {
+		sc.close()
 	}
 }
 
@@ -314,10 +261,9 @@ type Cluster struct {
 // (run `brb-controller -shards S -replicas R` so grants cover the dense
 // shard·R+replica server space): demand reports flow every interval, and
 // replica selection prefers positive-balance replicas before falling back
-// to pure C3 ranking — credits steer placement across shards the same way
-// they steer it across a flat tier. Grants cover the server-ID space of
-// the topology at attach time; servers added by later rebalances run
-// uncredited until re-attach.
+// to pure C3 ranking. Grants cover the server-ID space of the topology at
+// attach time; servers added by later rebalances run uncredited until
+// re-attach.
 func (c *Cluster) AttachController(addr string, interval time.Duration) error {
 	st := c.state.Load()
 	g, err := dialCreditGate(addr, st.topo.NumServers(), c.opts.Client, c.opts.DialTimeout, interval)
@@ -384,7 +330,7 @@ func DialCluster(addrs []string, opts ClusterOptions) (*Cluster, error) {
 	// servable.
 	var lastErr error
 	for _, sid := range topo.Servers() {
-		slot := newServerSlot(sid, topo.Addr(sid), opts.ConnsPerReplica)
+		slot := &serverSlot{id: sid, addr: topo.Addr(sid)}
 		if err := c.dialSlot(slot); err != nil {
 			slot.down.Store(true)
 			lastErr = fmt.Errorf("netstore: dial %s: %w", slot.addr, err)
@@ -425,26 +371,13 @@ func (c *Cluster) newScorer(replicas int) *c3.Scorer {
 	})
 }
 
-// dialSlot dials every parallel connection for slot and publishes them
-// all-or-nothing: a replica is either fully connected or left for the
-// prober. Partial sets are closed and the error returned — admitting a
-// half-connected replica would make pick()'s rotation lopsided and hide
-// a connectivity problem the down-mark machinery exists to surface.
+// dialSlot dials slot's server and publishes the connection.
 func (c *Cluster) dialSlot(slot *serverSlot) error {
-	scs := make([]*serverConn, len(slot.conns))
-	for i := range slot.conns {
-		conn, err := net.DialTimeout("tcp", slot.addr, c.opts.DialTimeout)
-		if err != nil {
-			for _, sc := range scs[:i] {
-				sc.close()
-			}
-			return err
-		}
-		scs[i] = newServerConn(conn)
+	conn, err := net.DialTimeout("tcp", slot.addr, c.opts.DialTimeout)
+	if err != nil {
+		return err
 	}
-	for i, sc := range scs {
-		slot.conns[i].Store(sc)
-	}
+	slot.conn.Store(newServerConn(conn))
 	return nil
 }
 
@@ -457,26 +390,9 @@ func (c *Cluster) dialSlot(slot *serverSlot) error {
 // already swapped in a fresh one must not tear the revived replica back
 // down.
 func (c *Cluster) markDown(slot *serverSlot, failed *serverConn) {
-	for i := range slot.conns {
-		if !slot.conns[i].CompareAndSwap(failed, nil) {
-			continue
-		}
+	if slot.conn.CompareAndSwap(failed, nil) {
 		slot.down.Store(true)
 		failed.close()
-		// One conn's transport failure downs the whole replica: the
-		// failure mode is the process/host behind the address, not one
-		// socket, and liveness/hints/failover are all per-replica. Tear
-		// the sibling conns down too so no batch keeps riding a
-		// connection to a server already judged dead — the prober
-		// redials the full set on revival.
-		for j := range slot.conns {
-			if j != i {
-				if sc := slot.conns[j].Swap(nil); sc != nil {
-					sc.close()
-				}
-			}
-		}
-		return
 	}
 }
 
@@ -503,7 +419,7 @@ func (c *Cluster) Close() {
 	c.topoMu.Lock()
 	st := c.state.Load()
 	for _, slot := range st.slots {
-		slot.closeAll()
+		slot.closeConn()
 	}
 	c.topoMu.Unlock()
 	// Repair goroutines unblock once their connections die.
@@ -547,7 +463,7 @@ func (c *Cluster) refreshTopology(ctx context.Context, prev *topoState) *topoSta
 	var live []*serverConn
 	for _, sid := range st.topo.Servers() {
 		slot := st.slots[sid]
-		if sc := slot.primary(); sc != nil && !slot.down.Load() {
+		if sc := slot.conn.Load(); sc != nil && !slot.down.Load() {
 			live = append(live, sc)
 		}
 	}
@@ -647,7 +563,7 @@ func (c *Cluster) installLocked(st *topoState, nt *cluster.ShardTopology) *topoS
 			ns.slots[sid] = slot
 			continue
 		}
-		slot := newServerSlot(sid, nt.Addr(sid), c.opts.ConnsPerReplica)
+		slot := &serverSlot{id: sid, addr: nt.Addr(sid)}
 		if err := c.dialSlot(slot); err != nil {
 			// Down from birth; the prober takes it from here.
 			slot.down.Store(true)
@@ -689,7 +605,7 @@ func (c *Cluster) installLocked(st *topoState, nt *cluster.ShardTopology) *topoS
 				c.addHint(ns.slots[osid], key, h.value, h.version, h.del)
 			}
 		}
-		slot.closeAll()
+		slot.closeConn()
 	}
 	c.refreshes.Add(1)
 	topoRefreshesTotal.Inc()
@@ -753,7 +669,7 @@ func (c *Cluster) write(ctx context.Context, key string, value []byte, del bool,
 		var hinted []*serverSlot // slots holding this attempt's hints
 		for r := 0; r < reps; r++ {
 			slot := st.slotOf(shard, r)
-			sc := slot.pick()
+			sc := slot.conn.Load()
 			if slot.down.Load() || sc == nil {
 				c.addHint(slot, key, value, ver, del)
 				hinted = append(hinted, slot)
@@ -1101,9 +1017,17 @@ type shardBatch struct {
 	idx    []int
 }
 
+// share is the part of b's cost that k of its keys carry: whatever
+// splits a batch — placement, strays, a re-bucket — splits its cost per
+// key, so the credits spent (and the forecast scale calibrated) across
+// the parts add up to the batch's forecast.
+func (b shardBatch) share(k int) int64 {
+	return b.cost * int64(k) / int64(len(b.keys))
+}
+
 // slice returns keys [lo, hi) of b with their share of its cost.
 func (b shardBatch) slice(lo, hi int) shardBatch {
-	b.cost = b.cost * int64(hi-lo) / int64(len(b.keys))
+	b.cost = b.share(hi - lo)
 	b.keys, b.prios, b.idx = b.keys[lo:hi], b.prios[lo:hi], b.idx[lo:hi]
 	return b
 }
@@ -1260,7 +1184,7 @@ func (c *Cluster) fetchBatch(ctx context.Context, st *topoState, b shardBatch, r
 		}
 		tried[rep] = true
 		slot := st.slotOf(b.shard, rep)
-		sc := slot.pick()
+		sc := slot.conn.Load()
 		if sc == nil {
 			// The replica went down since it was chosen (or we lost a race
 			// with markDown's connection teardown): treat like a transport
@@ -1328,7 +1252,7 @@ func (c *Cluster) fetchBatch(ctx context.Context, st *topoState, b shardBatch, r
 		if len(resp.Values) != n {
 			return fmt.Errorf("netstore: shard %d returned %d values for %d keys", b.shard, len(resp.Values), n)
 		}
-		stray := shardBatch{shard: b.shard, taskID: b.taskID, cost: b.cost}
+		stray := shardBatch{shard: b.shard, taskID: b.taskID}
 		for i := range b.keys {
 			if resp.Stray != nil && resp.Stray[i] {
 				stray.idx = append(stray.idx, b.idx[i])
@@ -1373,6 +1297,7 @@ func (c *Cluster) fetchBatch(ctx context.Context, st *topoState, b shardBatch, r
 			return expErr
 		}
 		// Served keys stand, strays go around again.
+		stray.cost = b.share(len(stray.keys))
 		strayRetriesTotal.Add(uint64(len(stray.keys)))
 		if resp.Epoch < st.topo.Epoch() {
 			// The server is BEHIND us: a rebalance's push reached the
@@ -1448,7 +1373,7 @@ func (c *Cluster) retryStrays(ctx context.Context, st *topoState, b shardBatch, 
 		sh := nst.topo.ShardOfKey(k)
 		nb := buckets[sh]
 		if nb == nil {
-			nb = &shardBatch{shard: sh, taskID: b.taskID, cost: b.cost}
+			nb = &shardBatch{shard: sh, taskID: b.taskID}
 			buckets[sh] = nb
 		}
 		nb.keys = append(nb.keys, k)
@@ -1461,6 +1386,7 @@ func (c *Cluster) retryStrays(ctx context.Context, st *topoState, b shardBatch, 
 	opts.Replica = ReplicaAuto
 	var errs []error
 	for _, nb := range buckets {
+		nb.cost = b.share(len(nb.keys))
 		rep := c.nextReplica(nst, nb.shard, len(nb.keys), nil)
 		if err := c.fetchBatch(ctx, nst, *nb, rep, res, depth+1, opts); err != nil {
 			errs = append(errs, err)

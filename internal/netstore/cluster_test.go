@@ -1,6 +1,7 @@
 package netstore
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"testing"
@@ -318,5 +319,9 @@ func TestDialClusterValidation(t *testing.T) {
 	m := cluster.MustNewShardTopology(cluster.ShardConfig{Shards: 2, Replicas: 2})
 	if _, err := DialCluster([]string{"127.0.0.1:1"}, ClusterOptions{Topology: m}); err == nil {
 		t.Fatal("address/shard-map size mismatch accepted")
+	}
+	// Nothing listens on port 1: the shard's whole replica set is dead.
+	if _, err := DialCluster([]string{"127.0.0.1:1"}, ClusterOptions{Topology: testTopo(1)}); !errors.Is(err, ErrNoReplica) {
+		t.Fatalf("dial of a dead one-replica shard: err = %v, want ErrNoReplica", err)
 	}
 }

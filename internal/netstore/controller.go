@@ -189,21 +189,9 @@ type creditGate struct {
 	wg     sync.WaitGroup
 }
 
-// AttachController connects the client to a credits controller: demand
-// reports flow every interval, grants update the client's balances, and
-// replica selection starts using them.
-func (c *Client) AttachController(addr string, interval time.Duration) error {
-	g, err := dialCreditGate(addr, len(c.conns), c.opts.Client, c.opts.DialTimeout, interval)
-	if err != nil {
-		return err
-	}
-	c.credits = g
-	return nil
-}
-
 // dialCreditGate connects a credit gate over the given dense server count
-// (flat server index, or shard·R+replica for cluster clients — the
-// controller is layout-agnostic) and starts its report/grant loops.
+// (shard·R+replica — the controller is layout-agnostic) and starts its
+// report/grant loops.
 func dialCreditGate(addr string, servers, client int, dialTimeout, interval time.Duration) (*creditGate, error) {
 	if interval <= 0 {
 		interval = 100 * time.Millisecond

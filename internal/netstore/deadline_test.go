@@ -115,8 +115,7 @@ func wedgedListener(t *testing.T) string {
 // applies even under context.Background().
 func TestForegroundWriteDefaultTimeoutOnWedgedServer(t *testing.T) {
 	addr := wedgedListener(t)
-	topo := cluster.MustNew(cluster.Config{Servers: 1, Replication: 1})
-	c, err := Dial([]string{addr}, ClientOptions{Topology: topo, RequestTimeout: 200 * time.Millisecond})
+	c, err := DialCluster([]string{addr}, ClusterOptions{Topology: testTopo(1), RequestTimeout: 200 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,8 +146,7 @@ func TestForegroundWriteDefaultTimeoutOnWedgedServer(t *testing.T) {
 // A per-call WriteOptions.Timeout narrows the wait below the default.
 func TestPerCallWriteTimeout(t *testing.T) {
 	addr := wedgedListener(t)
-	topo := cluster.MustNew(cluster.Config{Servers: 1, Replication: 1})
-	c, err := Dial([]string{addr}, ClientOptions{Topology: topo}) // default 10s
+	c, err := DialCluster([]string{addr}, ClusterOptions{Topology: testTopo(1)}) // default 10s
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,12 +298,7 @@ func TestServerExpiresQueuedWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	go func() { _ = srv.Serve(ln) }()
-	topo := cluster.MustNew(cluster.Config{Servers: 1, Replication: 1})
-	c, err := Dial([]string{ln.Addr().String()}, ClientOptions{Topology: topo})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	sc := dialConn(t, ln.Addr().String())
 
 	dropsBefore := metrics.CounterValue("netstore_server_expired_drops_total")
 	servedBefore := srv.Served()
@@ -318,7 +311,7 @@ func TestServerExpiresQueuedWork(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if _, err := c.conns[0].batch(bg, &wire.BatchReq{Priority: []int64{0}, Keys: []string{"k"}}); err != nil {
+		if _, err := sc.batch(bg, &wire.BatchReq{Priority: []int64{0}, Keys: []string{"k"}}); err != nil {
 			t.Error(err)
 		}
 	}()
@@ -333,7 +326,7 @@ func TestServerExpiresQueuedWork(t *testing.T) {
 	errCh := make(chan error, 1)
 	go func() {
 		var berr error
-		resp, berr = c.conns[0].batch(bg, &wire.BatchReq{
+		resp, berr = sc.batch(bg, &wire.BatchReq{
 			Budget:   1,
 			Priority: []int64{0},
 			Keys:     []string{"k"},

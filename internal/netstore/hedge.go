@@ -57,8 +57,8 @@ func (m HedgeMode) String() string {
 }
 
 // HedgePolicy configures hedged reads (ReadOptions.Hedge). The zero
-// value disables hedging. Honored by Cluster; the flat Client and Local
-// have no replica ranking to hedge across and ignore it.
+// value disables hedging. Local has no replicas to hedge across and
+// ignores it.
 type HedgePolicy struct {
 	// Mode selects off (default), fixed-delay, or adaptive-quantile
 	// triggering.
@@ -293,7 +293,7 @@ func (c *Cluster) hedgedBatch(ctx context.Context, st *topoState, scorer *c3.Sco
 			}
 			tried[rep] = true
 			hslot := st.slotOf(b.shard, rep)
-			hsc := hslot.pick()
+			hsc := hslot.conn.Load()
 			if hsc == nil {
 				scorer.OnError(rep, n)
 				arm(first) // lost a race with markDown; re-arm and re-rank

@@ -47,23 +47,32 @@ func startCluster(t *testing.T, n int, opts ServerOptions) ([]string, []*Server,
 	}
 }
 
-func testTopo(t *testing.T, servers int) *cluster.Topology {
-	t.Helper()
-	return cluster.MustNew(cluster.Config{Servers: servers, Replication: min(3, servers)})
+// testTopo is a flat replicated tier as the one client sees it: one
+// shard whose replica set is all the servers. startCluster's servers run
+// without CheckShard, so they accept its routing header as they accept
+// any.
+func testTopo(servers int) *cluster.ShardTopology {
+	return cluster.MustNewShardTopology(cluster.ShardConfig{Shards: 1, Replicas: servers})
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// dialConn opens one raw multiplexed connection to a server, for the
+// tests that script wire-level batches (priorities, budgets) no client
+// pipeline would produce.
+func dialConn(t *testing.T, addr string) *serverConn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return b
+	sc := newServerConn(conn)
+	t.Cleanup(sc.close)
+	return sc
 }
 
 func TestSetAndTaskRoundTrip(t *testing.T) {
 	addrs, _, stop := startCluster(t, 3, ServerOptions{})
 	defer stop()
-	topo := testTopo(t, 3)
-	c, err := Dial(addrs, ClientOptions{Topology: topo})
+	c, err := DialCluster(addrs, ClusterOptions{Topology: testTopo(3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +109,7 @@ func TestSetAndTaskRoundTrip(t *testing.T) {
 func TestEmptyTask(t *testing.T) {
 	addrs, _, stop := startCluster(t, 3, ServerOptions{})
 	defer stop()
-	c, err := Dial(addrs, ClientOptions{Topology: testTopo(t, 3)})
+	c, err := DialCluster(addrs, ClusterOptions{Topology: testTopo(3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,8 +126,7 @@ func TestEmptyTask(t *testing.T) {
 func TestWritesReplicated(t *testing.T) {
 	addrs, servers, stop := startCluster(t, 3, ServerOptions{})
 	defer stop()
-	topo := testTopo(t, 3)
-	c, err := Dial(addrs, ClientOptions{Topology: topo})
+	c, err := DialCluster(addrs, ClusterOptions{Topology: testTopo(3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,9 +134,8 @@ func TestWritesReplicated(t *testing.T) {
 	if err := c.Set(bg, "k1", []byte("v1"), WriteOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	g := topo.GroupOfKey("k1")
-	for _, sid := range topo.Replicas(g) {
-		if _, ok := servers[sid].Store().Get("k1"); !ok {
+	for sid, srv := range servers {
+		if _, ok := srv.Store().Get("k1"); !ok {
 			t.Fatalf("replica %d missing k1", sid)
 		}
 	}
@@ -137,8 +144,7 @@ func TestWritesReplicated(t *testing.T) {
 func TestClientDelete(t *testing.T) {
 	addrs, servers, stop := startCluster(t, 3, ServerOptions{})
 	defer stop()
-	topo := testTopo(t, 3)
-	c, err := Dial(addrs, ClientOptions{Topology: topo})
+	c, err := DialCluster(addrs, ClusterOptions{Topology: testTopo(3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,9 +161,8 @@ func TestClientDelete(t *testing.T) {
 	if _, ok := c.sizes.Load("k1"); ok {
 		t.Fatal("size cache not invalidated on Delete")
 	}
-	g := topo.GroupOfKey("k1")
-	for _, sid := range topo.Replicas(g) {
-		if _, ok := servers[sid].Store().Get("k1"); ok {
+	for sid, srv := range servers {
+		if _, ok := srv.Store().Get("k1"); ok {
 			t.Fatalf("replica %d still stores deleted k1", sid)
 		}
 	}
@@ -204,18 +209,13 @@ func TestPriorityOrderOnServer(t *testing.T) {
 	}
 	go func() { _ = srv.Serve(ln) }()
 
-	topo := cluster.MustNew(cluster.Config{Servers: 1, Replication: 1})
-	c, err := Dial([]string{ln.Addr().String()}, ClientOptions{Topology: topo})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	sc := dialConn(t, ln.Addr().String())
 
 	issue := func(prio int64) chan struct{} {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			if _, err := c.conns[0].batch(bg, &wire.BatchReq{TaskID: 1, Priority: []int64{prio * int64(time.Second)}, Keys: []string{fmt.Sprintf("k%d", prio)}}); err != nil {
+			if _, err := sc.batch(bg, &wire.BatchReq{TaskID: 1, Priority: []int64{prio * int64(time.Second)}, Keys: []string{fmt.Sprintf("k%d", prio)}}); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -283,8 +283,7 @@ func TestPriorityBiasOrdersAcrossCalls(t *testing.T) {
 	}
 	go func() { _ = srv.Serve(ln) }()
 
-	topo := cluster.MustNew(cluster.Config{Servers: 1, Replication: 1})
-	c, err := Dial([]string{ln.Addr().String()}, ClientOptions{Topology: topo, Assigner: core.Oblivious{}})
+	c, err := DialCluster([]string{ln.Addr().String()}, ClusterOptions{Topology: testTopo(1), Assigner: core.Oblivious{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +339,7 @@ func TestPriorityRankIsReceiptTimePlusPriority(t *testing.T) {
 	var mu sync.Mutex
 	var order []int64
 	fi := NewFaultInjector()
-	srv, c := startSchedServer(t, ServerOptions{
+	srv, addr := startSchedServer(t, ServerOptions{
 		Workers:    1,
 		Discipline: Priority,
 		Fault:      fi,
@@ -351,11 +350,12 @@ func TestPriorityRankIsReceiptTimePlusPriority(t *testing.T) {
 			return 0
 		},
 	}, []int{0, 1, 2})
+	sc := dialConn(t, addr)
 	issue := func(key int, prio time.Duration) chan struct{} {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			if _, err := c.conns[0].batch(bg, &wire.BatchReq{TaskID: 1, Priority: []int64{int64(prio)}, Keys: []string{fmt.Sprintf("k%d", key)}}); err != nil {
+			if _, err := sc.batch(bg, &wire.BatchReq{TaskID: 1, Priority: []int64{int64(prio)}, Keys: []string{fmt.Sprintf("k%d", key)}}); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -399,7 +399,7 @@ func TestUncalibratedForecastsStillOrderTasks(t *testing.T) {
 	var mu sync.Mutex
 	var order []int64
 	fi := NewFaultInjector()
-	srv, c := startSchedServer(t, ServerOptions{
+	srv, addr := startSchedServer(t, ServerOptions{
 		Workers:    1,
 		Discipline: Priority,
 		Fault:      fi,
@@ -410,6 +410,11 @@ func TestUncalibratedForecastsStillOrderTasks(t *testing.T) {
 			return time.Duration(delay.Load())
 		},
 	}, []int{0, 1, 2, 3, 4, 5, 6, 7, 8})
+	c, err := DialCluster([]string{addr}, ClusterOptions{Topology: testTopo(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
 	delay.Store(int64(warm))
 	for i := 0; i < 2; i++ {
 		if _, _, err := c.Get(bg, "k0", ReadOptions{}); err != nil {
@@ -481,19 +486,14 @@ func TestFIFOOrderOnServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	go func() { _ = srv.Serve(ln) }()
-	topo := cluster.MustNew(cluster.Config{Servers: 1, Replication: 1})
-	c, err := Dial([]string{ln.Addr().String()}, ClientOptions{Topology: topo})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	sc := dialConn(t, ln.Addr().String())
 
 	var wg sync.WaitGroup
 	issue := func(prio int64) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := c.conns[0].batch(bg, &wire.BatchReq{TaskID: 1, Priority: []int64{prio}, Keys: []string{fmt.Sprintf("k%d", prio)}}); err != nil {
+			if _, err := sc.batch(bg, &wire.BatchReq{TaskID: 1, Priority: []int64{prio}, Keys: []string{fmt.Sprintf("k%d", prio)}}); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -522,8 +522,8 @@ func TestFIFOOrderOnServer(t *testing.T) {
 func TestConcurrentClients(t *testing.T) {
 	addrs, _, stop := startCluster(t, 3, ServerOptions{Workers: 4})
 	defer stop()
-	topo := testTopo(t, 3)
-	loader, err := Dial(addrs, ClientOptions{Topology: topo})
+	topo := testTopo(3)
+	loader, err := DialCluster(addrs, ClusterOptions{Topology: topo})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -540,7 +540,7 @@ func TestConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, err := Dial(addrs, ClientOptions{Topology: topo, Client: w})
+			c, err := DialCluster(addrs, ClusterOptions{Topology: topo, Client: w})
 			if err != nil {
 				t.Error(err)
 				return
@@ -573,7 +573,6 @@ func TestConcurrentClients(t *testing.T) {
 func TestControllerGrantsFlow(t *testing.T) {
 	addrs, _, stop := startCluster(t, 3, ServerOptions{})
 	defer stop()
-	topo := testTopo(t, 3)
 
 	ctrl := NewControllerServer(ControllerOptions{
 		Clients: 2, Servers: 3, CapacityPerNano: 4, Interval: 20 * time.Millisecond,
@@ -585,7 +584,7 @@ func TestControllerGrantsFlow(t *testing.T) {
 	}
 	go func() { _ = ctrl.Serve(cln) }()
 
-	c, err := Dial(addrs, ClientOptions{Topology: topo, Client: 0})
+	c, err := DialCluster(addrs, ClusterOptions{Topology: testTopo(3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -607,7 +606,7 @@ func TestControllerGrantsFlow(t *testing.T) {
 	for {
 		total := 0.0
 		for s := 0; s < 3; s++ {
-			total += c.credits.balance(s)
+			total += c.CreditBalance(0, s)
 		}
 		if total != 0 {
 			break
@@ -644,10 +643,10 @@ func TestNetFigure2Shape(t *testing.T) {
 		opts := ServerOptions{Workers: 2, Discipline: disc, ServiceDelay: delay}
 		addrs, _, stop := startCluster(t, servers, opts)
 		defer stop()
-		topo := testTopo(t, servers)
+		topo := testTopo(servers)
 
 		// Load: heavy-tailed value sizes, identical across runs.
-		loader, err := Dial(addrs, ClientOptions{Topology: topo})
+		loader, err := DialCluster(addrs, ClusterOptions{Topology: topo})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -668,7 +667,7 @@ func TestNetFigure2Shape(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				c, err := Dial(addrs, ClientOptions{Topology: topo, Client: w, Assigner: assigner})
+				c, err := DialCluster(addrs, ClusterOptions{Topology: topo, Client: w, Assigner: assigner})
 				if err != nil {
 					t.Error(err)
 					return
@@ -737,6 +736,36 @@ func TestNetFigure2Shape(t *testing.T) {
 	}
 }
 
+// TestServerCloseRacesAccept: a connection accepted while Close runs
+// must not outlive it. Close sweeps the registered connections once; one
+// that Serve registered after the sweep kept its handler reading — and
+// Close waiting — until the client hung up, which a client that closes
+// after the server (every `defer c.Close()` above a `srv.Close()`) never
+// does. The window is a few instructions wide; at the commit before the
+// fix these dial-then-Close rounds first hit it in round 185.
+func TestServerCloseRacesAccept(t *testing.T) {
+	for i := 0; i < 1000; i++ {
+		srv := NewServer(kv.New(0), ServerOptions{Workers: 1})
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() { _ = srv.Serve(ln) }()
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan struct{})
+		go func() { srv.Close(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("round %d: Close hung behind a connection accepted during shutdown", i)
+		}
+		_ = conn.Close()
+	}
+}
+
 func TestServerCloseUnblocksWorkers(t *testing.T) {
 	srv := NewServer(kv.New(0), ServerOptions{Workers: 2})
 	done := make(chan struct{})
@@ -748,15 +777,5 @@ func TestServerCloseUnblocksWorkers(t *testing.T) {
 	case <-done:
 	case <-time.After(2 * time.Second):
 		t.Fatal("Close did not unblock idle workers")
-	}
-}
-
-func TestDialValidation(t *testing.T) {
-	if _, err := Dial([]string{"127.0.0.1:1"}, ClientOptions{}); err == nil {
-		t.Fatal("missing topology accepted")
-	}
-	topo := cluster.MustNew(cluster.Config{Servers: 2, Replication: 1})
-	if _, err := Dial([]string{"127.0.0.1:1"}, ClientOptions{Topology: topo}); err == nil {
-		t.Fatal("address/server count mismatch accepted")
 	}
 }

@@ -265,7 +265,7 @@ func (c *Cluster) rerouteHint(st *topoState, key string, h hint) {
 	rt := writeRoute{shard: shard, epoch: st.topo.Epoch()}
 	for r := 0; r < st.topo.Replicas(); r++ {
 		owner := st.slotOf(shard, r)
-		osc := owner.primary()
+		osc := owner.conn.Load()
 		if osc == nil || owner.down.Load() {
 			c.addHint(owner, key, h.value, h.version, h.del)
 			continue
@@ -327,7 +327,7 @@ func (c *Cluster) flushHints(slot *serverSlot) {
 	if n == 0 {
 		return
 	}
-	if sc := slot.primary(); sc != nil {
+	if sc := slot.conn.Load(); sc != nil {
 		_ = c.replayHints(slot, sc)
 	}
 }
@@ -352,24 +352,6 @@ func (c *Cluster) tryRevive(st *topoState, slot *serverSlot) {
 		return
 	}
 	_ = sc.conn.SetDeadline(time.Time{})
-	// Top up the slot's parallel connections (ConnsPerReplica > 1): the
-	// probe just proved the process live, so the extras dial without
-	// their own Ping/Pong. Revival stays all-or-nothing — one failed
-	// dial abandons the attempt (everything closes, the down mark
-	// stands, the next tick retries) rather than re-admitting a replica
-	// with a lopsided conn set.
-	extras := make([]*serverConn, 0, len(slot.conns)-1)
-	for i := 1; i < len(slot.conns); i++ {
-		conn, err := net.DialTimeout("tcp", slot.addr, c.opts.DialTimeout)
-		if err != nil {
-			sc.close()
-			for _, e := range extras {
-				e.close()
-			}
-			return
-		}
-		extras = append(extras, newServerConn(conn))
-	}
 	// The revived process shares nothing with the crashed one: drop the
 	// replica's C3 outstanding/EWMA state so stale pre-crash feedback
 	// neither penalizes nor favors it.
@@ -386,29 +368,23 @@ func (c *Cluster) tryRevive(st *topoState, slot *serverSlot) {
 	}
 	// Clear the down mark BEFORE publishing the connection. In the
 	// reverse order, an operation failing on the freshly swapped conn
-	// could markDown (conns→nil, down→true) and then lose its down mark
-	// to this goroutine's store — leaving conns nil with down false,
+	// could markDown (conn→nil, down→true) and then lose its down mark
+	// to this goroutine's store — leaving conn nil with down false,
 	// which the prober never probes again. With this order the down mark
 	// set by any failure on the new conn survives, and the only race
 	// window is a read skipping the replica for the instant between the
 	// two stores.
 	slot.down.Store(false)
-	if old := slot.conns[0].Swap(sc); old != nil {
+	if old := slot.conn.Swap(sc); old != nil {
 		old.close()
-	}
-	for i, e := range extras {
-		if old := slot.conns[i+1].Swap(e); old != nil {
-			old.close()
-		}
 	}
 	// A topology install may have retired this slot while the revival
 	// was in flight: no state references it anymore, so nothing —
 	// neither Close's sweep nor a later install — would ever close the
-	// connections we just published. Retract them ourselves (each Swap
-	// hands its conn to exactly one closer even if an install raced us
-	// here).
+	// connection we just published. Retract it ourselves (the Swap hands
+	// the conn to exactly one closer even if an install raced us here).
 	if cur := c.state.Load(); cur.slots[slot.id] != slot {
-		slot.closeAll()
+		slot.closeConn()
 		return
 	}
 	c.revivals.Add(1)
@@ -507,7 +483,7 @@ func (c *Cluster) repairKey(shard, staleRep int, key string) {
 			continue
 		}
 		slot := st.slotOf(shard, r)
-		sc := slot.primary()
+		sc := slot.conn.Load()
 		if sc == nil || slot.down.Load() {
 			continue
 		}
@@ -537,7 +513,7 @@ func (c *Cluster) repairKey(shard, staleRep int, key string) {
 		return
 	}
 	staleSlot := st.slotOf(shard, staleRep)
-	sc := staleSlot.primary()
+	sc := staleSlot.conn.Load()
 	if sc == nil || staleSlot.down.Load() {
 		return
 	}

@@ -14,18 +14,17 @@ import (
 	"testing"
 	"time"
 
-	"github.com/brb-repro/brb/internal/cluster"
 	"github.com/brb-repro/brb/internal/kv"
 	"github.com/brb-repro/brb/internal/wire"
 )
 
 // startSchedServer launches one loopback server with the given options
-// and a connected flat client; values encode their priority as
+// and returns it with its address; values encode their priority as
 // len(value)-1 so the ServiceDelay hook can observe service order. Tests
 // that depend on priority order send prio seconds on the wire: the
 // server ranks by receipt time + priority, and the gaps between
 // stall-gated arrivals must not reorder them.
-func startSchedServer(t *testing.T, opts ServerOptions, prios []int) (*Server, *Client) {
+func startSchedServer(t *testing.T, opts ServerOptions, prios []int) (*Server, string) {
 	t.Helper()
 	srv := NewServer(kv.New(0), opts)
 	t.Cleanup(srv.Close)
@@ -37,13 +36,7 @@ func startSchedServer(t *testing.T, opts ServerOptions, prios []int) (*Server, *
 		t.Fatal(err)
 	}
 	go func() { _ = srv.Serve(ln) }()
-	topo := cluster.MustNew(cluster.Config{Servers: 1, Replication: 1})
-	c, err := Dial([]string{ln.Addr().String()}, ClientOptions{Topology: topo})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-	return srv, c
+	return srv, ln.Addr().String()
 }
 
 // TestSchedTotalOrder: the queue's order is total per server, not per
@@ -70,7 +63,7 @@ func TestSchedTotalOrder(t *testing.T) {
 			release := sync.OnceFunc(func() { close(hold) })
 			defer release() // a held worker would deadlock the server's Close
 			fi := NewFaultInjector()
-			srv, c := startSchedServer(t, ServerOptions{
+			srv, addr := startSchedServer(t, ServerOptions{
 				Workers:    2,
 				Discipline: tc.disc,
 				Fault:      fi,
@@ -86,11 +79,12 @@ func TestSchedTotalOrder(t *testing.T) {
 					return 0
 				},
 			}, []int{0, 1, 10, 20, 30, 40})
+			sc := dialConn(t, addr)
 			issue := func(prio int64) chan struct{} {
 				done := make(chan struct{})
 				go func() {
 					defer close(done)
-					if _, err := c.conns[0].batch(bg, &wire.BatchReq{TaskID: 1, Priority: []int64{prio * int64(time.Second)}, Keys: []string{fmt.Sprintf("k%d", prio)}}); err != nil {
+					if _, err := sc.batch(bg, &wire.BatchReq{TaskID: 1, Priority: []int64{prio * int64(time.Second)}, Keys: []string{fmt.Sprintf("k%d", prio)}}); err != nil {
 						t.Error(err)
 					}
 				}()
@@ -128,11 +122,12 @@ func TestSchedTotalOrder(t *testing.T) {
 // queued is shed at the pop with its Expired bit set, not served.
 func TestSchedBudgetShedAtPop(t *testing.T) {
 	fi := NewFaultInjector()
-	srv, c := startSchedServer(t, ServerOptions{Workers: 1, Fault: fi}, []int{0, 1})
+	srv, addr := startSchedServer(t, ServerOptions{Workers: 1, Fault: fi}, []int{0, 1})
+	sc := dialConn(t, addr)
 	issue := func(prio int64, budget int64) chan *wire.BatchResp {
 		out := make(chan *wire.BatchResp, 1)
 		go func() {
-			resp, err := c.conns[0].batch(bg, &wire.BatchReq{TaskID: 1, Budget: budget, Priority: []int64{prio}, Keys: []string{fmt.Sprintf("k%d", prio)}})
+			resp, err := sc.batch(bg, &wire.BatchReq{TaskID: 1, Budget: budget, Priority: []int64{prio}, Keys: []string{fmt.Sprintf("k%d", prio)}})
 			if err != nil {
 				t.Error(err)
 			}
@@ -166,12 +161,13 @@ func TestSchedBudgetShedAtPop(t *testing.T) {
 // worker Wait returns.
 func TestSchedCloseDrainsQueued(t *testing.T) {
 	fi := NewFaultInjector()
-	srv, c := startSchedServer(t, ServerOptions{Workers: 2, Fault: fi}, []int{0, 1, 2, 3, 4})
+	srv, addr := startSchedServer(t, ServerOptions{Workers: 2, Fault: fi}, []int{0, 1, 2, 3, 4})
+	sc := dialConn(t, addr)
 	issue := func(prio int64) {
 		go func() {
 			// Errors are expected here: Close may tear the connection
 			// down before (or while) the response is written.
-			_, _ = c.conns[0].batch(bg, &wire.BatchReq{TaskID: 1, Priority: []int64{prio}, Keys: []string{fmt.Sprintf("k%d", prio)}})
+			_, _ = sc.batch(bg, &wire.BatchReq{TaskID: 1, Priority: []int64{prio}, Keys: []string{fmt.Sprintf("k%d", prio)}})
 		}()
 	}
 	fi.StallNext(2)

@@ -63,8 +63,9 @@ type ServerOptions struct {
 	// different shard are rejected with wire.FlagMisrouted instead of
 	// silently answering "not found" for keys the server never stored.
 	Shard int
-	// CheckShard enables shard validation. Single-tier deployments (the
-	// plain Client) leave it off and the server accepts every batch.
+	// CheckShard enables shard validation. Plain `brb-server -listen`
+	// deployments leave it off and the server accepts every batch,
+	// whatever routing header the client's topology stamped on it.
 	// With a topology installed (SetTopology or a wire push), validation
 	// upgrades from the whole-batch header check to per-key ownership:
 	// keys the topology assigns elsewhere are rejected as strays
@@ -278,9 +279,17 @@ func (s *Server) Serve(ln net.Listener) error {
 			return err
 		}
 		s.mu.Lock()
+		if s.closed {
+			// Accepted while shutdown ran: its sweep of s.conns is over, so
+			// nobody would close this connection and its handler would hold
+			// shutdown's Wait until the peer hung up.
+			s.mu.Unlock()
+			_ = conn.Close()
+			return nil
+		}
 		s.conns[conn] = struct{}{}
+		s.wg.Add(1) // under mu, so it is ordered before shutdown's Wait
 		s.mu.Unlock()
-		s.wg.Add(1)
 		go s.handle(conn)
 	}
 }
@@ -723,7 +732,7 @@ var (
 // ownsKey reports whether this server accepts a write for key under its
 // current topology. Without CheckShard, or before any topology is
 // installed, every key is owned (writes were never ownership-checked
-// pre-topology, and flat deployments must keep working).
+// pre-topology, and servers run without CheckShard must keep working).
 //
 // writerEpoch is the topology epoch the writer routed under. A writer
 // AHEAD of this server — the rebalancer streaming a migration before

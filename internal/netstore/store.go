@@ -12,10 +12,11 @@ package netstore
 // service time on answers nobody is waiting for — deadline-aware
 // shedding in the spirit of receiver-driven transports.
 //
-// Three implementations share the interface: Client (flat replicated
-// tier), Cluster (sharded, epoch-routed, self-healing), and Local (an
-// in-process kv.Store — what tests and tools program against when the
-// network is beside the point).
+// Two implementations share the interface: Cluster (the one networked
+// client — sharded, epoch-routed, self-healing; a flat replicated tier
+// is its one-shard topology) and Local (an in-process kv.Store — what
+// tests and tools program against when the network is beside the
+// point).
 
 import (
 	"context"
@@ -28,7 +29,7 @@ import (
 
 // Store is the request API of the BRB data store: batched, task-aware
 // reads and replicated writes, all context-first. Implementations:
-// *Client, *Cluster, *Local.
+// *Cluster, *Local.
 //
 // Deadlines: the effective deadline of a call is the earliest of the
 // ctx deadline, the per-call options Timeout, and (when ctx carries no
@@ -44,17 +45,16 @@ type Store interface {
 	// TaskResult is still returned: keys whose shards answered have
 	// Values/Found filled.
 	Multiget(ctx context.Context, keys []string, opts ReadOptions) (*TaskResult, error)
-	// Set writes one key to the replicas of its group/shard.
+	// Set writes one key to the replicas of its shard.
 	Set(ctx context.Context, key string, value []byte, opts WriteOptions) error
-	// Delete removes one key from the replicas of its group/shard.
+	// Delete removes one key from the replicas of its shard.
 	Delete(ctx context.Context, key string, opts WriteOptions) error
 	// Close releases the store's resources.
 	Close()
 }
 
-// Compile-time interface checks: the three stores present one API.
+// Compile-time interface checks: the two stores present one API.
 var (
-	_ Store = (*Client)(nil)
 	_ Store = (*Cluster)(nil)
 	_ Store = (*Local)(nil)
 )
@@ -63,8 +63,8 @@ var (
 type ReplicaPreference int
 
 const (
-	// ReplicaAuto ranks replicas load-awarely (C3 scores on the cluster
-	// client, outstanding-work headroom on the flat client). The default.
+	// ReplicaAuto ranks replicas load-awarely by C3 score and spreads a
+	// sub-task's keys over them. The default.
 	ReplicaAuto ReplicaPreference = iota
 	// ReplicaPrimary prefers replica index 0 while it is live —
 	// deterministic routing for tests and read-your-writes-ish tooling —
@@ -82,8 +82,8 @@ type ReadOptions struct {
 	// Replica selects the replica-preference policy.
 	Replica ReplicaPreference
 	// Hedge configures tail-cutting hedged reads (see HedgePolicy). The
-	// zero value disables hedging. Honored by Cluster; the flat Client
-	// and Local have no replica ranking to hedge across and ignore it.
+	// zero value disables hedging. Local has no replicas to hedge across
+	// and ignores it.
 	Hedge HedgePolicy
 	// PriorityBias shifts the task-aware wire priority of every key this
 	// call issues (lower priorities serve sooner, so a positive bias
@@ -101,13 +101,15 @@ type ReadOptions struct {
 type WriteFanout int
 
 const (
-	// WriteAll waits for every live replica of the key's group (the
-	// default): strongest durability the moment the call returns.
+	// WriteAll waits for every live replica of the key's shard (the
+	// default) and succeeds once at least one acked; a replica that is
+	// down or fails the write gets it buffered as a hint for replay on
+	// revival.
 	WriteAll WriteFanout = iota
 	// WriteAny returns once one replica acknowledges; the remaining
 	// fan-out completes in the background (failures there self-heal via
-	// hinted handoff and read-repair on the cluster client). Lower
-	// latency, weaker durability at return time.
+	// hinted handoff and read-repair). Lower latency, weaker durability
+	// at return time.
 	WriteAny
 )
 
@@ -195,9 +197,9 @@ func (e *opCtxError) Error() string { return "netstore: " + e.what + ": " + e.ca
 func (e *opCtxError) Unwrap() error { return e.cause }
 
 // Local is the in-process Store: a kv.Store behind the same interface
-// the networked clients implement, so tests, examples, and tools can
+// the networked client implements, so tests, examples, and tools can
 // program against Store without sockets. Writes are stamped by the same
-// versioned clock the networked clients use, so a Local loader's data is
+// versioned clock the networked client uses, so a Local loader's data is
 // comparable (last-writer-wins) with replicated writes. There is no
 // queue to shed from, so deadlines only gate admission: a call whose
 // context is already done fails without touching the store.

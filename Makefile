@@ -34,6 +34,7 @@ test:
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestSched' ./internal/netstore/
+	$(GO) test -race -run 'HotKeyCache|ClusterCache|CacheReplay' ./internal/netstore/
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 100x -benchmem ./internal/wire/ ./internal/netstore/

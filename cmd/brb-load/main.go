@@ -32,7 +32,8 @@
 // them by -slow-latency per request after the load phase, and -hedge
 // re-issues straggling batches to the next-ranked replica (fixed delay
 // or adaptive C3 quantile trigger). -cache adds a versioned hot-key
-// client cache, which -zipf makes visible by concentrating reads:
+// client cache (an admission-filtered LRU: sweeps of once-read keys are
+// refused, not cached), which -zipf makes visible by concentrating reads:
 //
 //	brb-load -shards 2 -replication 2 -spawn \
 //	         -hedge adaptive -cache 256 -zipf 1.1 \
@@ -109,7 +110,7 @@ func main() {
 	hedgeMode := flag.String("hedge", "off", "hedged reads: off|fixed|adaptive")
 	hedgeDelay := flag.Duration("hedge-delay", 0, "hedge trigger delay (fixed mode) and cold-start floor (adaptive); 0 = policy default")
 	hedgeQuantile := flag.Float64("hedge-quantile", 0, "adaptive hedge trigger quantile in (0,1); 0 = policy default")
-	cacheSize := flag.Int("cache", 0, "client hot-key cache entries per client (0 = off)")
+	cacheSize := flag.Int("cache", 0, "client hot-key cache entries per client: an admission-filtered LRU, a key not yet cached must be read more often than the entry it would evict (0 = off)")
 	spawn := flag.Bool("spawn", false, "spawn the cluster's servers in-process instead of dialing -servers (self-contained smoke runs)")
 	slowReplica := flag.Int("slow-replica", -1, "dense server index slowed by -slow-latency per request after the load phase (requires -spawn; -1 = none)")
 	slowLatency := flag.Duration("slow-latency", 2*time.Millisecond, "added service latency for -slow-replica")
@@ -649,9 +650,9 @@ func main() {
 	}
 	if *cacheSize > 0 {
 		cc := metrics.CountersWithPrefix("netstore_cache_")
-		fmt.Printf("cache: hits=%d misses=%d fills=%d invalidations=%d evictions=%d\n",
+		fmt.Printf("cache: hits=%d misses=%d fills=%d invalidations=%d evictions=%d rejects=%d\n",
 			cc["netstore_cache_hits_total"], cc["netstore_cache_misses_total"], cc["netstore_cache_fills_total"],
-			cc["netstore_cache_invalidations_total"], cc["netstore_cache_evictions_total"])
+			cc["netstore_cache_invalidations_total"], cc["netstore_cache_evictions_total"], cc["netstore_cache_rejects_total"])
 	}
 	if *allocStats && s.Count > 0 {
 		// Whole-process deltas over the measurement phase only (dialing

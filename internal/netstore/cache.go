@@ -24,8 +24,19 @@ package netstore
 // and validation — the same regime as any TTL-free read cache over an
 // eventually-consistent store; the paper's target workloads (read-heavy
 // cache tiers) are exactly where that trade is taken.
+//
+// What the cache saves is the share of the read popularity mass its
+// resident set holds, so residency is earned: the LRU is fronted by a
+// TinyLFU admission filter (Einziger et al.). Every lookup is counted
+// in a small frequency sketch, and once the cache is full a key that is
+// not yet resident is admitted only if the sketch ranks it strictly
+// above the LRU tail it would evict. A sweep over cold keys is counted
+// and refused instead of flushing the hot set. Admission decides only
+// WHICH read results are parked; the three rules above govern every
+// entry that is, so the coherence argument does not depend on it.
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -35,103 +46,145 @@ import (
 
 // Hot-key cache counters (process-wide; see internal/metrics).
 var (
-	cacheHitsTotal   = metrics.GetCounter("netstore_cache_hits_total")
-	cacheMissesTotal = metrics.GetCounter("netstore_cache_misses_total")
-	cacheFillsTotal  = metrics.GetCounter("netstore_cache_fills_total")
-	cacheInvalsTotal = metrics.GetCounter("netstore_cache_invalidations_total")
-	cacheEvictsTotal = metrics.GetCounter("netstore_cache_evictions_total")
+	cacheHitsTotal    = metrics.GetCounter("netstore_cache_hits_total")
+	cacheMissesTotal  = metrics.GetCounter("netstore_cache_misses_total")
+	cacheFillsTotal   = metrics.GetCounter("netstore_cache_fills_total")
+	cacheInvalsTotal  = metrics.GetCounter("netstore_cache_invalidations_total")
+	cacheEvictsTotal  = metrics.GetCounter("netstore_cache_evictions_total")
+	cacheRejectsTotal = metrics.GetCounter("netstore_cache_rejects_total")
 )
 
-// hotKeyCache is a bounded LRU of versioned values. Like the server's
-// scan-page and scheduler heaps, the LRU list is hand-rolled (map +
-// intrusive doubly-linked list) so steady-state hits cost zero
-// allocations beyond the served copy.
+// hotKeyCache is a bounded, admission-filtered LRU of versioned values.
+// Like the server's scan-page and scheduler heaps, the LRU list is
+// hand-rolled (map + intrusive doubly-linked list) so steady-state hits
+// cost zero allocations beyond the served copy.
 type hotKeyCache struct {
 	mu         sync.Mutex
 	capacity   int
 	ents       map[string]*cacheEnt
 	head, tail *cacheEnt // head = most recently used
+	sketch     freqSketch
 
-	hits, misses, fills, invals, evicts atomic.Uint64
+	hits, misses, fills, invals, evicts, rejects atomic.Uint64
 }
 
 type cacheEnt struct {
-	key        string
+	key string
+	// val is immutable: a refresh replaces the slice, and no []byte
+	// reachable from an entry is ever written again. That is what lets
+	// serve copy a hit's value after dropping hc.mu.
 	val        []byte
 	version    uint64
 	prev, next *cacheEnt
 }
 
 func newHotKeyCache(capacity int) *hotKeyCache {
-	return &hotKeyCache{capacity: capacity, ents: make(map[string]*cacheEnt, capacity)}
+	return &hotKeyCache{
+		capacity: capacity,
+		ents:     make(map[string]*cacheEnt, capacity),
+		sketch:   newFreqSketch(capacity),
+	}
 }
 
-// get serves a hit, copying the value (the caller owns result slices
-// and may mutate them). minVer is the caller's written-version floor:
-// an entry older than a write this client has had acknowledged is
-// dropped and reported as a miss — rule 2 above.
-func (hc *hotKeyCache) get(key string, minVer uint64) ([]byte, bool) {
+// serve answers what it can of keys from the cache under ONE lock hold:
+// for each hit i it sets found[i] and vals[i] (the caller's own copy —
+// result slices may be mutated) and it returns the number of hits.
+// found must arrive all false. floor gives the caller's written-version
+// floor for a key: an entry older than a write this client has had
+// acknowledged is dropped and reported as a miss — rule 2 above. floor
+// runs with hc.mu held, so it must neither block nor call back into
+// the cache. Every key looked up, hit or miss, is counted in the
+// admission sketch.
+func (hc *hotKeyCache) serve(keys []string, floor func(string) uint64, vals [][]byte, found []bool) int {
+	hits, dropped := 0, 0
 	hc.mu.Lock()
-	e := hc.ents[key]
-	if e == nil {
-		hc.mu.Unlock()
-		hc.misses.Add(1)
-		cacheMissesTotal.Inc()
-		return nil, false
+	for i, k := range keys {
+		hc.sketch.touch(keyHash(k))
+		e := hc.ents[k]
+		if e == nil {
+			continue
+		}
+		if e.version < floor(k) {
+			hc.removeLocked(e)
+			dropped++
+			continue
+		}
+		hc.moveFrontLocked(e)
+		vals[i], found[i] = e.val, true
+		hits++
 	}
-	if e.version < minVer {
-		hc.removeLocked(e)
-		hc.mu.Unlock()
-		hc.invals.Add(1)
-		cacheInvalsTotal.Inc()
-		hc.misses.Add(1)
-		cacheMissesTotal.Inc()
-		return nil, false
-	}
-	hc.moveFrontLocked(e)
-	val := append([]byte(nil), e.val...)
 	hc.mu.Unlock()
-	hc.hits.Add(1)
-	cacheHitsTotal.Inc()
-	return val, true
+	if hits > 0 {
+		for i, ok := range found {
+			if ok {
+				vals[i] = append([]byte(nil), vals[i]...)
+			}
+		}
+		hc.hits.Add(uint64(hits))
+		cacheHitsTotal.Add(uint64(hits))
+	}
+	if misses := len(keys) - hits; misses > 0 {
+		hc.misses.Add(uint64(misses))
+		cacheMissesTotal.Add(uint64(misses))
+	}
+	if dropped > 0 {
+		hc.invals.Add(uint64(dropped))
+		cacheInvalsTotal.Add(uint64(dropped))
+	}
+	return hits
 }
 
-// put fills (or refreshes) an entry, copying the value. Version 0 —
-// an unversioned legacy response — is not cacheable: it could never be
-// validated. A fill older than what is already cached loses; between
-// two fills, the higher version wins regardless of arrival order.
+// put offers one read result to the cache, copying the value if it is
+// kept. Version 0 — an unversioned legacy response — is not cacheable:
+// it could never be validated. For a resident key the higher version
+// wins regardless of arrival order: an older fill loses, an equal one
+// only renews the entry's recency, a newer one replaces value and
+// version. A new key fills a free slot unconditionally; in a full cache
+// it must beat the LRU tail in the admission sketch (strictly: a tie
+// keeps the resident, so a run of once-read keys cannot churn the
+// tail), and is otherwise counted as a reject and dropped.
 func (hc *hotKeyCache) put(key string, val []byte, ver uint64) {
 	if ver == 0 {
 		return
 	}
+	filled, evicted, rejected := false, false, false
 	hc.mu.Lock()
 	if e := hc.ents[key]; e != nil {
-		if ver < e.version {
-			hc.mu.Unlock()
-			return
+		if ver >= e.version {
+			hc.moveFrontLocked(e)
 		}
-		e.version = ver
-		e.val = append(e.val[:0], val...)
-		hc.moveFrontLocked(e)
-		hc.mu.Unlock()
-		hc.fills.Add(1)
-		cacheFillsTotal.Inc()
-		return
-	}
-	e := &cacheEnt{key: key, val: append([]byte(nil), val...), version: ver}
-	hc.ents[key] = e
-	hc.pushFrontLocked(e)
-	evicted := false
-	if len(hc.ents) > hc.capacity {
-		hc.removeLocked(hc.tail)
-		evicted = true
+		if ver > e.version {
+			e.version = ver
+			e.val = append([]byte(nil), val...)
+			filled = true
+		}
+	} else {
+		full := len(hc.ents) >= hc.capacity
+		if full && hc.sketch.estimate(keyHash(key)) <= hc.sketch.estimate(keyHash(hc.tail.key)) {
+			rejected = true
+		} else {
+			if full {
+				hc.removeLocked(hc.tail)
+				evicted = true
+			}
+			e := &cacheEnt{key: key, val: append([]byte(nil), val...), version: ver}
+			hc.ents[key] = e
+			hc.pushFrontLocked(e)
+			filled = true
+		}
 	}
 	hc.mu.Unlock()
-	hc.fills.Add(1)
-	cacheFillsTotal.Inc()
+	if filled {
+		hc.fills.Add(1)
+		cacheFillsTotal.Inc()
+	}
 	if evicted {
 		hc.evicts.Add(1)
 		cacheEvictsTotal.Inc()
+	}
+	if rejected {
+		hc.rejects.Add(1)
+		cacheRejectsTotal.Inc()
 	}
 }
 
@@ -231,6 +284,97 @@ func (hc *hotKeyCache) moveFrontLocked(e *cacheEnt) {
 	hc.head = e
 }
 
+// freqSketch is the admission filter's popularity estimate: a count-min
+// sketch of 4-bit counters, sketchRows rows side by side in one slab,
+// 16 counters to a word. It is allocated once, in newHotKeyCache, and
+// its size depends on the capacity alone — never on how many distinct
+// keys pass through.
+type freqSketch struct {
+	words   []uint64
+	mask    uint64 // row width − 1; the width is a power of two
+	touches int    // since the last aging pass
+	period  int
+}
+
+const (
+	// A key bumps one counter in each of sketchRows rows and its
+	// estimate is the smallest of them, so a cold key is over-counted
+	// only where it shares a counter with hotter keys in every row. One
+	// 64-bit hash is cut into 16-bit row indexes, which is why 4.
+	sketchRows = 4
+	// Counters per cache slot, all rows together (≈: a row is rounded up
+	// to a power of two). Each row is then at least twice the capacity
+	// wide — the sketch has to tell the resident set from the keys
+	// competing with it, not to count the keyspace — and the whole
+	// sketch costs 4 bytes a slot, beside entries of up to 64 KiB.
+	sketchSlotCounters = 8
+	// Every sketchAgeTouches × capacity lookups all counters are halved,
+	// so a key that stops being read loses its rank within a few periods
+	// and yesterday's hot set cannot hold its slots against today's. Ten:
+	// over one period a resident key is looked up about ten times on
+	// average, which a 4-bit counter (0–15) resolves without saturating
+	// more than the hottest few.
+	sketchAgeTouches = 10
+)
+
+func newFreqSketch(capacity int) freqSketch {
+	width := 16 // one word
+	for width < sketchSlotCounters/sketchRows*capacity {
+		width <<= 1
+	}
+	return freqSketch{
+		words:  make([]uint64, sketchRows*width/16),
+		mask:   uint64(width - 1),
+		period: sketchAgeTouches * capacity,
+	}
+}
+
+// counter locates row r's counter for hash h: its word and bit offset.
+func (s *freqSketch) counter(h uint64, r int) (word *uint64, shift uint64) {
+	c := uint64(r)*(s.mask+1) + bits.RotateLeft64(h, -16*r)&s.mask
+	return &s.words[c>>4], c & 15 << 2
+}
+
+// touch counts one lookup of the key hashed to h and ages the sketch
+// when the period is up.
+func (s *freqSketch) touch(h uint64) {
+	for r := 0; r < sketchRows; r++ {
+		if w, sh := s.counter(h, r); *w>>sh&15 < 15 {
+			*w += 1 << sh
+		}
+	}
+	if s.touches++; s.touches >= s.period {
+		s.touches = 0
+		for i, w := range s.words {
+			s.words[i] = w >> 1 & 0x7777777777777777
+		}
+	}
+}
+
+// estimate is the key's lookup count as far as the sketch knows it
+// (0–15, aged).
+func (s *freqSketch) estimate(h uint64) uint64 {
+	est := uint64(15)
+	for r := 0; r < sketchRows; r++ {
+		w, sh := s.counter(h, r)
+		est = min(est, *w>>sh&15)
+	}
+	return est
+}
+
+// keyHash is FNV-1a scrambled by the splitmix64 finalizer (FNV alone
+// leaves the high bits of short keys too structured to cut row indexes
+// from) — fixed, unseeded, so a replayed schedule meets the same sketch.
+func keyHash(key string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint64(key[i])) * 1099511628211
+	}
+	h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
+	h = (h ^ h>>27) * 0x94d049bb133111eb
+	return h ^ h>>31
+}
+
 // writtenFloor is the version this client last had acknowledged for a
 // key (0 if it never wrote the key) — the cache's serve floor.
 func (c *Cluster) writtenFloor(key string) uint64 {
@@ -238,12 +382,6 @@ func (c *Cluster) writtenFloor(key string) uint64 {
 		return wv.(uint64)
 	}
 	return 0
-}
-
-// cacheServe answers one key from the hot-key cache if the entry clears
-// the written floor. Only called with c.cache non-nil.
-func (c *Cluster) cacheServe(key string) ([]byte, bool) {
-	return c.cache.get(key, c.writtenFloor(key))
 }
 
 // cacheFill parks one read result in the cache unless it predates a
@@ -320,6 +458,16 @@ func (c *Cluster) CacheEvictions() uint64 {
 		return 0
 	}
 	return c.cache.evicts.Load()
+}
+
+// CacheRejects returns how many fills the admission filter refused: the
+// cache was full and the key did not outrank the LRU tail (0 when
+// disabled).
+func (c *Cluster) CacheRejects() uint64 {
+	if c.cache == nil {
+		return 0
+	}
+	return c.cache.rejects.Load()
 }
 
 // CacheSize returns the current cached entry count (0 when disabled).

@@ -1,10 +1,11 @@
 package netstore
 
-// Hot-key cache tests: the pure LRU/version mechanics, the Cluster
-// coherence rules (local-write invalidation, written floor, epoch
-// purge), the partial-result fill regression, and a -race coherence
-// hammer asserting a cache hit never serves a value older than an
-// acknowledged local write.
+// Hot-key cache tests: the version mechanics, the admission policy
+// (eviction order, scan resistance, readmission, aging, a random-op
+// invariant walk), the Cluster coherence rules (local-write
+// invalidation, written floor, epoch purge), the partial-result fill
+// regression, and a -race coherence hammer asserting a cache hit never
+// serves a value older than an acknowledged local write.
 
 import (
 	"context"
@@ -18,6 +19,7 @@ import (
 	"time"
 
 	"github.com/brb-repro/brb/internal/cluster"
+	"github.com/brb-repro/brb/internal/randx"
 )
 
 func TestHotKeyCacheVersioning(t *testing.T) {
@@ -73,35 +75,397 @@ func TestHotKeyCacheVersioning(t *testing.T) {
 	}
 }
 
+// resident reports whether key has an entry, without the lookup get
+// would count in the admission sketch.
+func (hc *hotKeyCache) resident(key string) bool {
+	hc.mu.Lock()
+	defer hc.mu.Unlock()
+	return hc.ents[key] != nil
+}
+
+// readThrough is one read the way Cluster.Multiget does it: look the key
+// up, and on a miss offer the fetched value to the cache.
+func readThrough(hc *hotKeyCache, key string, ver uint64) (hit bool) {
+	if _, hit = hc.get(key, 0); !hit {
+		hc.put(key, []byte(key), ver)
+	}
+	return hit
+}
+
+// What eviction still promises under admission: the size never exceeds
+// the capacity, a full cache refuses a key it has not seen asked for
+// more often than its LRU tail, an admitted key displaces exactly the
+// least recently used entry, and evicts counts only those displacements.
 func TestHotKeyCacheLRUEviction(t *testing.T) {
 	hc := newHotKeyCache(3)
 	for i := 1; i <= 3; i++ {
 		hc.put(fmt.Sprintf("k%d", i), []byte("v"), uint64(i))
 	}
-	// Touch k1 so k2 becomes the least recently used.
+	if hc.size() != 3 || hc.evicts.Load() != 0 || hc.rejects.Load() != 0 {
+		t.Fatalf("filling free slots: size=%d evicts=%d rejects=%d, want 3 0 0", hc.size(), hc.evicts.Load(), hc.rejects.Load())
+	}
+
+	// Full. A key nobody has looked up ties with the tail and is refused.
+	hc.put("k4", []byte("v"), 4)
+	if hc.resident("k4") || hc.size() != 3 {
+		t.Fatalf("a never-read key was admitted to a full cache (size %d)", hc.size())
+	}
+	if r, e := hc.rejects.Load(), hc.evicts.Load(); r != 1 || e != 0 {
+		t.Fatalf("rejects=%d evicts=%d after one refused fill, want 1 0", r, e)
+	}
+
+	// Touch k1 so k2 becomes the least recently used (k3 was filled
+	// after it), then ask for k4 often enough to outrank k2.
 	if _, ok := hc.get("k1", 0); !ok {
 		t.Fatal("k1 missing")
 	}
+	hc.get("k4", 0)
+	hc.get("k4", 0)
 	hc.put("k4", []byte("v"), 4)
-	if _, ok := hc.get("k2", 0); ok {
+	if hc.resident("k2") {
 		t.Fatal("LRU victim k2 survived the eviction")
 	}
 	for _, k := range []string{"k1", "k3", "k4"} {
-		if _, ok := hc.get(k, 0); !ok {
+		if !hc.resident(k) {
 			t.Fatalf("%s evicted, want k2 (the LRU) evicted", k)
 		}
 	}
-	if got := hc.evicts.Load(); got != 1 {
-		t.Fatalf("evicts = %d, want 1", got)
+	if r, e := hc.rejects.Load(), hc.evicts.Load(); r != 1 || e != 1 {
+		t.Fatalf("rejects=%d evicts=%d after one admission, want 1 1", r, e)
 	}
 
+	// A slot freed by invalidation is filled without a contest.
 	hc.invalidate("k3")
 	if _, ok := hc.get("k3", 0); ok {
 		t.Fatal("invalidated entry served")
 	}
+	hc.put("k5", []byte("v"), 5)
+	if !hc.resident("k5") || hc.size() != 3 || hc.evicts.Load() != 1 {
+		t.Fatalf("fill of a free slot: resident=%v size=%d evicts=%d, want true 3 1", hc.resident("k5"), hc.size(), hc.evicts.Load())
+	}
 	hc.purge()
 	if hc.size() != 0 {
 		t.Fatalf("size after purge = %d", hc.size())
+	}
+}
+
+// The reason for admission: one pass over ten capacities' worth of
+// once-read keys must not cost the hot set its slots. Under a plain LRU
+// the scan evicts all of it.
+func TestHotKeyCacheScanResistance(t *testing.T) {
+	const capacity = 64
+	hc := newHotKeyCache(capacity)
+	hot := make([]string, capacity/2)
+	for i := range hot {
+		hot[i] = fmt.Sprintf("hot:%d", i)
+	}
+	readHot := func(rounds int) {
+		for r := 0; r < rounds; r++ {
+			for _, k := range hot {
+				readThrough(hc, k, 1)
+			}
+		}
+	}
+	readHot(20)
+	for i := 0; i < 10*capacity; i++ {
+		readThrough(hc, fmt.Sprintf("cold:%d", i), 1)
+	}
+	kept := 0
+	for _, k := range hot {
+		if hc.resident(k) {
+			kept++
+		}
+	}
+	if kept*10 < len(hot)*9 {
+		t.Fatalf("%d of %d hot keys survived the scan, want ≥ 90 %%", kept, len(hot))
+	}
+	if hc.size() > capacity {
+		t.Fatalf("size %d exceeds capacity %d", hc.size(), capacity)
+	}
+	if hc.rejects.Load() == 0 {
+		t.Fatal("the scan was never refused")
+	}
+	// And the hot set is still served.
+	hits := 0
+	for _, k := range hot {
+		if readThrough(hc, k, 1) {
+			hits++
+		}
+	}
+	if hits != kept {
+		t.Fatalf("%d resident hot keys but %d hits", kept, hits)
+	}
+}
+
+// A hot key dropped by a local write must get its slot back on its next
+// fill, even if a cold key took the freed slot meanwhile: 5 % of the
+// interactive ops are writes, and they hit the hottest keys most.
+func TestHotKeyCacheReadmitsAfterInvalidate(t *testing.T) {
+	const capacity = 8
+	hc := newHotKeyCache(capacity)
+	hot := make([]string, capacity)
+	for i := range hot {
+		hot[i] = fmt.Sprintf("hot:%d", i)
+	}
+	for r := 0; r < 6; r++ {
+		for _, k := range hot {
+			readThrough(hc, k, 1)
+		}
+	}
+	hc.invalidate(hot[0])
+	readThrough(hc, "cold", 1) // takes the free slot
+	if !hc.resident("cold") || hc.size() != capacity {
+		t.Fatalf("cold key resident=%v size=%d, want the free slot taken", hc.resident("cold"), hc.size())
+	}
+	if readThrough(hc, hot[0], 2) {
+		t.Fatal("invalidated key served before its refill")
+	}
+	if !hc.resident(hot[0]) {
+		t.Fatal("hot key was refused its slot after a local write dropped it")
+	}
+	if v, ok := hc.get(hot[0], 2); !ok || string(v) != hot[0] {
+		t.Fatalf("refilled hot key: %q ok=%v", v, ok)
+	}
+}
+
+// Popularity is aged, not accumulated: when the hot set moves from A to
+// B, B takes the cache over within a few aging periods however long A
+// was hot, and the sketch stays the size it was built.
+func TestHotKeyCacheSketchAges(t *testing.T) {
+	const capacity = 32
+	hc := newHotKeyCache(capacity)
+	words := len(hc.sketch.words)
+	set := func(name string) []string {
+		ks := make([]string, capacity)
+		for i := range ks {
+			ks[i] = fmt.Sprintf("%s:%d", name, i)
+		}
+		return ks
+	}
+	a, b := set("a"), set("b")
+	for r := 0; r < 100; r++ {
+		for _, k := range a {
+			readThrough(hc, k, 1)
+		}
+	}
+	residentOf := func(ks []string) (n int) {
+		for _, k := range ks {
+			if hc.resident(k) {
+				n++
+			}
+		}
+		return n
+	}
+	if got := residentOf(a); got != capacity {
+		t.Fatalf("%d of %d keys of set A resident after 100 rounds", got, capacity)
+	}
+	// Four aging periods of B-only reads.
+	touches := 0
+	for touches < 4*sketchAgeTouches*capacity {
+		for _, k := range b {
+			readThrough(hc, k, 1)
+			touches++
+		}
+	}
+	if got := residentOf(b); got*10 < capacity*9 {
+		t.Fatalf("%d of %d keys of set B resident after %d touches; the old hot set still holds %d slots", got, capacity, touches, residentOf(a))
+	}
+	// A long tail of distinct keys: the sketch does not grow with them.
+	for i := 0; i < 100*capacity; i++ {
+		readThrough(hc, fmt.Sprintf("tail:%d", i), 1)
+	}
+	if len(hc.sketch.words) != words || cap(hc.sketch.words) != words {
+		t.Fatalf("sketch grew from %d to %d words", words, len(hc.sketch.words))
+	}
+	if hc.size() > capacity {
+		t.Fatalf("size %d exceeds capacity %d", hc.size(), capacity)
+	}
+}
+
+// checkInvariants walks the LRU list both ways against the map.
+func (hc *hotKeyCache) checkInvariants(t *testing.T) {
+	t.Helper()
+	hc.mu.Lock()
+	defer hc.mu.Unlock()
+	if len(hc.ents) > hc.capacity {
+		t.Fatalf("%d entries in a cache of %d", len(hc.ents), hc.capacity)
+	}
+	n := 0
+	var prev *cacheEnt
+	for e := hc.head; e != nil; prev, e = e, e.next {
+		if e.prev != prev {
+			t.Fatalf("entry %q: prev link broken", e.key)
+		}
+		if hc.ents[e.key] != e {
+			t.Fatalf("entry %q on the list but not in the map", e.key)
+		}
+		if n++; n > len(hc.ents) {
+			t.Fatal("list longer than the map (cycle?)")
+		}
+	}
+	if prev != hc.tail {
+		t.Fatal("tail does not end the list")
+	}
+	if n != len(hc.ents) {
+		t.Fatalf("list has %d entries, map %d", n, len(hc.ents))
+	}
+}
+
+// A seeded random walk over every operation. Values carry their key and
+// version, so each hit can be checked: it is a value that was put under
+// that key, and never one below the floor the read asked for.
+func TestHotKeyCacheRandomOps(t *testing.T) {
+	const (
+		capacity = 16
+		universe = 4 * capacity
+		steps    = 50000
+	)
+	for seed := uint64(1); seed <= 4; seed++ {
+		r := randx.New(seed)
+		hc := newHotKeyCache(capacity)
+		latest := make([]uint64, universe) // the store's version per key
+		floor := make([]uint64, universe)  // this client's written floor
+		for k := range latest {
+			latest[k] = 1
+		}
+		// Zipf-ish skew so some keys are hot enough to be admitted.
+		pick := func() int { return int(float64(universe) * r.Float64() * r.Float64()) }
+		for step := 0; step < steps; step++ {
+			k := pick()
+			key := strconv.Itoa(k)
+			switch op := r.Intn(100); {
+			case op < 60: // read through, possibly racing an older fill
+				v, ok := hc.get(key, floor[k])
+				if ok {
+					var gotKey int
+					var gotVer uint64
+					if _, err := fmt.Sscanf(string(v), "%d@%d", &gotKey, &gotVer); err != nil || gotKey != k {
+						t.Fatalf("seed %d step %d: get(%s) = %q", seed, step, key, v)
+					}
+					if gotVer < floor[k] {
+						t.Fatalf("seed %d step %d: served %s at version %d below the floor %d", seed, step, key, gotVer, floor[k])
+					}
+					break
+				}
+				ver := latest[k]
+				if ver > 1 && r.Intn(4) == 0 {
+					ver-- // a lagging replica answered
+				}
+				if ver >= floor[k] { // Cluster.cacheFill's gate
+					hc.put(key, []byte(fmt.Sprintf("%d@%d", k, ver)), ver)
+				}
+			case op < 80: // local write
+				latest[k]++
+				floor[k] = latest[k]
+				hc.invalidate(key)
+			case op < 90: // another client's write, then proof of it on the wire
+				latest[k]++
+				hc.noteVersion(key, latest[k])
+			case op < 99:
+				hc.noteVersion(key, latest[k])
+			default:
+				hc.purge()
+			}
+			if step%64 == 0 {
+				hc.checkInvariants(t)
+			}
+		}
+		hc.checkInvariants(t)
+		if hc.hits.Load() == 0 || hc.rejects.Load() == 0 || hc.evicts.Load() == 0 {
+			t.Fatalf("seed %d: the walk did not exercise the cache: hits=%d rejects=%d evicts=%d", seed, hc.hits.Load(), hc.rejects.Load(), hc.evicts.Load())
+		}
+	}
+}
+
+// An equal-version fill of a resident key renews its recency and
+// nothing else: no copy, no fill counted.
+func TestHotKeyCacheEqualVersionRefresh(t *testing.T) {
+	hc := newHotKeyCache(2)
+	hc.put("a", []byte("a1"), 1)
+	hc.put("b", []byte("b1"), 1)
+	hc.get("c", 0)
+	hc.get("c", 0) // c outranks either resident
+	fills := hc.fills.Load()
+	hc.put("a", []byte("XX"), 1) // same version: a becomes most recent, b the tail
+	if got := hc.fills.Load(); got != fills {
+		t.Fatalf("equal-version refresh counted %d fills", got-fills)
+	}
+	hc.put("c", []byte("c1"), 1)
+	if !hc.resident("a") || hc.resident("b") {
+		t.Fatalf("after the refresh the victim should be b: a resident=%v b resident=%v", hc.resident("a"), hc.resident("b"))
+	}
+	if v, _ := hc.get("a", 0); string(v) != "a1" {
+		t.Fatalf("equal-version refresh replaced the value: %q", v)
+	}
+}
+
+// Hits copy the value after the lock is dropped, which is safe only
+// because a refresh replaces an entry's slice and never writes into it.
+// Readers check every copy is one whole value; -race checks the rest.
+func TestHotKeyCacheGetVsRefresh(t *testing.T) {
+	const size = 16 << 10
+	hc := newHotKeyCache(4)
+	value := func(ver uint64) []byte {
+		v := make([]byte, size)
+		for i := range v {
+			v[i] = byte(ver)
+		}
+		return v
+	}
+	hc.put("k", value(1), 1)
+	const refreshes = 2000
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				v, ok := hc.get("k", 0)
+				if !ok || len(v) != size {
+					t.Errorf("get = %d bytes ok=%v", len(v), ok)
+					return
+				}
+				for _, b := range v[1:] {
+					if b != v[0] {
+						t.Errorf("torn value: byte %d beside byte %d", b, v[0])
+						return
+					}
+				}
+				v[0]++ // the copy is the caller's
+			}
+		}()
+	}
+	for ver := uint64(2); ver < refreshes; ver++ {
+		hc.put("k", value(ver), ver)
+	}
+	close(done)
+	wg.Wait()
+}
+
+// A hit allocates the served copy and nothing else.
+func TestHotKeyCacheHitAllocs(t *testing.T) {
+	hc := newHotKeyCache(8)
+	keys := []string{"a", "b", "c", "d"}
+	for _, k := range keys {
+		hc.put(k, make([]byte, 512), 1)
+	}
+	floor := func(string) uint64 { return 0 }
+	vals := make([][]byte, len(keys))
+	found := make([]bool, len(keys))
+	allocs := testing.AllocsPerRun(200, func() {
+		clear(found)
+		if hits := hc.serve(keys, floor, vals, found); hits != len(keys) {
+			t.Fatalf("%d hits, want %d", hits, len(keys))
+		}
+	})
+	if allocs != float64(len(keys)) {
+		t.Fatalf("%v allocations for %d hits, want one (the copy) per hit", allocs, len(keys))
 	}
 }
 

@@ -832,7 +832,7 @@ func (c *Cluster) topUpOwners(ctx context.Context, st *topoState, key string, va
 // never lowering it: two concurrent Sets acking out of order must leave
 // the floor at the NEWER version, or the hot-key cache could serve the
 // older write after the newer one was acknowledged (the floor is what
-// cacheServe checks) and read-repair would chase the wrong target.
+// hotKeyCache.serve checks) and read-repair would chase the wrong target.
 func (c *Cluster) raiseWritten(key string, ver uint64) {
 	for {
 		cur, ok := c.written.Load(key)
@@ -908,16 +908,8 @@ func (c *Cluster) Multiget(ctx context.Context, keys []string, opts ReadOptions)
 	// Hot-key cache first: served keys never enter the task at all, and
 	// a fully cached multiget touches no socket.
 	pending := len(keys)
-	var cached []bool
 	if c.cache != nil {
-		cached = make([]bool, len(keys))
-		for i, k := range keys {
-			if v, ok := c.cacheServe(k); ok {
-				res.Values[i], res.Found[i] = v, true
-				cached[i] = true
-				pending--
-			}
-		}
+		pending -= c.cache.serve(keys, c.writtenFloor, res.Values, res.Found)
 		if pending == 0 {
 			res.Latency = time.Since(start)
 			multigetLatencyNS.Record(res.Latency.Nanoseconds())
@@ -934,8 +926,8 @@ func (c *Cluster) Multiget(ctx context.Context, keys []string, opts ReadOptions)
 	reqs := make([]core.Request, 0, pending)
 	task.Requests = make([]*core.Request, 0, pending)
 	for i, k := range keys {
-		if cached != nil && cached[i] {
-			continue
+		if res.Found[i] {
+			continue // served from the cache above
 		}
 		size := c.opts.DefaultSize
 		if v, ok := c.sizes.Load(k); ok {

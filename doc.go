@@ -11,8 +11,8 @@
 // from internal/c3 and live shard rebalancing via netstore.AddShard).
 // The request surface is the context-first netstore.Store interface —
 // Get/Multiget/Set/Delete with per-call ReadOptions/WriteOptions —
-// implemented alike by the networked Cluster client and the in-process
-// Local store; caller deadlines propagate over the wire as
+// implemented by the networked Cluster client; caller deadlines
+// propagate over the wire as
 // remaining budgets and servers shed expired queued work before service.
 // The benchmarks in bench_test.go regenerate every figure of the paper;
 // see README.md for a quickstart, DESIGN.md for the system inventory, and

@@ -269,6 +269,10 @@ func execOp(ctx context.Context, store netstore.Store, op *Op, cfg *RunConfig, a
 	}
 }
 
+// Streams returns how many (client, worker) streams — and so how many
+// Dial calls and store connections — Run makes of ops.
+func Streams(ops []Op) int { return len(partition(ops)) }
+
 // partition splits ops into per-(client, worker) streams in
 // first-appearance order, preserving op order within each stream.
 func partition(ops []Op) []workerStream {

@@ -167,8 +167,91 @@ type ClientSpec struct {
 	Fanout  FanoutSpec  `json:"fanout"`
 }
 
-// Spec is a complete declarative workload: a shared keyspace, the SLO
-// classes, and the named clients driving it.
+// FaultSpec is one event of a run's fault timeline: at At into the
+// measurement phase, Do happens to Target. The verbs:
+//
+//	sever / restore    — cut, then reconnect, a replica's connectivity
+//	                     (the server keeps running and keeps its state)
+//	crash / restart    — hard-kill a replica's server process (no flush),
+//	                     then restart it from its WAL + snapshot directory
+//	slow               — add Arg of service latency per request to a
+//	                     replica from now on (Arg 0 clears it)
+//	add-shard          — grow the cluster by one shard, live
+//	remove-shard       — drain the highest-numbered shard, live
+//
+// Target is "shard/replica" (replicas of a shard count from 0) for the
+// replica verbs and empty for the shard verbs. The timeline is data: it
+// travels in the trace header, so a replay injects the faults the
+// recorded run did.
+type FaultSpec struct {
+	At     Duration `json:"at"`
+	Do     string   `json:"do"`
+	Target string   `json:"target,omitempty"`
+	Arg    Duration `json:"arg,omitempty"`
+}
+
+// Replica splits a replica verb's Target into its shard and replica
+// (zeros for a Target normalizeFaults would reject).
+func (f FaultSpec) Replica() (shard, replica int) {
+	if n, _ := fmt.Sscanf(f.Target, "%d/%d", &shard, &replica); n != 2 {
+		return 0, 0
+	}
+	return shard, replica
+}
+
+// normalizeFaults validates a timeline on its own terms — verbs, target
+// syntax, time order, and that every restore/restart undoes a sever/crash
+// still in force. Whether a target exists is for the runner to check: a
+// spec does not know the deployment it will meet.
+func normalizeFaults(faults []FaultSpec) error {
+	held := map[string]string{} // target → the sever/crash holding it down
+	var last Duration
+	for i, f := range faults {
+		where := fmt.Sprintf("loadgen: faults[%d] (%s %s)", i, f.Do, f.Target)
+		if f.At < last {
+			return fmt.Errorf("%s: at %v is before the previous event's %v (list the timeline in time order)",
+				where, time.Duration(f.At), time.Duration(last))
+		}
+		last = f.At
+		if f.Arg != 0 && f.Do != "slow" {
+			return fmt.Errorf("%s: only slow takes an arg", where)
+		}
+		switch f.Do {
+		case "add-shard", "remove-shard":
+			if f.Target != "" {
+				return fmt.Errorf("%s: takes no target (add-shard appends a shard, remove-shard drains the highest)", where)
+			}
+			continue
+		case "sever", "restore", "crash", "restart", "slow":
+		default:
+			return fmt.Errorf("%s: unknown verb (want sever, restore, crash, restart, slow, add-shard, or remove-shard)", where)
+		}
+		if shard, replica := f.Replica(); shard < 0 || replica < 0 || f.Target != fmt.Sprintf("%d/%d", shard, replica) {
+			return fmt.Errorf("%s: target must be shard/replica, e.g. 0/1", where)
+		}
+		undoes := map[string]string{"restore": "sever", "restart": "crash"}[f.Do]
+		switch {
+		case f.Do == "slow":
+			if f.Arg < 0 {
+				return fmt.Errorf("%s: arg %v must be >= 0", where, time.Duration(f.Arg))
+			}
+		case undoes != "":
+			if held[f.Target] != undoes {
+				return fmt.Errorf("%s: no %s of %s is in force", where, undoes, f.Target)
+			}
+			delete(held, f.Target)
+		case held[f.Target] != "":
+			return fmt.Errorf("%s: %s is already down (%s)", where, f.Target, held[f.Target])
+		default:
+			held[f.Target] = f.Do
+		}
+	}
+	return nil
+}
+
+// Spec is a complete declarative run: a shared keyspace, the SLO
+// classes, the named clients driving it, and the faults injected under
+// them.
 type Spec struct {
 	Name string `json:"name"`
 	Seed uint64 `json:"seed"`
@@ -178,6 +261,8 @@ type Spec struct {
 	Keys    int          `json:"keys"`
 	Classes []ClassSpec  `json:"classes,omitempty"`
 	Clients []ClientSpec `json:"clients"`
+	// Faults is the run's fault timeline, in time order.
+	Faults []FaultSpec `json:"faults,omitempty"`
 }
 
 // DefaultClass is the class assigned when a spec names none.
@@ -247,7 +332,7 @@ func (s *Spec) Normalize() error {
 			return err
 		}
 	}
-	return nil
+	return normalizeFaults(s.Faults)
 }
 
 // ClassBias returns the wire-priority bias of the named class

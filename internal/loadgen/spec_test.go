@@ -1,6 +1,8 @@
 package loadgen
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -61,6 +63,16 @@ clients:
     fanout:
       mean: 8
       max: 64
+faults:
+  - {at: 0s, do: slow, target: 0/0, arg: 2ms}
+  - at: 100ms
+    do: sever
+    target: 1/0
+  - {at: 150ms, do: crash, target: 0/1}
+  - {at: 150ms, do: add-shard}
+  - {at: 300ms, do: restore, target: 1/0}
+  - {at: 1s, do: restart, target: 0/1}
+  - {at: 2s, do: remove-shard}
 `
 
 func TestParseSpecYAML(t *testing.T) {
@@ -107,6 +119,16 @@ func TestParseSpecYAML(t *testing.T) {
 	if got := spec.TotalWorkers(); got != 6 {
 		t.Fatalf("TotalWorkers = %d, want 6", got)
 	}
+	if len(spec.Faults) != 7 {
+		t.Fatalf("want 7 faults, got %+v", spec.Faults)
+	}
+	slow, crash := spec.Faults[0], spec.Faults[2]
+	if slow.Do != "slow" || slow.At != 0 || slow.Arg != Duration(2*time.Millisecond) {
+		t.Fatalf("slow fault mismatch: %+v", slow)
+	}
+	if sh, rep := crash.Replica(); crash.At != Duration(150*time.Millisecond) || sh != 0 || rep != 1 {
+		t.Fatalf("crash fault mismatch: %+v → %d/%d", crash, sh, rep)
+	}
 }
 
 func TestParseSpecJSON(t *testing.T) {
@@ -140,6 +162,15 @@ func TestEncodeYAMLRoundTrip(t *testing.T) {
 	if again := EncodeYAML(back); again != emitted {
 		t.Fatalf("emitter not idempotent:\n%s\nvs\n%s", emitted, again)
 	}
+	// The timeline is emitted like any other field, and a spec without
+	// one says nothing about faults.
+	if !strings.Contains(emitted, "faults:\n  - at: 0s\n    do: slow\n    target: 0/0\n    arg: 2ms\n  - at: 100ms\n") {
+		t.Fatalf("faults block missing or misshapen:\n%s", emitted)
+	}
+	spec.Faults = nil
+	if plain := EncodeYAML(spec); strings.Contains(plain, "faults") {
+		t.Fatalf("faultless spec mentions faults:\n%s", plain)
+	}
 }
 
 func TestParseSpecErrors(t *testing.T) {
@@ -154,6 +185,16 @@ func TestParseSpecErrors(t *testing.T) {
 		{"bad rate", "name: x\nkeys: 10\nclients:\n  - name: a\n    ops: 1\n    arrival: {process: poisson}\n    fanout: {mean: 1}\n", "rate > 0"},
 		{"tab indent", "name: x\n\tkeys: 10\n", "tab in indentation"},
 		{"dup key", "name: x\nname: y\nkeys: 10\n", "duplicate key"},
+		{"fault unknown verb", faultSpec("{at: 1s, do: melt, target: 0/0}"), "unknown verb"},
+		{"fault unknown field", faultSpec("{at: 1s, do: slow, target: 0/0, by: 2ms}"), "unknown field"},
+		{"fault bad target", faultSpec("{at: 1s, do: sever, target: 0-1}"), "target must be shard/replica"},
+		{"fault missing target", faultSpec("{at: 1s, do: crash}"), "target must be shard/replica"},
+		{"fault stray target", faultSpec("{at: 1s, do: add-shard, target: 0/0}"), "takes no target"},
+		{"fault stray arg", faultSpec("{at: 1s, do: sever, target: 0/0, arg: 1ms}"), "only slow takes an arg"},
+		{"fault out of order", faultSpec("{at: 2s, do: sever, target: 0/0}\n  - {at: 1s, do: restore, target: 0/0}"), "time order"},
+		{"fault restart without crash", faultSpec("{at: 1s, do: restart, target: 0/1}"), "no crash of 0/1 is in force"},
+		{"fault restore after crash", faultSpec("{at: 1s, do: crash, target: 0/1}\n  - {at: 2s, do: restore, target: 0/1}"), "no sever of 0/1 is in force"},
+		{"fault double crash", faultSpec("{at: 1s, do: crash, target: 0/1}\n  - {at: 2s, do: sever, target: 0/1}"), "already down"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -163,6 +204,37 @@ func TestParseSpecErrors(t *testing.T) {
 			}
 		})
 	}
+}
+
+// faultSpec is a minimal valid spec around a faults list whose first
+// item is given in flow form (further items ride on "\n  - " lines).
+func faultSpec(items string) string {
+	return "name: x\nkeys: 10\nclients:\n  - name: a\n    ops: 1\n    fanout: {mean: 1}\nfaults:\n  - " + items + "\n"
+}
+
+// FuzzParseSpec: no input may panic the YAML subset reader, and every
+// spec it accepts must survive the emitter unchanged. Seeded from the
+// specs the CI smokes run.
+func FuzzParseSpec(f *testing.F) {
+	seeds, _ := filepath.Glob("../../cmd/brb-load/testdata/*.yaml")
+	for _, path := range seeds {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(specYAML))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := ParseSpec(data)
+		if err != nil {
+			return
+		}
+		back, err := ParseSpec([]byte(EncodeYAML(spec)))
+		if err != nil || !reflect.DeepEqual(spec, back) {
+			t.Fatalf("accepted spec does not round-trip (%v):\n%s", err, EncodeYAML(spec))
+		}
+	})
 }
 
 func TestYAMLScalars(t *testing.T) {

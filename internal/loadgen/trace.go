@@ -36,8 +36,9 @@ const (
 var ErrTruncatedTrace = errors.New("loadgen: truncated trace (torn tail)")
 
 // TraceHeader is the trace's first JSONL line: everything a replay
-// needs that is not an op — the keyspace the ids index, and the SLO
-// classes the ops name.
+// needs that is not an op — the keyspace the ids index, the SLO classes
+// the ops name, and the fault timeline played under them (omitted when
+// empty, so traces recorded before timelines existed read back as is).
 type TraceHeader struct {
 	Magic   string      `json:"magic"`
 	Version int         `json:"version"`
@@ -45,6 +46,7 @@ type TraceHeader struct {
 	Seed    uint64      `json:"seed"`
 	Keys    int         `json:"keys"`
 	Classes []ClassSpec `json:"classes"`
+	Faults  []FaultSpec `json:"faults,omitempty"`
 }
 
 // NewTraceHeader builds the header describing a spec's generated ops.
@@ -56,6 +58,7 @@ func NewTraceHeader(spec *Spec) TraceHeader {
 		Seed:    spec.Seed,
 		Keys:    spec.Keys,
 		Classes: spec.Classes,
+		Faults:  spec.Faults,
 	}
 }
 
@@ -145,6 +148,9 @@ func ReadTrace(r io.Reader) (TraceHeader, []Op, error) {
 	}
 	if h.Version != traceVersion {
 		return h, nil, fmt.Errorf("loadgen: unsupported trace version %d (reader knows %d)", h.Version, traceVersion)
+	}
+	if err := normalizeFaults(h.Faults); err != nil {
+		return h, nil, fmt.Errorf("loadgen: bad trace header: %w", err)
 	}
 	var ops []Op
 	for sc.Scan() {

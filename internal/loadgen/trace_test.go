@@ -117,3 +117,46 @@ func TestTraceRejectsForeignHeader(t *testing.T) {
 		t.Fatalf("empty trace: %v", err)
 	}
 }
+
+// A fault timeline rides in the header, and traces recorded before
+// timelines existed (no "faults" member) still replay.
+func TestTraceHeaderFaults(t *testing.T) {
+	spec, ops := traceFixture(t)
+	timeline := spec.Faults
+	if len(timeline) == 0 {
+		t.Fatal("fixture spec lost its faults")
+	}
+	spec.Faults = nil
+	var plain bytes.Buffer
+	if err := WriteTrace(&plain, NewTraceHeader(spec), ops); err != nil {
+		t.Fatalf("WriteTrace: %v", err)
+	}
+	headerLine, _, _ := strings.Cut(plain.String(), "\n")
+	if strings.Contains(headerLine, "faults") {
+		t.Fatalf("faultless header mentions faults: %s", headerLine)
+	}
+	if h, back, err := ReadTrace(bytes.NewReader(plain.Bytes())); err != nil || len(back) != len(ops) || h.Faults != nil {
+		t.Fatalf("pre-timeline trace: err=%v ops=%d faults=%+v", err, len(back), h.Faults)
+	}
+
+	spec.Faults = timeline
+	var first, second bytes.Buffer
+	if err := WriteTrace(&first, NewTraceHeader(spec), ops); err != nil {
+		t.Fatalf("WriteTrace: %v", err)
+	}
+	h, back, err := ReadTrace(bytes.NewReader(first.Bytes()))
+	if err != nil || !reflect.DeepEqual(h.Faults, spec.Faults) {
+		t.Fatalf("faults drifted through the header: %+v (%v)", h.Faults, err)
+	}
+	if err := WriteTrace(&second, h, back); err != nil || !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatalf("re-recorded trace with faults differs (%v)", err)
+	}
+	// A hand-edited header is validated like a spec.
+	bad := strings.Replace(first.String(), `"do":"restart"`, `"do":"restore"`, 1)
+	if bad == first.String() {
+		t.Fatal("fixture timeline has no restart to corrupt")
+	}
+	if _, ops, err := ReadTrace(strings.NewReader(bad)); err == nil || ops != nil || !strings.Contains(err.Error(), "no sever of 0/1") {
+		t.Fatalf("bad timeline in header: ops=%d err=%v", len(ops), err)
+	}
+}

@@ -13,10 +13,11 @@ package loadgen
 // unknown-field check.
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 )
 
 type yamlLine struct {
@@ -437,80 +438,59 @@ func parseFlowValue(s string, num int) (any, string, error) {
 // EncodeYAML renders a spec in the canonical block form the parser
 // reads back: fields in declaration order, zero-valued optional knobs
 // omitted — the emitter behind brb-load -print-spec, and the inverse
-// of ParseSpec for every normalized spec.
+// of ParseSpec for every normalized spec. It knows no field: it walks
+// the token stream of json.Marshal(s), so the struct tags that define
+// the JSON form define the YAML form too.
 func EncodeYAML(s *Spec) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "name: %s\n", yamlScalar(s.Name))
-	fmt.Fprintf(&b, "seed: %d\n", s.Seed)
-	fmt.Fprintf(&b, "keys: %d\n", s.Keys)
-	b.WriteString("classes:\n")
-	for _, cl := range s.Classes {
-		fmt.Fprintf(&b, "  - name: %s\n", yamlScalar(cl.Name))
-		fmt.Fprintf(&b, "    priority: %d\n", cl.Priority)
+	data, err := json.Marshal(s)
+	if err != nil {
+		panic("loadgen: spec does not marshal: " + err.Error()) // every field is a number, a string or a Duration
 	}
-	b.WriteString("clients:\n")
-	for i := range s.Clients {
-		c := &s.Clients[i]
-		fmt.Fprintf(&b, "  - name: %s\n", yamlScalar(c.Name))
-		if c.Class != "" {
-			fmt.Fprintf(&b, "    class: %s\n", yamlScalar(c.Class))
-		}
-		if c.Workers != 0 {
-			fmt.Fprintf(&b, "    workers: %d\n", c.Workers)
-		}
-		fmt.Fprintf(&b, "    ops: %d\n", c.Ops)
-		b.WriteString("    arrival:\n")
-		fmt.Fprintf(&b, "      process: %s\n", yamlScalar(c.Arrival.Process))
-		emitFloat(&b, "      rate", c.Arrival.Rate)
-		emitDur(&b, "      on", c.Arrival.On)
-		emitDur(&b, "      off", c.Arrival.Off)
-		emitDur(&b, "      period", c.Arrival.Period)
-		emitFloat(&b, "      amplitude", c.Arrival.Amplitude)
-		b.WriteString("    keys:\n")
-		fmt.Fprintf(&b, "      dist: %s\n", yamlScalar(c.Keys.Dist))
-		emitFloat(&b, "      s", c.Keys.S)
-		emitInt(&b, "      hot", c.Keys.Hot)
-		emitFloat(&b, "      hot_frac", c.Keys.HotFrac)
-		emitInt(&b, "      churn", c.Keys.Churn)
-		b.WriteString("    sizes:\n")
-		fmt.Fprintf(&b, "      dist: %s\n", yamlScalar(c.Sizes.Dist))
-		emitInt(&b, "      bytes", c.Sizes.Bytes)
-		emitFloat(&b, "      alpha", c.Sizes.Alpha)
-		emitInt(&b, "      min", c.Sizes.Min)
-		emitInt(&b, "      max", c.Sizes.Max)
-		emitFloat(&b, "      mean_bytes", c.Sizes.MeanBytes)
-		emitFloat(&b, "      sigma", c.Sizes.Sigma)
-		if c.Mix.Write != 0 || c.Mix.Delete != 0 {
-			b.WriteString("    mix:\n")
-			emitFloat(&b, "      write", c.Mix.Write)
-			emitFloat(&b, "      delete", c.Mix.Delete)
-		}
-		b.WriteString("    fanout:\n")
-		emitFloat(&b, "      mean", c.Fanout.Mean)
-		emitInt(&b, "      max", c.Fanout.Max)
-		emitFloat(&b, "      burst_prob", c.Fanout.BurstProb)
-		emitInt(&b, "      burst_min", c.Fanout.BurstMin)
-		emitInt(&b, "      burst_max", c.Fanout.BurstMax)
-	}
-	return b.String()
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.UseNumber() // keep uint64 seeds exact
+	open, _ := dec.Token()
+	return string(appendYAMLBlock(nil, dec, open.(json.Delim), 0))
 }
 
-func emitInt(b *strings.Builder, key string, v int) {
-	if v != 0 {
-		fmt.Fprintf(b, "%s: %d\n", key, v)
+// appendYAMLBlock renders the rest of the JSON object or array whose
+// opening delimiter was just read, one entry per line at indent. Token
+// errors cannot occur: the stream is json.Marshal's own output.
+func appendYAMLBlock(out []byte, dec *json.Decoder, open json.Delim, indent int) []byte {
+	for dec.More() {
+		line := len(out)
+		out = append(out, strings.Repeat(" ", indent)...)
+		if open == '{' {
+			key, _ := dec.Token()
+			out = append(out, yamlScalar(key.(string))+":"...)
+		} else {
+			out = append(out, '-')
+		}
+		head := len(out)
+		switch v, _ := dec.Token(); v := v.(type) {
+		case json.Delim:
+			if open == '[' && v == '{' {
+				// A map in a list opens on the dash's line: render it two
+				// columns in and overwrite its first indent with the dash.
+				out = appendYAMLBlock(out[:line], dec, v, indent+2)
+				if len(out) > line {
+					out[line+indent] = '-'
+				}
+				continue
+			}
+			out = appendYAMLBlock(append(out, '\n'), dec, v, indent+2)
+			if len(out) == head+1 {
+				out = out[:line] // an empty map or list: omit its key
+			}
+		case string:
+			out = append(out, " "+yamlScalar(v)+"\n"...)
+		case nil:
+			out = append(out, " null\n"...)
+		default: // json.Number, bool
+			out = append(out, fmt.Sprintf(" %v\n", v)...)
+		}
 	}
-}
-
-func emitFloat(b *strings.Builder, key string, v float64) {
-	if v != 0 {
-		fmt.Fprintf(b, "%s: %s\n", key, strconv.FormatFloat(v, 'g', -1, 64))
-	}
-}
-
-func emitDur(b *strings.Builder, key string, v Duration) {
-	if v != 0 {
-		fmt.Fprintf(b, "%s: %s\n", key, time.Duration(v).String())
-	}
+	_, _ = dec.Token() // the closing delimiter
+	return out
 }
 
 // yamlScalar renders a string, quoting when the plain form would parse

@@ -1423,6 +1423,20 @@ func (c *Cluster) ReplicaDown(shard, replica int) bool {
 	return c.state.Load().slotOf(shard, replica).down.Load()
 }
 
+// DownReplicas returns how many servers of the client's current
+// topology it considers dead — the whole-cluster form of ReplicaDown,
+// for callers that wait for an outage to be over without knowing (or
+// racing a refresh of) the topology.
+func (c *Cluster) DownReplicas() int {
+	n := 0
+	for _, slot := range c.state.Load().slots {
+		if slot.down.Load() {
+			n++
+		}
+	}
+	return n
+}
+
 // Revivals returns how many times the prober has revived a down replica
 // (test and operations hook).
 func (c *Cluster) Revivals() uint64 { return c.revivals.Load() }

@@ -12,7 +12,7 @@ import (
 	"github.com/brb-repro/brb/internal/wire"
 )
 
-// versionClock issues write versions (shared by Cluster and Local):
+// versionClock issues a client's write versions:
 // wall-clock nanoseconds at the write, bumped to stay strictly
 // monotonic within the client. Stamping each write with *current* time
 // — rather than a dial-time seed plus a counter — keeps versions from

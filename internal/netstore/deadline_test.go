@@ -3,9 +3,9 @@ package netstore
 // End-to-end tests of the context-first API: deadline propagation from
 // caller contexts over the wire into server-side expiry shedding,
 // cancellation mid-multiget, the default request timeout against
-// wedged-but-open connections, write fan-out modes, and the in-process
-// Local store. The cancellation and shedding tests run under -race in
-// CI alongside the rest of this package.
+// wedged-but-open connections, and write fan-out modes. The
+// cancellation and shedding tests run under -race in CI alongside the
+// rest of this package.
 
 import (
 	"context"
@@ -535,53 +535,5 @@ func TestReplicaPrimaryPreference(t *testing.T) {
 	}
 	if got := servers[m.Server(0, 1)].Served() - served1; got != 0 {
 		t.Fatalf("secondary served %d reads despite ReplicaPrimary", got)
-	}
-}
-
-// The Local store implements the same Store interface the networked
-// clients do, over a plain kv.Store.
-func TestLocalStore(t *testing.T) {
-	var s Store = NewLocal(nil)
-	defer s.Close()
-
-	if err := s.Set(bg, "a", []byte("1"), WriteOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Set(bg, "b", []byte("2"), WriteOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	v, found, err := s.Get(bg, "a", ReadOptions{})
-	if err != nil || !found || string(v) != "1" {
-		t.Fatalf("Get a: %v %v %q", err, found, v)
-	}
-	res, err := s.Multiget(bg, []string{"a", "b", "missing"}, ReadOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Found[0] || !res.Found[1] || res.Found[2] {
-		t.Fatalf("multiget found = %v", res.Found)
-	}
-	if err := s.Delete(bg, "a", WriteOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, found, _ := s.Get(bg, "a", ReadOptions{}); found {
-		t.Fatal("deleted key still found")
-	}
-
-	// A done context gates admission.
-	ctx, cancel := context.WithCancel(bg)
-	cancel()
-	if err := s.Set(ctx, "c", []byte("3"), WriteOptions{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Set on cancelled ctx: %v", err)
-	}
-	if _, _, err := s.Get(ctx, "a", ReadOptions{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Get on cancelled ctx: %v", err)
-	}
-
-	// Local writes are versioned with the shared clock: a Local loader's
-	// store can serve behind a netstore.Server and replicate comparably.
-	l := s.(*Local)
-	if _, ver, ok := l.KV().GetVersion("b"); !ok || ver == 0 {
-		t.Fatalf("local write not versioned: ok=%v ver=%d", ok, ver)
 	}
 }

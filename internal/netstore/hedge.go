@@ -57,8 +57,7 @@ func (m HedgeMode) String() string {
 }
 
 // HedgePolicy configures hedged reads (ReadOptions.Hedge). The zero
-// value disables hedging. Local has no replicas to hedge across and
-// ignores it.
+// value disables hedging.
 type HedgePolicy struct {
 	// Mode selects off (default), fixed-delay, or adaptive-quantile
 	// triggering.

@@ -394,6 +394,14 @@ func (cs *connState) send(m wire.Message) error {
 	return cs.w.Send(m)
 }
 
+// reply is send for a response nobody can act on the failure of: the
+// writer's error is sticky, so the connection's read loop sees it on its
+// next send or read and tears the connection down.
+func (cs *connState) reply(m wire.Message) {
+	//brb:allow stickyerr response send on a sticky-errored conn is moot: the handle loop tears the conn down
+	_ = cs.send(m)
+}
+
 // close tears the connection down first so the writer's in-flight Write
 // cannot block the drain.
 func (cs *connState) close() {
@@ -500,6 +508,53 @@ func (bs *batchState) release() {
 	batchPool.Put(bs)
 }
 
+// keyResult is what service produced for one key of a batch: a store
+// read, or an expiry shed (expired set, nothing else).
+type keyResult struct {
+	value    []byte
+	version  uint64
+	found    bool
+	expired  bool
+	svcNanos int64
+}
+
+// finish records the result of the key at index and, when it was the
+// batch's last outstanding key, stamps the feedback fields (qlen is the
+// run-queue length the popping worker saw) and responds.
+func (bs *batchState) finish(index, qlen int, r keyResult) {
+	bs.mu.Lock()
+	if r.expired {
+		if bs.resp.Expired == nil {
+			bs.resp.Expired = make([]bool, len(bs.resp.Values))
+		}
+		bs.resp.Expired[index] = true
+	} else {
+		bs.resp.Values[index] = r.value
+		bs.resp.Found[index] = r.found
+		bs.resp.Versions[index] = r.version
+		bs.svcNanos += r.svcNanos
+	}
+	bs.remaining--
+	last := bs.remaining == 0
+	if last {
+		bs.resp.QueueLen = uint32(qlen)
+		bs.resp.WaitNanos = time.Since(bs.enqueued).Nanoseconds()
+		bs.resp.ServiceNanos = bs.svcNanos
+	}
+	bs.mu.Unlock()
+	if last {
+		bs.respond()
+	}
+}
+
+// respond sends the assembled response and recycles the batch. Send
+// encodes synchronously into the coalescing buffer, so the state (and
+// the frame backing its keys) recycles the moment it returns.
+func (bs *batchState) respond() {
+	bs.cs.reply(&bs.resp)
+	bs.release()
+}
+
 // workItem is one key awaiting service.
 type workItem struct {
 	key string
@@ -537,48 +592,11 @@ func (s *Server) handle(conn net.Conn) {
 				return
 			}
 		case *wire.Set:
-			// Ownership gate first: with a topology installed, a key this
-			// server does not own is rejected, not silently stored where
-			// no reader will ever look for it.
-			if owner, epoch, ok := s.ownsKey(m.Key, m.Epoch); !ok {
-				srvNotOwnerWrites.Inc()
-				seq := m.Seq
-				frame.Release()
-				if cs.send(&wire.NotOwner{ID: seq, Epoch: epoch, Hint: uint32(owner)}) != nil {
-					return
-				}
-				continue
-			}
-			// The store copies the value, but its map retains the key:
-			// clone the key off the pooled frame before it recycles.
-			// Version 0 is a local (loader) write that auto-advances the
-			// key's version; a non-zero version is a replicated write
-			// applied last-writer-wins, so hinted-handoff replays and
-			// read-repair pushes are idempotent.
-			key := strings.Clone(m.Key)
-			c, err := s.applySet(key, m.Value, m.Version)
-			seq, epoch := m.Seq, m.Epoch
-			frame.Release()
-			if err != nil || !s.ackWrite(cs, c, key, epoch, seq, false) {
+			if !s.handleWrite(cs, frame, m.Key, m.Value, m.Version, m.Epoch, m.Seq, false) {
 				return
 			}
 		case *wire.Del:
-			if owner, epoch, ok := s.ownsKey(m.Key, m.Epoch); !ok {
-				srvNotOwnerWrites.Inc()
-				seq := m.Seq
-				frame.Release()
-				if cs.send(&wire.NotOwner{ID: seq, Epoch: epoch, Hint: uint32(owner)}) != nil {
-					return
-				}
-				continue
-			}
-			// DeleteVersion retains the key in its tombstone: clone it off
-			// the pooled frame like Set does.
-			key := strings.Clone(m.Key)
-			c, err := s.applyDelete(key, m.Version)
-			seq, epoch := m.Seq, m.Epoch
-			frame.Release()
-			if err != nil || !s.ackWrite(cs, c, key, epoch, seq, true) {
+			if !s.handleWrite(cs, frame, m.Key, nil, m.Version, m.Epoch, m.Seq, true) {
 				return
 			}
 		case *wire.TopoGet:
@@ -620,44 +638,54 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// applySet applies one write to the store and, on a durable server,
-// buffers its log record; the returned Commit is what ackWrite waits on.
-// ver 0 is a local auto-versioned write. An error is a durability
-// failure: fail-stop the write path — no ack is sent and the connection
-// drops, so the client marks this replica down and hints/reroutes the
-// write, and an acked write is never one the WAL refused.
-func (s *Server) applySet(key string, value []byte, ver uint64) (kv.Commit, error) {
-	if s.dur != nil {
-		c, err := s.dur.StageSet(key, value, ver)
-		if err != nil {
-			srvDurabilityErrors.Inc()
-		}
-		return c, err
+// handleWrite serves one Set or Del (del) whose key and value alias
+// frame, releasing the frame; false means the connection is finished.
+func (s *Server) handleWrite(cs *connState, frame *wire.Frame, key string, value []byte, ver, epoch, seq uint64, del bool) bool {
+	// Ownership gate first: with a topology installed, a key this server
+	// does not own is rejected, not silently stored where no reader will
+	// ever look for it.
+	if owner, cur, ok := s.ownsKey(key, epoch); !ok {
+		srvNotOwnerWrites.Inc()
+		frame.Release()
+		return cs.send(&wire.NotOwner{ID: seq, Epoch: cur, Hint: uint32(owner)}) == nil
 	}
-	if ver == 0 {
-		s.store.Set(key, value)
-	} else {
-		s.store.SetVersion(key, value, ver)
-	}
-	return kv.Commit{}, nil
+	// The store copies the value, but its map (or tombstone) retains the
+	// key: clone the key off the pooled frame before it recycles.
+	key = strings.Clone(key)
+	c, err := s.apply(key, value, ver, del)
+	frame.Release()
+	return err == nil && s.ackWrite(cs, c, key, epoch, seq, del)
 }
 
-// applyDelete is applySet for a delete. ver 0 is a local
-// delete-outright; non-zero lays a tombstone.
-func (s *Server) applyDelete(key string, ver uint64) (kv.Commit, error) {
-	if s.dur != nil {
-		c, err := s.dur.StageDelete(key, ver)
-		if err != nil {
-			srvDurabilityErrors.Inc()
-		}
-		return c, err
-	}
-	if ver == 0 {
+// apply applies one write (del: a delete) to the store and, on a durable
+// server, buffers its log record; the returned Commit is what ackWrite
+// waits on. ver 0 is a local (loader) write that auto-advances the key's
+// version, or deletes outright; a non-zero version is a replicated write
+// applied last-writer-wins (a delete lays a tombstone), so
+// hinted-handoff replays and read-repair pushes are idempotent. An error
+// is a durability failure: fail-stop the write path — no ack is sent and
+// the connection drops, so the client marks this replica down and
+// hints/reroutes the write, and an acked write is never one the WAL
+// refused.
+func (s *Server) apply(key string, value []byte, ver uint64, del bool) (c kv.Commit, err error) {
+	switch {
+	case s.dur != nil && del:
+		c, err = s.dur.StageDelete(key, ver)
+	case s.dur != nil:
+		c, err = s.dur.StageSet(key, value, ver)
+	case del && ver == 0:
 		s.store.Delete(key)
-	} else {
+	case del:
 		s.store.DeleteVersion(key, ver)
+	case ver == 0:
+		s.store.Set(key, value)
+	default:
+		s.store.SetVersion(key, value, ver)
 	}
-	return kv.Commit{}, nil
+	if err != nil {
+		srvDurabilityErrors.Inc()
+	}
+	return c, err
 }
 
 // ackWrite answers an applied write (del: a delete), reporting false
@@ -667,7 +695,7 @@ func (s *Server) applyDelete(key string, ver uint64) (kv.Commit, error) {
 // write — reads above all — do not queue behind its fsync, and writes
 // pipelined on one connection share group commits. Acks may therefore
 // overtake each other; clients match them by Seq. If the wait fails the
-// write path fail-stops as in applySet, by closing the connection under
+// write path fail-stops as in apply, by closing the connection under
 // the loop.
 //
 // Ownership is re-checked here, AFTER the apply: a topology install
@@ -982,24 +1010,20 @@ func (s *Server) enqueueBatch(cs *connState, m *wire.BatchReq, frame *wire.Frame
 				srvStrayKeys.Add(uint64(strays))
 			}
 		} else if m.Shard != uint32(s.opts.Shard) {
-			//brb:allow stickyerr response send on a sticky-errored conn is moot: the readLoop tears the conn down
-			_ = cs.send(&wire.BatchResp{Batch: m.Batch, Flags: wire.FlagMisrouted})
+			cs.reply(&wire.BatchResp{Batch: m.Batch, Flags: wire.FlagMisrouted})
 			frame.Release()
 			return
 		}
 	}
 	if len(m.Keys) == 0 {
-		//brb:allow stickyerr response send on a sticky-errored conn is moot: the readLoop tears the conn down
-		_ = cs.send(&wire.BatchResp{Batch: m.Batch, Epoch: epoch})
+		cs.reply(&wire.BatchResp{Batch: m.Batch, Epoch: epoch})
 		frame.Release()
 		return
 	}
 	bs := newBatchState(cs, m, frame, stray, epoch, s.start)
 	if bs.remaining == 0 {
 		// Every key was a stray: nothing to schedule, answer now.
-		//brb:allow stickyerr response send on a sticky-errored conn is moot: the readLoop tears the conn down
-		_ = bs.cs.send(&bs.resp)
-		bs.release()
+		bs.respond()
 		return
 	}
 	s.sched.pushAll(bs.items)
@@ -1017,26 +1041,9 @@ func (s *Server) worker() {
 		// any service work: a key whose deadline budget ran out while it
 		// queued is answered with an Expired bit instead of a store read
 		// plus service delay the caller has already stopped waiting for.
-		if expired := !bs.deadline.IsZero() && time.Now().After(bs.deadline); expired {
+		if !bs.deadline.IsZero() && time.Now().After(bs.deadline) {
 			srvExpiredDrops.Inc()
-			bs.mu.Lock()
-			if bs.resp.Expired == nil {
-				bs.resp.Expired = make([]bool, len(bs.resp.Values))
-			}
-			bs.resp.Expired[it.index] = true
-			bs.remaining--
-			done := bs.remaining == 0
-			if done {
-				bs.resp.QueueLen = uint32(qlen)
-				bs.resp.WaitNanos = time.Since(bs.enqueued).Nanoseconds()
-				bs.resp.ServiceNanos = bs.svcNanos
-			}
-			bs.mu.Unlock()
-			if done {
-				//brb:allow stickyerr response send on a sticky-errored conn is moot: the readLoop tears the conn down
-				_ = bs.cs.send(&bs.resp)
-				bs.release()
-			}
+			bs.finish(it.index, qlen, keyResult{expired: true})
 			continue
 		}
 		svcStart := time.Now()
@@ -1052,27 +1059,7 @@ func (s *Server) worker() {
 		}
 		svc := time.Since(svcStart).Nanoseconds()
 		s.served.Add(1)
-		bs.mu.Lock()
-		bs.resp.Values[it.index] = v
-		bs.resp.Found[it.index] = found
-		bs.resp.Versions[it.index] = ver
-		bs.svcNanos += svc
-		bs.remaining--
-		done := bs.remaining == 0
-		if done {
-			bs.resp.QueueLen = uint32(qlen)
-			bs.resp.WaitNanos = time.Since(bs.enqueued).Nanoseconds()
-			bs.resp.ServiceNanos = bs.svcNanos
-		}
-		bs.mu.Unlock()
-		if done {
-			// Send encodes synchronously into the coalescing buffer, so
-			// the state (and the frame backing its keys) recycles the
-			// moment it returns.
-			//brb:allow stickyerr response send on a sticky-errored conn is moot: the readLoop tears the conn down
-			_ = bs.cs.send(&bs.resp)
-			bs.release()
-		}
+		bs.finish(it.index, qlen, keyResult{value: v, version: ver, found: found, svcNanos: svc})
 	}
 }
 

@@ -12,24 +12,22 @@ package netstore
 // service time on answers nobody is waiting for — deadline-aware
 // shedding in the spirit of receiver-driven transports.
 //
-// Two implementations share the interface: Cluster (the one networked
-// client — sharded, epoch-routed, self-healing; a flat replicated tier
-// is its one-shard topology) and Local (an in-process kv.Store — what
-// tests and tools program against when the network is beside the
-// point).
+// Cluster is the one implementation — sharded, epoch-routed,
+// self-healing; a flat replicated tier is its one-shard topology. The
+// interface exists for consumers that substitute a fake in tests
+// (internal/loadgen's engine).
 
 import (
 	"context"
 	"errors"
 	"time"
 
-	"github.com/brb-repro/brb/internal/kv"
 	"github.com/brb-repro/brb/internal/metrics"
 )
 
 // Store is the request API of the BRB data store: batched, task-aware
-// reads and replicated writes, all context-first. Implementations:
-// *Cluster, *Local.
+// reads and replicated writes, all context-first. Implemented by
+// *Cluster.
 //
 // Deadlines: the effective deadline of a call is the earliest of the
 // ctx deadline, the per-call options Timeout, and (when ctx carries no
@@ -53,11 +51,7 @@ type Store interface {
 	Close()
 }
 
-// Compile-time interface checks: the two stores present one API.
-var (
-	_ Store = (*Cluster)(nil)
-	_ Store = (*Local)(nil)
-)
+var _ Store = (*Cluster)(nil)
 
 // ReplicaPreference selects how reads pick among a group's replicas.
 type ReplicaPreference int
@@ -82,8 +76,7 @@ type ReadOptions struct {
 	// Replica selects the replica-preference policy.
 	Replica ReplicaPreference
 	// Hedge configures tail-cutting hedged reads (see HedgePolicy). The
-	// zero value disables hedging. Local has no replicas to hedge across
-	// and ignores it.
+	// zero value disables hedging.
 	Hedge HedgePolicy
 	// PriorityBias shifts the task-aware wire priority of every key this
 	// call issues (lower priorities serve sooner, so a positive bias
@@ -92,8 +85,7 @@ type ReadOptions struct {
 	// apart, wider than any cost forecast, so task-awareness keeps
 	// operating within each class and a higher class is served first
 	// unless the lower one has queued for longer than the spacing (the
-	// Priority discipline ranks by receipt time + priority). Local
-	// applies work inline and ignores it.
+	// Priority discipline ranks by receipt time + priority).
 	PriorityBias int64
 }
 
@@ -195,84 +187,3 @@ type opCtxError struct {
 
 func (e *opCtxError) Error() string { return "netstore: " + e.what + ": " + e.cause.Error() }
 func (e *opCtxError) Unwrap() error { return e.cause }
-
-// Local is the in-process Store: a kv.Store behind the same interface
-// the networked client implements, so tests, examples, and tools can
-// program against Store without sockets. Writes are stamped by the same
-// versioned clock the networked client uses, so a Local loader's data is
-// comparable (last-writer-wins) with replicated writes. There is no
-// queue to shed from, so deadlines only gate admission: a call whose
-// context is already done fails without touching the store.
-type Local struct {
-	store    *kv.Store
-	versions versionClock
-}
-
-// NewLocal wraps a kv.Store (nil creates a fresh one) in the Store
-// interface.
-func NewLocal(store *kv.Store) *Local {
-	if store == nil {
-		store = kv.New(0)
-	}
-	return &Local{store: store}
-}
-
-// KV exposes the underlying kv.Store (for servers and scanners that
-// want to share it).
-func (l *Local) KV() *kv.Store { return l.store }
-
-// Get implements Store.
-func (l *Local) Get(ctx context.Context, key string, _ ReadOptions) ([]byte, bool, error) {
-	if err := ctx.Err(); err != nil {
-		err = ctxErr(ctx, "local get")
-		countCtxErr(err)
-		return nil, false, err
-	}
-	v, ok := l.store.Get(key)
-	return v, ok, nil
-}
-
-// Multiget implements Store.
-func (l *Local) Multiget(ctx context.Context, keys []string, _ ReadOptions) (*TaskResult, error) {
-	start := time.Now()
-	res := &TaskResult{
-		Values: make([][]byte, len(keys)),
-		Found:  make([]bool, len(keys)),
-	}
-	if err := ctx.Err(); err != nil {
-		err = ctxErr(ctx, "local multiget")
-		countCtxErr(err)
-		return res, err
-	}
-	for i, k := range keys {
-		res.Values[i], res.Found[i] = l.store.Get(k)
-	}
-	res.Latency = time.Since(start)
-	return res, nil
-}
-
-// Set implements Store.
-func (l *Local) Set(ctx context.Context, key string, value []byte, _ WriteOptions) error {
-	if err := ctx.Err(); err != nil {
-		err = ctxErr(ctx, "local set")
-		countCtxErr(err)
-		return err
-	}
-	l.store.SetVersion(key, value, l.versions.next())
-	return nil
-}
-
-// Delete implements Store.
-func (l *Local) Delete(ctx context.Context, key string, _ WriteOptions) error {
-	if err := ctx.Err(); err != nil {
-		err = ctxErr(ctx, "local delete")
-		countCtxErr(err)
-		return err
-	}
-	l.store.DeleteVersion(key, l.versions.next())
-	return nil
-}
-
-// Close implements Store (the kv.Store needs no teardown beyond its own
-// GC stop, which its owner manages).
-func (l *Local) Close() {}

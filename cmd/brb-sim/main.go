@@ -24,12 +24,10 @@ import (
 	"strings"
 	"time"
 
-	"github.com/brb-repro/brb/internal/cluster"
 	"github.com/brb-repro/brb/internal/engine"
 	"github.com/brb-repro/brb/internal/experiments"
 	"github.com/brb-repro/brb/internal/metrics"
 	"github.com/brb-repro/brb/internal/sim"
-	"github.com/brb-repro/brb/internal/trace"
 	"github.com/brb-repro/brb/internal/workload"
 )
 
@@ -58,7 +56,6 @@ func main() {
 	partitions := fs.Int("partitions", 0, "data partitions / replica groups (0 = one per server; >servers = sharded-cluster scenario)")
 	groupZipf := fs.Float64("group-zipf", cfg.GroupZipfS, "partition-popularity Zipf exponent")
 	burstProb := fs.Float64("burst-prob", cfg.BurstProb, "playlist-burst task probability")
-	traceFile := fs.String("trace", "", "trace file for savetrace/run")
 	_ = fs.Parse(os.Args[2:])
 
 	cfg.Tasks = *tasks
@@ -132,25 +129,6 @@ func main() {
 		if err == nil {
 			fmt.Print(tbl.String())
 		}
-	case "savetrace":
-		if *traceFile == "" {
-			err = fmt.Errorf("savetrace requires -trace FILE")
-			break
-		}
-		var topo *cluster.Topology
-		topo, err = cluster.New(cluster.Config{Servers: cfg.Servers, Partitions: cfg.Partitions, Replication: cfg.Replication})
-		if err != nil {
-			break
-		}
-		var tr *workload.Trace
-		tr, err = workload.Generate(cfg.WorkloadConfig(), topo)
-		if err != nil {
-			break
-		}
-		err = trace.Save(*traceFile, tr)
-		if err == nil {
-			fmt.Printf("saved %d tasks (%d requests) to %s\n", len(tr.Tasks), tr.TotalRequests, *traceFile)
-		}
 	case "trace":
 		st, terr := experiments.TraceStats(cfg)
 		err = terr
@@ -159,8 +137,8 @@ func main() {
 				st.Tasks, st.Requests, st.MeanFanout, st.MaxFanout)
 			fmt.Printf("meanSize=%.0fB meanService=%.1fµs horizon=%.2fs taskRate=%.0f/s\n",
 				st.MeanSize, st.MeanService/1e3, st.HorizonSec, st.TaskRatePerS)
-			fmt.Printf("effectiveLoad=%.3f meanForecastErr=%.1f%%\n",
-				workload.EffectiveLoad(st, cfg.Servers, cfg.Cores), st.MeanEstErrPct)
+			fmt.Printf("effectiveLoad=%.3f meanForecastErr=%.1f%% groups=%d\n",
+				workload.EffectiveLoad(st, cfg.Servers, cfg.Cores), st.MeanEstErrPct, len(st.GroupShare))
 		}
 	case "run":
 		factories := experiments.Figure2Strategies()
@@ -170,23 +148,8 @@ func main() {
 				strings.Join(experiments.SortedNames(factories), ", "))
 			break
 		}
-		var res engine.Result
-		if *traceFile != "" {
-			var topo *cluster.Topology
-			topo, err = cluster.New(cluster.Config{Servers: cfg.Servers, Partitions: cfg.Partitions, Replication: cfg.Replication})
-			if err != nil {
-				break
-			}
-			var tr *workload.Trace
-			tr, err = trace.Load(*traceFile)
-			if err != nil {
-				break
-			}
-			cfg.Tasks = len(tr.Tasks)
-			res, err = engine.RunTrace(cfg, f(), topo, tr)
-		} else {
-			res, err = engine.Run(cfg, f())
-		}
+		res, rerr := engine.Run(cfg, f())
+		err = rerr
 		if err == nil {
 			fmt.Printf("strategy=%s\ntask:    %s\nrequest: %s\nutil=%.3f maxQ=%d events=%d simSec=%.2f wall=%s\n",
 				res.Strategy, res.TaskLatency, res.RequestLatency,
@@ -205,5 +168,5 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: brb-sim <figure2|loadsweep|fanoutsweep|intervalsweep|replicasweep|variants|noisesweep|partitionsweep|trace|savetrace|run> [flags]`)
+	fmt.Fprintln(os.Stderr, `usage: brb-sim <figure2|loadsweep|fanoutsweep|intervalsweep|replicasweep|variants|noisesweep|partitionsweep|trace|run> [flags]`)
 }

@@ -6,35 +6,23 @@ import (
 	"regexp"
 )
 
-// CounterLint enforces the internal/metrics registry scheme from PR 4
-// (counters) and PR 10 (histograms): every counter name is a string
-// literal matching ^[a-z][a-z0-9_]+_total$ and every histogram name a
-// string literal matching ^[a-z][a-z0-9_]+_(ns|bytes)$, each resolved
-// exactly once into a package-level var. Literal names keep `grep` and
-// dashboards authoritative; the once-rule pins the documented registry
-// idiom (resolve at init, one atomic op per event) and catches
-// copy-paste name collisions between subsystems before two call sites
-// silently share one instrument. _test.go files are exempt: tests
-// register scratch instruments.
+// CounterLint enforces the internal/metrics counter registry scheme:
+// every counter name is a string literal matching
+// ^[a-z][a-z0-9_]+_total$, resolved exactly once into a package-level
+// var. Literal names keep `grep` and dashboards authoritative; the
+// once-rule pins the documented registry idiom (resolve at init, one
+// atomic op per event) and catches copy-paste name collisions between
+// subsystems before two call sites silently share one counter. _test.go
+// files are exempt: tests register scratch counters.
 var CounterLint = &Analyzer{
 	Name: "counterlint",
-	Doc: "metrics.GetCounter/GetHistogram names must be *_total / *_(ns|bytes) " +
-		"string literals, resolved once into a package-level var, and " +
-		"registered by exactly one call site",
+	Doc: "metrics.GetCounter names must be *_total string literals, " +
+		"resolved once into a package-level var, and registered by " +
+		"exactly one call site",
 	Run: runCounterLint,
 }
 
-var (
-	counterNameRE   = regexp.MustCompile(`^[a-z][a-z0-9_]+_total$`)
-	histogramNameRE = regexp.MustCompile(`^[a-z][a-z0-9_]+_(ns|bytes)$`)
-)
-
-// registryFuncs maps the internal/metrics registration entry points to
-// the naming rule their names must satisfy.
-var registryFuncs = map[string]*regexp.Regexp{
-	"GetCounter":   counterNameRE,
-	"GetHistogram": histogramNameRE,
-}
+var counterNameRE = regexp.MustCompile(`^[a-z][a-z0-9_]+_total$`)
 
 // counterRegistration records the first registration site per name
 // across the whole driver run (all packages), via Pass.Shared.
@@ -67,7 +55,7 @@ func runCounterLint(pass *Pass) error {
 			}
 			ast.Inspect(gd, func(n ast.Node) bool {
 				if call, ok := n.(*ast.CallExpr); ok {
-					if fn, _ := registryCallee(pass, call); fn != "" {
+					if isGetCounter(pass, call) {
 						atVarLevel[call] = true
 					}
 				}
@@ -79,28 +67,24 @@ func runCounterLint(pass *Pass) error {
 			if !ok {
 				return true
 			}
-			fnName, nameRE := registryCallee(pass, call)
-			if fnName == "" {
-				return true
-			}
-			if len(call.Args) != 1 {
+			if !isGetCounter(pass, call) || len(call.Args) != 1 {
 				return true
 			}
 			lit, ok := call.Args[0].(*ast.BasicLit)
 			if !ok || lit.Kind != token.STRING {
-				pass.Reportf(call.Pos(), "%s name must be a string literal (greppable, dashboard-stable), not a computed value", fnName)
+				pass.Reportf(call.Pos(), "GetCounter name must be a string literal (greppable, dashboard-stable), not a computed value")
 				return true
 			}
 			name := lit.Value[1 : len(lit.Value)-1] // strip quotes; names never need escapes
-			if !nameRE.MatchString(name) {
-				pass.Reportf(lit.Pos(), "%s name %q must match %s", fnName, name, nameRE)
+			if !counterNameRE.MatchString(name) {
+				pass.Reportf(lit.Pos(), "GetCounter name %q must match %s", name, counterNameRE)
 			}
 			if !atVarLevel[call] {
-				pass.Reportf(call.Pos(), "%s(%q) outside a package-level var: resolve registry instruments once at init, not per event", fnName, name)
+				pass.Reportf(call.Pos(), "GetCounter(%q) outside a package-level var: resolve counters once at init, not per event", name)
 				return true
 			}
 			if prev, dup := seen[name]; dup {
-				pass.Reportf(call.Pos(), "name %q already registered at %s: each counter/histogram has exactly one owning call site", name, prev.pos)
+				pass.Reportf(call.Pos(), "name %q already registered at %s: each counter has exactly one owning call site", name, prev.pos)
 			} else {
 				seen[name] = counterRegistration{pkg: pass.Pkg.Path(), pos: pass.Fset.Position(call.Pos())}
 			}
@@ -110,17 +94,9 @@ func runCounterLint(pass *Pass) error {
 	return nil
 }
 
-// registryCallee reports whether call targets one of internal/metrics'
-// registration functions, returning its name and naming rule ("" when
-// it is not one).
-func registryCallee(pass *Pass, call *ast.CallExpr) (string, *regexp.Regexp) {
+// isGetCounter reports whether call targets internal/metrics'
+// GetCounter.
+func isGetCounter(pass *Pass, call *ast.CallExpr) bool {
 	fn := pass.CalleeFunc(call)
-	if fn == nil || fn.Pkg() == nil || !PkgPathIs(fn.Pkg().Path(), "internal/metrics") {
-		return "", nil
-	}
-	re, ok := registryFuncs[fn.Name()]
-	if !ok {
-		return "", nil
-	}
-	return fn.Name(), re
+	return fn != nil && fn.Pkg() != nil && PkgPathIs(fn.Pkg().Path(), "internal/metrics") && fn.Name() == "GetCounter"
 }

@@ -14,23 +14,10 @@ var counterName = "fix_dynamic_total"
 
 var computed = metrics.GetCounter(counterName) // want `string literal`
 
-var (
-	latencyNS = metrics.GetHistogram("fix_a_latency_ns")
-	sizeHist  = metrics.GetHistogram("fix_a_value_bytes")
-	histDup   = metrics.GetHistogram("fix_dup_hist_ns")
-	// Histograms carry a unit suffix, not _total.
-	badHist = metrics.GetHistogram("fix_a_wait_total") // want `must match`
-)
-
 func Record() {
 	metrics.GetCounter("fix_hot_path_total").Inc() // want `outside a package-level var`
 	opsTotal.Inc()
 	dupTotal.Inc()
 	badName.Inc()
 	computed.Inc()
-	metrics.GetHistogram("fix_hot_hist_ns").Record(1) // want `outside a package-level var`
-	latencyNS.Record(1)
-	sizeHist.Record(1)
-	histDup.Record(1)
-	badHist.Record(1)
 }

@@ -9,10 +9,7 @@ import (
 
 var dupAgain = metrics.GetCounter("fix_dup_total") // want `already registered`
 
-var histAgain = metrics.GetHistogram("fix_dup_hist_ns") // want `already registered`
-
 func Touch() {
 	a.Record()
 	dupAgain.Inc()
-	histAgain.Record(1)
 }

@@ -1,5 +1,5 @@
-// Package metrics mirrors the real registry's GetCounter/GetHistogram
-// entry points for the counterlint fixtures.
+// Package metrics mirrors the real registry's GetCounter entry point for
+// the counterlint fixtures.
 package metrics
 
 // Counter is a registered event counter.
@@ -17,21 +17,4 @@ func GetCounter(name string) *Counter {
 	c := &Counter{}
 	registry[name] = c
 	return c
-}
-
-// RHistogram is a registered latency/size histogram.
-type RHistogram struct{ n uint64 }
-
-func (h *RHistogram) Record(v int64) { h.n++ }
-
-var histRegistry = map[string]*RHistogram{}
-
-// GetHistogram resolves (registering on first use) the named histogram.
-func GetHistogram(name string) *RHistogram {
-	if h, ok := histRegistry[name]; ok {
-		return h
-	}
-	h := &RHistogram{}
-	histRegistry[name] = h
-	return h
 }

@@ -24,16 +24,13 @@ type Source interface {
 // QueueSource adapts a queue.Discipline (the server's own queue) to the
 // Source interface.
 type QueueSource struct {
-	Q queue.Discipline
+	Q queue.Discipline[*core.Request]
 }
 
 // Pull implements Source.
 func (qs QueueSource) Pull(*Server) *core.Request {
-	it := qs.Q.Pop()
-	if it == nil {
-		return nil
-	}
-	return it.(*core.Request)
+	req, _ := qs.Q.Pop()
+	return req
 }
 
 // Stats aggregates per-server accounting for utilization and queue-depth
@@ -53,7 +50,7 @@ type Server struct {
 
 	eng    *sim.Engine
 	source Source
-	queue  queue.Discipline // non-nil only in queue mode; same object as source's
+	queue  queue.Discipline[*core.Request] // non-nil only in queue mode; same object as source's
 	busy   int
 
 	// OnComplete is invoked at service completion time, before the next
@@ -64,7 +61,7 @@ type Server struct {
 }
 
 // New creates a server in queue mode with the given discipline.
-func New(eng *sim.Engine, id cluster.ServerID, cores int, q queue.Discipline) *Server {
+func New(eng *sim.Engine, id cluster.ServerID, cores int, q queue.Discipline[*core.Request]) *Server {
 	if cores <= 0 {
 		panic(fmt.Sprintf("backend: server %d with %d cores", id, cores))
 	}
@@ -101,7 +98,7 @@ func (s *Server) EnqueueQuiet(req *core.Request) {
 		panic("backend: Enqueue on a work-pulling server")
 	}
 	req.EnqueuedAt = s.eng.Now()
-	s.queue.Push(req)
+	s.queue.Push(req, req.Priority)
 	if l := s.queue.Len(); l > s.stats.MaxQueueLen {
 		s.stats.MaxQueueLen = l
 	}

@@ -14,7 +14,7 @@ func req(id uint64, service, prio int64) *core.Request {
 
 func TestSingleCoreSerializes(t *testing.T) {
 	var eng sim.Engine
-	s := New(&eng, 0, 1, queue.NewFIFO())
+	s := New(&eng, 0, 1, queue.NewFIFO[*core.Request]())
 	var done []sim.Time
 	s.OnComplete = func(r *core.Request, _ int, _ sim.Time) {
 		done = append(done, eng.Now())
@@ -38,7 +38,7 @@ func TestSingleCoreSerializes(t *testing.T) {
 
 func TestMultiCoreParallel(t *testing.T) {
 	var eng sim.Engine
-	s := New(&eng, 0, 4, queue.NewFIFO())
+	s := New(&eng, 0, 4, queue.NewFIFO[*core.Request]())
 	var done []sim.Time
 	s.OnComplete = func(r *core.Request, _ int, _ sim.Time) { done = append(done, eng.Now()) }
 	eng.At(0, func() {
@@ -56,7 +56,7 @@ func TestMultiCoreParallel(t *testing.T) {
 
 func TestPriorityOrderOnServer(t *testing.T) {
 	var eng sim.Engine
-	s := New(&eng, 0, 1, queue.NewPriority())
+	s := New(&eng, 0, 1, queue.NewPriority[*core.Request]())
 	var order []uint64
 	s.OnComplete = func(r *core.Request, _ int, _ sim.Time) { order = append(order, r.ID) }
 	eng.At(0, func() {
@@ -76,7 +76,7 @@ func TestPriorityOrderOnServer(t *testing.T) {
 
 func TestWaitTimeAccounting(t *testing.T) {
 	var eng sim.Engine
-	s := New(&eng, 0, 1, queue.NewFIFO())
+	s := New(&eng, 0, 1, queue.NewFIFO[*core.Request]())
 	var waits []sim.Time
 	s.OnComplete = func(r *core.Request, _ int, w sim.Time) { waits = append(waits, w) }
 	eng.At(0, func() {
@@ -91,7 +91,7 @@ func TestWaitTimeAccounting(t *testing.T) {
 
 func TestUtilization(t *testing.T) {
 	var eng sim.Engine
-	s := New(&eng, 0, 2, queue.NewFIFO())
+	s := New(&eng, 0, 2, queue.NewFIFO[*core.Request]())
 	s.OnComplete = func(*core.Request, int, sim.Time) {}
 	eng.At(0, func() {
 		s.Enqueue(req(1, 500, 0))
@@ -109,7 +109,7 @@ func TestUtilization(t *testing.T) {
 
 func TestZeroServiceClamped(t *testing.T) {
 	var eng sim.Engine
-	s := New(&eng, 0, 1, queue.NewFIFO())
+	s := New(&eng, 0, 1, queue.NewFIFO[*core.Request]())
 	fired := false
 	s.OnComplete = func(*core.Request, int, sim.Time) { fired = true }
 	eng.At(0, func() { s.Enqueue(req(1, 0, 0)) })
@@ -180,12 +180,12 @@ func TestZeroCoresPanics(t *testing.T) {
 			t.Fatal("0 cores did not panic")
 		}
 	}()
-	New(&eng, 0, 0, queue.NewFIFO())
+	New(&eng, 0, 0, queue.NewFIFO[*core.Request]())
 }
 
 func TestMaxQueueLenTracked(t *testing.T) {
 	var eng sim.Engine
-	s := New(&eng, 0, 1, queue.NewFIFO())
+	s := New(&eng, 0, 1, queue.NewFIFO[*core.Request]())
 	s.OnComplete = func(*core.Request, int, sim.Time) {}
 	eng.At(0, func() {
 		for i := uint64(0); i < 10; i++ {

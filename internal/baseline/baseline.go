@@ -119,7 +119,7 @@ func (lo *LeastOutstanding) OnResponse(ctx *engine.Context, req *core.Request, s
 type Strategy struct {
 	Assign   core.Assigner
 	Selector Selector
-	Queues   queue.Factory
+	Queues   queue.Factory[*core.Request]
 	// Label overrides the derived name when non-empty.
 	Label string
 }
@@ -127,14 +127,14 @@ type Strategy struct {
 // New builds a baseline strategy: task-oblivious FIFO with the given
 // selector (the configuration Figure 1 calls "task-oblivious schedule").
 func New(sel Selector) *Strategy {
-	return &Strategy{Assign: core.Oblivious{}, Selector: sel, Queues: queue.FIFOFactory}
+	return &Strategy{Assign: core.Oblivious{}, Selector: sel, Queues: queue.FIFOFactory[*core.Request]}
 }
 
 // NewPriority builds a decentralized priority-queue strategy with the
 // given assigner and selector — BRB scheduling without the credits
 // controller, used in ablations to isolate the controller's contribution.
 func NewPriority(a core.Assigner, sel Selector) *Strategy {
-	return &Strategy{Assign: a, Selector: sel, Queues: queue.PriorityFactory}
+	return &Strategy{Assign: a, Selector: sel, Queues: queue.PriorityFactory[*core.Request]}
 }
 
 // Name implements engine.Strategy.

@@ -122,7 +122,7 @@ func (s *Strategy) Assigner() core.Assigner { return core.Oblivious{} }
 
 // BuildServers implements engine.Strategy: FIFO servers, as in Cassandra.
 func (s *Strategy) BuildServers(ctx *engine.Context) []*backend.Server {
-	return engine.QueueServers(ctx, queue.FIFOFactory)
+	return engine.QueueServers(ctx, queue.FIFOFactory[*core.Request])
 }
 
 // Setup implements engine.Strategy.

@@ -44,9 +44,6 @@ type Request struct {
 	EnqueuedAt int64
 }
 
-// SchedPriority implements queue.Item.
-func (r *Request) SchedPriority() int64 { return r.Priority }
-
 // Task is a set of logically-related requests (e.g. all tracks in a
 // playlist). It is complete only once all its requests complete.
 type Task struct {

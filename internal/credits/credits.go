@@ -102,7 +102,7 @@ func (s *Strategy) Assigner() core.Assigner { return s.assigner }
 // BuildServers implements engine.Strategy: every server keeps its own
 // priority queue.
 func (s *Strategy) BuildServers(ctx *engine.Context) []*backend.Server {
-	return engine.QueueServers(ctx, queue.PriorityFactory)
+	return engine.QueueServers(ctx, queue.PriorityFactory[*core.Request])
 }
 
 // Setup implements engine.Strategy: initialize equal-share allocations and

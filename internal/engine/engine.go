@@ -204,7 +204,7 @@ type Strategy interface {
 
 // QueueServers builds one queue-mode server per topology slot with
 // disciplines from f — the standard tier for decentralized strategies.
-func QueueServers(ctx *Context, f queue.Factory) []*backend.Server {
+func QueueServers(ctx *Context, f queue.Factory[*core.Request]) []*backend.Server {
 	servers := make([]*backend.Server, ctx.Cfg.Servers)
 	for i := range servers {
 		servers[i] = backend.New(ctx.Eng, cluster.ServerID(i), ctx.Cfg.Cores, f())
@@ -251,18 +251,6 @@ func Run(cfg Config, s Strategy) (Result, error) {
 	}
 	trace, err := workload.Generate(cfg.WorkloadConfig(), topo)
 	if err != nil {
-		return Result{}, err
-	}
-	return RunTrace(cfg, s, topo, trace)
-}
-
-// RunTrace executes one simulation over a pre-generated trace (so sweeps
-// can reuse a trace across strategies, guaranteeing identical demands).
-// Request priorities are (re)assigned inside; traces are reusable across
-// strategies because priorities are the only request field strategies
-// touch.
-func RunTrace(cfg Config, s Strategy, topo *cluster.Topology, trace *workload.Trace) (Result, error) {
-	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
 	eng := &sim.Engine{}

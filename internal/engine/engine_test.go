@@ -16,7 +16,7 @@ type fifoRandom struct{ submits, responses int }
 func (f *fifoRandom) Name() string            { return "test-fifo" }
 func (f *fifoRandom) Assigner() core.Assigner { return core.Oblivious{} }
 func (f *fifoRandom) BuildServers(ctx *Context) []*backend.Server {
-	return QueueServers(ctx, queue.FIFOFactory)
+	return QueueServers(ctx, queue.FIFOFactory[*core.Request])
 }
 func (f *fifoRandom) Setup(*Context) {}
 func (f *fifoRandom) Submit(ctx *Context, task *core.Task, subs []core.SubTask) {

@@ -297,7 +297,7 @@ func Variants(cfg engine.Config, seeds []uint64) (*metrics.Table, error) {
 // TraceStats generates one trace with the given config and summarizes it —
 // the workload-validation table in EXPERIMENTS.md.
 func TraceStats(cfg engine.Config) (workload.Stats, error) {
-	topo, err := cluster.New(cluster.Config{Servers: cfg.Servers, Replication: cfg.Replication})
+	topo, err := cluster.New(cluster.Config{Servers: cfg.Servers, Partitions: cfg.Partitions, Replication: cfg.Replication})
 	if err != nil {
 		return workload.Stats{}, err
 	}

@@ -129,6 +129,20 @@ func TestTraceStats(t *testing.T) {
 	}
 }
 
+// TestTraceStatsPartitions: TraceStats describes the trace engine.Run
+// simulates, so it builds the same topology — Partitions included.
+func TestTraceStatsPartitions(t *testing.T) {
+	cfg := quickConfig()
+	cfg.Partitions = 27
+	st, err := TraceStats(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.GroupShare) != 27 {
+		t.Fatalf("trace spans %d replica groups, want 27", len(st.GroupShare))
+	}
+}
+
 func TestIntervalSweepSmall(t *testing.T) {
 	cfg := quickConfig()
 	tbl, err := IntervalSweep(cfg, []uint64{1}, []sim.Time{sim.Second, 2 * sim.Second})

@@ -38,8 +38,8 @@ type Figure1Result struct {
 // Figure1 runs both schedules and returns the reconstruction.
 func Figure1() Figure1Result {
 	var res Figure1Result
-	res.ObliviousT1, res.ObliviousT2, res.ObliviousOrder = runFigure1(queue.FIFOFactory, core.Oblivious{})
-	res.OptimalT1, res.OptimalT2, res.OptimalOrder = runFigure1(queue.PriorityFactory, core.EqualMax{})
+	res.ObliviousT1, res.ObliviousT2, res.ObliviousOrder = runFigure1(queue.FIFOFactory[*core.Request], core.Oblivious{})
+	res.OptimalT1, res.OptimalT2, res.OptimalOrder = runFigure1(queue.PriorityFactory[*core.Request], core.EqualMax{})
 	return res
 }
 
@@ -60,7 +60,7 @@ func (r Figure1Result) String() string {
 
 // runFigure1 executes the 5-operation scenario under one discipline and
 // assigner, returning T1 and T2 completion steps and the service order.
-func runFigure1(qf queue.Factory, assigner core.Assigner) (t1End, t2End int64, order string) {
+func runFigure1(qf queue.Factory[*core.Request], assigner core.Assigner) (t1End, t2End int64, order string) {
 	const unit = int64(1) // one "time unit" = 1ns in engine terms
 
 	// Groups: 0 -> {A, E} on S1; 1 -> {B, C} on S2; 2 -> {D} on S3.

@@ -16,54 +16,48 @@ import (
 // into 2^precision linear sub-buckets, bounding relative quantile error to
 // ~2^-precision while using a few KiB regardless of sample count.
 //
-// The zero value is not usable; call NewHistogram.
+// The zero value is not usable; call NewLatencyHistogram.
 type Histogram struct {
-	precision uint
-	counts    []uint64
-	total     uint64
-	sum       int64
-	min, max  int64
+	counts   []uint64
+	total    uint64
+	sum      int64
+	min, max int64
 }
 
-// NewHistogram returns a histogram with the given sub-bucket precision
-// (bits). Precision 7 gives <1% relative error; that is the default used by
-// the experiment harness (see NewLatencyHistogram).
-func NewHistogram(precision uint) *Histogram {
-	if precision < 1 || precision > 12 {
-		panic(fmt.Sprintf("metrics: precision %d out of [1,12]", precision))
-	}
+// precision is the sub-bucket width in bits: 7 gives ≤0.8% relative
+// quantile error, and every histogram shares it, so any two merge.
+const precision = 7
+
+// NewLatencyHistogram returns an empty histogram.
+func NewLatencyHistogram() *Histogram {
 	// 64 exponent ranges × 2^precision sub-buckets covers all of int64.
 	return &Histogram{
-		precision: precision,
-		counts:    make([]uint64, 64<<precision),
-		min:       math.MaxInt64,
-		max:       math.MinInt64,
+		counts: make([]uint64, 64<<precision),
+		min:    math.MaxInt64,
+		max:    math.MinInt64,
 	}
 }
 
-// NewLatencyHistogram returns the standard histogram used across the
-// repository (precision 7 ⇒ ≤0.8% relative error).
-func NewLatencyHistogram() *Histogram { return NewHistogram(7) }
-
-func (h *Histogram) bucketIndex(v int64) int {
+func bucketIndex(v int64) int {
 	if v < 0 {
 		v = 0
 	}
 	// Index by position of the highest set bit, then linear within.
 	u := uint64(v)
 	exp := 0
-	for u>>h.precision != 0 {
+	for u>>precision != 0 {
 		u >>= 1
 		exp++
 	}
-	return exp<<h.precision | int(u)
+	return exp<<precision | int(u)
 }
 
-// bucketLow returns the smallest value mapping to bucket i (inverse of
-// bucketIndex for reporting).
-func (h *Histogram) bucketValue(i int) int64 {
-	exp := i >> h.precision
-	sub := i & ((1 << h.precision) - 1)
+// bucketValue returns the value reported for bucket i (the inverse of
+// bucketIndex): the bucket's midpoint, or the exact value in the linear
+// first range.
+func bucketValue(i int) int64 {
+	exp := i >> precision
+	sub := i & ((1 << precision) - 1)
 	if exp == 0 {
 		return int64(sub)
 	}
@@ -79,7 +73,7 @@ func (h *Histogram) Record(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	h.counts[h.bucketIndex(v)]++
+	h.counts[bucketIndex(v)]++
 	h.total++
 	h.sum += v
 	if v < h.min {
@@ -140,7 +134,7 @@ func (h *Histogram) Quantile(q float64) int64 {
 	for i, c := range h.counts {
 		seen += c
 		if seen >= rank {
-			v := h.bucketValue(i)
+			v := bucketValue(i)
 			if v < h.min {
 				v = h.min
 			}
@@ -153,12 +147,8 @@ func (h *Histogram) Quantile(q float64) int64 {
 	return h.max
 }
 
-// Merge adds all observations of other into h. Both histograms must have
-// the same precision.
+// Merge adds all observations of other into h.
 func (h *Histogram) Merge(other *Histogram) {
-	if other.precision != h.precision {
-		panic("metrics: merging histograms of different precision")
-	}
 	for i, c := range other.counts {
 		h.counts[i] += c
 	}

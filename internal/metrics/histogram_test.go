@@ -119,15 +119,6 @@ func TestMerge(t *testing.T) {
 	}
 }
 
-func TestMergePrecisionMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("merge of mismatched precisions did not panic")
-		}
-	}()
-	NewHistogram(5).Merge(NewHistogram(7))
-}
-
 func TestReset(t *testing.T) {
 	h := NewLatencyHistogram()
 	h.Record(1000)
@@ -175,19 +166,6 @@ func TestExactQuantile(t *testing.T) {
 	// Input must not be mutated.
 	if s[0] != 5 {
 		t.Fatal("ExactQuantile mutated its input")
-	}
-}
-
-func TestPrecisionBoundsPanics(t *testing.T) {
-	for _, p := range []uint{0, 13} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewHistogram(%d) did not panic", p)
-				}
-			}()
-			NewHistogram(p)
-		}()
 	}
 }
 

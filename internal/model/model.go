@@ -25,7 +25,7 @@ import (
 // Strategy is the ideal global-queue work-pulling strategy.
 type Strategy struct {
 	assigner core.Assigner
-	groups   []*queue.Priority
+	groups   []*queue.Priority[*core.Request]
 	ctx      *engine.Context
 }
 
@@ -50,7 +50,7 @@ type source struct {
 
 // Pull implements backend.Source.
 func (src source) Pull(srv *backend.Server) *core.Request {
-	var best *queue.Priority
+	var best *queue.Priority[*core.Request]
 	var bestPrio int64
 	for _, g := range src.s.ctx.Topo.Groups(srv.ID) {
 		q := src.s.groups[g]
@@ -65,16 +65,17 @@ func (src source) Pull(srv *backend.Server) *core.Request {
 	if best == nil {
 		return nil
 	}
-	return best.Pop().(*core.Request)
+	req, _ := best.Pop()
+	return req
 }
 
 // BuildServers implements engine.Strategy: work-pulling servers over the
 // shared group queues.
 func (s *Strategy) BuildServers(ctx *engine.Context) []*backend.Server {
 	s.ctx = ctx
-	s.groups = make([]*queue.Priority, ctx.Topo.NumPartitions())
+	s.groups = make([]*queue.Priority[*core.Request], ctx.Topo.NumPartitions())
 	for i := range s.groups {
-		s.groups[i] = queue.NewPriority()
+		s.groups[i] = queue.NewPriority[*core.Request]()
 	}
 	servers := make([]*backend.Server, ctx.Cfg.Servers)
 	for i := range servers {
@@ -95,7 +96,7 @@ func (s *Strategy) Submit(ctx *engine.Context, task *core.Task, subs []core.SubT
 		ctx.Eng.After(ctx.Cfg.NetOneWay, func() {
 			for _, r := range sub.Requests {
 				r.EnqueuedAt = ctx.Eng.Now()
-				s.groups[sub.Group].Push(r)
+				s.groups[sub.Group].Push(r, r.Priority)
 			}
 			for _, sid := range ctx.Topo.Replicas(sub.Group) {
 				ctx.Servers[sid].Kick()

@@ -123,14 +123,6 @@ var (
 	multigetBatchesTotal  = metrics.GetCounter("netstore_multiget_batches_total")
 )
 
-// multigetLatencyNS is the process-wide multiget completion-time
-// histogram (registered; see metrics.GetHistogram): every Cluster
-// Multiget records its issue→last-response latency here, cache-only
-// hits included, so operational tooling can read p50/p99/p999 without
-// owning the call sites. Recording is a handful of atomic adds — no
-// allocation, hot-path safe.
-var multigetLatencyNS = metrics.GetHistogram("netstore_multiget_latency_ns")
-
 // serverSlot is one server's client-side state: its one live connection
 // (nil while down; swapped atomically by the revival prober), the down
 // mark, and the hinted-handoff buffer. Slots are keyed by stable server
@@ -912,7 +904,6 @@ func (c *Cluster) Multiget(ctx context.Context, keys []string, opts ReadOptions)
 		pending -= c.cache.serve(keys, c.writtenFloor, res.Values, res.Found)
 		if pending == 0 {
 			res.Latency = time.Since(start)
-			multigetLatencyNS.Record(res.Latency.Nanoseconds())
 			return res, nil
 		}
 	}
@@ -988,7 +979,6 @@ func (c *Cluster) Multiget(ctx context.Context, keys []string, opts ReadOptions)
 		}
 	}
 	res.Latency = time.Since(start)
-	multigetLatencyNS.Record(res.Latency.Nanoseconds())
 	if len(errs) > 0 {
 		return res, errors.Join(errs...)
 	}

@@ -3,13 +3,16 @@ package netstore
 import (
 	"sync"
 	"sync/atomic"
+
+	"github.com/brb-repro/brb/internal/queue"
 )
 
-// scheduler is the server's run queue: ONE queue per server — a stable
-// min-heap (Priority) or a FIFO queue behind one lock — drained by every
-// worker. This is the pooled M/G/k queue the paper's server model
-// assumes; the Priority rank (receipt time + forecast, a virtual finish
-// time) only means something inside one ordered queue.
+// scheduler is the server's run queue: ONE queue per server — a
+// queue.Priority stable min-heap or a queue.FIFO ring, chosen once by
+// Discipline, behind one lock — drained by every worker. This is the
+// pooled M/G/k queue the paper's server model assumes; the Priority rank
+// (receipt time + forecast, a virtual finish time) only means something
+// inside one ordered queue.
 //
 // Ordering guarantee, stated here once for the whole package: the
 // server serves queued keys in a per-server TOTAL order. Under Priority
@@ -21,12 +24,8 @@ import (
 // simultaneous-arrival semantics of Figure 1) and no other batch's keys
 // interleave with its arrival seqs.
 type scheduler struct {
-	disc Discipline
-
-	mu   sync.Mutex
-	heap itemHeap    // Priority
-	fifo []*workItem // FIFO
-	seq  uint64
+	mu sync.Mutex
+	q  queue.Discipline[*workItem] // guarded by mu
 
 	// pending is the queued-item count, incremented BEFORE the items
 	// become poppable and decremented under mu at pop, so it never goes
@@ -50,7 +49,10 @@ type scheduler struct {
 }
 
 func newScheduler(d Discipline) *scheduler {
-	s := &scheduler{disc: d}
+	s := &scheduler{q: queue.NewPriority[*workItem]()}
+	if d == FIFO {
+		s.q = queue.NewFIFO[*workItem]()
+	}
 	s.idleCond = sync.NewCond(&s.idleMu)
 	return s
 }
@@ -65,13 +67,7 @@ func (s *scheduler) pushAll(items []workItem) {
 	s.pending.Add(int64(len(items)))
 	s.mu.Lock()
 	for i := range items {
-		it := &items[i]
-		if s.disc == FIFO {
-			s.fifo = append(s.fifo, it)
-		} else {
-			s.heap.push(heapEntry{it: it, prio: it.priority, seq: s.seq})
-			s.seq++
-		}
+		s.q.Push(&items[i], items[i].priority)
 	}
 	s.mu.Unlock()
 	if s.idlers.Load() != 0 {
@@ -110,21 +106,10 @@ func (s *scheduler) pop() (*workItem, int, bool) {
 
 func (s *scheduler) tryPop() (*workItem, int, bool) {
 	s.mu.Lock()
-	var it *workItem
-	if s.disc == FIFO {
-		if len(s.fifo) == 0 {
-			s.mu.Unlock()
-			return nil, 0, false
-		}
-		it = s.fifo[0]
-		s.fifo[0] = nil
-		s.fifo = s.fifo[1:]
-	} else {
-		if s.heap.Len() == 0 {
-			s.mu.Unlock()
-			return nil, 0, false
-		}
-		it = s.heap.pop().it
+	it, ok := s.q.Pop()
+	if !ok {
+		s.mu.Unlock()
+		return nil, 0, false
 	}
 	qlen := int(s.pending.Add(-1))
 	s.mu.Unlock()
@@ -143,65 +128,4 @@ func (s *scheduler) close() {
 	s.closed = true
 	s.idleMu.Unlock()
 	s.idleCond.Broadcast()
-}
-
-type heapEntry struct {
-	it   *workItem
-	prio int64
-	seq  uint64
-}
-
-// itemHeap is a hand-rolled min-heap rather than a container/heap
-// client: the stdlib interface boxes every pushed and popped entry into
-// an `any`, which costs two heap allocations per scheduled key on the
-// serving hot path.
-type itemHeap []heapEntry
-
-func (h itemHeap) Len() int { return len(h) }
-func (h itemHeap) less(i, j int) bool {
-	if h[i].prio != h[j].prio {
-		return h[i].prio < h[j].prio
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *itemHeap) push(e heapEntry) {
-	*h = append(*h, e)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !s.less(i, parent) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-}
-
-func (h *itemHeap) pop() heapEntry {
-	s := *h
-	n := len(s) - 1
-	top := s[0]
-	s[0] = s[n]
-	s[n] = heapEntry{}
-	s = s[:n]
-	*h = s
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && s.less(l, min) {
-			min = l
-		}
-		if r < n && s.less(r, min) {
-			min = r
-		}
-		if min == i {
-			break
-		}
-		s[i], s[min] = s[min], s[i]
-		i = min
-	}
-	return top
 }

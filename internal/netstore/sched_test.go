@@ -118,6 +118,37 @@ func TestSchedTotalOrder(t *testing.T) {
 	}
 }
 
+// TestSchedPushPopAllocs: once the run queue's storage has grown,
+// pushing a batch and popping it back allocates nothing under either
+// discipline — the queue holds *workItem unboxed.
+func TestSchedPushPopAllocs(t *testing.T) {
+	for _, d := range []Discipline{Priority, FIFO} {
+		t.Run(d.String(), func(t *testing.T) {
+			s := newScheduler(d)
+			items := make([]workItem, 64)
+			for i := range items {
+				items[i].priority = int64(i % 5)
+			}
+			popped := 0
+			cycle := func() {
+				s.pushAll(items)
+				for range items {
+					if _, _, ok := s.tryPop(); ok {
+						popped++
+					}
+				}
+			}
+			cycle() // grow the queue's storage to the batch size
+			if a := testing.AllocsPerRun(100, cycle); a != 0 {
+				t.Fatalf("%.2f allocs per %d-item push+pop cycle, want 0", a, len(items))
+			}
+			if want := 102 * len(items); popped != want {
+				t.Fatalf("popped %d items, want %d", popped, want)
+			}
+		})
+	}
+}
+
 // TestSchedBudgetShedAtPop: a batch whose budget expired while it
 // queued is shed at the pop with its Expired bit set, not served.
 func TestSchedBudgetShedAtPop(t *testing.T) {

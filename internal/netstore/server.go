@@ -885,7 +885,7 @@ type scanEnt struct {
 }
 
 // scanPageHeap is a max-heap on key (largest on top), hand-rolled like
-// the scheduler's itemHeap so paging allocates nothing beyond the slice.
+// queue.Priority so paging allocates nothing beyond the slice.
 type scanPageHeap []scanEnt
 
 func (h *scanPageHeap) push(e scanEnt) {

@@ -12,36 +12,43 @@ type testItem struct {
 	id   int
 }
 
-func (t *testItem) SchedPriority() int64 { return t.prio }
+func push(q Discipline[*testItem], it *testItem) { q.Push(it, it.prio) }
+
+func mustPop(t *testing.T, q Discipline[*testItem]) *testItem {
+	t.Helper()
+	it, ok := q.Pop()
+	if !ok {
+		t.Fatal("Pop on a non-empty queue reported empty")
+	}
+	return it
+}
 
 func TestFIFOOrder(t *testing.T) {
-	q := NewFIFO()
+	q := NewFIFO[*testItem]()
 	for i := 0; i < 100; i++ {
-		q.Push(&testItem{prio: int64(100 - i), id: i})
+		push(q, &testItem{prio: int64(100 - i), id: i})
 	}
 	for i := 0; i < 100; i++ {
-		it := q.Pop().(*testItem)
-		if it.id != i {
+		if it := mustPop(t, q); it.id != i {
 			t.Fatalf("FIFO popped id %d at position %d", it.id, i)
 		}
 	}
-	if q.Pop() != nil {
-		t.Fatal("Pop on empty FIFO != nil")
+	if it, ok := q.Pop(); ok || it != nil {
+		t.Fatal("Pop on empty FIFO returned an item")
 	}
 }
 
 func TestFIFOInterleaved(t *testing.T) {
-	q := NewFIFO()
+	q := NewFIFO[*testItem]()
 	next := 0
 	pushed := 0
 	for round := 0; round < 50; round++ {
 		for i := 0; i < 3; i++ {
-			q.Push(&testItem{id: pushed})
+			push(q, &testItem{id: pushed})
 			pushed++
 		}
 		for i := 0; i < 2; i++ {
-			it := q.Pop().(*testItem)
-			if it.id != next {
+			if it := mustPop(t, q); it.id != next {
 				t.Fatalf("interleaved FIFO order broken: got %d want %d", it.id, next)
 			}
 			next++
@@ -52,68 +59,87 @@ func TestFIFOInterleaved(t *testing.T) {
 	}
 }
 
-func TestFIFOPeek(t *testing.T) {
-	q := NewFIFO()
-	if q.Peek() != nil {
-		t.Fatal("Peek on empty != nil")
+// TestFIFOWrapAcrossGrow: a ring whose live items wrap past the end of
+// the buffer keeps their order when a push forces it to grow.
+func TestFIFOWrapAcrossGrow(t *testing.T) {
+	q := NewFIFO[int]()
+	for i := 0; i < 8; i++ {
+		q.Push(i, 0)
 	}
-	q.Push(&testItem{id: 1})
-	q.Push(&testItem{id: 2})
-	if q.Peek().(*testItem).id != 1 {
-		t.Fatal("Peek != head")
+	for want := 0; want < 5; want++ {
+		if v, _ := q.Pop(); v != want {
+			t.Fatalf("popped %d, want %d", v, want)
+		}
 	}
-	if q.Len() != 2 {
-		t.Fatal("Peek consumed an item")
+	// Head at slot 5; 8..12 fill slots 0..4, so the live items wrap.
+	for i := 8; i < 13; i++ {
+		q.Push(i, 0)
+	}
+	if q.head == 0 || len(q.buf) != 8 {
+		t.Fatalf("setup: head %d cap %d, want a wrapped ring of 8", q.head, len(q.buf))
+	}
+	q.Push(13, 0) // full: grows to 16 with the wrapped items
+	if len(q.buf) != 16 {
+		t.Fatalf("cap %d after growing, want 16", len(q.buf))
+	}
+	for want := 5; want < 14; want++ {
+		if v, ok := q.Pop(); !ok || v != want {
+			t.Fatalf("popped %d,%v, want %d", v, ok, want)
+		}
+	}
+	if q.Len() != 0 {
+		t.Fatalf("Len = %d after draining", q.Len())
 	}
 }
 
 func TestPriorityOrder(t *testing.T) {
-	q := NewPriority()
+	q := NewPriority[*testItem]()
 	prios := []int64{5, 3, 9, 1, 7}
 	for i, p := range prios {
-		q.Push(&testItem{prio: p, id: i})
+		push(q, &testItem{prio: p, id: i})
 	}
 	want := []int64{1, 3, 5, 7, 9}
 	for _, w := range want {
-		it := q.Pop().(*testItem)
-		if it.prio != w {
+		if it := mustPop(t, q); it.prio != w {
 			t.Fatalf("priority pop = %d, want %d", it.prio, w)
 		}
+	}
+	if _, ok := q.Pop(); ok {
+		t.Fatal("Pop on empty Priority reported ok")
 	}
 }
 
 func TestPriorityFIFOTieBreak(t *testing.T) {
-	q := NewPriority()
+	q := NewPriority[*testItem]()
 	for i := 0; i < 50; i++ {
-		q.Push(&testItem{prio: 42, id: i})
+		push(q, &testItem{prio: 42, id: i})
 	}
 	for i := 0; i < 50; i++ {
-		it := q.Pop().(*testItem)
-		if it.id != i {
+		if it := mustPop(t, q); it.id != i {
 			t.Fatalf("equal-priority items reordered: got %d at %d", it.id, i)
 		}
 	}
 }
 
 func TestPriorityCapturedAtPush(t *testing.T) {
-	q := NewPriority()
+	q := NewPriority[*testItem]()
 	a := &testItem{prio: 10, id: 0}
 	b := &testItem{prio: 20, id: 1}
-	q.Push(a)
-	q.Push(b)
+	push(q, a)
+	push(q, b)
 	b.prio = 1 // must not reorder
-	if got := q.Pop().(*testItem); got.id != 0 {
+	if got := mustPop(t, q); got.id != 0 {
 		t.Fatal("mutating priority after push reordered the queue")
 	}
 }
 
 func TestPriorityPeekPriority(t *testing.T) {
-	q := NewPriority()
+	q := NewPriority[*testItem]()
 	if _, ok := q.PeekPriority(); ok {
 		t.Fatal("PeekPriority on empty reported ok")
 	}
-	q.Push(&testItem{prio: 7})
-	q.Push(&testItem{prio: 3})
+	push(q, &testItem{prio: 7})
+	push(q, &testItem{prio: 3})
 	if p, ok := q.PeekPriority(); !ok || p != 3 {
 		t.Fatalf("PeekPriority = %d,%v want 3,true", p, ok)
 	}
@@ -122,24 +148,11 @@ func TestPriorityPeekPriority(t *testing.T) {
 	}
 }
 
-func TestPushNilPanics(t *testing.T) {
-	for _, d := range []Discipline{NewFIFO(), NewPriority()} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%T: Push(nil) did not panic", d)
-				}
-			}()
-			d.Push(nil)
-		}()
-	}
-}
-
 func TestFactories(t *testing.T) {
-	if _, ok := FIFOFactory().(*FIFO); !ok {
+	if _, ok := FIFOFactory[int]().(*FIFO[int]); !ok {
 		t.Fatal("FIFOFactory wrong type")
 	}
-	if _, ok := PriorityFactory().(*Priority); !ok {
+	if _, ok := PriorityFactory[int]().(*Priority[int]); !ok {
 		t.Fatal("PriorityFactory wrong type")
 	}
 }
@@ -150,14 +163,14 @@ func TestQuickPriorityStableOrder(t *testing.T) {
 	f := func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw%200) + 1
 		r := randx.New(seed)
-		q := NewPriority()
+		q := NewPriority[*testItem]()
 		for i := 0; i < n; i++ {
-			q.Push(&testItem{prio: int64(r.Intn(10)), id: i})
+			push(q, &testItem{prio: int64(r.Intn(10)), id: i})
 		}
 		lastPrio := int64(-1)
 		lastIDForPrio := map[int64]int{}
 		for q.Len() > 0 {
-			it := q.Pop().(*testItem)
+			it, _ := q.Pop()
 			if it.prio < lastPrio {
 				return false
 			}
@@ -180,14 +193,14 @@ func TestQuickFIFOOrder(t *testing.T) {
 	f := func(seed uint64, opsRaw uint8) bool {
 		ops := int(opsRaw) + 10
 		r := randx.New(seed)
-		q := NewFIFO()
+		q := NewFIFO[*testItem]()
 		nextPush, nextPop := 0, 0
 		for i := 0; i < ops; i++ {
 			if r.Float64() < 0.6 || q.Len() == 0 {
-				q.Push(&testItem{id: nextPush})
+				push(q, &testItem{id: nextPush})
 				nextPush++
 			} else {
-				it := q.Pop().(*testItem)
+				it, _ := q.Pop()
 				if it.id != nextPop {
 					return false
 				}
@@ -195,7 +208,7 @@ func TestQuickFIFOOrder(t *testing.T) {
 			}
 		}
 		for q.Len() > 0 {
-			it := q.Pop().(*testItem)
+			it, _ := q.Pop()
 			if it.id != nextPop {
 				return false
 			}
@@ -212,18 +225,18 @@ func TestQuickFIFOOrder(t *testing.T) {
 func TestQuickLenInvariant(t *testing.T) {
 	f := func(seed uint64, usePrio bool) bool {
 		r := randx.New(seed)
-		var q Discipline
+		var q Discipline[*testItem]
 		if usePrio {
-			q = NewPriority()
+			q = NewPriority[*testItem]()
 		} else {
-			q = NewFIFO()
+			q = NewFIFO[*testItem]()
 		}
 		pushed, popped := 0, 0
 		for i := 0; i < 500; i++ {
 			if r.Float64() < 0.55 {
-				q.Push(&testItem{prio: int64(r.Intn(100))})
+				push(q, &testItem{prio: int64(r.Intn(100))})
 				pushed++
-			} else if q.Pop() != nil {
+			} else if _, ok := q.Pop(); ok {
 				popped++
 			}
 			if q.Len() != pushed-popped {
@@ -238,17 +251,17 @@ func TestQuickLenInvariant(t *testing.T) {
 }
 
 func BenchmarkFIFO(b *testing.B) {
-	q := NewFIFO()
+	q := NewFIFO[*testItem]()
 	it := &testItem{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q.Push(it)
+		q.Push(it, 0)
 		q.Pop()
 	}
 }
 
 func BenchmarkPriority(b *testing.B) {
-	q := NewPriority()
+	q := NewPriority[*testItem]()
 	r := randx.New(1)
 	items := make([]*testItem, 1024)
 	for i := range items {
@@ -256,11 +269,11 @@ func BenchmarkPriority(b *testing.B) {
 	}
 	// Keep a standing population of 512 so heap depth is realistic.
 	for i := 0; i < 512; i++ {
-		q.Push(items[i])
+		push(q, items[i])
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q.Push(items[i&1023])
+		push(q, items[i&1023])
 		q.Pop()
 	}
 }

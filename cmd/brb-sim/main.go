@@ -28,7 +28,6 @@ import (
 	"github.com/brb-repro/brb/internal/experiments"
 	"github.com/brb-repro/brb/internal/metrics"
 	"github.com/brb-repro/brb/internal/sim"
-	"github.com/brb-repro/brb/internal/workload"
 )
 
 func main() {
@@ -52,9 +51,7 @@ func main() {
 	sizeAlpha := fs.Float64("size-alpha", 0, "value-size Pareto alpha override")
 	sizeMin := fs.Float64("size-min", 0, "value-size minimum override (bytes)")
 	sizeMax := fs.Float64("size-max", 0, "value-size maximum override (bytes)")
-	maxFanout := fs.Int("max-fanout", 0, "fan-out truncation override")
 	partitions := fs.Int("partitions", 0, "data partitions / replica groups (0 = one per server; >servers = sharded-cluster scenario)")
-	groupZipf := fs.Float64("group-zipf", cfg.GroupZipfS, "partition-popularity Zipf exponent")
 	burstProb := fs.Float64("burst-prob", cfg.BurstProb, "playlist-burst task probability")
 	_ = fs.Parse(os.Args[2:])
 
@@ -69,9 +66,7 @@ func main() {
 	cfg.SizeAlpha = *sizeAlpha
 	cfg.SizeMin = *sizeMin
 	cfg.SizeMax = *sizeMax
-	cfg.MaxFanout = *maxFanout
 	cfg.Partitions = *partitions
-	cfg.GroupZipfS = *groupZipf
 	cfg.BurstProb = *burstProb
 
 	seedList := experiments.DefaultSeeds(*seeds)
@@ -138,7 +133,7 @@ func main() {
 			fmt.Printf("meanSize=%.0fB meanService=%.1fµs horizon=%.2fs taskRate=%.0f/s\n",
 				st.MeanSize, st.MeanService/1e3, st.HorizonSec, st.TaskRatePerS)
 			fmt.Printf("effectiveLoad=%.3f meanForecastErr=%.1f%% groups=%d\n",
-				workload.EffectiveLoad(st, cfg.Servers, cfg.Cores), st.MeanEstErrPct, len(st.GroupShare))
+				st.EffectiveLoad, st.MeanEstErrPct, st.Groups)
 		}
 	case "run":
 		factories := experiments.Figure2Strategies()

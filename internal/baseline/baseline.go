@@ -1,9 +1,10 @@
 // Package baseline provides task-oblivious and simple decentralized
-// scheduling strategies: per-sub-task replica selection by random choice,
+// scheduling strategies: C3, the paper's state-of-the-art comparator
+// (c3.go), and per-sub-task replica selection by random choice,
 // round-robin, or least-outstanding-requests, over FIFO or priority
 // servers. These are the comparison points of Figure 1 ("task-oblivious
-// schedule") and the A5 variants ablation, and the generic decentralized
-// skeleton other strategies build on.
+// schedule"), Figure 2 and the A5 variants ablation, and the generic
+// decentralized skeleton other strategies build on.
 package baseline
 
 import (

@@ -1,28 +1,10 @@
-// Package c3 reimplements the C3 adaptive replica-selection system
-// (Suresh, Canini, Schmid, Feldmann — "C3: Cutting Tail Latency in Cloud
-// Data Stores via Adaptive Replica Selection", NSDI 2015), the
-// state-of-the-art comparator in the paper's Figure 2.
-//
-// C3 is task-oblivious and per-request. Each client ranks a request's
-// replicas with a score combining feedback piggybacked on responses —
-// EWMAs of response time, service time, and server queue length — with a
-// cubic penalty on the estimated queue depth:
-//
-//	score(s) = R̄s − q̄s/µ̄s⁻¹ + (q̂s)³ · µ̄s⁻¹
-//	q̂s      = 1 + os·n + q̄s
-//
-// where os is the client's outstanding requests to s and n the number of
-// clients (extrapolating local knowledge to cluster-wide pressure). C3
-// additionally applies cubic client-side rate control per (client,
-// server): the sending-rate cap grows cubically while the server keeps up
-// and decreases multiplicatively when it does not. Servers process FIFO,
-// as in the Cassandra deployment C3 targets.
-package c3
+package baseline
 
 import (
 	"math"
 
 	"github.com/brb-repro/brb/internal/backend"
+	"github.com/brb-repro/brb/internal/c3"
 	"github.com/brb-repro/brb/internal/cluster"
 	"github.com/brb-repro/brb/internal/core"
 	"github.com/brb-repro/brb/internal/engine"
@@ -30,9 +12,9 @@ import (
 	"github.com/brb-repro/brb/internal/sim"
 )
 
-// Options tune the C3 implementation; zero values take the published
+// C3Options tune the C3 implementation; zero values take the published
 // defaults.
-type Options struct {
+type C3Options struct {
 	// Alpha is the EWMA smoothing factor (default 0.9 — C3 smooths
 	// aggressively).
 	Alpha float64
@@ -52,7 +34,7 @@ type Options struct {
 	PerRequest bool
 }
 
-func (o Options) withDefaults() Options {
+func (o C3Options) withDefaults() C3Options {
 	if o.Alpha <= 0 || o.Alpha >= 1 {
 		o.Alpha = 0.9
 	}
@@ -88,9 +70,20 @@ type replicaState struct {
 	capAtDecr    float64  // rateCap at the last decrease
 }
 
-// Strategy is the C3 baseline.
-type Strategy struct {
-	opts Options
+// C3 reimplements the C3 adaptive replica-selection system (Suresh,
+// Canini, Schmid, Feldmann — "C3: Cutting Tail Latency in Cloud Data
+// Stores via Adaptive Replica Selection", NSDI 2015), the
+// state-of-the-art comparator in the paper's Figure 2.
+//
+// C3 is task-oblivious. Each client ranks a sub-task's replicas with
+// c3.Score over feedback piggybacked on responses — EWMAs of response
+// time, service time, and server queue length — with a cubic penalty on
+// the estimated queue depth. C3 additionally applies cubic client-side
+// rate control per (client, server): the sending-rate cap grows cubically
+// while the server keeps up and decreases multiplicatively when it does
+// not. Servers process FIFO, as in the Cassandra deployment C3 targets.
+type C3 struct {
+	opts C3Options
 	ctx  *engine.Context
 	// state[client][server]
 	state [][]replicaState
@@ -109,24 +102,24 @@ type deferredBatch struct {
 	requests []*core.Request
 }
 
-// New returns a C3 strategy.
-func New(opts Options) *Strategy {
-	return &Strategy{opts: opts.withDefaults()}
+// NewC3 returns a C3 strategy.
+func NewC3(opts C3Options) *C3 {
+	return &C3{opts: opts.withDefaults()}
 }
 
 // Name implements engine.Strategy.
-func (s *Strategy) Name() string { return "C3" }
+func (s *C3) Name() string { return "C3" }
 
 // Assigner implements engine.Strategy: C3 is task-oblivious.
-func (s *Strategy) Assigner() core.Assigner { return core.Oblivious{} }
+func (s *C3) Assigner() core.Assigner { return core.Oblivious{} }
 
 // BuildServers implements engine.Strategy: FIFO servers, as in Cassandra.
-func (s *Strategy) BuildServers(ctx *engine.Context) []*backend.Server {
+func (s *C3) BuildServers(ctx *engine.Context) []*backend.Server {
 	return engine.QueueServers(ctx, queue.FIFOFactory[*core.Request])
 }
 
 // Setup implements engine.Strategy.
-func (s *Strategy) Setup(ctx *engine.Context) {
+func (s *C3) Setup(ctx *engine.Context) {
 	s.ctx = ctx
 	s.state = make([][]replicaState, ctx.Cfg.Clients)
 	meanSvc := 1e9 / ctx.Cfg.ServiceRate
@@ -144,7 +137,7 @@ func (s *Strategy) Setup(ctx *engine.Context) {
 
 // tickRate closes a rate-control window: grow or shrink each replica's
 // sending cap per CUBIC, reset counters, and flush deferred requests.
-func (s *Strategy) tickRate() {
+func (s *C3) tickRate() {
 	now := s.ctx.Eng.Now()
 	for c := range s.state {
 		for sv := range s.state[c] {
@@ -184,16 +177,16 @@ func (s *Strategy) tickRate() {
 // score computes C3's replica ranking function for client c and server sv
 // via the shared Score formula; concurrency compensation uses the server
 // core count (a server with m cores drains m at once).
-func (s *Strategy) score(c int, sv int) float64 {
+func (s *C3) score(c int, sv int) float64 {
 	st := &s.state[c][sv]
-	return Score(st.respEWMA, st.svcEWMA, st.qEWMA, st.outstand,
+	return c3.Score(st.respEWMA, st.svcEWMA, st.qEWMA, st.outstand,
 		float64(s.ctx.Cfg.Clients), float64(s.ctx.Cfg.Cores))
 }
 
 // Submit implements engine.Strategy: C3 ranks replicas per sub-task batch
 // (the system model sends all requests for one replica group as a single
 // batched request) but is task-unaware — batches are independent.
-func (s *Strategy) Submit(ctx *engine.Context, task *core.Task, subs []core.SubTask) {
+func (s *C3) Submit(ctx *engine.Context, task *core.Task, subs []core.SubTask) {
 	for i := range subs {
 		if s.opts.PerRequest {
 			for _, r := range subs[i].Requests {
@@ -207,7 +200,7 @@ func (s *Strategy) Submit(ctx *engine.Context, task *core.Task, subs []core.SubT
 
 // send ranks replicas for a batch and dispatches it (or defers it under
 // rate limiting). All requests of a batch share a replica group.
-func (s *Strategy) send(c int, batch []*core.Request) {
+func (s *C3) send(c int, batch []*core.Request) {
 	if len(batch) == 0 {
 		return
 	}
@@ -248,7 +241,7 @@ func (s *Strategy) send(c int, batch []*core.Request) {
 
 // OnResponse implements engine.Strategy: fold the piggybacked feedback
 // into the EWMAs.
-func (s *Strategy) OnResponse(ctx *engine.Context, req *core.Request, server cluster.ServerID, fb engine.Feedback) {
+func (s *C3) OnResponse(ctx *engine.Context, req *core.Request, server cluster.ServerID, fb engine.Feedback) {
 	st := &s.state[req.Client][server]
 	st.outstand--
 	if st.outstand < 0 {
@@ -268,4 +261,4 @@ func (s *Strategy) OnResponse(ctx *engine.Context, req *core.Request, server clu
 }
 
 // Defers returns how many sends were deferred by rate control (test hook).
-func (s *Strategy) Defers() int { return s.defers }
+func (s *C3) Defers() int { return s.defers }

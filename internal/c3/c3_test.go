@@ -1,11 +1,16 @@
-package c3
+package c3_test
 
 import (
 	"testing"
 
+	"github.com/brb-repro/brb/internal/baseline"
 	"github.com/brb-repro/brb/internal/engine"
-	"github.com/brb-repro/brb/internal/sim"
 )
+
+// The simulator's C3 strategy is baseline.C3: it needs engine, which
+// imports loadgen and so the networked client this package serves. These
+// tests drive it end to end through engine.Run; the ones that inspect its
+// state are in baseline.
 
 func smallConfig() engine.Config {
 	cfg := engine.Defaults()
@@ -15,7 +20,7 @@ func smallConfig() engine.Config {
 }
 
 func TestRunCompletes(t *testing.T) {
-	s := New(Options{})
+	s := baseline.NewC3(baseline.C3Options{})
 	res, err := engine.Run(smallConfig(), s)
 	if err != nil {
 		t.Fatal(err)
@@ -29,11 +34,11 @@ func TestRunCompletes(t *testing.T) {
 }
 
 func TestDeterministic(t *testing.T) {
-	a, err := engine.Run(smallConfig(), New(Options{}))
+	a, err := engine.Run(smallConfig(), baseline.NewC3(baseline.C3Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := engine.Run(smallConfig(), New(Options{}))
+	b, err := engine.Run(smallConfig(), baseline.NewC3(baseline.C3Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,48 +47,12 @@ func TestDeterministic(t *testing.T) {
 	}
 }
 
-func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.withDefaults()
-	if o.Alpha != 0.9 || o.Beta != 0.2 {
-		t.Fatalf("alpha/beta = %v/%v", o.Alpha, o.Beta)
-	}
-	if o.RateInterval != 20*sim.Millisecond {
-		t.Fatalf("RateInterval = %v", o.RateInterval)
-	}
-	if o.SMax != 200 || o.CubicC != 0.000004 {
-		t.Fatalf("SMax/CubicC = %v/%v", o.SMax, o.CubicC)
-	}
-}
-
-func TestScorePenalizesQueues(t *testing.T) {
-	cfg := smallConfig()
-	s := New(Options{})
-	// Run briefly to get a context, then inspect scoring directly.
-	if _, err := engine.Run(cfg, s); err != nil {
-		t.Fatal(err)
-	}
-	// After the run s.ctx is populated. Outstanding load must raise the
-	// score (make the server less attractive).
-	base := s.score(0, 0)
-	s.state[0][0].outstand += 10
-	loaded := s.score(0, 0)
-	if loaded <= base {
-		t.Fatalf("score with outstanding=10 (%v) not above base (%v)", loaded, base)
-	}
-	s.state[0][0].outstand = 0
-	s.state[0][0].qEWMA += 20
-	queued := s.score(0, 0)
-	if queued <= base {
-		t.Fatalf("score with qEWMA+20 (%v) not above base (%v)", queued, base)
-	}
-}
-
 func TestSelectionAvoidsLoadedReplica(t *testing.T) {
 	// Under steady load, C3 must distribute across replicas rather than
 	// herding onto one. Check server utilization spread.
 	cfg := smallConfig()
 	cfg.Tasks = 20000
-	s := New(Options{})
+	s := baseline.NewC3(baseline.C3Options{})
 	res, err := engine.Run(cfg, s)
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +70,7 @@ func TestRateControlDefersUnderOverload(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Tasks = 20000
 	cfg.Load = 1.05 // transient overload forces rate limiting
-	s := New(Options{SMax: 40})
+	s := baseline.NewC3(baseline.C3Options{SMax: 40})
 	if _, err := engine.Run(cfg, s); err != nil {
 		t.Fatal(err)
 	}
@@ -111,31 +80,12 @@ func TestRateControlDefersUnderOverload(t *testing.T) {
 }
 
 func TestPerRequestModeCompletes(t *testing.T) {
-	s := New(Options{PerRequest: true})
+	s := baseline.NewC3(baseline.C3Options{PerRequest: true})
 	res, err := engine.Run(smallConfig(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.TaskLatency.Count == 0 {
 		t.Fatal("no tasks measured in per-request mode")
-	}
-}
-
-func TestFeedbackUpdatesEWMA(t *testing.T) {
-	cfg := smallConfig()
-	s := New(Options{})
-	if _, err := engine.Run(cfg, s); err != nil {
-		t.Fatal(err)
-	}
-	touched := 0
-	for c := range s.state {
-		for sv := range s.state[c] {
-			if s.state[c][sv].haveData {
-				touched++
-			}
-		}
-	}
-	if touched == 0 {
-		t.Fatal("no replica state ever received feedback")
 	}
 }

@@ -1,3 +1,8 @@
+// Package c3 is the replica ranking of C3 (Suresh, Canini, Schmid,
+// Feldmann — "C3: Cutting Tail Latency in Cloud Data Stores via Adaptive
+// Replica Selection", NSDI 2015): the Score formula and the Scorer that
+// keeps its feedback EWMAs, used by the networked cluster client, and the
+// hedge-delay quantile. The simulator's C3 strategy is baseline.C3.
 package c3
 
 import (
@@ -6,7 +11,7 @@ import (
 )
 
 // Score is C3's replica ranking function, shared verbatim by the
-// simulation strategy and the networked cluster client:
+// simulator's baseline.C3 and the networked cluster client:
 //
 //	score = R̄ − q̄·µ̄/m + (1 + o·n + q̄)³ · µ̄/m
 //
@@ -29,7 +34,7 @@ func Score(respEWMA, svcEWMA, qEWMA float64, outstanding int, clients, concurren
 
 // ScorerOptions tune a Scorer; zero values take the published defaults.
 type ScorerOptions struct {
-	// Alpha is the EWMA smoothing factor (default 0.9, as in Strategy).
+	// Alpha is the EWMA smoothing factor (default 0.9, as in baseline.C3).
 	Alpha float64
 	// Clients is the cluster-wide client count n used to extrapolate the
 	// caller's outstanding requests to total server pressure (default 1).
@@ -53,7 +58,7 @@ func (o ScorerOptions) withDefaults() ScorerOptions {
 }
 
 // Scorer is the engine-independent half of C3: per-replica EWMA state fed
-// by real response feedback, ranked with Score. The simulation Strategy
+// by real response feedback, ranked with Score. The simulator's baseline.C3
 // keeps its own state arrays (it also runs cubic rate control, which a
 // real client delegates to the credits controller); the networked
 // cluster client (internal/netstore.Cluster) keeps one Scorer per shard.

@@ -1,9 +1,10 @@
 // Package engine wires the simulation together: it builds the topology,
-// generates the workload trace, instantiates the backend tier for a
-// scheduling strategy, models the network (fixed one-way latency, 50 µs in
-// the paper), drives task arrivals through the client-side BRB pipeline
-// (decompose → estimate → prioritize → select replicas → send), and
-// records task/request latencies.
+// draws the workload from loadgen (the generator the real store's load
+// runs use) and gives it the simulator's service model, instantiates the
+// backend tier for a scheduling strategy, models the network (fixed
+// one-way latency, 50 µs in the paper), drives task arrivals through the
+// client-side BRB pipeline (decompose → estimate → prioritize → select
+// replicas → send), and records task/request latencies.
 package engine
 
 import (
@@ -16,7 +17,6 @@ import (
 	"github.com/brb-repro/brb/internal/queue"
 	"github.com/brb-repro/brb/internal/randx"
 	"github.com/brb-repro/brb/internal/sim"
-	"github.com/brb-repro/brb/internal/workload"
 )
 
 // Config describes one simulation run. Defaults() returns the paper's
@@ -33,29 +33,30 @@ type Config struct {
 	Tasks       int     // tasks to simulate (paper: ~500k)
 	MeanFanout  float64 // paper: 8.6
 	Keys        int
-	ZipfS       float64
-	GroupZipfS  float64 // partition-level popularity skew
+	ZipfS       float64 // key-popularity Zipf exponent (0 = uniform)
 	NoiseSigma  float64 // service-time forecast noise
 	WarmupFrac  float64 // leading fraction of tasks excluded from stats
 	Seed        uint64
 
-	// Size-distribution overrides (zero values take
-	// workload.DefaultSizeDist); exposed for sensitivity analysis.
+	// Size-distribution overrides (zero values take the bounded Pareto
+	// of SizeDist); exposed for sensitivity analysis.
 	SizeAlpha float64
 	SizeMin   float64
 	SizeMax   float64
-	// MaxFanout truncates the fan-out distribution (0 = generator
-	// default).
-	MaxFanout int
-	// BurstProb/BurstMin/BurstMax configure the playlist-burst fan-out
-	// mixture (see workload.Config); zero BurstProb disables bursts.
-	BurstProb          float64
-	BurstMin, BurstMax int
+	// BurstProb is the share of tasks that are playlist bursts with
+	// fan-out Uniform[50, 400]; zero disables bursts.
+	BurstProb float64
 }
 
-// SizeDist returns the value-size distribution for this config.
+// SizeDist returns the value-size distribution for this config: by
+// default a bounded Pareto (the paper generates sizes "using a Pareto
+// distribution based on [the Atikoglu et al.] study"), with a tail heavy
+// enough that a request's service time can exceed the mean by ~10-20×
+// — the skew task-aware scheduling exploits — while the largest value
+// (128 KiB) keeps per-request service in the single-millisecond range of
+// Figure 2's axis. Mean ≈ 5.0 KiB; P(size > 64 KiB) ≈ 1.2%.
 func (c Config) SizeDist() randx.BoundedPareto {
-	sd := workload.DefaultSizeDist()
+	sd := randx.BoundedPareto{Alpha: 1.0, L: 1024, H: 128 << 10}
 	if c.SizeAlpha > 0 {
 		sd.Alpha = c.SizeAlpha
 	}
@@ -84,7 +85,6 @@ func Defaults() Config {
 		MeanFanout:  8.6,
 		Keys:        100000,
 		ZipfS:       0.9,
-		GroupZipfS:  0.7,
 		BurstProb:   0.016,
 		NoiseSigma:  0.3,
 		WarmupFrac:  0.1,
@@ -111,37 +111,26 @@ func (c Config) Validate() error {
 		return fmt.Errorf("engine: Tasks %d must be positive", c.Tasks)
 	case c.WarmupFrac < 0 || c.WarmupFrac >= 1:
 		return fmt.Errorf("engine: WarmupFrac %v out of [0,1)", c.WarmupFrac)
+	case !(c.MeanFanout >= 1):
+		return fmt.Errorf("engine: MeanFanout %v must be >= 1", c.MeanFanout)
+	case c.Keys <= 0:
+		return fmt.Errorf("engine: Keys %d must be positive", c.Keys)
+	case c.ZipfS < 0:
+		return fmt.Errorf("engine: ZipfS %v must be >= 0", c.ZipfS)
+	case c.NoiseSigma < 0:
+		return fmt.Errorf("engine: NoiseSigma %v must be >= 0", c.NoiseSigma)
+	case c.BurstProb < 0 || c.BurstProb >= 1:
+		return fmt.Errorf("engine: BurstProb %v out of [0,1)", c.BurstProb)
+	case c.geometricMean() < 1:
+		return fmt.Errorf("engine: BurstProb %v leaves MeanFanout %v a geometric mean %.2f < 1", c.BurstProb, c.MeanFanout, c.geometricMean())
 	}
-	return nil
+	return c.SizeDist().Validate()
 }
 
 // CostModel derives the service-cost model implied by the config: mean
 // service time 1/ServiceRate at the mean value size, 30% size-independent.
 func (c Config) CostModel() core.CostModel {
 	return core.CalibrateCostModel(1e9/c.ServiceRate, c.SizeDist().Mean(), 0.3)
-}
-
-// WorkloadConfig derives the trace-generation config.
-func (c Config) WorkloadConfig() workload.Config {
-	sd := c.SizeDist()
-	cm := c.CostModel()
-	return workload.Config{
-		Tasks:             c.Tasks,
-		Clients:           c.Clients,
-		MeanFanout:        c.MeanFanout,
-		MaxFanout:         c.MaxFanout,
-		BurstProb:         c.BurstProb,
-		BurstMin:          c.BurstMin,
-		BurstMax:          c.BurstMax,
-		Keys:              c.Keys,
-		ZipfS:             c.ZipfS,
-		GroupZipfS:        c.GroupZipfS,
-		SizeDist:          sd,
-		CostModel:         cm,
-		ServiceNoiseSigma: c.NoiseSigma,
-		ArrivalRate:       workload.ArrivalRateForLoad(c.Load, c.Servers, c.Cores, cm, sd.Mean(), c.MeanFanout),
-		Seed:              c.Seed,
-	}
 }
 
 // Feedback is the per-response information a server piggybacks to the
@@ -242,14 +231,7 @@ type Result struct {
 
 // Run executes one simulation.
 func Run(cfg Config, s Strategy) (Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
-	topo, err := cluster.New(cluster.Config{Servers: cfg.Servers, Partitions: cfg.Partitions, Replication: cfg.Replication})
-	if err != nil {
-		return Result{}, err
-	}
-	trace, err := workload.Generate(cfg.WorkloadConfig(), topo)
+	topo, tasks, err := Workload(cfg)
 	if err != nil {
 		return Result{}, err
 	}
@@ -267,15 +249,15 @@ func Run(cfg Config, s Strategy) (Result, error) {
 
 	taskHist := metrics.NewLatencyHistogram()
 	reqHist := metrics.NewLatencyHistogram()
-	warmupCut := int(float64(len(trace.Tasks)) * cfg.WarmupFrac)
+	warmupCut := int(float64(len(tasks)) * cfg.WarmupFrac)
 
 	// Per-task countdown of outstanding requests, and a global response
 	// counter: the run ends when every response has arrived (periodic
 	// strategy processes — credit refills, rate ticks — reschedule
 	// themselves forever and must not keep the engine alive).
-	remaining := make([]int, len(trace.Tasks))
+	remaining := make([]int, len(tasks))
 	totalResponses := 0
-	for i, t := range trace.Tasks {
+	for i, t := range tasks {
 		remaining[i] = t.Fanout()
 		totalResponses += t.Fanout()
 	}
@@ -290,7 +272,7 @@ func Run(cfg Config, s Strategy) (Result, error) {
 		srv.OnComplete = func(req *core.Request, qlen int, waited sim.Time) {
 			fb := Feedback{QueueLen: qlen, Waited: waited, Service: req.Service}
 			eng.After(cfg.NetOneWay, func() {
-				task := trace.Tasks[req.TaskID]
+				task := tasks[req.TaskID]
 				reqHist.Record(eng.Now() - task.ArriveAt)
 				s.OnResponse(ctx, req, srv.ID, fb)
 				gotResponses++
@@ -308,10 +290,10 @@ func Run(cfg Config, s Strategy) (Result, error) {
 	// keeping the event heap small.
 	var scheduleTask func(i int)
 	scheduleTask = func(i int) {
-		if i >= len(trace.Tasks) {
+		if i >= len(tasks) {
 			return
 		}
-		task := trace.Tasks[i]
+		task := tasks[i]
 		eng.At(task.ArriveAt, func() {
 			subs := core.Prepare(task, assigner)
 			s.Submit(ctx, task, subs)

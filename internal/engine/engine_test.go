@@ -152,11 +152,39 @@ func TestValidateRejects(t *testing.T) {
 		func(c *Config) { c.Tasks = 0 },
 		func(c *Config) { c.WarmupFrac = 1 },
 	}
+	expectRejected(t, bad)
+}
+
+func TestValidateRejectsWorkloadFields(t *testing.T) {
+	expectRejected(t, []func(*Config){
+		func(c *Config) { c.MeanFanout = 0.5 },
+		func(c *Config) { c.Keys = 0 },
+		func(c *Config) { c.ZipfS = -1 },
+		func(c *Config) { c.NoiseSigma = -0.1 },
+		func(c *Config) { c.BurstProb = -0.01 },
+		func(c *Config) { c.BurstProb = 1 },
+		func(c *Config) { c.SizeMin = 1 << 20 }, // above SizeMax
+	})
+}
+
+func TestValidateRejectsBurstExceedingMean(t *testing.T) {
+	expectRejected(t, []func(*Config){
+		func(c *Config) { c.BurstProb = 0.5 }, // 0.5 × 225 ≫ 8.6: no geometric mean ≥ 1 is left
+	})
+}
+
+// expectRejected checks that each mutation of the defaults is refused by
+// both Validate and Run.
+func expectRejected(t *testing.T, bad []func(*Config)) {
+	t.Helper()
 	for i, mut := range bad {
 		cfg := Defaults()
 		mut(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Fatalf("bad config %d accepted by Validate", i)
+		}
 		if _, err := Run(cfg, &fifoRandom{}); err == nil {
-			t.Fatalf("bad config %d accepted", i)
+			t.Fatalf("bad config %d accepted by Run", i)
 		}
 	}
 }
@@ -183,7 +211,7 @@ func TestDefaultsMatchPaper(t *testing.T) {
 func TestCostModelCalibration(t *testing.T) {
 	cfg := Defaults()
 	cm := cfg.CostModel()
-	sd := cfg.WorkloadConfig().SizeDist
+	sd := cfg.SizeDist()
 	got := cm.Estimate(int64(sd.Mean()))
 	want := int64(1e9 / cfg.ServiceRate)
 	diff := got - want

@@ -7,18 +7,16 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"github.com/brb-repro/brb/internal/baseline"
-	"github.com/brb-repro/brb/internal/c3"
-	"github.com/brb-repro/brb/internal/cluster"
 	"github.com/brb-repro/brb/internal/core"
 	"github.com/brb-repro/brb/internal/credits"
 	"github.com/brb-repro/brb/internal/engine"
 	"github.com/brb-repro/brb/internal/metrics"
 	"github.com/brb-repro/brb/internal/model"
 	"github.com/brb-repro/brb/internal/sim"
-	"github.com/brb-repro/brb/internal/workload"
 )
 
 func newModel(a core.Assigner) engine.Strategy { return model.New(a) }
@@ -32,7 +30,7 @@ type StrategyFactory func() engine.Strategy
 // UnifIncr-Credits, UnifIncr-Model.
 func Figure2Strategies() map[string]StrategyFactory {
 	return map[string]StrategyFactory{
-		"C3":               func() engine.Strategy { return c3.New(c3.Options{}) },
+		"C3":               func() engine.Strategy { return baseline.NewC3(baseline.C3Options{}) },
 		"EqualMax-Credits": func() engine.Strategy { return credits.New(core.EqualMax{}, credits.Options{}) },
 		"EqualMax-Model":   func() engine.Strategy { return newModel(core.EqualMax{}) },
 		"UnifIncr-Credits": func() engine.Strategy { return credits.New(core.UnifIncr{}, credits.Options{}) },
@@ -294,18 +292,70 @@ func Variants(cfg engine.Config, seeds []uint64) (*metrics.Table, error) {
 	return tbl, nil
 }
 
-// TraceStats generates one trace with the given config and summarizes it —
-// the workload-validation table in EXPERIMENTS.md.
-func TraceStats(cfg engine.Config) (workload.Stats, error) {
-	topo, err := cluster.New(cluster.Config{Servers: cfg.Servers, Partitions: cfg.Partitions, Replication: cfg.Replication})
+// Stats summarizes one generated workload — the "Workload validation"
+// table in EXPERIMENTS.md.
+type Stats struct {
+	Tasks, Requests int
+	MeanFanout      float64
+	MaxFanout       int
+	MeanSize        float64 // bytes
+	MeanService     float64 // ns
+	HorizonSec      float64 // arrival time of the last task
+	TaskRatePerS    float64
+	// EffectiveLoad is the utilization the workload imposes on the tier
+	// while every client is still issuing: offered service time /
+	// (window × servers × cores). Each client issues an equal task
+	// count, so the last ones to finish thin the final ≈2% of the
+	// horizon; the window ends at the first client's last arrival.
+	EffectiveLoad float64
+	MeanEstErrPct float64 // mean |service−est|/est ×100
+	Groups        int     // replica groups in the run's topology
+}
+
+// TraceStats builds the workload engine.Run would simulate for cfg and
+// summarizes it.
+func TraceStats(cfg engine.Config) (Stats, error) {
+	topo, tasks, err := engine.Workload(cfg)
 	if err != nil {
-		return workload.Stats{}, err
+		return Stats{}, err
 	}
-	tr, err := workload.Generate(cfg.WorkloadConfig(), topo)
-	if err != nil {
-		return workload.Stats{}, err
+	st := Stats{Tasks: len(tasks), Groups: topo.NumPartitions()}
+	var sizeSum, svcSum, errSum float64
+	lastArrival := make([]int64, cfg.Clients)
+	for _, t := range tasks {
+		lastArrival[t.Client] = t.ArriveAt
+		st.Requests += t.Fanout()
+		st.MaxFanout = max(st.MaxFanout, t.Fanout())
+		for _, r := range t.Requests {
+			sizeSum += float64(r.Size)
+			svcSum += float64(r.Service)
+			errSum += math.Abs(float64(r.Service-r.EstCost)) / float64(r.EstCost)
+		}
 	}
-	return workload.ComputeStats(tr, topo, cfg.Clients), nil
+	n := float64(st.Requests)
+	st.MeanFanout = n / float64(st.Tasks)
+	st.MeanSize = sizeSum / n
+	st.MeanService = svcSum / n
+	st.MeanEstErrPct = errSum / n * 100
+	st.HorizonSec = float64(tasks[len(tasks)-1].ArriveAt) / 1e9
+	st.TaskRatePerS = float64(st.Tasks) / st.HorizonSec
+	steadyEnd := tasks[len(tasks)-1].ArriveAt
+	for _, l := range lastArrival {
+		if l > 0 { // a client with no tasks never issued
+			steadyEnd = min(steadyEnd, l)
+		}
+	}
+	var work float64
+	for _, t := range tasks {
+		if t.ArriveAt > steadyEnd {
+			break
+		}
+		for _, r := range t.Requests {
+			work += float64(r.Service)
+		}
+	}
+	st.EffectiveLoad = work / float64(steadyEnd) / float64(cfg.Servers*cfg.Cores)
+	return st, nil
 }
 
 // SortedNames returns strategy map keys in deterministic order (helper for

@@ -138,8 +138,8 @@ func TestTraceStatsPartitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.GroupShare) != 27 {
-		t.Fatalf("trace spans %d replica groups, want 27", len(st.GroupShare))
+	if st.Groups != 27 {
+		t.Fatalf("trace spans %d replica groups, want 27", st.Groups)
 	}
 }
 

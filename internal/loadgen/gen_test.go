@@ -6,8 +6,12 @@ package loadgen
 // tests) but every check fails loudly if a generator's shape breaks.
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -358,5 +362,58 @@ func TestSubstreamIsolation(t *testing.T) {
 		if !reflect.DeepEqual(filter(base, c.Name), filter(more, c.Name)) {
 			t.Fatalf("client %s stream changed when an unrelated client was added", c.Name)
 		}
+	}
+}
+
+// goldenSpec is shaped like the bench/ workloads: open-loop Poisson
+// clients over Zipf and uniform keys, playlist bursts, three SLO
+// classes and a write/delete mix.
+func goldenSpec() *Spec {
+	return &Spec{
+		Name: "golden", Seed: 42, Keys: 2000,
+		Classes: []ClassSpec{{Name: "interactive", Priority: 0}, {Name: "batch", Priority: 1}, {Name: "bulk", Priority: 2}},
+		Clients: []ClientSpec{
+			{Name: "web", Class: "interactive", Workers: 4, Ops: 600,
+				Arrival: ArrivalSpec{Process: "poisson", Rate: 500},
+				Keys:    KeySpec{Dist: "zipf", S: 0.9},
+				Fanout:  FanoutSpec{Mean: 8.6, BurstProb: 0.02, BurstMin: 24, BurstMax: 40}},
+			{Name: "mix", Class: "batch", Workers: 2, Ops: 300,
+				Arrival: ArrivalSpec{Process: "poisson", Rate: 300},
+				Keys:    KeySpec{Dist: "uniform"},
+				Sizes:   SizeSpec{Dist: "pareto", Alpha: 1.0, Min: 256, Max: 64 << 10},
+				Mix:     MixSpec{Write: 0.5, Delete: 0.05},
+				Fanout:  FanoutSpec{Mean: 4}},
+			{Name: "cron", Class: "bulk", Workers: 1, Ops: 100,
+				Arrival: ArrivalSpec{Process: "poisson", Rate: 50},
+				Keys:    KeySpec{Dist: "uniform"},
+				Fanout:  FanoutSpec{Mean: 32, Max: 64}},
+		},
+	}
+}
+
+// TestGenerateGolden pins the recorded bytes of one generated op stream,
+// so a change anywhere under Generate (RNG split order, draw order per
+// op, a distribution's arithmetic) that would alter what a fixed spec —
+// and so every bench/ workload — replays fails here rather than passing
+// the same-process determinism check above.
+func TestGenerateGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		// Go may fuse multiply-adds on other architectures, which moves
+		// the last bit of the Pareto size draws.
+		t.Skipf("golden hash recorded on amd64, not %s", runtime.GOARCH)
+	}
+	const want = "8b6d96424f9aa7d012614006f6be67d7383c5ac69f90e0a74fc9a258b6730f9e"
+	spec := goldenSpec()
+	ops, err := Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteTrace(&buf, NewTraceHeader(spec), ops); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("op stream of the golden spec changed: sha256 %s, want %s (%d ops, %d bytes)", got, want, len(ops), buf.Len())
 	}
 }

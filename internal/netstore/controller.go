@@ -6,7 +6,7 @@ import (
 	"sync"
 	"time"
 
-	"github.com/brb-repro/brb/internal/credits"
+	"github.com/brb-repro/brb/internal/core"
 	"github.com/brb-repro/brb/internal/wire"
 )
 
@@ -15,7 +15,7 @@ type ControllerOptions struct {
 	// Clients and Servers are the tier dimensions.
 	Clients, Servers int
 	// CapacityPerNano is one server's parallel service capacity
-	// (= worker count); see credits.NewController.
+	// (= worker count); see core.NewCreditController.
 	CapacityPerNano float64
 	// Interval is the grant period (default 100 ms).
 	Interval time.Duration
@@ -33,13 +33,13 @@ func (o ControllerOptions) withDefaults() ControllerOptions {
 
 // ControllerServer is the logically-centralized credits controller as a
 // network service: clients connect, stream demand reports, and receive
-// periodic credit grants. The allocation logic is credits.Controller —
+// periodic credit grants. The allocation logic is core.CreditController —
 // the exact code the simulator validates.
 type ControllerServer struct {
 	opts ControllerOptions
 
 	mu      sync.Mutex
-	ctrl    *credits.Controller
+	ctrl    *core.CreditController
 	demand  [][]float64
 	clients map[int]*connState
 	ln      net.Listener
@@ -53,7 +53,7 @@ func NewControllerServer(opts ControllerOptions) *ControllerServer {
 	opts = opts.withDefaults()
 	cs := &ControllerServer{
 		opts:    opts,
-		ctrl:    credits.NewController(opts.Clients, opts.Servers, opts.CapacityPerNano),
+		ctrl:    core.NewCreditController(opts.Clients, opts.Servers, opts.CapacityPerNano),
 		clients: make(map[int]*connState),
 		stopCh:  make(chan struct{}),
 	}

@@ -4,7 +4,7 @@
 GO ?= go
 BIN := bin
 
-.PHONY: all build lint vet fmt test race bench bench-check check clean
+.PHONY: all build lint vet fmt test race fuzz-smoke bench bench-check check clean
 
 all: build
 
@@ -36,6 +36,12 @@ race:
 	$(GO) test -race -count=10 -run 'TestSched' ./internal/netstore/
 	$(GO) test -race -run 'HotKeyCache|ClusterCache|CacheReplay' ./internal/netstore/
 
+# Every decoder is fuzzed for a short while beyond its seed corpus (which
+# `test` already runs): the spec reader and the wire codec.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime 15s ./internal/loadgen
+	$(GO) test -run '^$$' -fuzz FuzzDecodeModes -fuzztime 15s ./internal/wire
+
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 100x -benchmem ./internal/wire/ ./internal/netstore/
 
@@ -44,7 +50,7 @@ bench:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-check: fmt lint build test race bench-check
+check: fmt lint build test race fuzz-smoke bench-check
 
 clean:
 	rm -rf $(BIN)

@@ -10,7 +10,7 @@
 // runs (-print-spec shows it):
 //
 //	brb-load -servers 127.0.0.1:7071,127.0.0.1:7072,127.0.0.1:7073
-//	brb-load -spawn -shards 2 -replication 2 -spec cmd/brb-load/testdata/crash-recovery.yaml
+//	brb-load -spawn -shards 2 -replication 2 -spec cmd/brb-load/testdata/crash-recovery.json
 //
 // The deployment is -shards × -replication servers (default 1 × 3):
 // -servers lists them in dense shard·R+replica order, as launched by
@@ -26,6 +26,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -113,8 +114,8 @@ func configure(args []string, stdout, stderr io.Writer) (*config, error) {
 	fs.IntVar(&cfg.cache, "cache", 0, "hot-key cache entries per client, an admission-filtered LRU (0 = off)")
 	fs.BoolVar(&cfg.skipLoad, "skip-load", false, "skip the initial data load")
 	fs.BoolVar(&cfg.allocStats, "allocstats", false, "report client-process allocs/op and bytes/op over the measurement phase")
-	specPath := fs.String("spec", "", "the run's spec, YAML or JSON (see internal/loadgen); empty = the built-in default")
-	printSpec := fs.Bool("print-spec", false, "print the effective spec as canonical YAML and exit")
+	specPath := fs.String("spec", "", "the run's spec, a JSON file (see internal/loadgen); empty = the built-in default")
+	printSpec := fs.Bool("print-spec", false, "print the effective spec, every default filled in, as indented JSON and exit")
 	fs.StringVar(&cfg.record, "record", "", "record the run's op trace (timeline in its header) to this JSONL file before executing; a .gz suffix compresses")
 	replay := fs.String("replay", "", "replay a recorded trace, faults included, instead of generating from a spec")
 	if err := fs.Parse(args); err != nil {
@@ -154,7 +155,11 @@ func configure(args []string, stdout, stderr io.Writer) (*config, error) {
 			return nil, err
 		}
 		if *printSpec {
-			fmt.Fprint(stdout, loadgen.EncodeYAML(spec))
+			js, err := json.MarshalIndent(spec, "", "  ")
+			if err != nil {
+				return nil, err
+			}
+			fmt.Fprintf(stdout, "%s\n", js)
 			return nil, nil
 		}
 		if cfg.ops, err = loadgen.Generate(spec); err != nil {
@@ -180,16 +185,14 @@ func configure(args []string, stdout, stderr io.Writer) (*config, error) {
 // SoundCloud-like closed loop of the paper's evaluation — multigets of
 // mean fan-out 8.6 with 2 % playlist-sized bursts over Pareto-sized
 // values. -print-spec shows it with every default spelled out.
-const defaultSpec = `
-name: default
-seed: 1
-keys: 1000
-clients:
-  - name: load
-    workers: 4
-    ops: 5000
-    fanout: {mean: 8.6, burst_prob: 0.02}
-`
+const defaultSpec = `{
+  "name": "default",
+  "seed": 1,
+  "keys": 1000,
+  "clients": [
+    {"name": "load", "workers": 4, "ops": 5000, "fanout": {"mean": 8.6, "burst_prob": 0.02}}
+  ]
+}`
 
 // loadSpec returns the normalized spec in the file at path, or the
 // default when path is empty.

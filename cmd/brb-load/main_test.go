@@ -16,23 +16,24 @@ import (
 
 // A 300ms open-loop run over 60 keys, 30 % writes: long enough for a
 // fault and its undoing to land under traffic, short enough to run one
-// per verb. Timelines are appended per test.
-const baseSpec = `name: t
-seed: 7
-keys: 60
-clients:
-  - name: load
-    workers: 2
-    ops: 600
-    arrival: {process: fixed, rate: 2000}
-    mix: {write: 0.3}
-    fanout: {mean: 4}
-`
+// per verb. Timelines are filled in per test.
+const baseSpec = `{
+  "name": "t",
+  "seed": 7,
+  "keys": 60,
+  "clients": [
+    {"name": "load", "workers": 2, "ops": 600, "arrival": {"process": "fixed", "rate": 2000},
+     "mix": {"write": 0.3}, "fanout": {"mean": 4}}
+  ],
+  "faults": [%s]
+}`
 
+// writeSpec writes baseSpec with the given faults list (the items of a
+// JSON array) and returns its path.
 func writeSpec(t *testing.T, faults string) string {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "spec.yaml")
-	if err := os.WriteFile(path, []byte(baseSpec+faults), 0o644); err != nil {
+	path := filepath.Join(t.TempDir(), "spec.json")
+	if err := os.WriteFile(path, []byte(fmt.Sprintf(baseSpec, faults)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -81,16 +82,16 @@ func TestRejectedBeforeDialing(t *testing.T) {
 		args         []string
 		want         string
 	}{
-		{"unknown verb", "faults:\n  - {at: 1s, do: melt, target: 0/0}\n", cluster, "unknown verb"},
-		{"restart without crash", "faults:\n  - {at: 1s, do: restart, target: 0/1}\n", cluster, "no crash of 0/1 is in force"},
-		{"out of order", "faults:\n  - {at: 2s, do: sever, target: 0/1}\n  - {at: 1s, do: restore, target: 0/1}\n", cluster, "time order"},
-		{"shard out of range", "faults:\n  - {at: 1s, do: sever, target: 2/0}\n", cluster, "no such replica"},
-		{"replica out of range", "faults:\n  - {at: 1s, do: slow, target: 1/2, arg: 1ms}\n", cluster, "no such replica"},
-		{"removed shard", "faults:\n  - {at: 1s, do: remove-shard}\n  - {at: 2s, do: sever, target: 1/0}\n", cluster, "no such replica"},
-		{"last shard", "faults:\n  - {at: 1s, do: remove-shard}\n", []string{"-spawn"}, "cannot remove the last shard"},
-		{"crash without spawn", "faults:\n  - {at: 1s, do: crash, target: 0/1}\n", nil, "needs -spawn"},
-		{"slow without spawn", "faults:\n  - {at: 0s, do: slow, target: 0/1, arg: 1ms}\n", nil, "needs -spawn"},
-		{"crash unreplicated", "faults:\n  - {at: 1s, do: crash, target: 0/0}\n", []string{"-spawn", "-shards", "2", "-replication", "1"}, "needs -replication >= 2"},
+		{"unknown verb", `{"at": "1s", "do": "melt", "target": "0/0"}`, cluster, "unknown verb"},
+		{"restart without crash", `{"at": "1s", "do": "restart", "target": "0/1"}`, cluster, "no crash of 0/1 is in force"},
+		{"out of order", `{"at": "2s", "do": "sever", "target": "0/1"}, {"at": "1s", "do": "restore", "target": "0/1"}`, cluster, "time order"},
+		{"shard out of range", `{"at": "1s", "do": "sever", "target": "2/0"}`, cluster, "no such replica"},
+		{"replica out of range", `{"at": "1s", "do": "slow", "target": "1/2", "arg": "1ms"}`, cluster, "no such replica"},
+		{"removed shard", `{"at": "1s", "do": "remove-shard"}, {"at": "2s", "do": "sever", "target": "1/0"}`, cluster, "no such replica"},
+		{"last shard", `{"at": "1s", "do": "remove-shard"}`, []string{"-spawn"}, "cannot remove the last shard"},
+		{"crash without spawn", `{"at": "1s", "do": "crash", "target": "0/1"}`, nil, "needs -spawn"},
+		{"slow without spawn", `{"at": "0s", "do": "slow", "target": "0/1", "arg": "1ms"}`, nil, "needs -spawn"},
+		{"crash unreplicated", `{"at": "1s", "do": "crash", "target": "0/0"}`, []string{"-spawn", "-shards", "2", "-replication", "1"}, "needs -replication >= 2"},
 		{"address count", "", []string{"-shards", "2"}, "3 addresses for 2 shards × 3 replicas"},
 		{"replay and spec", "", []string{"-replay", "x.jsonl"}, "mutually exclusive"},
 		{"bad hedge", "", []string{"-hedge", "sometimes"}, "want off, fixed, or adaptive"},
@@ -111,7 +112,7 @@ func TestTimelineVerbs(t *testing.T) {
 	cluster := []string{"-spawn", "-shards", "2", "-replication", "2", "-probe-interval", "20ms"}
 	t.Run("sever restore", func(t *testing.T) {
 		code, stdout, stderr := brbLoad(append(cluster, "-spec", writeSpec(t,
-			"faults:\n  - {at: 50ms, do: sever, target: 1/0}\n  - {at: 150ms, do: restore, target: 1/0}\n"))...)
+			`{"at": "50ms", "do": "sever", "target": "1/0"}, {"at": "150ms", "do": "restore", "target": "1/0"}`))...)
 		if code != 0 {
 			t.Errorf("exit %d", code)
 		}
@@ -120,7 +121,7 @@ func TestTimelineVerbs(t *testing.T) {
 	})
 	t.Run("crash restart", func(t *testing.T) {
 		code, stdout, stderr := brbLoad(append(cluster, "-spec", writeSpec(t,
-			"faults:\n  - {at: 50ms, do: crash, target: 0/1}\n  - {at: 150ms, do: restart, target: 0/1}\n"))...)
+			`{"at": "50ms", "do": "crash", "target": "0/1"}, {"at": "150ms", "do": "restart", "target": "0/1"}`))...)
 		if code != 0 {
 			t.Errorf("exit %d", code)
 		}
@@ -140,7 +141,7 @@ func TestTimelineVerbs(t *testing.T) {
 	})
 	t.Run("slow", func(t *testing.T) {
 		code, stdout, stderr := brbLoad(append(cluster, "-hedge", "fixed", "-hedge-delay", "1ms", "-spec", writeSpec(t,
-			"faults:\n  - {at: 0s, do: slow, target: 0/0, arg: 10ms}\n"))...)
+			`{"at": "0s", "do": "slow", "target": "0/0", "arg": "10ms"}`))...)
 		if code != 0 {
 			t.Errorf("exit %d", code)
 		}
@@ -152,7 +153,7 @@ func TestTimelineVerbs(t *testing.T) {
 		// same constructor as the initial servers, WAL directory and all.
 		dataDir := t.TempDir()
 		code, stdout, stderr := brbLoad(append(cluster, "-data-dir", dataDir, "-fsync", "never", "-spec", writeSpec(t,
-			"faults:\n  - {at: 50ms, do: add-shard}\n"))...)
+			`{"at": "50ms", "do": "add-shard"}`))...)
 		if code != 0 {
 			t.Errorf("exit %d", code)
 		}
@@ -166,7 +167,7 @@ func TestTimelineVerbs(t *testing.T) {
 	})
 	t.Run("remove-shard", func(t *testing.T) {
 		code, stdout, stderr := brbLoad("-spawn", "-shards", "3", "-replication", "2", "-spec", writeSpec(t,
-			"faults:\n  - {at: 50ms, do: remove-shard}\n"))
+			`{"at": "50ms", "do": "remove-shard"}`))
 		if code != 0 {
 			t.Errorf("exit %d", code)
 		}
@@ -194,7 +195,7 @@ func assertWALTreeGone(t *testing.T, stderr string) {
 // ran. The crashed replica is never restarted, so verify cannot scan it.
 func TestFailedRunCleansUp(t *testing.T) {
 	code, stdout, stderr := brbLoad("-spawn", "-shards", "2", "-replication", "2", "-spec", writeSpec(t,
-		"faults:\n  - {at: 50ms, do: crash, target: 0/1}\n"))
+		`{"at": "50ms", "do": "crash", "target": "0/1"}`))
 	if code != 1 {
 		t.Errorf("exit %d, want 1", code)
 	}
@@ -272,7 +273,7 @@ func TestRecordReplayWithFaults(t *testing.T) {
 	dir := t.TempDir()
 	t1, t2 := filepath.Join(dir, "t1.jsonl"), filepath.Join(dir, "t2.jsonl")
 	cluster := []string{"-spawn", "-shards", "2", "-replication", "2", "-probe-interval", "20ms"}
-	spec := writeSpec(t, "faults:\n  - {at: 0s, do: slow, target: 0/0, arg: 1ms}\n  - {at: 50ms, do: sever, target: 1/1}\n  - {at: 120ms, do: restore, target: 1/1}\n")
+	spec := writeSpec(t, `{"at": "0s", "do": "slow", "target": "0/0", "arg": "1ms"}, {"at": "50ms", "do": "sever", "target": "1/1"}, {"at": "120ms", "do": "restore", "target": "1/1"}`)
 	if code, stdout, stderr := brbLoad(append(cluster, "-spec", spec, "-record", t1)...); code != 0 {
 		t.Fatalf("recorded run: exit %d\n%s%s", code, stdout, stderr)
 	}
@@ -297,9 +298,9 @@ func TestPrintSpecIsTheDefaultRun(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d", code)
 	}
-	mustContain(t, "stdout", stdout, `(?m)^name: default$`, `(?m)^keys: 1000$`, `(?m)^    ops: 5000$`, `(?m)^      mean: 8\.6$`)
+	mustContain(t, "stdout", stdout, `(?m)^  "name": "default",$`, `(?m)^  "keys": 1000,$`, `(?m)^      "ops": 5000,$`, `(?m)^        "mean": 8\.6,$`)
 	// What it prints is a spec file: feeding it back changes nothing.
-	path := filepath.Join(t.TempDir(), "default.yaml")
+	path := filepath.Join(t.TempDir(), "default.json")
 	if err := os.WriteFile(path, []byte(stdout), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -58,8 +58,7 @@ func main() {
 	discipline := flag.String("discipline", "priority", "scheduling discipline: priority | fifo")
 	base := flag.Duration("service-base", 0, "injected size-independent service time (0 = none)")
 	perByte := flag.Duration("service-perbyte", 0, "injected per-byte service time")
-	tombHorizon := flag.Duration("tombstone-horizon", 0, "drop delete tombstones older than this (0 = keep forever; must exceed the longest replay window)")
-	tombInterval := flag.Duration("tombstone-gc-interval", 0, "tombstone sweep tick (default horizon/10, floor 1s; each tick sweeps 1/64 of the store)")
+	tombHorizon := flag.Duration("tombstone-horizon", 0, "drop delete tombstones older than this, sweeping every horizon/10 (floor 1s) (0 = keep forever; must exceed the longest replay window)")
 	dataDir := flag.String("data-dir", "", "durable mode: WAL + snapshot directory (empty = memory-only; group mode appends replica-N per address)")
 	fsync := flag.String("fsync", "always", "WAL fsync policy with -data-dir: always | interval | never")
 	snapInterval := flag.Duration("snapshot-interval", time.Minute, "periodic snapshot (and WAL truncation) period with -data-dir")
@@ -81,8 +80,7 @@ func main() {
 		os.Exit(2)
 	}
 	opts := netstore.ServerOptions{
-		Workers: *workers, Discipline: disc,
-		TombstoneGCHorizon: *tombHorizon, TombstoneGCInterval: *tombInterval,
+		Workers: *workers, Discipline: disc, TombstoneGCHorizon: *tombHorizon,
 		Fsync: fsyncPolicy, SnapshotInterval: *snapInterval,
 	}
 	if *shard >= 0 {

@@ -43,8 +43,6 @@ import (
 type DurableOptions struct {
 	// Fsync is the WAL sync policy (default FsyncAlways).
 	Fsync FsyncPolicy
-	// FsyncInterval is the FsyncInterval ticker period (default 50ms).
-	FsyncInterval time.Duration
 	// SegmentBytes triggers WAL rotation (default 8 MiB).
 	SegmentBytes int64
 	// SnapshotInterval starts a periodic snapshot loop when > 0.
@@ -150,10 +148,9 @@ func OpenDurable(dir string, store *Store, opts DurableOptions) (*Durable, Repla
 	}
 
 	w, err := openWAL(dir, walOptions{
-		fsync:         opts.Fsync,
-		fsyncInterval: opts.FsyncInterval,
-		segmentBytes:  opts.SegmentBytes,
-		fault:         opts.Fault,
+		fsync:        opts.Fsync,
+		segmentBytes: opts.SegmentBytes,
+		fault:        opts.Fault,
 	})
 	if err != nil {
 		return nil, stats, err

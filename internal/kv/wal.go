@@ -16,9 +16,9 @@ package kv
 //	FsyncAlways   every Append returns only after an fsync covers its
 //	              record (group-committed). Acked ⇒ durable.
 //	FsyncInterval appends return once the record reaches the file; a
-//	              background ticker fsyncs every FsyncInterval. Acked ⇒
-//	              durable within one interval, unless the process and
-//	              the machine die together inside it.
+//	              background ticker fsyncs every fsyncTick (50ms). Acked
+//	              ⇒ durable within one tick, unless the process and the
+//	              machine die together inside it.
 //	FsyncNever    no fsyncs; the OS flushes when it pleases. For
 //	              benchmarks and data you can re-derive.
 //
@@ -77,20 +77,19 @@ var (
 	snapshotErrors    = metrics.GetCounter("kv_snapshot_errors_total")
 )
 
+// fsyncTick is the FsyncInterval policy's background sync period.
+const fsyncTick = 50 * time.Millisecond
+
 // walOptions configure a WAL (set through DurableOptions).
 type walOptions struct {
-	fsync         FsyncPolicy
-	fsyncInterval time.Duration
-	segmentBytes  int64
-	fault         *DiskFaultInjector
+	fsync        FsyncPolicy
+	segmentBytes int64
+	fault        *DiskFaultInjector
 }
 
 func (o walOptions) withDefaults() walOptions {
 	if o.fsync == "" {
 		o.fsync = FsyncAlways
-	}
-	if o.fsyncInterval <= 0 {
-		o.fsyncInterval = 50 * time.Millisecond
 	}
 	if o.segmentBytes <= 0 {
 		o.segmentBytes = 8 << 20
@@ -352,7 +351,7 @@ func (w *wal) rotateLocked() error {
 // whatever has accumulated.
 func (w *wal) syncLoop() {
 	defer w.tickWG.Done()
-	ticker := time.NewTicker(w.opts.fsyncInterval)
+	ticker := time.NewTicker(fsyncTick)
 	defer ticker.Stop()
 	for {
 		select {

@@ -10,6 +10,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
@@ -242,7 +244,7 @@ func TestSizeDistributions(t *testing.T) {
 }
 
 func statSpec() *Spec {
-	spec, err := ParseSpec([]byte(specYAML))
+	spec, err := ParseSpec([]byte(specJSON))
 	if err != nil {
 		panic(err)
 	}
@@ -415,5 +417,54 @@ func TestGenerateGolden(t *testing.T) {
 	sum := sha256.Sum256(buf.Bytes())
 	if got := hex.EncodeToString(sum[:]); got != want {
 		t.Fatalf("op stream of the golden spec changed: sha256 %s, want %s (%d ops, %d bytes)", got, want, len(ops), buf.Len())
+	}
+}
+
+// TestCheckedInSpecsGolden pins the op stream of every spec brb-load's
+// CI smokes run, so an edit to a checked-in spec — or to how ParseSpec
+// reads one — that would change what the smoke replays fails here. The
+// hashes were first recorded from the specs' earlier YAML form.
+func TestCheckedInSpecsGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden hashes recorded on amd64, not %s", runtime.GOARCH)
+	}
+	want := map[string]string{
+		"add-shard.json":      "e0d51fe26b0974ba0e6d6bafe4002e002bde9748e363b5b27b042d1902382a58",
+		"crash-recovery.json": "faff8471ad9354c2ae4ec3fe73eb17c336908dbe5d4af0802bd031b17715ae83",
+		"default-layout.json": "39447e648bbd653cd7e961162aae2262bbd4816b292f7a80d7da5b4859b8bd25",
+		"hedged-slow.json":    "26035d91d09597801594952804af7706b8175fb2567a7399d9407ff1db4d1aab",
+		"remove-shard.json":   "73ff75821ecc7eb2e2ee92c2961e7170f88e1308089a8a5a6b3d8f65ce9a4a23",
+		"saturate.json":       "c98b1d614d89f42c5f93ae0f8fc6f13ebf4805b068caee78581d1b497dde81e5",
+		"sever-restore.json":  "25cdac03569b2ebbafabec11ed43412e544e9f00161a30d945321141be4115f4",
+		"three-class.json":    "20027780c595b5dd795180587ef093c63c3d5868edbee4f8fa81702224db1539",
+	}
+	paths, err := filepath.Glob("../../cmd/brb-load/testdata/*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) != len(want) {
+		t.Fatalf("%d checked-in specs, %d pinned: pin every spec", len(paths), len(want))
+	}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := ParseSpec(data)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		ops, err := Generate(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		var buf bytes.Buffer
+		if err := WriteTrace(&buf, NewTraceHeader(spec), ops); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		if got, name := hex.EncodeToString(sum[:]), filepath.Base(path); got != want[name] {
+			t.Errorf("%s: op stream sha256 %s, want %s", name, got, want[name])
+		}
 	}
 }

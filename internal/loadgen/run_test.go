@@ -73,29 +73,21 @@ func (s *captureStore) Close() { s.closed.Store(true) }
 
 func runSpec(t *testing.T) *Spec {
 	t.Helper()
-	spec, err := ParseSpec([]byte(`
-name: run-test
-seed: 9
-keys: 100
-classes:
-  - name: gold
-    priority: 0
-  - name: bronze
-    priority: 2
-clients:
-  - name: fast
-    class: gold
-    workers: 2
-    ops: 40
-    keys: {dist: uniform}
-    fanout: {mean: 2}
-  - name: slow
-    class: bronze
-    ops: 30
-    keys: {dist: uniform}
-    mix: {write: 0.3, delete: 0.1}
-    fanout: {mean: 1}
-`))
+	spec, err := ParseSpec([]byte(`{
+  "name": "run-test",
+  "seed": 9,
+  "keys": 100,
+  "classes": [
+    {"name": "gold", "priority": 0},
+    {"name": "bronze", "priority": 2}
+  ],
+  "clients": [
+    {"name": "fast", "class": "gold", "workers": 2, "ops": 40,
+     "keys": {"dist": "uniform"}, "fanout": {"mean": 2}},
+    {"name": "slow", "class": "bronze", "ops": 30,
+     "keys": {"dist": "uniform"}, "mix": {"write": 0.3, "delete": 0.1}, "fanout": {"mean": 1}}
+  ]
+}`))
 	if err != nil {
 		t.Fatalf("ParseSpec: %v", err)
 	}
@@ -247,17 +239,15 @@ func TestRunCountsHardErrors(t *testing.T) {
 func TestRunPacedOpenLoop(t *testing.T) {
 	// A small paced stream: 40 ops at 10k/s is 4ms of schedule. The
 	// point is the paced path (timers, in-flight cap), not throughput.
-	spec, err := ParseSpec([]byte(`
-name: paced
-seed: 11
-keys: 50
-clients:
-  - name: open
-    ops: 40
-    arrival: {process: poisson, rate: 10000}
-    keys: {dist: uniform}
-    fanout: {mean: 1}
-`))
+	spec, err := ParseSpec([]byte(`{
+  "name": "paced",
+  "seed": 11,
+  "keys": 50,
+  "clients": [
+    {"name": "open", "ops": 40, "arrival": {"process": "poisson", "rate": 10000},
+     "keys": {"dist": "uniform"}, "fanout": {"mean": 1}}
+  ]
+}`))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,5 +1,5 @@
 // Package loadgen is the declarative workload engine behind brb-load:
-// a spec (YAML or JSON) names multiple clients, each with its own
+// a spec (JSON) names multiple clients, each with its own
 // arrival process (closed-loop, fixed-rate, open-loop Poisson, bursty
 // on/off, diurnal ramp), key popularity (uniform, Zipf, hotspot set
 // with churn), value-size distribution (fixed, bounded Pareto,
@@ -21,8 +21,10 @@
 package loadgen
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 	"time"
@@ -510,34 +512,66 @@ func normalizeFanout(f *FanoutSpec, client string) error {
 	return nil
 }
 
-// ParseSpec parses a YAML or JSON workload spec: data whose first
-// non-space byte is '{' is JSON; everything else goes through the
-// in-tree YAML subset reader (block maps/lists by indentation, flow
-// {..}/[..], quoted strings, comments). Unknown fields are errors in
-// both forms — a typoed knob must not silently fall back to a default.
+// ParseSpec parses a JSON workload spec. An unknown field, a key given
+// twice in one object and anything after the spec are errors — a typoed
+// or repeated knob must not silently fall back to a default or to the
+// last value given.
 func ParseSpec(data []byte) (*Spec, error) {
-	trimmed := strings.TrimSpace(string(data))
-	var jsonBytes []byte
-	if strings.HasPrefix(trimmed, "{") {
-		jsonBytes = []byte(trimmed)
-	} else {
-		tree, err := parseYAML(data)
-		if err != nil {
-			return nil, err
-		}
-		jsonBytes, err = json.Marshal(tree)
-		if err != nil {
-			return nil, fmt.Errorf("loadgen: internal yaml→json: %w", err)
-		}
-	}
-	dec := json.NewDecoder(strings.NewReader(string(jsonBytes)))
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	spec := &Spec{}
 	if err := dec.Decode(spec); err != nil {
+		return nil, fmt.Errorf("loadgen: bad spec: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("loadgen: bad spec: data after the spec (one spec per file)")
+	}
+	if err := duplicateKey(json.NewDecoder(bytes.NewReader(data))); err != nil {
 		return nil, fmt.Errorf("loadgen: bad spec: %w", err)
 	}
 	if err := spec.Normalize(); err != nil {
 		return nil, err
 	}
 	return spec, nil
+}
+
+// duplicateKey walks the next JSON value token by token and reports the
+// first object key given twice, which Decode would resolve silently to
+// the last. Keys compare the way Decode matches them to fields: without
+// case.
+func duplicateKey(dec *json.Decoder) error {
+	tok, err := dec.Token()
+	if err != nil {
+		return err
+	}
+	switch tok {
+	case json.Delim('{'):
+		var seen []string
+		for dec.More() {
+			tok, err := dec.Token()
+			if err != nil {
+				return err
+			}
+			key := tok.(string)
+			for _, k := range seen {
+				if strings.EqualFold(k, key) {
+					return fmt.Errorf("duplicate key %q", key)
+				}
+			}
+			seen = append(seen, key)
+			if err := duplicateKey(dec); err != nil {
+				return err
+			}
+		}
+	case json.Delim('['):
+		for dec.More() {
+			if err := duplicateKey(dec); err != nil {
+				return err
+			}
+		}
+	default:
+		return nil
+	}
+	_, err = dec.Token() // the closing delimiter
+	return err
 }

@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,74 +10,64 @@ import (
 	"time"
 )
 
-const specYAML = `# A three-way production-shaped workload.
-name: three-class
-seed: 42
-keys: 5000
-classes:
-  - name: interactive
-    priority: 0
-  - name: bulk
-    priority: 2
-  - {name: batch, priority: 1}
-clients:
-  - name: web
-    class: interactive
-    workers: 4
-    ops: 1000
-    arrival:
-      process: poisson
-      rate: 2000
-    keys:
-      dist: zipf
-      s: 1.1
-    sizes:
-      dist: pareto
-    mix: {write: 0.1}
-    fanout:
-      mean: 4
-      burst_prob: 0.02   # playlist bursts
-  - name: etl
-    class: bulk
-    ops: 200
-    arrival: {process: onoff, rate: 500, on: 100ms, off: 400ms}
-    keys: {dist: uniform}
-    sizes: {dist: lognormal, mean_bytes: 4096, sigma: 0.5}
-    mix: {write: 0.5, delete: 0.1}
-    fanout: {mean: 1}
-  - name: cron
-    class: batch
-    ops: 100
-    arrival:
-      process: diurnal
-      rate: 100
-      period: 2s
-      amplitude: 0.5
-    keys:
-      dist: hotspot
-      hot: 50
-      hot_frac: 0.9
-      churn: 1000
-    sizes:
-      dist: fixed
-      bytes: 512
-    fanout:
-      mean: 8
-      max: 64
-faults:
-  - {at: 0s, do: slow, target: 0/0, arg: 2ms}
-  - at: 100ms
-    do: sever
-    target: 1/0
-  - {at: 150ms, do: crash, target: 0/1}
-  - {at: 150ms, do: add-shard}
-  - {at: 300ms, do: restore, target: 1/0}
-  - {at: 1s, do: restart, target: 0/1}
-  - {at: 2s, do: remove-shard}
+// specJSON is a three-way production-shaped workload that exercises
+// every arrival process, key distribution and size distribution, and
+// every fault verb.
+const specJSON = `{
+  "name": "three-class",
+  "seed": 42,
+  "keys": 5000,
+  "classes": [
+    {"name": "interactive", "priority": 0},
+    {"name": "bulk", "priority": 2},
+    {"name": "batch", "priority": 1}
+  ],
+  "clients": [
+    {
+      "name": "web",
+      "class": "interactive",
+      "workers": 4,
+      "ops": 1000,
+      "arrival": {"process": "poisson", "rate": 2000},
+      "keys": {"dist": "zipf", "s": 1.1},
+      "sizes": {"dist": "pareto"},
+      "mix": {"write": 0.1},
+      "fanout": {"mean": 4, "burst_prob": 0.02}
+    },
+    {
+      "name": "etl",
+      "class": "bulk",
+      "ops": 200,
+      "arrival": {"process": "onoff", "rate": 500, "on": "100ms", "off": "400ms"},
+      "keys": {"dist": "uniform"},
+      "sizes": {"dist": "lognormal", "mean_bytes": 4096, "sigma": 0.5},
+      "mix": {"write": 0.5, "delete": 0.1},
+      "fanout": {"mean": 1}
+    },
+    {
+      "name": "cron",
+      "class": "batch",
+      "ops": 100,
+      "arrival": {"process": "diurnal", "rate": 100, "period": "2s", "amplitude": 0.5},
+      "keys": {"dist": "hotspot", "hot": 50, "hot_frac": 0.9, "churn": 1000},
+      "sizes": {"dist": "fixed", "bytes": 512},
+      "fanout": {"mean": 8, "max": 64}
+    }
+  ],
+  "faults": [
+    {"at": "0s", "do": "slow", "target": "0/0", "arg": "2ms"},
+    {"at": "100ms", "do": "sever", "target": "1/0"},
+    {"at": "150ms", "do": "crash", "target": "0/1"},
+    {"at": "150ms", "do": "add-shard"},
+    {"at": "300ms", "do": "restore", "target": "1/0"},
+    {"at": "1s", "do": "restart", "target": "0/1"},
+    {"at": "2s", "do": "remove-shard"}
+  ]
+}
 `
 
-func TestParseSpecYAML(t *testing.T) {
-	spec, err := ParseSpec([]byte(specYAML))
+func TestParseSpecThreeClass(t *testing.T) {
+	spec, err := ParseSpec([]byte(specJSON))
 	if err != nil {
 		t.Fatalf("ParseSpec: %v", err)
 	}
@@ -132,69 +123,49 @@ func TestParseSpecYAML(t *testing.T) {
 }
 
 func TestParseSpecJSON(t *testing.T) {
-	js := `{"name":"j","seed":7,"keys":10,
-	  "clients":[{"name":"a","ops":5,"arrival":{"process":"closed"},
-	    "keys":{"dist":"uniform"},"sizes":{"dist":"fixed","bytes":8},
-	    "fanout":{"mean":1}}]}`
-	spec, err := ParseSpec([]byte(js))
+	// A minimal spec gets the default class, and a uint64 seed keeps
+	// every bit.
+	minimal, err := ParseSpec([]byte(`{"name":"j","seed":18446744073709551615,"keys":10,
+	  "clients":[{"name":"a","ops":5,"fanout":{"mean":1}}]}`))
 	if err != nil {
-		t.Fatalf("ParseSpec(json): %v", err)
+		t.Fatalf("ParseSpec(minimal): %v", err)
 	}
-	if spec.Clients[0].Class != DefaultClass {
-		t.Fatalf("default class not applied: %+v", spec.Clients[0])
+	if minimal.Clients[0].Class != DefaultClass {
+		t.Fatalf("default class not applied: %+v", minimal.Clients[0])
 	}
-}
-
-func TestEncodeYAMLRoundTrip(t *testing.T) {
-	spec, err := ParseSpec([]byte(specYAML))
-	if err != nil {
-		t.Fatalf("ParseSpec: %v", err)
-	}
-	emitted := EncodeYAML(spec)
-	back, err := ParseSpec([]byte(emitted))
-	if err != nil {
-		t.Fatalf("ParseSpec(EncodeYAML(...)): %v\n%s", err, emitted)
-	}
-	if !reflect.DeepEqual(spec, back) {
-		t.Fatalf("round trip drifted:\nfirst:  %+v\nsecond: %+v\nyaml:\n%s", spec, back, emitted)
-	}
-	// And the emitter is a fixed point once normalized.
-	if again := EncodeYAML(back); again != emitted {
-		t.Fatalf("emitter not idempotent:\n%s\nvs\n%s", emitted, again)
-	}
-	// The timeline is emitted like any other field, and a spec without
-	// one says nothing about faults.
-	if !strings.Contains(emitted, "faults:\n  - at: 0s\n    do: slow\n    target: 0/0\n    arg: 2ms\n  - at: 100ms\n") {
-		t.Fatalf("faults block missing or misshapen:\n%s", emitted)
-	}
-	spec.Faults = nil
-	if plain := EncodeYAML(spec); strings.Contains(plain, "faults") {
-		t.Fatalf("faultless spec mentions faults:\n%s", plain)
+	if minimal.Seed != 18446744073709551615 {
+		t.Fatalf("uint64 seed lost precision: %d", minimal.Seed)
 	}
 }
 
 func TestParseSpecErrors(t *testing.T) {
+	const client = `{"name":"a","ops":1,"fanout":{"mean":1}}`
+	valid := `{"name":"x","keys":10,"clients":[` + client + `]}`
 	cases := []struct {
 		name, in, want string
 	}{
-		{"unknown field", "name: x\nseed: 1\nkeys: 10\nclients:\n  - name: a\n    ops: 1\n    arrvial: {process: closed}\n    fanout: {mean: 1}\n", "unknown field"},
-		{"unknown process", "name: x\nkeys: 10\nclients:\n  - name: a\n    ops: 1\n    arrival: {process: warp, rate: 1}\n    fanout: {mean: 1}\n", "unknown arrival process"},
-		{"unknown class", "name: x\nkeys: 10\nclasses:\n  - name: gold\n    priority: 0\nclients:\n  - name: a\n    class: silver\n    ops: 1\n    fanout: {mean: 1}\n", "unknown class"},
-		{"dup client", "name: x\nkeys: 10\nclients:\n  - name: a\n    ops: 1\n    fanout: {mean: 1}\n  - name: a\n    ops: 1\n    fanout: {mean: 1}\n", "defined twice"},
-		{"no clients", "name: x\nkeys: 10\n", "no clients"},
-		{"bad rate", "name: x\nkeys: 10\nclients:\n  - name: a\n    ops: 1\n    arrival: {process: poisson}\n    fanout: {mean: 1}\n", "rate > 0"},
-		{"tab indent", "name: x\n\tkeys: 10\n", "tab in indentation"},
-		{"dup key", "name: x\nname: y\nkeys: 10\n", "duplicate key"},
-		{"fault unknown verb", faultSpec("{at: 1s, do: melt, target: 0/0}"), "unknown verb"},
-		{"fault unknown field", faultSpec("{at: 1s, do: slow, target: 0/0, by: 2ms}"), "unknown field"},
-		{"fault bad target", faultSpec("{at: 1s, do: sever, target: 0-1}"), "target must be shard/replica"},
-		{"fault missing target", faultSpec("{at: 1s, do: crash}"), "target must be shard/replica"},
-		{"fault stray target", faultSpec("{at: 1s, do: add-shard, target: 0/0}"), "takes no target"},
-		{"fault stray arg", faultSpec("{at: 1s, do: sever, target: 0/0, arg: 1ms}"), "only slow takes an arg"},
-		{"fault out of order", faultSpec("{at: 2s, do: sever, target: 0/0}\n  - {at: 1s, do: restore, target: 0/0}"), "time order"},
-		{"fault restart without crash", faultSpec("{at: 1s, do: restart, target: 0/1}"), "no crash of 0/1 is in force"},
-		{"fault restore after crash", faultSpec("{at: 1s, do: crash, target: 0/1}\n  - {at: 2s, do: restore, target: 0/1}"), "no sever of 0/1 is in force"},
-		{"fault double crash", faultSpec("{at: 1s, do: crash, target: 0/1}\n  - {at: 2s, do: sever, target: 0/1}"), "already down"},
+		{"unknown field", `{"name":"x","seed":1,"keys":10,"clients":[{"name":"a","ops":1,"arrvial":{"process":"closed"},"fanout":{"mean":1}}]}`, "unknown field"},
+		{"unknown process", `{"name":"x","keys":10,"clients":[{"name":"a","ops":1,"arrival":{"process":"warp","rate":1},"fanout":{"mean":1}}]}`, "unknown arrival process"},
+		{"unknown class", `{"name":"x","keys":10,"classes":[{"name":"gold","priority":0}],"clients":[{"name":"a","class":"silver","ops":1,"fanout":{"mean":1}}]}`, "unknown class"},
+		{"dup client", `{"name":"x","keys":10,"clients":[` + client + `,` + client + `]}`, "defined twice"},
+		{"no clients", `{"name":"x","keys":10}`, "no clients"},
+		{"bad rate", `{"name":"x","keys":10,"clients":[{"name":"a","ops":1,"arrival":{"process":"poisson"},"fanout":{"mean":1}}]}`, "rate > 0"},
+		{"dup key", `{"name":"x","keys":10,"keys":20,"clients":[` + client + `]}`, `duplicate key "keys"`},
+		{"dup key nested", `{"name":"x","keys":10,"clients":[{"name":"a","ops":1,"fanout":{"mean":1,"Mean":2}}]}`, `duplicate key "Mean"`},
+		{"trailing document", valid + ` {"keys":-5}`, "data after the spec"},
+		{"fault unknown verb", faultSpec(`{"at":"1s","do":"melt","target":"0/0"}`), "unknown verb"},
+		{"fault unknown field", faultSpec(`{"at":"1s","do":"slow","target":"0/0","by":"2ms"}`), "unknown field"},
+		{"fault bad target", faultSpec(`{"at":"1s","do":"sever","target":"0-1"}`), "target must be shard/replica"},
+		{"fault missing target", faultSpec(`{"at":"1s","do":"crash"}`), "target must be shard/replica"},
+		{"fault stray target", faultSpec(`{"at":"1s","do":"add-shard","target":"0/0"}`), "takes no target"},
+		{"fault stray arg", faultSpec(`{"at":"1s","do":"sever","target":"0/0","arg":"1ms"}`), "only slow takes an arg"},
+		{"fault out of order", faultSpec(`{"at":"2s","do":"sever","target":"0/0"}`, `{"at":"1s","do":"restore","target":"0/0"}`), "time order"},
+		{"fault restart without crash", faultSpec(`{"at":"1s","do":"restart","target":"0/1"}`), "no crash of 0/1 is in force"},
+		{"fault restore after crash", faultSpec(`{"at":"1s","do":"crash","target":"0/1"}`, `{"at":"2s","do":"restore","target":"0/1"}`), "no sever of 0/1 is in force"},
+		{"fault double crash", faultSpec(`{"at":"1s","do":"crash","target":"0/1"}`, `{"at":"2s","do":"sever","target":"0/1"}`), "already down"},
+	}
+	if _, err := ParseSpec([]byte(valid)); err != nil {
+		t.Fatalf("the rows' base spec is rejected: %v", err)
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -206,17 +177,17 @@ func TestParseSpecErrors(t *testing.T) {
 	}
 }
 
-// faultSpec is a minimal valid spec around a faults list whose first
-// item is given in flow form (further items ride on "\n  - " lines).
-func faultSpec(items string) string {
-	return "name: x\nkeys: 10\nclients:\n  - name: a\n    ops: 1\n    fanout: {mean: 1}\nfaults:\n  - " + items + "\n"
+// faultSpec is a minimal valid spec around the given faults list.
+func faultSpec(items ...string) string {
+	return `{"name":"x","keys":10,"clients":[{"name":"a","ops":1,"fanout":{"mean":1}}],"faults":[` +
+		strings.Join(items, ",") + `]}`
 }
 
-// FuzzParseSpec: no input may panic the YAML subset reader, and every
-// spec it accepts must survive the emitter unchanged. Seeded from the
-// specs the CI smokes run.
+// FuzzParseSpec: no input may panic ParseSpec, and every spec it
+// accepts must survive json.MarshalIndent — what brb-load -print-spec
+// prints — unchanged. Seeded from the specs the CI smokes run.
 func FuzzParseSpec(f *testing.F) {
-	seeds, _ := filepath.Glob("../../cmd/brb-load/testdata/*.yaml")
+	seeds, _ := filepath.Glob("../../cmd/brb-load/testdata/*.json")
 	for _, path := range seeds {
 		data, err := os.ReadFile(path)
 		if err != nil {
@@ -224,41 +195,19 @@ func FuzzParseSpec(f *testing.F) {
 		}
 		f.Add(data)
 	}
-	f.Add([]byte(specYAML))
+	f.Add([]byte(specJSON))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		spec, err := ParseSpec(data)
 		if err != nil {
 			return
 		}
-		back, err := ParseSpec([]byte(EncodeYAML(spec)))
+		printed, err := json.MarshalIndent(spec, "", "  ")
+		if err != nil {
+			t.Fatalf("accepted spec does not marshal: %v", err)
+		}
+		back, err := ParseSpec(printed)
 		if err != nil || !reflect.DeepEqual(spec, back) {
-			t.Fatalf("accepted spec does not round-trip (%v):\n%s", err, EncodeYAML(spec))
+			t.Fatalf("accepted spec does not round-trip (%v):\n%s", err, printed)
 		}
 	})
-}
-
-func TestYAMLScalars(t *testing.T) {
-	in := "name: \"has: colon\"\nseed: 18446744073709551615\nkeys: 3\nclients:\n" +
-		"  - name: 'it''s'\n    ops: 2\n    fanout: {mean: 1.5}\n"
-	spec, err := ParseSpec([]byte(in))
-	if err != nil {
-		t.Fatalf("ParseSpec: %v", err)
-	}
-	if spec.Name != "has: colon" {
-		t.Fatalf("double-quoted name: %q", spec.Name)
-	}
-	if spec.Seed != 18446744073709551615 {
-		t.Fatalf("uint64 seed lost precision: %d", spec.Seed)
-	}
-	if spec.Clients[0].Name != "it's" {
-		t.Fatalf("single-quoted name: %q", spec.Clients[0].Name)
-	}
-	// The emitter must quote these back into parseable form.
-	back, err := ParseSpec([]byte(EncodeYAML(spec)))
-	if err != nil {
-		t.Fatalf("re-parse emitted: %v", err)
-	}
-	if back.Name != spec.Name || back.Clients[0].Name != spec.Clients[0].Name {
-		t.Fatalf("quoting round trip drifted: %+v", back)
-	}
 }

@@ -116,14 +116,14 @@ type replayTally struct{ keys, keyHits, multigets, socketFree int }
 func (c replayTally) keyHit() float64 { return float64(c.keyHits) / float64(max(c.keys, 1)) }
 func (c replayTally) free() float64   { return float64(c.socketFree) / float64(max(c.multigets, 1)) }
 
-// sloStragglerOps is three-class.yaml at slo-straggler's shape: the
+// sloStragglerOps is three-class.json at slo-straggler's shape: the
 // rates an eighth of the file's (500 / 500 on-off / 100 ops/s) and the
 // op counts stretched to the phase length. The benchmark builds its
 // spec in Go (bench/workloads.go) with its own value sizes, so these
 // are statistically its streams, not byte for byte.
 func sloStragglerOps(t *testing.T, seed uint64) (*loadgen.Spec, []loadgen.Op) {
 	t.Helper()
-	data, err := os.ReadFile("../../cmd/brb-load/testdata/three-class.yaml")
+	data, err := os.ReadFile("../../cmd/brb-load/testdata/three-class.json")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,8 +33,6 @@ type ClusterOptions struct {
 	// client rescales forecasts to the service times servers report
 	// before they go on the wire (forecastScale).
 	CostModel core.CostModel
-	// DefaultSize is the assumed size for keys not yet seen. Default 1024.
-	DefaultSize int64
 	// Client identifies this client (telemetry and C3 pressure
 	// extrapolation).
 	Client int
@@ -44,25 +42,10 @@ type ClusterOptions struct {
 	// ServerWorkers is the per-server worker count m for C3's
 	// concurrency compensation (default 4, the server default).
 	ServerWorkers int
-	// DialTimeout bounds connection establishment (default 5s).
-	DialTimeout time.Duration
-	// RequestTimeout bounds any operation whose context carries no
-	// deadline (default DefaultRequestTimeout; negative disables the
-	// default, restoring wait-forever semantics for background-context
-	// callers). Per-call ReadOptions/WriteOptions.Timeout and ctx
-	// deadlines always apply on top — the earliest bound wins.
-	RequestTimeout time.Duration
 	// ProbeInterval is how often the revival prober pings down-marked
 	// replicas (default 500ms; negative disables revival, restoring the
 	// old fail-once-stay-down behavior).
 	ProbeInterval time.Duration
-	// MaxHintsPerReplica bounds the hinted-handoff buffer kept for each
-	// down replica (latest write per key; default 4096 keys). Negative
-	// disables hint buffering — a revived replica then converges only
-	// through read-repair. Writes beyond the bound are dropped from the
-	// buffer (read-repair covers them), never failed; each drop counts
-	// in metrics ("netstore_hint_overflow_total") and HintOverflows.
-	MaxHintsPerReplica int
 	// CacheSize, when positive, enables the client's bounded versioned
 	// hot-key cache with that many entries: recently read keys are
 	// served locally, validated by write versions, and invalidated on
@@ -74,7 +57,28 @@ type ClusterOptions struct {
 	// returns a channel that fires after d plus an idempotent stop
 	// function. nil uses time.NewTimer.
 	hedgeTimer func(d time.Duration) (<-chan time.Time, func())
+	// requestTimeout overrides DefaultRequestTimeout (test hook).
+	requestTimeout time.Duration
+	// noHints turns hinted handoff off, so a revived replica converges
+	// only through read-repair (test hook).
+	noHints bool
 }
+
+// Fixed client settings.
+const (
+	// defaultSize is the value size forecast for a key the client has
+	// not read or written yet.
+	defaultSize int64 = 1024
+	// clientDialTimeout bounds connection establishment, a topology poll
+	// and each background repair or hint-replay write.
+	clientDialTimeout = 5 * time.Second
+	// maxHintsPerReplica bounds the hinted-handoff buffer kept for each
+	// down replica (latest write per key). Writes beyond the bound are
+	// dropped from the buffer (read-repair covers them), never failed;
+	// each drop counts in metrics ("netstore_hint_overflow_total") and
+	// HintOverflows.
+	maxHintsPerReplica = 4096
+)
 
 func (o ClusterOptions) withDefaults() ClusterOptions {
 	if o.Assigner == nil {
@@ -83,23 +87,17 @@ func (o ClusterOptions) withDefaults() ClusterOptions {
 	if o.CostModel == (core.CostModel{}) {
 		o.CostModel = core.CostModel{BaseNanos: 1000, PerBytePico: 1000}
 	}
-	if o.DefaultSize <= 0 {
-		o.DefaultSize = 1024
-	}
 	if o.Clients <= 0 {
 		o.Clients = 1
 	}
 	if o.ServerWorkers <= 0 {
 		o.ServerWorkers = 4
 	}
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 5 * time.Second
-	}
 	if o.ProbeInterval == 0 {
 		o.ProbeInterval = 500 * time.Millisecond
 	}
-	if o.MaxHintsPerReplica == 0 {
-		o.MaxHintsPerReplica = 4096
+	if o.requestTimeout <= 0 {
+		o.requestTimeout = DefaultRequestTimeout
 	}
 	return o
 }
@@ -258,7 +256,7 @@ type Cluster struct {
 // re-attach.
 func (c *Cluster) AttachController(addr string, interval time.Duration) error {
 	st := c.state.Load()
-	g, err := dialCreditGate(addr, st.topo.NumServers(), c.opts.Client, c.opts.DialTimeout, interval)
+	g, err := dialCreditGate(addr, st.topo.NumServers(), c.opts.Client, clientDialTimeout, interval)
 	if err != nil {
 		return err
 	}
@@ -365,7 +363,7 @@ func (c *Cluster) newScorer(replicas int) *c3.Scorer {
 
 // dialSlot dials slot's server and publishes the connection.
 func (c *Cluster) dialSlot(slot *serverSlot) error {
-	conn, err := net.DialTimeout("tcp", slot.addr, c.opts.DialTimeout)
+	conn, err := net.DialTimeout("tcp", slot.addr, clientDialTimeout)
 	if err != nil {
 		return err
 	}
@@ -462,7 +460,7 @@ func (c *Cluster) refreshTopology(ctx context.Context, prev *topoState) *topoSta
 	results := make(chan *cluster.ShardTopology, len(live))
 	for _, sc := range live {
 		go func(sc *serverConn) {
-			tp, err := sc.topoGet(c.opts.DialTimeout)
+			tp, err := sc.topoGet(clientDialTimeout)
 			if err != nil {
 				results <- nil
 				return
@@ -614,12 +612,10 @@ func (c *Cluster) installLocked(st *topoState, nt *cluster.ShardTopology) *topoS
 // short-of-full-replication writes heal via hinted handoff and
 // read-repair once the missing replicas revive.
 //
-// The wait is bounded by ctx, opts.Timeout, and the client's
-// RequestTimeout (earliest wins). WriteAll (default) waits for every
-// live replica's ack; WriteAny returns after the first while the rest
-// of the fan-out completes in the background. A replica whose wait the
-// deadline cut short is NOT marked down — the caller gave up, the
-// replica may be fine — but the write is hint-buffered for it, so
+// The wait is bounded by ctx, opts.Timeout, and DefaultRequestTimeout
+// (earliest wins), and covers every live replica's ack. A replica whose
+// wait the deadline cut short is NOT marked down — the caller gave up,
+// the replica may be fine — but the write is hint-buffered for it, so
 // convergence still heals the gap if a sibling acked.
 func (c *Cluster) Set(ctx context.Context, key string, value []byte, opts WriteOptions) error {
 	return c.write(ctx, key, value, false, opts)
@@ -628,9 +624,9 @@ func (c *Cluster) Set(ctx context.Context, key string, value []byte, opts WriteO
 // Delete removes a key from every replica of its shard (versioned
 // tombstones, so replayed older writes cannot resurrect it) and drops
 // the key's learned size, so later cost forecasts fall back to
-// DefaultSize instead of the stale size of a value that no longer
+// defaultSize instead of the stale size of a value that no longer
 // exists. Like Set, it errors only when no replica accepted it, and its
-// deadline/fan-out semantics match Set's.
+// deadline semantics match Set's.
 func (c *Cluster) Delete(ctx context.Context, key string, opts WriteOptions) error {
 	return c.write(ctx, key, nil, true, opts)
 }
@@ -643,13 +639,8 @@ type writeVerdict struct {
 
 func (c *Cluster) write(ctx context.Context, key string, value []byte, del bool, opts WriteOptions) (err error) {
 	defer func() { countCtxErr(err) }()
-	ctx, cancel := requestContext(ctx, opts.Timeout, c.opts.RequestTimeout)
-	detached := false
-	defer func() {
-		if !detached {
-			cancel()
-		}
-	}()
+	ctx, cancel := requestContext(ctx, opts.Timeout, c.opts.requestTimeout)
+	defer cancel()
 	ver := c.versions.next()
 	st := c.state.Load()
 	for hop := 0; hop < maxEpochHops; hop++ {
@@ -699,7 +690,28 @@ func (c *Cluster) write(ctx context.Context, key string, value []byte, del bool,
 				results <- v
 			}(slot, sc)
 		}
-		success := func() {
+		wrote, notOwner := 0, 0
+		for done := 0; done < inflight; done++ {
+			v := <-results
+			switch {
+			case v.err == nil:
+				wrote++
+			case errors.As(v.err, new(*NotOwnerError)):
+				notOwner++
+			default:
+				if v.hinted != nil {
+					hinted = append(hinted, v.hinted)
+				}
+			}
+		}
+		if notOwner > 0 {
+			// Even when other replicas acked (the write succeeds below),
+			// the rejection proves a newer epoch exists: arm the prober's
+			// proactive refresh so later writes stop bouncing off
+			// already-pushed donors.
+			c.epochLag.Store(true)
+		}
+		if wrote > 0 {
 			// The floor first, the invalidation second: a concurrent
 			// cache fill racing this write either lands before the
 			// invalidation (dropped by it) or after (dropped at serve
@@ -714,60 +726,6 @@ func (c *Cluster) write(ctx context.Context, key string, value []byte, del bool,
 			} else {
 				learnSize(&c.sizes, key, int64(len(value)))
 			}
-		}
-		wrote, notOwner := 0, 0
-		for done := 0; done < inflight; done++ {
-			v := <-results
-			switch {
-			case v.err == nil:
-				wrote++
-			case errors.As(v.err, new(*NotOwnerError)):
-				notOwner++
-			default:
-				if v.hinted != nil {
-					hinted = append(hinted, v.hinted)
-				}
-			}
-			if v.err == nil && opts.Fanout == WriteAny {
-				// First ack wins. The remaining fan-out keeps running —
-				// the ctx is handed to a drainer that releases it only
-				// once every goroutine reported, so returning here does
-				// not cancel the stragglers. The drainer keeps the tally:
-				// NotOwner verdicts still arriving after our early return
-				// prove a newer epoch exists and get the same epoch-lag
-				// arming and redundancy top-up the WriteAll path performs
-				// (under the client's root ctx — background healing is
-				// scoped to the client's lifetime, not this caller's
-				// deadline).
-				detached = true
-				remaining := inflight - done - 1
-				notOwnerSoFar := notOwner
-				go func() {
-					no := notOwnerSoFar
-					for j := 0; j < remaining; j++ {
-						if v := <-results; v.err != nil && errors.As(v.err, new(*NotOwnerError)) {
-							no++
-						}
-					}
-					if no > 0 {
-						c.epochLag.Store(true)
-						c.topUpOwners(c.rootCtx, st, key, value, ver, del)
-					}
-					cancel()
-				}()
-				success()
-				return nil
-			}
-		}
-		if notOwner > 0 {
-			// Even when other replicas acked (the write succeeds below),
-			// the rejection proves a newer epoch exists: arm the prober's
-			// proactive refresh so later writes stop bouncing off
-			// already-pushed donors.
-			c.epochLag.Store(true)
-		}
-		if wrote > 0 {
-			success()
 			if notOwner > 0 {
 				// Mixed verdict: stale donors acked (the write succeeds),
 				// already-pushed replicas rejected. The rejecting replicas
@@ -777,7 +735,11 @@ func (c *Cluster) write(ctx context.Context, key string, value []byte, del bool,
 				// same versioned write for the key's owners under the
 				// freshest topology; the prober's flush delivers it,
 				// idempotently.
-				c.topUpOwners(ctx, st, key, value, ver, del)
+				if nst := c.refreshTopology(ctx, st); nst != st {
+					for _, sid := range nst.topo.ReplicaServers(nst.topo.ShardOfKey(key)) {
+						c.addHint(nst.slots[sid], key, value, ver, del)
+					}
+				}
 			}
 			return nil
 		}
@@ -804,20 +766,6 @@ func (c *Cluster) write(ctx context.Context, key string, value []byte, del bool,
 		return fmt.Errorf("%w %d (write %q)", ErrNoReplica, shard, key)
 	}
 	return fmt.Errorf("%w (write %q)", ErrTopologySkew, key)
-}
-
-// topUpOwners buffers one versioned write as hints for the key's
-// replica set under the freshest topology it can learn — the
-// mixed-verdict redundancy top-up shared by the WriteAll path and
-// WriteAny's background drainer. The prober's flush delivers the
-// hints, idempotently.
-func (c *Cluster) topUpOwners(ctx context.Context, st *topoState, key string, value []byte, ver uint64, del bool) {
-	if nst := c.refreshTopology(ctx, st); nst != st {
-		nshard := nst.topo.ShardOfKey(key)
-		for _, sid := range nst.topo.ReplicaServers(nshard) {
-			c.addHint(nst.slots[sid], key, value, ver, del)
-		}
-	}
 }
 
 // raiseWritten raises the client's written-version floor for a key,
@@ -873,13 +821,13 @@ func (c *Cluster) Get(ctx context.Context, key string, opts ReadOptions) ([]byte
 // per-shard errors joined (errors.Is(err, ErrNoReplica) matches a shard
 // whose whole replica set was down).
 //
-// The wait is bounded by ctx, opts.Timeout, and the client's
-// RequestTimeout (earliest wins): against a stalled replica the call
-// returns within the deadline with the in-deadline shards' partial
-// results and an error wrapping context.DeadlineExceeded. The remaining
-// budget rides each sub-batch on the wire, so servers shed keys that
-// outlive it in their queues instead of servicing them (per-key Expired
-// bits, surfaced here as the same deadline error).
+// The wait is bounded by ctx, opts.Timeout, and DefaultRequestTimeout
+// (earliest wins): against a stalled replica the call returns within
+// the deadline with the in-deadline shards' partial results and an
+// error wrapping context.DeadlineExceeded. The remaining budget rides
+// each sub-batch on the wire, so servers shed keys that outlive it in
+// their queues instead of servicing them (per-key Expired bits,
+// surfaced here as the same deadline error).
 func (c *Cluster) Multiget(ctx context.Context, keys []string, opts ReadOptions) (res *TaskResult, err error) {
 	if len(keys) == 0 {
 		return &TaskResult{}, nil
@@ -888,7 +836,7 @@ func (c *Cluster) Multiget(ctx context.Context, keys []string, opts ReadOptions)
 		return &TaskResult{}, err
 	}
 	defer func() { countCtxErr(err) }()
-	ctx, cancel := requestContext(ctx, opts.Timeout, c.opts.RequestTimeout)
+	ctx, cancel := requestContext(ctx, opts.Timeout, c.opts.requestTimeout)
 	defer cancel()
 	start := time.Now()
 	st := c.state.Load()
@@ -920,7 +868,7 @@ func (c *Cluster) Multiget(ctx context.Context, keys []string, opts ReadOptions)
 		if res.Found[i] {
 			continue // served from the cache above
 		}
-		size := c.opts.DefaultSize
+		size := defaultSize
 		if v, ok := c.sizes.Load(k); ok {
 			size = v.(int64)
 		}
@@ -953,7 +901,7 @@ func (c *Cluster) Multiget(ctx context.Context, keys []string, opts ReadOptions)
 			ix = append(ix, int(r.ID))
 		}
 		b := shardBatch{shard: int(sub.Group), taskID: task.ID, cost: sub.Cost, keys: ks[lo:], prios: ps[lo:], idx: ix[lo:]}
-		pieces = c.place(st, b, opts.Replica, pieces)
+		pieces = c.place(st, b, pieces)
 	}
 	multigetSubtasksTotal.Add(uint64(len(subs)))
 	// Every piece but the last gets a goroutine and reports on errCh; the
@@ -1059,20 +1007,13 @@ func (c *Cluster) funded(st *topoState, shard, replica int) bool {
 // replicas first as in nextReplica), so a sub-task larger than one
 // replica's idle workers spills onto the sibling instead of queueing
 // for several rounds behind itself. The sub-task stays one message
-// under ReplicaPrimary (on replica 0 while it is live), with one live
-// replica, before the scorer has feedback, and whenever the service
-// time a second message would save is less than a message costs.
-func (c *Cluster) place(st *topoState, b shardBatch, pref ReplicaPreference, pieces []piece) []piece {
+// with one live replica, before the scorer has feedback, and whenever
+// the service time a second message would save is less than a message
+// costs.
+func (c *Cluster) place(st *topoState, b shardBatch, pieces []piece) []piece {
 	scorer := st.scorers[b.shard]
 	n := len(b.keys)
 	live := func(r int) bool { return !st.slotOf(b.shard, r).down.Load() }
-	if pref == ReplicaPrimary {
-		if live(0) {
-			scorer.OnSend(0, n)
-			return append(pieces, piece{b, 0})
-		}
-		return append(pieces, piece{b, c.nextReplica(st, b.shard, n, nil)})
-	}
 	var buf [c3.InlineReplicas]int
 	counts := buf[:]
 	if r := st.topo.Replicas(); r <= len(buf) {
@@ -1362,10 +1303,6 @@ func (c *Cluster) retryStrays(ctx context.Context, st *topoState, b shardBatch, 
 		nb.prios = append(nb.prios, b.prios[i])
 		nb.idx = append(nb.idx, b.idx[i])
 	}
-	// Stray retries keep the caller's hedge policy but drop any primary
-	// pin: the re-bucketed shard's replica 0 has no relation to the one
-	// the caller pinned.
-	opts.Replica = ReplicaAuto
 	var errs []error
 	for _, nb := range buckets {
 		nb.cost = b.share(len(nb.keys))

@@ -278,10 +278,10 @@ func (sc *serverConn) ack(seq uint64, result error) {
 // rejects it, the connection dies, or ctx ends. Every caller's wait is
 // ctx-bounded: foreground writes carry the request deadline, background
 // repair traffic (hint replay/re-route, read-repair) derives a
-// DialTimeout-bounded ctx, so one wedged-but-open server can neither
-// hang a caller forever nor capture the prober or a repair slot. On ctx
-// termination the waiter deregisters; a late verdict parks harmlessly
-// in the buffered channel.
+// clientDialTimeout-bounded ctx, so one wedged-but-open server can
+// neither hang a caller forever nor capture the prober or a repair slot.
+// On ctx termination the waiter deregisters; a late verdict parks
+// harmlessly in the buffered channel.
 func (sc *serverConn) awaitAck(ctx context.Context, build func(seq uint64) wire.Message, what string) error {
 	ch := make(chan error, 1)
 	sc.mu.Lock()

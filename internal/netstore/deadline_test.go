@@ -112,10 +112,11 @@ func wedgedListener(t *testing.T) string {
 // Regression for the foreground-write hang: Set/Delete used to pass
 // timeout 0 to awaitAck and block forever on a wedged-but-open
 // connection. With the context-first API a default request timeout
-// applies even under context.Background().
+// applies even under context.Background() (shortened from
+// DefaultRequestTimeout here to keep the test fast).
 func TestForegroundWriteDefaultTimeoutOnWedgedServer(t *testing.T) {
 	addr := wedgedListener(t)
-	c, err := DialCluster([]string{addr}, ClusterOptions{Topology: testTopo(1), RequestTimeout: 200 * time.Millisecond})
+	c, err := DialCluster([]string{addr}, ClusterOptions{Topology: testTopo(1), requestTimeout: 200 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,9 +245,9 @@ func TestMultigetDeadlineAgainstStalledReplica(t *testing.T) {
 // stalled unblocks the caller promptly with context.Canceled (run under
 // -race in CI against the concurrent fan-out goroutines).
 func TestCancellationMidMultiget(t *testing.T) {
-	// RequestTimeout < 0 disables the default: only the explicit cancel
-	// may end the call.
-	c, k0, k1, proxy := stalledShardCluster(t, ClusterOptions{ProbeInterval: -1, RequestTimeout: -1})
+	// The cancel lands within the poll below, long before
+	// DefaultRequestTimeout could end the call.
+	c, k0, k1, proxy := stalledShardCluster(t, ClusterOptions{ProbeInterval: -1})
 	proxy.stall()
 
 	cancelledBefore := metrics.CounterValue("netstore_cancelled_total")
@@ -255,8 +256,8 @@ func TestCancellationMidMultiget(t *testing.T) {
 		// Cancel once the wedged proxy has demonstrably swallowed the
 		// multiget's request bytes — i.e. the caller is parked in the
 		// stalled wait, which is the state cancellation must escape.
-		// Cancel unconditionally so a missed observation can't hang the
-		// test (RequestTimeout is disabled).
+		// Cancel unconditionally so a missed observation can't stall the
+		// test until DefaultRequestTimeout.
 		_ = testutil.Poll(5*time.Second, func() bool { return proxy.swallowed.Load() > 0 })
 		cancel()
 	}()
@@ -421,7 +422,7 @@ func TestDeadlineEndToEndShedding(t *testing.T) {
 // fetchBatch polls for a newer topology before reporting a dead shard —
 // and that poll must honor the caller's deadline even when the only
 // live server to poll is wedged-but-open. The caller gets its
-// DeadlineExceeded within budget, never a DialTimeout-long stall.
+// DeadlineExceeded within budget, never a clientDialTimeout-long stall.
 func TestDeadShardTopologyPollHonorsDeadline(t *testing.T) {
 	m := cluster.MustNewShardTopology(cluster.ShardConfig{Shards: 2, Replicas: 1})
 	addrs, servers := startShardedCluster(t, m, nil)
@@ -468,10 +469,10 @@ func TestDeadShardTopologyPollHonorsDeadline(t *testing.T) {
 	}
 }
 
-// WriteAny returns after the first replica ack even when a sibling is
-// stalled; WriteAll with the same stall waits out the deadline but still
-// succeeds on the ack it got.
-func TestWriteFanoutModes(t *testing.T) {
+// A write waits for every live replica, so a stalled sibling holds it
+// until the deadline — and the ack the live replica gave makes it a
+// success (a write errors only when NO replica accepted it).
+func TestWriteWaitsOutStalledReplica(t *testing.T) {
 	m := cluster.MustNewShardTopology(cluster.ShardConfig{Shards: 1, Replicas: 2})
 	addrs, servers := startShardedCluster(t, m, nil)
 	proxy := newStallProxy(t, addrs[m.Server(0, 1)])
@@ -487,53 +488,14 @@ func TestWriteFanoutModes(t *testing.T) {
 	}
 	proxy.stall()
 
-	// WriteAny: the live replica acks within milliseconds.
 	start := time.Now()
-	if err := c.Set(bg, "k", []byte("v1"), WriteOptions{Fanout: WriteAny, Timeout: 2 * time.Second}); err != nil {
-		t.Fatalf("WriteAny with one live replica: %v", err)
-	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("WriteAny waited %v despite an early ack", elapsed)
-	}
-
-	// WriteAll: bounded by the deadline, and the acked replica makes the
-	// write a success (errors only when NO replica accepted).
-	start = time.Now()
-	if err := c.Set(bg, "k", []byte("v2"), WriteOptions{Timeout: 250 * time.Millisecond}); err != nil {
-		t.Fatalf("WriteAll with one live replica: %v", err)
+	if err := c.Set(bg, "k", []byte("v1"), WriteOptions{Timeout: 250 * time.Millisecond}); err != nil {
+		t.Fatalf("write with one live replica: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("WriteAll took %v, deadline was 250ms", elapsed)
+		t.Fatalf("write took %v, deadline was 250ms", elapsed)
 	}
-	if v, _ := servers[m.Server(0, 0)].Store().Get("k"); string(v) != "v2" {
-		t.Fatalf("live replica holds %q, want v2", v)
-	}
-}
-
-// ReplicaPrimary pins reads to replica 0 while it is live.
-func TestReplicaPrimaryPreference(t *testing.T) {
-	m := cluster.MustNewShardTopology(cluster.ShardConfig{Shards: 1, Replicas: 2})
-	addrs, servers := startShardedCluster(t, m, nil)
-	c, err := DialCluster(addrs, ClusterOptions{Topology: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Set(bg, "k", []byte("v"), WriteOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	served0 := servers[m.Server(0, 0)].Served()
-	served1 := servers[m.Server(0, 1)].Served()
-	for i := 0; i < 20; i++ {
-		v, found, err := c.Get(bg, "k", ReadOptions{Replica: ReplicaPrimary})
-		if err != nil || !found || string(v) != "v" {
-			t.Fatalf("Get: %v found=%v val=%q", err, found, v)
-		}
-	}
-	if got := servers[m.Server(0, 0)].Served() - served0; got != 20 {
-		t.Fatalf("primary served %d of 20 pinned reads", got)
-	}
-	if got := servers[m.Server(0, 1)].Served() - served1; got != 0 {
-		t.Fatalf("secondary served %d reads despite ReplicaPrimary", got)
+	if v, _ := servers[m.Server(0, 0)].Store().Get("k"); string(v) != "v1" {
+		t.Fatalf("live replica holds %q, want v1", v)
 	}
 }

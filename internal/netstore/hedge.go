@@ -13,10 +13,10 @@ package netstore
 // request has outlived its forecast, not on a wall-clock guess.
 //
 // Hedging trades redundancy for latency: every fired hedge is real work
-// a second server performs. The policy bounds it (MaxHedges per batch,
-// never past the shard's replica count, never without deadline budget
-// remaining), and the fired/won/wasted counters make the spend
-// observable — a wasted-heavy ratio means the trigger fires too early.
+// a second server performs. It is bounded (at most one hedge per batch,
+// never without deadline budget remaining), and the fired/won/wasted
+// counters make the spend observable — a wasted-heavy ratio means the
+// trigger fires too early.
 
 import (
 	"context"
@@ -70,9 +70,6 @@ type HedgePolicy struct {
 	// batch has been outstanding past this quantile of the replica's
 	// forecast response-time distribution. Default 0.9.
 	Quantile float64
-	// MaxHedges caps the extra attempts per batch (default 1; the
-	// runtime additionally never exceeds the shard's replica count).
-	MaxHedges int
 }
 
 // Validate rejects self-contradictory policies before any request is
@@ -89,9 +86,6 @@ func (p HedgePolicy) Validate() error {
 	if p.Quantile < 0 || p.Quantile >= 1 {
 		return fmt.Errorf("netstore: hedge quantile %v outside (0, 1)", p.Quantile)
 	}
-	if p.MaxHedges < 0 {
-		return fmt.Errorf("netstore: negative hedge cap %d", p.MaxHedges)
-	}
 	return nil
 }
 
@@ -106,9 +100,6 @@ func (p HedgePolicy) withDefaults() HedgePolicy {
 	}
 	if p.Quantile <= 0 || p.Quantile >= 1 {
 		p.Quantile = 0.9
-	}
-	if p.MaxHedges <= 0 {
-		p.MaxHedges = 1
 	}
 	return p
 }
@@ -162,7 +153,7 @@ func (c *Cluster) newHedgeTimer(d time.Duration) (<-chan time.Time, func()) {
 
 // hedgedBatch issues one shard batch to the picked replica — already
 // counted outstanding in the scorer by the caller — and, when it stays
-// outstanding past the policy's trigger, re-issues the same keys
+// outstanding past the policy's trigger, re-issues the same keys once
 // to the next-ranked untried replica, returning the first complete
 // answer (and which replica produced it). Losing attempts are not
 // cancelled on the wire — the protocol has no cancel frame — but their
@@ -176,23 +167,19 @@ func (c *Cluster) newHedgeTimer(d time.Duration) (<-chan time.Time, func()) {
 // marked down, arming the prober) or ctx ended; the caller fails over
 // or surfaces the deadline exactly as for an unhedged attempt.
 //
-// The third result is the number of hedges this call fired, on success
-// and failure alike — the caller accounts them to the task
+// The third result is the number of hedges this call fired (0 or 1), on
+// success and failure alike — the caller accounts them to the task
 // (TaskResult.Hedged) so per-class workload reports can attribute
 // hedging spend, which the process-wide counters cannot.
 func (c *Cluster) hedgedBatch(ctx context.Context, st *topoState, scorer *c3.Scorer, b shardBatch, first int, slot *serverSlot, sc *serverConn, tried []bool, pol HedgePolicy) (*wire.BatchResp, int, int, error) {
 	n := len(b.keys)
-	maxAttempts := 1 + pol.MaxHedges
-	if r := st.topo.Replicas(); maxAttempts > r {
-		maxAttempts = r
-	}
 	type outcome struct {
 		rep  int
 		resp *wire.BatchResp // nil: the attempt's connection died or ctx ended
 	}
-	// Buffered for every possible attempt, so a loser's goroutine can
-	// always deliver its outcome and exit even after this call returned.
-	results := make(chan outcome, maxAttempts)
+	// Buffered for both attempts, so a loser's goroutine can always
+	// deliver its outcome and exit even after this call returned.
+	results := make(chan outcome, 2)
 	// launch sends the batch to a replica where the scorer already counts
 	// its keys outstanding; every way the attempt can end unwinds them.
 	launch := func(rep int, slot *serverSlot, sc *serverConn) bool {
@@ -234,26 +221,16 @@ func (c *Cluster) hedgedBatch(ctx context.Context, st *topoState, scorer *c3.Sco
 		return nil, first, 0, fmt.Errorf("netstore: batch send to shard %d replica %d failed", b.shard, first)
 	}
 	pending, hedges := 1, 0
+	// arm schedules the hedge trigger relative to now, keyed off the
+	// first replica's forecast; it runs until the hedge has gone out.
 	var timerC <-chan time.Time
-	var stopTimer func()
-	disarm := func() {
-		if stopTimer != nil {
-			stopTimer()
-		}
-		timerC, stopTimer = nil, nil
+	stopTimer := func() {}
+	arm := func() {
+		stopTimer()
+		timerC, stopTimer = c.newHedgeTimer(pol.triggerDelay(scorer, first))
 	}
-	// arm schedules the next hedge trigger relative to now, keyed off
-	// the most recently issued replica's forecast (the attempt we are
-	// now primarily waiting on).
-	arm := func(base int) {
-		disarm()
-		if hedges >= pol.MaxHedges || pending >= maxAttempts {
-			return
-		}
-		timerC, stopTimer = c.newHedgeTimer(pol.triggerDelay(scorer, base))
-	}
-	arm(first)
-	defer disarm()
+	arm()
+	defer func() { stopTimer() }()
 	countWasted := func(w int) {
 		if w > 0 {
 			c.hedgesWasted.Add(uint64(w))
@@ -273,16 +250,13 @@ func (c *Cluster) hedgedBatch(ctx context.Context, st *topoState, scorer *c3.Sco
 				countWasted(hedges - won)
 				return out.resp, out.rep, hedges, nil
 			}
-			pending--
-			if pending == 0 {
+			// An attempt died; ride out the other one, if any.
+			if pending--; pending == 0 {
 				countWasted(hedges)
 				return nil, first, hedges, fmt.Errorf("netstore: all %d attempt(s) to shard %d failed", hedges+1, b.shard)
 			}
-			// An attempt died but others remain: allow another hedge in
-			// its place if the policy still has headroom.
-			arm(first)
 		case <-timerC:
-			disarm()
+			timerC = nil
 			if _, ok := budgetOf(ctx); !ok {
 				continue // deadline spent: a hedge would be shed on arrival
 			}
@@ -295,21 +269,20 @@ func (c *Cluster) hedgedBatch(ctx context.Context, st *topoState, scorer *c3.Sco
 			hsc := hslot.conn.Load()
 			if hsc == nil {
 				scorer.OnError(rep, n)
-				arm(first) // lost a race with markDown; re-arm and re-rank
+				arm() // lost a race with markDown; re-arm and re-rank
 				continue
 			}
 			if c.credits != nil {
 				c.credits.spend(hslot.id, float64(b.cost))
 			}
-			if launch(rep, hslot, hsc) {
-				pending++
-				hedges++
-				c.hedgesFired.Add(1)
-				hedgeFiredTotal.Inc()
-				arm(rep)
-			} else {
-				arm(first)
+			if !launch(rep, hslot, hsc) {
+				arm()
+				continue
 			}
+			pending++
+			hedges++
+			c.hedgesFired.Add(1)
+			hedgeFiredTotal.Inc()
 		case <-ctx.Done():
 			return nil, first, hedges, ctxErr(ctx, fmt.Sprintf("hedged batch on shard %d", b.shard))
 		}

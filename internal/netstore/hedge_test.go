@@ -24,13 +24,12 @@ func TestHedgePolicyValidate(t *testing.T) {
 	}{
 		{"zero value (off)", HedgePolicy{}, ""},
 		{"fixed defaults", HedgePolicy{Mode: HedgeFixed}, ""},
-		{"adaptive full", HedgePolicy{Mode: HedgeAdaptive, Delay: time.Millisecond, Quantile: 0.99, MaxHedges: 2}, ""},
+		{"adaptive full", HedgePolicy{Mode: HedgeAdaptive, Delay: time.Millisecond, Quantile: 0.99}, ""},
 		{"quantile lower edge", HedgePolicy{Mode: HedgeAdaptive, Quantile: 0}, ""},
 		{"unknown mode", HedgePolicy{Mode: HedgeMode(42)}, "unknown hedge mode"},
 		{"negative delay", HedgePolicy{Mode: HedgeFixed, Delay: -time.Second}, "negative hedge delay"},
 		{"quantile one", HedgePolicy{Mode: HedgeAdaptive, Quantile: 1}, "quantile"},
 		{"quantile negative", HedgePolicy{Mode: HedgeAdaptive, Quantile: -0.5}, "quantile"},
-		{"negative cap", HedgePolicy{Mode: HedgeFixed, MaxHedges: -1}, "negative hedge cap"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			err := tc.pol.Validate()
@@ -54,12 +53,12 @@ func TestHedgePolicyDefaults(t *testing.T) {
 		t.Fatalf("off policy mutated by withDefaults: %+v", got)
 	}
 	got := HedgePolicy{Mode: HedgeAdaptive}.withDefaults()
-	want := HedgePolicy{Mode: HedgeAdaptive, Delay: time.Millisecond, Quantile: 0.9, MaxHedges: 1}
+	want := HedgePolicy{Mode: HedgeAdaptive, Delay: time.Millisecond, Quantile: 0.9}
 	if got != want {
 		t.Fatalf("withDefaults() = %+v, want %+v", got, want)
 	}
 	// Explicit fields survive.
-	set := HedgePolicy{Mode: HedgeFixed, Delay: 7 * time.Millisecond, Quantile: 0.5, MaxHedges: 3}
+	set := HedgePolicy{Mode: HedgeFixed, Delay: 7 * time.Millisecond, Quantile: 0.5}
 	if got := set.withDefaults(); got != set {
 		t.Fatalf("withDefaults() clobbered explicit fields: %+v", got)
 	}
@@ -142,7 +141,10 @@ func (ft *fakeHedgeTimer) armedDelays() []time.Duration {
 
 // hedgeCluster builds a 1-shard × 2-replica cluster with a FaultInjector
 // on each replica and a hand-fired hedge timer, loads one key, and
-// returns the pieces.
+// returns the pieces. Its scorer is cold — nothing read yet — so a
+// read's first attempt goes to replica 0, the primary: with no feedback
+// and nothing outstanding every replica scores the same, and
+// c3.Scorer.Best breaks ties by index.
 func hedgeCluster(t *testing.T) (*Cluster, *fakeHedgeTimer, [2]*FaultInjector) {
 	t.Helper()
 	var injs [2]*FaultInjector
@@ -181,8 +183,7 @@ func TestHedgedReadBeatsStalledReplica(t *testing.T) {
 	done := make(chan got, 1)
 	go func() {
 		v, found, err := c.Get(bg, "k", ReadOptions{
-			Replica: ReplicaPrimary, // pin the first attempt to the stalled replica
-			Hedge:   HedgePolicy{Mode: HedgeAdaptive, Delay: 5 * time.Millisecond},
+			Hedge: HedgePolicy{Mode: HedgeAdaptive, Delay: 5 * time.Millisecond},
 		})
 		done <- got{v, found, err}
 	}()
@@ -222,8 +223,7 @@ func TestHedgeWastedWhenPrimaryWins(t *testing.T) {
 	done := make(chan got, 1)
 	go func() {
 		v, found, err := c.Get(bg, "k", ReadOptions{
-			Replica: ReplicaPrimary,
-			Hedge:   HedgePolicy{Mode: HedgeFixed, Delay: 5 * time.Millisecond},
+			Hedge: HedgePolicy{Mode: HedgeFixed, Delay: 5 * time.Millisecond},
 		})
 		done <- got{v, found, err}
 	}()

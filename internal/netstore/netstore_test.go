@@ -18,8 +18,8 @@ import (
 )
 
 // bg is the background context tests reach for where deadline behavior
-// is not what is under test (the store's default RequestTimeout still
-// bounds these calls).
+// is not what is under test (DefaultRequestTimeout still bounds these
+// calls).
 var bg = context.Background()
 
 // startCluster launches n servers on loopback and returns their addresses
@@ -421,7 +421,7 @@ func TestUncalibratedForecastsStillOrderTasks(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if f, min := c.scale.factor(), float64(warm)/float64(c.opts.CostModel.Estimate(c.opts.DefaultSize)); f < min {
+	if f, min := c.scale.factor(), float64(warm)/float64(c.opts.CostModel.Estimate(defaultSize)); f < min {
 		t.Fatalf("forecast scale %.0f after two %v reads, want at least %.0f", f, warm, min)
 	}
 	delay.Store(0)

@@ -53,10 +53,6 @@ type RebalanceOptions struct {
 	// DialTimeout bounds connection establishment and per-page I/O
 	// deadlines (default 5s).
 	DialTimeout time.Duration
-	// WriteWindow is how many migration writes ride the wire before the
-	// stream waits for their acknowledgments (default 128) — simple
-	// pipelining, bounded memory.
-	WriteWindow int
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...any)
 }
@@ -65,11 +61,13 @@ func (o RebalanceOptions) withDefaults() RebalanceOptions {
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 5 * time.Second
 	}
-	if o.WriteWindow <= 0 {
-		o.WriteWindow = 128
-	}
 	return o
 }
+
+// migrationWindow is how many migration writes ride the wire before the
+// stream waits for their acknowledgments — simple pipelining, bounded
+// memory.
+const migrationWindow = 128
 
 func (o RebalanceOptions) logf(format string, args ...any) {
 	if o.Logf != nil {
@@ -425,8 +423,8 @@ func scanAll(ctx context.Context, addr string, opts RebalanceOptions, fn func(ke
 }
 
 // replayEntries pushes migrated entries onto one receiving server with
-// their original versions (idempotent), pipelining WriteWindow writes
-// between acknowledgment waits.
+// their original versions (idempotent), pipelining migrationWindow
+// writes between acknowledgment waits.
 func replayEntries(ctx context.Context, addr string, shard int, epoch uint64, entries map[string]movedEntry, opts RebalanceOptions) error {
 	a, err := dialAdmin(addr, opts)
 	if err != nil {
@@ -463,7 +461,7 @@ func replayEntries(ctx context.Context, addr string, shard int, epoch uint64, en
 		if err := a.send(ctx, msg, opts.DialTimeout); err != nil {
 			return err
 		}
-		if inFlight++; inFlight >= opts.WriteWindow {
+		if inFlight++; inFlight >= migrationWindow {
 			if err := drain(); err != nil {
 				return err
 			}

@@ -632,8 +632,10 @@ func TestClusterReaderAheadOfLaggingReplica(t *testing.T) {
 		srv.SetTopology(old)
 	}
 	read := func(c *Cluster) error {
-		// Primary-pinned, so every sub-task meets replica 0 first.
-		res, err := c.Multiget(bg, moved, ReadOptions{Replica: ReplicaPrimary})
+		// On a fresh client every scorer is cold, so the first read's
+		// sub-tasks meet replica 0 first (c3.Scorer.Best breaks ties by
+		// index).
+		res, err := c.Multiget(bg, moved, ReadOptions{})
 		if err != nil {
 			return err
 		}
@@ -738,7 +740,7 @@ func TestStrayRebucketSplitsCost(t *testing.T) {
 	if demand[1] == 0 || demand[2] == 0 {
 		t.Fatalf("demand %v: the strays did not re-bucket two ways", demand)
 	}
-	cost := float64(c.opts.CostModel.Estimate(c.opts.DefaultSize) * int64(len(keys)))
+	cost := float64(c.opts.CostModel.Estimate(defaultSize) * int64(len(keys)))
 	if demand[0] != cost {
 		t.Fatalf("first attempt charged %v at shard 0, want the task's forecast %v", demand[0], cost)
 	}

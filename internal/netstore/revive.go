@@ -48,10 +48,10 @@ import (
 )
 
 // repairCtx bounds one background repair/replay write: the cluster's
-// root context (so Close cancels it) narrowed to DialTimeout (so one
-// wedged server cannot capture the prober or a repair slot).
+// root context (so Close cancels it) narrowed to clientDialTimeout (so
+// one wedged server cannot capture the prober or a repair slot).
 func (c *Cluster) repairCtx() (context.Context, context.CancelFunc) {
-	return context.WithTimeout(c.rootCtx, c.opts.DialTimeout)
+	return context.WithTimeout(c.rootCtx, clientDialTimeout)
 }
 
 // repairWrite is one ctx-bounded versioned write of repair traffic.
@@ -78,8 +78,8 @@ type hint struct {
 }
 
 // hintBuffer is the per-server hinted-handoff buffer: latest missed
-// write per key, bounded by ClusterOptions.MaxHintsPerReplica (writes
-// dropped on overflow are healed by read-repair instead).
+// write per key, bounded by maxHintsPerReplica (writes dropped on
+// overflow are healed by read-repair instead).
 type hintBuffer struct {
 	mu    sync.Mutex
 	hints map[string]hint
@@ -96,7 +96,7 @@ type hintBuffer struct {
 // retired slot redirect (in memory, no I/O) to the key's current owner
 // slots, whose buffers the prober's flushHints pass drains.
 func (c *Cluster) addHint(slot *serverSlot, key string, value []byte, version uint64, del bool) {
-	if c.opts.MaxHintsPerReplica < 0 {
+	if c.opts.noHints {
 		return
 	}
 	if c.redirectIfRetired(slot, key, value, version, del) {
@@ -155,7 +155,7 @@ func (c *Cluster) bufferHint(slot *serverSlot, key string, value []byte, version
 		if cur.version >= version {
 			return
 		}
-	} else if len(hb.hints) >= c.opts.MaxHintsPerReplica {
+	} else if len(hb.hints) >= maxHintsPerReplica {
 		c.hintOverflows.Add(1)
 		hintOverflowsTotal.Inc()
 		return
@@ -337,7 +337,7 @@ func (c *Cluster) flushHints(slot *serverSlot) {
 // connection in and clears the down mark — reads never hit a revived
 // replica this client hasn't caught up yet.
 func (c *Cluster) tryRevive(st *topoState, slot *serverSlot) {
-	sc, err := probeDial(slot.addr, c.opts.DialTimeout)
+	sc, err := probeDial(slot.addr, clientDialTimeout)
 	if err != nil {
 		return
 	}
@@ -346,7 +346,7 @@ func (c *Cluster) tryRevive(st *topoState, slot *serverSlot) {
 	// goroutine. On expiry the revival is abandoned and the unreplayed
 	// remainder re-buffers; already-replayed hints are gone from the
 	// snapshot, so retries make progress even through a huge buffer.
-	_ = sc.conn.SetDeadline(time.Now().Add(c.opts.DialTimeout))
+	_ = sc.conn.SetDeadline(time.Now().Add(clientDialTimeout))
 	if !c.replayHints(slot, sc) {
 		sc.close()
 		return

@@ -154,9 +154,9 @@ func TestClusterReadRepair(t *testing.T) {
 	m := cluster.MustNewShardTopology(cluster.ShardConfig{Shards: 1, Replicas: 2})
 	addrs, servers := startShardedCluster(t, m, nil)
 	c, err := DialCluster(addrs, ClusterOptions{
-		Topology:           m,
-		ProbeInterval:      20 * time.Millisecond,
-		MaxHintsPerReplica: -1, // isolate read-repair
+		Topology:      m,
+		ProbeInterval: 20 * time.Millisecond,
+		noHints:       true, // isolate read-repair
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -200,9 +200,9 @@ func TestClusterReadRepairDelete(t *testing.T) {
 	m := cluster.MustNewShardTopology(cluster.ShardConfig{Shards: 1, Replicas: 2})
 	addrs, servers := startShardedCluster(t, m, nil)
 	c, err := DialCluster(addrs, ClusterOptions{
-		Topology:           m,
-		ProbeInterval:      20 * time.Millisecond,
-		MaxHintsPerReplica: -1,
+		Topology:      m,
+		ProbeInterval: 20 * time.Millisecond,
+		noHints:       true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -74,13 +74,11 @@ type ServerOptions struct {
 	CheckShard bool
 	// TombstoneGCHorizon, when positive, enables tombstone garbage
 	// collection on the server's store: tombstones older than the
-	// horizon are dropped by a bounded periodic sweep. The horizon must
-	// exceed the longest plausible delayed-replay window (see
-	// kv.Store.StartTombstoneGC).
+	// horizon are dropped by a bounded periodic sweep, ticking every
+	// horizon/10 (floor 1s) and sweeping 1/NumShards of the store per
+	// tick. The horizon must exceed the longest plausible delayed-replay
+	// window (see kv.Store.StartTombstoneGC).
 	TombstoneGCHorizon time.Duration
-	// TombstoneGCInterval is the sweep tick (default horizon/10, floor
-	// 1s; each tick sweeps 1/NumShards of the store).
-	TombstoneGCInterval time.Duration
 	// Fault, when non-nil, injects deterministic service faults into
 	// this server — per-request added latency and stall-the-next-N
 	// gates (see FaultInjector) — for tests and the load harness's
@@ -94,17 +92,13 @@ type ServerOptions struct {
 	// locally first and hinted-handoff only tops up the post-crash tail.
 	DataDir string
 	// Fsync is the WAL sync policy: always (default; acked ⇒ durable),
-	// interval, or never. See kv.FsyncPolicy.
+	// interval (a 50ms background sync), or never. See kv.FsyncPolicy.
+	// WAL segments rotate at 8 MiB.
 	Fsync kv.FsyncPolicy
-	// FsyncInterval is the background sync period under Fsync=interval
-	// (default 50ms).
-	FsyncInterval time.Duration
 	// SnapshotInterval is the periodic snapshot period (default 1m;
 	// every snapshot truncates WAL segments behind it). The tombstone-GC
 	// horizon is clamped to at least this interval (kv.ClampGCHorizon).
 	SnapshotInterval time.Duration
-	// WALSegmentBytes is the segment rotation size (default 8 MiB).
-	WALSegmentBytes int64
 	// DiskFault injects disk faults (fsync errors, snapshot-rename
 	// crashes) into the durability layer for tests. Production servers
 	// leave it nil.
@@ -182,8 +176,6 @@ func NewDurableServer(store *kv.Store, opts ServerOptions) (*Server, kv.ReplaySt
 	}
 	dur, stats, err := kv.OpenDurable(opts.DataDir, store, kv.DurableOptions{
 		Fsync:            opts.Fsync,
-		FsyncInterval:    opts.FsyncInterval,
-		SegmentBytes:     opts.WALSegmentBytes,
 		SnapshotInterval: snapInterval,
 		Fault:            opts.DiskFault,
 	})
@@ -209,13 +201,7 @@ func newServer(store *kv.Store, dur *kv.Durable, opts ServerOptions) *Server {
 		conns: make(map[net.Conn]struct{}),
 	}
 	if opts.TombstoneGCHorizon > 0 {
-		interval := opts.TombstoneGCInterval
-		if interval <= 0 {
-			interval = opts.TombstoneGCHorizon / 10
-			if interval < time.Second {
-				interval = time.Second
-			}
-		}
+		interval := max(opts.TombstoneGCHorizon/10, time.Second)
 		s.gcStop = store.StartTombstoneGC(opts.TombstoneGCHorizon, interval)
 	}
 	for i := 0; i < opts.Workers; i++ {

@@ -122,9 +122,9 @@ func TestSpreadSubTaskOverReplicas(t *testing.T) {
 	}
 }
 
-// The keep-whole rule: one replica down, ReplicaPrimary, a scorer without
-// feedback, and a service cost too small to pay for a second message each
-// keep the sub-task one message.
+// The keep-whole rule: one replica down, a sibling ranked far behind the
+// primary, a scorer without feedback, and a service cost too small to pay
+// for a second message each keep the sub-task one message.
 func TestSpreadKeepsSubTaskWhole(t *testing.T) {
 	whole := func(t *testing.T, c *Cluster, keys []string, opts ReadOptions) {
 		t.Helper()
@@ -156,11 +156,19 @@ func TestSpreadKeepsSubTaskWhole(t *testing.T) {
 		whole(t, c, keys, ReadOptions{})
 	})
 	t.Run("primary", func(t *testing.T) {
+		// Replica 1 answers in a second: even with all eight keys
+		// outstanding on replica 0 it ranks behind, so replica 0, the
+		// primary, takes the whole sub-task.
 		c, servers, _, keys := spreadCluster(t, 2*time.Millisecond)
-		warmScorer(c, 2*time.Millisecond)
-		whole(t, c, keys, ReadOptions{Replica: ReplicaPrimary})
+		sc := c.state.Load().scorers[0]
+		for r, resp := range []time.Duration{2*time.Millisecond + 100*time.Microsecond, time.Second} {
+			sc.OnSend(r, 1)
+			sc.Observe(r, 1, float64(resp), float64(2*time.Millisecond), 0)
+		}
+		sc.ObserveMessage(100e3)
+		whole(t, c, keys, ReadOptions{})
 		if got := servers[1].Served(); got != 0 {
-			t.Fatalf("replica 1 served %d keys of a primary-pinned read", got)
+			t.Fatalf("replica 1 served %d keys of a read it ranks last for", got)
 		}
 	})
 	t.Run("cold scorer", func(t *testing.T) {

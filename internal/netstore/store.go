@@ -31,11 +31,10 @@ import (
 //
 // Deadlines: the effective deadline of a call is the earliest of the
 // ctx deadline, the per-call options Timeout, and (when ctx carries no
-// deadline) the store's configured RequestTimeout — so even a
-// context.Background() caller is bounded by default. On expiry the
-// call returns promptly with an error wrapping context.DeadlineExceeded;
-// Multiget additionally returns the partial TaskResult the in-deadline
-// shards produced.
+// deadline) DefaultRequestTimeout — so even a context.Background()
+// caller is bounded. On expiry the call returns promptly with an error
+// wrapping context.DeadlineExceeded; Multiget additionally returns the
+// partial TaskResult the in-deadline shards produced.
 type Store interface {
 	// Get reads one key (found=false for missing keys — not an error).
 	Get(ctx context.Context, key string, opts ReadOptions) (value []byte, found bool, err error)
@@ -53,28 +52,13 @@ type Store interface {
 
 var _ Store = (*Cluster)(nil)
 
-// ReplicaPreference selects how reads pick among a group's replicas.
-type ReplicaPreference int
-
-const (
-	// ReplicaAuto ranks replicas load-awarely by C3 score and spreads a
-	// sub-task's keys over them. The default.
-	ReplicaAuto ReplicaPreference = iota
-	// ReplicaPrimary prefers replica index 0 while it is live —
-	// deterministic routing for tests and read-your-writes-ish tooling —
-	// falling back to load-aware ranking when it is down.
-	ReplicaPrimary
-)
-
 // ReadOptions are per-call read knobs. The zero value is the default
-// behavior: load-aware replica selection, deadline from ctx or the
-// store's RequestTimeout.
+// behavior: no hedging, deadline from ctx or DefaultRequestTimeout.
+// Replicas are always chosen load-awarely (see Cluster.Multiget).
 type ReadOptions struct {
 	// Timeout, when positive, bounds this call in addition to any ctx
 	// deadline (the earlier one wins).
 	Timeout time.Duration
-	// Replica selects the replica-preference policy.
-	Replica ReplicaPreference
 	// Hedge configures tail-cutting hedged reads (see HedgePolicy). The
 	// zero value disables hedging.
 	Hedge HedgePolicy
@@ -89,36 +73,19 @@ type ReadOptions struct {
 	PriorityBias int64
 }
 
-// WriteFanout selects how many replica acknowledgments a write waits for.
-type WriteFanout int
-
-const (
-	// WriteAll waits for every live replica of the key's shard (the
-	// default) and succeeds once at least one acked; a replica that is
-	// down or fails the write gets it buffered as a hint for replay on
-	// revival.
-	WriteAll WriteFanout = iota
-	// WriteAny returns once one replica acknowledges; the remaining
-	// fan-out completes in the background (failures there self-heal via
-	// hinted handoff and read-repair). Lower latency, weaker durability
-	// at return time.
-	WriteAny
-)
-
-// WriteOptions are per-call write knobs. The zero value waits for all
-// replicas under the default deadline.
+// WriteOptions are per-call write knobs. A write always waits for
+// every live replica of the key's shard and succeeds once at least one
+// acked (see Cluster.Set).
 type WriteOptions struct {
 	// Timeout, when positive, bounds this call in addition to any ctx
 	// deadline (the earlier one wins).
 	Timeout time.Duration
-	// Fanout selects how many replica acks the call waits for.
-	Fanout WriteFanout
 }
 
 // DefaultRequestTimeout bounds calls whose context carries no deadline
-// when the store options leave RequestTimeout zero. It exists so a
-// context.Background() caller against a wedged-but-open connection
-// blocks for seconds, not forever.
+// and whose options set no Timeout. It exists so a context.Background()
+// caller against a wedged-but-open connection blocks for seconds, not
+// forever.
 const DefaultRequestTimeout = 10 * time.Second
 
 // Deadline/cancellation counters (process-wide; see internal/metrics):
@@ -130,18 +97,13 @@ var (
 
 // requestContext applies the per-call and store-default timeouts:
 // opts timeout (if set) always narrows; the default applies only when
-// the caller brought no deadline at all. def < 0 disables the default.
+// the caller brought no deadline at all.
 func requestContext(ctx context.Context, timeout, def time.Duration) (context.Context, context.CancelFunc) {
 	if timeout > 0 {
 		return context.WithTimeout(ctx, timeout)
 	}
 	if _, ok := ctx.Deadline(); !ok {
-		if def == 0 {
-			def = DefaultRequestTimeout
-		}
-		if def > 0 {
-			return context.WithTimeout(ctx, def)
-		}
+		return context.WithTimeout(ctx, def)
 	}
 	return ctx, func() {}
 }

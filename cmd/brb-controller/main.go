@@ -26,6 +26,8 @@
 // empty) on -new-addrs with `-shard <NextShardID>`; migration streams
 // the moving ranges off the donors, flips the epoch, and catches up —
 // no stop-the-world, clients follow via NotOwner-triggered refreshes.
+// Every exchange with a server gives up after netstore's fixed 5 s
+// bound; there is no timeout flag.
 package main
 
 import (
@@ -36,7 +38,6 @@ import (
 	"net"
 	"os"
 	"strings"
-	"time"
 
 	"github.com/brb-repro/brb/internal/cluster"
 	"github.com/brb-repro/brb/internal/netstore"
@@ -55,11 +56,10 @@ func main() {
 	addShard := flag.Bool("add-shard", false, "rebalance: grow the cluster by one shard on -new-addrs")
 	newAddrs := flag.String("new-addrs", "", "the new shard's replica addresses (with -add-shard)")
 	removeShard := flag.Int("remove-shard", -1, "rebalance: drain this shard ID onto the survivors")
-	dialTimeout := flag.Duration("dial-timeout", 5*time.Second, "admin-mode dial timeout")
 	flag.Parse()
 
 	if *pushTopo || *addShard || *removeShard >= 0 {
-		runTopologyAdmin(*clusterAddrs, *pushTopo, *addShard, *newAddrs, *removeShard, *shards, *replicas, *dialTimeout)
+		runTopologyAdmin(*clusterAddrs, *pushTopo, *addShard, *newAddrs, *removeShard, *shards, *replicas)
 		return
 	}
 
@@ -90,20 +90,21 @@ func main() {
 
 // runTopologyAdmin executes the one-shot topology modes: bootstrap
 // push, live AddShard, live RemoveShard.
-func runTopologyAdmin(clusterAddrs string, push, add bool, newAddrs string, remove, shards, replicas int, dialTimeout time.Duration) {
+func runTopologyAdmin(clusterAddrs string, push, add bool, newAddrs string, remove, shards, replicas int) {
 	if clusterAddrs == "" {
 		fmt.Fprintln(os.Stderr, "brb-controller: topology admin needs -cluster")
 		os.Exit(2)
 	}
 	addrs := strings.Split(clusterAddrs, ",")
-	ropts := netstore.RebalanceOptions{DialTimeout: dialTimeout, Logf: log.Printf}
-	// One-shot admin modes run under the process's lifetime; per-page
-	// I/O is bounded by -dial-timeout inside the rebalance machinery.
+	ropts := netstore.RebalanceOptions{Logf: log.Printf}
+	// One-shot admin modes run under the process's lifetime; every
+	// exchange with a server (a dial, a scan page, a window of migration
+	// writes) is bounded inside the rebalance machinery.
 	ctx := context.Background()
 
 	// Current topology: fetched from the cluster, or bootstrapped from
 	// the flags when the servers hold none yet.
-	cur, err := netstore.FetchTopology(ctx, addrs[0], dialTimeout)
+	cur, err := netstore.FetchTopology(ctx, addrs[0])
 	if err != nil {
 		log.Fatalf("brb-controller: fetch topology from %s: %v", addrs[0], err)
 	}
@@ -118,7 +119,7 @@ func runTopologyAdmin(clusterAddrs string, push, add bool, newAddrs string, remo
 		if cur, err = base.WithAddrs(addrs); err != nil {
 			log.Fatalf("brb-controller: %v", err)
 		}
-		if err := netstore.PushTopology(ctx, cur, ropts); err != nil {
+		if err := netstore.PushTopology(ctx, cur); err != nil {
 			log.Fatalf("brb-controller: bootstrap push: %v", err)
 		}
 		log.Printf("brb-controller: bootstrapped epoch-1 topology (%d shards × %d replicas) onto %d servers",
@@ -147,7 +148,7 @@ func runTopologyAdmin(clusterAddrs string, push, add bool, newAddrs string, remo
 	case push:
 		// Bootstrap (or re-push) already handled above; make sure an
 		// existing topology is also (re)delivered everywhere.
-		if err := netstore.PushTopology(ctx, cur, ropts); err != nil {
+		if err := netstore.PushTopology(ctx, cur); err != nil {
 			log.Fatalf("brb-controller: push: %v", err)
 		}
 		log.Printf("brb-controller: topology epoch %d pushed to %d servers", cur.Epoch(), cur.NumServers())

@@ -351,7 +351,7 @@ func newHarness(ctx context.Context, cfg *config, out io.Writer, logger *log.Log
 		// Epoch-versioned routing needs every server to hold the
 		// topology, so ownership checks and NotOwner/stray rejections are
 		// live before the epoch changes under the clients.
-		err = netstore.PushTopology(h.ctx, h.topo, netstore.RebalanceOptions{})
+		err = netstore.PushTopology(h.ctx, h.topo)
 	}
 	return h, err
 }

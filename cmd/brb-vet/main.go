@@ -1,55 +1,27 @@
 // Command brb-vet runs the repo's invariant analyzers (framealias,
 // ctxfirst, stickyerr, sleepless, counterlint — see internal/analysis)
-// over Go packages.
-//
-// Standalone (the mode CI and the Makefile use):
+// over Go packages, loading every matched package (test files included)
+// into one process. That is what lets counterlint check that each
+// counter name is registered exactly once across the whole repository,
+// not once per package. CI and `make lint` run:
 //
 //	go run ./cmd/brb-vet ./...
-//	brb-vet -run 'framealias|stickyerr' ./internal/netstore/
 //
-// It is also go vet -vettool compatible:
+// and one analyzer subset over one package is:
 //
-//	go build -o "$(go env GOPATH)/bin/brb-vet" ./cmd/brb-vet
-//	go vet -vettool=$(which brb-vet) ./...
-//
-// In vettool mode the go command hands each package unit to the tool as
-// a JSON config file; test files arrive as their own units, so the
-// test-scoped analyzers (sleepless) work identically in both modes.
+//	go run ./cmd/brb-vet -run 'framealias|stickyerr' ./internal/netstore/
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
-	"io"
 	"os"
 	"regexp"
-	"strings"
 
 	"github.com/brb-repro/brb/internal/analysis"
 )
 
 func main() {
-	// go vet protocol handshakes come before normal flag parsing.
-	if len(os.Args) == 2 && strings.HasPrefix(os.Args[1], "-V=") {
-		// The go command hashes this line into its action cache key.
-		fmt.Printf("brb-vet version brb-1 (%s)\n", suiteFingerprint())
-		return
-	}
-	if len(os.Args) == 2 && os.Args[1] == "-flags" {
-		// No tool-specific flags are exposed through go vet.
-		fmt.Println("[]")
-		return
-	}
-	if len(os.Args) == 2 && strings.HasSuffix(os.Args[1], ".cfg") {
-		os.Exit(runUnit(os.Args[1]))
-	}
-
 	runFilter := flag.String("run", "", "regexp selecting analyzers to run (default: all)")
 	list := flag.Bool("list", false, "list analyzers and exit")
 	flag.Usage = func() {
@@ -113,112 +85,4 @@ func selectAnalyzers(filter string) ([]*analysis.Analyzer, error) {
 		return nil, fmt.Errorf("-run %q matches no analyzer", filter)
 	}
 	return out, nil
-}
-
-// suiteFingerprint folds the analyzer names into the version string so
-// editing the suite invalidates go vet's result cache.
-func suiteFingerprint() string {
-	var names []string
-	for _, a := range analysis.All() {
-		names = append(names, a.Name)
-	}
-	return strings.Join(names, "+")
-}
-
-// vetConfig is the JSON unit description go vet writes for -vettool
-// tools (the unitchecker protocol).
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	NonGoFiles                []string
-	IgnoredFiles              []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// runUnit analyzes one go vet package unit. Exit 0 means clean; exit 2
-// reports findings on stderr (the convention vet's driver surfaces).
-func runUnit(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "brb-vet:", err)
-		return 2
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintln(os.Stderr, "brb-vet: parsing", cfgPath+":", err)
-		return 2
-	}
-	// The go command requires the facts file regardless; the suite
-	// carries no cross-unit facts.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, []byte{}, 0o666); err != nil {
-			fmt.Fprintln(os.Stderr, "brb-vet:", err)
-			return 2
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			if cfg.SucceedOnTypecheckFailure {
-				return 0
-			}
-			fmt.Fprintln(os.Stderr, "brb-vet:", err)
-			return 2
-		}
-		files = append(files, f)
-	}
-	imp := importer.ForCompiler(fset, cfg.Compiler, func(path string) (io.ReadCloser, error) {
-		if mapped, ok := cfg.ImportMap[path]; ok {
-			path = mapped
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no package file for %q", path)
-		}
-		return os.Open(file)
-	})
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Implicits:  make(map[ast.Node]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
-	}
-	conf := types.Config{Importer: imp, Sizes: types.SizesFor(cfg.Compiler, "amd64")}
-	tpkg, err := conf.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintln(os.Stderr, "brb-vet:", err)
-		return 2
-	}
-	pkg := &analysis.Package{PkgPath: cfg.ImportPath, Fset: fset, Syntax: files, Types: tpkg, TypesInfo: info}
-	diags, err := analysis.Run(analysis.All(), []*analysis.Package{pkg})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "brb-vet:", err)
-		return 2
-	}
-	for _, d := range diags {
-		fmt.Fprintf(os.Stderr, "%s: %s (%s)\n", fset.Position(d.Pos), d.Message, d.Analyzer)
-	}
-	if len(diags) > 0 {
-		return 2
-	}
-	return 0
 }

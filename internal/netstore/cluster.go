@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -125,7 +125,8 @@ var (
 // (nil while down; swapped atomically by the revival prober), the down
 // mark, and the hinted-handoff buffer. Slots are keyed by stable server
 // ID and SHARED between topology states, so hints and down-marks
-// survive a topology refresh.
+// survive a topology refresh; a slot whose server a topology retires
+// stays too, until Close, so its hints stay reachable.
 type serverSlot struct {
 	id   int
 	addr string
@@ -143,13 +144,22 @@ func (s *serverSlot) closeConn() {
 	}
 }
 
+// retire closes the connection of a server the topology dropped and
+// marks it down, so that a topology naming the server again has the
+// prober redial it.
+func (s *serverSlot) retire() {
+	s.closeConn()
+	s.down.Store(true)
+}
+
 // topoState is one epoch's immutable view of the cluster: the topology
 // plus per-server slots and per-shard scorers. Operations load the
 // current state once and work against it; a concurrent refresh installs
 // a new state without disturbing them (slots are shared by ID).
 type topoState struct {
 	topo *cluster.ShardTopology
-	// slots maps stable server IDs to their client-side state.
+	// slots maps stable server IDs to their client-side state: the
+	// topology's servers, and every server an earlier epoch retired.
 	slots map[int]*serverSlot
 	// scorers[shardID] ranks that shard's replicas from piggybacked
 	// feedback; carried over across epochs for surviving shards.
@@ -363,11 +373,11 @@ func (c *Cluster) newScorer(replicas int) *c3.Scorer {
 
 // dialSlot dials slot's server and publishes the connection.
 func (c *Cluster) dialSlot(slot *serverSlot) error {
-	conn, err := net.DialTimeout("tcp", slot.addr, clientDialTimeout)
+	sc, err := dialServer(slot.addr)
 	if err != nil {
 		return err
 	}
-	slot.conn.Store(newServerConn(conn))
+	slot.conn.Store(sc)
 	return nil
 }
 
@@ -460,7 +470,9 @@ func (c *Cluster) refreshTopology(ctx context.Context, prev *topoState) *topoSta
 	results := make(chan *cluster.ShardTopology, len(live))
 	for _, sc := range live {
 		go func(sc *serverConn) {
-			tp, err := sc.topoGet(clientDialTimeout)
+			ctx, cancel := c.repairCtx()
+			tp, err := sc.topoGet(ctx)
+			cancel()
 			if err != nil {
 				results <- nil
 				return
@@ -535,8 +547,8 @@ func (c *Cluster) InstallTopology(nt *cluster.ShardTopology) {
 // installLocked (topoMu held) builds the new epoch's state: slots are
 // reused by server ID so connections, down-marks and buffered hints
 // survive; servers joining the topology are dialed; servers leaving it
-// forward their buffered hints to the keys' new owners and are closed
-// after the swap.
+// keep their slots — whose hints the prober forwards to the keys' new
+// owners — but lose their connections after the swap.
 func (c *Cluster) installLocked(st *topoState, nt *cluster.ShardTopology) *topoState {
 	if c.closed.Load() {
 		// Close is (or has been) sweeping connections under this same
@@ -545,12 +557,11 @@ func (c *Cluster) installLocked(st *topoState, nt *cluster.ShardTopology) *topoS
 	}
 	ns := &topoState{
 		topo:    nt,
-		slots:   make(map[int]*serverSlot, nt.NumServers()),
+		slots:   maps.Clone(st.slots),
 		scorers: make(map[int]*c3.Scorer, nt.Shards()),
 	}
 	for _, sid := range nt.Servers() {
-		if slot := st.slots[sid]; slot != nil {
-			ns.slots[sid] = slot
+		if ns.slots[sid] != nil {
 			continue
 		}
 		slot := &serverSlot{id: sid, addr: nt.Addr(sid)}
@@ -573,29 +584,12 @@ func (c *Cluster) installLocked(st *topoState, nt *cluster.ShardTopology) *topoS
 		// provenance is void, so the cache restarts empty.
 		c.cache.purge()
 	}
-	// Retired servers: their hint buffers may hold the only surviving
-	// copy of acknowledged writes (a donor replica that died before the
-	// migration scan), and the prober only walks the new topology's
-	// servers — forward every hint to its key's new owner slots before
-	// the retired slot becomes unreachable, then close the connection
-	// (in-flight operations on the old state fail over or error like
-	// any transport loss). The forwarded hints drain on the prober's
-	// next flushHints/revival pass, versioned and idempotent as ever.
-	for sid, slot := range st.slots {
-		if ns.slots[sid] != nil {
-			continue
+	// In-flight operations on the old state fail over or error like any
+	// transport loss.
+	for sid, slot := range ns.slots {
+		if nt.ShardOfServer(sid) < 0 {
+			slot.retire()
 		}
-		slot.hints.mu.Lock()
-		orphaned := slot.hints.hints
-		slot.hints.hints = nil
-		slot.hints.mu.Unlock()
-		for key, h := range orphaned {
-			owner := nt.ShardOfKey(key)
-			for _, osid := range nt.ReplicaServers(owner) {
-				c.addHint(ns.slots[osid], key, h.value, h.version, h.del)
-			}
-		}
-		slot.closeConn()
 	}
 	c.refreshes.Add(1)
 	topoRefreshesTotal.Inc()
@@ -660,12 +654,7 @@ func (c *Cluster) write(ctx context.Context, key string, value []byte, del bool,
 			}
 			inflight++
 			go func(slot *serverSlot, sc *serverConn) {
-				var werr error
-				if del {
-					werr = sc.del(ctx, key, ver, rt)
-				} else {
-					werr = sc.set(ctx, key, value, ver, rt)
-				}
+				werr := sc.write(ctx, key, value, ver, del, rt)
 				v := writeVerdict{err: werr}
 				switch {
 				case werr == nil:
@@ -1355,9 +1344,10 @@ func (c *Cluster) ReplicaDown(shard, replica int) bool {
 // for callers that wait for an outage to be over without knowing (or
 // racing a refresh of) the topology.
 func (c *Cluster) DownReplicas() int {
+	st := c.state.Load()
 	n := 0
-	for _, slot := range c.state.Load().slots {
-		if slot.down.Load() {
+	for _, sid := range st.topo.Servers() {
+		if st.slots[sid].down.Load() {
 			n++
 		}
 	}

@@ -90,144 +90,143 @@ type writeRoute struct {
 	epoch uint64
 }
 
-// serverConn multiplexes batches over one TCP connection. Outbound
-// frames ride a coalescing ConnWriter: concurrent sub-task goroutines
-// queue their batches into one buffer and share Write syscalls.
+// serverConn is the one way netstore's client side talks to a server.
+// Requests multiplex over one TCP connection, each under an id its reply
+// echoes, and one read loop hands every reply to the waiter registered
+// under that id. Outbound frames ride a coalescing ConnWriter:
+// concurrent sub-task goroutines queue their requests into one buffer
+// and share Write syscalls.
 type serverConn struct {
 	conn net.Conn
 	w    *wire.ConnWriter
 
 	mu       sync.Mutex
 	nextID   uint64
-	pending  map[uint64]chan *wire.BatchResp
-	pendAck  map[uint64]chan error      // Set/Del acks (nil) or NotOwner rejections
-	pendTopo map[uint64]chan *wire.Topo // TopoGet replies
+	waiters  map[uint64]chan wire.Message
 	closed   bool
 	closeErr error
 }
 
-func newServerConn(conn net.Conn) *serverConn {
-	return newServerConnReader(conn, bufio.NewReaderSize(conn, 64<<10))
+// dialServer dials addr, bounded by clientDialTimeout, and starts a
+// serverConn over the connection.
+func dialServer(addr string) (*serverConn, error) {
+	conn, err := net.DialTimeout("tcp", addr, clientDialTimeout)
+	if err != nil {
+		return nil, err
+	}
+	return newServerConn(conn), nil
 }
 
-// newServerConnReader wraps a connection whose read side is already
-// buffered — the revival prober hands over the reader it exchanged the
-// Ping/Pong on, so no buffered byte is lost in the swap.
-func newServerConnReader(conn net.Conn, r *bufio.Reader) *serverConn {
+func newServerConn(conn net.Conn) *serverConn {
 	sc := &serverConn{
-		conn:     conn,
-		w:        wire.NewConnWriter(conn),
-		pending:  make(map[uint64]chan *wire.BatchResp),
-		pendAck:  make(map[uint64]chan error),
-		pendTopo: make(map[uint64]chan *wire.Topo),
+		conn:    conn,
+		w:       wire.NewConnWriter(conn),
+		waiters: make(map[uint64]chan wire.Message),
 	}
-	go sc.readLoop(r)
+	go sc.readLoop(bufio.NewReaderSize(conn, 64<<10))
 	return sc
+}
+
+// replyID is the request id a server reply echoes; false for a message
+// that answers no request.
+func replyID(m wire.Message) (uint64, bool) {
+	switch m := m.(type) {
+	case *wire.BatchResp:
+		return m.Batch, true
+	case *wire.SetResp:
+		return m.Seq, true
+	case *wire.DelResp:
+		return m.Seq, true
+	case *wire.NotOwner:
+		return m.ID, true
+	case *wire.Topo:
+		return m.Seq, true
+	case *wire.ScanResp:
+		return m.Seq, true
+	case *wire.Pong:
+		return m.Nonce, true
+	}
+	return 0, false
+}
+
+// stamp writes a request's id into the field its reply echoes, and the
+// caller's remaining budget into the requests that carry one (a batch
+// keeps a budget its caller pre-set).
+func stamp(req wire.Message, id uint64, budget int64) {
+	switch m := req.(type) {
+	case *wire.BatchReq:
+		m.Batch = id
+		if m.Budget == 0 {
+			m.Budget = budget
+		}
+	case *wire.Set:
+		m.Seq, m.Budget = id, budget
+	case *wire.Del:
+		m.Seq, m.Budget = id, budget
+	case *wire.TopoGet:
+		m.Seq = id
+	case *wire.Topo:
+		m.Seq = id
+	case *wire.Scan:
+		m.Seq = id
+	case *wire.Ping:
+		m.Nonce = id
+	}
 }
 
 func (sc *serverConn) readLoop(r *bufio.Reader) {
 	for {
-		msg, err := wire.ReadMessage(r)
+		f, err := wire.ReadFrame(r)
+		var msg wire.Message
+		if err == nil {
+			msg, err = wire.Decode(f.Bytes())
+			f.Release()
+		}
 		if err != nil {
 			sc.mu.Lock()
 			sc.closed = true
 			sc.closeErr = err
-			for _, ch := range sc.pending {
+			for _, ch := range sc.waiters {
 				close(ch)
 			}
-			for _, ch := range sc.pendAck {
-				close(ch)
-			}
-			for _, ch := range sc.pendTopo {
-				close(ch)
-			}
-			sc.pending = map[uint64]chan *wire.BatchResp{}
-			sc.pendAck = map[uint64]chan error{}
-			sc.pendTopo = map[uint64]chan *wire.Topo{}
+			sc.waiters = nil
 			sc.mu.Unlock()
 			return
 		}
-		switch m := msg.(type) {
-		case *wire.BatchResp:
-			sc.mu.Lock()
-			ch, live := sc.pending[m.Batch]
-			delete(sc.pending, m.Batch)
-			sc.mu.Unlock()
-			if !live {
-				// The batch was abandoned (its sender saw a write error
-				// and gave up): drop the response instead of keeping a
-				// channel nobody will receive on.
-				continue
-			}
-			// The waiter's channel is buffered and it receives exactly
-			// once, so this send cannot block the read loop; a server
-			// double-answering a batch ID would hit the default case.
+		id, ok := replyID(msg)
+		if !ok {
+			continue
+		}
+		sc.mu.Lock()
+		ch, live := sc.waiters[id]
+		delete(sc.waiters, id)
+		sc.mu.Unlock()
+		// A reply whose waiter gave up is dropped. The waiter's channel is
+		// buffered and receives exactly once, so this send cannot block the
+		// read loop; a server double-answering an id would hit the default
+		// case.
+		if live {
 			select {
-			case ch <- m:
+			case ch <- msg:
 			default:
 			}
-		case *wire.SetResp:
-			sc.ack(m.Seq, nil)
-		case *wire.DelResp:
-			sc.ack(m.Seq, nil)
-		case *wire.NotOwner:
-			sc.ack(m.ID, &NotOwnerError{Epoch: m.Epoch, OwnerShard: int(m.Hint)})
-		case *wire.Topo:
-			sc.mu.Lock()
-			ch, live := sc.pendTopo[m.Seq]
-			delete(sc.pendTopo, m.Seq)
-			sc.mu.Unlock()
-			if live {
-				select {
-				case ch <- m:
-				default:
-				}
-			}
 		}
 	}
 }
 
-// batch sends req (Batch is assigned here; all other fields are the
-// caller's) and waits for its response, ctx cancellation, or connection
-// death — whichever comes first. The ctx deadline is stamped onto the
-// request's Budget (unless the caller pre-set one) so the server can
-// shed the batch's keys if they queue past it; a budget already spent
-// fails before any byte is sent. On ctx termination the waiter
-// deregisters, so a late response is dropped by the read loop instead
-// of leaking a channel.
-func (sc *serverConn) batch(ctx context.Context, req *wire.BatchReq) (*wire.BatchResp, error) {
-	id, ch, err := sc.startBatch(ctx, req)
-	if err != nil {
-		return nil, err
+// start is the one request primitive: it registers a waiter under a
+// fresh id, stamps the id and ctx's remaining budget onto req, and sends
+// it without waiting. The caller owns the wait — a hedged read selects
+// over several of these channels at once. The channel yields exactly one
+// reply, or is closed if the connection dies; a caller that stops caring
+// must abandon(id) so a late reply is dropped instead of leaking the
+// waiter. A budget already spent fails before any byte is sent.
+func (sc *serverConn) start(ctx context.Context, req wire.Message, what string) (uint64, chan wire.Message, error) {
+	budget, ok := budgetOf(ctx)
+	if !ok {
+		return 0, nil, ctxErr(ctx, what+" not sent")
 	}
-	select {
-	case resp, ok := <-ch:
-		if !ok {
-			return nil, fmt.Errorf("netstore: connection closed awaiting batch: %v", sc.closeError())
-		}
-		return resp, nil
-	case <-ctx.Done():
-		sc.abandonBatch(id)
-		return nil, ctxErr(ctx, "batch abandoned")
-	}
-}
-
-// startBatch is the asynchronous half of batch: it registers a waiter
-// channel, stamps the Budget and Batch ID, and sends the frame, but
-// does not wait. The caller owns the wait — a hedged read selects over
-// several of these channels at once. The channel yields exactly one
-// response, or is closed if the connection dies; a caller that stops
-// caring must abandonBatch(id) so a late response is dropped instead of
-// leaking the pending-map entry.
-func (sc *serverConn) startBatch(ctx context.Context, req *wire.BatchReq) (uint64, chan *wire.BatchResp, error) {
-	if req.Budget == 0 {
-		b, ok := budgetOf(ctx)
-		if !ok {
-			return 0, nil, ctxErr(ctx, "batch not sent")
-		}
-		req.Budget = b
-	}
-	ch := make(chan *wire.BatchResp, 1)
+	ch := make(chan wire.Message, 1)
 	sc.mu.Lock()
 	if sc.closed {
 		sc.mu.Unlock()
@@ -235,154 +234,115 @@ func (sc *serverConn) startBatch(ctx context.Context, req *wire.BatchReq) (uint6
 	}
 	sc.nextID++
 	id := sc.nextID
-	sc.pending[id] = ch
+	sc.waiters[id] = ch
 	sc.mu.Unlock()
-
-	req.Batch = id
+	stamp(req, id, budget)
 	if err := sc.w.Send(req); err != nil {
-		sc.mu.Lock()
-		delete(sc.pending, id)
-		sc.mu.Unlock()
+		sc.abandon(id)
 		return 0, nil, err
 	}
 	return id, ch, nil
 }
 
-// abandonBatch deregisters a startBatch waiter; the read loop then drops
-// the batch's response on arrival (the server still does the work — the
-// abandonment is a client-side bookkeeping release, not a wire cancel).
-func (sc *serverConn) abandonBatch(id uint64) {
+// abandon deregisters a waiter; the read loop then drops its reply on
+// arrival (the server still does the work — the abandonment is a
+// client-side bookkeeping release, not a wire cancel).
+func (sc *serverConn) abandon(id uint64) {
 	sc.mu.Lock()
-	delete(sc.pending, id)
+	delete(sc.waiters, id)
 	sc.mu.Unlock()
 }
 
-// ack delivers a write acknowledgment (SetResp/DelResp, result nil) or
-// rejection (NotOwner, result non-nil) to its waiter; Set and Del share
-// the connection's seq space.
-func (sc *serverConn) ack(seq uint64, result error) {
-	sc.mu.Lock()
-	ch, live := sc.pendAck[seq]
-	delete(sc.pendAck, seq)
-	sc.mu.Unlock()
-	if live {
-		select {
-		case ch <- result:
-		default:
-		}
-	}
-}
-
-// awaitAck registers an ack channel under a fresh seq, sends the message
-// built from that seq, and blocks until the server acknowledges or
-// rejects it, the connection dies, or ctx ends. Every caller's wait is
-// ctx-bounded: foreground writes carry the request deadline, background
-// repair traffic (hint replay/re-route, read-repair) derives a
-// clientDialTimeout-bounded ctx, so one wedged-but-open server can
-// neither hang a caller forever nor capture the prober or a repair slot.
-// On ctx termination the waiter deregisters; a late verdict parks
-// harmlessly in the buffered channel.
-func (sc *serverConn) awaitAck(ctx context.Context, build func(seq uint64) wire.Message, what string) error {
-	ch := make(chan error, 1)
-	sc.mu.Lock()
-	if sc.closed {
-		sc.mu.Unlock()
-		return fmt.Errorf("netstore: connection closed: %v", sc.closeErr)
-	}
-	sc.nextID++
-	id := sc.nextID
-	sc.pendAck[id] = ch
-	sc.mu.Unlock()
-	if err := sc.w.Send(build(id)); err != nil {
-		sc.mu.Lock()
-		delete(sc.pendAck, id)
-		sc.mu.Unlock()
-		return err
-	}
-	// A value on the channel is the server's verdict (nil ack or a
-	// NotOwner rejection); the read loop closing it instead means the
-	// connection died with the write unacknowledged — an error, not
-	// success.
+// wait is the one wait: for the reply to a started request, the
+// connection's death, or ctx's end, whichever comes first. Every wait is
+// ctx-bounded — foreground calls carry the request deadline, background
+// traffic a clientDialTimeout-bounded ctx — so one wedged-but-open server
+// can hang no caller. On ctx's end the waiter deregisters.
+func (sc *serverConn) wait(ctx context.Context, id uint64, ch chan wire.Message, what string) (wire.Message, error) {
 	select {
-	case result, acked := <-ch:
-		if !acked {
-			return fmt.Errorf("netstore: connection closed awaiting %s: %v", what, sc.closeError())
+	case m, ok := <-ch:
+		if !ok {
+			return nil, fmt.Errorf("netstore: connection closed awaiting %s: %v", what, sc.closeError())
 		}
-		return result
+		return m, nil
 	case <-ctx.Done():
-		sc.mu.Lock()
-		delete(sc.pendAck, id)
-		sc.mu.Unlock()
-		return ctxErr(ctx, what+" abandoned")
+		sc.abandon(id)
+		return nil, ctxErr(ctx, what+" abandoned")
 	}
 }
 
-// set writes one versioned key (version 0 = server-assigned local
-// version) under the given topology route and waits for the
-// acknowledgment until ctx ends. The ctx deadline rides the frame as
-// its remaining Budget; a budget already spent fails without sending. A
-// *NotOwnerError return means the server rejected the key as not its
-// own.
-func (sc *serverConn) set(ctx context.Context, key string, value []byte, version uint64, rt writeRoute) error {
-	budget, ok := budgetOf(ctx)
-	if !ok {
-		return ctxErr(ctx, "set not sent")
+// call sends req and waits for its reply.
+func (sc *serverConn) call(ctx context.Context, req wire.Message, what string) (wire.Message, error) {
+	id, ch, err := sc.start(ctx, req, what)
+	if err != nil {
+		return nil, err
 	}
-	return sc.awaitAck(ctx, func(seq uint64) wire.Message {
-		return &wire.Set{Seq: seq, Version: version, Shard: uint32(rt.shard), Epoch: rt.epoch, Budget: budget, Key: key, Value: value}
-	}, "set")
+	return sc.wait(ctx, id, ch, what)
 }
 
-// del deletes one versioned key and waits for the acknowledgment until
-// ctx ends.
-func (sc *serverConn) del(ctx context.Context, key string, version uint64, rt writeRoute) error {
-	budget, ok := budgetOf(ctx)
-	if !ok {
-		return ctxErr(ctx, "del not sent")
+// replyAs narrows a call's reply to the type its request is answered
+// with.
+func replyAs[T wire.Message](m wire.Message, err error) (T, error) {
+	r, ok := m.(T)
+	if err == nil && !ok {
+		err = fmt.Errorf("netstore: unexpected reply %T", m)
 	}
-	return sc.awaitAck(ctx, func(seq uint64) wire.Message {
-		return &wire.Del{Seq: seq, Version: version, Shard: uint32(rt.shard), Epoch: rt.epoch, Budget: budget, Key: key}
-	}, "del")
+	return r, err
+}
+
+// batch sends req and waits for its response until ctx ends. The ctx
+// deadline rides the request as its Budget (unless the caller pre-set
+// one) so the server can shed the batch's keys if they queue past it.
+func (sc *serverConn) batch(ctx context.Context, req *wire.BatchReq) (*wire.BatchResp, error) {
+	return replyAs[*wire.BatchResp](sc.call(ctx, req, "batch"))
+}
+
+// writeReq is the frame of one versioned write under the given topology
+// route: a Set, or with del a Del (version 0 = server-assigned local
+// version).
+func writeReq(key string, value []byte, version uint64, del bool, rt writeRoute) wire.Message {
+	if del {
+		return &wire.Del{Version: version, Shard: uint32(rt.shard), Epoch: rt.epoch, Key: key}
+	}
+	return &wire.Set{Version: version, Shard: uint32(rt.shard), Epoch: rt.epoch, Key: key, Value: value}
+}
+
+// ackOf is a write's verdict from its reply: nil for an ack, a
+// *NotOwnerError when the server rejected the key as not its own.
+func ackOf(m wire.Message, err error) error {
+	if no, ok := m.(*wire.NotOwner); ok {
+		return &NotOwnerError{Epoch: no.Epoch, OwnerShard: int(no.Hint)}
+	}
+	return err
+}
+
+// write sends one versioned write and waits for its verdict until ctx
+// ends.
+func (sc *serverConn) write(ctx context.Context, key string, value []byte, version uint64, del bool, rt writeRoute) error {
+	return ackOf(sc.call(ctx, writeReq(key, value, version, del, rt), "write"))
 }
 
 // topoGet asks the server for its current topology and waits for the
-// reply (nil Epoch-0 topologies come back as-is; the caller decides
-// whether that is useful). The wait is bounded: topology refresh runs
-// under the client's single-flight lock, and one wedged server — TCP
-// alive, process stalled — must not stall every operation behind it.
-// The reply channel is buffered, so a reply racing the timeout parks
-// harmlessly instead of blocking the read loop.
-func (sc *serverConn) topoGet(timeout time.Duration) (*wire.Topo, error) {
-	ch := make(chan *wire.Topo, 1)
-	sc.mu.Lock()
-	if sc.closed {
-		sc.mu.Unlock()
-		return nil, fmt.Errorf("netstore: connection closed: %v", sc.closeErr)
+// reply until ctx ends (Epoch-0 topologies come back as-is; the caller
+// decides whether that is useful).
+func (sc *serverConn) topoGet(ctx context.Context) (*wire.Topo, error) {
+	return replyAs[*wire.Topo](sc.call(ctx, &wire.TopoGet{}, "topology"))
+}
+
+// within runs one exchange of background traffic on a connection the
+// caller owns, under ctx narrowed to clientDialTimeout. If that ends
+// before the exchange does, the connection is closed, so a Send blocked
+// on a wedged peer fails along with the wait instead of outliving it. A
+// nil return means the exchange completed with the connection open.
+func (sc *serverConn) within(ctx context.Context, exchange func(ctx context.Context) error) error {
+	ctx, cancel := context.WithTimeout(ctx, clientDialTimeout)
+	defer cancel()
+	stop := context.AfterFunc(ctx, sc.close)
+	err := exchange(ctx)
+	if !stop() && err == nil {
+		err = ctxErr(ctx, "exchange cut short")
 	}
-	sc.nextID++
-	id := sc.nextID
-	sc.pendTopo[id] = ch
-	sc.mu.Unlock()
-	if err := sc.w.Send(&wire.TopoGet{Seq: id}); err != nil {
-		sc.mu.Lock()
-		delete(sc.pendTopo, id)
-		sc.mu.Unlock()
-		return nil, err
-	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case tp, ok := <-ch:
-		if !ok {
-			return nil, fmt.Errorf("netstore: connection closed awaiting topology: %v", sc.closeError())
-		}
-		return tp, nil
-	case <-timer.C:
-		sc.mu.Lock()
-		delete(sc.pendTopo, id)
-		sc.mu.Unlock()
-		return nil, fmt.Errorf("netstore: topology fetch timed out after %v", timeout)
-	}
+	return err
 }
 
 func (sc *serverConn) closeError() error {

@@ -288,7 +288,7 @@ func TestCrashRecoveryMidRebalance(t *testing.T) {
 		}
 	}
 	topo := mustWithAddrs(t, base, addrs)
-	if err := PushTopology(bg, topo, RebalanceOptions{}); err != nil {
+	if err := PushTopology(bg, topo); err != nil {
 		t.Fatal(err)
 	}
 	c, err := DialCluster(nil, ClusterOptions{Topology: topo, ProbeInterval: 10 * time.Millisecond})
@@ -334,7 +334,7 @@ func TestCrashRecoveryMidRebalance(t *testing.T) {
 	// The restarted donor lost its in-memory topology with the crash;
 	// in production the next rebalance or an operator push re-delivers
 	// it. Deliver it here so the per-key ownership checks come back.
-	if err := PushTopology(bg, grown, RebalanceOptions{}); err != nil {
+	if err := PushTopology(bg, grown); err != nil {
 		t.Fatalf("re-push topology after restart: %v", err)
 	}
 

@@ -11,7 +11,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -88,7 +87,8 @@ func (p *stallProxy) acceptLoop() {
 }
 
 // wedgedListener accepts connections and then ignores them entirely —
-// the simplest wedged-but-open server.
+// never reads, never replies — the simplest wedged-but-open server. Once
+// the socket buffers fill, a peer's writes block.
 func wedgedListener(t *testing.T) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -97,13 +97,18 @@ func wedgedListener(t *testing.T) string {
 	}
 	t.Cleanup(func() { _ = ln.Close() })
 	go func() {
+		var held []net.Conn
+		defer func() {
+			for _, conn := range held {
+				_ = conn.Close()
+			}
+		}()
 		for {
 			conn, err := ln.Accept()
 			if err != nil {
 				return
 			}
-			defer conn.Close()
-			_, _ = io.Copy(io.Discard, conn) // read and drop, never reply
+			held = append(held, conn)
 		}
 	}()
 	return ln.Addr().String()

@@ -184,7 +184,7 @@ func (c *Cluster) hedgedBatch(ctx context.Context, st *topoState, scorer *c3.Sco
 	// its keys outstanding; every way the attempt can end unwinds them.
 	launch := func(rep int, slot *serverSlot, sc *serverConn) bool {
 		multigetBatchesTotal.Inc()
-		id, ch, err := sc.startBatch(ctx, batchReq(st, b, rep))
+		id, ch, err := sc.start(ctx, batchReq(st, b, rep), "batch")
 		if err != nil {
 			scorer.OnError(rep, n)
 			if ctx.Err() == nil {
@@ -195,8 +195,10 @@ func (c *Cluster) hedgedBatch(ctx context.Context, st *topoState, scorer *c3.Sco
 		sent := time.Now()
 		go func() {
 			select {
-			case resp, ok := <-ch:
-				if !ok {
+			case m := <-ch:
+				// nil: the channel closed with the connection.
+				resp, _ := m.(*wire.BatchResp)
+				if resp == nil {
 					scorer.OnError(rep, n)
 					if ctx.Err() == nil {
 						c.markDown(slot, sc)
@@ -210,7 +212,7 @@ func (c *Cluster) hedgedBatch(ctx context.Context, st *topoState, scorer *c3.Sco
 				c.noteResponseVersions(b, resp)
 				results <- outcome{rep: rep, resp: resp}
 			case <-ctx.Done():
-				sc.abandonBatch(id)
+				sc.abandon(id)
 				scorer.OnError(rep, n)
 				results <- outcome{rep: rep}
 			}

@@ -38,30 +38,19 @@ package netstore
 // able to name a newer epoch.
 
 import (
-	"bufio"
 	"context"
 	"fmt"
-	"net"
 	"time"
 
 	"github.com/brb-repro/brb/internal/cluster"
 	"github.com/brb-repro/brb/internal/wire"
 )
 
-// RebalanceOptions tune a rebalance run.
+// RebalanceOptions tune a rebalance run. Every exchange with a server
+// is bounded by clientDialTimeout as well as by the caller's ctx.
 type RebalanceOptions struct {
-	// DialTimeout bounds connection establishment and per-page I/O
-	// deadlines (default 5s).
-	DialTimeout time.Duration
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...any)
-}
-
-func (o RebalanceOptions) withDefaults() RebalanceOptions {
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 5 * time.Second
-	}
-	return o
 }
 
 // migrationWindow is how many migration writes ride the wire before the
@@ -83,7 +72,6 @@ func (o RebalanceOptions) logf(format string, args ...any) {
 // everything replayed so far is versioned and idempotent, and no epoch
 // was published unless the copy pass completed).
 func AddShard(ctx context.Context, cur *cluster.ShardTopology, newAddrs []string, opts RebalanceOptions) (*cluster.ShardTopology, error) {
-	opts = opts.withDefaults()
 	next, err := cur.AddShard(newAddrs...)
 	if err != nil {
 		return nil, err
@@ -104,7 +92,6 @@ func AddShard(ctx context.Context, cur *cluster.ShardTopology, newAddrs []string
 // keep running (they reject everything once they hold the new topology)
 // and can be decommissioned at leisure.
 func RemoveShard(ctx context.Context, cur *cluster.ShardTopology, shardID int, opts RebalanceOptions) (*cluster.ShardTopology, error) {
-	opts = opts.withDefaults()
 	next, err := cur.RemoveShard(shardID)
 	if err != nil {
 		return nil, err
@@ -144,7 +131,7 @@ func migrate(ctx context.Context, cur, next *cluster.ShardTopology, donors []int
 	// data now), then everyone else.
 	pushed := map[int]bool{}
 	for _, sid := range receivers {
-		if err := pushTopologyTo(ctx, next.Addr(sid), next, opts); err != nil {
+		if err := pushTopologyTo(ctx, next.Addr(sid), next); err != nil {
 			return fmt.Errorf("push topology to receiver %d (%s): %w", sid, next.Addr(sid), err)
 		}
 		pushed[sid] = true
@@ -153,7 +140,7 @@ func migrate(ctx context.Context, cur, next *cluster.ShardTopology, donors []int
 		if pushed[sid] {
 			continue
 		}
-		if err := pushTopologyTo(ctx, next.Addr(sid), next, opts); err != nil {
+		if err := pushTopologyTo(ctx, next.Addr(sid), next); err != nil {
 			return fmt.Errorf("push topology to %d (%s): %w", sid, next.Addr(sid), err)
 		}
 		pushed[sid] = true
@@ -163,7 +150,7 @@ func migrate(ctx context.Context, cur, next *cluster.ShardTopology, donors []int
 	for _, d := range donors {
 		if !next.HasShard(d) {
 			for _, sid := range cur.ReplicaServers(d) {
-				if err := pushTopologyTo(ctx, cur.Addr(sid), next, opts); err != nil {
+				if err := pushTopologyTo(ctx, cur.Addr(sid), next); err != nil {
 					return fmt.Errorf("push topology to retiring %d (%s): %w", sid, cur.Addr(sid), err)
 				}
 			}
@@ -205,7 +192,7 @@ func copyMoved(ctx context.Context, cur, next *cluster.ShardTopology, donors []i
 		reachable := 0
 		for _, sid := range cur.ReplicaServers(d) {
 			addr := cur.Addr(sid)
-			err := scanAll(ctx, addr, opts, func(key string, val []byte, ver uint64, dead bool) {
+			err := scanAll(ctx, addr, func(key string, val []byte, ver uint64, dead bool) {
 				owner := next.ShardOfKey(key)
 				if owner == d && next.HasShard(d) {
 					return // not moving
@@ -245,7 +232,7 @@ func copyMoved(ctx context.Context, cur, next *cluster.ShardTopology, donors []i
 			continue
 		}
 		for _, sid := range next.ReplicaServers(owner) {
-			if err := replayEntries(ctx, next.Addr(sid), owner, next.Epoch(), entries, opts); err != nil {
+			if err := replayEntries(ctx, next.Addr(sid), owner, next.Epoch(), entries); err != nil {
 				return total, fmt.Errorf("replay %d keys to shard %d server %s: %w", len(entries), owner, next.Addr(sid), err)
 			}
 		}
@@ -254,76 +241,20 @@ func copyMoved(ctx context.Context, cur, next *cluster.ShardTopology, donors []i
 	return total, nil
 }
 
-// adminConn is a dedicated synchronous connection for rebalance traffic:
-// scans, topology pushes, and migration replays, one request/response
-// at a time (the server answers these inline and in order).
-type adminConn struct {
-	conn net.Conn
-	r    *bufio.Reader
-	seq  uint64
-}
-
-func dialAdmin(addr string, opts RebalanceOptions) (*adminConn, error) {
-	conn, err := net.DialTimeout("tcp", addr, opts.DialTimeout)
-	if err != nil {
-		return nil, err
-	}
-	return &adminConn{conn: conn, r: bufio.NewReaderSize(conn, 256<<10)}, nil
-}
-
-func (a *adminConn) close() { _ = a.conn.Close() }
-
-// ioDeadline is the earlier of now+timeout and the ctx deadline, so
-// admin I/O honors both the per-page bound and the caller's overall
-// budget.
-func ioDeadline(ctx context.Context, timeout time.Duration) time.Time {
-	d := time.Now().Add(timeout)
-	if cd, ok := ctx.Deadline(); ok && cd.Before(d) {
-		return cd
-	}
-	return d
-}
-
-func (a *adminConn) send(ctx context.Context, m wire.Message, timeout time.Duration) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	_ = a.conn.SetDeadline(ioDeadline(ctx, timeout))
-	return wire.WriteMessage(a.conn, m)
-}
-
-func (a *adminConn) recv(ctx context.Context, timeout time.Duration) (wire.Message, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	_ = a.conn.SetDeadline(ioDeadline(ctx, timeout))
-	return wire.ReadMessage(a.r)
-}
-
-// call is one synchronous round trip.
-func (a *adminConn) call(ctx context.Context, m wire.Message, timeout time.Duration) (wire.Message, error) {
-	if err := a.send(ctx, m, timeout); err != nil {
-		return nil, err
-	}
-	return a.recv(ctx, timeout)
-}
-
 // FetchTopology asks one server for its current topology (nil if the
-// server holds none), bounded by ctx and timeout (earliest wins).
-func FetchTopology(ctx context.Context, addr string, timeout time.Duration) (*cluster.ShardTopology, error) {
-	a, err := dialAdmin(addr, RebalanceOptions{DialTimeout: timeout}.withDefaults())
+// server holds none), bounded by ctx and clientDialTimeout (earliest
+// wins).
+func FetchTopology(ctx context.Context, addr string) (*cluster.ShardTopology, error) {
+	sc, err := dialServer(addr)
 	if err != nil {
 		return nil, err
 	}
-	defer a.close()
-	a.seq++
-	reply, err := a.call(ctx, &wire.TopoGet{Seq: a.seq}, timeout)
+	defer sc.close()
+	ctx, cancel := context.WithTimeout(ctx, clientDialTimeout)
+	defer cancel()
+	tp, err := sc.topoGet(ctx)
 	if err != nil {
 		return nil, err
-	}
-	tp, ok := reply.(*wire.Topo)
-	if !ok {
-		return nil, fmt.Errorf("netstore: topology fetch from %s got %T", addr, reply)
 	}
 	return topoFromWire(tp)
 }
@@ -332,10 +263,9 @@ func FetchTopology(ctx context.Context, addr string, timeout time.Duration) (*cl
 // those; retiring servers of an old topology need pushTopologyTo
 // directly). Used to bootstrap a fresh cluster to epoch 1 before any
 // epoch-versioned client traffic.
-func PushTopology(ctx context.Context, t *cluster.ShardTopology, opts RebalanceOptions) error {
-	opts = opts.withDefaults()
+func PushTopology(ctx context.Context, t *cluster.ShardTopology) error {
 	for _, sid := range t.Servers() {
-		if err := pushTopologyTo(ctx, t.Addr(sid), t, opts); err != nil {
+		if err := pushTopologyTo(ctx, t.Addr(sid), t); err != nil {
 			return fmt.Errorf("netstore: push topology to server %d (%s): %w", sid, t.Addr(sid), err)
 		}
 	}
@@ -351,32 +281,27 @@ func PushTopology(ctx context.Context, t *cluster.ShardTopology, opts RebalanceO
 // more disruptive than the crash itself. A server that stays down past
 // the retries still fails the push — epoch publication must not
 // silently skip a live server.
-func pushTopologyTo(ctx context.Context, addr string, t *cluster.ShardTopology, opts RebalanceOptions) error {
+func pushTopologyTo(ctx context.Context, addr string, t *cluster.ShardTopology) error {
 	if addr == "" {
 		return fmt.Errorf("no address bound")
 	}
-	a, err := dialAdmin(addr, opts)
+	sc, err := dialServer(addr)
 	for attempt := 0; err != nil && attempt < 3; attempt++ {
-		select {
-		case <-ctx.Done():
+		if !sleepCtx(ctx, 100*time.Millisecond) {
 			return ctx.Err()
-		case <-time.After(100 * time.Millisecond):
 		}
-		a, err = dialAdmin(addr, opts)
+		sc, err = dialServer(addr)
 	}
 	if err != nil {
 		return err
 	}
-	defer a.close()
-	a.seq++
-	msg := topoToWire(t, a.seq)
-	reply, err := a.call(ctx, msg, opts.DialTimeout)
+	defer sc.close()
+	ctx, cancel := context.WithTimeout(ctx, clientDialTimeout)
+	defer cancel()
+	// The server answers a push with the topology it holds afterwards.
+	tp, err := replyAs[*wire.Topo](sc.call(ctx, topoToWire(t, 0), "topology push"))
 	if err != nil {
 		return err
-	}
-	tp, ok := reply.(*wire.Topo)
-	if !ok {
-		return fmt.Errorf("push got %T", reply)
 	}
 	if tp.Epoch < t.Epoch() {
 		return fmt.Errorf("server kept epoch %d after push of %d", tp.Epoch, t.Epoch())
@@ -385,25 +310,23 @@ func pushTopologyTo(ctx context.Context, addr string, t *cluster.ShardTopology, 
 }
 
 // scanAll streams every entry of one server's store through fn, page by
-// page: the cursor walks the internal kv shards, and a size-bounded
-// shard continues within one cursor via the After key (a response
-// echoing the same cursor names its last key as the resume point).
-func scanAll(ctx context.Context, addr string, opts RebalanceOptions, fn func(key string, val []byte, ver uint64, dead bool)) error {
-	a, err := dialAdmin(addr, opts)
+// page, each page bounded by clientDialTimeout: the cursor walks the
+// internal kv shards, and a size-bounded shard continues within one
+// cursor via the After key (a response echoing the same cursor names
+// its last key as the resume point).
+func scanAll(ctx context.Context, addr string, fn func(key string, val []byte, ver uint64, dead bool)) error {
+	sc, err := dialServer(addr)
 	if err != nil {
 		return err
 	}
-	defer a.close()
+	defer sc.close()
 	cursor, after := uint32(0), ""
 	for {
-		a.seq++
-		reply, err := a.call(ctx, &wire.Scan{Seq: a.seq, Cursor: cursor, After: after}, opts.DialTimeout)
+		pctx, cancel := context.WithTimeout(ctx, clientDialTimeout)
+		sr, err := replyAs[*wire.ScanResp](sc.call(pctx, &wire.Scan{Cursor: cursor, After: after}, "scan"))
+		cancel()
 		if err != nil {
 			return err
-		}
-		sr, ok := reply.(*wire.ScanResp)
-		if !ok {
-			return fmt.Errorf("scan got %T", reply)
 		}
 		for i, k := range sr.Keys {
 			fn(k, sr.Values[i], sr.Versions[i], sr.Dead[i])
@@ -423,49 +346,45 @@ func scanAll(ctx context.Context, addr string, opts RebalanceOptions, fn func(ke
 }
 
 // replayEntries pushes migrated entries onto one receiving server with
-// their original versions (idempotent), pipelining migrationWindow
-// writes between acknowledgment waits.
-func replayEntries(ctx context.Context, addr string, shard int, epoch uint64, entries map[string]movedEntry, opts RebalanceOptions) error {
-	a, err := dialAdmin(addr, opts)
+// their original versions (idempotent), one window of migrationWindow
+// writes at a time: a window's writes all go out before its acks are
+// awaited, and each window is one exchange bounded by clientDialTimeout.
+func replayEntries(ctx context.Context, addr string, shard int, epoch uint64, entries map[string]movedEntry) error {
+	sc, err := dialServer(addr)
 	if err != nil {
 		return err
 	}
-	defer a.close()
-	inFlight := 0
-	drain := func() error {
-		for ; inFlight > 0; inFlight-- {
-			reply, err := a.recv(ctx, opts.DialTimeout)
-			if err != nil {
-				return err
-			}
-			switch m := reply.(type) {
-			case *wire.SetResp, *wire.DelResp:
-			case *wire.NotOwner:
-				// The receiver refuses a key migration says it owns: the
-				// topologies disagree, stop rather than lose data silently.
-				return fmt.Errorf("receiver rejected migrated key as not owned (its epoch %d, hint shard %d)", m.Epoch, m.Hint)
-			default:
-				return fmt.Errorf("migration write got %T", reply)
-			}
-		}
-		return nil
+	defer sc.close()
+	rt := writeRoute{shard: shard, epoch: epoch}
+	keys := make([]string, 0, len(entries))
+	for k := range entries {
+		keys = append(keys, k)
 	}
-	for key, e := range entries {
-		a.seq++
-		var msg wire.Message
-		if e.dead {
-			msg = &wire.Del{Seq: a.seq, Version: e.ver, Shard: uint32(shard), Epoch: epoch, Key: key}
-		} else {
-			msg = &wire.Set{Seq: a.seq, Version: e.ver, Shard: uint32(shard), Epoch: epoch, Key: key, Value: e.val}
-		}
-		if err := a.send(ctx, msg, opts.DialTimeout); err != nil {
+	ids := make([]uint64, migrationWindow)
+	acks := make([]chan wire.Message, migrationWindow)
+	for len(keys) > 0 {
+		window := keys[:min(len(keys), migrationWindow)]
+		keys = keys[len(window):]
+		if err := sc.within(ctx, func(ctx context.Context) error {
+			for i, key := range window {
+				e := entries[key]
+				var err error
+				if ids[i], acks[i], err = sc.start(ctx, writeReq(key, e.val, e.ver, e.dead, rt), "migration write"); err != nil {
+					return err
+				}
+			}
+			for i := range window {
+				// A NotOwner here means the receiver refuses a key migration
+				// says it owns: the topologies disagree, so stop rather than
+				// lose data silently.
+				if err := ackOf(sc.wait(ctx, ids[i], acks[i], "migration write")); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
 			return err
 		}
-		if inFlight++; inFlight >= migrationWindow {
-			if err := drain(); err != nil {
-				return err
-			}
-		}
 	}
-	return drain()
+	return nil
 }

@@ -7,6 +7,7 @@ package netstore
 // ownership checks and the client's NotOwner-driven refresh.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -92,7 +93,7 @@ func TestClusterLiveAddShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := PushTopology(bg, topo, RebalanceOptions{}); err != nil {
+	if err := PushTopology(bg, topo); err != nil {
 		t.Fatal(err)
 	}
 	c, err := DialCluster(nil, ClusterOptions{Topology: topo, ProbeInterval: 20 * time.Millisecond})
@@ -239,6 +240,51 @@ func TestClusterLiveAddShard(t *testing.T) {
 	checkOwnerConvergence(t, grown, allKeys, nil)
 }
 
+// A migration onto a receiver that accepts connections but never reads
+// must fail within its ctx instead of hanging on a blocked write. The
+// donor's moving keys are more bytes than the socket buffers and the
+// connection's coalescing buffer absorb, so the replay's writes block;
+// AddShard must give up soon after its 500ms deadline and publish no
+// new epoch.
+func TestAddShardWedgedReceiverFails(t *testing.T) {
+	base := cluster.MustNewShardTopology(cluster.ShardConfig{Shards: 1, Replicas: 1})
+	addrs, servers := startShardedCluster(t, base, nil)
+	topo, err := base.WithAddrs(addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := PushTopology(bg, topo); err != nil {
+		t.Fatal(err)
+	}
+	grown, err := topo.AddShard()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 256 moving keys × 64 KiB = 16 MiB bound for the new shard.
+	value := make([]byte, 64<<10)
+	for i, moving := 0, 0; moving < 256; i++ {
+		if k := fmt.Sprintf("key:%d", i); grown.ShardOfKey(k) == topo.NextShardID() {
+			servers[0].Store().Set(k, value)
+			moving++
+		}
+	}
+
+	ctx, cancel := context.WithTimeout(bg, 500*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err = AddShard(ctx, topo, []string{wedgedListener(t)}, RebalanceOptions{Logf: t.Logf})
+	elapsed := time.Since(start)
+	if err == nil {
+		t.Fatal("AddShard onto a wedged receiver succeeded")
+	}
+	if elapsed > 2*time.Second {
+		t.Fatalf("AddShard took %v against a 500ms ctx", elapsed)
+	}
+	if got := servers[0].TopologyEpoch(); got != topo.Epoch() {
+		t.Fatalf("failed migration published epoch %d (was %d)", got, topo.Epoch())
+	}
+}
+
 // TestClusterLiveRemoveShard drains a shard under load: its keys
 // migrate onto the survivors, the long-lived client re-routes, and the
 // retired shard's servers reject everything.
@@ -249,7 +295,7 @@ func TestClusterLiveRemoveShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := PushTopology(bg, topo, RebalanceOptions{}); err != nil {
+	if err := PushTopology(bg, topo); err != nil {
 		t.Fatal(err)
 	}
 	c, err := DialCluster(nil, ClusterOptions{Topology: topo, ProbeInterval: 20 * time.Millisecond})
@@ -386,10 +432,10 @@ func TestServerPerKeyOwnership(t *testing.T) {
 
 	// Writes: owned accepted, foreign rejected with the owner hint.
 	rt := writeRoute{shard: 0, epoch: topo.Epoch()}
-	if err := sc.set(bg, owned, []byte("mine"), 7, rt); err != nil {
+	if err := sc.write(bg, owned, []byte("mine"), 7, false, rt); err != nil {
 		t.Fatalf("owned Set rejected: %v", err)
 	}
-	err = sc.set(bg, foreign, []byte("stray"), 8, rt)
+	err = sc.write(bg, foreign, []byte("stray"), 8, false, rt)
 	var noe *NotOwnerError
 	if !errors.As(err, &noe) {
 		t.Fatalf("foreign Set err = %v, want NotOwnerError", err)
@@ -397,7 +443,7 @@ func TestServerPerKeyOwnership(t *testing.T) {
 	if noe.OwnerShard != 1 || noe.Epoch != topo.Epoch() {
 		t.Fatalf("NotOwner hint = %+v, want owner 1 epoch %d", noe, topo.Epoch())
 	}
-	if err := sc.del(bg, foreign, 9, rt); err == nil {
+	if err := sc.write(bg, foreign, nil, 9, true, rt); err == nil {
 		t.Fatal("foreign Del accepted")
 	}
 	if _, ok := srv.Store().Get(foreign); ok {
@@ -456,7 +502,7 @@ func TestTopoPushDoesNotAliasFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pushTopologyTo(bg, ln.Addr().String(), topo, RebalanceOptions{}.withDefaults()); err != nil {
+	if err := pushTopologyTo(bg, ln.Addr().String(), topo); err != nil {
 		t.Fatal(err)
 	}
 	// Hammer the connection-handling path with frames that recycle the
@@ -475,7 +521,7 @@ func TestTopoPushDoesNotAliasFrame(t *testing.T) {
 		}
 	}
 	for i := 0; i < 50; i++ {
-		if err := sc.set(bg, owned, []byte("kkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkk"), uint64(i+1), writeRoute{shard: 0, epoch: 1}); err != nil {
+		if err := sc.write(bg, owned, []byte("kkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkk"), uint64(i+1), false, writeRoute{shard: 0, epoch: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -557,7 +603,7 @@ func TestClusterMisconfiguredLayoutSelfHeals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := PushTopology(bg, topo, RebalanceOptions{}); err != nil {
+	if err := PushTopology(bg, topo); err != nil {
 		t.Fatal(err)
 	}
 	// Seed data through a correctly configured client.
@@ -702,7 +748,7 @@ func TestStrayRebucketSplitsCost(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := PushTopology(bg, grown, RebalanceOptions{}); err != nil {
+	if err := PushTopology(bg, grown); err != nil {
 		t.Fatal(err)
 	}
 	ctrl, ctrlAddr := startController(t, ControllerOptions{Clients: 1, Servers: grown.NumServers()})

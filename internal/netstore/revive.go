@@ -36,7 +36,6 @@ package netstore
 // an empty store, just with far less left to do.
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -58,10 +57,7 @@ func (c *Cluster) repairCtx() (context.Context, context.CancelFunc) {
 func (c *Cluster) repairWrite(sc *serverConn, key string, value []byte, version uint64, del bool, rt writeRoute) error {
 	ctx, cancel := c.repairCtx()
 	defer cancel()
-	if del {
-		return sc.del(ctx, key, version, rt)
-	}
-	return sc.set(ctx, key, value, version, rt)
+	return sc.write(ctx, key, value, version, del, rt)
 }
 
 // maxConcurrentRepairs bounds in-flight read-repair pushes per cluster
@@ -88,66 +84,13 @@ type hintBuffer struct {
 // addHint buffers a write the slot's server missed. Values are copied
 // (the caller's buffer may be reused); newer versions replace older ones
 // for the same key without growing the buffer. Overflow drops are
-// counted — they widen the window read-repair must cover.
-//
-// A slot that a topology install retired is a dead drop: the prober
-// walks only current servers and installs drain only current slots, so
-// a hint parked there would never be seen again. Hints aimed at a
-// retired slot redirect (in memory, no I/O) to the key's current owner
-// slots, whose buffers the prober's flushHints pass drains.
+// counted — they widen the window read-repair must cover. A hint stays
+// on the slot it was buffered for, current or retired; replayHints
+// decides where it goes.
 func (c *Cluster) addHint(slot *serverSlot, key string, value []byte, version uint64, del bool) {
 	if c.opts.noHints {
 		return
 	}
-	if c.redirectIfRetired(slot, key, value, version, del) {
-		return
-	}
-	c.bufferHint(slot, key, value, version, del)
-	// Post-hoc recheck: an install could retire the slot (and drain its
-	// buffer) between the check above and the buffer write, leaving the
-	// hint parked where nothing will ever look. Pull the buffer back out
-	// and push it through the redirect path — installs are serialized,
-	// so the chase terminates at the then-current owners.
-	if c.state.Load().slots[slot.id] != slot {
-		c.drainRetired(slot)
-	}
-}
-
-// redirectIfRetired forwards a hint aimed at a slot that is no longer
-// part of the current topology to the key's current owner slots,
-// reporting whether it did.
-func (c *Cluster) redirectIfRetired(slot *serverSlot, key string, value []byte, version uint64, del bool) bool {
-	st := c.state.Load()
-	if st.slots[slot.id] == slot {
-		return false
-	}
-	shard := st.topo.ShardOfKey(key)
-	redirected := false
-	for _, sid := range st.topo.ReplicaServers(shard) {
-		if tgt := st.slots[sid]; tgt != nil && tgt != slot {
-			c.bufferHint(tgt, key, value, version, del)
-			redirected = true
-		}
-	}
-	return redirected
-}
-
-// drainRetired empties a retired slot's hint buffer back through
-// addHint, whose redirect lands each hint on its key's current owners.
-func (c *Cluster) drainRetired(slot *serverSlot) {
-	hb := &slot.hints
-	hb.mu.Lock()
-	orphaned := hb.hints
-	hb.hints = nil
-	hb.mu.Unlock()
-	for k, h := range orphaned {
-		c.addHint(slot, k, h.value, h.version, h.del)
-	}
-}
-
-// bufferHint is addHint's storage half: the bare buffer write, without
-// the retired-slot redirect.
-func (c *Cluster) bufferHint(slot *serverSlot, key string, value []byte, version uint64, del bool) {
 	hb := &slot.hints
 	hb.mu.Lock()
 	defer hb.mu.Unlock()
@@ -182,44 +125,46 @@ func (c *Cluster) removeHint(slot *serverSlot, key string, ver uint64) {
 	hb.mu.Unlock()
 }
 
-// replayHints pushes every buffered write for the slot's server over sc,
-// reporting whether the replay completed. On a transport failure the
-// unreplayed remainder is merged back (newer hints buffered meanwhile
-// win) and the revival is abandoned. A NotOwner rejection re-routes the
-// hint instead: the key's shard moved while the server was down, and a
-// hint can hold the only surviving copy of an acknowledged write (a
-// 1-ack write whose acking donor replica never got scanned), so it must
-// reach the key's CURRENT owner — never be force-fed to this server,
-// never silently dropped.
-func (c *Cluster) replayHints(slot *serverSlot, sc *serverConn) bool {
+// replayHints delivers every write buffered for the slot's server
+// under the one hint rule: a hint replays to its own server (over sc)
+// while that server still owns the key's shard, and otherwise goes to
+// the key's current owners — the server may have retired, or the key
+// moved away, and a hint can hold the only surviving copy of an
+// acknowledged write (a 1-ack write whose acking donor replica never got
+// scanned), so it is never force-fed to a server that no longer owns it
+// and never dropped. A NotOwner from the server proves the key moved
+// under a topology newer than ours: that hint re-routes too. On a
+// transport failure the unreplayed remainder is merged back (newer hints
+// buffered meanwhile win) and the error returned.
+func (c *Cluster) replayHints(slot *serverSlot, sc *serverConn) error {
+	st := c.state.Load()
+	shard := st.topo.ShardOfServer(slot.id)
+	if sc == nil && shard >= 0 {
+		return fmt.Errorf("netstore: no connection to server %d", slot.id)
+	}
 	hb := &slot.hints
 	hb.mu.Lock()
 	pending := hb.hints
 	hb.hints = nil
 	hb.mu.Unlock()
-	st := c.state.Load()
 	// A NotOwner during replay proves the rejecting server holds a newer
 	// (or off-lineage) topology than ours — re-route under a REFRESHED
 	// one, or the forward just re-targets the same stale owner and the
 	// hint bounces. One refresh covers the whole batch.
-	refreshed := false
+	var fresh *topoState
 	freshState := func() *topoState {
-		if !refreshed {
-			st = c.refreshTopology(c.rootCtx, st)
-			refreshed = true
+		if fresh == nil {
+			fresh = c.refreshTopology(c.rootCtx, st)
 		}
-		return st
+		return fresh
 	}
-	rt := writeRoute{shard: st.topo.ShardOfServer(slot.id), epoch: st.topo.Epoch()}
-	if rt.shard < 0 {
-		// The server retired from the topology while down: forward every
-		// hint to its key's current owner.
-		for key, h := range pending {
-			c.rerouteHint(st, key, h)
-		}
-		return true
-	}
+	rt := writeRoute{shard: shard, epoch: st.topo.Epoch()}
 	for key, h := range pending {
+		if st.topo.ShardOfKey(key) != shard {
+			c.rerouteHint(st, key, h)
+			delete(pending, key)
+			continue
+		}
 		err := c.repairWrite(sc, key, h.value, h.version, h.del, rt)
 		if errors.As(err, new(*NotOwnerError)) {
 			c.rerouteHint(freshState(), key, h)
@@ -237,19 +182,11 @@ func (c *Cluster) replayHints(slot *serverSlot, sc *serverConn) bool {
 				}
 			}
 			hb.mu.Unlock()
-			// If a topology install retired this slot while the replay
-			// was in flight, the merge above parked the remainder on a
-			// buffer nothing will ever revisit (the install's drain pass
-			// ran before or during our replay) — pull it back out and
-			// redirect each hint to its key's current owners.
-			if c.state.Load().slots[slot.id] != slot {
-				c.drainRetired(slot)
-			}
-			return false
+			return err
 		}
 		delete(pending, key)
 	}
-	return true
+	return nil
 }
 
 // rerouteHint forwards a hint whose key no longer belongs to the server
@@ -277,10 +214,12 @@ func (c *Cluster) rerouteHint(st *topoState, key string, h hint) {
 }
 
 // probeLoop periodically probes down-marked servers and revives the ones
-// that answer. One goroutine per cluster client, started by DialCluster,
-// stopped by Close cancelling the root context. Each tick walks the
-// CURRENT topology's servers, so replicas added by a rebalance are
-// probed and retired ones are not.
+// that answer, and flushes the hints of every other slot. One goroutine
+// per cluster client, started by DialCluster, stopped by Close cancelling
+// the root context. Each tick walks every slot the client holds: the
+// CURRENT topology's servers are probed (so replicas added by a
+// rebalance are), and retired servers' slots only have their hints
+// forwarded to the keys' current owners.
 func (c *Cluster) probeLoop() {
 	defer c.probeWG.Done()
 	ticker := time.NewTicker(c.opts.ProbeInterval)
@@ -298,60 +237,51 @@ func (c *Cluster) probeLoop() {
 			// routed right the first time instead of via a stray bounce.
 			st = c.refreshTopology(c.rootCtx, st)
 		}
-		for _, sid := range st.topo.Servers() {
+		for sid, slot := range st.slots {
 			select {
 			case <-c.rootCtx.Done():
 				return
 			default:
 			}
-			slot := st.slots[sid]
-			if slot.down.Load() {
+			if st.topo.ShardOfServer(sid) >= 0 && slot.down.Load() {
 				c.tryRevive(st, slot)
-			} else {
-				c.flushHints(slot)
+				continue
 			}
+			// Flush the rest: a retired server's hints go to their keys'
+			// current owners, and a live server's are stragglers that
+			// slipped past its revival's replay — a write racing the
+			// prober can load the down mark just before it clears and
+			// buffer a hint for a replica that is already back up.
+			_ = c.replayHints(slot, slot.conn.Load())
 		}
 	}
 }
 
-// flushHints replays hints that slipped past a revival's replay pass: a
-// write racing the prober can load the down mark just before it clears
-// and buffer a hint for a replica that is already back up. The prober
-// drains such stragglers on its next tick, so no hint is stranded while
-// its replica is live.
-func (c *Cluster) flushHints(slot *serverSlot) {
-	hb := &slot.hints
-	hb.mu.Lock()
-	n := len(hb.hints)
-	hb.mu.Unlock()
-	if n == 0 {
-		return
-	}
-	if sc := slot.conn.Load(); sc != nil {
-		_ = c.replayHints(slot, sc)
-	}
-}
-
-// tryRevive redials one down server, verifies it serves with a
-// Ping/Pong, replays its hinted writes, and only then swaps the fresh
-// connection in and clears the down mark — reads never hit a revived
-// replica this client hasn't caught up yet.
+// tryRevive redials one down server, verifies it serves with a ping,
+// replays its hinted writes, and only then swaps the fresh connection in
+// and clears the down mark — reads never hit a revived replica this
+// client hasn't caught up yet.
 func (c *Cluster) tryRevive(st *topoState, slot *serverSlot) {
-	sc, err := probeDial(slot.addr, clientDialTimeout)
+	sc, err := dialServer(slot.addr)
 	if err != nil {
 		return
 	}
-	// The replay runs under a deadline: a replica that answers the probe
-	// but never acks a write must not wedge the (single) prober
-	// goroutine. On expiry the revival is abandoned and the unreplayed
-	// remainder re-buffers; already-replayed hints are gone from the
-	// snapshot, so retries make progress even through a huge buffer.
-	_ = sc.conn.SetDeadline(time.Now().Add(clientDialTimeout))
-	if !c.replayHints(slot, sc) {
+	// The ping and the replay are one exchange bounded by
+	// clientDialTimeout: a server that accepts TCP but does not speak the
+	// protocol is not revived, and a replica that answers the ping but
+	// never acks a write must not wedge the (single) prober goroutine. On
+	// expiry the revival is abandoned and the unreplayed remainder
+	// re-buffers; already-replayed hints are gone from the snapshot, so
+	// retries make progress even through a huge buffer.
+	if err := sc.within(c.rootCtx, func(ctx context.Context) error {
+		if _, err := replyAs[*wire.Pong](sc.call(ctx, &wire.Ping{}, "ping")); err != nil {
+			return err
+		}
+		return c.replayHints(slot, sc)
+	}); err != nil {
 		sc.close()
 		return
 	}
-	_ = sc.conn.SetDeadline(time.Time{})
 	// The revived process shares nothing with the crashed one: drop the
 	// replica's C3 outstanding/EWMA state so stale pre-crash feedback
 	// neither penalizes nor favors it.
@@ -379,52 +309,14 @@ func (c *Cluster) tryRevive(st *topoState, slot *serverSlot) {
 		old.close()
 	}
 	// A topology install may have retired this slot while the revival
-	// was in flight: no state references it anymore, so nothing —
-	// neither Close's sweep nor a later install — would ever close the
-	// connection we just published. Retract it ourselves (the Swap hands
-	// the conn to exactly one closer even if an install raced us here).
-	if cur := c.state.Load(); cur.slots[slot.id] != slot {
-		slot.closeConn()
+	// was in flight, closing the connection it found there — before we
+	// published ours. Retire it ourselves (the Swap hands the conn to
+	// exactly one closer even if an install raced us here).
+	if c.state.Load().topo.ShardOfServer(slot.id) < 0 {
+		slot.retire()
 		return
 	}
 	c.revivals.Add(1)
-}
-
-// probeDial dials addr and performs one Ping/Pong exchange under a
-// deadline, returning a ready serverConn on success. A server that
-// accepts TCP but does not speak the protocol (or echoes the wrong
-// nonce) is not revived.
-func probeDial(addr string, timeout time.Duration) (*serverConn, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return nil, err
-	}
-	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
-		_ = conn.Close()
-		return nil, err
-	}
-	nonce := uint64(time.Now().UnixNano())
-	if err := wire.WriteMessage(conn, &wire.Ping{Nonce: nonce}); err != nil {
-		_ = conn.Close()
-		return nil, err
-	}
-	r := bufio.NewReaderSize(conn, 64<<10)
-	msg, err := wire.ReadMessage(r)
-	if err != nil {
-		_ = conn.Close()
-		return nil, err
-	}
-	pong, ok := msg.(*wire.Pong)
-	if !ok || pong.Nonce != nonce {
-		_ = conn.Close()
-		return nil, fmt.Errorf("netstore: probe of %s got %T, want matching Pong", addr, msg)
-	}
-	if err := conn.SetDeadline(time.Time{}); err != nil {
-		_ = conn.Close()
-		return nil, err
-	}
-	// Hand the prober's buffered reader over so no byte is lost.
-	return newServerConnReader(conn, r), nil
 }
 
 // scheduleRepair queues a background read-repair of key after a batch

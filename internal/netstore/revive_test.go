@@ -17,6 +17,7 @@ import (
 
 	"github.com/brb-repro/brb/internal/cluster"
 	"github.com/brb-repro/brb/internal/kv"
+	"github.com/brb-repro/brb/internal/metrics"
 	"github.com/brb-repro/brb/internal/testutil"
 )
 
@@ -234,6 +235,140 @@ func TestClusterReadRepairDelete(t *testing.T) {
 		}
 		_, ok := victimStore.Get("kk")
 		return !ok
+	})
+}
+
+// TestClusterHintOverflow: the hinted-handoff buffer is bounded. With a
+// replica down, writes past maxHintsPerReplica distinct keys are
+// dropped from its buffer and counted; once the replica revives, the
+// dropped keys reach it through read-repair when the writer reads them.
+//
+// Read-repair heals only keys a read serves from the stale replica, and
+// C3 stops routing to a replica whose last feedback looked slow — the
+// revived replica's score then freezes and it gets no more reads. So
+// the sibling is slowed after the revival: the writer's reads land on
+// the revived replica, and the repairs read the fresh copies from the
+// sibling.
+func TestClusterHintOverflow(t *testing.T) {
+	m := cluster.MustNewShardTopology(cluster.ShardConfig{Shards: 1, Replicas: 2})
+	sibling := NewFaultInjector()
+	addrs, servers := startShardedCluster(t, m, func(_, r int) ServerOptions {
+		if r == 1 {
+			return ServerOptions{Workers: 2, Fault: sibling}
+		}
+		return ServerOptions{Workers: 2}
+	})
+	c, err := DialCluster(addrs, ClusterOptions{Topology: m, ProbeInterval: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	victim := m.Server(0, 0)
+	victimStore := servers[victim].Store()
+	servers[victim].Close()
+
+	const extra = 50
+	overflowsBefore := metrics.CounterValue("netstore_hint_overflow_total")
+	keys := make([]string, maxHintsPerReplica+extra)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key:%d", i)
+		if err := c.Set(bg, keys[i], []byte("v"), WriteOptions{}); err != nil {
+			t.Fatalf("Set %s with one replica down: %v", keys[i], err)
+		}
+	}
+	if got := c.HintOverflows(); got != extra {
+		t.Fatalf("HintOverflows = %d, want %d", got, extra)
+	}
+	if got := metrics.CounterValue("netstore_hint_overflow_total") - overflowsBefore; got != extra {
+		t.Fatalf("netstore_hint_overflow_total advanced by %d, want %d", got, extra)
+	}
+	if got := c.PendingHints(0, 0); got != maxHintsPerReplica {
+		t.Fatalf("PendingHints = %d, want the bound %d", got, maxHintsPerReplica)
+	}
+
+	restartServer(t, addrs[victim], victimStore, 0)
+	waitFor(t, 10*time.Second, "revival", func() bool { return !c.ReplicaDown(0, 0) })
+	sibling.SetDelay(2 * time.Millisecond)
+	dropped := keys[maxHintsPerReplica:]
+	waitFor(t, 10*time.Second, "read-repair of every dropped key", func() bool {
+		if _, err := c.Multiget(bg, dropped, ReadOptions{}); err != nil {
+			t.Fatalf("Multiget: %v", err)
+		}
+		for _, k := range dropped {
+			want, _ := c.WrittenVersion(k)
+			if _, ver, ok := victimStore.GetVersion(k); !ok || ver != want {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// TestHintForRetiredReplicaReachesNewOwner: a hint buffered for a
+// replica whose shard a rebalance then removes holds the only copy of an
+// acknowledged write — the replica that acked it is gone, and the
+// migration drained the shard from an empty replacement. The hint must
+// still reach every replica of the key's new owner.
+func TestHintForRetiredReplicaReachesNewOwner(t *testing.T) {
+	base := cluster.MustNewShardTopology(cluster.ShardConfig{Shards: 2, Replicas: 2})
+	addrs, servers := startShardedCluster(t, base, nil)
+	topo, err := base.WithAddrs(addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := PushTopology(bg, topo); err != nil {
+		t.Fatal(err)
+	}
+	c, err := DialCluster(nil, ClusterOptions{Topology: topo, ProbeInterval: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var key string
+	for i := 0; key == ""; i++ {
+		if k := fmt.Sprintf("key:%d", i); topo.ShardOfKey(k) == 1 {
+			key = k
+		}
+	}
+
+	// Replica (1,1) is down: only (1,0) acks, the client hints (1,1).
+	servers[topo.Server(1, 1)].Close()
+	if err := c.Set(bg, key, []byte("hinted"), WriteOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if n := c.PendingHints(1, 1); n != 1 {
+		t.Fatalf("%d hints buffered for the down replica, want 1", n)
+	}
+	ver, _ := c.WrittenVersion(key)
+	// (1,0) dies too: the hint is now the write's only copy.
+	servers[topo.Server(1, 0)].Close()
+
+	// Shard 1 drains from an empty replacement at an address the client
+	// never dialed.
+	over := append([]string(nil), addrs...)
+	empty := startShardServers(t, 1, 1)[0]
+	for _, sid := range topo.ReplicaServers(1) {
+		over[sid] = empty
+	}
+	from, err := base.WithAddrs(over)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, err := RemoveShard(bg, from, 1, RebalanceOptions{Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.InstallTopology(next)
+
+	owner := next.ShardOfKey(key)
+	waitFor(t, 5*time.Second, "the hint reaching both replicas of the key's new owner", func() bool {
+		for _, sid := range next.ReplicaServers(owner) {
+			vers, found, err := ScanVersions(bg, next.Addr(sid), owner, []string{key}, time.Second)
+			if err != nil || !found[0] || vers[0] < ver {
+				return false
+			}
+		}
+		return true
 	})
 }
 

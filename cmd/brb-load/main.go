@@ -590,10 +590,9 @@ func (h *harness) inject(f loadgen.FaultSpec) error {
 // epilogue runs after a worker's last op, before its client closes. The
 // client may hold the only copy of writes a downed replica missed (its
 // hints), so it stays until the timeline has played out and — when
-// nothing is left held down — its prober has every replica back and has
-// replayed them. A client that went through a revival then sweeps the
-// keyspace once: reads of keys it wrote trigger read-repair for whatever
-// the hint buffer dropped.
+// nothing is left held down — its prober has every replica back, which
+// means it has replayed them their hints (and caught up any whose hint
+// buffer overflowed).
 func (h *harness) epilogue(client string, worker int, st netstore.Store) {
 	cc := st.(*netstore.Cluster)
 	<-h.done
@@ -602,15 +601,6 @@ func (h *harness) epilogue(client string, worker int, st netstore.Store) {
 			h.log.Printf("brb-load: %s/%d: %d replicas not revived within 15s", client, worker, cc.DownReplicas())
 			break
 		}
-	}
-	if cc.Revivals() > 0 {
-		for lo := 0; lo < len(h.keys); lo += 256 {
-			if _, err := cc.Multiget(h.ctx, h.keys[lo:min(lo+256, len(h.keys))], netstore.ReadOptions{}); err != nil {
-				h.log.Printf("brb-load: %s/%d sweep: %v", client, worker, err)
-				break
-			}
-		}
-		time.Sleep(500 * time.Millisecond) // read-repair pushes are asynchronous; give them a beat
 	}
 	h.harvest(st)
 }

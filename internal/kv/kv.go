@@ -7,8 +7,8 @@
 // Every key carries a write version. Local writers (Set/Delete) advance
 // it monotonically; replicated writers (SetVersion/DeleteVersion) supply
 // the version, and the store applies the write only if it is newer than
-// what it holds — last-writer-wins, which makes hinted-handoff replays
-// and read-repair pushes from the cluster client idempotent. Versioned
+// what it holds — last-writer-wins, which makes the cluster client's
+// hint replays and catch-up copies idempotent. Versioned
 // deletes leave tombstones so a replayed older write cannot resurrect a
 // deleted key.
 package kv
@@ -305,7 +305,8 @@ var tombstonesSwept = metrics.GetCounter("kv_tombstones_swept_total")
 // Dropping a tombstone forgets the delete's version, so a versioned
 // write older than the delete that replays AFTER the sweep could
 // resurrect the key. The horizon must therefore exceed the longest
-// plausible replay delay (hinted-handoff revival plus read-repair lag);
+// plausible replay delay (a replica's outage until its revival replays
+// hints or catches it up from its siblings);
 // hours in production, milliseconds only in tests.
 func (s *Store) StartTombstoneGC(horizon, interval time.Duration) (stop func()) {
 	if horizon <= 0 || interval <= 0 {

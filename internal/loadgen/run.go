@@ -50,7 +50,7 @@ type RunConfig struct {
 	OnError func(client string, worker int, err error)
 	// PostWorker runs after a worker's last op completes, before its
 	// store is closed — the hook brb-load's fault-injection epilogue
-	// (outage wait, sweep reads, hint harvesting) rides on.
+	// (outage wait, hint harvesting) rides on.
 	PostWorker func(client string, worker int, st netstore.Store)
 }
 

@@ -59,9 +59,6 @@ type ClusterOptions struct {
 	hedgeTimer func(d time.Duration) (<-chan time.Time, func())
 	// requestTimeout overrides DefaultRequestTimeout (test hook).
 	requestTimeout time.Duration
-	// noHints turns hinted handoff off, so a revived replica converges
-	// only through read-repair (test hook).
-	noHints bool
 }
 
 // Fixed client settings.
@@ -70,13 +67,14 @@ const (
 	// not read or written yet.
 	defaultSize int64 = 1024
 	// clientDialTimeout bounds connection establishment, a topology poll
-	// and each background repair or hint-replay write.
+	// and each background exchange: a hint-replay write, a scan page, a
+	// replay window.
 	clientDialTimeout = 5 * time.Second
 	// maxHintsPerReplica bounds the hinted-handoff buffer kept for each
 	// down replica (latest write per key). Writes beyond the bound are
-	// dropped from the buffer (read-repair covers them), never failed;
-	// each drop counts in metrics ("netstore_hint_overflow_total") and
-	// HintOverflows.
+	// dropped from the buffer, never failed, and mark it overflowed: the
+	// replica is caught up from its siblings on revival. Each drop counts
+	// in metrics ("netstore_hint_overflow_total") and HintOverflows.
 	maxHintsPerReplica = 4096
 )
 
@@ -187,10 +185,10 @@ func (st *topoState) slotOf(shard, replica int) *serverSlot {
 //
 // The replica set self-heals: a replica that fails a read or write is
 // marked down (never permanently blacklisted), a background prober
-// redials it and verifies liveness with a Ping/Pong exchange, writes
-// missed while down are buffered as hints and replayed on revival, and
-// reads that reveal a replica serving versions older than this client
-// last wrote trigger read-repair pushes. See revive.go.
+// redials it and verifies liveness with a Ping/Pong exchange, and
+// writes missed while down are buffered as hints and replayed on
+// revival — or, past the buffer's bound, copied from the replica's
+// siblings before it serves reads again. See revive.go.
 type Cluster struct {
 	opts ClusterOptions
 
@@ -208,12 +206,11 @@ type Cluster struct {
 	// scale turns forecasts into the servers' nanoseconds.
 	scale forecastScale
 
-	// written records the version this client last wrote per key; batch
-	// responses carrying older versions reveal stale replicas. Like
-	// sizes, it grows one entry per distinct key this client ever
-	// writes — acceptable for the cache-tier keyspaces the client
-	// targets; a churning-keyspace writer would want an eviction bound
-	// here (read-repair triggering is best-effort anyway).
+	// written records the version this client last wrote per key: the
+	// hot-key cache's floor and WrittenVersion. Like sizes, it grows one
+	// entry per distinct key this client ever writes — acceptable for the
+	// cache-tier keyspaces the client targets; a churning-keyspace writer
+	// would want an eviction bound here.
 	written sync.Map // string -> uint64
 
 	// versions stamps writes; servers apply them last-writer-wins.
@@ -229,19 +226,14 @@ type Cluster struct {
 	taskSeq atomic.Uint64
 
 	// rootCtx scopes every background goroutine this client owns — the
-	// revival prober, hint replay, read-repair pushes — and is cancelled
-	// by Close, so background I/O observes shutdown the same way
-	// foreground operations observe their callers' contexts.
+	// revival prober, hint replay, catch-up — and is cancelled by Close,
+	// so background I/O observes shutdown the same way foreground
+	// operations observe their callers' contexts.
 	rootCtx    context.Context
 	rootCancel context.CancelFunc
 
-	// Revival/repair machinery (revive.go). repairMu orders
-	// scheduleRepair's closed-check+Add against Close's Wait.
+	// Revival machinery (revive.go).
 	probeWG       sync.WaitGroup
-	repairMu      sync.Mutex
-	repairWG      sync.WaitGroup
-	repairSem     chan struct{}
-	repairing     sync.Map // string -> struct{}: keys with an in-flight repair
 	revivals      atomic.Uint64
 	refreshes     atomic.Uint64
 	hintOverflows atomic.Uint64
@@ -306,10 +298,7 @@ func DialCluster(addrs []string, opts ClusterOptions) (*Cluster, error) {
 			return nil, fmt.Errorf("netstore: topology has no address for server %d (pass addrs or use WithAddrs)", sid)
 		}
 	}
-	c := &Cluster{
-		opts:      opts,
-		repairSem: make(chan struct{}, maxConcurrentRepairs),
-	}
+	c := &Cluster{opts: opts}
 	if opts.CacheSize > 0 {
 		c.cache = newHotKeyCache(opts.CacheSize)
 	}
@@ -396,22 +385,15 @@ func (c *Cluster) markDown(slot *serverSlot, failed *serverConn) {
 	}
 }
 
-// Close tears down all connections and stops the prober and any
-// in-flight repairs.
+// Close tears down all connections and stops the prober.
 func (c *Cluster) Close() {
 	if !c.closed.CompareAndSwap(false, true) {
 		return
 	}
 	// Cancelling the root context stops the prober and unblocks every
-	// background wait (hint replay, repair pushes) at its next select.
+	// background wait (hint replay, catch-up) at its next select.
 	c.rootCancel()
 	c.probeWG.Wait()
-	// Barrier: a scheduleRepair that passed its closed check before our
-	// CAS finishes its repairWG.Add while holding repairMu; any later
-	// one sees closed and bails. After this, the Wait below races no Add.
-	c.repairMu.Lock()
-	//lint:ignore SA2001 the empty critical section IS the barrier
-	c.repairMu.Unlock()
 	// The slot sweep runs under topoMu so it cannot race an in-flight
 	// installLocked: an install finishing before us publishes its state
 	// (whose slots we sweep), and one arriving after sees closed and
@@ -422,8 +404,6 @@ func (c *Cluster) Close() {
 		slot.closeConn()
 	}
 	c.topoMu.Unlock()
-	// Repair goroutines unblock once their connections die.
-	c.repairWG.Wait()
 	if c.credits != nil {
 		c.credits.close()
 	}
@@ -603,8 +583,8 @@ func (c *Cluster) installLocked(st *topoState, nt *cluster.ShardTopology) *topoS
 // blacklisted). A NotOwner rejection (the shard moved) triggers a
 // topology refresh and a re-route of the same versioned write. Set
 // returns an error only when no replica accepted the write;
-// short-of-full-replication writes heal via hinted handoff and
-// read-repair once the missing replicas revive.
+// short-of-full-replication writes heal via hinted handoff (or, past its
+// bound, a catch-up from the siblings) once the missing replicas revive.
 //
 // The wait is bounded by ctx, opts.Timeout, and DefaultRequestTimeout
 // (earliest wins), and covers every live replica's ack. A replica whose
@@ -761,7 +741,7 @@ func (c *Cluster) write(ctx context.Context, key string, value []byte, del bool,
 // never lowering it: two concurrent Sets acking out of order must leave
 // the floor at the NEWER version, or the hot-key cache could serve the
 // older write after the newer one was acknowledged (the floor is what
-// hotKeyCache.serve checks) and read-repair would chase the wrong target.
+// hotKeyCache.serve checks).
 func (c *Cluster) raiseWritten(key string, ver uint64) {
 	for {
 		cur, ok := c.written.Load(key)
@@ -1191,14 +1171,6 @@ func (c *Cluster) fetchBatch(ctx context.Context, st *topoState, b shardBatch, r
 				if c.cache != nil && len(resp.Versions) == n {
 					c.cacheFill(b.keys[i], resp.Values[i], resp.Versions[i])
 				}
-			}
-			// Read-repair trigger: the response reveals this replica
-			// holds an older version than this client last wrote (or
-			// misses the key entirely) — push the fresh copy to it in the
-			// background.
-			if wv, ok := c.written.Load(b.keys[i]); ok && len(resp.Versions) == n &&
-				resp.Versions[i] < wv.(uint64) {
-				c.scheduleRepair(b.shard, rep, b.keys[i])
 			}
 		}
 		var expErr error

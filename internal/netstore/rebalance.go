@@ -165,29 +165,22 @@ func migrate(ctx context.Context, cur, next *cluster.ShardTopology, donors []int
 	return nil
 }
 
-// movedEntry is the freshest copy of one migrating key across the donor
-// shard's replicas.
-type movedEntry struct {
-	val  []byte
-	ver  uint64
-	dead bool
-}
-
 // copyMoved streams every donor replica's store and replays the
 // max-version copy of each key whose owner changes between cur and next
 // onto all replicas of its new owner. Returns the number of keys
 // replayed. Unreachable donor replicas are skipped: writes they alone
 // acknowledged (1-ack writes during an outage) are not scannable here,
-// but their siblings hold those writes as hints and the hint-replay
-// path forwards NotOwner-rejected hints to the key's new owner, so the
-// data still converges. An unreachable RECEIVER is an error — migration
-// must not silently under-replicate the new owner.
+// but the clients that wrote them hold them as hints for the replicas
+// that missed them, and the hint-replay path forwards NotOwner-rejected
+// hints to the key's new owner, so the data still converges. An
+// unreachable RECEIVER is an error — migration must not silently
+// under-replicate the new owner.
 func copyMoved(ctx context.Context, cur, next *cluster.ShardTopology, donors []int, opts RebalanceOptions) (int, error) {
 	// Gather max-version copies of moving keys, donor shard by donor
 	// shard. Held in memory: migration moves ~1/(shards+1) of the
 	// keyspace; for stores too large for that, page the donor scans per
 	// kv-shard (the Scan cursor already supports it) and flush per page.
-	byOwner := make(map[int]map[string]movedEntry)
+	byOwner := make(map[int]latest)
 	for _, d := range donors {
 		reachable := 0
 		for _, sid := range cur.ReplicaServers(d) {
@@ -204,12 +197,10 @@ func copyMoved(ctx context.Context, cur, next *cluster.ShardTopology, donors []i
 				}
 				m := byOwner[owner]
 				if m == nil {
-					m = make(map[string]movedEntry)
+					m = make(latest)
 					byOwner[owner] = m
 				}
-				if cu, ok := m[key]; !ok || ver > cu.ver {
-					m[key] = movedEntry{val: val, ver: ver, dead: dead}
-				}
+				m.keep(key, versioned{val, ver, dead})
 			})
 			if err != nil {
 				if ctx.Err() != nil {
@@ -345,11 +336,11 @@ func scanAll(ctx context.Context, addr string, fn func(key string, val []byte, v
 	}
 }
 
-// replayEntries pushes migrated entries onto one receiving server with
-// their original versions (idempotent), one window of migrationWindow
-// writes at a time: a window's writes all go out before its acks are
-// awaited, and each window is one exchange bounded by clientDialTimeout.
-func replayEntries(ctx context.Context, addr string, shard int, epoch uint64, entries map[string]movedEntry) error {
+// replayEntries pushes entries onto one receiving server with their
+// original versions (idempotent), one window of migrationWindow writes
+// at a time: a window's writes all go out before its acks are awaited,
+// and each window is one exchange bounded by clientDialTimeout.
+func replayEntries(ctx context.Context, addr string, shard int, epoch uint64, entries latest) error {
 	sc, err := dialServer(addr)
 	if err != nil {
 		return err

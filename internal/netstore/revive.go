@@ -1,8 +1,8 @@
 package netstore
 
-// Replica revival and catch-up repair: the failure-recovery half of the
-// cluster client. Three mechanisms cooperate to turn a fail-once replica
-// into a self-healing one:
+// Replica revival and catch-up: the failure-recovery half of the cluster
+// client. Two mechanisms turn a fail-once replica into a self-healing
+// one:
 //
 //  1. A probe loop periodically redials down-marked replicas and
 //     verifies liveness with a wire.Ping/Pong exchange before atomically
@@ -12,11 +12,12 @@ package netstore
 //  2. Hinted handoff: writes a down replica missed are buffered (latest
 //     version per key, bounded) and replayed over the new connection
 //     before the replica is exposed to reads again, so a replica that
-//     kept its store across the restart converges immediately.
-//  3. Read-repair: a batch response revealing a version older than this
-//     client last wrote triggers a background push of the freshest copy
-//     (fetched from the other replicas) — the safety net for hints that
-//     overflowed the buffer or died with another client.
+//     kept its store across the restart converges immediately. A write
+//     the full buffer drops marks it overflowed, and the replay then
+//     copies the shard from the replica's live siblings (catchUp).
+//
+// Hints live in this client's memory: a client that closes or crashes
+// loses its undelivered hints, and nothing heals those writes.
 //
 // All repair writes carry their original versions and servers apply
 // them last-writer-wins (kv.SetVersion/DeleteVersion), so replays and
@@ -46,61 +47,66 @@ import (
 	"github.com/brb-repro/brb/internal/wire"
 )
 
-// repairCtx bounds one background repair/replay write: the cluster's
-// root context (so Close cancels it) narrowed to clientDialTimeout (so
-// one wedged server cannot capture the prober or a repair slot).
+// repairCtx bounds one background exchange: the cluster's root context
+// (so Close cancels it) narrowed to clientDialTimeout (so one wedged
+// server cannot capture the prober).
 func (c *Cluster) repairCtx() (context.Context, context.CancelFunc) {
 	return context.WithTimeout(c.rootCtx, clientDialTimeout)
 }
 
 // repairWrite is one ctx-bounded versioned write of repair traffic.
-func (c *Cluster) repairWrite(sc *serverConn, key string, value []byte, version uint64, del bool, rt writeRoute) error {
+func (c *Cluster) repairWrite(sc *serverConn, key string, v versioned, rt writeRoute) error {
 	ctx, cancel := c.repairCtx()
 	defer cancel()
-	return sc.write(ctx, key, value, version, del, rt)
+	return sc.write(ctx, key, v.val, v.ver, v.dead, rt)
 }
 
-// maxConcurrentRepairs bounds in-flight read-repair pushes per cluster
-// client; excess stale observations are dropped and re-trigger on the
-// next read of the key.
-const maxConcurrentRepairs = 16
+// versioned is one key's copy as a write left it — a value, or a
+// tombstone when dead — in hints, catch-up and migration alike.
+type versioned struct {
+	val  []byte
+	ver  uint64
+	dead bool
+}
 
-// hint is one write a down replica missed: the latest version of a key,
-// or its tombstone.
-type hint struct {
-	value   []byte
-	version uint64
-	del     bool
+// latest maps keys to the newest copy seen of each.
+type latest map[string]versioned
+
+// keep records v for key unless a copy at least as new is already there.
+func (m latest) keep(key string, v versioned) {
+	if cur, ok := m[key]; !ok || v.ver > cur.ver {
+		m[key] = v
+	}
 }
 
 // hintBuffer is the per-server hinted-handoff buffer: latest missed
-// write per key, bounded by maxHintsPerReplica (writes dropped on
-// overflow are healed by read-repair instead).
+// write per key, bounded by maxHintsPerReplica.
 type hintBuffer struct {
 	mu    sync.Mutex
-	hints map[string]hint
+	hints latest
+	// overflowed marks a dropped write: replayHints catches the server
+	// up from its siblings.
+	overflowed bool
 }
 
 // addHint buffers a write the slot's server missed. Values are copied
 // (the caller's buffer may be reused); newer versions replace older ones
-// for the same key without growing the buffer. Overflow drops are
-// counted — they widen the window read-repair must cover. A hint stays
-// on the slot it was buffered for, current or retired; replayHints
-// decides where it goes.
+// for the same key without growing the buffer. An overflow drop is
+// counted and marks the buffer overflowed. A hint stays on the slot it
+// was buffered for, current or retired; replayHints decides where it
+// goes.
 func (c *Cluster) addHint(slot *serverSlot, key string, value []byte, version uint64, del bool) {
-	if c.opts.noHints {
-		return
-	}
 	hb := &slot.hints
 	hb.mu.Lock()
 	defer hb.mu.Unlock()
 	if cur, ok := hb.hints[key]; ok {
-		if cur.version >= version {
+		if cur.ver >= version {
 			return
 		}
 	} else if len(hb.hints) >= maxHintsPerReplica {
 		c.hintOverflows.Add(1)
 		hintOverflowsTotal.Inc()
+		hb.overflowed = true
 		return
 	}
 	var cp []byte
@@ -108,9 +114,9 @@ func (c *Cluster) addHint(slot *serverSlot, key string, value []byte, version ui
 		cp = append([]byte(nil), value...)
 	}
 	if hb.hints == nil {
-		hb.hints = make(map[string]hint)
+		hb.hints = make(latest)
 	}
-	hb.hints[key] = hint{value: cp, version: version, del: del}
+	hb.hints[key] = versioned{val: cp, ver: version, dead: del}
 }
 
 // removeHint retracts the hint for key at exactly version ver — a write
@@ -119,7 +125,7 @@ func (c *Cluster) addHint(slot *serverSlot, key string, value []byte, version ui
 func (c *Cluster) removeHint(slot *serverSlot, key string, ver uint64) {
 	hb := &slot.hints
 	hb.mu.Lock()
-	if h, ok := hb.hints[key]; ok && h.version == ver {
+	if h, ok := hb.hints[key]; ok && h.ver == ver {
 		delete(hb.hints, key)
 	}
 	hb.mu.Unlock()
@@ -133,9 +139,15 @@ func (c *Cluster) removeHint(slot *serverSlot, key string, ver uint64) {
 // acknowledged write (a 1-ack write whose acking donor replica never got
 // scanned), so it is never force-fed to a server that no longer owns it
 // and never dropped. A NotOwner from the server proves the key moved
-// under a topology newer than ours: that hint re-routes too. On a
-// transport failure the unreplayed remainder is merged back (newer hints
-// buffered meanwhile win) and the error returned.
+// under a topology newer than ours: that hint re-routes too.
+//
+// An overflowed server still in the topology is then caught up
+// (catchUp). The mark is taken with the hints; a drop happens only into
+// a full buffer, so the sibling writes that raced the drop have landed
+// by the time this pass has replayed that buffer and scans. On a
+// transport failure the unreplayed remainder (newer hints buffered
+// meanwhile win) and the mark are merged back and the error returned;
+// the mark also stays when no sibling could be scanned.
 func (c *Cluster) replayHints(slot *serverSlot, sc *serverConn) error {
 	st := c.state.Load()
 	shard := st.topo.ShardOfServer(slot.id)
@@ -144,9 +156,21 @@ func (c *Cluster) replayHints(slot *serverSlot, sc *serverConn) error {
 	}
 	hb := &slot.hints
 	hb.mu.Lock()
-	pending := hb.hints
-	hb.hints = nil
+	pending, overflowed := hb.hints, hb.overflowed
+	hb.hints, hb.overflowed = nil, false
 	hb.mu.Unlock()
+	putBack := func(err error) error {
+		hb.mu.Lock()
+		if hb.hints == nil {
+			hb.hints = make(latest)
+		}
+		for k, h := range pending {
+			hb.hints.keep(k, h)
+		}
+		hb.overflowed = hb.overflowed || overflowed
+		hb.mu.Unlock()
+		return err
+	}
 	// A NotOwner during replay proves the rejecting server holds a newer
 	// (or off-lineage) topology than ours — re-route under a REFRESHED
 	// one, or the forward just re-targets the same stale owner and the
@@ -162,31 +186,53 @@ func (c *Cluster) replayHints(slot *serverSlot, sc *serverConn) error {
 	for key, h := range pending {
 		if st.topo.ShardOfKey(key) != shard {
 			c.rerouteHint(st, key, h)
-			delete(pending, key)
-			continue
-		}
-		err := c.repairWrite(sc, key, h.value, h.version, h.del, rt)
-		if errors.As(err, new(*NotOwnerError)) {
+		} else if err := c.repairWrite(sc, key, h, rt); errors.As(err, new(*NotOwnerError)) {
 			c.rerouteHint(freshState(), key, h)
-			delete(pending, key)
-			continue
-		}
-		if err != nil {
-			hb.mu.Lock()
-			if hb.hints == nil {
-				hb.hints = make(map[string]hint)
-			}
-			for k, ph := range pending {
-				if cur, ok := hb.hints[k]; !ok || cur.version < ph.version {
-					hb.hints[k] = ph
-				}
-			}
-			hb.mu.Unlock()
-			return err
+		} else if err != nil {
+			return putBack(err)
 		}
 		delete(pending, key)
 	}
+	if overflowed && shard >= 0 {
+		if scanned, err := c.catchUp(st, slot, shard); !scanned || err != nil {
+			return putBack(err)
+		}
+	}
 	return nil
+}
+
+// catchUp copies the shard onto the slot's server with the rebalancer's
+// helpers: it scans every live sibling (scanAll), keeps the newest copy
+// of each key st puts in the shard, tombstones included, and replays
+// them with their versions (replayEntries). Each scan page and replay
+// window is bounded by clientDialTimeout; a sibling whose scan fails is
+// skipped. It reports whether any sibling was scanned. A NotOwner means
+// our topology is stale: the prober's next tick refreshes it.
+func (c *Cluster) catchUp(st *topoState, slot *serverSlot, shard int) (bool, error) {
+	entries, scanned := make(latest), false
+	for _, sid := range st.topo.ReplicaServers(shard) {
+		sib := st.slots[sid]
+		if sid == slot.id || sib.down.Load() {
+			continue
+		}
+		err := scanAll(c.rootCtx, sib.addr, func(key string, val []byte, ver uint64, dead bool) {
+			if st.topo.ShardOfKey(key) == shard {
+				entries.keep(key, versioned{val, ver, dead})
+			}
+		})
+		if c.rootCtx.Err() != nil {
+			return false, c.rootCtx.Err()
+		}
+		scanned = scanned || err == nil
+	}
+	if !scanned {
+		return false, nil
+	}
+	err := replayEntries(c.rootCtx, slot.addr, shard, st.topo.Epoch(), entries)
+	if errors.As(err, new(*NotOwnerError)) {
+		c.epochLag.Store(true)
+	}
+	return true, err
 }
 
 // rerouteHint forwards a hint whose key no longer belongs to the server
@@ -197,18 +243,14 @@ func (c *Cluster) replayHints(slot *serverSlot, sc *serverConn) error {
 // under their own slot, so the data keeps chasing its owner across
 // epochs (each prober pass re-resolves ownership afresh) instead of
 // vanishing.
-func (c *Cluster) rerouteHint(st *topoState, key string, h hint) {
+func (c *Cluster) rerouteHint(st *topoState, key string, h versioned) {
 	shard := st.topo.ShardOfKey(key)
 	rt := writeRoute{shard: shard, epoch: st.topo.Epoch()}
 	for r := 0; r < st.topo.Replicas(); r++ {
 		owner := st.slotOf(shard, r)
 		osc := owner.conn.Load()
-		if osc == nil || owner.down.Load() {
-			c.addHint(owner, key, h.value, h.version, h.del)
-			continue
-		}
-		if err := c.repairWrite(osc, key, h.value, h.version, h.del, rt); err != nil {
-			c.addHint(owner, key, h.value, h.version, h.del)
+		if osc == nil || owner.down.Load() || c.repairWrite(osc, key, h, rt) != nil {
+			c.addHint(owner, key, h.val, h.ver, h.dead)
 		}
 	}
 }
@@ -251,14 +293,16 @@ func (c *Cluster) probeLoop() {
 			// current owners, and a live server's are stragglers that
 			// slipped past its revival's replay — a write racing the
 			// prober can load the down mark just before it clears and
-			// buffer a hint for a replica that is already back up.
+			// buffer a hint for a replica that is already back up — or
+			// await a catch-up its revival found no live sibling for.
 			_ = c.replayHints(slot, slot.conn.Load())
 		}
 	}
 }
 
 // tryRevive redials one down server, verifies it serves with a ping,
-// replays its hinted writes, and only then swaps the fresh connection in
+// replays its hinted writes (catching it up from its siblings if its
+// hint buffer overflowed), and only then swaps the fresh connection in
 // and clears the down mark — reads never hit a revived replica this
 // client hasn't caught up yet.
 func (c *Cluster) tryRevive(st *topoState, slot *serverSlot) {
@@ -266,13 +310,13 @@ func (c *Cluster) tryRevive(st *topoState, slot *serverSlot) {
 	if err != nil {
 		return
 	}
-	// The ping and the replay are one exchange bounded by
-	// clientDialTimeout: a server that accepts TCP but does not speak the
-	// protocol is not revived, and a replica that answers the ping but
-	// never acks a write must not wedge the (single) prober goroutine. On
-	// expiry the revival is abandoned and the unreplayed remainder
-	// re-buffers; already-replayed hints are gone from the snapshot, so
-	// retries make progress even through a huge buffer.
+	// The ping and the hint replay are one exchange bounded by
+	// clientDialTimeout: a server that does not speak the protocol, or
+	// answers the ping but never acks a write, cannot wedge the (single)
+	// prober. On expiry the revival is abandoned and the unreplayed
+	// remainder re-buffers, so retries make progress through a huge
+	// buffer. A catch-up has connections and bounds of its own: one that
+	// outlasts the exchange still clears the mark for the next tick.
 	if err := sc.within(c.rootCtx, func(ctx context.Context) error {
 		if _, err := replyAs[*wire.Pong](sc.call(ctx, &wire.Ping{}, "ping")); err != nil {
 			return err
@@ -317,99 +361,6 @@ func (c *Cluster) tryRevive(st *topoState, slot *serverSlot) {
 		return
 	}
 	c.revivals.Add(1)
-}
-
-// scheduleRepair queues a background read-repair of key after a batch
-// response revealed replica staleRep of shard serving it stale. At most
-// one repair per key is in flight; beyond maxConcurrentRepairs the
-// observation is dropped (the next read re-triggers it).
-func (c *Cluster) scheduleRepair(shard, staleRep int, key string) {
-	if _, dup := c.repairing.LoadOrStore(key, struct{}{}); dup {
-		return
-	}
-	select {
-	case c.repairSem <- struct{}{}:
-	default:
-		c.repairing.Delete(key)
-		return
-	}
-	// The closed check and the Add share a mutex with Close's barrier:
-	// otherwise an Add could race Close's repairWG.Wait (documented
-	// WaitGroup misuse) and a repair goroutine could outlive Close.
-	c.repairMu.Lock()
-	if c.closed.Load() {
-		c.repairMu.Unlock()
-		<-c.repairSem
-		c.repairing.Delete(key)
-		return
-	}
-	c.repairWG.Add(1)
-	c.repairMu.Unlock()
-	go func() {
-		defer func() {
-			<-c.repairSem
-			c.repairing.Delete(key)
-			c.repairWG.Done()
-		}()
-		c.repairKey(shard, staleRep, key)
-	}()
-}
-
-// repairKey reads key from the other live replicas of its shard, takes
-// the freshest copy (value or tombstone), and pushes it to the stale
-// replica with its original version — the server's last-writer-wins
-// check makes a racing newer write safe. It re-resolves the topology at
-// run time: if a rebalance moved the key or removed the shard since the
-// stale read, the repair is moot and aborts.
-func (c *Cluster) repairKey(shard, staleRep int, key string) {
-	st := c.state.Load()
-	if !st.topo.HasShard(shard) || st.topo.ShardOfKey(key) != shard {
-		return
-	}
-	rt := writeRoute{shard: shard, epoch: st.topo.Epoch()}
-	var bestVal []byte
-	var bestVer uint64
-	bestDel := false
-	for r := 0; r < st.topo.Replicas(); r++ {
-		if r == staleRep {
-			continue
-		}
-		slot := st.slotOf(shard, r)
-		sc := slot.conn.Load()
-		if sc == nil || slot.down.Load() {
-			continue
-		}
-		rctx, cancel := c.repairCtx()
-		resp, err := sc.batch(rctx, &wire.BatchReq{
-			Shard:    uint32(shard),
-			Replica:  uint32(r),
-			Epoch:    st.topo.Epoch(),
-			Priority: []int64{0},
-			Keys:     []string{key},
-		})
-		cancel()
-		if err != nil || resp.Misrouted() || len(resp.Values) != 1 || len(resp.Versions) != 1 {
-			continue
-		}
-		if resp.Stray != nil && resp.Stray[0] {
-			// The key moved off this shard entirely; nothing to repair.
-			return
-		}
-		if resp.Versions[0] > bestVer {
-			bestVer = resp.Versions[0]
-			bestVal = resp.Values[0]
-			bestDel = !resp.Found[0] // version without a value = tombstone
-		}
-	}
-	if bestVer == 0 {
-		return
-	}
-	staleSlot := st.slotOf(shard, staleRep)
-	sc := staleSlot.conn.Load()
-	if sc == nil || staleSlot.down.Load() {
-		return
-	}
-	_ = c.repairWrite(sc, key, bestVal, bestVer, bestDel, rt)
 }
 
 // ScanVersions dials one server directly (bypassing replica selection)

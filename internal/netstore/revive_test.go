@@ -1,7 +1,7 @@
 package netstore
 
 // End-to-end tests of the failure-recovery subsystem: kill→restart→
-// revival, hinted handoff, read-repair, versioned deletes, and partial
+// revival, hinted handoff and its overflow catch-up, versioned deletes, and partial
 // multiget results. Servers are "restarted" by re-listening on the same
 // address over the same kv.Store — the in-process equivalent of a
 // process restart on a machine whose storage survived.
@@ -148,116 +148,68 @@ func TestClusterReplicaRevival(t *testing.T) {
 	}
 }
 
-// TestClusterReadRepair disables hinted handoff entirely and checks the
-// second repair path: a read revealing a stale version triggers a
-// background push of the fresh copy to the lagging replica.
-func TestClusterReadRepair(t *testing.T) {
-	m := cluster.MustNewShardTopology(cluster.ShardConfig{Shards: 1, Replicas: 2})
-	addrs, servers := startShardedCluster(t, m, nil)
-	c, err := DialCluster(addrs, ClusterOptions{
-		Topology:      m,
-		ProbeInterval: 20 * time.Millisecond,
-		noHints:       true, // isolate read-repair
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	if err := c.Set(bg, "kk", []byte("old"), WriteOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	victim := m.Server(0, 0)
-	victimStore := servers[victim].Store()
-	servers[victim].Close()
-
-	// This write lands only on replica 1; replica 0's store keeps the
-	// old version and no hint is buffered.
-	if err := c.Set(bg, "kk", []byte("new"), WriteOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	restartServer(t, addrs[victim], victimStore, 0)
-	waitFor(t, 5*time.Second, "revival", func() bool { return !c.ReplicaDown(0, 0) })
-
-	_, wantVer, _ := servers[m.Server(0, 1)].Store().GetVersion("kk")
-	if wantVer == 0 {
-		t.Fatal("surviving replica lost the write")
-	}
-	// Keep reading until a read routes to the stale replica and the
-	// triggered repair lands.
-	waitFor(t, 5*time.Second, "read-repair convergence", func() bool {
-		if _, err := c.Multiget(bg, []string{"kk"}, ReadOptions{}); err != nil {
-			t.Fatalf("Multiget: %v", err)
+// overflowHints writes n distinct keys through c while replica 0 of its
+// one shard is down, so writes past maxHintsPerReplica are dropped from
+// the replica's hint buffer and mark it overflowed. It returns the keys
+// in write order: the first maxHintsPerReplica are hinted, the rest
+// dropped.
+func overflowHints(t *testing.T, c *Cluster, n int) []string {
+	t.Helper()
+	before := metrics.CounterValue("netstore_hint_overflow_total")
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key:%d", i)
+		if err := c.Set(bg, keys[i], []byte("v"), WriteOptions{}); err != nil {
+			t.Fatalf("Set %s with one replica down: %v", keys[i], err)
 		}
-		v, ver, ok := victimStore.GetVersion("kk")
-		return ok && ver == wantVer && string(v) == "new"
-	})
+	}
+	dropped := uint64(n - maxHintsPerReplica)
+	if got := c.HintOverflows(); got != dropped {
+		t.Fatalf("HintOverflows = %d, want %d", got, dropped)
+	}
+	if got := metrics.CounterValue("netstore_hint_overflow_total") - before; got != dropped {
+		t.Fatalf("netstore_hint_overflow_total advanced by %d, want %d", got, dropped)
+	}
+	if got := c.PendingHints(0, 0); got != maxHintsPerReplica {
+		t.Fatalf("PendingHints = %d, want the bound %d", got, maxHintsPerReplica)
+	}
+	if !overflowed(c, 0, 0) {
+		t.Fatal("hint buffer not marked overflowed")
+	}
+	return keys
 }
 
-// TestClusterReadRepairDelete: a replica that missed a delete and
-// revived with the old value still standing gets the tombstone pushed
-// by read-repair (hints disabled to isolate the path).
-func TestClusterReadRepairDelete(t *testing.T) {
-	m := cluster.MustNewShardTopology(cluster.ShardConfig{Shards: 1, Replicas: 2})
-	addrs, servers := startShardedCluster(t, m, nil)
-	c, err := DialCluster(addrs, ClusterOptions{
-		Topology:      m,
-		ProbeInterval: 20 * time.Millisecond,
-		noHints:       true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+// overflowed reports whether a replica's hint buffer is marked
+// overflowed.
+func overflowed(c *Cluster, shard, replica int) bool {
+	hb := &c.state.Load().slotOf(shard, replica).hints
+	hb.mu.Lock()
+	defer hb.mu.Unlock()
+	return hb.overflowed
+}
 
-	if err := c.Set(bg, "kk", []byte("doomed"), WriteOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	victim := m.Server(0, 0)
-	victimStore := servers[victim].Store()
-	servers[victim].Close()
-
-	// The delete lands only on replica 1; replica 0 keeps the value.
-	if err := c.Delete(bg, "kk", WriteOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	restartServer(t, addrs[victim], victimStore, 0)
-	waitFor(t, 5*time.Second, "revival", func() bool { return !c.ReplicaDown(0, 0) })
-	if _, ok := victimStore.Get("kk"); !ok {
-		t.Fatal("victim lost the value it was supposed to be stale with")
-	}
-
-	// Reads route to the revived replica, reveal its stale (pre-delete)
-	// version, and the repair pushes the tombstone.
-	waitFor(t, 5*time.Second, "delete read-repair", func() bool {
-		if _, err := c.Multiget(bg, []string{"kk"}, ReadOptions{}); err != nil {
-			t.Fatalf("Multiget: %v", err)
+// missing returns the keys store does not hold at the version c last
+// wrote.
+func missing(c *Cluster, store *kv.Store, keys []string) []string {
+	var out []string
+	for _, k := range keys {
+		want, _ := c.WrittenVersion(k)
+		if _, ver, _ := store.GetVersion(k); ver != want {
+			out = append(out, k)
 		}
-		_, ok := victimStore.Get("kk")
-		return !ok
-	})
+	}
+	return out
 }
 
 // TestClusterHintOverflow: the hinted-handoff buffer is bounded. With a
 // replica down, writes past maxHintsPerReplica distinct keys are
-// dropped from its buffer and counted; once the replica revives, the
-// dropped keys reach it through read-repair when the writer reads them.
-//
-// Read-repair heals only keys a read serves from the stale replica, and
-// C3 stops routing to a replica whose last feedback looked slow — the
-// revived replica's score then freezes and it gets no more reads. So
-// the sibling is slowed after the revival: the writer's reads land on
-// the revived replica, and the repairs read the fresh copies from the
-// sibling.
+// dropped from its buffer and counted, and the buffer is marked
+// overflowed. The revival catches the replica up from its sibling before
+// it serves reads: when the down mark clears, every key — hinted or
+// dropped — is on the replica at its acked version, with no read issued.
 func TestClusterHintOverflow(t *testing.T) {
 	m := cluster.MustNewShardTopology(cluster.ShardConfig{Shards: 1, Replicas: 2})
-	sibling := NewFaultInjector()
-	addrs, servers := startShardedCluster(t, m, func(_, r int) ServerOptions {
-		if r == 1 {
-			return ServerOptions{Workers: 2, Fault: sibling}
-		}
-		return ServerOptions{Workers: 2}
-	})
+	addrs, servers := startShardedCluster(t, m, nil)
 	c, err := DialCluster(addrs, ClusterOptions{Topology: m, ProbeInterval: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -266,41 +218,93 @@ func TestClusterHintOverflow(t *testing.T) {
 	victim := m.Server(0, 0)
 	victimStore := servers[victim].Store()
 	servers[victim].Close()
+	keys := overflowHints(t, c, maxHintsPerReplica+50)
 
-	const extra = 50
-	overflowsBefore := metrics.CounterValue("netstore_hint_overflow_total")
-	keys := make([]string, maxHintsPerReplica+extra)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("key:%d", i)
-		if err := c.Set(bg, keys[i], []byte("v"), WriteOptions{}); err != nil {
-			t.Fatalf("Set %s with one replica down: %v", keys[i], err)
-		}
+	restartServer(t, addrs[victim], victimStore, 0)
+	waitFor(t, 10*time.Second, "revival", func() bool { return !c.ReplicaDown(0, 0) })
+	if miss := missing(c, victimStore, keys); len(miss) > 0 {
+		t.Fatalf("%d keys not at their acked version on the revived replica, first %s", len(miss), miss[0])
 	}
-	if got := c.HintOverflows(); got != extra {
-		t.Fatalf("HintOverflows = %d, want %d", got, extra)
+	if overflowed(c, 0, 0) {
+		t.Fatal("overflow mark still set after a catch-up")
 	}
-	if got := metrics.CounterValue("netstore_hint_overflow_total") - overflowsBefore; got != extra {
-		t.Fatalf("netstore_hint_overflow_total advanced by %d, want %d", got, extra)
+}
+
+// TestClusterHintOverflowDelete: a delete the full hint buffer dropped
+// reaches the revived replica as a tombstone at the delete's version,
+// even though the replica kept the value standing.
+func TestClusterHintOverflowDelete(t *testing.T) {
+	m := cluster.MustNewShardTopology(cluster.ShardConfig{Shards: 1, Replicas: 2})
+	addrs, servers := startShardedCluster(t, m, nil)
+	c, err := DialCluster(addrs, ClusterOptions{Topology: m, ProbeInterval: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := c.PendingHints(0, 0); got != maxHintsPerReplica {
-		t.Fatalf("PendingHints = %d, want the bound %d", got, maxHintsPerReplica)
+	defer c.Close()
+	if err := c.Set(bg, "doomed", []byte("v"), WriteOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	victim := m.Server(0, 0)
+	victimStore := servers[victim].Store()
+	servers[victim].Close()
+	overflowHints(t, c, maxHintsPerReplica+1)
+	if err := c.Delete(bg, "doomed", WriteOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.HintOverflows(); got != 2 {
+		t.Fatalf("HintOverflows = %d, want the delete dropped too (2)", got)
+	}
+	if _, ok := victimStore.Get("doomed"); !ok {
+		t.Fatal("victim lost the value it was supposed to be stale with")
 	}
 
 	restartServer(t, addrs[victim], victimStore, 0)
 	waitFor(t, 10*time.Second, "revival", func() bool { return !c.ReplicaDown(0, 0) })
-	sibling.SetDelay(2 * time.Millisecond)
+	if _, ok := victimStore.Get("doomed"); ok {
+		t.Fatal("revived replica still serves the deleted key")
+	}
+	if miss := missing(c, victimStore, []string{"doomed"}); len(miss) > 0 {
+		t.Fatal("revived replica's tombstone is not at the delete's version")
+	}
+}
+
+// TestClusterHintOverflowSiblingDown: a replica whose hint buffer
+// overflowed revives while its only sibling is down too — the shard needs
+// it — with the overflow mark kept, and the dropped keys reach it once
+// the sibling is back.
+func TestClusterHintOverflowSiblingDown(t *testing.T) {
+	m := cluster.MustNewShardTopology(cluster.ShardConfig{Shards: 1, Replicas: 2})
+	addrs, servers := startShardedCluster(t, m, nil)
+	c, err := DialCluster(addrs, ClusterOptions{Topology: m, ProbeInterval: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	victim, sibling := m.Server(0, 0), m.Server(0, 1)
+	victimStore, siblingStore := servers[victim].Store(), servers[sibling].Store()
+	servers[victim].Close()
+	keys := overflowHints(t, c, maxHintsPerReplica+50)
 	dropped := keys[maxHintsPerReplica:]
-	waitFor(t, 10*time.Second, "read-repair of every dropped key", func() bool {
-		if _, err := c.Multiget(bg, dropped, ReadOptions{}); err != nil {
-			t.Fatalf("Multiget: %v", err)
-		}
-		for _, k := range dropped {
-			want, _ := c.WrittenVersion(k)
-			if _, ver, ok := victimStore.GetVersion(k); !ok || ver != want {
-				return false
-			}
-		}
-		return true
+
+	servers[sibling].Close()
+	if _, err := c.Multiget(bg, dropped[:1], ReadOptions{}); !errors.Is(err, ErrNoReplica) {
+		t.Fatalf("Multiget with both replicas dead: err = %v, want ErrNoReplica", err)
+	}
+	restartServer(t, addrs[victim], victimStore, 0)
+	waitFor(t, 10*time.Second, "revival without a live sibling", func() bool { return !c.ReplicaDown(0, 0) })
+	if !c.ReplicaDown(0, 1) {
+		t.Fatal("sibling not marked down")
+	}
+	if !overflowed(c, 0, 0) {
+		t.Fatal("overflow mark cleared with no sibling to catch up from")
+	}
+	if miss := missing(c, victimStore, dropped); len(miss) != len(dropped) {
+		t.Fatalf("%d of %d dropped keys reached the replica with no sibling up", len(dropped)-len(miss), len(dropped))
+	}
+
+	restartServer(t, addrs[sibling], siblingStore, 0)
+	waitFor(t, 10*time.Second, "catch-up from the restarted sibling", func() bool {
+		return len(missing(c, victimStore, keys)) == 0 && !overflowed(c, 0, 0)
 	})
 }
 

@@ -648,7 +648,7 @@ func (s *Server) handleWrite(cs *connState, frame *wire.Frame, key string, value
 // waits on. ver 0 is a local (loader) write that auto-advances the key's
 // version, or deletes outright; a non-zero version is a replicated write
 // applied last-writer-wins (a delete lays a tombstone), so
-// hinted-handoff replays and read-repair pushes are idempotent. An error
+// hint replays, catch-up copies and migrations are idempotent. An error
 // is a durability failure: fail-stop the write path — no ack is sent and
 // the connection drops, so the client marks this replica down and
 // hints/reroutes the write, and an acked write is never one the WAL

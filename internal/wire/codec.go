@@ -109,7 +109,7 @@ func (m *BatchResp) appendBodyRef(dst []byte, exts []extRef, minRef int) ([]byte
 	for i, v := range m.Values {
 		// The version is carried for missing keys too: a tombstoned key
 		// reads as not-found but its delete version must reach clients,
-		// or delete read-repair and convergence scans could not tell
+		// or cache validation and convergence scans could not tell
 		// "deleted at v" from "never stored".
 		var ver uint64
 		if m.Versions != nil {

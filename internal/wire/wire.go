@@ -130,9 +130,9 @@ type BatchResp struct {
 	Found  []bool
 	// Versions carries the stored write version of each key, parallel to
 	// Values: 0 for keys the server never stored, the delete version for
-	// tombstoned keys (which read as not-found). Clients compare them
-	// against the versions they last wrote to detect stale replicas and
-	// trigger read-repair — including repair of missed deletes.
+	// tombstoned keys (which read as not-found). Clients validate their
+	// hot-key caches against them, and convergence scans compare them
+	// across replicas — missed deletes included.
 	Versions []uint64
 	// Stray, when non-nil, marks keys the server refused because it does
 	// not own them under its current topology (the per-key form of
@@ -164,7 +164,7 @@ type Set struct {
 	Seq uint64
 	// Version orders writes per key: the server applies the Set only if
 	// Version exceeds the stored version (last-writer-wins), making
-	// hinted-handoff replays and read-repair pushes idempotent. Version 0
+	// hint replays and catch-up copies idempotent. Version 0
 	// asks the server to assign the next local version (the pre-versioning
 	// behavior, kept for simple loaders).
 	Version uint64

@@ -1,26 +1,15 @@
-// Command brb-controller runs the logically-centralized credits
-// controller: clients stream demand reports and receive per-interval
-// credit grants proportional to demand (paper §2.2).
-//
-// Usage (-servers is just a count: the length of every demand and grant
-// vector, indexed in the dense shard·R+replica order netstore.DialCluster
-// uses):
-//
-//	brb-controller -listen :7080 -clients 18 -servers 9 -capacity 4 -interval 100ms
-//
-// or with the count derived from the shard layout:
-//
-//	brb-controller -listen :7080 -clients 18 -shards 3 -replicas 2
-//
-// Topology administration (one-shot, no listener): bootstrap a fresh
-// cluster's epoch-1 topology, then rebalance live. -cluster names the
-// running servers in dense shard·R+replica order; the current topology
-// is fetched from them (or bootstrapped from -shards/-replicas when
-// they hold none, which -push-topology does explicitly):
+// Command brb-controller administers a running cluster's topology. Each
+// mode is one-shot: bootstrap a fresh cluster's epoch-1 topology, or
+// rebalance it live. -cluster names the running servers in dense
+// shard·R+replica order; the current topology is fetched from them (or
+// bootstrapped from -shards/-replicas when they hold none, which
+// -push-topology does explicitly):
 //
 //	brb-controller -push-topology -shards 3 -replicas 2 -cluster :7071,...,:7076
 //	brb-controller -add-shard -cluster :7071,...,:7076 -new-addrs :7077,:7078
 //	brb-controller -remove-shard 2 -cluster :7071,...,:7076
+//
+// With no mode flag it prints one usage line and exits 2.
 //
 // AddShard expects the new shard's servers to already be running (and
 // empty) on -new-addrs with `-shard <NextShardID>`; migration streams
@@ -35,7 +24,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"os"
 	"strings"
 
@@ -44,48 +32,20 @@ import (
 )
 
 func main() {
-	listen := flag.String("listen", ":7080", "listen address")
-	clients := flag.Int("clients", 18, "number of clients")
-	servers := flag.Int("servers", 9, "number of storage servers (shards × replicas)")
-	shards := flag.Int("shards", 0, "shard groups (when set, overrides -servers with shards×replicas)")
+	shards := flag.Int("shards", 0, "shard groups (bootstrap with -push-topology, or when the cluster holds no topology)")
 	replicas := flag.Int("replicas", 3, "replicas per shard (with -shards)")
-	capacity := flag.Float64("capacity", 4, "per-server parallel capacity (worker count)")
-	interval := flag.Duration("interval", 0, "grant interval (default 100ms)")
-	clusterAddrs := flag.String("cluster", "", "running cluster's server addresses, dense shard·R+replica order (topology admin modes)")
+	clusterAddrs := flag.String("cluster", "", "running cluster's server addresses, dense shard·R+replica order")
 	pushTopo := flag.Bool("push-topology", false, "bootstrap: build the epoch-1 topology from -shards/-replicas over -cluster and push it to every server")
 	addShard := flag.Bool("add-shard", false, "rebalance: grow the cluster by one shard on -new-addrs")
 	newAddrs := flag.String("new-addrs", "", "the new shard's replica addresses (with -add-shard)")
 	removeShard := flag.Int("remove-shard", -1, "rebalance: drain this shard ID onto the survivors")
 	flag.Parse()
 
-	if *pushTopo || *addShard || *removeShard >= 0 {
-		runTopologyAdmin(*clusterAddrs, *pushTopo, *addShard, *newAddrs, *removeShard, *shards, *replicas)
-		return
+	if !*pushTopo && !*addShard && *removeShard < 0 {
+		fmt.Fprintln(os.Stderr, "usage: brb-controller -push-topology|-add-shard|-remove-shard N -cluster ADDRS (see -h)")
+		os.Exit(2)
 	}
-
-	n := *servers
-	if *shards > 0 {
-		n = *shards * *replicas
-	}
-	ctrl := netstore.NewControllerServer(netstore.ControllerOptions{
-		Clients:         *clients,
-		Servers:         n,
-		CapacityPerNano: *capacity,
-		Interval:        *interval,
-	})
-	ln, err := net.Listen("tcp", *listen)
-	if err != nil {
-		log.Fatalf("brb-controller: %v", err)
-	}
-	if *shards > 0 {
-		log.Printf("brb-controller: listening on %s (%d clients × %d shards × %d replicas = %d servers)",
-			*listen, *clients, *shards, *replicas, n)
-	} else {
-		log.Printf("brb-controller: listening on %s (%d clients × %d servers)", *listen, *clients, n)
-	}
-	if err := ctrl.Serve(ln); err != nil {
-		log.Fatalf("brb-controller: %v", err)
-	}
+	runTopologyAdmin(*clusterAddrs, *pushTopo, *addShard, *newAddrs, *removeShard, *shards, *replicas)
 }
 
 // runTopologyAdmin executes the one-shot topology modes: bootstrap

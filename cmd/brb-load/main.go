@@ -73,7 +73,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // config is a validated command line and the workload it resolved to.
 type config struct {
-	controller, dataDir, record string
+	dataDir, record             string
 	shards, replication, cache  int
 	spawn, skipLoad, allocStats bool
 	probeInterval, deadline     time.Duration
@@ -99,7 +99,6 @@ func configure(args []string, stdout, stderr io.Writer) (*config, error) {
 	fs := flag.NewFlagSet("brb-load", flag.ContinueOnError)
 	fs.SetOutput(io.Discard) // run reports the error, once
 	servers := fs.String("servers", "127.0.0.1:7071,127.0.0.1:7072,127.0.0.1:7073", "comma-separated server addresses, dense shard·R+replica order")
-	fs.StringVar(&cfg.controller, "controller", "", "credits controller address (optional)")
 	fs.IntVar(&cfg.shards, "shards", 1, "shard groups")
 	fs.IntVar(&cfg.replication, "replication", 3, "replication factor (replicas per shard)")
 	fs.BoolVar(&cfg.spawn, "spawn", false, "run the cluster's servers in this process instead of dialing -servers")
@@ -441,11 +440,6 @@ func (h *harness) dial(_ string, _, idx int) (netstore.Store, error) {
 		Topology: h.initial, Client: idx, Clients: h.cfg.streams, Assigner: h.cfg.assigner,
 		ProbeInterval: h.cfg.probeInterval, CacheSize: h.cfg.cache,
 	})
-	if err == nil && h.cfg.controller != "" {
-		if err = c.AttachController(h.cfg.controller, 0); err != nil {
-			c.Close()
-		}
-	}
 	if err != nil {
 		return nil, err // not a typed-nil Store
 	}

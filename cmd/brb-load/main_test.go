@@ -57,14 +57,14 @@ func mustContain(t *testing.T, what, text string, wants ...string) {
 
 func TestFlagBudget(t *testing.T) {
 	code, _, usage := brbLoad("-h")
-	if n := len(regexp.MustCompile(`(?m)^  -`).FindAllString(usage, -1)); code != 0 || n == 0 || n > 20 {
-		t.Fatalf("brb-load -h: exit %d listing %d flags, want exit 0 and 1..20:\n%s", code, n, usage)
+	if n := len(regexp.MustCompile(`(?m)^  -`).FindAllString(usage, -1)); code != 0 || n == 0 || n > 19 {
+		t.Fatalf("brb-load -h: exit %d listing %d flags, want exit 0 and 1..19:\n%s", code, n, usage)
 	}
 	// What a spec says, no flag may say again — not under its old name,
-	// and so not at all.
+	// and so not at all. -controller went with the store's credits path.
 	for _, gone := range []string{"keys", "tasks", "clients", "fanout", "burst-prob", "write-frac", "zipf", "seed",
 		"kill-replica", "kill-after", "restart-after", "crash-replica", "crash-after", "recover-after",
-		"slow-replica", "slow-latency", "add-shard-after", "remove-shard-after"} {
+		"slow-replica", "slow-latency", "add-shard-after", "remove-shard-after", "controller"} {
 		code, _, stderr := brbLoad("-spawn", "-"+gone, "1")
 		if code != 2 || !strings.Contains(stderr, "flag provided but not defined: -"+gone) {
 			t.Errorf("-%s: exit %d, stderr %q; want the flag gone", gone, code, stderr)

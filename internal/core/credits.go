@@ -7,8 +7,8 @@ package core
 // When reported demand exceeds a server's capacity it raises the
 // congestion signal the 1 s adaptation loop consumes.
 //
-// The simulator's credits strategy and the real networked store
-// (netstore.ControllerServer, behind a TCP interface) run it verbatim.
+// The simulator's credits strategy (internal/credits) runs it; the
+// networked store has no credits path and picks replicas by C3 ranking.
 type CreditController struct {
 	clients, servers int
 	// capacityPerNano is one server's service capacity per nanosecond of

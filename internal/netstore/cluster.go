@@ -220,9 +220,6 @@ type Cluster struct {
 	// ClusterOptions.CacheSize enables it; see cache.go).
 	cache *hotKeyCache
 
-	// credits are granted by the controller (nil without one).
-	credits *creditGate
-
 	taskSeq atomic.Uint64
 
 	// rootCtx scopes every background goroutine this client owns — the
@@ -247,23 +244,6 @@ type Cluster struct {
 	// next tick refreshes proactively instead of waiting for a stray.
 	epochLag atomic.Bool
 	closed   atomic.Bool
-}
-
-// AttachController connects the cluster client to a credits controller
-// (run `brb-controller -shards S -replicas R` so grants cover the dense
-// shard·R+replica server space): demand reports flow every interval, and
-// replica selection prefers positive-balance replicas before falling back
-// to pure C3 ranking. Grants cover the server-ID space of the topology at
-// attach time; servers added by later rebalances run uncredited until
-// re-attach.
-func (c *Cluster) AttachController(addr string, interval time.Duration) error {
-	st := c.state.Load()
-	g, err := dialCreditGate(addr, st.topo.NumServers(), c.opts.Client, clientDialTimeout, interval)
-	if err != nil {
-		return err
-	}
-	c.credits = g
-	return nil
 }
 
 // ErrNoReplica is returned when every replica of a shard is down.
@@ -404,9 +384,6 @@ func (c *Cluster) Close() {
 		slot.closeConn()
 	}
 	c.topoMu.Unlock()
-	if c.credits != nil {
-		c.credits.close()
-	}
 }
 
 // refreshTopology polls the cluster for a topology newer than prev's
@@ -905,8 +882,8 @@ func (c *Cluster) Multiget(ctx context.Context, keys []string, opts ReadOptions)
 // shardBatch is keys of one shard within a multiget — a whole sub-task
 // or the part of it bound for one replica: the keys, their BRB
 // priorities, their slots in the original key list, and their forecast
-// cost (credit accounting). Stray keys re-bucket into fresh
-// shardBatches under the refreshed topology.
+// cost. Stray keys re-bucket into fresh shardBatches under the
+// refreshed topology.
 type shardBatch struct {
 	shard  int
 	taskID uint64
@@ -918,8 +895,8 @@ type shardBatch struct {
 
 // share is the part of b's cost that k of its keys carry: whatever
 // splits a batch — placement, strays, a re-bucket — splits its cost per
-// key, so the credits spent (and the forecast scale calibrated) across
-// the parts add up to the batch's forecast.
+// key, so the costs the forecast scale folds in across the parts add
+// up to the batch's forecast.
 func (b shardBatch) share(k int) int64 {
 	return b.cost * int64(k) / int64(len(b.keys))
 }
@@ -943,42 +920,26 @@ type piece struct {
 // nextReplica picks the replica for one whole batch of n keys — a
 // pinned sub-task, a failover, a hedge, a stray re-bucket — and counts
 // the keys outstanding there: the best-ranked live replica of the shard
-// not yet tried. With a controller attached the replicas the client
-// still holds credits at rank first, and pure C3 ranking takes over
-// when every balance is exhausted: credits steer, never block. It
-// returns -1 when no replica is left.
+// not yet tried. It returns -1 when no replica is left.
 func (c *Cluster) nextReplica(st *topoState, shard, n int, tried []bool) int {
 	scorer := st.scorers[shard]
-	eligible := func(r int) bool {
+	rep := scorer.Best(func(r int) bool {
 		return !(r < len(tried) && tried[r]) && !st.slotOf(shard, r).down.Load()
-	}
-	rep := -1
-	if c.credits != nil {
-		rep = scorer.Best(func(r int) bool { return eligible(r) && c.funded(st, shard, r) })
-	}
-	if rep < 0 {
-		rep = scorer.Best(eligible)
-	}
+	})
 	if rep >= 0 {
 		scorer.OnSend(rep, n)
 	}
 	return rep
 }
 
-// funded reports whether the client still holds credits at a replica.
-func (c *Cluster) funded(st *topoState, shard, replica int) bool {
-	return c.credits.balance(st.topo.Server(shard, replica)) > 0
-}
-
 // place decides which replica serves each key of sub-task b and appends
 // one piece per replica that received keys. Selection is task-wide:
-// the scorer places the keys one at a time (c3.Scorer.Spread, funded
-// replicas first as in nextReplica), so a sub-task larger than one
-// replica's idle workers spills onto the sibling instead of queueing
-// for several rounds behind itself. The sub-task stays one message
-// with one live replica, before the scorer has feedback, and whenever
-// the service time a second message would save is less than a message
-// costs.
+// the scorer places the keys one at a time (c3.Scorer.Spread), so a
+// sub-task larger than one replica's idle workers spills onto the
+// sibling instead of queueing for several rounds behind itself. The
+// sub-task stays one message with one live replica, before the scorer
+// has feedback, and whenever the service time a second message would
+// save is less than a message costs.
 func (c *Cluster) place(st *topoState, b shardBatch, pieces []piece) []piece {
 	scorer := st.scorers[b.shard]
 	n := len(b.keys)
@@ -990,11 +951,7 @@ func (c *Cluster) place(st *topoState, b shardBatch, pieces []piece) []piece {
 	} else {
 		counts = make([]int, r)
 	}
-	first := -1
-	if c.credits != nil {
-		first = scorer.Spread(n, func(r int) bool { return live(r) && c.funded(st, b.shard, r) }, counts)
-	}
-	if first < 0 && scorer.Spread(n, live, counts) < 0 {
+	if scorer.Spread(n, live, counts) < 0 {
 		return append(pieces, piece{b, -1})
 	}
 	lo := 0
@@ -1085,9 +1042,6 @@ func (c *Cluster) fetchBatch(ctx context.Context, st *topoState, b shardBatch, r
 			continue
 		}
 
-		if c.credits != nil {
-			c.credits.spend(slot.id, float64(b.cost))
-		}
 		var resp *wire.BatchResp
 		if pol.Mode != HedgeOff && st.topo.Replicas() > 1 {
 			var err error
@@ -1342,13 +1296,4 @@ func (c *Cluster) PendingHints(shard, replica int) int {
 // ScoreOf exposes the C3 score of one replica of one shard (test hook).
 func (c *Cluster) ScoreOf(shard, replica int) float64 {
 	return c.state.Load().scorers[shard].ScoreOf(replica)
-}
-
-// CreditBalance returns the client's credit balance at one replica, or 0
-// when no controller is attached (test and operations hook).
-func (c *Cluster) CreditBalance(shard, replica int) float64 {
-	if c.credits == nil {
-		return 0
-	}
-	return c.credits.balance(c.state.Load().topo.Server(shard, replica))
 }

@@ -269,49 +269,6 @@ func TestDialClusterToleratesDeadReplica(t *testing.T) {
 	}
 }
 
-// TestClusterAttachController: a sharded client attached to a credits
-// controller reports demand and receives grants over the dense
-// shard·R+replica server space; the workload keeps completing.
-func TestClusterAttachController(t *testing.T) {
-	m := cluster.MustNewShardTopology(cluster.ShardConfig{Shards: 2, Replicas: 2})
-	addrs, _ := startShardedCluster(t, m, nil)
-	ctrl, ctrlAddr := startController(t, ControllerOptions{
-		Clients: 1, Servers: m.NumServers(), CapacityPerNano: 2, Interval: 20 * time.Millisecond,
-	})
-	defer ctrl.Close()
-
-	c, err := DialCluster(addrs, ClusterOptions{Topology: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.AttachController(ctrlAddr, 20*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		if err := c.Set(bg, fmt.Sprintf("key:%d", i), []byte("v"), WriteOptions{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Keep multiget traffic flowing (reports ride on it) until a
-	// report → grant round trip lands a credit balance.
-	waitFor(t, 3*time.Second, "credit grant reaching the cluster client", func() bool {
-		for i := 0; i < 20; i++ {
-			if _, err := c.Multiget(bg, []string{fmt.Sprintf("key:%d", i%50)}, ReadOptions{}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for s := 0; s < m.Shards(); s++ {
-			for r := 0; r < m.Replicas(); r++ {
-				if c.CreditBalance(s, r) != 0 {
-					return true
-				}
-			}
-		}
-		return false
-	})
-}
-
 func TestDialClusterValidation(t *testing.T) {
 	if _, err := DialCluster(nil, ClusterOptions{}); err == nil {
 		t.Fatal("nil shard map accepted")

@@ -274,9 +274,6 @@ func (c *Cluster) hedgedBatch(ctx context.Context, st *topoState, scorer *c3.Sco
 				arm() // lost a race with markDown; re-arm and re-rank
 				continue
 			}
-			if c.credits != nil {
-				c.credits.spend(hslot.id, float64(b.cost))
-			}
 			if !launch(rep, hslot, hsc) {
 				arm()
 				continue

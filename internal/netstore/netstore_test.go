@@ -1,6 +1,7 @@
 package netstore
 
 import (
+	"bufio"
 	"context"
 	"fmt"
 	"net"
@@ -570,52 +571,59 @@ func TestConcurrentClients(t *testing.T) {
 	wg.Wait()
 }
 
-func TestControllerGrantsFlow(t *testing.T) {
-	addrs, _, stop := startCluster(t, 3, ServerOptions{})
+func TestServerPing(t *testing.T) {
+	addrs, _, stop := startCluster(t, 1, ServerOptions{})
 	defer stop()
-
-	ctrl := NewControllerServer(ControllerOptions{
-		Clients: 2, Servers: 3, CapacityPerNano: 4, Interval: 20 * time.Millisecond,
-	})
-	defer ctrl.Close()
-	cln, err := net.Listen("tcp", "127.0.0.1:0")
+	conn, err := net.DialTimeout("tcp", addrs[0], 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() { _ = ctrl.Serve(cln) }()
-
-	c, err := DialCluster(addrs, ClusterOptions{Topology: testTopo(3)})
+	defer conn.Close()
+	if err := wire.WriteMessage(conn, &wire.Ping{Nonce: 3}); err != nil {
+		t.Fatal(err)
+	}
+	msg, err := wire.ReadMessage(bufio.NewReader(conn))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	if err := c.AttachController(cln.Addr().String(), 20*time.Millisecond); err != nil {
+	if pong, ok := msg.(*wire.Pong); !ok || pong.Nonce != 3 {
+		t.Fatalf("got %+v, want Pong{3}", msg)
+	}
+}
+
+func TestServerSurvivesGarbage(t *testing.T) {
+	addrs, servers, stop := startCluster(t, 1, ServerOptions{})
+	defer stop()
+	conn, err := net.DialTimeout("tcp", addrs[0], 2*time.Second)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Set(bg, "k", []byte("v"), WriteOptions{}); err != nil {
+	// A frame that decodes to an unknown type: the server drops the
+	// connection, but keeps serving others. Reading until the drop
+	// proves the garbage was fully processed before we probe health.
+	_, _ = conn.Write([]byte{0, 0, 0, 2, 0xFF, 0x01})
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err == nil {
+		t.Fatal("server answered a garbage frame instead of dropping the conn")
+	}
+	_ = conn.Close()
+	// The server must still answer a fresh, well-formed connection.
+	conn2, err := net.DialTimeout("tcp", addrs[0], 2*time.Second)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Drive some traffic so reports are non-trivial, then wait for
-	// grants to arrive.
-	for i := 0; i < 20; i++ {
-		if _, err := c.Multiget(bg, []string{"k"}, ReadOptions{}); err != nil {
-			t.Fatal(err)
-		}
+	defer conn2.Close()
+	servers[0].Store().Set("x", []byte("1"))
+	if err := wire.WriteMessage(conn2, &wire.BatchReq{Batch: 1, Priority: []int64{0}, Keys: []string{"x"}}); err != nil {
+		t.Fatal(err)
 	}
-	deadline := time.After(2 * time.Second)
-	for {
-		total := 0.0
-		for s := 0; s < 3; s++ {
-			total += c.CreditBalance(0, s)
-		}
-		if total != 0 {
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatal("no credit grants arrived within 2s")
-		case <-time.After(10 * time.Millisecond):
-		}
+	msg, err := wire.ReadMessage(bufio.NewReader(conn2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, ok := msg.(*wire.BatchResp)
+	if !ok || !resp.Found[0] {
+		t.Fatalf("server unhealthy after garbage: %+v", msg)
 	}
 }
 

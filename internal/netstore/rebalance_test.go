@@ -732,10 +732,10 @@ func TestClusterReaderAheadOfLaggingReplica(t *testing.T) {
 // again at their share of the batch's forecast cost, split per key over
 // the shards they re-bucket onto. The client holds the epoch-1 one-shard
 // topology, the servers the epoch-3 three-shard one, so its one batch to
-// shard 0 comes back with the strays of two other shards; the credit
-// gate's demand vector (never reported here: the interval is an hour)
-// records what each server was charged. Charging every bucket the whole
-// batch's cost would claim three times the forecast as demand.
+// shard 0 comes back with the strays of two other shards. The forecast
+// scale folds in only fully served batches, so its cost total is what
+// the re-bucketed strays were charged. Charging every bucket the whole
+// batch's cost would claim up to three times their share.
 func TestStrayRebucketSplitsCost(t *testing.T) {
 	base, err := cluster.MustNewShardTopology(cluster.ShardConfig{Shards: 1, Replicas: 1}).
 		WithAddrs(startShardServers(t, 0, 1))
@@ -751,28 +751,20 @@ func TestStrayRebucketSplitsCost(t *testing.T) {
 	if err := PushTopology(bg, grown); err != nil {
 		t.Fatal(err)
 	}
-	ctrl, ctrlAddr := startController(t, ControllerOptions{Clients: 1, Servers: grown.NumServers()})
-	defer ctrl.Close()
-
 	c, err := DialCluster(nil, ClusterOptions{Topology: base, ProbeInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	// AttachController sizes the gate to the client's (stale) topology;
-	// this one covers the servers the strays will land on.
-	c.credits, err = dialCreditGate(ctrlAddr, grown.NumServers(), 0, time.Second, time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	keys := make([]string, 60)
-	strays := 0
+	perShard := make([]int, grown.Shards())
 	for i := range keys {
 		keys[i] = fmt.Sprintf("key:%d", i)
-		if grown.ShardOfKey(keys[i]) != 0 {
-			strays++
-		}
+		perShard[grown.ShardOfKey(keys[i])]++
+	}
+	if perShard[1] == 0 || perShard[2] == 0 {
+		t.Fatalf("keys per shard %v: the strays would not re-bucket two ways", perShard)
 	}
 	if _, err := c.Multiget(bg, keys, ReadOptions{}); err != nil {
 		t.Fatal(err)
@@ -780,20 +772,12 @@ func TestStrayRebucketSplitsCost(t *testing.T) {
 	if c.TopologyEpoch() != grown.Epoch() {
 		t.Fatalf("client at epoch %d after the stray retry, want %d", c.TopologyEpoch(), grown.Epoch())
 	}
-	c.credits.mu.Lock()
-	demand := append([]float64(nil), c.credits.demand...)
-	c.credits.mu.Unlock()
-	if demand[1] == 0 || demand[2] == 0 {
-		t.Fatalf("demand %v: the strays did not re-bucket two ways", demand)
-	}
-	cost := float64(c.opts.CostModel.Estimate(defaultSize) * int64(len(keys)))
-	if demand[0] != cost {
-		t.Fatalf("first attempt charged %v at shard 0, want the task's forecast %v", demand[0], cost)
-	}
+	strays := perShard[1] + perShard[2]
+	cost := c.opts.CostModel.Estimate(defaultSize) * int64(len(keys))
 	// Integer shares round down, by less than a nanosecond per bucket.
-	want := cost * float64(strays) / float64(len(keys))
-	if got := demand[1] + demand[2]; got > want || got < want-2 {
-		t.Fatalf("re-bucketed strays charged %v (%v), want their %d/%d share of %v = %v",
-			got, demand, strays, len(keys), cost, want)
+	want := cost * int64(strays) / int64(len(keys))
+	if got := c.scale.cost.Load(); got > want || got < want-2 {
+		t.Fatalf("re-bucketed strays charged %d, want their %d/%d share of %d = %d",
+			got, strays, len(keys), cost, want)
 	}
 }

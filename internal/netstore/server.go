@@ -2,13 +2,14 @@
 // BRB-scheduled data store: a TCP key-value server whose request scheduler
 // drains a priority queue with a bounded worker pool (one goroutine per
 // core), a task-aware client library sharing the priority-assignment code
-// (internal/core) with the simulator, and a credits controller speaking
-// the same wire protocol.
+// (internal/core) with the simulator, and the topology and migration
+// messages of live rebalancing.
 //
 // It is the artifact a downstream user would deploy: the simulator
 // validates the algorithms at scale, netstore validates that they are
 // implementable with the signals a real deployment has (value sizes from
-// store metadata, demand from client counters, priorities on the wire).
+// store metadata, service times from server feedback, priorities on the
+// wire).
 package netstore
 
 import (
@@ -694,18 +695,18 @@ func (s *Server) apply(key string, value []byte, ver uint64, del bool) (c kv.Com
 // NotOwner, making the client re-route the same versioned write to the
 // real owner.
 func (s *Server) ackWrite(cs *connState, c kv.Commit, key string, epoch, seq uint64, del bool) bool {
-	finish := func() error {
+	ack := func() wire.Message {
 		if owner, cur, ok := s.ownsKey(key, epoch); !ok {
 			srvNotOwnerWrites.Inc()
-			return cs.send(&wire.NotOwner{ID: seq, Epoch: cur, Hint: uint32(owner)})
+			return &wire.NotOwner{ID: seq, Epoch: cur, Hint: uint32(owner)}
 		}
 		if del {
-			return cs.send(&wire.DelResp{Seq: seq})
+			return &wire.DelResp{Seq: seq}
 		}
-		return cs.send(&wire.SetResp{Seq: seq})
+		return &wire.SetResp{Seq: seq}
 	}
 	if !c.Logged() {
-		return finish() == nil
+		return cs.send(ack()) == nil
 	}
 	s.wg.Add(1)
 	go func() {
@@ -715,8 +716,7 @@ func (s *Server) ackWrite(cs *connState, c kv.Commit, key string, epoch, seq uin
 			_ = cs.conn.Close()
 			return
 		}
-		//brb:allow stickyerr ack send on a sticky-errored conn is moot: the handle loop tears the conn down
-		_ = finish()
+		cs.reply(ack())
 	}()
 	return true
 }

@@ -237,49 +237,6 @@ func decodeSetResp(r *reader) (*SetResp, error) {
 	return m, r.done()
 }
 
-func (m *Report) msgType() MsgType { return TReport }
-func (m *Report) appendBody(dst []byte) []byte {
-	dst = appendU32(dst, m.Client)
-	dst = appendU32(dst, uint32(len(m.Demand)))
-	for _, d := range m.Demand {
-		dst = appendF64(dst, d)
-	}
-	return dst
-}
-
-func decodeReport(r *reader) (*Report, error) {
-	m := &Report{Client: r.u32()}
-	n := r.count(8)
-	if c := preallocCount(n); c > 0 {
-		m.Demand = make([]float64, 0, c)
-	}
-	for i := 0; i < n && r.err == nil; i++ {
-		m.Demand = append(m.Demand, r.f64())
-	}
-	return m, r.done()
-}
-
-func (m *Grant) msgType() MsgType { return TGrant }
-func (m *Grant) appendBody(dst []byte) []byte {
-	dst = appendU32(dst, uint32(len(m.Alloc)))
-	for _, a := range m.Alloc {
-		dst = appendF64(dst, a)
-	}
-	return dst
-}
-
-func decodeGrant(r *reader) (*Grant, error) {
-	m := &Grant{}
-	n := r.count(8)
-	if c := preallocCount(n); c > 0 {
-		m.Alloc = make([]float64, 0, c)
-	}
-	for i := 0; i < n && r.err == nil; i++ {
-		m.Alloc = append(m.Alloc, r.f64())
-	}
-	return m, r.done()
-}
-
 func (m *Ping) msgType() MsgType             { return TPing }
 func (m *Ping) appendBody(dst []byte) []byte { return appendU64(dst, m.Nonce) }
 
@@ -494,10 +451,6 @@ func decodeFrame(frame []byte, alias bool) (Message, error) {
 		return decodeSet(r)
 	case TSetResp:
 		return decodeSetResp(r)
-	case TReport:
-		return decodeReport(r)
-	case TGrant:
-		return decodeGrant(r)
 	case TPing:
 		return decodePing(r)
 	case TPong:

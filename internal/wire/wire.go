@@ -1,7 +1,7 @@
 // Package wire defines the binary protocol of the networked BRB store:
 // length-prefixed frames carrying batched read requests with task-aware
-// priorities, responses, and the demand-report / credit-grant messages
-// spoken with the credits controller.
+// priorities, their responses, writes, liveness probes, and the topology
+// and scan messages of rebalancing.
 //
 // Frame layout: 4-byte big-endian payload length, 1-byte message type,
 // payload. All integers are big-endian; strings and byte slices are
@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"sync"
 	"unsafe"
 )
@@ -38,10 +37,10 @@ const (
 	TSet MsgType = 3
 	// TSetResp acknowledges a TSet.
 	TSetResp MsgType = 4
-	// TReport is a client→controller demand report.
-	TReport MsgType = 5
-	// TGrant is a controller→client credit assignment.
-	TGrant MsgType = 6
+	// Types 5 and 6 are retired (they carried the store's credits
+	// controller's demand reports and grants): no message may reuse
+	// them, so a frame from an old controller decodes as an unknown type.
+
 	// TPing/TPong are liveness probes; the cluster client's revival
 	// prober uses them to verify a redialed replica actually serves
 	// before swapping the connection in.
@@ -208,21 +207,6 @@ type DelResp struct {
 	Seq uint64
 }
 
-// Report is a client's demand report: estimated service nanoseconds sent
-// to each server since the last report.
-type Report struct {
-	Client uint32
-	// Demand[i] is the demand toward server i (dense by server index).
-	Demand []float64
-}
-
-// Grant is the controller's credit assignment for the next interval.
-type Grant struct {
-	// Alloc[i] is the client's credit grant at server i, in estimated
-	// service nanoseconds per measurement interval.
-	Alloc []float64
-}
-
 // Ping is a liveness probe.
 type Ping struct{ Nonce uint64 }
 
@@ -305,11 +289,10 @@ type ScanResp struct {
 // encode, while appended slices stay escape-free — this is what makes
 // AppendEncode truly zero-allocation.
 
-func appendU16(b []byte, v uint16) []byte  { return binary.BigEndian.AppendUint16(b, v) }
-func appendU32(b []byte, v uint32) []byte  { return binary.BigEndian.AppendUint32(b, v) }
-func appendU64(b []byte, v uint64) []byte  { return binary.BigEndian.AppendUint64(b, v) }
-func appendI64(b []byte, v int64) []byte   { return appendU64(b, uint64(v)) }
-func appendF64(b []byte, v float64) []byte { return appendU64(b, math.Float64bits(v)) }
+func appendU16(b []byte, v uint16) []byte { return binary.BigEndian.AppendUint16(b, v) }
+func appendU32(b []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(b, v) }
+func appendU64(b []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(b, v) }
+func appendI64(b []byte, v int64) []byte  { return appendU64(b, uint64(v)) }
 func appendKey(b []byte, s string) []byte {
 	if len(s) > 0xffff {
 		panic("wire: key longer than 64 KiB")
@@ -376,8 +359,7 @@ func (r *reader) u64() uint64 {
 	}
 	return binary.BigEndian.Uint64(s)
 }
-func (r *reader) i64() int64   { return int64(r.u64()) }
-func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
+func (r *reader) i64() int64 { return int64(r.u64()) }
 func (r *reader) key() string {
 	n := int(r.u16())
 	s := r.need(n)

@@ -1,5 +1,5 @@
-// Command brb-vet runs the repo's invariant analyzers (framealias,
-// ctxfirst, stickyerr, sleepless, counterlint — see internal/analysis)
+// Command brb-vet runs the repo's invariant analyzers (ctxfirst,
+// stickyerr, sleepless, counterlint — see internal/analysis)
 // over Go packages, loading every matched package (test files included)
 // into one process. That is what lets counterlint check that each
 // counter name is registered exactly once across the whole repository,
@@ -9,7 +9,7 @@
 //
 // and one analyzer subset over one package is:
 //
-//	go run ./cmd/brb-vet -run 'framealias|stickyerr' ./internal/netstore/
+//	go run ./cmd/brb-vet -run 'ctxfirst|stickyerr' ./internal/netstore/
 package main
 
 import (

@@ -1,13 +1,13 @@
 // Package analysis is brb-vet's analyzer framework: a small,
 // dependency-free skeleton of golang.org/x/tools/go/analysis shaped so
-// the five project analyzers (framealias, ctxfirst, stickyerr,
-// sleepless, counterlint) could migrate to the real framework by
-// changing imports. The repo's invariants — pooled-frame aliasing
-// lifetimes, context-first APIs, sticky fail-stop errors, sleep-free
-// tests, the *_total counter registry — are conventions the compiler
-// cannot check; this package makes them machine-checked so the heavy
-// refactors the ROADMAP queues (hot-path rework, disk overflow tier,
-// erasure striping) cannot silently break them.
+// the four project analyzers (ctxfirst, stickyerr, sleepless,
+// counterlint) could migrate to the real framework by changing
+// imports. The repo's invariants — context-first APIs, sticky fail-stop
+// errors, sleep-free tests, the *_total counter registry — are
+// conventions the compiler cannot check; this package makes them
+// machine-checked so the heavy refactors the ROADMAP queues (hot-path
+// rework, disk overflow tier, erasure striping) cannot silently break
+// them.
 //
 // Suppression: a "//brb:allow <analyzer> <reason>" comment disables the
 // named analyzer on its own line and the line directly below it. The
@@ -240,7 +240,6 @@ func Run(analyzers []*Analyzer, pkgs []*Package) ([]Diagnostic, error) {
 // All returns the full brb-vet suite in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		FrameAlias,
 		CtxFirst,
 		StickyErr,
 		Sleepless,

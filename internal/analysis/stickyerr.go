@@ -32,7 +32,6 @@ type stickyTarget struct {
 
 var stickyTargets = []stickyTarget{
 	{"internal/wire", "ConnWriter", "Send"},
-	{"internal/wire", "ConnWriter", "SendVectored"},
 	{"internal/wire", "ConnWriter", "Flush"},
 	// The server/controller response path: a thin wrapper over
 	// ConnWriter.Send with the same contract.

@@ -103,9 +103,8 @@ func TestServerPipelineAllocs(t *testing.T) {
 
 // BenchmarkServerSaturation drives one server to saturation from many
 // client goroutines over loopback and reports aggregate read throughput
-// (keys/s). The values are 4 KiB — past the writev threshold, so the
-// response path exercises the vectored burst writer. Run with -cpu 1,2,4
-// to see the scaling.
+// (keys/s). The values are 4 KiB, so each 8-key response copies 32 KiB
+// into the coalescing writer. Run with -cpu 1,2,4 to see the scaling.
 func BenchmarkServerSaturation(b *testing.B) {
 	const (
 		nKeys     = 512

@@ -256,14 +256,21 @@ func TestCancellationMidMultiget(t *testing.T) {
 	proxy.stall()
 
 	cancelledBefore := metrics.CounterValue("netstore_cancelled_total")
+	live := c.state.Load().scorers[0]
 	ctx, cancel := context.WithCancel(bg)
 	go func() {
 		// Cancel once the wedged proxy has demonstrably swallowed the
 		// multiget's request bytes — i.e. the caller is parked in the
-		// stalled wait, which is the state cancellation must escape.
+		// stalled wait, which is the state cancellation must escape —
+		// and the live shard's answer is in: its scorer shows nothing
+		// outstanding once observe has folded the reply, and from there
+		// fetchBatch stores the result without looking at ctx. Without
+		// that second wait the cancel can beat the live answer.
 		// Cancel unconditionally so a missed observation can't stall the
 		// test until DefaultRequestTimeout.
-		_ = testutil.Poll(5*time.Second, func() bool { return proxy.swallowed.Load() > 0 })
+		_ = testutil.Poll(5*time.Second, func() bool {
+			return proxy.swallowed.Load() > 0 && live.Outstanding(0) == 0
+		})
 		cancel()
 	}()
 	start := time.Now()

@@ -627,6 +627,77 @@ func TestServerSurvivesGarbage(t *testing.T) {
 	}
 }
 
+// A batch queued behind a busy worker keeps its own keys while later
+// frames on the same connection recycle the pooled buffer it arrived
+// in: the server decodes by copying and releases each frame at once,
+// so nothing a queued batch holds may point into a frame.
+func TestQueuedBatchKeysSurviveFrameReuse(t *testing.T) {
+	inj := NewFaultInjector()
+	srv := NewServer(kv.New(0), ServerOptions{Workers: 1, Fault: inj})
+	defer srv.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = srv.Serve(ln) }()
+	sc := dialConn(t, ln.Addr().String())
+
+	const n = 8
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("queued:%02d", i)
+		srv.Store().Set(keys[i], []byte("value of "+keys[i]))
+	}
+	srv.Store().Set("occupy", []byte("x"))
+
+	// Park the one worker on a batch of its own.
+	inj.StallNext(1)
+	occupied := make(chan error, 1)
+	go func() {
+		_, err := sc.batch(bg, &wire.BatchReq{Priority: []int64{0}, Keys: []string{"occupy"}})
+		occupied <- err
+	}()
+	waitFor(t, 5*time.Second, "occupying batch stalled in service", func() bool {
+		return inj.StalledCount() == 1
+	})
+
+	// Queue the batch under test behind it.
+	var resp *wire.BatchResp
+	queued := make(chan error, 1)
+	go func() {
+		var err error
+		resp, err = sc.batch(bg, &wire.BatchReq{Priority: make([]int64, n), Keys: keys})
+		queued <- err
+	}()
+	waitFor(t, 5*time.Second, "batch queued behind the stalled worker", func() bool {
+		return srv.QueueLen() == n
+	})
+
+	// Writes are served on the connection goroutine, so these frames
+	// pass through the pool while the batch waits. Their keys have the
+	// queued keys' length: a batch still reading from a recycled frame
+	// would look up one of these instead of its own.
+	for i := 0; i < 100; i++ {
+		k := fmt.Sprintf("other!:%02d", i)
+		if err := sc.write(bg, k, []byte("value of "+k), 0, false, writeRoute{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	inj.Release()
+	if err := <-occupied; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-queued; err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range keys {
+		if !resp.Found[i] || string(resp.Values[i]) != "value of "+k {
+			t.Fatalf("key %d (%s): found=%v value=%q", i, k, resp.Found[i], resp.Values[i])
+		}
+	}
+}
+
 // TestNetFigure2Shape is experiment N1: at small scale on loopback, the
 // networked store must reproduce the paper's ordering — task-aware
 // priority scheduling (BRB) beats FIFO scheduling at the tail under a

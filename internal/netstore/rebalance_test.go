@@ -486,8 +486,8 @@ func TestServerPerKeyOwnership(t *testing.T) {
 }
 
 // Regression: a topology pushed over the wire is decoded off a pooled
-// frame in aliasing mode — the installed topology must deep-copy its
-// address strings, or later frames reusing the buffer corrupt them.
+// frame — the installed topology's address strings must not share the
+// frame's bytes, or later frames reusing the buffer corrupt them.
 func TestTopoPushDoesNotAliasFrame(t *testing.T) {
 	srv := NewServer(kv.New(0), ServerOptions{Workers: 1, Shard: 0, CheckShard: true})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -367,17 +366,10 @@ func newConnState(conn net.Conn) *connState {
 	return &connState{conn: conn, w: wire.NewConnWriter(conn)}
 }
 
-// send queues one response frame. Batch responses take the vectored
-// path: values the store handed out are immutable (a Set replaces the
-// slice), so large ones ride the drain's writev burst as references
-// instead of being copied into the coalescing buffer. By the time Send
-// returns the frame METADATA is staged, so the batch state (and the
-// request frame backing its keys) may recycle immediately — the value
-// bytes themselves are pinned by the writer's ref slab until written.
+// send queues one response frame. Send encodes it, values included,
+// before it returns, so the batch state that built it may recycle
+// immediately.
 func (cs *connState) send(m wire.Message) error {
-	if br, ok := m.(*wire.BatchResp); ok {
-		return cs.w.SendVectored(br)
-	}
 	return cs.w.Send(m)
 }
 
@@ -397,8 +389,8 @@ func (cs *connState) close() {
 }
 
 // batchState assembles a batch's results as its keys finish service.
-// States are pooled: the response's Values/Found slices, the work-item
-// slab, and the request frame all recycle once the response is encoded.
+// States are pooled: the response's Values/Found slices and the
+// work-item slab recycle once the response is encoded.
 type batchState struct {
 	mu        sync.Mutex
 	remaining int
@@ -413,20 +405,18 @@ type batchState struct {
 	// items is the batch's work-item slab: one allocation per batch
 	// (reused across batches), not one per key.
 	items []workItem
-	// frame backs the aliased request keys; released on completion.
-	frame *wire.Frame
 }
 
 var batchPool = sync.Pool{New: func() any { return new(batchState) }}
 
-// newBatchState readies a pooled batchState for a decoded request whose
-// keys alias frame. stray, when non-nil, marks keys the server refused
-// for ownership: they are answered in place (found=false, stray=true)
-// and never enqueued — only owned keys become work items. epoch is the
-// server's topology epoch, piggybacked on the response. Each work item
-// is ranked by the batch's receipt time, in nanoseconds since start,
-// plus the key's wire priority (see Priority).
-func newBatchState(cs *connState, m *wire.BatchReq, frame *wire.Frame, stray []bool, epoch uint64, start time.Time) *batchState {
+// newBatchState readies a pooled batchState for a decoded request.
+// stray, when non-nil, marks keys the server refused for ownership:
+// they are answered in place (found=false, stray=true) and never
+// enqueued — only owned keys become work items. epoch is the server's
+// topology epoch, piggybacked on the response. Each work item is ranked
+// by the batch's receipt time, in nanoseconds since start, plus the
+// key's wire priority (see Priority).
+func newBatchState(cs *connState, m *wire.BatchReq, stray []bool, epoch uint64, start time.Time) *batchState {
 	n := len(m.Keys)
 	bs := batchPool.Get().(*batchState)
 	bs.enqueued = time.Now()
@@ -442,7 +432,6 @@ func newBatchState(cs *connState, m *wire.BatchReq, frame *wire.Frame, stray []b
 	}
 	bs.svcNanos = 0
 	bs.cs = cs
-	bs.frame = frame
 	values, found, versions := bs.resp.Values, bs.resp.Found, bs.resp.Versions
 	if cap(values) < n {
 		values, found, versions = make([][]byte, n), make([]bool, n), make([]uint64, n)
@@ -479,10 +468,9 @@ func newBatchState(cs *connState, m *wire.BatchReq, frame *wire.Frame, stray []b
 }
 
 // release recycles the batch after its response has been encoded: store
-// value references are dropped, the request frame returns to the frame
-// pool, and the state itself to the batch pool. The Stray mask is not
-// pooled (it is nil on the hot all-owned path, allocated only during
-// topology skew).
+// value references are dropped and the state returns to the batch
+// pool. The Stray mask is not pooled (it is nil on the hot all-owned
+// path, allocated only during topology skew).
 func (bs *batchState) release() {
 	for i := range bs.resp.Values {
 		bs.resp.Values[i] = nil
@@ -490,8 +478,6 @@ func (bs *batchState) release() {
 	bs.resp.Stray = nil
 	bs.resp.Expired = nil
 	bs.cs = nil
-	bs.frame.Release()
-	bs.frame = nil
 	batchPool.Put(bs)
 }
 
@@ -535,8 +521,8 @@ func (bs *batchState) finish(index, qlen int, r keyResult) {
 }
 
 // respond sends the assembled response and recycles the batch. Send
-// encodes synchronously into the coalescing buffer, so the state (and
-// the frame backing its keys) recycles the moment it returns.
+// encodes synchronously into the coalescing buffer, so the state
+// recycles the moment it returns.
 func (bs *batchState) respond() {
 	bs.cs.reply(&bs.resp)
 	bs.release()
@@ -563,84 +549,68 @@ func (s *Server) handle(conn net.Conn) {
 	}()
 	r := bufio.NewReaderSize(conn, 64<<10)
 	for {
+		// Decode copies the message out of the frame, so the frame
+		// recycles here and nothing below depends on its lifetime.
 		frame, err := wire.ReadFrame(r)
 		if err != nil {
 			return
 		}
-		msg, err := wire.DecodeAlias(frame.Bytes())
+		msg, err := wire.Decode(frame.Bytes())
+		frame.Release()
 		if err != nil {
-			frame.Release()
 			return
 		}
 		switch m := msg.(type) {
 		case *wire.Ping:
-			frame.Release()
 			if cs.send(&wire.Pong{Nonce: m.Nonce}) != nil {
 				return
 			}
 		case *wire.Set:
-			if !s.handleWrite(cs, frame, m.Key, m.Value, m.Version, m.Epoch, m.Seq, false) {
+			if !s.handleWrite(cs, m.Key, m.Value, m.Version, m.Epoch, m.Seq, false) {
 				return
 			}
 		case *wire.Del:
-			if !s.handleWrite(cs, frame, m.Key, nil, m.Version, m.Epoch, m.Seq, true) {
+			if !s.handleWrite(cs, m.Key, nil, m.Version, m.Epoch, m.Seq, true) {
 				return
 			}
 		case *wire.TopoGet:
-			seq := m.Seq
-			frame.Release()
-			if cs.send(topoToWire(s.topo.Load(), seq)) != nil {
+			if cs.send(topoToWire(s.topo.Load(), m.Seq)) != nil {
 				return
 			}
 		case *wire.Topo:
 			// A topology push: install if newer, answer with the current
 			// one either way (the pusher's ack, and how lagging pushers
 			// learn they lost).
-			seq := m.Seq
-			nt, err := topoFromWire(m)
-			frame.Release()
-			if err == nil && nt != nil {
+			if nt, err := topoFromWire(m); err == nil && nt != nil {
 				s.SetTopology(nt)
 			}
-			if cs.send(topoToWire(s.topo.Load(), seq)) != nil {
+			if cs.send(topoToWire(s.topo.Load(), m.Seq)) != nil {
 				return
 			}
 		case *wire.Scan:
-			// m.After aliases the frame; scanStore only compares it, so
-			// the frame is released after the scan, before the send.
-			resp := s.scanStore(m.Seq, m.Cursor, m.After)
-			frame.Release()
-			if cs.send(resp) != nil {
+			if cs.send(s.scanStore(m.Seq, m.Cursor, m.After)) != nil {
 				return
 			}
 		case *wire.BatchReq:
-			// enqueueBatch owns the frame: the aliased keys live until
-			// the batch completes.
-			s.enqueueBatch(cs, m, frame)
+			s.enqueueBatch(cs, m)
 		default:
 			// Unknown-but-decodable messages are ignored; the protocol
 			// is forward-compatible for clients, not servers.
-			frame.Release()
 		}
 	}
 }
 
-// handleWrite serves one Set or Del (del) whose key and value alias
-// frame, releasing the frame; false means the connection is finished.
-func (s *Server) handleWrite(cs *connState, frame *wire.Frame, key string, value []byte, ver, epoch, seq uint64, del bool) bool {
+// handleWrite serves one Set or Del (del); false means the connection
+// is finished.
+func (s *Server) handleWrite(cs *connState, key string, value []byte, ver, epoch, seq uint64, del bool) bool {
 	// Ownership gate first: with a topology installed, a key this server
 	// does not own is rejected, not silently stored where no reader will
 	// ever look for it.
 	if owner, cur, ok := s.ownsKey(key, epoch); !ok {
 		srvNotOwnerWrites.Inc()
-		frame.Release()
 		return cs.send(&wire.NotOwner{ID: seq, Epoch: cur, Hint: uint32(owner)}) == nil
 	}
-	// The store copies the value, but its map (or tombstone) retains the
-	// key: clone the key off the pooled frame before it recycles.
-	key = strings.Clone(key)
 	c, err := s.apply(key, value, ver, del)
-	frame.Release()
 	return err == nil && s.ackWrite(cs, c, key, epoch, seq, del)
 }
 
@@ -940,10 +910,7 @@ func topoToWire(t *cluster.ShardTopology, seq uint64) *wire.Topo {
 }
 
 // topoFromWire decodes a wire Topo into a topology (nil for the empty
-// epoch-0 form). Address strings are cloned: the server decodes pushed
-// frames in aliasing mode (wire.DecodeAlias), and the assembled
-// topology outlives the pooled frame by design — retaining aliased
-// strings would corrupt every address the moment the frame recycles.
+// epoch-0 form).
 func topoFromWire(tp *wire.Topo) (*cluster.ShardTopology, error) {
 	if tp.Epoch == 0 || len(tp.Shards) == 0 {
 		return nil, nil
@@ -953,7 +920,7 @@ func topoFromWire(tp *wire.Topo) (*cluster.ShardTopology, error) {
 		sa := cluster.ShardAssignment{ID: int(sh.ID)}
 		for i, sid := range sh.Servers {
 			sa.Servers = append(sa.Servers, int(sid))
-			sa.Addrs = append(sa.Addrs, strings.Clone(sh.Addrs[i]))
+			sa.Addrs = append(sa.Addrs, sh.Addrs[i])
 		}
 		shards = append(shards, sa)
 	}
@@ -963,8 +930,7 @@ func topoFromWire(tp *wire.Topo) (*cluster.ShardTopology, error) {
 // enqueueBatch splits a batch into per-key work items and hands them to
 // the scheduler in one pushAll (the ordering guarantee is on the
 // scheduler type). The items are one slab owned by the batch's pooled
-// state; m's keys alias frame, which is released when the batch
-// completes.
+// state.
 //
 // Shard validation has two tiers. Before a topology is installed, the
 // whole batch is checked against the client's Shard header (the static
@@ -973,7 +939,7 @@ func topoFromWire(tp *wire.Topo) (*cluster.ShardTopology, error) {
 // no longer trusts the client's routing — and keys owned elsewhere are
 // answered as strays while the rest are served, so one moved key does
 // not fail its whole batch mid-rebalance.
-func (s *Server) enqueueBatch(cs *connState, m *wire.BatchReq, frame *wire.Frame) {
+func (s *Server) enqueueBatch(cs *connState, m *wire.BatchReq) {
 	var epoch uint64
 	var stray []bool
 	if s.opts.CheckShard {
@@ -997,16 +963,14 @@ func (s *Server) enqueueBatch(cs *connState, m *wire.BatchReq, frame *wire.Frame
 			}
 		} else if m.Shard != uint32(s.opts.Shard) {
 			cs.reply(&wire.BatchResp{Batch: m.Batch, Flags: wire.FlagMisrouted})
-			frame.Release()
 			return
 		}
 	}
 	if len(m.Keys) == 0 {
 		cs.reply(&wire.BatchResp{Batch: m.Batch, Epoch: epoch})
-		frame.Release()
 		return
 	}
-	bs := newBatchState(cs, m, frame, stray, epoch, s.start)
+	bs := newBatchState(cs, m, stray, epoch, s.start)
 	if bs.remaining == 0 {
 		// Every key was a stray: nothing to schedule, answer now.
 		bs.respond()

@@ -51,6 +51,13 @@ func (m *BatchReq) appendBody(dst []byte) []byte {
 func decodeBatchReq(r *reader) (*BatchReq, error) {
 	m := &BatchReq{Batch: r.u64(), TaskID: r.u64(), Shard: r.u32(), Replica: r.u32(), Epoch: r.u64(), Budget: r.i64()}
 	n := r.count(10) // 8-byte priority + 2-byte key length floor
+	if n > 1 {
+		// One string copy of the rest of the frame backs every key, the
+		// way decodeBatchResp's slab backs its values: 8 keys cost 1
+		// allocation, not 8 (the priorities ride along in the copy), and
+		// retaining any one key pins the whole copy.
+		r.keys, r.keysAt = string(r.b[r.off:]), r.off
+	}
 	if c := preallocCount(n); c > 0 {
 		m.Priority = make([]int64, 0, c)
 		m.Keys = make([]string, 0, c)
@@ -71,21 +78,6 @@ const (
 
 func (m *BatchResp) msgType() MsgType { return TBatchResp }
 func (m *BatchResp) appendBody(dst []byte) []byte {
-	dst, _, _ = m.appendBodyRef(dst, nil, MaxFrame+1)
-	return dst
-}
-
-// appendBodyVectored implements vectorBody: values of minVectorBytes or
-// more are emitted as extRefs at their insertion offset instead of
-// copied into dst. Safe for the server because store values are
-// immutable once stored (a Set replaces the slice).
-func (m *BatchResp) appendBodyVectored(dst []byte, exts []extRef) ([]byte, []extRef, int) {
-	return m.appendBodyRef(dst, exts, minVectorBytes)
-}
-
-// appendBodyRef is the single encoder behind both appendBody (minRef
-// past any legal value size: copy everything) and appendBodyVectored.
-func (m *BatchResp) appendBodyRef(dst []byte, exts []extRef, minRef int) ([]byte, []extRef, int) {
 	dst = appendU64(dst, m.Batch)
 	dst = append(dst, m.Flags)
 	dst = appendU64(dst, m.Epoch)
@@ -105,7 +97,6 @@ func (m *BatchResp) appendBodyRef(dst []byte, exts []extRef, minRef int) ([]byte
 		panic("wire: BatchResp Expired/Values length mismatch")
 	}
 	dst = appendU32(dst, uint32(len(m.Values)))
-	extBytes := 0
 	for i, v := range m.Values {
 		// The version is carried for missing keys too: a tombstoned key
 		// reads as not-found but its delete version must reach clients,
@@ -128,22 +119,16 @@ func (m *BatchResp) appendBodyRef(dst []byte, exts []extRef, minRef int) ([]byte
 		dst = append(dst, flags)
 		dst = appendU64(dst, ver)
 		if m.Found[i] {
-			if len(v) >= minRef {
-				dst = appendU32(dst, uint32(len(v)))
-				exts = append(exts, extRef{off: len(dst), b: v})
-				extBytes += len(v)
-			} else {
-				dst = appendVal(dst, v)
-			}
+			dst = appendVal(dst, v)
 		}
 	}
-	return dst, exts, extBytes
+	return dst
 }
 
 func decodeBatchResp(r *reader) (*BatchResp, error) {
 	m := &BatchResp{Batch: r.u64(), Flags: r.u8(), Epoch: r.u64(), QueueLen: r.u32(), WaitNanos: r.i64(), ServiceNanos: r.i64()}
 	n := r.count(9) // 1-byte flag + 8-byte version floor
-	if !r.alias && n > 1 {
+	if n > 1 {
 		// One slab backs every value in the batch (the bytes left in the
 		// frame bound their total size, give or take ~13 metadata bytes
 		// per key). Copying 8 values costs 1 allocation, not 8; the
@@ -390,58 +375,14 @@ func Encode(m Message) []byte {
 	return AppendEncode(make([]byte, 0, 64), m)
 }
 
-// minVectorBytes is the smallest payload worth referencing through the
-// vectored write path instead of copying into the coalescing buffer: a
-// sub-KiB memcpy is cheaper than an extra iovec entry, and small frames
-// keep the single contiguous Write.
-const minVectorBytes = 1 << 10
-
-// vectorBody is implemented by messages whose large payloads may ride a
-// writev as references instead of copies. appendBodyVectored mirrors
-// appendBody, but payload slices of at least minVectorBytes are emitted
-// as extRefs at their insertion offset rather than copied into dst; it
-// returns the extended dst, the extended exts, and the total referenced
-// bytes. The aliasing contract is the caller's: every referenced slice
-// must stay immutable until the frame reaches the connection.
-type vectorBody interface {
-	Message
-	appendBodyVectored(dst []byte, exts []extRef) ([]byte, []extRef, int)
-}
-
-// appendEncodeVectored appends m's framed encoding like AppendEncode,
-// with large payloads referenced through exts instead of copied; the
-// backfilled length prefix covers the referenced bytes, so the wire
-// format is byte-identical to AppendEncode's.
-func appendEncodeVectored(dst []byte, exts []extRef, m vectorBody) ([]byte, []extRef, int) {
-	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0, byte(m.msgType()))
-	var extBytes int
-	dst, exts, extBytes = m.appendBodyVectored(dst, exts)
-	binary.BigEndian.PutUint32(dst[start:start+4], uint32(len(dst)-start-4+extBytes))
-	return dst, exts, extBytes
-}
-
 // Decode parses one frame payload (type byte + body, without the length
 // prefix). Every byte of the result is copied out of frame, so the
 // frame buffer may be reused immediately.
 func Decode(frame []byte) (Message, error) {
-	return decodeFrame(frame, false)
-}
-
-// DecodeAlias parses one frame payload like Decode, but the returned
-// message's keys and values alias the frame buffer instead of copying
-// it. The message is valid only until the frame is released, reused, or
-// overwritten; callers that retain any key or value past that point
-// must clone it first.
-func DecodeAlias(frame []byte) (Message, error) {
-	return decodeFrame(frame, true)
-}
-
-func decodeFrame(frame []byte, alias bool) (Message, error) {
 	if len(frame) < 1 {
 		return nil, io.ErrUnexpectedEOF
 	}
-	r := &reader{b: frame[1:], alias: alias}
+	r := &reader{b: frame[1:]}
 	switch MsgType(frame[0]) {
 	case TBatchReq:
 		return decodeBatchReq(r)
@@ -472,6 +413,10 @@ func decodeFrame(frame []byte, alias bool) (Message, error) {
 	}
 	return nil, fmt.Errorf("wire: unknown message type %d", frame[0])
 }
+
+// DecodeAlias is Decode, kept under this name for callers that still
+// use it.
+func DecodeAlias(frame []byte) (Message, error) { return Decode(frame) }
 
 // WriteMessage frames and writes a message through a pooled encode
 // buffer (one Write, no per-message allocation).

@@ -7,11 +7,12 @@
 // payload. All integers are big-endian; strings and byte slices are
 // length-prefixed (uint16 for keys, uint32 for values).
 //
-// The hot path is allocation-free: AppendEncode appends frames to
-// caller-owned buffers, ReadFrame fills pooled Frame buffers,
-// DecodeAlias decodes without copying keys or values out of the frame,
-// and ConnWriter coalesces concurrently queued frames into single
-// Write calls.
+// The hot path allocates little: AppendEncode appends frames to
+// caller-owned buffers, ReadFrame fills pooled Frame buffers, Decode
+// copies a message out of its frame (one slab for a batch's keys or
+// values, so the frame recycles as soon as it is decoded), and
+// ConnWriter coalesces concurrently queued frames into single Write
+// calls.
 package wire
 
 import (
@@ -20,7 +21,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"unsafe"
 )
 
 // MsgType discriminates frame payloads.
@@ -309,9 +309,11 @@ type reader struct {
 	b   []byte
 	off int
 	err error
-	// alias makes key/val return views into b instead of copies; the
-	// decoded message is then only valid while b is (see DecodeAlias).
-	alias bool
+	// keys, when armed by a decoder (see decodeBatchReq), is one copy of
+	// b from offset keysAt on; key() returns substrings of it instead of
+	// allocating a string per key.
+	keys   string
+	keysAt int
 	// slab, when armed by a decoder (see decodeBatchResp), backs every
 	// val() copy in this frame with one allocation instead of one per
 	// value. The subslices are capacity-capped, so a caller appending to
@@ -362,15 +364,13 @@ func (r *reader) u64() uint64 {
 func (r *reader) i64() int64 { return int64(r.u64()) }
 func (r *reader) key() string {
 	n := int(r.u16())
+	off := r.off
 	s := r.need(n)
 	if s == nil || n == 0 {
 		return ""
 	}
-	if r.alias {
-		// Zero-copy view of the frame bytes. Safe because the frame is
-		// immutable while decoding, and the DecodeAlias contract makes
-		// the caller responsible for the buffer's lifetime.
-		return unsafe.String(&s[0], n)
+	if r.keys != "" {
+		return r.keys[off-r.keysAt : off-r.keysAt+n]
 	}
 	return string(s)
 }
@@ -383,9 +383,6 @@ func (r *reader) val() []byte {
 	s := r.need(n)
 	if s == nil {
 		return nil
-	}
-	if r.alias {
-		return s[:n:n]
 	}
 	if r.slab != nil {
 		// The slab's capacity was sized to the frame bytes remaining when
@@ -429,8 +426,8 @@ func (r *reader) done() error {
 
 // Frame is a pooled, reusable frame buffer: the payload of one wire
 // message (type byte + body) as read off a connection. Release returns
-// it to the pool; after Release neither the Frame nor anything decoded
-// from it in aliasing mode may be used.
+// it to the pool; after Release the Frame may not be used (messages
+// Decode made from it own copies and stay valid).
 type Frame struct{ b []byte }
 
 // Bytes is the frame payload, valid until Release.
@@ -485,7 +482,7 @@ func GetFrame(n int) *Frame {
 }
 
 // Release recycles the frame. The caller must no longer reference the
-// frame's bytes or any message decoded from it in aliasing mode.
+// frame's bytes.
 func (f *Frame) Release() {
 	c := frameClass(cap(f.b))
 	if c < 0 {

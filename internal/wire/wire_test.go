@@ -385,21 +385,9 @@ func BenchmarkEncodeBatchReqAlloc(b *testing.B) {
 }
 
 // BenchmarkDecodeBatchReq measures the decode hot path as the server
-// uses it: aliasing decode out of a (pooled, here reused) frame buffer
-// with exact-size slice preallocation.
+// uses it: a copying decode out of a (pooled, here reused) frame buffer,
+// with exact-size slice preallocation and one slab for the keys.
 func BenchmarkDecodeBatchReq(b *testing.B) {
-	enc := Encode(benchBatchReq())
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := DecodeAlias(enc[4:]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDecodeBatchReqCopy measures the copying decode used where
-// the message outlives the frame.
-func BenchmarkDecodeBatchReqCopy(b *testing.B) {
 	enc := Encode(benchBatchReq())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

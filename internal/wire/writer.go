@@ -3,7 +3,6 @@ package wire
 import (
 	"errors"
 	"io"
-	"net"
 	"sync"
 )
 
@@ -31,28 +30,11 @@ type ConnWriter struct {
 	cond    *sync.Cond
 	w       io.Writer
 	pending []byte // frames queued behind the in-flight Write
-	// pendExt holds payload slices the queued frames reference instead
-	// of copying (SendVectored), at ascending offsets into pending;
-	// extBytes is their total size, counted toward backpressure.
-	pendExt  []extRef
-	extBytes int
-	spare    []byte      // recycled buffer for double-buffered swaps
-	spareExt []extRef    // recycled ref slab
-	vecs     net.Buffers // iovec scratch, touched only by the in-flight writer
-	writing  bool        // a Write (inline or goroutine) is in flight
-	err      error       // sticky first write error
-	closed   bool
-	done     chan struct{}
-}
-
-// extRef is a payload slice referenced by the coalescing buffer instead
-// of copied into it: b belongs at byte offset off of the pending frame
-// bytes. The drain interleaves pending segments and referenced slices
-// into one net.Buffers writev, so large values travel from the store to
-// the socket without ever being memcpy'd into a staging buffer.
-type extRef struct {
-	off int
-	b   []byte
+	spare   []byte // recycled buffer for double-buffered swaps
+	writing bool   // a Write (inline or goroutine) is in flight
+	err     error  // sticky first write error
+	closed  bool
+	done    chan struct{}
 }
 
 // NewConnWriter starts a coalescing writer over w (w's Write must be
@@ -74,7 +56,7 @@ func NewConnWriter(w io.Writer) *ConnWriter {
 func (cw *ConnWriter) Send(m Message) error {
 	cw.mu.Lock()
 	defer cw.mu.Unlock()
-	for cw.err == nil && !cw.closed && len(cw.pending)+cw.extBytes > maxPendingBytes {
+	for cw.err == nil && !cw.closed && len(cw.pending) > maxPendingBytes {
 		cw.cond.Wait()
 	}
 	if cw.err != nil {
@@ -95,53 +77,6 @@ func (cw *ConnWriter) Send(m Message) error {
 		return cw.err
 	}
 	cw.pending = AppendEncode(cw.pending, m)
-	cw.cond.Broadcast()
-	return nil
-}
-
-// SendVectored queues m like Send, but when m supports vectored
-// encoding (server batch responses), payloads of minVectorBytes or more
-// are queued as references and written with a net.Buffers writev burst
-// instead of being copied into the coalescing buffer: k coalesced
-// frames still cost one syscall, and large values are never memcpy'd on
-// the way out. The caller must guarantee every referenced payload stays
-// immutable until the frame reaches the connection — the server's store
-// values qualify (a Set replaces the value slice, never mutates it);
-// caller-owned buffers that may be reused do not. Messages without
-// vectored support take Send's copying path. The error contract is
-// Send's.
-func (cw *ConnWriter) SendVectored(m Message) error {
-	vm, ok := m.(vectorBody)
-	if !ok {
-		return cw.Send(m)
-	}
-	cw.mu.Lock()
-	defer cw.mu.Unlock()
-	for cw.err == nil && !cw.closed && len(cw.pending)+cw.extBytes > maxPendingBytes {
-		cw.cond.Wait()
-	}
-	if cw.err != nil {
-		return cw.err
-	}
-	if cw.closed {
-		return ErrWriterClosed
-	}
-	if !cw.writing && len(cw.pending) == 0 {
-		// Idle connection: become the writer for this one frame.
-		buf := cw.spare
-		cw.spare = nil
-		if buf == nil {
-			buf = make([]byte, 0, 4096)
-		}
-		exts := cw.spareExt
-		cw.spareExt = nil
-		buf, exts, _ = appendEncodeVectored(buf[:0], exts[:0], vm)
-		cw.writeVec(buf, exts)
-		return cw.err
-	}
-	var extBytes int
-	cw.pending, cw.pendExt, extBytes = appendEncodeVectored(cw.pending, cw.pendExt, vm)
-	cw.extBytes += extBytes
 	cw.cond.Broadcast()
 	return nil
 }
@@ -168,69 +103,6 @@ func (cw *ConnWriter) write(buf []byte) {
 		cw.err = err
 	}
 	cw.cond.Broadcast()
-}
-
-// maxSpareVecs bounds the retained iovec scratch and ref slab (slice
-// headers only, so this is ~12 KiB each at the bound).
-const maxSpareVecs = 512
-
-// writeVec performs one vectored Write (writev on a *net.TCPConn)
-// outside the lock and publishes the result: buf is split at each ref's
-// offset and interleaved with the referenced payloads, so the frames
-// drain in exactly AppendEncode's byte order without the payload copy.
-// With no refs it degenerates to write's single contiguous Write.
-// Called with cw.mu held and cw.writing false; returns with cw.mu held.
-func (cw *ConnWriter) writeVec(buf []byte, exts []extRef) {
-	if len(exts) == 0 {
-		cw.write(buf)
-		return
-	}
-	cw.writing = true
-	full := appendVecs(cw.vecs[:0], buf, exts)
-	cw.vecs = nil
-	cw.mu.Unlock()
-	vecs := full
-	_, err := vecs.WriteTo(cw.w)
-	cw.mu.Lock()
-	cw.writing = false
-	// Drop every payload reference before parking the scratch slabs: a
-	// retained iovec or ref would pin values until the next burst.
-	for i := range full {
-		full[i] = nil
-	}
-	if cap(full) <= maxSpareVecs {
-		cw.vecs = full[:0]
-	}
-	for i := range exts {
-		exts[i] = extRef{}
-	}
-	if cap(exts) <= maxSpareVecs && cw.spareExt == nil {
-		cw.spareExt = exts[:0]
-	}
-	if cap(buf) <= maxSpareBytes && cw.spare == nil {
-		cw.spare = buf[:0]
-	}
-	if err != nil && cw.err == nil {
-		cw.err = err
-	}
-	cw.cond.Broadcast()
-}
-
-// appendVecs splits buf at each ref's insertion offset and interleaves
-// the referenced payloads — the iovec list one writev sends.
-func appendVecs(vecs net.Buffers, buf []byte, exts []extRef) net.Buffers {
-	last := 0
-	for _, e := range exts {
-		if e.off > last {
-			vecs = append(vecs, buf[last:e.off])
-		}
-		vecs = append(vecs, e.b)
-		last = e.off
-	}
-	if len(buf) > last {
-		vecs = append(vecs, buf[last:])
-	}
-	return vecs
 }
 
 // Flush blocks until every frame queued before the call has been handed
@@ -277,16 +149,12 @@ func (cw *ConnWriter) loop() {
 			break
 		}
 		buf := cw.pending
-		exts := cw.pendExt
 		if cw.spare == nil {
 			cw.spare = make([]byte, 0, 4096)
 		}
 		cw.pending = cw.spare[:0]
 		cw.spare = nil
-		cw.pendExt = cw.spareExt[:0]
-		cw.spareExt = nil
-		cw.extBytes = 0
-		cw.writeVec(buf, exts)
+		cw.write(buf)
 	}
 	cw.mu.Unlock()
 	close(cw.done)

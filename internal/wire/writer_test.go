@@ -393,102 +393,3 @@ func TestConnWriterIdleFlush(t *testing.T) {
 		t.Fatalf("unexpected flushed frames: %v", got)
 	}
 }
-
-// benchResp builds a BatchResp mixing values below and above the
-// vectoring threshold, so both the inline-copy and the extRef paths of
-// the vectored encoder are exercised in one frame.
-func benchResp(nBig, nSmall int) *BatchResp {
-	m := &BatchResp{Batch: 42, Epoch: 7, QueueLen: 3, WaitNanos: 11, ServiceNanos: 13}
-	for i := 0; i < nBig+nSmall; i++ {
-		size := 16
-		if i < nBig {
-			size = minVectorBytes + i
-		}
-		v := make([]byte, size)
-		for j := range v {
-			v[j] = byte(i + j)
-		}
-		m.Values = append(m.Values, v)
-		m.Found = append(m.Found, true)
-		m.Versions = append(m.Versions, uint64(i+1))
-	}
-	return m
-}
-
-// TestSendVectoredMatchesEncode pins the wire format: the writev path
-// must put byte-identical frames on the wire as the copying encoder,
-// whatever mix of referenced and inlined values the response carries.
-func TestSendVectoredMatchesEncode(t *testing.T) {
-	for _, tc := range []struct {
-		name         string
-		nBig, nSmall int
-	}{
-		{"all-small", 0, 4},
-		{"all-big", 4, 0},
-		{"mixed", 3, 5},
-		{"empty", 0, 0},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			m := benchResp(tc.nBig, tc.nSmall)
-			w := &blockingWriter{}
-			cw := NewConnWriter(w)
-			if err := cw.SendVectored(m); err != nil {
-				t.Fatal(err)
-			}
-			if err := cw.Close(); err != nil {
-				t.Fatal(err)
-			}
-			_, got := w.snapshot()
-			if want := Encode(m); !bytes.Equal(got, want) {
-				t.Fatalf("vectored frame differs from Encode: %d vs %d bytes", len(got), len(want))
-			}
-		})
-	}
-}
-
-// TestSendVectoredInterleavesQueued stalls the first Write so vectored
-// and plain frames pile up behind it, then verifies the coalesced drain
-// emits every frame intact and in order.
-func TestSendVectoredInterleavesQueued(t *testing.T) {
-	w := &blockingWriter{gate: make(chan struct{}, 64), started: make(chan struct{}, 64)}
-	cw := NewConnWriter(w)
-
-	done := make(chan error, 3)
-	go func() { done <- cw.SendVectored(benchResp(2, 1)) }()
-	<-w.started // the vectored frame is now in its Write
-	go func() { done <- cw.Send(&Ping{Nonce: 1}) }()
-	go func() { done <- cw.SendVectored(benchResp(1, 2)) }()
-	// Queued sends return once buffered; the stalled head Write holds
-	// them in pending. Release everything and drain.
-	for i := 0; i < 64; i++ {
-		w.gate <- struct{}{}
-	}
-	for i := 0; i < 3; i++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := cw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, data := w.snapshot()
-	msgs := readAllFrames(t, data)
-	if len(msgs) != 3 {
-		t.Fatalf("got %d frames, want 3", len(msgs))
-	}
-	if _, ok := msgs[0].(*BatchResp); !ok {
-		t.Fatalf("frame 0 is %T, want *BatchResp", msgs[0])
-	}
-	var sawPing, sawSecond bool
-	for _, m := range msgs[1:] {
-		switch mm := m.(type) {
-		case *Ping:
-			sawPing = mm.Nonce == 1
-		case *BatchResp:
-			sawSecond = len(mm.Values) == 3
-		}
-	}
-	if !sawPing || !sawSecond {
-		t.Fatalf("queued frames lost: ping=%v batch=%v", sawPing, sawSecond)
-	}
-}

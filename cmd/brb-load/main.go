@@ -19,9 +19,7 @@
 // when -data-dir is set or the spec crashes a server).
 //
 // Every run ends with one check of the store's promise, printed as
-// `verify: OK` or `verify: FAILED` (exit 1); see harness.verify. -record
-// writes the op schedule, fault timeline in its header, before running;
-// -replay runs such a trace, faults included, instead of a spec.
+// `verify: OK` or `verify: FAILED` (exit 1); see harness.verify.
 package main
 
 import (
@@ -35,7 +33,6 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -73,17 +70,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // config is a validated command line and the workload it resolved to.
 type config struct {
-	dataDir, record             string
-	shards, replication, cache  int
-	spawn, skipLoad, allocStats bool
-	probeInterval, deadline     time.Duration
-	servers                     []string
-	fsync                       kv.FsyncPolicy
-	assigner                    core.Assigner
-	hedge                       netstore.HedgePolicy
-	// header and ops are the workload, header.Faults its timeline;
-	// streams is how many client connections the ops are issued over.
-	header  loadgen.TraceHeader
+	dataDir                    string
+	shards, replication, cache int
+	spawn, skipLoad            bool
+	probeInterval, deadline    time.Duration
+	servers                    []string
+	fsync                      kv.FsyncPolicy
+	assigner                   core.Assigner
+	hedge                      netstore.HedgePolicy
+	// spec is the workload, spec.Faults its timeline, and ops what
+	// Generate made of it; streams is how many client connections the
+	// ops are issued over.
+	spec    *loadgen.Spec
 	ops     []loadgen.Op
 	streams int
 	// topo is the deployment's layout, addresses not yet bound; crashes
@@ -112,11 +110,8 @@ func configure(args []string, stdout, stderr io.Writer) (*config, error) {
 	fs.Float64Var(&cfg.hedge.Quantile, "hedge-quantile", 0, "adaptive hedge trigger quantile in (0,1); 0 = policy default")
 	fs.IntVar(&cfg.cache, "cache", 0, "hot-key cache entries per client, an admission-filtered LRU (0 = off)")
 	fs.BoolVar(&cfg.skipLoad, "skip-load", false, "skip the initial data load")
-	fs.BoolVar(&cfg.allocStats, "allocstats", false, "report client-process allocs/op and bytes/op over the measurement phase")
 	specPath := fs.String("spec", "", "the run's spec, a JSON file (see internal/loadgen); empty = the built-in default")
 	printSpec := fs.Bool("print-spec", false, "print the effective spec, every default filled in, as indented JSON and exit")
-	fs.StringVar(&cfg.record, "record", "", "record the run's op trace (timeline in its header) to this JSONL file before executing; a .gz suffix compresses")
-	replay := fs.String("replay", "", "replay a recorded trace, faults included, instead of generating from a spec")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			fs.SetOutput(stderr)
@@ -141,32 +136,20 @@ func configure(args []string, stdout, stderr io.Writer) (*config, error) {
 		return nil, err
 	}
 
-	switch {
-	case *replay != "" && (*specPath != "" || *printSpec):
-		return nil, errors.New("-replay is mutually exclusive with -spec/-print-spec (the trace already fixes the run)")
-	case *replay != "":
-		if cfg.header, cfg.ops, err = loadgen.ReadTraceFile(*replay); err != nil {
-			return nil, err
-		}
-	default:
-		spec, err := loadSpec(*specPath)
+	if cfg.spec, err = loadSpec(*specPath); err != nil {
+		return nil, err
+	}
+	if *printSpec {
+		js, err := json.MarshalIndent(cfg.spec, "", "  ")
 		if err != nil {
 			return nil, err
 		}
-		if *printSpec {
-			js, err := json.MarshalIndent(spec, "", "  ")
-			if err != nil {
-				return nil, err
-			}
-			fmt.Fprintf(stdout, "%s\n", js)
-			return nil, nil
-		}
-		if cfg.ops, err = loadgen.Generate(spec); err != nil {
-			return nil, err
-		}
-		cfg.header = loadgen.NewTraceHeader(spec)
+		fmt.Fprintf(stdout, "%s\n", js)
+		return nil, nil
 	}
-
+	if cfg.ops, err = loadgen.Generate(cfg.spec); err != nil {
+		return nil, err
+	}
 	cfg.streams = loadgen.Streams(cfg.ops)
 	if cfg.shards < 1 {
 		return nil, errors.New("-shards must be at least 1 (a flat replicated tier is -shards 1)")
@@ -216,7 +199,7 @@ func loadSpec(path string) (*loadgen.Spec, error) {
 // rejects an event the harness could not carry out.
 func (cfg *config) checkTimeline() error {
 	t := cfg.topo
-	for i, f := range cfg.header.Faults {
+	for i, f := range cfg.spec.Faults {
 		var err error
 		shard, replica := f.Replica()
 		inProcess := f.Do == "crash" || f.Do == "restart" || f.Do == "slow"
@@ -243,18 +226,9 @@ func (cfg *config) checkTimeline() error {
 	return nil
 }
 
-// execute performs a configured run: record, build the harness, load,
-// measure under the fault timeline, verify, report.
+// execute performs a configured run: build the harness, load, measure
+// under the fault timeline, verify, report.
 func execute(ctx context.Context, cfg *config, out io.Writer, logger *log.Logger) error {
-	if cfg.record != "" {
-		// Record before running: the trace is the op *schedule*, fully
-		// determined pre-execution, so a recorded generated run and a
-		// recorded replay of it are byte-identical.
-		if err := loadgen.WriteTraceFile(cfg.record, cfg.header, cfg.ops); err != nil {
-			return fmt.Errorf("record: %w", err)
-		}
-		logger.Printf("recorded %d ops to %s", len(cfg.ops), cfg.record)
-	}
 	h, err := newHarness(ctx, cfg, out, logger)
 	if err != nil {
 		return err
@@ -307,8 +281,6 @@ type harness struct {
 	faultErr error                  // what stopped the timeline early
 	done     chan struct{}          // closed when the timeline has played out
 
-	memBefore runtime.MemStats // at the start of the measurement phase
-
 	ackedMu sync.Mutex
 	acked   map[string]uint64 // highest version any client saw acknowledged
 }
@@ -321,7 +293,7 @@ func newHarness(ctx context.Context, cfg *config, out io.Writer, logger *log.Log
 			h.close()
 		}
 	}()
-	for i := 0; i < cfg.header.Keys; i++ {
+	for i := 0; i < cfg.spec.Keys; i++ {
 		h.keys = append(h.keys, fmt.Sprintf("key:%d", i))
 	}
 	if cfg.spawn && (cfg.dataDir != "" || cfg.crashes) {
@@ -391,7 +363,7 @@ func (h *harness) replica(shard, replica int, addr string) (string, error) {
 		}
 		h.nodes[target], addr = n, n.addr
 	}
-	for _, f := range h.cfg.header.Faults {
+	for _, f := range h.cfg.spec.Faults {
 		if f.Do == "sever" && f.Target == target && h.proxies[target] == nil {
 			p, err := newFaultProxy(addr)
 			if err != nil {
@@ -467,7 +439,7 @@ func (h *harness) load() error {
 	}
 	defer loader.Close()
 	sizes := randx.BoundedPareto{Alpha: 1.0, L: 256, H: 64 << 10}
-	r := randx.New(h.cfg.header.Seed)
+	r := randx.New(h.cfg.spec.Seed)
 	start := time.Now()
 	for _, k := range h.keys {
 		if err := loader.Set(h.ctx, k, make([]byte, int(sizes.Sample(r))), netstore.WriteOptions{}); err != nil {
@@ -479,13 +451,9 @@ func (h *harness) load() error {
 	return nil
 }
 
-// measure runs the op sequence — generated or replayed, the engine
-// cannot tell — with the fault timeline playing beside it.
+// measure runs the op sequence with the fault timeline playing beside
+// it.
 func (h *harness) measure() (*loadgen.Report, error) {
-	if h.cfg.allocStats {
-		runtime.GC()
-		runtime.ReadMemStats(&h.memBefore)
-	}
 	cfg := h.cfg
 	start, done := time.Now(), make(chan struct{})
 	h.done = done
@@ -494,7 +462,7 @@ func (h *harness) measure() (*loadgen.Report, error) {
 	// dialed) and stops at the first that fails.
 	go func() {
 		defer close(done)
-		for _, f := range cfg.header.Faults {
+		for _, f := range cfg.spec.Faults {
 			t := time.NewTimer(time.Until(start.Add(time.Duration(f.At))))
 			select {
 			case <-t.C:
@@ -508,9 +476,8 @@ func (h *harness) measure() (*loadgen.Report, error) {
 			}
 		}
 	}()
-	rep, err := loadgen.Run(h.ctx, cfg.header.Classes, cfg.ops, loadgen.RunConfig{
+	rep, err := loadgen.Run(h.ctx, cfg.spec.Classes, cfg.ops, loadgen.RunConfig{
 		Dial:        h.dial,
-		ClassBias:   cfg.header.ClassBias,
 		Timeout:     cfg.deadline,
 		ReadOptions: netstore.ReadOptions{Timeout: cfg.deadline, Hedge: cfg.hedge},
 		OnError: func(client string, worker int, err error) {
@@ -697,15 +664,5 @@ func (h *harness) report(rep *loadgen.Report) {
 		fmt.Fprintf(h.out, "cache: hits=%d misses=%d fills=%d invalidations=%d evictions=%d rejects=%d\n",
 			c["netstore_cache_hits_total"], c["netstore_cache_misses_total"], c["netstore_cache_fills_total"],
 			c["netstore_cache_invalidations_total"], c["netstore_cache_evictions_total"], c["netstore_cache_rejects_total"])
-	}
-	if h.cfg.allocStats && s.Count > 0 {
-		// Whole-process deltas over the measurement phase and its
-		// epilogues: coarser than testing.AllocsPerOp, but directly
-		// comparable across wire-path changes.
-		var after runtime.MemStats
-		runtime.ReadMemStats(&after)
-		mallocs, bytes := after.Mallocs-h.memBefore.Mallocs, after.TotalAlloc-h.memBefore.TotalAlloc
-		fmt.Fprintf(h.out, "allocstats: %.1f allocs/op  %.0f bytes/op  (%d mallocs, %.1f MiB total over %d tasks)\n",
-			float64(mallocs)/float64(s.Count), float64(bytes)/float64(s.Count), mallocs, float64(bytes)/(1<<20), s.Count)
 	}
 }

@@ -57,14 +57,17 @@ func mustContain(t *testing.T, what, text string, wants ...string) {
 
 func TestFlagBudget(t *testing.T) {
 	code, _, usage := brbLoad("-h")
-	if n := len(regexp.MustCompile(`(?m)^  -`).FindAllString(usage, -1)); code != 0 || n == 0 || n > 19 {
-		t.Fatalf("brb-load -h: exit %d listing %d flags, want exit 0 and 1..19:\n%s", code, n, usage)
+	if n := len(regexp.MustCompile(`(?m)^  -`).FindAllString(usage, -1)); code != 0 || n == 0 || n > 16 {
+		t.Fatalf("brb-load -h: exit %d listing %d flags, want exit 0 and 1..16:\n%s", code, n, usage)
 	}
 	// What a spec says, no flag may say again — not under its old name,
-	// and so not at all. -controller went with the store's credits path.
+	// and so not at all. -controller went with the store's credits path;
+	// -record and -replay with traces, since a spec and its seed already
+	// fix the ops; -allocstats with the second allocation instrument.
 	for _, gone := range []string{"keys", "tasks", "clients", "fanout", "burst-prob", "write-frac", "zipf", "seed",
 		"kill-replica", "kill-after", "restart-after", "crash-replica", "crash-after", "recover-after",
-		"slow-replica", "slow-latency", "add-shard-after", "remove-shard-after", "controller"} {
+		"slow-replica", "slow-latency", "add-shard-after", "remove-shard-after", "controller",
+		"record", "replay", "allocstats"} {
 		code, _, stderr := brbLoad("-spawn", "-"+gone, "1")
 		if code != 2 || !strings.Contains(stderr, "flag provided but not defined: -"+gone) {
 			t.Errorf("-%s: exit %d, stderr %q; want the flag gone", gone, code, stderr)
@@ -93,7 +96,6 @@ func TestRejectedBeforeDialing(t *testing.T) {
 		{"slow without spawn", `{"at": "0s", "do": "slow", "target": "0/1", "arg": "1ms"}`, nil, "needs -spawn"},
 		{"crash unreplicated", `{"at": "1s", "do": "crash", "target": "0/0"}`, []string{"-spawn", "-shards", "2", "-replication", "1"}, "needs -replication >= 2"},
 		{"address count", "", []string{"-shards", "2"}, "3 addresses for 2 shards × 3 replicas"},
-		{"replay and spec", "", []string{"-replay", "x.jsonl"}, "mutually exclusive"},
 		{"bad hedge", "", []string{"-hedge", "sometimes"}, "want off, fixed, or adaptive"},
 		{"no shards", "", []string{"-shards", "0"}, "-shards must be at least 1"},
 	}
@@ -267,32 +269,6 @@ func TestVerifyCatchesViolations(t *testing.T) {
 	})
 }
 
-// A recorded run replays byte-identically, and the replay injects the
-// faults the trace header carries.
-func TestRecordReplayWithFaults(t *testing.T) {
-	dir := t.TempDir()
-	t1, t2 := filepath.Join(dir, "t1.jsonl"), filepath.Join(dir, "t2.jsonl")
-	cluster := []string{"-spawn", "-shards", "2", "-replication", "2", "-probe-interval", "20ms"}
-	spec := writeSpec(t, `{"at": "0s", "do": "slow", "target": "0/0", "arg": "1ms"}, {"at": "50ms", "do": "sever", "target": "1/1"}, {"at": "120ms", "do": "restore", "target": "1/1"}`)
-	if code, stdout, stderr := brbLoad(append(cluster, "-spec", spec, "-record", t1)...); code != 0 {
-		t.Fatalf("recorded run: exit %d\n%s%s", code, stdout, stderr)
-	}
-	code, stdout, stderr := brbLoad(append(cluster, "-replay", t1, "-record", t2)...)
-	if code != 0 {
-		t.Errorf("replay: exit %d", code)
-	}
-	mustContain(t, "replay stdout", stdout, `verify: OK`, `ops=600 .* err=0`)
-	mustContain(t, "replay stderr", stderr, `fault: \+0s slow 0/0`, `fault: \+\d+ms sever 1/1`, `fault: \+\d+ms restore 1/1`)
-	first, err1 := os.ReadFile(t1)
-	second, err2 := os.ReadFile(t2)
-	if err1 != nil || err2 != nil || !bytes.Equal(first, second) {
-		t.Fatalf("re-recorded trace differs from the original (%v, %v)", err1, err2)
-	}
-	if header, _, _ := bytes.Cut(first, []byte("\n")); !bytes.Contains(header, []byte(`"faults":[{"at":"0s","do":"slow","target":"0/0","arg":"1ms"}`)) {
-		t.Errorf("trace header lacks the timeline: %s", header)
-	}
-}
-
 func TestPrintSpecIsTheDefaultRun(t *testing.T) {
 	code, stdout, _ := brbLoad("-print-spec")
 	if code != 0 {
@@ -306,5 +282,23 @@ func TestPrintSpecIsTheDefaultRun(t *testing.T) {
 	}
 	if _, again, _ := brbLoad("-spec", path, "-print-spec"); again != stdout {
 		t.Errorf("-print-spec is not a fixed point:\n%s", again)
+	}
+}
+
+// A checked-in spec is exactly what runs: -print-spec of it, every
+// default filled in, is the file byte for byte.
+func TestCheckedInSpecsArePrinted(t *testing.T) {
+	paths, err := filepath.Glob("testdata/*.json")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no checked-in specs (%v)", err)
+	}
+	for _, path := range paths {
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code, stdout, stderr := brbLoad("-spec", path, "-print-spec"); code != 0 || stdout != string(want) {
+			t.Errorf("%s: exit %d, -print-spec differs from the file:\n%s%s", path, code, stdout, stderr)
+		}
 	}
 }

@@ -6,16 +6,17 @@ import (
 	"github.com/brb-repro/brb/internal/randx"
 )
 
-// Op is one workload operation — the unit the generator emits, the
-// trace persists, and the engine executes. JSON tags are the trace's
-// wire names; keep them short, the trace is one op per line.
+// Op is one workload operation — the unit the generator emits and the
+// engine executes. The JSON tags define the encoding the golden hashes
+// in gen_test.go are taken over, one op per line: changing a tag
+// changes every hash.
 type Op struct {
 	// TS is the op's scheduled issue time in nanoseconds since run
 	// start. 0 means "immediately after the worker's previous op
 	// completes" — the closed-loop marking.
 	TS int64 `json:"ts,omitempty"`
 	// Client and Worker identify the issuing stream; Seq is the op's
-	// index within it. Together they define the replay partitioning:
+	// index within it. Together they define the engine's partitioning:
 	// ops with the same (Client, Worker) run in Seq order on one
 	// connection.
 	Client string `json:"c"`
@@ -44,9 +45,7 @@ const (
 
 // Generate expands a spec into its full op sequence — pure and
 // deterministic: the same spec (same Seed) always yields the same ops,
-// which is what makes -record redundant with the spec yet still worth
-// keeping (a trace survives spec edits; a spec does not survive
-// curiosity about what exactly ran).
+// so the spec and its seed are the whole statement of a run.
 //
 // Each (client, worker) stream draws from its own RNG substream keyed
 // on (Seed, client name, worker index), so adding a client or a worker
@@ -128,8 +127,8 @@ func Generate(spec *Spec) ([]Op, error) {
 }
 
 // sortOps orders ops by (TS, client, worker, seq) — the canonical
-// trace and issue order. Stable so equal keys (impossible by
-// construction, but cheap insurance) keep generation order.
+// issue order. Stable so equal keys (impossible by construction, but
+// cheap insurance) keep generation order.
 func sortOps(ops []Op) {
 	sort.SliceStable(ops, func(i, j int) bool {
 		a, b := &ops[i], &ops[j]

@@ -1,10 +1,9 @@
 package loadgen
 
-// The execution half of the engine: Run takes an op sequence — freshly
-// generated or replayed from a trace, it cannot tell the difference —
-// and drives it against netstore Stores, one connection per
-// (client, worker) stream, reporting latency and outcome tallies per
-// SLO class.
+// The execution half of the engine: Run takes the op sequence Generate
+// made of a spec and drives it against netstore Stores, one connection
+// per (client, worker) stream, reporting latency and outcome tallies
+// per SLO class.
 
 import (
 	"context"
@@ -28,10 +27,6 @@ type RunConfig struct {
 	// per-connection numbering (seeded RNGs, sticky cluster clients)
 	// hangs off it.
 	Dial func(client string, worker, idx int) (netstore.Store, error)
-	// ClassBias maps an op's SLO class onto the wire-priority bias its
-	// reads carry (Spec.ClassBias or TraceHeader.ClassBias). Nil means
-	// every class rides unbiased.
-	ClassBias func(class string) int64
 	// Timeout bounds each op (0 falls through to the store's default).
 	Timeout time.Duration
 	// ReadOptions is the base for every read — hedge policy, replica
@@ -111,8 +106,9 @@ type workerStream struct {
 }
 
 // Run executes ops against the configured stores and reports per-class
-// outcomes. classes defines the report rows and priorities (ops naming
-// a class outside the list are tallied under it anyway, priority 0).
+// outcomes. classes defines the report rows and priorities, and each
+// read carries its class's wire-priority bias (ops naming a class
+// outside the list are tallied under it anyway, priority 0, unbiased).
 // Pacing: an op with TS > 0 is issued at run-start+TS (concurrently,
 // bounded by MaxInFlight); TS = 0 ops are closed-loop — issued as soon
 // as the worker's previous op completed. Cancelling ctx stops the run
@@ -123,6 +119,10 @@ func Run(ctx context.Context, classes []ClassSpec, ops []Op, cfg RunConfig) (*Re
 	}
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = 32
+	}
+	bias := map[string]int64{}
+	for _, cl := range classes {
+		bias[cl.Name] = cl.bias()
 	}
 	streams := partition(ops)
 	accs := make([]map[string]*classAcc, len(streams))
@@ -179,10 +179,10 @@ func Run(ctx context.Context, classes []ClassSpec, ops []Op, cfg RunConfig) (*Re
 					go func() {
 						defer opWG.Done()
 						defer func() { <-sem }()
-						execOp(ctx, store, op, &cfg, a)
+						execOp(ctx, store, op, &cfg, bias[op.Class], a)
 					}()
 				} else {
-					execOp(ctx, store, op, &cfg, classAccFor(acc, op.Class))
+					execOp(ctx, store, op, &cfg, bias[op.Class], classAccFor(acc, op.Class))
 				}
 			}
 			opWG.Wait()
@@ -211,11 +211,11 @@ func classAccFor(acc map[string]*classAcc, class string) *classAcc {
 	return a
 }
 
-// execOp issues one op and tallies its outcome. For paced streams
-// multiple execOps of one worker run concurrently, so updates lock the
-// accumulator; the contention is negligible next to a network round
-// trip.
-func execOp(ctx context.Context, store netstore.Store, op *Op, cfg *RunConfig, a *classAcc) {
+// execOp issues one op, a read with the given priority bias, and
+// tallies its outcome. For paced streams multiple execOps of one worker
+// run concurrently, so updates lock the accumulator; the contention is
+// negligible next to a network round trip.
+func execOp(ctx context.Context, store netstore.Store, op *Op, cfg *RunConfig, bias int64, a *classAcc) {
 	keys := make([]string, len(op.Keys))
 	for i, id := range op.Keys {
 		keys[i] = fmt.Sprintf("key:%d", id)
@@ -234,9 +234,7 @@ func execOp(ctx context.Context, store netstore.Store, op *Op, cfg *RunConfig, a
 	default: // OpGet
 		ropts := cfg.ReadOptions
 		ropts.Timeout = cfg.Timeout
-		if cfg.ClassBias != nil {
-			ropts.PriorityBias = cfg.ClassBias(op.Class)
-		}
+		ropts.PriorityBias = bias
 		res, err = store.Multiget(ctx, keys, ropts)
 	}
 	a.mu.Lock()

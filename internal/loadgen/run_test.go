@@ -1,7 +1,6 @@
 package loadgen
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"strings"
@@ -111,7 +110,6 @@ func TestRunClosedLoop(t *testing.T) {
 			mu.Unlock()
 			return st, nil
 		},
-		ClassBias: spec.ClassBias,
 		PostWorker: func(client string, worker int, st netstore.Store) {
 			mu.Lock()
 			post[fmt.Sprintf("%s/%d", client, worker)]++
@@ -145,8 +143,9 @@ func TestRunClosedLoop(t *testing.T) {
 	if gold.Latency.Count != gold.Ops {
 		t.Fatalf("gold latency count %d, want %d", gold.Latency.Count, gold.Ops)
 	}
-	// Bias plumbing: fast's reads carry gold's bias (0), slow's carry
-	// bronze's (2 units); writes don't consult the bias.
+	// Bias plumbing: Run derives each class's bias from classes, so
+	// fast's reads carry gold's (0) and slow's carry bronze's (2
+	// units); writes don't consult the bias.
 	for name, st := range stores {
 		wantBias := int64(0)
 		if name == "slow/0" {
@@ -274,48 +273,4 @@ func TestRunPacedOpenLoop(t *testing.T) {
 	if rep.Wall < 3*time.Millisecond {
 		t.Fatalf("paced run finished in %v — pacing not applied", rep.Wall)
 	}
-}
-
-func TestRunReplayEqualsGenerate(t *testing.T) {
-	// The engine cannot tell replayed ops from generated ones: same
-	// issue counts, same per-class tallies (latency aside).
-	spec := runSpec(t)
-	ops, err := Generate(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(ops []Op) *Report {
-		rep, err := Run(context.Background(), spec.Classes, ops, RunConfig{
-			Dial: func(string, int, int) (netstore.Store, error) { return newCaptureStore(), nil },
-		})
-		if err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		return rep
-	}
-	a := run(ops)
-	// Round-trip through the trace layer, then run the replayed ops.
-	var rec []Op
-	{
-		var err error
-		_, rec, err = roundTrip(NewTraceHeader(spec), ops)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	b := run(rec)
-	for i := range a.Classes {
-		x, y := a.Classes[i], b.Classes[i]
-		if x.Class != y.Class || x.Ops != y.Ops || x.KeysRead != y.KeysRead || x.BytesWritten != y.BytesWritten {
-			t.Fatalf("replayed run diverged for class %s:\n%+v\n%+v", x.Class, x, y)
-		}
-	}
-}
-
-func roundTrip(h TraceHeader, ops []Op) (TraceHeader, []Op, error) {
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, h, ops); err != nil {
-		return h, nil, err
-	}
-	return ReadTrace(&buf)
 }

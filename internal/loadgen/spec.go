@@ -14,10 +14,9 @@
 //	Generate(spec)  →  []Op            (pure, deterministic from Seed)
 //	Run(ctx, classes, ops, cfg)        (executes ops against Stores)
 //
-// so that any run — generated or replayed — is reproducible
-// bit-for-bit: WriteTrace/ReadTrace persist the op sequence as
-// timestamped JSONL (gzip by .gz suffix), and replaying a trace feeds
-// the identical ops back through the same engine.
+// so that a run is reproducible from its spec and seed alone: Generate
+// yields the same ops on any machine, and the golden hashes in
+// gen_test.go pin them.
 package loadgen
 
 import (
@@ -31,8 +30,8 @@ import (
 )
 
 // Duration is a time.Duration that marshals as a Go duration string
-// ("250ms") in specs and traces, and accepts either a string or a
-// nanosecond number when unmarshaling.
+// ("250ms") in specs, and accepts either a string or a nanosecond
+// number when unmarshaling.
 type Duration time.Duration
 
 // MarshalJSON implements json.Marshaler.
@@ -74,6 +73,9 @@ type ClassSpec struct {
 	Name     string `json:"name"`
 	Priority int    `json:"priority"`
 }
+
+// bias is the wire-priority bias the class's reads carry.
+func (c ClassSpec) bias() int64 { return int64(c.Priority) * ClassBiasUnit }
 
 // ArrivalSpec selects a client's arrival process. Rate is the client's
 // aggregate target in ops/second, split evenly across its workers.
@@ -182,9 +184,9 @@ type ClientSpec struct {
 //	remove-shard       — drain the highest-numbered shard, live
 //
 // Target is "shard/replica" (replicas of a shard count from 0) for the
-// replica verbs and empty for the shard verbs. The timeline is data: it
-// travels in the trace header, so a replay injects the faults the
-// recorded run did.
+// replica verbs and empty for the shard verbs. The timeline is data,
+// part of the spec: the same spec injects the same faults at the same
+// offsets.
 type FaultSpec struct {
 	At     Duration `json:"at"`
 	Do     string   `json:"do"`
@@ -342,7 +344,7 @@ func (s *Spec) Normalize() error {
 func (s *Spec) ClassBias(name string) int64 {
 	for _, cl := range s.Classes {
 		if cl.Name == name {
-			return int64(cl.Priority) * ClassBiasUnit
+			return cl.bias()
 		}
 	}
 	return 0

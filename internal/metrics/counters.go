@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -9,7 +8,7 @@ import (
 
 // Counter is a process-wide monotonic event counter. Counters are cheap
 // enough for hot paths (one atomic add) and registered by name so
-// operational tooling can snapshot them all at once.
+// operational tooling can snapshot a subsystem's counters by prefix.
 type Counter struct{ n atomic.Uint64 }
 
 // Inc adds one.
@@ -42,16 +41,6 @@ func CounterValue(name string) uint64 {
 	return 0
 }
 
-// Counters snapshots every registered counter.
-func Counters() map[string]uint64 {
-	out := make(map[string]uint64)
-	counterRegistry.Range(func(k, v any) bool {
-		out[k.(string)] = v.(*Counter).Load()
-		return true
-	})
-	return out
-}
-
 // CountersWithPrefix snapshots every registered counter whose name
 // starts with prefix — how tools report one subsystem's counters (say,
 // "netstore_hedge_") without enumerating names that may not be
@@ -65,16 +54,4 @@ func CountersWithPrefix(prefix string) map[string]uint64 {
 		return true
 	})
 	return out
-}
-
-// CounterNames returns the registered counter names, sorted — for
-// stable operational dumps.
-func CounterNames() []string {
-	var names []string
-	counterRegistry.Range(func(k, _ any) bool {
-		names = append(names, k.(string))
-		return true
-	})
-	sort.Strings(names)
-	return names
 }

@@ -106,8 +106,6 @@ func configure(args []string, stdout, stderr io.Writer) (*config, error) {
 	fs.DurationVar(&cfg.probeInterval, "probe-interval", 250*time.Millisecond, "cluster client's replica revival probe interval")
 	fs.DurationVar(&cfg.deadline, "deadline", 0, "per-op deadline propagated to the servers (0 = the client's default request timeout); ops that exceed it count as expired")
 	hedge := fs.String("hedge", "off", "hedged reads: off|fixed|adaptive")
-	fs.DurationVar(&cfg.hedge.Delay, "hedge-delay", 0, "hedge trigger delay (fixed) and cold-start floor (adaptive); 0 = policy default")
-	fs.Float64Var(&cfg.hedge.Quantile, "hedge-quantile", 0, "adaptive hedge trigger quantile in (0,1); 0 = policy default")
 	fs.IntVar(&cfg.cache, "cache", 0, "hot-key cache entries per client, an admission-filtered LRU (0 = off)")
 	fs.BoolVar(&cfg.skipLoad, "skip-load", false, "skip the initial data load")
 	specPath := fs.String("spec", "", "the run's spec, a JSON file (see internal/loadgen); empty = the built-in default")
@@ -281,8 +279,9 @@ type harness struct {
 	faultErr error                  // what stopped the timeline early
 	done     chan struct{}          // closed when the timeline has played out
 
-	ackedMu sync.Mutex
-	acked   map[string]uint64 // highest version any client saw acknowledged
+	mu      sync.Mutex
+	acked   map[string]uint64   // highest version any client saw acknowledged
+	clients []*netstore.Cluster // every client dial made, for report's counts
 }
 
 func newHarness(ctx context.Context, cfg *config, out io.Writer, logger *log.Logger) (h *harness, err error) {
@@ -415,6 +414,9 @@ func (h *harness) dial(_ string, _, idx int) (netstore.Store, error) {
 	if err != nil {
 		return nil, err // not a typed-nil Store
 	}
+	h.mu.Lock()
+	h.clients = append(h.clients, c)
+	h.mu.Unlock()
 	return c, nil
 }
 
@@ -422,8 +424,8 @@ func (h *harness) dial(_ string, _, idx int) (netstore.Store, error) {
 // ground truth; every client passes through here before it closes.
 func (h *harness) harvest(st netstore.Store) {
 	c := st.(*netstore.Cluster) // every store of the run came from dial
-	h.ackedMu.Lock()
-	defer h.ackedMu.Unlock()
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	for _, k := range h.keys {
 		if v, ok := c.WrittenVersion(k); ok && v > h.acked[k] {
 			h.acked[k] = v
@@ -627,7 +629,8 @@ func (h *harness) verify() error {
 }
 
 // report prints the run's result lines: whole-run first, then per SLO
-// class, then the process-wide counters the run moved.
+// class, then the counts of every client the run dialed (all closed by
+// now) and, with -spawn, of its servers.
 func (h *harness) report(rep *loadgen.Report) {
 	hist := metrics.NewLatencyHistogram()
 	var expired, cancelled uint64
@@ -636,18 +639,34 @@ func (h *harness) report(rep *loadgen.Report) {
 		expired += rep.Classes[i].Expired
 		cancelled += rep.Classes[i].Cancelled
 	}
+	var cs netstore.ClusterStats
+	for _, c := range h.clients {
+		s := c.Stats()
+		cs.Expired += s.Expired
+		cs.Cancelled += s.Cancelled
+		cs.MultigetSubtasks += s.MultigetSubtasks
+		cs.MultigetBatches += s.MultigetBatches
+		cs.HedgesFired += s.HedgesFired
+		cs.HedgesWon += s.HedgesWon
+		cs.HedgesWasted += s.HedgesWasted
+		cs.CacheHits += s.CacheHits
+		cs.CacheMisses += s.CacheMisses
+		cs.CacheFills += s.CacheFills
+		cs.CacheInvalidations += s.CacheInvalidations
+		cs.CacheEvictions += s.CacheEvictions
+		cs.CacheRejects += s.CacheRejects
+	}
 	s := hist.Summarize()
 	fmt.Fprintf(h.out, "assigner=%s tasks=%d wall=%s throughput=%.0f tasks/s\n",
 		h.cfg.assigner.Name(), s.Count, rep.Wall.Round(time.Millisecond), float64(s.Count)/rep.Wall.Seconds())
 	fmt.Fprintf(h.out, "task latency: %s\n", s)
 	fmt.Fprint(h.out, rep.String())
-	// The netstore_* totals also cover internal sub-batches and writes.
-	fmt.Fprintf(h.out, "deadlines: expired_tasks=%d cancelled_tasks=%d  netstore_expired_total=%d netstore_cancelled_total=%d\n",
-		expired, cancelled, metrics.CounterValue("netstore_expired_total"), metrics.CounterValue("netstore_cancelled_total"))
+	// expired_ops and cancelled_ops count every client call, the
+	// loader's included.
+	fmt.Fprintf(h.out, "deadlines: expired_tasks=%d cancelled_tasks=%d  expired_ops=%d cancelled_ops=%d\n",
+		expired, cancelled, cs.Expired, cs.Cancelled)
 	if h.cfg.hedge.Mode != netstore.HedgeOff {
-		c := metrics.CountersWithPrefix("netstore_hedge_")
-		fmt.Fprintf(h.out, "hedges: fired=%d won=%d wasted=%d\n",
-			c["netstore_hedge_fired_total"], c["netstore_hedge_won_total"], c["netstore_hedge_wasted_total"])
+		fmt.Fprintf(h.out, "hedges: fired=%d won=%d wasted=%d\n", cs.HedgesFired, cs.HedgesWon, cs.HedgesWasted)
 	}
 	if h.cfg.spawn {
 		// Served is per server, so the line exists only when every server
@@ -657,12 +676,10 @@ func (h *harness) report(rep *loadgen.Report) {
 			served += n.served + n.srv.Served()
 		}
 		fmt.Fprintf(h.out, "sched: served_keys=%d multiget_subtasks=%d multiget_batches=%d\n", served,
-			metrics.CounterValue("netstore_multiget_subtasks_total"), metrics.CounterValue("netstore_multiget_batches_total"))
+			cs.MultigetSubtasks, cs.MultigetBatches)
 	}
 	if h.cfg.cache > 0 {
-		c := metrics.CountersWithPrefix("netstore_cache_")
 		fmt.Fprintf(h.out, "cache: hits=%d misses=%d fills=%d invalidations=%d evictions=%d rejects=%d\n",
-			c["netstore_cache_hits_total"], c["netstore_cache_misses_total"], c["netstore_cache_fills_total"],
-			c["netstore_cache_invalidations_total"], c["netstore_cache_evictions_total"], c["netstore_cache_rejects_total"])
+			cs.CacheHits, cs.CacheMisses, cs.CacheFills, cs.CacheInvalidations, cs.CacheEvictions, cs.CacheRejects)
 	}
 }

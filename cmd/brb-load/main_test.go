@@ -57,17 +57,19 @@ func mustContain(t *testing.T, what, text string, wants ...string) {
 
 func TestFlagBudget(t *testing.T) {
 	code, _, usage := brbLoad("-h")
-	if n := len(regexp.MustCompile(`(?m)^  -`).FindAllString(usage, -1)); code != 0 || n == 0 || n > 16 {
-		t.Fatalf("brb-load -h: exit %d listing %d flags, want exit 0 and 1..16:\n%s", code, n, usage)
+	if n := len(regexp.MustCompile(`(?m)^  -`).FindAllString(usage, -1)); code != 0 || n == 0 || n > 14 {
+		t.Fatalf("brb-load -h: exit %d listing %d flags, want exit 0 and 1..14:\n%s", code, n, usage)
 	}
 	// What a spec says, no flag may say again — not under its old name,
 	// and so not at all. -controller went with the store's credits path;
 	// -record and -replay with traces, since a spec and its seed already
-	// fix the ops; -allocstats with the second allocation instrument.
+	// fix the ops; -allocstats with the second allocation instrument;
+	// -hedge-delay and -hedge-quantile, which only ever restated
+	// HedgePolicy's defaults.
 	for _, gone := range []string{"keys", "tasks", "clients", "fanout", "burst-prob", "write-frac", "zipf", "seed",
 		"kill-replica", "kill-after", "restart-after", "crash-replica", "crash-after", "recover-after",
 		"slow-replica", "slow-latency", "add-shard-after", "remove-shard-after", "controller",
-		"record", "replay", "allocstats"} {
+		"record", "replay", "allocstats", "hedge-delay", "hedge-quantile"} {
 		code, _, stderr := brbLoad("-spawn", "-"+gone, "1")
 		if code != 2 || !strings.Contains(stderr, "flag provided but not defined: -"+gone) {
 			t.Errorf("-%s: exit %d, stderr %q; want the flag gone", gone, code, stderr)
@@ -142,7 +144,7 @@ func TestTimelineVerbs(t *testing.T) {
 		assertWALTreeGone(t, stderr)
 	})
 	t.Run("slow", func(t *testing.T) {
-		code, stdout, stderr := brbLoad(append(cluster, "-hedge", "fixed", "-hedge-delay", "1ms", "-spec", writeSpec(t,
+		code, stdout, stderr := brbLoad(append(cluster, "-hedge", "fixed", "-spec", writeSpec(t,
 			`{"at": "0s", "do": "slow", "target": "0/0", "arg": "10ms"}`))...)
 		if code != 0 {
 			t.Errorf("exit %d", code)
@@ -176,6 +178,50 @@ func TestTimelineVerbs(t *testing.T) {
 		mustContain(t, "stdout", stdout, `verify: OK — epoch 2, 60 keys`, `ops=600 .* err=0`)
 		mustContain(t, "stderr", stderr, `fault: \+\d+ms remove-shard — shard 2 drained`)
 	})
+}
+
+// The client counts brb-load adds up over every client it dialed agree
+// with what loadgen.Report counts per task on its own: every hedge fired
+// belongs to a task's read, and every key a task read was looked up in
+// its client's cache once.
+func TestReportCountsAddUp(t *testing.T) {
+	spec := filepath.Join(t.TempDir(), "spec.json")
+	if err := os.WriteFile(spec, []byte(`{
+  "name": "counts",
+  "seed": 3,
+  "keys": 60,
+  "classes": [{"name": "fg", "priority": 0}, {"name": "bg", "priority": 1}],
+  "clients": [
+    {"name": "fg", "class": "fg", "workers": 2, "ops": 400, "arrival": {"process": "fixed", "rate": 2000},
+     "keys": {"dist": "zipf", "s": 1.1}, "mix": {"write": 0.1}, "fanout": {"mean": 4}},
+    {"name": "bg", "class": "bg", "workers": 1, "ops": 200, "arrival": {"process": "fixed", "rate": 1000},
+     "fanout": {"mean": 8}}
+  ],
+  "faults": [{"at": "0s", "do": "slow", "target": "0/0", "arg": "5ms"}]
+}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, stdout, _ := brbLoad("-spawn", "-shards", "2", "-replication", "2", "-hedge", "adaptive", "-cache", "16", "-spec", spec)
+	if code != 0 {
+		t.Fatalf("exit %d:\n%s", code, stdout)
+	}
+	classes := regexp.MustCompile(`(?m)^class .* keys=(\d+) .* err=0 expired=0 cancelled=0 hedges=(\d+)$`).FindAllStringSubmatch(stdout, -1)
+	hedges := regexp.MustCompile(`hedges: fired=(\d+) `).FindStringSubmatch(stdout)
+	cache := regexp.MustCompile(`cache: hits=(\d+) misses=(\d+) `).FindStringSubmatch(stdout)
+	if len(classes) != 2 || hedges == nil || cache == nil {
+		t.Fatalf("want two error-free class lines, a hedges: line and a cache: line:\n%s", stdout)
+	}
+	keys, hedged := 0, 0
+	for _, c := range classes {
+		keys += atoi(c[1])
+		hedged += atoi(c[2])
+	}
+	if fired := atoi(hedges[1]); fired == 0 || fired != hedged {
+		t.Errorf("hedges: fired=%d, want the classes' hedges= total %d, non-zero", fired, hedged)
+	}
+	if hits, misses := atoi(cache[1]), atoi(cache[2]); hits == 0 || hits+misses != keys {
+		t.Errorf("cache: hits=%d misses=%d, want hits > 0 and hits+misses = the classes' keys= total %d", hits, misses, keys)
+	}
 }
 
 func atoi(s string) int { n, _ := strconv.Atoi(s); return n }

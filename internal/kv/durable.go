@@ -36,6 +36,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -59,6 +60,21 @@ type ReplayStats struct {
 	CorruptRecords  uint64 // bad records that stopped a segment's replay
 }
 
+// DurableStats are one Durable's counts since OpenDurable. What the open
+// itself replayed is its ReplayStats.
+type DurableStats struct {
+	Appends uint64 // records appended to the WAL
+	Bytes   uint64 // encoded bytes of those records
+	Fsyncs  uint64 // fsyncs the WAL issued
+	// PurgeDrops counts tombstone purges the fail-stopped WAL could not
+	// log: each at worst resurrects a tombstone on replay.
+	PurgeDrops     uint64
+	SnapshotWrites uint64 // snapshots written, periodic and final
+	// SnapshotErrors counts failed periodic snapshots: a persistently
+	// broken snapshot path shows here before boot-time replay grows.
+	SnapshotErrors uint64
+}
+
 // Durable is a Store bound to an on-disk WAL and snapshot set. Writes
 // must go through it (Set/SetVersion/Delete/DeleteVersion); reads go
 // straight to the Store, which serves even after a disk fault has
@@ -75,6 +91,8 @@ type Durable struct {
 
 	snapStop chan struct{}
 	snapWG   sync.WaitGroup
+
+	purgeDrops, snapshotWrites, snapshotErrors atomic.Uint64
 }
 
 // OpenDurable recovers dir into store and returns the durability
@@ -82,7 +100,7 @@ type Durable struct {
 // newest valid snapshot, then replays every WAL segment it does not
 // cover, stopping a segment at its first torn or corrupt record (the
 // expected shape of a crashed tail — counted in
-// kv_wal_corrupt_records_total). Appends always open a brand-new
+// ReplayStats.CorruptRecords). Appends always open a brand-new
 // segment, never extending a possibly-torn one.
 func OpenDurable(dir string, store *Store, opts DurableOptions) (*Durable, ReplayStats, error) {
 	var stats ReplayStats
@@ -135,10 +153,8 @@ func OpenDurable(dir string, store *Store, opts DurableOptions) (*Durable, Repla
 			return nil, stats, rerr
 		}
 		stats.WALRecords += n
-		walReplayRecords.Add(n)
 		if corrupt {
 			stats.CorruptRecords++
-			walCorruptRecords.Inc()
 			// A torn tail is only expected on the LAST segment; a bad
 			// record mid-history means everything after it in that
 			// segment is unreachable, but later segments may still hold
@@ -165,7 +181,7 @@ func OpenDurable(dir string, store *Store, opts DurableOptions) (*Durable, Repla
 			// The WAL has fail-stopped, so foreground writes are
 			// already erroring; an unlogged purge at worst resurrects
 			// a tombstone on replay. Count it so the drop is visible.
-			walPurgeDrops.Inc()
+			d.purgeDrops.Add(1)
 		}
 	})
 	if opts.SnapshotInterval > 0 {
@@ -274,6 +290,7 @@ func (d *Durable) Snapshot() error {
 	if err := writeSnapshot(d.dir, tail, d.store, d.fault); err != nil {
 		return err
 	}
+	d.snapshotWrites.Add(1)
 	return d.truncate(tail)
 }
 
@@ -321,7 +338,7 @@ func (d *Durable) snapshotLoop(interval time.Duration, stop <-chan struct{}) {
 			// tick tries again. Count failures so a persistently broken
 			// snapshot path shows up before boot-time replay blows up.
 			if err := d.Snapshot(); err != nil {
-				snapshotErrors.Inc()
+				d.snapshotErrors.Add(1)
 			}
 		}
 	}
@@ -360,5 +377,14 @@ func (d *Durable) stopLoops() {
 	}
 }
 
-// FsyncCount reports how many fsyncs the WAL has issued (test hook).
-func (d *Durable) FsyncCount() uint64 { return d.w.fsyncCount() }
+// Stats returns a snapshot of this Durable's counts.
+func (d *Durable) Stats() DurableStats {
+	return DurableStats{
+		Appends:        d.w.appends.Load(),
+		Bytes:          d.w.bytes.Load(),
+		Fsyncs:         d.w.fsyncs.Load(),
+		PurgeDrops:     d.purgeDrops.Load(),
+		SnapshotWrites: d.snapshotWrites.Load(),
+		SnapshotErrors: d.snapshotErrors.Load(),
+	}
+}

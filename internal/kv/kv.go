@@ -16,9 +16,8 @@ package kv
 import (
 	"hash/fnv"
 	"sync"
+	"sync/atomic"
 	"time"
-
-	"github.com/brb-repro/brb/internal/metrics"
 )
 
 const defaultShards = 64
@@ -41,6 +40,8 @@ type Store struct {
 	// resolve later last-writer-wins checks differently than the live
 	// store did.
 	purgeHook func(key string, ver uint64)
+
+	swept atomic.Uint64 // tombstones the GC sweep dropped
 }
 
 type shard struct {
@@ -294,7 +295,9 @@ func (s *Store) TombstoneCount() int {
 	return n
 }
 
-var tombstonesSwept = metrics.GetCounter("kv_tombstones_swept_total")
+// TombstonesSwept returns how many tombstones the GC sweep has dropped
+// from this store.
+func (s *Store) TombstonesSwept() uint64 { return s.swept.Load() }
 
 // StartTombstoneGC begins a bounded periodic sweep that drops tombstones
 // older than horizon: every interval, ONE internal shard is swept (round
@@ -385,7 +388,7 @@ func (s *Store) sweepShard(i int, cutoff int64) {
 	if len(swept) == 0 {
 		return
 	}
-	tombstonesSwept.Add(uint64(len(swept)))
+	s.swept.Add(uint64(len(swept)))
 	s.gcMu.Lock()
 	hook := s.purgeHook
 	s.gcMu.Unlock()

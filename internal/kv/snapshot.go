@@ -110,11 +110,7 @@ func writeSnapshot(dir string, tailIndex uint64, store *Store, fault *DiskFaultI
 		_ = os.Remove(tmp)
 		return err
 	}
-	if err := syncDir(dir); err != nil {
-		return err
-	}
-	snapshotWrites.Inc()
-	return nil
+	return syncDir(dir)
 }
 
 // readSnapshot loads one snapshot file into store via restoreEntry. It
@@ -164,7 +160,6 @@ func loadNewestSnapshot(dir string, store *Store) (loaded uint64, all []uint64, 
 	}
 	for i := len(all) - 1; i >= 0; i-- {
 		if _, rerr := readSnapshot(snapshotPath(dir, all[i]), store); rerr == nil {
-			snapshotReplays.Inc()
 			return all[i], all, nil
 		}
 		// Corrupt or truncated: ignore and try the next older snapshot.

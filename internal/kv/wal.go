@@ -64,17 +64,12 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 // ErrWALClosed is returned by Append after Close or Abort.
 var ErrWALClosed = errors.New("kv: WAL closed")
 
-// WAL counters (process-wide; see internal/metrics).
+// Process-wide mirrors of DurableStats.Appends, Bytes and Fsyncs, kept
+// only because bench/trace.go reads them by name (ROADMAP item 12 step 3).
 var (
-	walAppendsTotal   = metrics.GetCounter("kv_wal_appends_total")
-	walFsyncsTotal    = metrics.GetCounter("kv_wal_fsyncs_total")
-	walBytesTotal     = metrics.GetCounter("kv_wal_bytes_total")
-	walReplayRecords  = metrics.GetCounter("kv_wal_replay_records_total")
-	walCorruptRecords = metrics.GetCounter("kv_wal_corrupt_records_total")
-	walPurgeDrops     = metrics.GetCounter("kv_wal_purge_drops_total")
-	snapshotWrites    = metrics.GetCounter("kv_snapshot_writes_total")
-	snapshotReplays   = metrics.GetCounter("kv_snapshot_replays_total")
-	snapshotErrors    = metrics.GetCounter("kv_snapshot_errors_total")
+	walAppendsTotal = metrics.GetCounter("kv_wal_appends_total")
+	walFsyncsTotal  = metrics.GetCounter("kv_wal_fsyncs_total")
+	walBytesTotal   = metrics.GetCounter("kv_wal_bytes_total")
 )
 
 // fsyncTick is the FsyncInterval policy's background sync period.
@@ -122,8 +117,9 @@ type wal struct {
 	err     error  // sticky first disk error
 	closed  bool
 
-	fsyncs  atomic.Uint64 // fsyncs issued by this WAL (atomic: bumped with and without mu held)
-	appends uint64
+	// Records buffered, their encoded bytes and fsyncs issued: the
+	// DurableStats counts (atomic: Stats reads them without mu).
+	appends, bytes, fsyncs atomic.Uint64
 
 	tickStop chan struct{}
 	tickWG   sync.WaitGroup
@@ -219,9 +215,11 @@ func (w *wal) buffer(op byte, key string, value []byte, ver uint64) (uint64, err
 	before := len(w.pending)
 	w.pending = appendRecord(w.pending, op, key, value, ver)
 	w.nextSeq++
-	w.appends++
+	n := uint64(len(w.pending) - before)
+	w.appends.Add(1)
+	w.bytes.Add(n)
 	walAppendsTotal.Inc()
-	walBytesTotal.Add(uint64(len(w.pending) - before))
+	walBytesTotal.Add(n)
 	return w.nextSeq, nil
 }
 
@@ -437,7 +435,3 @@ func (w *wal) stopTicker() {
 		w.tickWG.Wait()
 	}
 }
-
-// fsyncCount returns how many fsyncs this WAL has issued (test hook for
-// asserting group-commit amortization).
-func (w *wal) fsyncCount() uint64 { return w.fsyncs.Load() }

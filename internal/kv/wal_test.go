@@ -104,7 +104,7 @@ func TestWALGroupCommit(t *testing.T) {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
-	if got := d.FsyncCount(); got != 2 {
+	if got := d.Stats().Fsyncs; got != 2 {
 		t.Fatalf("4 concurrent appends took %d fsyncs, want 2 (1 stalled + 1 group)", got)
 	}
 	if err := d.Close(); err != nil {

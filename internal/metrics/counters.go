@@ -1,14 +1,14 @@
 package metrics
 
 import (
-	"strings"
 	"sync"
 	"sync/atomic"
 )
 
-// Counter is a process-wide monotonic event counter. Counters are cheap
-// enough for hot paths (one atomic add) and registered by name so
-// operational tooling can snapshot a subsystem's counters by prefix.
+// Counter is a process-wide monotonic event counter, registered by name.
+// The store counts its events per instance (Cluster.Stats, Server.Stats,
+// kv.Durable.Stats); the few counters left here mirror four of those
+// counts for readers that look them up by name.
 type Counter struct{ n atomic.Uint64 }
 
 // Inc adds one.
@@ -39,19 +39,4 @@ func CounterValue(name string) uint64 {
 		return c.(*Counter).Load()
 	}
 	return 0
-}
-
-// CountersWithPrefix snapshots every registered counter whose name
-// starts with prefix — how tools report one subsystem's counters (say,
-// "netstore_hedge_") without enumerating names that may not be
-// registered yet in this process.
-func CountersWithPrefix(prefix string) map[string]uint64 {
-	out := make(map[string]uint64)
-	counterRegistry.Range(func(k, v any) bool {
-		if name := k.(string); strings.HasPrefix(name, prefix) {
-			out[name] = v.(*Counter).Load()
-		}
-		return true
-	})
-	return out
 }

@@ -20,19 +20,6 @@ func TestCounterRegistry(t *testing.T) {
 	}
 }
 
-func TestCountersWithPrefix(t *testing.T) {
-	GetCounter("pfx_test_one").Add(3)
-	GetCounter("pfx_test_two").Add(7)
-	GetCounter("other_test_counter").Inc()
-	got := CountersWithPrefix("pfx_test_")
-	if len(got) != 2 || got["pfx_test_one"] != 3 || got["pfx_test_two"] != 7 {
-		t.Fatalf("CountersWithPrefix = %v, want pfx_test_one:3 pfx_test_two:7", got)
-	}
-	if len(CountersWithPrefix("no_such_prefix_")) != 0 {
-		t.Fatal("unmatched prefix returned counters")
-	}
-}
-
 func TestCounterConcurrent(t *testing.T) {
 	const workers, per = 8, 1000
 	var wg sync.WaitGroup

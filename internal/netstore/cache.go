@@ -40,18 +40,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/brb-repro/brb/internal/metrics"
 	"github.com/brb-repro/brb/internal/wire"
-)
-
-// Hot-key cache counters (process-wide; see internal/metrics).
-var (
-	cacheHitsTotal    = metrics.GetCounter("netstore_cache_hits_total")
-	cacheMissesTotal  = metrics.GetCounter("netstore_cache_misses_total")
-	cacheFillsTotal   = metrics.GetCounter("netstore_cache_fills_total")
-	cacheInvalsTotal  = metrics.GetCounter("netstore_cache_invalidations_total")
-	cacheEvictsTotal  = metrics.GetCounter("netstore_cache_evictions_total")
-	cacheRejectsTotal = metrics.GetCounter("netstore_cache_rejects_total")
 )
 
 // hotKeyCache is a bounded, admission-filtered LRU of versioned values.
@@ -121,15 +110,12 @@ func (hc *hotKeyCache) serve(keys []string, floor func(string) uint64, vals [][]
 			}
 		}
 		hc.hits.Add(uint64(hits))
-		cacheHitsTotal.Add(uint64(hits))
 	}
 	if misses := len(keys) - hits; misses > 0 {
 		hc.misses.Add(uint64(misses))
-		cacheMissesTotal.Add(uint64(misses))
 	}
 	if dropped > 0 {
 		hc.invals.Add(uint64(dropped))
-		cacheInvalsTotal.Add(uint64(dropped))
 	}
 	return hits
 }
@@ -176,15 +162,12 @@ func (hc *hotKeyCache) put(key string, val []byte, ver uint64) {
 	hc.mu.Unlock()
 	if filled {
 		hc.fills.Add(1)
-		cacheFillsTotal.Inc()
 	}
 	if evicted {
 		hc.evicts.Add(1)
-		cacheEvictsTotal.Inc()
 	}
 	if rejected {
 		hc.rejects.Add(1)
-		cacheRejectsTotal.Inc()
 	}
 }
 
@@ -198,7 +181,6 @@ func (hc *hotKeyCache) invalidate(key string) {
 	hc.mu.Unlock()
 	if e != nil {
 		hc.invals.Add(1)
-		cacheInvalsTotal.Inc()
 	}
 }
 
@@ -214,7 +196,6 @@ func (hc *hotKeyCache) noteVersion(key string, ver uint64) {
 	hc.mu.Unlock()
 	if stale {
 		hc.invals.Add(1)
-		cacheInvalsTotal.Inc()
 	}
 }
 
@@ -228,7 +209,6 @@ func (hc *hotKeyCache) purge() {
 	hc.mu.Unlock()
 	if n > 0 {
 		hc.invals.Add(uint64(n))
-		cacheInvalsTotal.Add(uint64(n))
 	}
 }
 
@@ -415,60 +395,12 @@ func (c *Cluster) noteResponseVersions(b shardBatch, resp *wire.BatchResp) {
 	}
 }
 
-// CacheHits returns the client's hot-key cache hit count (test and
-// operations hook; 0 when the cache is disabled. Process-wide
-// counterparts: the "netstore_cache_*_total" metrics).
-func (c *Cluster) CacheHits() uint64 {
-	if c.cache == nil {
-		return 0
-	}
-	return c.cache.hits.Load()
-}
-
-// CacheMisses returns the cache miss count (0 when disabled).
-func (c *Cluster) CacheMisses() uint64 {
-	if c.cache == nil {
-		return 0
-	}
-	return c.cache.misses.Load()
-}
-
-// CacheFills returns the cache fill count (0 when disabled).
-func (c *Cluster) CacheFills() uint64 {
-	if c.cache == nil {
-		return 0
-	}
-	return c.cache.fills.Load()
-}
-
-// CacheInvalidations returns how many entries were dropped for
-// coherence — local writes, floor violations, wire-version proof,
-// epoch purges (0 when disabled).
-func (c *Cluster) CacheInvalidations() uint64 {
-	if c.cache == nil {
-		return 0
-	}
-	return c.cache.invals.Load()
-}
-
-// CacheEvictions returns how many entries the capacity bound evicted
-// (0 when disabled).
-func (c *Cluster) CacheEvictions() uint64 {
-	if c.cache == nil {
-		return 0
-	}
-	return c.cache.evicts.Load()
-}
-
-// CacheRejects returns how many fills the admission filter refused: the
-// cache was full and the key did not outrank the LRU tail (0 when
-// disabled).
-func (c *Cluster) CacheRejects() uint64 {
-	if c.cache == nil {
-		return 0
-	}
-	return c.cache.rejects.Load()
-}
+// CacheHits, CacheMisses, CacheInvalidations and CacheEvictions return
+// the ClusterStats fields of the same names; see HedgesFired.
+func (c *Cluster) CacheHits() uint64          { return c.Stats().CacheHits }
+func (c *Cluster) CacheMisses() uint64        { return c.Stats().CacheMisses }
+func (c *Cluster) CacheInvalidations() uint64 { return c.Stats().CacheInvalidations }
+func (c *Cluster) CacheEvictions() uint64     { return c.Stats().CacheEvictions }
 
 // CacheSize returns the current cached entry count (0 when disabled).
 func (c *Cluster) CacheSize() int {

@@ -493,7 +493,7 @@ func TestClusterCacheServesHotKeys(t *testing.T) {
 	if v, found, err := c.Get(bg, "k", ReadOptions{}); err != nil || !found || string(v) != "v" {
 		t.Fatalf("first Get = %q found=%v err=%v", v, found, err)
 	}
-	if fills := c.CacheFills(); fills != 1 {
+	if fills := c.Stats().CacheFills; fills != 1 {
 		t.Fatalf("fills after first read = %d, want 1", fills)
 	}
 	served := srv.Served()
@@ -682,7 +682,7 @@ func TestClusterCachePartialDeadlineFillsOnlyArrivedKeys(t *testing.T) {
 	if !res.Found[0] || string(res.Values[0]) != "live" {
 		t.Fatalf("live shard's key lost from partial result: found=%v val=%q", res.Found[0], res.Values[0])
 	}
-	if fills := c.CacheFills(); fills != 1 {
+	if fills := c.Stats().CacheFills; fills != 1 {
 		t.Fatalf("cache fills after partial multiget = %d, want 1 (only the arrived key)", fills)
 	}
 	// The arrived key is a hit; the stalled key must go back to the

@@ -12,7 +12,6 @@ import (
 	"github.com/brb-repro/brb/internal/c3"
 	"github.com/brb-repro/brb/internal/cluster"
 	"github.com/brb-repro/brb/internal/core"
-	"github.com/brb-repro/brb/internal/metrics"
 	"github.com/brb-repro/brb/internal/wire"
 )
 
@@ -74,7 +73,7 @@ const (
 	// down replica (latest write per key). Writes beyond the bound are
 	// dropped from the buffer, never failed, and mark it overflowed: the
 	// replica is caught up from its siblings on revival. Each drop counts
-	// in metrics ("netstore_hint_overflow_total") and HintOverflows.
+	// in ClusterStats.HintOverflows.
 	maxHintsPerReplica = 4096
 )
 
@@ -105,19 +104,6 @@ func (o ClusterOptions) withDefaults() ClusterOptions {
 // rebalances do not stack faster than a client can follow, so running
 // out means the cluster and client genuinely disagree.
 const maxEpochHops = 4
-
-// Cluster-client counters (process-wide; see internal/metrics).
-var (
-	hintOverflowsTotal = metrics.GetCounter("netstore_hint_overflow_total")
-	topoRefreshesTotal = metrics.GetCounter("netstore_topology_refresh_total")
-	strayRetriesTotal  = metrics.GetCounter("netstore_stray_key_retries_total")
-	// Sub-tasks multigets decomposed into, and BatchReq messages sent for
-	// them (hedges, failovers and stray retries included): batches ÷
-	// subtasks is the message amplification of task-wide replica
-	// selection.
-	multigetSubtasksTotal = metrics.GetCounter("netstore_multiget_subtasks_total")
-	multigetBatchesTotal  = metrics.GetCounter("netstore_multiget_batches_total")
-)
 
 // serverSlot is one server's client-side state: its one live connection
 // (nil while down; swapped atomically by the revival prober), the down
@@ -230,20 +216,71 @@ type Cluster struct {
 	rootCancel context.CancelFunc
 
 	// Revival machinery (revive.go).
-	probeWG       sync.WaitGroup
-	revivals      atomic.Uint64
-	refreshes     atomic.Uint64
-	hintOverflows atomic.Uint64
-	// Hedged-read telemetry (hedge.go): extra attempts issued, races
-	// won by a hedge, hedges that lost or died.
-	hedgesFired  atomic.Uint64
-	hedgesWon    atomic.Uint64
-	hedgesWasted atomic.Uint64
+	probeWG sync.WaitGroup
+	// The ClusterStats counts, each bumped where its event happens (the
+	// cache keeps its own).
+	expired, cancelled, subtasks, batches atomic.Uint64
+	strayRetries, refreshes               atomic.Uint64
+	hintOverflows, revivals               atomic.Uint64
+	hedgesFired, hedgesWon, hedgesWasted  atomic.Uint64
 	// epochLag is set when a batch response reveals a server running a
 	// newer epoch than ours without rejecting anything; the prober's
 	// next tick refreshes proactively instead of waiting for a stray.
 	epochLag atomic.Bool
 	closed   atomic.Bool
+}
+
+// ClusterStats are one Cluster client's counts since DialCluster.
+type ClusterStats struct {
+	// Expired and Cancelled count public-API operations that ended in
+	// deadline expiry or caller cancellation.
+	Expired, Cancelled uint64
+	// MultigetSubtasks counts the per-shard sub-tasks multigets
+	// decomposed into, MultigetBatches the BatchReq messages sent for
+	// them (hedges, failovers and stray retries included): batches ÷
+	// subtasks is the message amplification of task-wide replica
+	// selection.
+	MultigetSubtasks, MultigetBatches uint64
+	// StrayRetries counts read keys re-sent after a server refused them
+	// as not owned; TopologyRefreshes the newer topologies installed.
+	StrayRetries, TopologyRefreshes uint64
+	// HintOverflows counts writes dropped from a full hinted-handoff
+	// buffer; Revivals the down replicas the prober brought back.
+	HintOverflows, Revivals uint64
+	// HedgesFired counts hedge attempts issued. Each is then counted
+	// once more: as HedgesWon (it answered first) or HedgesWasted (the
+	// primary answered first, or the hedge died, or the batch's deadline
+	// ended the race).
+	HedgesFired, HedgesWon, HedgesWasted uint64
+	// The hot-key cache's counts, zero when the cache is off: keys
+	// served from it and looked up in vain, entries filled, entries
+	// dropped for coherence (local writes, floor violations, wire-version
+	// proof, epoch purges), entries the capacity bound evicted, and
+	// fills the admission filter refused.
+	CacheHits, CacheMisses, CacheFills               uint64
+	CacheInvalidations, CacheEvictions, CacheRejects uint64
+}
+
+// Stats returns a snapshot of this client's counts.
+func (c *Cluster) Stats() ClusterStats {
+	st := ClusterStats{
+		Expired:           c.expired.Load(),
+		Cancelled:         c.cancelled.Load(),
+		MultigetSubtasks:  c.subtasks.Load(),
+		MultigetBatches:   c.batches.Load(),
+		StrayRetries:      c.strayRetries.Load(),
+		TopologyRefreshes: c.refreshes.Load(),
+		HintOverflows:     c.hintOverflows.Load(),
+		Revivals:          c.revivals.Load(),
+		HedgesFired:       c.hedgesFired.Load(),
+		HedgesWon:         c.hedgesWon.Load(),
+		HedgesWasted:      c.hedgesWasted.Load(),
+	}
+	if hc := c.cache; hc != nil {
+		st.CacheHits, st.CacheMisses, st.CacheFills = hc.hits.Load(), hc.misses.Load(), hc.fills.Load()
+		st.CacheInvalidations, st.CacheEvictions, st.CacheRejects = hc.invals.Load(), hc.evicts.Load(), hc.rejects.Load()
+	}
+	return st
 }
 
 // ErrNoReplica is returned when every replica of a shard is down.
@@ -549,7 +586,6 @@ func (c *Cluster) installLocked(st *topoState, nt *cluster.ShardTopology) *topoS
 		}
 	}
 	c.refreshes.Add(1)
-	topoRefreshesTotal.Inc()
 	return ns
 }
 
@@ -589,7 +625,7 @@ type writeVerdict struct {
 }
 
 func (c *Cluster) write(ctx context.Context, key string, value []byte, del bool, opts WriteOptions) (err error) {
-	defer func() { countCtxErr(err) }()
+	defer func() { c.countCtxErr(err) }()
 	ctx, cancel := requestContext(ctx, opts.Timeout, c.opts.requestTimeout)
 	defer cancel()
 	ver := c.versions.next()
@@ -781,7 +817,7 @@ func (c *Cluster) Multiget(ctx context.Context, keys []string, opts ReadOptions)
 	if err := opts.Hedge.Validate(); err != nil {
 		return &TaskResult{}, err
 	}
-	defer func() { countCtxErr(err) }()
+	defer func() { c.countCtxErr(err) }()
 	ctx, cancel := requestContext(ctx, opts.Timeout, c.opts.requestTimeout)
 	defer cancel()
 	start := time.Now()
@@ -849,7 +885,7 @@ func (c *Cluster) Multiget(ctx context.Context, keys []string, opts ReadOptions)
 		b := shardBatch{shard: int(sub.Group), taskID: task.ID, cost: sub.Cost, keys: ks[lo:], prios: ps[lo:], idx: ix[lo:]}
 		pieces = c.place(st, b, pieces)
 	}
-	multigetSubtasksTotal.Add(uint64(len(subs)))
+	c.subtasks.Add(uint64(len(subs)))
 	// Every piece but the last gets a goroutine and reports on errCh; the
 	// last runs here, so a multiget that is one message (Get, a
 	// single-shard read) starts none.
@@ -1064,7 +1100,7 @@ func (c *Cluster) fetchBatch(ctx context.Context, st *topoState, b shardBatch, r
 		} else {
 			sent := time.Now()
 			var err error
-			multigetBatchesTotal.Inc()
+			c.batches.Add(1)
 			resp, err = sc.batch(ctx, batchReq(st, b, rep))
 			if err != nil {
 				// The scorer only unwinds outstanding — an aborted batch says
@@ -1136,7 +1172,7 @@ func (c *Cluster) fetchBatch(ctx context.Context, st *topoState, b shardBatch, r
 		}
 		// Served keys stand, strays go around again.
 		stray.cost = b.share(len(stray.keys))
-		strayRetriesTotal.Add(uint64(len(stray.keys)))
+		c.strayRetries.Add(uint64(len(stray.keys)))
 		if resp.Epoch < st.topo.Epoch() {
 			// The server is BEHIND us: a rebalance's push reached the
 			// server we learned st from before it reached this one, so
@@ -1249,15 +1285,6 @@ func (c *Cluster) Topology() *cluster.ShardTopology { return c.state.Load().topo
 // TopologyEpoch returns the epoch the client currently routes under.
 func (c *Cluster) TopologyEpoch() uint64 { return c.state.Load().topo.Epoch() }
 
-// TopologyRefreshes returns how many times this client installed a
-// newer topology (test and operations hook).
-func (c *Cluster) TopologyRefreshes() uint64 { return c.refreshes.Load() }
-
-// HintOverflows returns how many writes were dropped from full
-// hinted-handoff buffers (test and operations hook; the process-wide
-// counterpart is metrics counter "netstore_hint_overflow_total").
-func (c *Cluster) HintOverflows() uint64 { return c.hintOverflows.Load() }
-
 // ReplicaDown reports whether the client currently considers a replica's
 // connection dead (test and operations hook). With revival enabled this
 // is transient state, not a verdict.
@@ -1279,10 +1306,6 @@ func (c *Cluster) DownReplicas() int {
 	}
 	return n
 }
-
-// Revivals returns how many times the prober has revived a down replica
-// (test and operations hook).
-func (c *Cluster) Revivals() uint64 { return c.revivals.Load() }
 
 // PendingHints returns the number of keys hint-buffered for one replica
 // (test and operations hook).

@@ -19,7 +19,6 @@ import (
 
 	"github.com/brb-repro/brb/internal/cluster"
 	"github.com/brb-repro/brb/internal/kv"
-	"github.com/brb-repro/brb/internal/metrics"
 	"github.com/brb-repro/brb/internal/testutil"
 	"github.com/brb-repro/brb/internal/wire"
 )
@@ -211,7 +210,6 @@ func TestMultigetDeadlineAgainstStalledReplica(t *testing.T) {
 	c, k0, k1, proxy := stalledShardCluster(t, ClusterOptions{ProbeInterval: -1})
 	proxy.stall()
 
-	expiredBefore := metrics.CounterValue("netstore_expired_total")
 	ctx, cancel := context.WithTimeout(bg, 300*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -236,8 +234,8 @@ func TestMultigetDeadlineAgainstStalledReplica(t *testing.T) {
 	if res.Found[1] {
 		t.Fatal("stalled shard's key reported found")
 	}
-	if after := metrics.CounterValue("netstore_expired_total"); after <= expiredBefore {
-		t.Fatalf("netstore_expired_total not incremented: %d -> %d", expiredBefore, after)
+	if st := c.Stats(); st.Expired != 1 || st.Cancelled != 0 {
+		t.Fatalf("Expired=%d Cancelled=%d, want the one multiget expired", st.Expired, st.Cancelled)
 	}
 	// The stalled replica must NOT be marked down: the deadline ended the
 	// wait, not a transport failure.
@@ -255,7 +253,6 @@ func TestCancellationMidMultiget(t *testing.T) {
 	c, k0, k1, proxy := stalledShardCluster(t, ClusterOptions{ProbeInterval: -1})
 	proxy.stall()
 
-	cancelledBefore := metrics.CounterValue("netstore_cancelled_total")
 	live := c.state.Load().scorers[0]
 	ctx, cancel := context.WithCancel(bg)
 	go func() {
@@ -289,8 +286,8 @@ func TestCancellationMidMultiget(t *testing.T) {
 	if res == nil || !res.Found[0] {
 		t.Fatal("live shard's partial result lost on cancellation")
 	}
-	if after := metrics.CounterValue("netstore_cancelled_total"); after <= cancelledBefore {
-		t.Fatalf("netstore_cancelled_total not incremented: %d -> %d", cancelledBefore, after)
+	if st := c.Stats(); st.Cancelled != 1 || st.Expired != 0 {
+		t.Fatalf("Cancelled=%d Expired=%d, want the one multiget cancelled", st.Cancelled, st.Expired)
 	}
 }
 
@@ -312,9 +309,6 @@ func TestServerExpiresQueuedWork(t *testing.T) {
 	}
 	go func() { _ = srv.Serve(ln) }()
 	sc := dialConn(t, ln.Addr().String())
-
-	dropsBefore := metrics.CounterValue("netstore_server_expired_drops_total")
-	servedBefore := srv.Served()
 
 	// Occupy the single worker deterministically: the batch parks at the
 	// injector's stall gate mid-service, and StalledCount is the
@@ -360,13 +354,10 @@ func TestServerExpiresQueuedWork(t *testing.T) {
 	if resp.Found[0] {
 		t.Fatal("shed key reported found")
 	}
-	if drops := metrics.CounterValue("netstore_server_expired_drops_total"); drops != dropsBefore+1 {
-		t.Fatalf("expired-drop counter = %d, want %d", drops, dropsBefore+1)
-	}
 	// Shedding saved the service work: only the occupying batch's key
 	// was serviced.
-	if served := srv.Served() - servedBefore; served != 1 {
-		t.Fatalf("server serviced %d keys, want 1 (the shed key must not be served)", served)
+	if st := srv.Stats(); st.ExpiredDrops != 1 || st.Served != 1 {
+		t.Fatalf("ExpiredDrops=%d Served=%d, want 1 and 1 (the shed key must not be served)", st.ExpiredDrops, st.Served)
 	}
 }
 
@@ -377,9 +368,10 @@ func TestServerExpiresQueuedWork(t *testing.T) {
 func TestDeadlineEndToEndShedding(t *testing.T) {
 	m := cluster.MustNewShardTopology(cluster.ShardConfig{Shards: 1, Replicas: 1})
 	inj := NewFaultInjector()
-	addrs, _ := startShardedCluster(t, m, func(_, _ int) ServerOptions {
+	addrs, servers := startShardedCluster(t, m, func(_, _ int) ServerOptions {
 		return ServerOptions{Workers: 1, Fault: inj}
 	})
+	srv := servers[0]
 	c, err := DialCluster(addrs, ClusterOptions{Topology: m, ProbeInterval: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -392,8 +384,6 @@ func TestDeadlineEndToEndShedding(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-
-	dropsBefore := metrics.CounterValue("netstore_server_expired_drops_total")
 
 	// The occupying multiget parks at the injector gate on its first key,
 	// wedging the single worker; StalledCount==1 is the proof it got the
@@ -426,7 +416,7 @@ func TestDeadlineEndToEndShedding(t *testing.T) {
 	wg.Wait() // the occupying batch drains the queue, popping expired items
 
 	waitFor(t, 5*time.Second, "server-side expired drops", func() bool {
-		return metrics.CounterValue("netstore_server_expired_drops_total") > dropsBefore
+		return srv.Stats().ExpiredDrops > 0
 	})
 }
 

@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"github.com/brb-repro/brb/internal/c3"
-	"github.com/brb-repro/brb/internal/metrics"
 	"github.com/brb-repro/brb/internal/wire"
 )
 
@@ -120,24 +119,12 @@ func (p HedgePolicy) triggerDelay(scorer *c3.Scorer, replica int) time.Duration 
 	return d
 }
 
-// Hedged-read counters (process-wide; see internal/metrics): hedges
-// fired (extra attempts issued), won (a hedge's answer arrived first),
-// and wasted (fired but lost the race or died).
-var (
-	hedgeFiredTotal  = metrics.GetCounter("netstore_hedge_fired_total")
-	hedgeWonTotal    = metrics.GetCounter("netstore_hedge_won_total")
-	hedgeWastedTotal = metrics.GetCounter("netstore_hedge_wasted_total")
-)
-
-// HedgesFired returns how many hedge attempts this client issued (test
-// and operations hook; process-wide: "netstore_hedge_fired_total").
-func (c *Cluster) HedgesFired() uint64 { return c.hedgesFired.Load() }
-
-// HedgesWon returns how many hedge attempts answered first.
-func (c *Cluster) HedgesWon() uint64 { return c.hedgesWon.Load() }
-
-// HedgesWasted returns how many hedge attempts lost their race (the
-// primary answered first) or died without answering.
+// HedgesFired, HedgesWon and HedgesWasted return the ClusterStats
+// fields of the same names; the repository benchmark (bench/trace.go)
+// calls them, as it does CacheHits, CacheMisses, CacheEvictions and
+// CacheInvalidations.
+func (c *Cluster) HedgesFired() uint64  { return c.hedgesFired.Load() }
+func (c *Cluster) HedgesWon() uint64    { return c.hedgesWon.Load() }
 func (c *Cluster) HedgesWasted() uint64 { return c.hedgesWasted.Load() }
 
 // newHedgeTimer arms the hedge-trigger timer, honoring the test hook
@@ -170,7 +157,7 @@ func (c *Cluster) newHedgeTimer(d time.Duration) (<-chan time.Time, func()) {
 // The third result is the number of hedges this call fired (0 or 1), on
 // success and failure alike — the caller accounts them to the task
 // (TaskResult.Hedged) so per-class workload reports can attribute
-// hedging spend, which the process-wide counters cannot.
+// hedging spend, which the per-client ClusterStats cannot.
 func (c *Cluster) hedgedBatch(ctx context.Context, st *topoState, scorer *c3.Scorer, b shardBatch, first int, slot *serverSlot, sc *serverConn, tried []bool, pol HedgePolicy) (*wire.BatchResp, int, int, error) {
 	n := len(b.keys)
 	type outcome struct {
@@ -183,7 +170,7 @@ func (c *Cluster) hedgedBatch(ctx context.Context, st *topoState, scorer *c3.Sco
 	// launch sends the batch to a replica where the scorer already counts
 	// its keys outstanding; every way the attempt can end unwinds them.
 	launch := func(rep int, slot *serverSlot, sc *serverConn) bool {
-		multigetBatchesTotal.Inc()
+		c.batches.Add(1)
 		id, ch, err := sc.start(ctx, batchReq(st, b, rep), "batch")
 		if err != nil {
 			scorer.OnError(rep, n)
@@ -236,7 +223,6 @@ func (c *Cluster) hedgedBatch(ctx context.Context, st *topoState, scorer *c3.Sco
 	countWasted := func(w int) {
 		if w > 0 {
 			c.hedgesWasted.Add(uint64(w))
-			hedgeWastedTotal.Add(uint64(w))
 		}
 	}
 	for {
@@ -247,7 +233,6 @@ func (c *Cluster) hedgedBatch(ctx context.Context, st *topoState, scorer *c3.Sco
 				if out.rep != first {
 					won = 1
 					c.hedgesWon.Add(1)
-					hedgeWonTotal.Inc()
 				}
 				countWasted(hedges - won)
 				return out.resp, out.rep, hedges, nil
@@ -281,8 +266,8 @@ func (c *Cluster) hedgedBatch(ctx context.Context, st *topoState, scorer *c3.Sco
 			pending++
 			hedges++
 			c.hedgesFired.Add(1)
-			hedgeFiredTotal.Inc()
 		case <-ctx.Done():
+			countWasted(hedges)
 			return nil, first, hedges, ctxErr(ctx, fmt.Sprintf("hedged batch on shard %d", b.shard))
 		}
 	}

@@ -7,6 +7,8 @@ package netstore
 // clock anywhere near the assertions.
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -246,6 +248,41 @@ func TestHedgeWastedWhenPrimaryWins(t *testing.T) {
 	}
 	injs[1].Release()
 	waitScorerBalanced(t, c) // the wasted hedge unwinds too
+}
+
+// A hedge still in flight when its batch's deadline ends the race is
+// counted wasted, so every fired hedge is counted won or wasted: both
+// replicas stall, the hedge fires into the second stall, and the 300 ms
+// deadline lapses with neither released.
+func TestHedgeExpiredCountsWasted(t *testing.T) {
+	c, ft, injs := hedgeCluster(t)
+
+	injs[0].StallNext(1)
+	injs[1].StallNext(1)
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := c.Get(bg, "k", ReadOptions{
+			Timeout: 300 * time.Millisecond,
+			Hedge:   HedgePolicy{Mode: HedgeFixed, Delay: 5 * time.Millisecond},
+		})
+		done <- err
+	}()
+	waitFor(t, 5*time.Second, "primary stalled in service", func() bool {
+		return injs[0].StalledCount() == 1
+	})
+	ft.fire()
+	waitFor(t, 5*time.Second, "hedge stalled in service", func() bool {
+		return injs[1].StalledCount() == 1
+	})
+	if err := <-done; !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("hedged Get past its deadline: err = %v, want context.DeadlineExceeded", err)
+	}
+	if st := c.Stats(); st.HedgesFired != 1 || st.HedgesWon != 0 || st.HedgesWasted != 1 {
+		t.Fatalf("hedge counters fired=%d won=%d wasted=%d, want 1/0/1", st.HedgesFired, st.HedgesWon, st.HedgesWasted)
+	}
+	injs[0].Release()
+	injs[1].Release()
+	waitScorerBalanced(t, c)
 }
 
 // HedgeOff (the zero ReadOptions) never arms a trigger: the fake timer

@@ -18,7 +18,6 @@ import (
 
 	"github.com/brb-repro/brb/internal/cluster"
 	"github.com/brb-repro/brb/internal/kv"
-	"github.com/brb-repro/brb/internal/metrics"
 	"github.com/brb-repro/brb/internal/wire"
 )
 
@@ -202,7 +201,7 @@ func TestClusterLiveAddShard(t *testing.T) {
 	if got := c.TopologyEpoch(); got != grown.Epoch() {
 		t.Fatalf("client stuck on epoch %d, cluster at %d", got, grown.Epoch())
 	}
-	if c.TopologyRefreshes() == 0 {
+	if c.Stats().TopologyRefreshes == 0 {
 		t.Fatal("client never refreshed its topology")
 	}
 
@@ -702,7 +701,6 @@ func TestClusterReaderAheadOfLaggingReplica(t *testing.T) {
 	// Every replica lags: the read goes round both, then waits out the
 	// push. It lands on the siblings once each replica has rejected each
 	// key.
-	rejected := metrics.CounterValue("netstore_stray_key_retries_total")
 	done := make(chan error, 1)
 	go func() { done <- read(c) }()
 	waitFor(t, 5*time.Second, "both replicas of both shards rejecting the keys", func() bool {
@@ -711,7 +709,7 @@ func TestClusterReaderAheadOfLaggingReplica(t *testing.T) {
 			t.Fatalf("read gave up while every replica lagged: %v", err)
 		default:
 		}
-		return metrics.CounterValue("netstore_stray_key_retries_total") >= rejected+2*uint64(len(moved))
+		return c.Stats().StrayRetries >= 2*uint64(len(moved))
 	})
 	for _, sh := range shrunk.ShardIDs() {
 		servers[shrunk.Server(sh, 1)].SetTopology(shrunk)

@@ -105,7 +105,6 @@ func (c *Cluster) addHint(slot *serverSlot, key string, value []byte, version ui
 		}
 	} else if len(hb.hints) >= maxHintsPerReplica {
 		c.hintOverflows.Add(1)
-		hintOverflowsTotal.Inc()
 		hb.overflowed = true
 		return
 	}

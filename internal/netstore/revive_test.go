@@ -17,7 +17,6 @@ import (
 
 	"github.com/brb-repro/brb/internal/cluster"
 	"github.com/brb-repro/brb/internal/kv"
-	"github.com/brb-repro/brb/internal/metrics"
 	"github.com/brb-repro/brb/internal/testutil"
 )
 
@@ -100,7 +99,7 @@ func TestClusterReplicaRevival(t *testing.T) {
 	// The prober must revive the replica — no client restart — and only
 	// after replaying hints.
 	waitFor(t, 5*time.Second, "replica revival", func() bool { return !c.ReplicaDown(0, 0) })
-	if c.Revivals() == 0 {
+	if c.Stats().Revivals == 0 {
 		t.Fatal("revival not counted")
 	}
 	if n := c.PendingHints(0, 0); n != 0 {
@@ -155,7 +154,6 @@ func TestClusterReplicaRevival(t *testing.T) {
 // dropped.
 func overflowHints(t *testing.T, c *Cluster, n int) []string {
 	t.Helper()
-	before := metrics.CounterValue("netstore_hint_overflow_total")
 	keys := make([]string, n)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("key:%d", i)
@@ -164,11 +162,8 @@ func overflowHints(t *testing.T, c *Cluster, n int) []string {
 		}
 	}
 	dropped := uint64(n - maxHintsPerReplica)
-	if got := c.HintOverflows(); got != dropped {
+	if got := c.Stats().HintOverflows; got != dropped {
 		t.Fatalf("HintOverflows = %d, want %d", got, dropped)
-	}
-	if got := metrics.CounterValue("netstore_hint_overflow_total") - before; got != dropped {
-		t.Fatalf("netstore_hint_overflow_total advanced by %d, want %d", got, dropped)
 	}
 	if got := c.PendingHints(0, 0); got != maxHintsPerReplica {
 		t.Fatalf("PendingHints = %d, want the bound %d", got, maxHintsPerReplica)
@@ -251,7 +246,7 @@ func TestClusterHintOverflowDelete(t *testing.T) {
 	if err := c.Delete(bg, "doomed", WriteOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.HintOverflows(); got != 2 {
+	if got := c.Stats().HintOverflows; got != 2 {
 		t.Fatalf("HintOverflows = %d, want the delete dropped too (2)", got)
 	}
 	if _, ok := victimStore.Get("doomed"); !ok {

@@ -137,10 +137,58 @@ type Server struct {
 	wg     sync.WaitGroup
 	gcStop func()
 
-	served atomic.Uint64
+	// The ServerStats counts, each bumped where its event happens.
+	served, expiredDrops, notOwnerWrites, strayKeys atomic.Uint64
+	staleEpochBatches, durabilityErrors             atomic.Uint64
 }
 
-// Served returns the number of keys this server has serviced.
+// ServerStats are one Server's counts since it was created.
+type ServerStats struct {
+	Served uint64 // keys serviced
+	// ExpiredDrops counts keys shed because their batch's deadline budget
+	// ran out while they queued: service time the deadline-propagation
+	// protocol saved from being wasted on answers nobody was still
+	// waiting for.
+	ExpiredDrops uint64
+	// NotOwnerWrites and StrayKeys count writes and read keys refused
+	// because this server's topology assigns them elsewhere: clients with
+	// stale topologies — normal for a moment after a rebalance, a
+	// misconfiguration if it persists.
+	NotOwnerWrites, StrayKeys uint64
+	// StaleEpochBatches counts epoch-routed batches from clients whose
+	// topology lags this server's; elevated briefly around every
+	// rebalance, a misconfiguration signal if it persists.
+	StaleEpochBatches uint64
+	// DurabilityErrors counts writes refused because the WAL could not
+	// make them durable (failed fsync, closed log) — each one a dropped
+	// connection instead of a false ack — plus a failed close of the WAL
+	// at shutdown.
+	DurabilityErrors uint64
+	// TombstonesSwept counts tombstones the store's GC sweep dropped.
+	TombstonesSwept uint64
+	// WAL is the durability layer's counts (zero when memory-only).
+	WAL kv.DurableStats
+}
+
+// Stats returns a snapshot of this server's counts.
+func (s *Server) Stats() ServerStats {
+	st := ServerStats{
+		Served:            s.served.Load(),
+		ExpiredDrops:      s.expiredDrops.Load(),
+		NotOwnerWrites:    s.notOwnerWrites.Load(),
+		StrayKeys:         s.strayKeys.Load(),
+		StaleEpochBatches: s.staleEpochBatches.Load(),
+		DurabilityErrors:  s.durabilityErrors.Load(),
+		TombstonesSwept:   s.store.TombstonesSwept(),
+	}
+	if s.dur != nil {
+		st.WAL = s.dur.Stats()
+	}
+	return st
+}
+
+// Served returns Stats().Served; the repository benchmark
+// (bench/trace.go) calls it.
 func (s *Server) Served() uint64 { return s.served.Load() }
 
 // SchedSteals always returns 0: the server has one run queue, so there
@@ -345,8 +393,8 @@ func (s *Server) shutdown(kill bool) {
 	if s.dur != nil && !kill {
 		if err := s.dur.Close(); err != nil {
 			// Shutdown has no caller to hand the error to; count it so
-			// a failed final snapshot/WAL close is visible in metrics.
-			srvDurabilityErrors.Inc()
+			// a failed final snapshot/WAL close is visible in Stats.
+			s.durabilityErrors.Add(1)
 		}
 	}
 }
@@ -607,7 +655,7 @@ func (s *Server) handleWrite(cs *connState, key string, value []byte, ver, epoch
 	// does not own is rejected, not silently stored where no reader will
 	// ever look for it.
 	if owner, cur, ok := s.ownsKey(key, epoch); !ok {
-		srvNotOwnerWrites.Inc()
+		s.notOwnerWrites.Add(1)
 		return cs.send(&wire.NotOwner{ID: seq, Epoch: cur, Hint: uint32(owner)}) == nil
 	}
 	c, err := s.apply(key, value, ver, del)
@@ -640,7 +688,7 @@ func (s *Server) apply(key string, value []byte, ver uint64, del bool) (c kv.Com
 		s.store.SetVersion(key, value, ver)
 	}
 	if err != nil {
-		srvDurabilityErrors.Inc()
+		s.durabilityErrors.Add(1)
 	}
 	return c, err
 }
@@ -667,7 +715,7 @@ func (s *Server) apply(key string, value []byte, ver uint64, del bool) (c kv.Com
 func (s *Server) ackWrite(cs *connState, c kv.Commit, key string, epoch, seq uint64, del bool) bool {
 	ack := func() wire.Message {
 		if owner, cur, ok := s.ownsKey(key, epoch); !ok {
-			srvNotOwnerWrites.Inc()
+			s.notOwnerWrites.Add(1)
 			return &wire.NotOwner{ID: seq, Epoch: cur, Hint: uint32(owner)}
 		}
 		if del {
@@ -682,7 +730,7 @@ func (s *Server) ackWrite(cs *connState, c kv.Commit, key string, epoch, seq uin
 	go func() {
 		defer s.wg.Done()
 		if err := c.Wait(); err != nil {
-			srvDurabilityErrors.Inc()
+			s.durabilityErrors.Add(1)
 			_ = cs.conn.Close()
 			return
 		}
@@ -691,27 +739,10 @@ func (s *Server) ackWrite(cs *connState, c kv.Commit, key string, epoch, seq uin
 	return true
 }
 
-// Ownership-rejection counters: how often this process refused work for
-// keys it does not own — sustained nonzero rates mean clients with
-// stale topologies (normal for a moment after a rebalance, a
-// misconfiguration if it persists).
-var (
-	srvNotOwnerWrites = metrics.GetCounter("netstore_server_notowner_writes_total")
-	srvStrayKeys      = metrics.GetCounter("netstore_server_stray_keys_total")
-	// srvStaleEpochBatches counts epoch-routed batches from clients whose
-	// topology lags this server's — elevated briefly around every
-	// rebalance, a misconfiguration signal if it persists.
-	srvStaleEpochBatches = metrics.GetCounter("netstore_server_stale_epoch_batches_total")
-	// srvExpiredDrops counts work items shed because their batch's
-	// deadline budget ran out while they queued: service time the
-	// deadline-propagation protocol saved from being wasted on answers
-	// nobody was still waiting for.
-	srvExpiredDrops = metrics.GetCounter("netstore_server_expired_drops_total")
-	// srvDurabilityErrors counts writes refused because the WAL could
-	// not make them durable (failed fsync, closed log): each one is a
-	// dropped connection instead of a false ack.
-	srvDurabilityErrors = metrics.GetCounter("netstore_server_durability_errors_total")
-)
+// srvExpiredDropsTotal is the process-wide mirror of
+// ServerStats.ExpiredDrops, kept only because bench/trace.go reads it by
+// name (ROADMAP item 12 step 3).
+var srvExpiredDropsTotal = metrics.GetCounter("netstore_server_expired_drops_total")
 
 // ownsKey reports whether this server accepts a write for key under its
 // current topology. Without CheckShard, or before any topology is
@@ -946,7 +977,7 @@ func (s *Server) enqueueBatch(cs *connState, m *wire.BatchReq) {
 		if t := s.topo.Load(); t != nil {
 			epoch = t.Epoch()
 			if m.Epoch != 0 && m.Epoch < epoch {
-				srvStaleEpochBatches.Inc()
+				s.staleEpochBatches.Add(1)
 			}
 			strays := 0
 			for i, k := range m.Keys {
@@ -959,7 +990,7 @@ func (s *Server) enqueueBatch(cs *connState, m *wire.BatchReq) {
 				}
 			}
 			if strays > 0 {
-				srvStrayKeys.Add(uint64(strays))
+				s.strayKeys.Add(uint64(strays))
 			}
 		} else if m.Shard != uint32(s.opts.Shard) {
 			cs.reply(&wire.BatchResp{Batch: m.Batch, Flags: wire.FlagMisrouted})
@@ -992,7 +1023,8 @@ func (s *Server) worker() {
 		// queued is answered with an Expired bit instead of a store read
 		// plus service delay the caller has already stopped waiting for.
 		if !bs.deadline.IsZero() && time.Now().After(bs.deadline) {
-			srvExpiredDrops.Inc()
+			s.expiredDrops.Add(1)
+			srvExpiredDropsTotal.Inc()
 			bs.finish(it.index, qlen, keyResult{expired: true})
 			continue
 		}

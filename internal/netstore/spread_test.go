@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"github.com/brb-repro/brb/internal/cluster"
-	"github.com/brb-repro/brb/internal/metrics"
 )
 
 // spreadCluster builds a 1-shard × 2-replica cluster (2 workers per
@@ -86,13 +85,12 @@ func waitScorerBalanced(t *testing.T, c *Cluster) {
 }
 
 // batchesSent runs f and returns how many BatchReq messages and
-// sub-tasks multigets accounted meanwhile.
-func batchesSent(f func()) (batches, subtasks uint64) {
-	b0 := metrics.CounterValue("netstore_multiget_batches_total")
-	s0 := metrics.CounterValue("netstore_multiget_subtasks_total")
+// sub-tasks c's multigets accounted meanwhile.
+func batchesSent(c *Cluster, f func()) (batches, subtasks uint64) {
+	before := c.Stats()
 	f()
-	return metrics.CounterValue("netstore_multiget_batches_total") - b0,
-		metrics.CounterValue("netstore_multiget_subtasks_total") - s0
+	after := c.Stats()
+	return after.MultigetBatches - before.MultigetBatches, after.MultigetSubtasks - before.MultigetSubtasks
 }
 
 // An 8-key sub-task against two idle, warm replicas with a real service
@@ -101,7 +99,7 @@ func TestSpreadSubTaskOverReplicas(t *testing.T) {
 	c, servers, _, keys := spreadCluster(t, 2*time.Millisecond)
 	warmScorer(c, 2*time.Millisecond)
 	var res *TaskResult
-	batches, subtasks := batchesSent(func() {
+	batches, subtasks := batchesSent(c, func() {
 		var err error
 		if res, err = c.Multiget(bg, keys, ReadOptions{}); err != nil {
 			t.Fatal(err)
@@ -129,7 +127,7 @@ func TestSpreadKeepsSubTaskWhole(t *testing.T) {
 	whole := func(t *testing.T, c *Cluster, keys []string, opts ReadOptions) {
 		t.Helper()
 		var res *TaskResult
-		batches, _ := batchesSent(func() {
+		batches, _ := batchesSent(c, func() {
 			var err error
 			if res, err = c.Multiget(bg, keys, opts); err != nil {
 				t.Fatal(err)

@@ -21,8 +21,6 @@ import (
 	"context"
 	"errors"
 	"time"
-
-	"github.com/brb-repro/brb/internal/metrics"
 )
 
 // Store is the request API of the BRB data store: batched, task-aware
@@ -88,13 +86,6 @@ type WriteOptions struct {
 // forever.
 const DefaultRequestTimeout = 10 * time.Second
 
-// Deadline/cancellation counters (process-wide; see internal/metrics):
-// operations that ended in deadline expiry or caller cancellation.
-var (
-	expiredTotal   = metrics.GetCounter("netstore_expired_total")
-	cancelledTotal = metrics.GetCounter("netstore_cancelled_total")
-)
-
 // requestContext applies the per-call and store-default timeouts:
 // opts timeout (if set) always narrows; the default applies only when
 // the caller brought no deadline at all.
@@ -124,15 +115,15 @@ func budgetOf(ctx context.Context) (int64, bool) {
 	return b.Nanoseconds(), true
 }
 
-// countCtxErr feeds the expiry/cancellation counters from a finished
-// operation's error (call once per public-API operation).
-func countCtxErr(err error) {
+// countCtxErr counts a finished operation's deadline expiry or
+// cancellation (call once per public-API operation).
+func (c *Cluster) countCtxErr(err error) {
 	switch {
 	case err == nil:
 	case errors.Is(err, context.DeadlineExceeded):
-		expiredTotal.Inc()
+		c.expired.Add(1)
 	case errors.Is(err, context.Canceled):
-		cancelledTotal.Inc()
+		c.cancelled.Add(1)
 	}
 }
 

@@ -4,7 +4,7 @@
 GO ?= go
 BIN := bin
 
-.PHONY: all build lint vet fmt test race fuzz-smoke bench bench-check check clean
+.PHONY: all build lint vet fmt test race fuzz-smoke bench profile bench-check check clean
 
 all: build
 
@@ -36,7 +36,7 @@ race:
 	$(GO) test -race -count=10 -run 'TestSched' ./internal/netstore/
 	$(GO) test -race -run 'HotKeyCache|ClusterCache|CacheReplay' ./internal/netstore/
 	$(GO) test -race -count=10 -run 'Revival|HintOverflow|Hint|ProbeRace|LiveAddShard|LiveRemoveShard|MidRebalance|CrashRecovery|ReaderAhead|MisconfiguredLayout|Wedged' ./internal/netstore/
-	$(GO) test -race -count=20 -run 'TestCancellationMidMultiget|TestMultigetDeadlineAgainstStalledReplica|TestQueuedBatchKeysSurviveFrameReuse' ./internal/netstore/
+	$(GO) test -race -count=20 -run 'TestCancellationMidMultiget|TestMultigetDeadlineAgainstStalledReplica|TestQueuedBatchKeysSurviveFrameReuse|TestMultigetValuesSurviveReuse' ./internal/netstore/
 
 # Every decoder is fuzzed for a short while beyond its seed corpus (which
 # `test` already runs): the spec reader and the wire codec.
@@ -46,6 +46,22 @@ fuzz-smoke:
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 100x -benchmem ./internal/wire/ ./internal/netstore/
+
+# CPU and allocation profiles of the store's read round trip: the
+# saturating many-client benchmark and the one-client pipeline, each
+# with the test binary its profiles symbolize against, under profile/
+# (git-ignored). Read them with, for example,
+#   go tool pprof -top profile/netstore.test profile/saturation.cpu.prof
+#   go tool pprof -sample_index=alloc_space -top profile/netstore.test profile/pipeline.mem.prof
+PROFILE := profile
+
+profile:
+	@mkdir -p $(PROFILE)
+	$(GO) test -c -o $(PROFILE)/netstore.test ./internal/netstore/
+	$(PROFILE)/netstore.test -test.run '^$$' -test.bench 'BenchmarkServerSaturation$$' -test.benchtime 3s -test.benchmem \
+		-test.cpuprofile $(PROFILE)/saturation.cpu.prof -test.memprofile $(PROFILE)/saturation.mem.prof
+	$(PROFILE)/netstore.test -test.run '^$$' -test.bench 'BenchmarkServerPipeline$$' -test.benchtime 3s -test.benchmem \
+		-test.cpuprofile $(PROFILE)/pipeline.cpu.prof -test.memprofile $(PROFILE)/pipeline.mem.prof
 
 # bench/ is a Go module of its own (BENCHMARK.json's benchmark), which
 # the root module's ./... patterns skip: vet and test it from inside.

@@ -29,7 +29,7 @@ func Score(respEWMA, svcEWMA, qEWMA float64, outstanding int, clients, concurren
 		concurrency = 1
 	}
 	qHat := 1 + float64(outstanding)*clients + qEWMA
-	return respEWMA - qEWMA*mu/concurrency + math.Pow(qHat, 3)*mu/concurrency
+	return respEWMA - qEWMA*mu/concurrency + qHat*qHat*qHat*mu/concurrency
 }
 
 // ScorerOptions tune a Scorer; zero values take the published defaults.

@@ -76,17 +76,30 @@ type SubTask struct {
 // requests for a distinct replica group"). Sub-tasks appear in order of
 // first occurrence, so decomposition is deterministic.
 func Decompose(t *Task) []SubTask {
+	return DecomposeInto(make([]SubTask, 0, 4), t)
+}
+
+// DecomposeInto is Decompose into dst's storage: it reuses dst's
+// sub-tasks and their Requests arrays, so a caller that keeps the
+// result for its next task decomposes without allocating once the
+// arrays have grown.
+func DecomposeInto(dst []SubTask, t *Task) []SubTask {
 	if len(t.Requests) == 0 {
 		return nil
 	}
-	index := make(map[cluster.GroupID]int, 4)
-	subs := make([]SubTask, 0, 4)
+	subs := dst[:0]
 	for _, r := range t.Requests {
-		i, ok := index[r.Group]
-		if !ok {
-			i = len(subs)
-			index[r.Group] = i
-			subs = append(subs, SubTask{Group: r.Group})
+		i := 0
+		for i < len(subs) && subs[i].Group != r.Group {
+			i++
+		}
+		if i == len(subs) {
+			if i < cap(subs) {
+				subs = subs[:i+1]
+				subs[i] = SubTask{Group: r.Group, Requests: subs[i].Requests[:0]}
+			} else {
+				subs = append(subs, SubTask{Group: r.Group})
+			}
 		}
 		subs[i].Requests = append(subs[i].Requests, r)
 		subs[i].Cost += r.EstCost

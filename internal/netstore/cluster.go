@@ -706,7 +706,7 @@ func (c *Cluster) write(ctx context.Context, key string, value []byte, del bool,
 			if del {
 				c.sizes.Delete(key)
 			} else {
-				learnSize(&c.sizes, key, int64(len(value)))
+				c.sizes.Store(key, int64(len(value)))
 			}
 			if notOwner > 0 {
 				// Mixed verdict: stale donors acked (the write succeeds),
@@ -837,15 +837,21 @@ func (c *Cluster) Multiget(ctx context.Context, keys []string, opts ReadOptions)
 			return res, nil
 		}
 	}
+	mg := multigets.Get().(*multiget)
+	if opts.Hedge.Mode == HedgeOff {
+		// A hedge's losing attempt outlives the call and still reads its
+		// batch's keys (noteResponseVersions), so a hedged call leaves its
+		// working set to the collector.
+		defer mg.recycle()
+	}
 
 	// Build the task over the uncached keys with forecasted costs;
-	// Group carries the shard so core.Decompose yields exactly one
+	// Group carries the shard so core.DecomposeInto yields exactly one
 	// sub-task per shard touched, and each request's ID remains the
-	// key's slot in the ORIGINAL list so results land in place. The
-	// per-key requests are one slab, not one allocation each.
-	task := &core.Task{ID: c.taskSeq.Add(1), Client: c.opts.Client}
-	reqs := make([]core.Request, 0, pending)
-	task.Requests = make([]*core.Request, 0, pending)
+	// key's slot in the ORIGINAL list so results land in place.
+	mg.task = core.Task{ID: c.taskSeq.Add(1), Client: c.opts.Client, Requests: reuse(mg.task.Requests, pending)}
+	task := &mg.task
+	mg.reqs = reuse(mg.reqs, pending)
 	for i, k := range keys {
 		if res.Found[i] {
 			continue // served from the cache above
@@ -854,7 +860,7 @@ func (c *Cluster) Multiget(ctx context.Context, keys []string, opts ReadOptions)
 		if v, ok := c.sizes.Load(k); ok {
 			size = v.(int64)
 		}
-		reqs = append(reqs, core.Request{
+		mg.reqs = append(mg.reqs, core.Request{
 			ID:      uint64(i),
 			TaskID:  task.ID,
 			Client:  c.opts.Client,
@@ -862,57 +868,99 @@ func (c *Cluster) Multiget(ctx context.Context, keys []string, opts ReadOptions)
 			Size:    size,
 			EstCost: c.opts.CostModel.Estimate(size),
 		})
-		task.Requests = append(task.Requests, &reqs[len(reqs)-1])
+		task.Requests = append(task.Requests, &mg.reqs[len(mg.reqs)-1])
 	}
-	subs := core.Prepare(task, c.opts.Assigner)
-	res.Bottleneck = core.Bottleneck(subs)
-	// One slab each for the keys, priorities and result slots of the whole
-	// task, sub-task after sub-task; batches and pieces are windows onto
-	// them.
-	ks := make([]string, 0, pending)
-	ps := make([]int64, 0, pending)
-	ix := make([]int, 0, pending)
-	pieces := make([]piece, 0, len(subs))
+	mg.subs = core.DecomposeInto(mg.subs, task)
+	c.opts.Assigner.Assign(task, mg.subs)
+	res.Bottleneck = core.Bottleneck(mg.subs)
+	// One slab each for the keys, priorities, forecast sizes and result
+	// slots of the whole task, sub-task after sub-task; batches and
+	// pieces are windows onto them.
+	ks, ps := reuse(mg.keys, pending), reuse(mg.prios, pending)
+	zs, ix := reuse(mg.sizes, pending), reuse(mg.idx, pending)
+	pieces := mg.pieces[:0]
 	scale := c.scale.factor()
-	for i := range subs {
-		sub := &subs[i]
+	for i := range mg.subs {
+		sub := &mg.subs[i]
 		lo := len(ks)
 		for _, r := range sub.Requests {
 			ks = append(ks, keys[r.ID])
 			ps = append(ps, int64(float64(r.Priority)*scale)+opts.PriorityBias)
+			zs = append(zs, r.Size)
 			ix = append(ix, int(r.ID))
 		}
-		b := shardBatch{shard: int(sub.Group), taskID: task.ID, cost: sub.Cost, keys: ks[lo:], prios: ps[lo:], idx: ix[lo:]}
+		b := shardBatch{shard: int(sub.Group), taskID: task.ID, cost: sub.Cost, keys: ks[lo:], prios: ps[lo:], sizes: zs[lo:], idx: ix[lo:]}
 		pieces = c.place(st, b, pieces)
 	}
-	c.subtasks.Add(uint64(len(subs)))
-	// Every piece but the last gets a goroutine and reports on errCh; the
-	// last runs here, so a multiget that is one message (Get, a
-	// single-shard read) starts none.
-	last := len(pieces) - 1
-	var errCh chan error
-	if last > 0 {
-		errCh = make(chan error, last)
+	mg.keys, mg.prios, mg.sizes, mg.idx, mg.pieces = ks, ps, zs, ix, pieces
+	c.subtasks.Add(uint64(len(mg.subs)))
+	if last := len(pieces) - 1; cap(mg.errs) < last {
+		mg.errs = make(chan error, last)
 	}
-	for _, p := range pieces[:last] {
-		go func() {
-			errCh <- c.fetchBatch(ctx, st, p.shardBatch, p.rep, res, 0, opts)
-		}()
+	err = c.scatter(ctx, st, pieces, mg.errs, res, opts)
+	res.Latency = time.Since(start)
+	return res, err
+}
+
+// scatter fetches every piece into res and joins their errors. Every
+// piece but the last gets a goroutine and reports on errCh; the last
+// runs here, so a multiget that is one message (Get, a single-shard
+// read) starts none.
+func (c *Cluster) scatter(ctx context.Context, st *topoState, pieces []piece, errCh chan error, res *TaskResult, opts ReadOptions) error {
+	last := len(pieces) - 1
+	for i := range pieces[:last] {
+		go func(p *piece) {
+			errCh <- c.fetchBatch(ctx, st, p, res, 0, opts)
+		}(&pieces[i])
 	}
 	var errs []error
-	if ferr := c.fetchBatch(ctx, st, pieces[last].shardBatch, pieces[last].rep, res, 0, opts); ferr != nil {
-		errs = append(errs, ferr)
+	if err := c.fetchBatch(ctx, st, &pieces[last], res, 0, opts); err != nil {
+		errs = append(errs, err)
 	}
 	for range pieces[:last] {
-		if ferr := <-errCh; ferr != nil {
-			errs = append(errs, ferr)
+		if err := <-errCh; err != nil {
+			errs = append(errs, err)
 		}
 	}
-	res.Latency = time.Since(start)
-	if len(errs) > 0 {
-		return res, errors.Join(errs...)
+	return errors.Join(errs...)
+}
+
+// multiget is one Multiget call's working set: the task with its
+// request slab and sub-tasks, the per-key slabs its batches are windows
+// of, the scatter's pieces (each with its wire request and tried set)
+// and the channel they report on. It comes from multigets and goes back
+// when the call returns; only the TaskResult and the values it holds
+// are the caller's.
+type multiget struct {
+	task   core.Task
+	reqs   []core.Request
+	subs   []core.SubTask
+	keys   []string
+	prios  []int64
+	sizes  []int64
+	idx    []int
+	pieces []piece
+	errs   chan error
+}
+
+var multigets = sync.Pool{New: func() any { return new(multiget) }}
+
+// recycle returns mg to the pool, dropping its references to callers'
+// key strings.
+func (mg *multiget) recycle() {
+	clear(mg.keys[:cap(mg.keys)])
+	clear(mg.pieces[:cap(mg.pieces)])
+	multigets.Put(mg)
+}
+
+// reuse returns s emptied if it can hold n elements, or a new slice
+// that can: the windows Multiget takes of its slabs stay valid while it
+// appends.
+func reuse[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
 	}
-	return res, nil
+	return s[:0]
 }
 
 // shardBatch is keys of one shard within a multiget — a whole sub-task
@@ -926,6 +974,7 @@ type shardBatch struct {
 	cost   int64
 	keys   []string
 	prios  []int64
+	sizes  []int64 // the value size each key's forecast assumed
 	idx    []int
 }
 
@@ -940,17 +989,52 @@ func (b shardBatch) share(k int) int64 {
 // slice returns keys [lo, hi) of b with their share of its cost.
 func (b shardBatch) slice(lo, hi int) shardBatch {
 	b.cost = b.share(hi - lo)
-	b.keys, b.prios, b.idx = b.keys[lo:hi], b.prios[lo:hi], b.idx[lo:hi]
+	b.keys, b.prios, b.sizes, b.idx = b.keys[lo:hi], b.prios[lo:hi], b.sizes[lo:hi], b.idx[lo:hi]
 	return b
+}
+
+// add appends key i of from to b.
+func (b *shardBatch) add(from shardBatch, i int) {
+	b.keys = append(b.keys, from.keys[i])
+	b.prios = append(b.prios, from.prios[i])
+	b.sizes = append(b.sizes, from.sizes[i])
+	b.idx = append(b.idx, from.idx[i])
 }
 
 // piece is one message of a multiget's scatter: the keys of one
 // sub-task that placement put on replica rep, already counted
 // outstanding in the shard's scorer. rep < 0: the shard has no live
-// replica.
+// replica. The request and tried set are what fetchBatch reuses across
+// the piece's attempts.
 type piece struct {
 	shardBatch
-	rep int
+	rep    int
+	req    wire.BatchReq
+	triedR [c3.InlineReplicas]bool
+}
+
+// request fills p's wire request with batch b for replica rep. Send
+// encodes a request before it returns, so each attempt may refill it.
+func (p *piece) request(st *topoState, b shardBatch, rep int) *wire.BatchReq {
+	p.req = wire.BatchReq{
+		TaskID:   b.taskID,
+		Shard:    uint32(b.shard),
+		Replica:  uint32(rep),
+		Epoch:    st.topo.Epoch(),
+		Priority: b.prios,
+		Keys:     b.keys,
+	}
+	return &p.req
+}
+
+// tried returns an empty tried set over r replicas.
+func (p *piece) tried(r int) []bool {
+	if r > len(p.triedR) {
+		return make([]bool, r)
+	}
+	t := p.triedR[:r]
+	clear(t)
+	return t
 }
 
 // nextReplica picks the replica for one whole batch of n keys — a
@@ -988,12 +1072,12 @@ func (c *Cluster) place(st *topoState, b shardBatch, pieces []piece) []piece {
 		counts = make([]int, r)
 	}
 	if scorer.Spread(n, live, counts) < 0 {
-		return append(pieces, piece{b, -1})
+		return append(pieces, piece{shardBatch: b, rep: -1})
 	}
 	lo := 0
 	for r, k := range counts {
 		if k > 0 {
-			pieces = append(pieces, piece{b.slice(lo, lo+k), r})
+			pieces = append(pieces, piece{shardBatch: b.slice(lo, lo+k), rep: r})
 			lo += k
 		}
 	}
@@ -1022,13 +1106,14 @@ func (c *Cluster) place(st *topoState, b shardBatch, pieces []piece) []piece {
 // replica and the first complete answer wins (hedge.go). The hedged
 // replicas share this call's tried set, so the failover loop never
 // re-picks a replica a hedge already asked.
-func (c *Cluster) fetchBatch(ctx context.Context, st *topoState, b shardBatch, rep int, res *TaskResult, depth int, opts ReadOptions) error {
+func (c *Cluster) fetchBatch(ctx context.Context, st *topoState, p *piece, res *TaskResult, depth int, opts ReadOptions) error {
 	// b.shard is always bucketed from st.topo by the caller (Multiget or
 	// retryStrays), so the shard exists in st by construction.
+	b, rep := p.shardBatch, p.rep
 	scorer := st.scorers[b.shard]
 	n := len(b.keys)
 	pol := opts.Hedge.withDefaults()
-	tried := make([]bool, st.topo.Replicas())
+	tried := p.tried(st.topo.Replicas())
 	// behind: a replica answered strays from an OLDER topology than st's
 	// (see the stray handling below); b has shrunk to those strays.
 	behind := false
@@ -1082,7 +1167,7 @@ func (c *Cluster) fetchBatch(ctx context.Context, st *topoState, b shardBatch, r
 		if pol.Mode != HedgeOff && st.topo.Replicas() > 1 {
 			var err error
 			var fired int
-			resp, rep, fired, err = c.hedgedBatch(ctx, st, scorer, b, rep, slot, sc, tried, pol)
+			resp, rep, fired, err = c.hedgedBatch(ctx, st, scorer, p, b, rep, slot, sc, tried, pol)
 			if fired > 0 {
 				// res slots are disjoint across sub-batches but Hedged is
 				// shared; hedges from a failed attempt still cost real work,
@@ -1101,7 +1186,7 @@ func (c *Cluster) fetchBatch(ctx context.Context, st *topoState, b shardBatch, r
 			sent := time.Now()
 			var err error
 			c.batches.Add(1)
-			resp, err = sc.batch(ctx, batchReq(st, b, rep))
+			resp, err = sc.batch(ctx, p.request(st, b, rep))
 			if err != nil {
 				// The scorer only unwinds outstanding — an aborted batch says
 				// nothing about service times.
@@ -1129,40 +1214,17 @@ func (c *Cluster) fetchBatch(ctx context.Context, st *topoState, b shardBatch, r
 			// Pre-topology servers cannot tell us what moved; this is
 			// configuration skew, not an epoch change, and failover
 			// cannot fix it.
+			resp.Release()
 			return fmt.Errorf("netstore: server %d rejected batch for shard %d as misrouted", slot.id, b.shard)
 		}
 		if len(resp.Values) != n {
+			resp.Release()
 			return fmt.Errorf("netstore: shard %d returned %d values for %d keys", b.shard, len(resp.Values), n)
 		}
-		stray := shardBatch{shard: b.shard, taskID: b.taskID}
-		for i := range b.keys {
-			if resp.Stray != nil && resp.Stray[i] {
-				stray.idx = append(stray.idx, b.idx[i])
-				stray.keys = append(stray.keys, b.keys[i])
-				stray.prios = append(stray.prios, b.prios[i])
-				continue
-			}
-			if resp.Expired != nil && resp.Expired[i] {
-				// The server shed this key before service: the budget ran
-				// out while it queued. Not a miss, not a stray — deadline
-				// expiry, reported as such below.
-				expired++
-				continue
-			}
-			orig := b.idx[i]
-			res.Values[orig] = resp.Values[i]
-			res.Found[orig] = resp.Found[i]
-			if resp.Found[i] {
-				learnSize(&c.sizes, b.keys[i], int64(len(resp.Values[i])))
-				// Cache fill, strictly gated on arrival: the stray and
-				// expired branches above never reach here, so a key the
-				// server refused or shed can never park a phantom entry
-				// (it has no authoritative version to park under).
-				if c.cache != nil && len(resp.Versions) == n {
-					c.cacheFill(b.keys[i], resp.Values[i], resp.Versions[i])
-				}
-			}
-		}
+		stray, shed := c.take(b, resp, res)
+		behindUs := resp.Epoch < st.topo.Epoch()
+		resp.Release()
+		expired += shed
 		var expErr error
 		if expired > 0 {
 			expErr = expiredKeysError(expired)
@@ -1173,7 +1235,7 @@ func (c *Cluster) fetchBatch(ctx context.Context, st *topoState, b shardBatch, r
 		// Served keys stand, strays go around again.
 		stray.cost = b.share(len(stray.keys))
 		c.strayRetries.Add(uint64(len(stray.keys)))
-		if resp.Epoch < st.topo.Epoch() {
+		if behindUs {
 			// The server is BEHIND us: a rebalance's push reached the
 			// server we learned st from before it reached this one, so
 			// the strays are keys st rightly routes here and this replica
@@ -1194,16 +1256,44 @@ func (c *Cluster) fetchBatch(ctx context.Context, st *topoState, b shardBatch, r
 	}
 }
 
-// batchReq builds the wire request carrying batch b to replica rep.
-func batchReq(st *topoState, b shardBatch, rep int) *wire.BatchReq {
-	return &wire.BatchReq{
-		TaskID:   b.taskID,
-		Shard:    uint32(b.shard),
-		Replica:  uint32(rep),
-		Epoch:    st.topo.Epoch(),
-		Priority: b.prios,
-		Keys:     b.keys,
+// take stores the keys of b that resp served into res — each value
+// where Multiget's caller will find it, with no copy: it lives in the
+// response's slab — and returns the keys the server refused as strays
+// and the number it shed as expired. It learns each served key's size
+// where it differs from the one b's forecast assumed, and fills the
+// hot-key cache.
+func (c *Cluster) take(b shardBatch, resp *wire.BatchResp, res *TaskResult) (stray shardBatch, expired int) {
+	n := len(b.keys)
+	stray = shardBatch{shard: b.shard, taskID: b.taskID}
+	for i := range b.keys {
+		if resp.Stray != nil && resp.Stray[i] {
+			stray.add(b, i)
+			continue
+		}
+		if resp.Expired != nil && resp.Expired[i] {
+			// The server shed this key before service: the budget ran
+			// out while it queued. Not a miss, not a stray — deadline
+			// expiry, reported as such by fetchBatch.
+			expired++
+			continue
+		}
+		orig := b.idx[i]
+		res.Values[orig] = resp.Values[i]
+		res.Found[orig] = resp.Found[i]
+		if resp.Found[i] {
+			if size := int64(len(resp.Values[i])); size != b.sizes[i] {
+				c.sizes.Store(b.keys[i], size)
+			}
+			// Cache fill, strictly gated on arrival: the stray and
+			// expired branches above never reach here, so a key the
+			// server refused or shed can never park a phantom entry
+			// (it has no authoritative version to park under).
+			if c.cache != nil && len(resp.Versions) == n {
+				c.cacheFill(b.keys[i], resp.Values[i], resp.Versions[i])
+			}
+		}
 	}
+	return stray, expired
 }
 
 // observe folds batch b, sent at sent and answered by replica rep, into
@@ -1242,23 +1332,21 @@ func (c *Cluster) retryStrays(ctx context.Context, st *topoState, b shardBatch, 
 	if nst == st && nst.topo.HasShard(b.shard) {
 		return fmt.Errorf("%w (%d keys of shard %d)", ErrTopologySkew, len(b.keys), b.shard)
 	}
-	buckets := make(map[int]*shardBatch)
+	buckets := make(map[int]*piece)
 	for i, k := range b.keys {
 		sh := nst.topo.ShardOfKey(k)
-		nb := buckets[sh]
-		if nb == nil {
-			nb = &shardBatch{shard: sh, taskID: b.taskID}
-			buckets[sh] = nb
+		p := buckets[sh]
+		if p == nil {
+			p = &piece{shardBatch: shardBatch{shard: sh, taskID: b.taskID}}
+			buckets[sh] = p
 		}
-		nb.keys = append(nb.keys, k)
-		nb.prios = append(nb.prios, b.prios[i])
-		nb.idx = append(nb.idx, b.idx[i])
+		p.add(b, i)
 	}
 	var errs []error
-	for _, nb := range buckets {
-		nb.cost = b.share(len(nb.keys))
-		rep := c.nextReplica(nst, nb.shard, len(nb.keys), nil)
-		if err := c.fetchBatch(ctx, nst, *nb, rep, res, depth+1, opts); err != nil {
+	for _, p := range buckets {
+		p.cost = b.share(len(p.keys))
+		p.rep = c.nextReplica(nst, p.shard, len(p.keys), nil)
+		if err := c.fetchBatch(ctx, nst, p, res, depth+1, opts); err != nil {
 			errs = append(errs, err)
 		}
 	}

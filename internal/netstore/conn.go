@@ -35,16 +35,6 @@ func (vc *versionClock) next() uint64 {
 	}
 }
 
-// learnSize caches a key's observed value size for cost forecasting,
-// skipping the store (and its per-call boxing allocation) when the
-// cached size is already right — the steady-state case.
-func learnSize(sizes *sync.Map, key string, size int64) {
-	if v, ok := sizes.Load(key); ok && v.(int64) == size {
-		return
-	}
-	sizes.Store(key, size)
-}
-
 // TaskResult is the outcome of one batched task.
 type TaskResult struct {
 	// Values are the read values, parallel to the requested keys;
@@ -226,10 +216,11 @@ func (sc *serverConn) start(ctx context.Context, req wire.Message, what string) 
 	if !ok {
 		return 0, nil, ctxErr(ctx, what+" not sent")
 	}
-	ch := make(chan wire.Message, 1)
+	ch := replyChans.Get().(chan wire.Message)
 	sc.mu.Lock()
 	if sc.closed {
 		sc.mu.Unlock()
+		replyChans.Put(ch)
 		return 0, nil, fmt.Errorf("netstore: connection closed: %v", sc.closeErr)
 	}
 	sc.nextID++
@@ -243,6 +234,14 @@ func (sc *serverConn) start(ctx context.Context, req wire.Message, what string) 
 	}
 	return id, ch, nil
 }
+
+// replyChans recycles the channels start registers. A channel goes back
+// only once its one reply was received: the read loop deregisters a
+// waiter before it sends, so a channel that delivered is empty and
+// nobody else holds it. One whose wait was abandoned may still receive
+// a late reply, and one the read loop closed is spent; both are left to
+// the collector.
+var replyChans = sync.Pool{New: func() any { return make(chan wire.Message, 1) }}
 
 // abandon deregisters a waiter; the read loop then drops its reply on
 // arrival (the server still does the work — the abandonment is a
@@ -264,6 +263,7 @@ func (sc *serverConn) wait(ctx context.Context, id uint64, ch chan wire.Message,
 		if !ok {
 			return nil, fmt.Errorf("netstore: connection closed awaiting %s: %v", what, sc.closeError())
 		}
+		replyChans.Put(ch)
 		return m, nil
 	case <-ctx.Done():
 		sc.abandon(id)

@@ -148,7 +148,8 @@ func (c *Cluster) newHedgeTimer(d time.Duration) (<-chan time.Time, func()) {
 // response into the shard's scorer and validate cache versions against
 // it, bounded by ctx (every request context carries a deadline by
 // construction). Replicas this call attempts are marked in tried, so
-// the caller's failover loop never re-picks them.
+// the caller's failover loop never re-picks them. Each attempt's request
+// is built in p, the piece b belongs to.
 //
 // An error return means every attempt's connection died (each already
 // marked down, arming the prober) or ctx ended; the caller fails over
@@ -158,7 +159,7 @@ func (c *Cluster) newHedgeTimer(d time.Duration) (<-chan time.Time, func()) {
 // success and failure alike — the caller accounts them to the task
 // (TaskResult.Hedged) so per-class workload reports can attribute
 // hedging spend, which the per-client ClusterStats cannot.
-func (c *Cluster) hedgedBatch(ctx context.Context, st *topoState, scorer *c3.Scorer, b shardBatch, first int, slot *serverSlot, sc *serverConn, tried []bool, pol HedgePolicy) (*wire.BatchResp, int, int, error) {
+func (c *Cluster) hedgedBatch(ctx context.Context, st *topoState, scorer *c3.Scorer, p *piece, b shardBatch, first int, slot *serverSlot, sc *serverConn, tried []bool, pol HedgePolicy) (*wire.BatchResp, int, int, error) {
 	n := len(b.keys)
 	type outcome struct {
 		rep  int
@@ -171,7 +172,7 @@ func (c *Cluster) hedgedBatch(ctx context.Context, st *topoState, scorer *c3.Sco
 	// its keys outstanding; every way the attempt can end unwinds them.
 	launch := func(rep int, slot *serverSlot, sc *serverConn) bool {
 		c.batches.Add(1)
-		id, ch, err := sc.start(ctx, batchReq(st, b, rep), "batch")
+		id, ch, err := sc.start(ctx, p.request(st, b, rep), "batch")
 		if err != nil {
 			scorer.OnError(rep, n)
 			if ctx.Err() == nil {
@@ -193,6 +194,7 @@ func (c *Cluster) hedgedBatch(ctx context.Context, st *topoState, scorer *c3.Sco
 					results <- outcome{rep: rep}
 					return
 				}
+				replyChans.Put(ch)
 				c.observe(scorer, rep, b, sent, resp)
 				// Even a losing answer carries authoritative versions:
 				// let the cache check its entries against them.

@@ -2,6 +2,7 @@ package netstore
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"fmt"
 	"net"
@@ -694,6 +695,71 @@ func TestQueuedBatchKeysSurviveFrameReuse(t *testing.T) {
 	for i, k := range keys {
 		if !resp.Found[i] || string(resp.Values[i]) != "value of "+k {
 			t.Fatalf("key %d (%s): found=%v value=%q", i, k, resp.Found[i], resp.Values[i])
+		}
+	}
+}
+
+// A Multiget's values are the caller's: later calls on the same client
+// and connections, whose responses pass through the same read buffers,
+// pooled frames, decoded-response shells and working sets, never change
+// their bytes. Values range from one byte to frames larger than a
+// connection's read buffer, and are rewritten between rounds, so a
+// value that aliased anything recycled would soon read another key's
+// or another generation's bytes.
+func TestMultigetValuesSurviveReuse(t *testing.T) {
+	addrs, _, stop := startCluster(t, 2, ServerOptions{})
+	defer stop()
+	c, err := DialCluster(addrs, ClusterOptions{Topology: testTopo(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const nKeys, perCall, rounds = 40, 8, 150
+	sizes := []int{1, 100, 1500, 9000, 70 << 10}
+	key := func(k int) string { return fmt.Sprintf("survive:%02d", k) }
+	value := func(k, gen int) []byte {
+		v := make([]byte, sizes[k%len(sizes)])
+		for i := range v {
+			v[i] = byte(k*31 + gen*7 + i)
+		}
+		return v
+	}
+	write := func(gen int) {
+		for k := 0; k < nKeys; k++ {
+			if err := c.Set(bg, key(k), value(k, gen), WriteOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	type call struct {
+		first, gen int
+		res        *TaskResult
+	}
+	var calls []call
+	gen := 0
+	write(gen)
+	for round := 0; round < rounds; round++ {
+		if round%50 == 49 {
+			gen++
+			write(gen)
+		}
+		first := round * 3 % nKeys
+		keys := make([]string, perCall)
+		for i := range keys {
+			keys[i] = key((first + i) % nKeys)
+		}
+		res, err := c.Multiget(bg, keys, ReadOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		calls = append(calls, call{first, gen, res})
+	}
+	for n, cl := range calls {
+		for i := 0; i < perCall; i++ {
+			k := (cl.first + i) % nKeys
+			if !cl.res.Found[i] || !bytes.Equal(cl.res.Values[i], value(k, cl.gen)) {
+				t.Fatalf("call %d, key %s (%d bytes): value changed after %d later calls", n, key(k), len(cl.res.Values[i]), len(calls)-n-1)
+			}
 		}
 	}
 }

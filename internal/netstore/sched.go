@@ -27,21 +27,29 @@ type scheduler struct {
 	mu sync.Mutex
 	q  queue.Discipline[*workItem] // guarded by mu
 
-	// pending is the queued-item count, incremented BEFORE the items
-	// become poppable and decremented under mu at pop, so it never goes
-	// negative and a zero read under idleMu really means "nothing to
-	// serve". It doubles as QueueLen telemetry.
+	// pending is the queued-item count. It changes only under mu,
+	// together with the queue (pushAll adds after its pushes, tryPop
+	// subtracts at its pop), so it equals the queue's length whenever mu
+	// is free: a nonzero read means an item is poppable or about to be,
+	// never that a worker should spin on an empty queue while a pusher
+	// waits for the lock. It doubles as QueueLen telemetry.
 	pending atomic.Int64
 
 	// Idle handshake. Workers that find the queue empty park on
 	// idleCond; pushers wake them only when idlers says someone is (or
 	// is about to be) parked, so the loaded hot path never touches
 	// idleMu. The handshake is Dekker-shaped: the parking worker
-	// publishes idlers before reading pending, the pusher publishes
-	// pending before reading idlers, and Go atomics are sequentially
-	// consistent — so at least one side always sees the other, and a
-	// push can never slip between a worker's empty pop and its Wait
-	// unobserved.
+	// publishes idlers before reading pending (under idleMu, right
+	// before its Wait), the pusher publishes pending before reading
+	// idlers, and Go atomics are sequentially consistent — so at least
+	// one side always sees the other. A pusher that sees an idler
+	// signals under idleMu, which the parking worker holds from its
+	// pending read to its Wait, so the signal cannot fall between them.
+	//
+	// One wake-up per push, not a broadcast: the woken worker pops, and a
+	// pop that leaves items queued wakes the next idler in turn. Every
+	// queued item is thus either being popped by an awake worker or
+	// behind one — a worker parks only after reading pending == 0.
 	idleMu   sync.Mutex
 	idleCond *sync.Cond
 	idlers   atomic.Int32
@@ -58,31 +66,37 @@ func newScheduler(d Discipline) *scheduler {
 }
 
 // pushAll enqueues a batch's work-item slab under one lock hold and
-// wakes parked workers; the scheduler holds pointers into the slab
-// until each item is popped. pending is published before the items so
-// it never undercounts (a popper may transiently spin on a nonzero
-// pending while mu is still held here — bounded by this critical
-// section).
+// wakes one parked worker; the scheduler holds pointers into the slab
+// until each item is popped.
 func (s *scheduler) pushAll(items []workItem) {
-	s.pending.Add(int64(len(items)))
 	s.mu.Lock()
 	for i := range items {
 		s.q.Push(&items[i], items[i].priority)
 	}
+	s.pending.Add(int64(len(items)))
 	s.mu.Unlock()
+	s.wakeOne()
+}
+
+// wakeOne signals one parked worker, if any.
+func (s *scheduler) wakeOne() {
 	if s.idlers.Load() != 0 {
 		s.idleMu.Lock()
-		s.idleCond.Broadcast()
+		s.idleCond.Signal()
 		s.idleMu.Unlock()
 	}
 }
 
 // pop blocks until an item is available, returning the queue's minimum
 // and the remaining queue length, or ok=false once the scheduler is
-// closed and drained.
+// closed and drained. A pop that leaves items queued wakes the next
+// parked worker.
 func (s *scheduler) pop() (*workItem, int, bool) {
 	for {
 		if it, qlen, ok := s.tryPop(); ok {
+			if qlen > 0 {
+				s.wakeOne()
+			}
 			return it, qlen, true
 		}
 		s.idleMu.Lock()

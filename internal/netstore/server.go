@@ -640,7 +640,10 @@ func (s *Server) handle(conn net.Conn) {
 				return
 			}
 		case *wire.BatchReq:
+			// The batch's work items hold its keys and ranks, so the
+			// request's shell goes back to Decode for the next one.
 			s.enqueueBatch(cs, m)
+			m.Release()
 		default:
 			// Unknown-but-decodable messages are ignored; the protocol
 			// is forward-compatible for clients, not servers.
@@ -1022,13 +1025,15 @@ func (s *Server) worker() {
 		// any service work: a key whose deadline budget ran out while it
 		// queued is answered with an Expired bit instead of a store read
 		// plus service delay the caller has already stopped waiting for.
-		if !bs.deadline.IsZero() && time.Now().After(bs.deadline) {
+		// One clock read serves the shed check and starts the service
+		// window.
+		svcStart := time.Now()
+		if !bs.deadline.IsZero() && svcStart.After(bs.deadline) {
 			s.expiredDrops.Add(1)
 			srvExpiredDropsTotal.Inc()
 			bs.finish(it.index, qlen, keyResult{expired: true})
 			continue
 		}
-		svcStart := time.Now()
 		if s.opts.Fault != nil {
 			// Inside the measured service window, so injected latency
 			// reaches clients as service time (a slow replica must look

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // preallocCount bounds decode-slice preallocation: exact for any
@@ -27,7 +28,13 @@ type Message interface {
 	// appendBody appends the message body (everything after the type
 	// byte) to dst and returns the extended slice.
 	appendBody(dst []byte) []byte
+	// bodySize is the number of bytes appendBody appends.
+	bodySize() int
 }
+
+// FrameSize is the encoded size of m's frame: length prefix, type byte
+// and body — what AppendEncode appends.
+func FrameSize(m Message) int { return 5 + m.bodySize() }
 
 func (m *BatchReq) msgType() MsgType { return TBatchReq }
 func (m *BatchReq) appendBody(dst []byte) []byte {
@@ -48,19 +55,47 @@ func (m *BatchReq) appendBody(dst []byte) []byte {
 	return dst
 }
 
+func (m *BatchReq) bodySize() int {
+	n := 44
+	for _, k := range m.Keys {
+		n += 10 + len(k)
+	}
+	return n
+}
+
+// Decoded batch messages come from these pools, and go back to them by
+// Release.
+var (
+	batchReqs  = sync.Pool{New: func() any { return new(BatchReq) }}
+	batchResps = sync.Pool{New: func() any { return new(BatchResp) }}
+)
+
+// Release hands a request Decode returned back to Decode, which reuses
+// the struct and its Keys and Priority arrays for a later request. The
+// caller must hold no reference to m or its slices afterwards; the key
+// strings themselves stay valid.
+func (m *BatchReq) Release() {
+	clear(m.Keys)
+	batchReqs.Put(m)
+}
+
 func decodeBatchReq(r *reader) (*BatchReq, error) {
-	m := &BatchReq{Batch: r.u64(), TaskID: r.u64(), Shard: r.u32(), Replica: r.u32(), Epoch: r.u64(), Budget: r.i64()}
+	m := batchReqs.Get().(*BatchReq)
+	prios, keys := m.Priority[:0], m.Keys[:0]
+	*m = BatchReq{Batch: r.u64(), TaskID: r.u64(), Shard: r.u32(), Replica: r.u32(), Epoch: r.u64(), Budget: r.i64()}
 	n := r.count(10) // 8-byte priority + 2-byte key length floor
 	if n > 1 {
 		// One string copy of the rest of the frame backs every key, the
 		// way decodeBatchResp's slab backs its values: 8 keys cost 1
 		// allocation, not 8 (the priorities ride along in the copy), and
 		// retaining any one key pins the whole copy.
-		r.keys, r.keysAt = string(r.b[r.off:]), r.off
+		r.keys, r.at = string(r.b[r.off:]), r.off
 	}
 	if c := preallocCount(n); c > 0 {
-		m.Priority = make([]int64, 0, c)
-		m.Keys = make([]string, 0, c)
+		if cap(keys) < c {
+			prios, keys = make([]int64, 0, c), make([]string, 0, c)
+		}
+		m.Priority, m.Keys = prios, keys
 	}
 	for i := 0; i < n && r.err == nil; i++ {
 		m.Priority = append(m.Priority, r.i64())
@@ -125,20 +160,43 @@ func (m *BatchResp) appendBody(dst []byte) []byte {
 	return dst
 }
 
+func (m *BatchResp) bodySize() int {
+	n := 41 + 9*len(m.Values)
+	for i, v := range m.Values {
+		if m.Found[i] {
+			n += 4 + len(v)
+		}
+	}
+	return n
+}
+
+// Release hands a response Decode returned back to Decode, which reuses
+// the struct and its Values, Found and Versions arrays for a later
+// response. The caller must hold no reference to m or its slices
+// afterwards; the values themselves stay valid (they live in the
+// response's slab, which is never reused).
+func (m *BatchResp) Release() {
+	clear(m.Values)
+	batchResps.Put(m)
+}
+
 func decodeBatchResp(r *reader) (*BatchResp, error) {
-	m := &BatchResp{Batch: r.u64(), Flags: r.u8(), Epoch: r.u64(), QueueLen: r.u32(), WaitNanos: r.i64(), ServiceNanos: r.i64()}
+	m := batchResps.Get().(*BatchResp)
+	vals, found, vers := m.Values[:0], m.Found[:0], m.Versions[:0]
+	*m = BatchResp{Batch: r.u64(), Flags: r.u8(), Epoch: r.u64(), QueueLen: r.u32(), WaitNanos: r.i64(), ServiceNanos: r.i64()}
 	n := r.count(9) // 1-byte flag + 8-byte version floor
 	if n > 1 {
-		// One slab backs every value in the batch (the bytes left in the
-		// frame bound their total size, give or take ~13 metadata bytes
-		// per key). Copying 8 values costs 1 allocation, not 8; the
+		// One copy of the rest of the frame backs every value in the batch
+		// (~13 metadata bytes per key ride along). Copying 8 values costs
+		// 1 allocation, not 8, and an append copy is not zeroed first; the
 		// trade is that retaining any one value pins the batch's slab.
-		r.slab = make([]byte, 0, len(r.b)-r.off)
+		r.vals, r.at = append([]byte(nil), r.b[r.off:]...), r.off
 	}
 	if c := preallocCount(n); c > 0 {
-		m.Values = make([][]byte, 0, c)
-		m.Found = make([]bool, 0, c)
-		m.Versions = make([]uint64, 0, c)
+		if cap(vals) < c || cap(found) < c || cap(vers) < c {
+			vals, found, vers = make([][]byte, 0, c), make([]bool, 0, c), make([]uint64, 0, c)
+		}
+		m.Values, m.Found, m.Versions = vals, found, vers
 	}
 	for i := 0; i < n && r.err == nil; i++ {
 		flags := r.u8()
@@ -176,6 +234,7 @@ func decodeBatchResp(r *reader) (*BatchResp, error) {
 }
 
 func (m *Set) msgType() MsgType { return TSet }
+func (m *Set) bodySize() int    { return 42 + len(m.Key) + len(m.Value) }
 func (m *Set) appendBody(dst []byte) []byte {
 	dst = appendU64(dst, m.Seq)
 	dst = appendU64(dst, m.Version)
@@ -192,6 +251,7 @@ func decodeSet(r *reader) (*Set, error) {
 }
 
 func (m *Del) msgType() MsgType { return TDel }
+func (m *Del) bodySize() int    { return 38 + len(m.Key) }
 func (m *Del) appendBody(dst []byte) []byte {
 	dst = appendU64(dst, m.Seq)
 	dst = appendU64(dst, m.Version)
@@ -207,6 +267,7 @@ func decodeDel(r *reader) (*Del, error) {
 }
 
 func (m *DelResp) msgType() MsgType             { return TDelResp }
+func (m *DelResp) bodySize() int                { return 8 }
 func (m *DelResp) appendBody(dst []byte) []byte { return appendU64(dst, m.Seq) }
 
 func decodeDelResp(r *reader) (*DelResp, error) {
@@ -215,6 +276,7 @@ func decodeDelResp(r *reader) (*DelResp, error) {
 }
 
 func (m *SetResp) msgType() MsgType             { return TSetResp }
+func (m *SetResp) bodySize() int                { return 8 }
 func (m *SetResp) appendBody(dst []byte) []byte { return appendU64(dst, m.Seq) }
 
 func decodeSetResp(r *reader) (*SetResp, error) {
@@ -223,6 +285,7 @@ func decodeSetResp(r *reader) (*SetResp, error) {
 }
 
 func (m *Ping) msgType() MsgType             { return TPing }
+func (m *Ping) bodySize() int                { return 8 }
 func (m *Ping) appendBody(dst []byte) []byte { return appendU64(dst, m.Nonce) }
 
 func decodePing(r *reader) (*Ping, error) {
@@ -231,6 +294,7 @@ func decodePing(r *reader) (*Ping, error) {
 }
 
 func (m *Pong) msgType() MsgType             { return TPong }
+func (m *Pong) bodySize() int                { return 8 }
 func (m *Pong) appendBody(dst []byte) []byte { return appendU64(dst, m.Nonce) }
 
 func decodePong(r *reader) (*Pong, error) {
@@ -239,6 +303,7 @@ func decodePong(r *reader) (*Pong, error) {
 }
 
 func (m *NotOwner) msgType() MsgType { return TNotOwner }
+func (m *NotOwner) bodySize() int    { return 20 }
 func (m *NotOwner) appendBody(dst []byte) []byte {
 	dst = appendU64(dst, m.ID)
 	dst = appendU64(dst, m.Epoch)
@@ -251,6 +316,7 @@ func decodeNotOwner(r *reader) (*NotOwner, error) {
 }
 
 func (m *TopoGet) msgType() MsgType             { return TTopoGet }
+func (m *TopoGet) bodySize() int                { return 8 }
 func (m *TopoGet) appendBody(dst []byte) []byte { return appendU64(dst, m.Seq) }
 
 func decodeTopoGet(r *reader) (*TopoGet, error) {
@@ -259,6 +325,16 @@ func decodeTopoGet(r *reader) (*TopoGet, error) {
 }
 
 func (m *Topo) msgType() MsgType { return TTopo }
+func (m *Topo) bodySize() int {
+	n := 28
+	for _, sh := range m.Shards {
+		n += 8
+		for _, a := range sh.Addrs {
+			n += 6 + len(a)
+		}
+	}
+	return n
+}
 func (m *Topo) appendBody(dst []byte) []byte {
 	dst = appendU64(dst, m.Seq)
 	dst = appendU64(dst, m.Epoch)
@@ -302,6 +378,7 @@ func decodeTopo(r *reader) (*Topo, error) {
 }
 
 func (m *Scan) msgType() MsgType { return TScan }
+func (m *Scan) bodySize() int    { return 14 + len(m.After) }
 func (m *Scan) appendBody(dst []byte) []byte {
 	dst = appendU64(dst, m.Seq)
 	dst = appendU32(dst, m.Cursor)
@@ -314,6 +391,16 @@ func decodeScan(r *reader) (*Scan, error) {
 }
 
 func (m *ScanResp) msgType() MsgType { return TScanResp }
+func (m *ScanResp) bodySize() int {
+	n := 16
+	for i, k := range m.Keys {
+		n += 11 + len(k)
+		if !m.Dead[i] {
+			n += 4 + len(m.Values[i])
+		}
+	}
+	return n
+}
 func (m *ScanResp) appendBody(dst []byte) []byte {
 	dst = appendU64(dst, m.Seq)
 	dst = appendU32(dst, m.NextCursor)
@@ -372,7 +459,7 @@ func AppendEncode(dst []byte, m Message) []byte {
 // Encode serializes a message into a fresh framed byte slice (the
 // convenience form of AppendEncode).
 func Encode(m Message) []byte {
-	return AppendEncode(make([]byte, 0, 64), m)
+	return AppendEncode(make([]byte, 0, FrameSize(m)), m)
 }
 
 // Decode parses one frame payload (type byte + body, without the length
@@ -421,38 +508,60 @@ func DecodeAlias(frame []byte) (Message, error) { return Decode(frame) }
 // WriteMessage frames and writes a message through a pooled encode
 // buffer (one Write, no per-message allocation).
 func WriteMessage(w io.Writer, m Message) error {
-	f := GetFrame(0)
+	f := GetFrame(FrameSize(m))
 	f.b = AppendEncode(f.b[:0], m)
 	_, err := w.Write(f.b)
 	f.Release()
 	return err
 }
 
-// ReadFrame reads one length-prefixed frame into a pooled buffer. The
-// caller owns the frame until it calls Release.
+// ReadFrame reads one length-prefixed frame. A frame that fits r's
+// buffer is not copied: the Frame views the buffer, and Release consumes
+// it from r. A larger one is read into a pooled buffer. Either way the
+// caller must Release the frame before it reads from r again.
 func ReadFrame(r *bufio.Reader) (*Frame, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return nil, err
+	hdr, err := r.Peek(4)
+	if err != nil {
+		return nil, midFrame(err, len(hdr))
 	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
+	n := int(binary.BigEndian.Uint32(hdr))
 	if n == 0 {
 		return nil, io.ErrUnexpectedEOF
 	}
 	if n > MaxFrame {
 		return nil, ErrFrameTooLarge
 	}
-	f := GetFrame(int(n))
+	_, _ = r.Discard(4) // Peek buffered them
+	if n <= r.Size() {
+		b, err := r.Peek(n)
+		if err != nil {
+			return nil, midFrame(err, 1)
+		}
+		f := viewFrames.Get().(*Frame)
+		f.b, f.r = b, r
+		return f, nil
+	}
+	f := GetFrame(n)
 	if _, err := io.ReadFull(r, f.b); err != nil {
 		f.Release()
-		return nil, err
+		return nil, midFrame(err, 1)
 	}
 	return f, nil
 }
 
-// ReadMessage reads one framed message. The frame buffer is pooled
-// internally and recycled before returning; the decoded message owns
-// copies of everything it references.
+// midFrame is the error of a read that hit the end of the stream: a
+// clean io.EOF when it ended between frames (read no bytes of a frame),
+// io.ErrUnexpectedEOF when it cut a frame short.
+func midFrame(err error, read int) error {
+	if err == io.EOF && read > 0 {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// ReadMessage reads one framed message. The frame is recycled before
+// returning; the decoded message owns copies of everything it
+// references.
 func ReadMessage(r *bufio.Reader) (Message, error) {
 	f, err := ReadFrame(r)
 	if err != nil {

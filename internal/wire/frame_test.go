@@ -1,8 +1,12 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
+	"io"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -178,7 +182,11 @@ func FuzzDecodeModes(f *testing.F) {
 		if err != nil {
 			return
 		}
-		again, err := Decode(Encode(m)[4:])
+		enc := Encode(m)
+		if len(enc) != FrameSize(m) {
+			t.Fatalf("%+v encodes to %d bytes, FrameSize says %d", m, len(enc), FrameSize(m))
+		}
+		again, err := Decode(enc[4:])
 		if err != nil {
 			t.Fatalf("re-encoded %+v does not decode: %v", m, err)
 		}
@@ -186,4 +194,62 @@ func FuzzDecodeModes(f *testing.F) {
 			t.Fatalf("decode is not a fixed point:\nfirst:  %+v\nsecond: %+v", m, again)
 		}
 	})
+}
+
+// ReadFrame hands out views of the reader's buffer for frames that fit
+// it and pooled copies for frames that do not. Either way a response
+// decoded from a frame keeps its values once the frame is released, the
+// reader's buffer has moved on and Release has handed the response's
+// shell back to Decode for the next one.
+func TestReadFrameValuesOutliveFrameAndShell(t *testing.T) {
+	var stream bytes.Buffer
+	var want []*BatchResp
+	for i, size := range []int{0, 3, 100, 300, 5000, 20, 1} {
+		m := &BatchResp{
+			Batch:    uint64(i),
+			Values:   [][]byte{bytes.Repeat([]byte{byte(i + 1)}, size), nil, bytes.Repeat([]byte{byte(i + 100)}, size/2)},
+			Found:    []bool{true, false, true},
+			Versions: []uint64{uint64(i), 2, 3},
+		}
+		want = append(want, m)
+		stream.Write(Encode(m))
+	}
+	r := bufio.NewReaderSize(&stream, 256) // the 5000-byte frames do not fit
+	var got []*BatchResp
+	for range want {
+		f, err := ReadFrame(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := Decode(f.Bytes())
+		f.Release()
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp := m.(*BatchResp)
+		got = append(got, &BatchResp{Batch: resp.Batch, Values: slices.Clone(resp.Values), Found: slices.Clone(resp.Found), Versions: slices.Clone(resp.Versions)})
+		resp.Release()
+	}
+	if _, err := ReadFrame(r); err != io.EOF {
+		t.Fatalf("read past the last frame: err %v, want io.EOF", err)
+	}
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("response %d changed after later frames:\n got %+v\nwant %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// A stream that ends inside a frame, in its length prefix or in its
+// body, is a truncated frame; one that ends between frames is io.EOF.
+func TestReadFrameTruncated(t *testing.T) {
+	enc := Encode(&Ping{Nonce: 3})
+	for cut := 1; cut < len(enc); cut++ {
+		if _, err := ReadFrame(bufio.NewReader(bytes.NewReader(enc[:cut]))); err != io.ErrUnexpectedEOF {
+			t.Fatalf("stream cut at %d of %d bytes: err %v, want io.ErrUnexpectedEOF", cut, len(enc), err)
+		}
+	}
+	if _, err := ReadFrame(bufio.NewReader(bytes.NewReader(nil))); err != io.EOF {
+		t.Fatalf("empty stream: err %v, want io.EOF", err)
+	}
 }

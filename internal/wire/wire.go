@@ -8,14 +8,16 @@
 // length-prefixed (uint16 for keys, uint32 for values).
 //
 // The hot path allocates little: AppendEncode appends frames to
-// caller-owned buffers, ReadFrame fills pooled Frame buffers, Decode
-// copies a message out of its frame (one slab for a batch's keys or
-// values, so the frame recycles as soon as it is decoded), and
-// ConnWriter coalesces concurrently queued frames into single Write
-// calls.
+// caller-owned buffers, ReadFrame views the reader's buffer (or fills a
+// pooled Frame for a frame too large for it), Decode copies a message
+// out of its frame (one slab for a batch's keys or values, so the frame
+// recycles as soon as it is decoded) into a batch message shell that
+// Release hands back for the next decode, and ConnWriter coalesces
+// concurrently queued frames into single Write calls.
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -309,16 +311,14 @@ type reader struct {
 	b   []byte
 	off int
 	err error
-	// keys, when armed by a decoder (see decodeBatchReq), is one copy of
-	// b from offset keysAt on; key() returns substrings of it instead of
-	// allocating a string per key.
-	keys   string
-	keysAt int
-	// slab, when armed by a decoder (see decodeBatchResp), backs every
-	// val() copy in this frame with one allocation instead of one per
-	// value. The subslices are capacity-capped, so a caller appending to
-	// a decoded value reallocates instead of clobbering its neighbor.
-	slab []byte
+	// keys or vals, when a decoder armed one (decodeBatchReq keys,
+	// decodeBatchResp vals), is one copy of b from offset at on: key()
+	// returns substrings of keys and val() capacity-capped windows of
+	// vals instead of allocating per key or value (a caller appending to
+	// a decoded value reallocates instead of clobbering its neighbor).
+	keys string
+	vals []byte
+	at   int
 }
 
 func (r *reader) need(n int) []byte {
@@ -370,7 +370,7 @@ func (r *reader) key() string {
 		return ""
 	}
 	if r.keys != "" {
-		return r.keys[off-r.keysAt : off-r.keysAt+n]
+		return r.keys[off-r.at : off-r.at+n]
 	}
 	return string(s)
 }
@@ -380,17 +380,13 @@ func (r *reader) val() []byte {
 		r.err = ErrFrameTooLarge
 		return nil
 	}
+	off := r.off - r.at
 	s := r.need(n)
 	if s == nil {
 		return nil
 	}
-	if r.slab != nil {
-		// The slab's capacity was sized to the frame bytes remaining when
-		// it was armed, which bounds the total value bytes still to come —
-		// these appends never reallocate, so earlier subslices stay valid.
-		off := len(r.slab)
-		r.slab = append(r.slab, s...)
-		return r.slab[off : off+n : off+n]
+	if r.vals != nil {
+		return r.vals[off : off+n : off+n]
 	}
 	cp := make([]byte, n)
 	copy(cp, s)
@@ -424,14 +420,23 @@ func (r *reader) done() error {
 
 // --- pooled frame buffers ---
 
-// Frame is a pooled, reusable frame buffer: the payload of one wire
-// message (type byte + body) as read off a connection. Release returns
-// it to the pool; after Release the Frame may not be used (messages
-// Decode made from it own copies and stay valid).
-type Frame struct{ b []byte }
+// Frame is the payload of one wire message (type byte + body) as read
+// off a connection: a view of the reader's buffer, or a pooled buffer
+// for a frame too large for it. Release recycles it; after Release the
+// Frame may not be used (messages Decode made from it own copies and
+// stay valid).
+type Frame struct {
+	b []byte
+	// r, when non-nil, is the reader whose buffer b views (ReadFrame):
+	// Release consumes the frame from it.
+	r *bufio.Reader
+}
 
 // Bytes is the frame payload, valid until Release.
 func (f *Frame) Bytes() []byte { return f.b }
+
+// viewFrames recycles the Frames ReadFrame hands out as views.
+var viewFrames = sync.Pool{New: func() any { return new(Frame) }}
 
 // The frame pool is tiered by power-of-two capacity class (512 B … 1
 // MiB) so that connections carrying different frame sizes — tiny batch
@@ -484,6 +489,12 @@ func GetFrame(n int) *Frame {
 // Release recycles the frame. The caller must no longer reference the
 // frame's bytes.
 func (f *Frame) Release() {
+	if f.r != nil {
+		_, _ = f.r.Discard(len(f.b))
+		f.b, f.r = nil, nil
+		viewFrames.Put(f)
+		return
+	}
 	c := frameClass(cap(f.b))
 	if c < 0 {
 		return

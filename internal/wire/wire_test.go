@@ -12,6 +12,9 @@ import (
 func roundTrip(t *testing.T, m Message) Message {
 	t.Helper()
 	enc := Encode(m)
+	if len(enc) != FrameSize(m) {
+		t.Fatalf("%T encodes to %d bytes, FrameSize says %d", m, len(enc), FrameSize(m))
+	}
 	got, err := Decode(enc[4:])
 	if err != nil {
 		t.Fatalf("Decode(%T): %v", m, err)

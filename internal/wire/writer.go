@@ -3,6 +3,7 @@ package wire
 import (
 	"errors"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -65,21 +66,35 @@ func (cw *ConnWriter) Send(m Message) error {
 	if cw.closed {
 		return ErrWriterClosed
 	}
+	n := FrameSize(m)
 	if !cw.writing && len(cw.pending) == 0 {
-		// Idle connection: become the writer for this one frame.
+		// Idle connection: become the writer for this one frame, encoded
+		// into the retained buffer — grown once, to the frame's exact
+		// size, when the frame does not fit — or, for a frame too large
+		// to retain, into a pooled frame buffer, so the retained one
+		// survives it.
+		if n > maxSpareBytes {
+			f := GetFrame(n)
+			cw.write(AppendEncode(f.b[:0], m))
+			f.Release()
+			return cw.err
+		}
 		buf := cw.spare
 		cw.spare = nil
-		if buf == nil {
-			buf = make([]byte, 0, 4096)
+		if cap(buf) < n {
+			buf = make([]byte, 0, max(n, minWriteBuf))
 		}
-		buf = AppendEncode(buf[:0], m)
-		cw.write(buf)
+		cw.write(AppendEncode(buf[:0], m))
 		return cw.err
 	}
-	cw.pending = AppendEncode(cw.pending, m)
+	cw.pending = AppendEncode(slices.Grow(cw.pending, n), m)
 	cw.cond.Broadcast()
 	return nil
 }
+
+// minWriteBuf is the smallest buffer a ConnWriter allocates, so a
+// connection's first small frames do not each grow it.
+const minWriteBuf = 4096
 
 // maxSpareBytes bounds the buffer a ConnWriter retains between writes:
 // a burst may grow the coalescing buffer toward maxPendingBytes, but
@@ -150,7 +165,7 @@ func (cw *ConnWriter) loop() {
 		}
 		buf := cw.pending
 		if cw.spare == nil {
-			cw.spare = make([]byte, 0, 4096)
+			cw.spare = make([]byte, 0, minWriteBuf)
 		}
 		cw.pending = cw.spare[:0]
 		cw.spare = nil

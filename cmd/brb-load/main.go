@@ -19,7 +19,7 @@
 // when -data-dir is set or the spec crashes a server).
 //
 // Every run ends with one check of the store's promise, printed as
-// `verify: OK` or `verify: FAILED` (exit 1); see harness.verify.
+// `verify: OK` or `verify: FAILED` (exit 1); see netstore.CheckConvergence.
 package main
 
 import (
@@ -513,7 +513,7 @@ func (h *harness) inject(f loadgen.FaultSpec) error {
 		// Kill aborts the WAL without flushing: the in-process equivalent
 		// of SIGKILL.
 		n.srv.Kill()
-		n.served += n.srv.Served()
+		n.served += n.srv.Stats().Served
 		detail = " — hard kill: no flush, no final snapshot"
 	case "restart":
 		var stats kv.ReplayStats
@@ -570,57 +570,36 @@ func (h *harness) epilogue(client string, worker int, st netstore.Store) {
 
 var errVerify = errors.New("verify failed")
 
-// verify checks the store's promise after a run, scanning every replica
-// directly (no replica selection, no proxy): under the final topology
-// every replica of a key's owner shard reports the same version, and
-// that version is at least the highest version any client of the run
-// saw acknowledged. Divergence after an outage, an acked write lost
-// through a crash and a key that did not reach its new owner in a
-// rebalance are all violations of that one sentence.
+// verify checks the store's promise after a run with
+// netstore.CheckConvergence, under the final topology, scanning each
+// replica where it listens rather than through its fault proxy.
 func (h *harness) verify() error {
 	t := h.topo
-	byShard := map[int][]string{}
-	for _, k := range h.keys {
-		shard := t.ShardOfKey(k)
-		byShard[shard] = append(byShard[shard], k)
-	}
-	diverged, lost := 0, 0
+	var addrs []string
 	for _, shard := range t.ShardIDs() {
-		// Paged, so no response frame carries a whole shard's values.
-		for ks := byShard[shard]; len(ks) > 0; ks = ks[min(512, len(ks)):] {
-			page := ks[:min(512, len(ks))]
-			var ref []uint64
-			for r := 0; r < t.Replicas(); r++ {
-				addr := t.Addr(t.Server(shard, r))
-				if p := h.proxies[fmt.Sprintf("%d/%d", shard, r)]; p != nil {
-					addr = p.target
-				}
-				vers, _, err := netstore.ScanVersions(h.ctx, addr, shard, page, 5*time.Second)
-				if err != nil {
-					fmt.Fprintf(h.out, "verify: FAILED — scan of shard %d replica %d (%s): %v\n", shard, r, addr, err)
-					return errVerify
-				}
-				if r == 0 {
-					ref = vers
-				}
-				for i, k := range page {
-					if vers[i] != ref[i] {
-						if diverged++; diverged <= 5 {
-							h.log.Printf("verify: %s diverged on shard %d: replica 0 v%d, replica %d v%d", k, shard, ref[i], r, vers[i])
-						}
-					}
-					if vers[i] < h.acked[k] {
-						if lost++; lost <= 5 {
-							h.log.Printf("verify: %s acked at v%d but shard %d replica %d serves v%d", k, h.acked[k], shard, r, vers[i])
-						}
-					}
-				}
+		for r := 0; r < t.Replicas(); r++ {
+			addr := t.Addr(t.Server(shard, r))
+			if p := h.proxies[fmt.Sprintf("%d/%d", shard, r)]; p != nil {
+				addr = p.target
 			}
+			addrs = append(addrs, addr)
 		}
 	}
-	if diverged+lost > 0 {
+	direct, err := t.WithAddrs(addrs)
+	if err != nil {
+		return err
+	}
+	cv, err := netstore.CheckConvergence(h.ctx, direct, h.keys, h.acked)
+	for _, e := range cv.Examples {
+		h.log.Printf("verify: %s", e)
+	}
+	switch {
+	case err != nil:
+		fmt.Fprintf(h.out, "verify: FAILED — %v\n", err)
+		return errVerify
+	case cv.Diverged+cv.Lost > 0:
 		fmt.Fprintf(h.out, "verify: FAILED — %d divergences, %d acked-write losses over %d keys × %d replicas (epoch %d)\n",
-			diverged, lost, len(h.keys), t.Replicas(), t.Epoch())
+			cv.Diverged, cv.Lost, len(h.keys), t.Replicas(), t.Epoch())
 		return errVerify
 	}
 	fmt.Fprintf(h.out, "verify: OK — epoch %d, %d keys: all %d replicas of each owner shard agree, at or above all %d acked versions\n",
@@ -659,7 +638,7 @@ func (h *harness) report(rep *loadgen.Report) {
 	s := hist.Summarize()
 	fmt.Fprintf(h.out, "assigner=%s tasks=%d wall=%s throughput=%.0f tasks/s\n",
 		h.cfg.assigner.Name(), s.Count, rep.Wall.Round(time.Millisecond), float64(s.Count)/rep.Wall.Seconds())
-	fmt.Fprintf(h.out, "task latency: %s\n", s)
+	fmt.Fprintf(h.out, "task latency (from due): %s\n", s)
 	fmt.Fprint(h.out, rep.String())
 	// expired_ops and cancelled_ops count every client call, the
 	// loader's included.
@@ -673,7 +652,7 @@ func (h *harness) report(rep *loadgen.Report) {
 		// of the cluster ran in this process.
 		var served uint64
 		for _, n := range h.nodes {
-			served += n.served + n.srv.Served()
+			served += n.served + n.srv.Stats().Served
 		}
 		fmt.Fprintf(h.out, "sched: served_keys=%d multiget_subtasks=%d multiget_batches=%d\n", served,
 			cs.MultigetSubtasks, cs.MultigetBatches)

@@ -2,8 +2,8 @@ package loadgen
 
 // The execution half of the engine: Run takes the op sequence Generate
 // made of a spec and drives it against netstore Stores, one connection
-// per (client, worker) stream, reporting latency and outcome tallies
-// per SLO class.
+// per (client, worker) stream. It keeps one record per op and derives
+// every number it reports from those records.
 
 import (
 	"context"
@@ -35,10 +35,6 @@ type RunConfig struct {
 	// WriteOptions is the base for every write; Timeout is overridden
 	// per op.
 	WriteOptions netstore.WriteOptions
-	// MaxInFlight caps a worker's concurrently outstanding paced ops
-	// (open-loop arrival processes only; closed-loop streams are
-	// sequential by definition). Default 32.
-	MaxInFlight int
 	// OnError observes hard (non-deadline, non-cancel) op failures.
 	// The engine counts every failure per class regardless; the hook
 	// exists for logging. May be called concurrently.
@@ -60,8 +56,13 @@ type ClassStats struct {
 	// caller cancellations; Hedged the hedge attempts fired serving
 	// this class's reads.
 	Errors, Expired, Cancelled, Hedged uint64
-	// Latency summarizes successful read latencies (ns).
+	// Latency summarizes successful reads, each timed from the op's due
+	// time to its completion (ns), so a backlog and a late generator
+	// count.
 	Latency metrics.Summary
+	// Late summarizes how long after its due time each issued op was
+	// issued (ns); a closed-loop op is due when it is issued.
+	Late metrics.Summary
 	// Hist is the backing read-latency histogram, mergeable across
 	// runs.
 	Hist *metrics.Histogram
@@ -80,84 +81,68 @@ func (r *Report) String() string {
 	var b strings.Builder
 	for i := range r.Classes {
 		c := &r.Classes[i]
-		fmt.Fprintf(&b, "class %s (prio %d): ops=%d keys=%d p50=%.3fms p99=%.3fms p999=%.3fms err=%d expired=%d cancelled=%d hedges=%d\n",
-			c.Class, c.Priority, c.Ops, c.KeysRead,
+		fmt.Fprintf(&b, "class %s (prio %d): ops=%d keys=%d late_p99=%.3fms p50=%.3fms p99=%.3fms p999=%.3fms err=%d expired=%d cancelled=%d hedges=%d\n",
+			c.Class, c.Priority, c.Ops, c.KeysRead, metrics.Millis(c.Late.P99),
 			metrics.Millis(c.Latency.Median), metrics.Millis(c.Latency.P99), metrics.Millis(c.Latency.P999),
 			c.Errors, c.Expired, c.Cancelled, c.Hedged)
 	}
 	return b.String()
 }
 
-// classAcc is a worker-local accumulator. Its mutex serializes the
-// paced case, where one worker's in-flight ops complete concurrently;
-// it is never contended across workers.
-type classAcc struct {
-	mu                                 sync.Mutex
-	ops, keysRead, bytesWritten        uint64
-	errors, expired, cancelled, hedged uint64
-	hist                               *metrics.Histogram
+// opRecord is one op of a run: when it was due, issued and done, as
+// offsets from the run's start, how it ended and how many hedges it
+// fired; ran is false for an op the run never issued. Only the
+// goroutine that issues the op writes its record.
+type opRecord struct {
+	due, issued, done time.Duration
+	ran               bool
+	err               error
+	hedged            int32
 }
 
 type workerStream struct {
 	client string
 	worker int
 	idx    int
-	ops    []Op // Seq order
+	ops    []int // indices into the run's ops, Seq order
 }
 
 // Run executes ops against the configured stores and reports per-class
 // outcomes. classes defines the report rows and priorities, and each
 // read carries its class's wire-priority bias (ops naming a class
 // outside the list are tallied under it anyway, priority 0, unbiased).
-// Pacing: an op with TS > 0 is issued at run-start+TS (concurrently,
-// bounded by MaxInFlight); TS = 0 ops are closed-loop — issued as soon
-// as the worker's previous op completed. Cancelling ctx stops the run
+// Pacing: an op with TS > 0 is due at run-start+TS and is issued then on
+// a goroutine of its own, however many of the worker's ops are still
+// outstanding; TS = 0 ops are closed-loop — issued, and due, as soon as
+// the worker's previous op completed. Cancelling ctx stops the run
 // between ops.
 func Run(ctx context.Context, classes []ClassSpec, ops []Op, cfg RunConfig) (*Report, error) {
 	if cfg.Dial == nil {
 		return nil, fmt.Errorf("loadgen: RunConfig.Dial is required")
-	}
-	if cfg.MaxInFlight <= 0 {
-		cfg.MaxInFlight = 32
 	}
 	bias := map[string]int64{}
 	for _, cl := range classes {
 		bias[cl.Name] = cl.bias()
 	}
 	streams := partition(ops)
-	accs := make([]map[string]*classAcc, len(streams))
-	var firstErr error
-	var firstErrMu sync.Mutex
-	fail := func(err error) {
-		firstErrMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		firstErrMu.Unlock()
-	}
+	recs := make([]opRecord, len(ops))
+	dialErrs := make([]error, len(streams))
 	start := time.Now()
 	var wg sync.WaitGroup
 	for si := range streams {
-		si := si
-		st := streams[si]
-		acc := map[string]*classAcc{}
-		accs[si] = acc
+		st := &streams[si]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			store, err := cfg.Dial(st.client, st.worker, st.idx)
 			if err != nil {
-				fail(fmt.Errorf("loadgen: dial %s/%d: %w", st.client, st.worker, err))
+				dialErrs[si] = fmt.Errorf("loadgen: dial %s/%d: %w", st.client, st.worker, err)
 				return
 			}
 			defer store.Close()
-			var opWG sync.WaitGroup
-			sem := make(chan struct{}, cfg.MaxInFlight)
-			for i := range st.ops {
-				if ctx.Err() != nil {
-					break
-				}
-				op := &st.ops[i]
+			var paced sync.WaitGroup
+			for _, i := range st.ops {
+				op, rec := &ops[i], &recs[i]
 				if op.TS > 0 {
 					if d := time.Until(start.Add(time.Duration(op.TS))); d > 0 {
 						t := time.NewTimer(d)
@@ -167,25 +152,21 @@ func Run(ctx context.Context, classes []ClassSpec, ops []Op, cfg RunConfig) (*Re
 							t.Stop()
 						}
 					}
-					select {
-					case sem <- struct{}{}:
-					case <-ctx.Done():
-					}
-					if ctx.Err() != nil {
-						break
-					}
-					a := classAccFor(acc, op.Class)
-					opWG.Add(1)
-					go func() {
-						defer opWG.Done()
-						defer func() { <-sem }()
-						execOp(ctx, store, op, &cfg, bias[op.Class], a)
-					}()
-				} else {
-					execOp(ctx, store, op, &cfg, bias[op.Class], classAccFor(acc, op.Class))
 				}
+				if ctx.Err() != nil {
+					break
+				}
+				if op.TS == 0 {
+					execOp(ctx, start, store, op, &cfg, bias[op.Class], rec)
+					continue
+				}
+				paced.Add(1)
+				go func() {
+					defer paced.Done()
+					execOp(ctx, start, store, op, &cfg, bias[op.Class], rec)
+				}()
 			}
-			opWG.Wait()
+			paced.Wait()
 			if cfg.PostWorker != nil {
 				cfg.PostWorker(st.client, st.worker, store)
 			}
@@ -193,32 +174,24 @@ func Run(ctx context.Context, classes []ClassSpec, ops []Op, cfg RunConfig) (*Re
 	}
 	wg.Wait()
 	wall := time.Since(start)
-	if firstErr != nil {
-		return nil, firstErr
+	for _, err := range dialErrs {
+		if err != nil {
+			return nil, err
+		}
 	}
-	return buildReport(classes, accs, wall), nil
-}
-
-// classAccFor resolves (creating on demand) the worker's accumulator
-// for a class. Always called on the worker's issuing goroutine — never
-// from an in-flight op — so the map itself needs no lock.
-func classAccFor(acc map[string]*classAcc, class string) *classAcc {
-	a := acc[class]
-	if a == nil {
-		a = &classAcc{hist: metrics.NewLatencyHistogram()}
-		acc[class] = a
-	}
-	return a
+	return buildReport(classes, ops, recs, wall), nil
 }
 
 // execOp issues one op, a read with the given priority bias, and
-// tallies its outcome. For paced streams multiple execOps of one worker
-// run concurrently, so updates lock the accumulator; the contention is
-// negligible next to a network round trip.
-func execOp(ctx context.Context, store netstore.Store, op *Op, cfg *RunConfig, bias int64, a *classAcc) {
+// writes its record.
+func execOp(ctx context.Context, start time.Time, store netstore.Store, op *Op, cfg *RunConfig, bias int64, rec *opRecord) {
 	keys := make([]string, len(op.Keys))
 	for i, id := range op.Keys {
 		keys[i] = fmt.Sprintf("key:%d", id)
+	}
+	rec.ran, rec.issued = true, time.Since(start)
+	if rec.due = time.Duration(op.TS); op.TS == 0 {
+		rec.due = rec.issued
 	}
 	var err error
 	var res *netstore.TaskResult
@@ -237,33 +210,12 @@ func execOp(ctx context.Context, store netstore.Store, op *Op, cfg *RunConfig, b
 		ropts.PriorityBias = bias
 		res, err = store.Multiget(ctx, keys, ropts)
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.ops++
+	rec.done, rec.err = time.Since(start), err
 	if res != nil {
-		a.hedged += uint64(res.Hedged)
+		rec.hedged = res.Hedged
 	}
-	if err != nil {
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			a.expired++
-		case errors.Is(err, context.Canceled):
-			a.cancelled++
-		default:
-			a.errors++
-			if cfg.OnError != nil {
-				cfg.OnError(op.Client, op.Worker, err)
-			}
-		}
-		return
-	}
-	switch op.Kind {
-	case OpSet:
-		a.bytesWritten += uint64(op.Size)
-	case OpDel:
-	default:
-		a.keysRead += uint64(len(op.Keys))
-		a.hist.Record(res.Latency.Nanoseconds())
+	if err != nil && cfg.OnError != nil && !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled) {
+		cfg.OnError(op.Client, op.Worker, err)
 	}
 }
 
@@ -285,39 +237,22 @@ func partition(ops []Op) []workerStream {
 			index[key] = si
 			streams = append(streams, workerStream{client: op.Client, worker: op.Worker, idx: si})
 		}
-		streams[si].ops = append(streams[si].ops, *op)
+		streams[si].ops = append(streams[si].ops, i)
 	}
 	return streams
 }
 
-// buildReport merges worker accumulators into the final per-class
-// report, ordered most urgent first.
-func buildReport(classes []ClassSpec, accs []map[string]*classAcc, wall time.Duration) *Report {
-	prio := map[string]int{}
+// buildReport derives the per-class report from the op records,
+// ordered most urgent first.
+func buildReport(classes []ClassSpec, ops []Op, recs []opRecord, wall time.Duration) *Report {
 	order := append([]ClassSpec(nil), classes...)
+	known := map[string]bool{}
 	for _, cl := range order {
-		prio[cl.Name] = cl.Priority
+		known[cl.Name] = true
 	}
-	merged := map[string]*classAcc{}
-	for _, acc := range accs {
-		for name, a := range acc {
-			m := merged[name]
-			if m == nil {
-				m = &classAcc{hist: metrics.NewLatencyHistogram()}
-				merged[name] = m
-			}
-			m.ops += a.ops
-			m.keysRead += a.keysRead
-			m.bytesWritten += a.bytesWritten
-			m.errors += a.errors
-			m.expired += a.expired
-			m.cancelled += a.cancelled
-			m.hedged += a.hedged
-			m.hist.Merge(a.hist)
-		}
-	}
-	for name := range merged {
-		if _, ok := prio[name]; !ok {
+	for i := range ops {
+		if name := ops[i].Class; recs[i].ran && !known[name] {
+			known[name] = true
 			order = append(order, ClassSpec{Name: name, Priority: 0})
 		}
 	}
@@ -327,26 +262,42 @@ func buildReport(classes []ClassSpec, accs []map[string]*classAcc, wall time.Dur
 		}
 		return order[i].Name < order[j].Name
 	})
-	rep := &Report{Wall: wall}
-	for _, cl := range order {
-		a := merged[cl.Name]
-		if a == nil {
-			a = &classAcc{hist: metrics.NewLatencyHistogram()}
+	rep := &Report{Wall: wall, Classes: make([]ClassStats, len(order))}
+	row := map[string]int{}
+	late := make([]*metrics.Histogram, len(order))
+	for i, cl := range order {
+		row[cl.Name] = i
+		rep.Classes[i] = ClassStats{Class: cl.Name, Priority: cl.Priority, Hist: metrics.NewLatencyHistogram()}
+		late[i] = metrics.NewLatencyHistogram()
+	}
+	for i := range recs {
+		r, op := &recs[i], &ops[i]
+		if !r.ran {
+			continue
 		}
-		rep.TotalOps += a.ops
-		rep.Classes = append(rep.Classes, ClassStats{
-			Class:        cl.Name,
-			Priority:     cl.Priority,
-			Ops:          a.ops,
-			KeysRead:     a.keysRead,
-			BytesWritten: a.bytesWritten,
-			Errors:       a.errors,
-			Expired:      a.expired,
-			Cancelled:    a.cancelled,
-			Hedged:       a.hedged,
-			Latency:      a.hist.Summarize(),
-			Hist:         a.hist,
-		})
+		c := &rep.Classes[row[op.Class]]
+		c.Ops++
+		c.Hedged += uint64(r.hedged)
+		late[row[op.Class]].Record(int64(r.issued - r.due))
+		switch {
+		case errors.Is(r.err, context.DeadlineExceeded):
+			c.Expired++
+		case errors.Is(r.err, context.Canceled):
+			c.Cancelled++
+		case r.err != nil:
+			c.Errors++
+		case op.Kind == OpSet:
+			c.BytesWritten += uint64(op.Size)
+		case op.Kind == OpDel:
+		default: // a successful OpGet
+			c.KeysRead += uint64(len(op.Keys))
+			c.Hist.Record(int64(r.done - r.due))
+		}
+	}
+	for i := range rep.Classes {
+		c := &rep.Classes[i]
+		c.Latency, c.Late = c.Hist.Summarize(), late[i].Summarize()
+		rep.TotalOps += c.Ops
 	}
 	return rep
 }

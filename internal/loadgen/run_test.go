@@ -3,6 +3,8 @@ package loadgen
 import (
 	"context"
 	"fmt"
+	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -45,10 +47,9 @@ func (s *captureStore) Multiget(ctx context.Context, keys []string, opts netstor
 		return nil, err
 	}
 	res := &netstore.TaskResult{
-		Values:  make([][]byte, len(keys)),
-		Found:   make([]bool, len(keys)),
-		Latency: time.Duration(1+len(keys)) * time.Millisecond,
-		Hedged:  1,
+		Values: make([][]byte, len(keys)),
+		Found:  make([]bool, len(keys)),
+		Hedged: 1,
 	}
 	return res, nil
 }
@@ -237,7 +238,7 @@ func TestRunCountsHardErrors(t *testing.T) {
 
 func TestRunPacedOpenLoop(t *testing.T) {
 	// A small paced stream: 40 ops at 10k/s is 4ms of schedule. The
-	// point is the paced path (timers, in-flight cap), not throughput.
+	// point is the paced path (timers), not throughput.
 	spec, err := ParseSpec([]byte(`{
   "name": "paced",
   "seed": 11,
@@ -261,8 +262,7 @@ func TestRunPacedOpenLoop(t *testing.T) {
 	}
 	st := newCaptureStore()
 	rep, err := Run(context.Background(), spec.Classes, ops, RunConfig{
-		Dial:        func(string, int, int) (netstore.Store, error) { return st, nil },
-		MaxInFlight: 4,
+		Dial: func(string, int, int) (netstore.Store, error) { return st, nil },
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -272,5 +272,107 @@ func TestRunPacedOpenLoop(t *testing.T) {
 	}
 	if rep.Wall < 3*time.Millisecond {
 		t.Fatalf("paced run finished in %v — pacing not applied", rep.Wall)
+	}
+}
+
+// pacedSpec is n reads by one worker, due every 10µs from the
+// run's start.
+func pacedSpec(t *testing.T, n int) *Spec {
+	t.Helper()
+	spec, err := ParseSpec([]byte(fmt.Sprintf(`{
+  "name": "paced-%d",
+  "seed": 5,
+  "keys": 50,
+  "clients": [
+    {"name": "open", "ops": %d, "arrival": {"process": "fixed", "rate": 100000},
+     "keys": {"dist": "uniform"}, "fanout": {"mean": 1}}
+  ]
+}`, n, n)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spec
+}
+
+// An op the generator issues late still counts the wait: its latency
+// runs from when it was due, and the class line reports the lateness.
+// Here every op is held back by a dial that takes gap.
+func TestRunTimesFromDue(t *testing.T) {
+	spec := pacedSpec(t, 8)
+	ops, err := Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const gap = 100 * time.Millisecond
+	st := newCaptureStore()
+	rep, err := Run(context.Background(), spec.Classes, ops, RunConfig{
+		Dial: func(string, int, int) (netstore.Store, error) {
+			ready := make(chan struct{})
+			time.AfterFunc(gap, func() { close(ready) })
+			<-ready
+			return st, nil
+		},
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	c := rep.Classes[0]
+	lastDue := time.Duration(ops[len(ops)-1].TS)
+	if c.Ops != 8 || c.Latency.Count != 8 {
+		t.Fatalf("%d ops, %d latencies; want 8 of each", c.Ops, c.Latency.Count)
+	}
+	if min := time.Duration(c.Latency.Min); min < gap-lastDue {
+		t.Errorf("fastest read took %v from its due time; the dial alone held every op back %v", min, gap-lastDue)
+	}
+	m := regexp.MustCompile(`keys=\d+ late_p99=([0-9.]+)ms p50=`).FindStringSubmatch(rep.String())
+	if m == nil {
+		t.Fatalf("class line reports no lateness:\n%s", rep)
+	}
+	ms, _ := strconv.ParseFloat(m[1], 64)
+	if late := time.Duration(ms * float64(time.Millisecond)); late < gap-lastDue || late > 2*gap {
+		t.Errorf("late_p99 = %v, want about the %v hold", late, gap)
+	}
+}
+
+// barrierStore holds every read until n of them are in flight at once.
+type barrierStore struct {
+	*captureStore
+	n   int32
+	in  atomic.Int32
+	all chan struct{}
+}
+
+func (s *barrierStore) Multiget(ctx context.Context, keys []string, opts netstore.ReadOptions) (*netstore.TaskResult, error) {
+	if s.in.Add(1) == s.n {
+		close(s.all)
+	}
+	select {
+	case <-s.all:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	return s.captureStore.Multiget(ctx, keys, opts)
+}
+
+// A paced stream is open loop: no op waits for an earlier one, however
+// many are outstanding. 64 reads that the store answers only once all 64
+// are in flight complete well inside the deadline.
+func TestRunPacedHasNoInFlightCap(t *testing.T) {
+	spec := pacedSpec(t, 64)
+	ops, err := Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	st := &barrierStore{captureStore: newCaptureStore(), n: 64, all: make(chan struct{})}
+	rep, err := Run(ctx, spec.Classes, ops, RunConfig{
+		Dial: func(string, int, int) (netstore.Store, error) { return st, nil },
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if c := rep.Classes[0]; c.Ops != 64 || c.Latency.Count != 64 || c.Expired != 0 {
+		t.Fatalf("ops=%d completed=%d expired=%d; want all 64 reads completed", c.Ops, c.Latency.Count, c.Expired)
 	}
 }

@@ -396,7 +396,8 @@ func (c *Cluster) noteResponseVersions(b shardBatch, resp *wire.BatchResp) {
 }
 
 // CacheHits, CacheMisses, CacheInvalidations and CacheEvictions return
-// the ClusterStats fields of the same names; see HedgesFired.
+// the ClusterStats fields of the same names for bench/trace.go, their
+// only caller; see HedgesFired.
 func (c *Cluster) CacheHits() uint64          { return c.Stats().CacheHits }
 func (c *Cluster) CacheMisses() uint64        { return c.Stats().CacheMisses }
 func (c *Cluster) CacheInvalidations() uint64 { return c.Stats().CacheInvalidations }

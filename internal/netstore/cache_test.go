@@ -496,7 +496,7 @@ func TestClusterCacheServesHotKeys(t *testing.T) {
 	if fills := c.Stats().CacheFills; fills != 1 {
 		t.Fatalf("fills after first read = %d, want 1", fills)
 	}
-	served := srv.Served()
+	served := srv.Stats().Served
 	for i := 0; i < 5; i++ {
 		v, found, err := c.Get(bg, "k", ReadOptions{})
 		if err != nil || !found || string(v) != "v" {
@@ -506,10 +506,10 @@ func TestClusterCacheServesHotKeys(t *testing.T) {
 		// poison later hits.
 		v[0] = 'X'
 	}
-	if got := srv.Served() - served; got != 0 {
+	if got := srv.Stats().Served - served; got != 0 {
 		t.Fatalf("server serviced %d keys during cached reads, want 0", got)
 	}
-	if hits := c.CacheHits(); hits != 5 {
+	if hits := c.Stats().CacheHits; hits != 5 {
 		t.Fatalf("cache hits = %d, want 5", hits)
 	}
 	if size := c.CacheSize(); size != 1 {
@@ -533,7 +533,7 @@ func TestClusterMultigetPartialCacheHit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	served := srv.Served()
+	served := srv.Stats().Served
 	res, err := c.Multiget(bg, keys, ReadOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -543,17 +543,17 @@ func TestClusterMultigetPartialCacheHit(t *testing.T) {
 			t.Fatalf("key %s: found=%v val=%q", k, res.Found[i], res.Values[i])
 		}
 	}
-	if got := srv.Served() - served; got != 2 {
+	if got := srv.Stats().Served - served; got != 2 {
 		t.Fatalf("server serviced %d keys, want only the 2 misses", got)
 	}
 
 	// Now everything is warm: the same multiget is served entirely from
 	// the cache.
-	served = srv.Served()
+	served = srv.Stats().Served
 	if _, err := c.Multiget(bg, keys, ReadOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if got := srv.Served() - served; got != 0 {
+	if got := srv.Stats().Served - served; got != 0 {
 		t.Fatalf("fully cached multiget serviced %d keys on the server", got)
 	}
 }
@@ -580,7 +580,7 @@ func TestClusterCacheInvalidatedByLocalWrites(t *testing.T) {
 	if _, found, _ := c.Get(bg, "k", ReadOptions{}); found {
 		t.Fatal("read after delete still found the key")
 	}
-	if invals := c.CacheInvalidations(); invals < 2 {
+	if invals := c.Stats().CacheInvalidations; invals < 2 {
 		t.Fatalf("invalidations = %d, want at least 2 (the Set and the Delete)", invals)
 	}
 }
@@ -688,17 +688,17 @@ func TestClusterCachePartialDeadlineFillsOnlyArrivedKeys(t *testing.T) {
 	// The arrived key is a hit; the stalled key must go back to the
 	// wire (a fill for it never happened).
 	inj.Release()
-	misses := c.CacheMisses()
+	misses := c.Stats().CacheMisses
 	if v, found, err := c.Get(bg, k0, ReadOptions{}); err != nil || !found || string(v) != "live" {
 		t.Fatalf("Get %s = %q found=%v err=%v", k0, v, found, err)
 	}
-	if c.CacheMisses() != misses {
+	if c.Stats().CacheMisses != misses {
 		t.Fatalf("arrived key missed the cache")
 	}
 	if v, found, err := c.Get(bg, k1, ReadOptions{}); err != nil || !found || string(v) != "stalled" {
 		t.Fatalf("Get %s = %q found=%v err=%v", k1, v, found, err)
 	}
-	if c.CacheMisses() != misses+1 {
+	if c.Stats().CacheMisses != misses+1 {
 		t.Fatalf("stalled key served without a wire fetch (fills leaked into the cache)")
 	}
 }

@@ -820,7 +820,6 @@ func (c *Cluster) Multiget(ctx context.Context, keys []string, opts ReadOptions)
 	defer func() { c.countCtxErr(err) }()
 	ctx, cancel := requestContext(ctx, opts.Timeout, c.opts.requestTimeout)
 	defer cancel()
-	start := time.Now()
 	st := c.state.Load()
 
 	res = &TaskResult{
@@ -833,7 +832,6 @@ func (c *Cluster) Multiget(ctx context.Context, keys []string, opts ReadOptions)
 	if c.cache != nil {
 		pending -= c.cache.serve(keys, c.writtenFloor, res.Values, res.Found)
 		if pending == 0 {
-			res.Latency = time.Since(start)
 			return res, nil
 		}
 	}
@@ -872,7 +870,6 @@ func (c *Cluster) Multiget(ctx context.Context, keys []string, opts ReadOptions)
 	}
 	mg.subs = core.DecomposeInto(mg.subs, task)
 	c.opts.Assigner.Assign(task, mg.subs)
-	res.Bottleneck = core.Bottleneck(mg.subs)
 	// One slab each for the keys, priorities, forecast sizes and result
 	// slots of the whole task, sub-task after sub-task; batches and
 	// pieces are windows onto them.
@@ -897,9 +894,7 @@ func (c *Cluster) Multiget(ctx context.Context, keys []string, opts ReadOptions)
 	if last := len(pieces) - 1; cap(mg.errs) < last {
 		mg.errs = make(chan error, last)
 	}
-	err = c.scatter(ctx, st, pieces, mg.errs, res, opts)
-	res.Latency = time.Since(start)
-	return res, err
+	return res, c.scatter(ctx, st, pieces, mg.errs, res, opts)
 }
 
 // scatter fetches every piece into res and joins their errors. Every

@@ -42,12 +42,6 @@ type TaskResult struct {
 	Values [][]byte
 	// Found marks which keys existed.
 	Found []bool
-	// Latency is the task's completion time (issue → last sub-task
-	// response).
-	Latency time.Duration
-	// Bottleneck is the task's forecasted bottleneck cost in
-	// nanoseconds.
-	Bottleneck int64
 	// Hedged counts hedge attempts fired while serving this task.
 	// Sub-batches update it with atomic
 	// adds while the call is in flight; read it only after the call

@@ -55,8 +55,8 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 }
 
 // scanAtLeast reports whether addr serves every key of shard at a
-// version ≥ wantVer[key] (non-fatal form of checkOwnerConvergence's
-// per-replica check, for polling).
+// version ≥ wantVer[key]: CheckConvergence's acked-version check on one
+// replica, for polling.
 func scanAtLeast(addr string, shard int, keys []string, wantVer map[string]uint64) bool {
 	vers, _, err := ScanVersions(bg, addr, shard, keys, 2*time.Second)
 	if err != nil {
@@ -266,7 +266,9 @@ func TestCrashRecoveryWithHints(t *testing.T) {
 	waitUntil(t, "hint replay convergence on the restarted replica", func() bool {
 		return scanAtLeast(addrs[victim], 0, keys, acked)
 	})
-	checkOwnerConvergence(t, mustWithAddrs(t, m, addrs), keys, acked)
+	if cv, err := CheckConvergence(bg, mustWithAddrs(t, m, addrs), keys, acked); err != nil || cv.Diverged+cv.Lost+cv.Absent > 0 {
+		t.Fatalf("want every key found on every replica of its owner shard, all at one version, none below its acked one: %+v, %v", cv, err)
+	}
 }
 
 // TestCrashRecoveryMidRebalance kills a durable migration donor while
@@ -355,7 +357,9 @@ func TestCrashRecoveryMidRebalance(t *testing.T) {
 		}
 		return true
 	})
-	checkOwnerConvergence(t, grown, keys, acked)
+	if cv, err := CheckConvergence(bg, grown, keys, acked); err != nil || cv.Diverged+cv.Lost+cv.Absent > 0 {
+		t.Fatalf("want every key found on every replica of its owner shard, all at one version, none below its acked one: %+v, %v", cv, err)
+	}
 }
 
 // TestDurableServerGracefulClose asserts the Close path flushes and

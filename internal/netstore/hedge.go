@@ -120,9 +120,11 @@ func (p HedgePolicy) triggerDelay(scorer *c3.Scorer, replica int) time.Duration 
 }
 
 // HedgesFired, HedgesWon and HedgesWasted return the ClusterStats
-// fields of the same names; the repository benchmark (bench/trace.go)
-// calls them, as it does CacheHits, CacheMisses, CacheEvictions and
-// CacheInvalidations.
+// fields of the same names. The repository benchmark (bench/trace.go)
+// is their only caller, as it is of CacheHits, CacheMisses,
+// CacheEvictions, CacheInvalidations, Server.Served and
+// Server.SchedSteals; everything else reads Stats(), and CI fails a
+// call from outside bench/.
 func (c *Cluster) HedgesFired() uint64  { return c.hedgesFired.Load() }
 func (c *Cluster) HedgesWon() uint64    { return c.hedgesWon.Load() }
 func (c *Cluster) HedgesWasted() uint64 { return c.hedgesWasted.Load() }

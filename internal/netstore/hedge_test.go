@@ -197,8 +197,8 @@ func TestHedgedReadBeatsStalledReplica(t *testing.T) {
 	if g.err != nil || !g.found || string(g.val) != "v" {
 		t.Fatalf("hedged Get = %q found=%v err=%v", g.val, g.found, g.err)
 	}
-	if fired, won, wasted := c.HedgesFired(), c.HedgesWon(), c.HedgesWasted(); fired != 1 || won != 1 || wasted != 0 {
-		t.Fatalf("hedge counters fired=%d won=%d wasted=%d, want 1/1/0", fired, won, wasted)
+	if s := c.Stats(); s.HedgesFired != 1 || s.HedgesWon != 1 || s.HedgesWasted != 0 {
+		t.Fatalf("hedge counters fired=%d won=%d wasted=%d, want 1/1/0", s.HedgesFired, s.HedgesWon, s.HedgesWasted)
 	}
 	// The primary had no response feedback yet, so the adaptive trigger
 	// must have been floored at the configured Delay.
@@ -243,8 +243,8 @@ func TestHedgeWastedWhenPrimaryWins(t *testing.T) {
 	if g.err != nil || !g.found || string(g.val) != "v" {
 		t.Fatalf("hedged Get = %q found=%v err=%v", g.val, g.found, g.err)
 	}
-	if fired, won, wasted := c.HedgesFired(), c.HedgesWon(), c.HedgesWasted(); fired != 1 || won != 0 || wasted != 1 {
-		t.Fatalf("hedge counters fired=%d won=%d wasted=%d, want 1/0/1", fired, won, wasted)
+	if s := c.Stats(); s.HedgesFired != 1 || s.HedgesWon != 0 || s.HedgesWasted != 1 {
+		t.Fatalf("hedge counters fired=%d won=%d wasted=%d, want 1/0/1", s.HedgesFired, s.HedgesWon, s.HedgesWasted)
 	}
 	injs[1].Release()
 	waitScorerBalanced(t, c) // the wasted hedge unwinds too
@@ -297,7 +297,7 @@ func TestHedgeOffArmsNoTimer(t *testing.T) {
 	if armed := ft.armedDelays(); len(armed) != 0 {
 		t.Fatalf("HedgeOff armed %d trigger timer(s): %v", len(armed), armed)
 	}
-	if fired := c.HedgesFired(); fired != 0 {
+	if fired := c.Stats().HedgesFired; fired != 0 {
 		t.Fatalf("HedgeOff fired %d hedges", fired)
 	}
 }

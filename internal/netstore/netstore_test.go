@@ -103,9 +103,6 @@ func TestSetAndTaskRoundTrip(t *testing.T) {
 	if res.Found[4] {
 		t.Fatal("missing key reported found")
 	}
-	if res.Latency <= 0 {
-		t.Fatal("latency not measured")
-	}
 }
 
 func TestEmptyTask(t *testing.T) {
@@ -842,7 +839,9 @@ func TestNetFigure2Shape(t *testing.T) {
 					for j := range ks {
 						ks[j] = fmt.Sprintf("key:%d", rng.Intn(keys))
 					}
-					res, err := c.Multiget(bg, ks, ReadOptions{})
+					start := time.Now()
+					_, err := c.Multiget(bg, ks, ReadOptions{})
+					latency := time.Since(start)
 					if err != nil {
 						t.Error(err)
 						return
@@ -852,7 +851,7 @@ func TestNetFigure2Shape(t *testing.T) {
 						// longer queue behind bursts; bursts themselves
 						// are intrinsically slow either way.
 						histMu.Lock()
-						hist.Record(res.Latency.Nanoseconds())
+						hist.Record(latency.Nanoseconds())
 						histMu.Unlock()
 					}
 				}

@@ -39,47 +39,6 @@ func startShardServers(t *testing.T, shardID, n int) []string {
 	return addrs
 }
 
-// checkOwnerConvergence scans, for every key, ALL replicas of its owner
-// shard under topo and asserts they are found with identical versions
-// at least wantVer[key] — the "every key lands on exactly its new
-// owner, zero lost writes" acceptance check.
-func checkOwnerConvergence(t *testing.T, topo *cluster.ShardTopology, keys []string, wantVer map[string]uint64) {
-	t.Helper()
-	byShard := map[int][]string{}
-	for _, k := range keys {
-		sh := topo.ShardOfKey(k)
-		byShard[sh] = append(byShard[sh], k)
-	}
-	for sh, ks := range byShard {
-		var ref []uint64
-		for r := 0; r < topo.Replicas(); r++ {
-			addr := topo.Addr(topo.Server(sh, r))
-			vers, found, err := ScanVersions(bg, addr, sh, ks, 5*time.Second)
-			if err != nil {
-				t.Fatalf("scan shard %d replica %d (%s): %v", sh, r, addr, err)
-			}
-			for i, k := range ks {
-				if !found[i] {
-					t.Fatalf("key %s missing on its owner shard %d replica %d", k, sh, r)
-				}
-				if want := wantVer[k]; want != 0 && vers[i] < want {
-					t.Fatalf("key %s on shard %d replica %d has version %d < last acked %d (lost write)",
-						k, sh, r, vers[i], want)
-				}
-			}
-			if r == 0 {
-				ref = vers
-				continue
-			}
-			for i, k := range ks {
-				if vers[i] != ref[i] {
-					t.Fatalf("key %s diverged on shard %d: replica 0 v%d, replica %d v%d", k, sh, ref[i], r, vers[i])
-				}
-			}
-		}
-	}
-}
-
 // TestClusterLiveAddShard is the tentpole scenario: 3 shards serving
 // concurrent reads and writes, a 4th shard added mid-run, and afterward
 // every key lives on exactly its new owner with zero lost acknowledged
@@ -236,7 +195,9 @@ func TestClusterLiveAddShard(t *testing.T) {
 	// Convergence: every key on exactly its new owner, all replicas
 	// agreeing. (Write versions are internal to the client, so the scan
 	// asserts found + replica agreement.)
-	checkOwnerConvergence(t, grown, allKeys, nil)
+	if cv, err := CheckConvergence(bg, grown, allKeys, nil); err != nil || cv.Diverged+cv.Lost+cv.Absent > 0 {
+		t.Fatalf("want every key found on every replica of its owner shard, all at one version, none below its acked one: %+v, %v", cv, err)
+	}
 }
 
 // A migration onto a receiver that accepts connections but never reads
@@ -377,7 +338,9 @@ func TestClusterLiveRemoveShard(t *testing.T) {
 			t.Fatalf("%s wrong after removal: found=%v val=%q", k, res.Found[i], res.Values[i])
 		}
 	}
-	checkOwnerConvergence(t, shrunk, allKeys, nil)
+	if cv, err := CheckConvergence(bg, shrunk, allKeys, nil); err != nil || cv.Diverged+cv.Lost+cv.Absent > 0 {
+		t.Fatalf("want every key found on every replica of its owner shard, all at one version, none below its acked one: %+v, %v", cv, err)
+	}
 
 	// The retired shard's servers hold the new topology and own nothing:
 	// direct scans there must be rejected, proving reads can no longer

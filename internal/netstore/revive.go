@@ -44,6 +44,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/brb-repro/brb/internal/cluster"
 	"github.com/brb-repro/brb/internal/wire"
 )
 
@@ -364,12 +365,10 @@ func (c *Cluster) tryRevive(st *topoState, slot *serverSlot) {
 
 // ScanVersions dials one server directly (bypassing replica selection)
 // and reads the stored versions of keys from it, bounded by ctx and
-// timeout (earliest wins). Operations and fault-injection tooling
-// (`brb-load -kill-replica`) use it to check that the replicas of a
-// shard have version-converged after recovery; shard is the server's
-// shard group (shard-checking servers reject mismatches, and
-// topology-holding servers reject keys they do not own — scan only keys
-// the target owns).
+// timeout (earliest wins). CheckConvergence runs it over every replica;
+// shard is the server's shard group (shard-checking servers reject
+// mismatches, and topology-holding servers reject keys they do not own
+// — scan only keys the target owns).
 func ScanVersions(ctx context.Context, addr string, shard int, keys []string, timeout time.Duration) (versions []uint64, found []bool, err error) {
 	if timeout > 0 {
 		var cancel context.CancelFunc
@@ -408,4 +407,66 @@ func ScanVersions(ctx context.Context, addr string, shard int, keys []string, ti
 		return nil, nil, fmt.Errorf("netstore: scan of %s returned %d versions for %d keys", addr, len(resp.Versions), len(keys))
 	}
 	return resp.Versions, resp.Found, nil
+}
+
+// Convergence is what CheckConvergence found, counted in (key, replica)
+// pairs.
+type Convergence struct {
+	// Diverged counts replicas serving another version than their
+	// shard's replica 0; Lost replicas serving less than the key's acked
+	// version; Absent replicas on which the key is not found — deleted or
+	// never written, so a violation only where every key is live.
+	Diverged, Lost, Absent int
+	// Examples describe the first five divergences and the first five
+	// losses, in the order found.
+	Examples []string
+}
+
+// CheckConvergence checks the store's promise after a run, scanning
+// every replica of each key's owner shard under topo directly (no
+// replica selection): all of them serve the same version, and that
+// version is at least acked[key] (a nil map asks only for agreement).
+// Divergence after an outage, an acked write lost through a crash and a
+// key that did not reach its new owner in a rebalance all break it. A
+// scan that fails ends the check with an error naming the replica.
+func CheckConvergence(ctx context.Context, topo *cluster.ShardTopology, keys []string, acked map[string]uint64) (Convergence, error) {
+	var cv Convergence
+	byShard := map[int][]string{}
+	for _, k := range keys {
+		shard := topo.ShardOfKey(k)
+		byShard[shard] = append(byShard[shard], k)
+	}
+	for _, shard := range topo.ShardIDs() {
+		// Paged, so no response frame carries a whole shard's values.
+		for ks := byShard[shard]; len(ks) > 0; ks = ks[min(512, len(ks)):] {
+			page := ks[:min(512, len(ks))]
+			var ref []uint64
+			for r := 0; r < topo.Replicas(); r++ {
+				addr := topo.Addr(topo.Server(shard, r))
+				vers, found, err := ScanVersions(ctx, addr, shard, page, 5*time.Second)
+				if err != nil {
+					return cv, fmt.Errorf("scan of shard %d replica %d (%s): %w", shard, r, addr, err)
+				}
+				if r == 0 {
+					ref = vers
+				}
+				for i, k := range page {
+					if !found[i] {
+						cv.Absent++
+					}
+					if vers[i] != ref[i] {
+						if cv.Diverged++; cv.Diverged <= 5 {
+							cv.Examples = append(cv.Examples, fmt.Sprintf("%s diverged on shard %d: replica 0 v%d, replica %d v%d", k, shard, ref[i], r, vers[i]))
+						}
+					}
+					if vers[i] < acked[k] {
+						if cv.Lost++; cv.Lost <= 5 {
+							cv.Examples = append(cv.Examples, fmt.Sprintf("%s acked at v%d but shard %d replica %d serves v%d", k, acked[k], shard, r, vers[i]))
+						}
+					}
+				}
+			}
+		}
+	}
+	return cv, nil
 }

@@ -181,7 +181,7 @@ func TestSchedBudgetShedAtPop(t *testing.T) {
 	if resp.Expired == nil || !resp.Expired[0] {
 		t.Fatalf("over-budget key not shed: Expired = %v", resp.Expired)
 	}
-	if got := srv.Served(); got != 1 {
+	if got := srv.Stats().Served; got != 1 {
 		t.Fatalf("Served = %d, want 1 (the shed key must not count as served)", got)
 	}
 }
@@ -221,7 +221,7 @@ func TestSchedCloseDrainsQueued(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("Close deadlocked with stalled workers and a non-empty queue")
 	}
-	if got := srv.Served(); got != 5 {
+	if got := srv.Stats().Served; got != 5 {
 		t.Fatalf("Served = %d, want 5 (work queued before Close is still served)", got)
 	}
 }

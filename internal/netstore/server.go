@@ -187,8 +187,8 @@ func (s *Server) Stats() ServerStats {
 	return st
 }
 
-// Served returns Stats().Served; the repository benchmark
-// (bench/trace.go) calls it.
+// Served returns Stats().Served for the repository benchmark
+// (bench/trace.go), its only caller; see Cluster.HedgesFired.
 func (s *Server) Served() uint64 { return s.served.Load() }
 
 // SchedSteals always returns 0: the server has one run queue, so there

@@ -109,7 +109,7 @@ func TestSpreadSubTaskOverReplicas(t *testing.T) {
 	if batches != 2 || subtasks != 1 {
 		t.Fatalf("sent %d batches for %d sub-tasks, want 2 for 1", batches, subtasks)
 	}
-	if a, b := servers[0].Served(), servers[1].Served(); a == 0 || b == 0 || a+b != 8 {
+	if a, b := servers[0].Stats().Served, servers[1].Stats().Served; a == 0 || b == 0 || a+b != 8 {
 		t.Fatalf("replicas served %d and %d keys, want both non-zero and 8 in all", a, b)
 	}
 	waitScorerBalanced(t, c)
@@ -165,7 +165,7 @@ func TestSpreadKeepsSubTaskWhole(t *testing.T) {
 		}
 		sc.ObserveMessage(100e3)
 		whole(t, c, keys, ReadOptions{})
-		if got := servers[1].Served(); got != 0 {
+		if got := servers[1].Stats().Served; got != 0 {
 			t.Fatalf("replica 1 served %d keys of a read it ranks last for", got)
 		}
 	})

@@ -37,6 +37,7 @@ race:
 	$(GO) test -race -run 'HotKeyCache|ClusterCache|CacheReplay' ./internal/netstore/
 	$(GO) test -race -count=10 -run 'Revival|HintOverflow|Hint|ProbeRace|LiveAddShard|LiveRemoveShard|MidRebalance|CrashRecovery|ReaderAhead|MisconfiguredLayout|Wedged' ./internal/netstore/
 	$(GO) test -race -count=20 -run 'TestCancellationMidMultiget|TestMultigetDeadlineAgainstStalledReplica|TestQueuedBatchKeysSurviveFrameReuse|TestMultigetValuesSurviveReuse' ./internal/netstore/
+	$(GO) test -race -count=20 -run 'Hedge' ./internal/netstore/
 
 # Every decoder is fuzzed for a short while beyond its seed corpus (which
 # `test` already runs): the spec reader and the wire codec.

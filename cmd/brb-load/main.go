@@ -105,7 +105,7 @@ func configure(args []string, stdout, stderr io.Writer) (*config, error) {
 	assigner := fs.String("assigner", "EqualMax", "priority assigner: EqualMax|UnifIncr|UnifIncrSub|Oblivious|SJFReq")
 	fs.DurationVar(&cfg.probeInterval, "probe-interval", 250*time.Millisecond, "cluster client's replica revival probe interval")
 	fs.DurationVar(&cfg.deadline, "deadline", 0, "per-op deadline propagated to the servers (0 = the client's default request timeout); ops that exceed it count as expired")
-	hedge := fs.String("hedge", "off", "hedged reads: off|fixed|adaptive")
+	hedge := fs.String("hedge", "off", "hedged reads: off|adaptive")
 	fs.IntVar(&cfg.cache, "cache", 0, "hot-key cache entries per client, an admission-filtered LRU (0 = off)")
 	fs.BoolVar(&cfg.skipLoad, "skip-load", false, "skip the initial data load")
 	specPath := fs.String("spec", "", "the run's spec, a JSON file (see internal/loadgen); empty = the built-in default")
@@ -122,9 +122,9 @@ func configure(args []string, stdout, stderr io.Writer) (*config, error) {
 	if cfg.assigner, err = core.NewAssigner(*assigner); err != nil {
 		return nil, err
 	}
-	mode, ok := map[string]netstore.HedgeMode{"off": netstore.HedgeOff, "fixed": netstore.HedgeFixed, "adaptive": netstore.HedgeAdaptive}[*hedge]
+	mode, ok := map[string]netstore.HedgeMode{"off": netstore.HedgeOff, "adaptive": netstore.HedgeAdaptive}[*hedge]
 	if !ok {
-		return nil, fmt.Errorf("-hedge %q: want off, fixed, or adaptive", *hedge)
+		return nil, fmt.Errorf("-hedge %q: want off or adaptive", *hedge)
 	}
 	cfg.hedge.Mode = mode
 	if err := cfg.hedge.Validate(); err != nil {
@@ -553,15 +553,16 @@ func (h *harness) inject(f loadgen.FaultSpec) error {
 // epilogue runs after a worker's last op, before its client closes. The
 // client may hold the only copy of writes a downed replica missed (its
 // hints), so it stays until the timeline has played out and — when
-// nothing is left held down — its prober has every replica back, which
-// means it has replayed them their hints (and caught up any whose hint
-// buffer overflowed).
+// nothing is left held down — its prober has every replica back and the
+// client owes no hint. Both are needed: a write that raced a revival's
+// replay buffered its hint after the replay took the buffer, and the
+// prober delivers it on a later tick, after the down mark cleared.
 func (h *harness) epilogue(client string, worker int, st netstore.Store) {
 	cc := st.(*netstore.Cluster)
 	<-h.done
-	for giveUp := time.Now().Add(15 * time.Second); h.held == 0 && cc.DownReplicas() > 0; time.Sleep(50 * time.Millisecond) {
+	for giveUp := time.Now().Add(15 * time.Second); h.held == 0 && (cc.DownReplicas() > 0 || cc.HintsOwed() > 0); time.Sleep(50 * time.Millisecond) {
 		if time.Now().After(giveUp) || h.ctx.Err() != nil {
-			h.log.Printf("brb-load: %s/%d: %d replicas not revived within 15s", client, worker, cc.DownReplicas())
+			h.log.Printf("brb-load: %s/%d: %d replicas down, %d hints undelivered after 15s", client, worker, cc.DownReplicas(), cc.HintsOwed())
 			break
 		}
 	}

@@ -98,7 +98,7 @@ func TestRejectedBeforeDialing(t *testing.T) {
 		{"slow without spawn", `{"at": "0s", "do": "slow", "target": "0/1", "arg": "1ms"}`, nil, "needs -spawn"},
 		{"crash unreplicated", `{"at": "1s", "do": "crash", "target": "0/0"}`, []string{"-spawn", "-shards", "2", "-replication", "1"}, "needs -replication >= 2"},
 		{"address count", "", []string{"-shards", "2"}, "3 addresses for 2 shards × 3 replicas"},
-		{"bad hedge", "", []string{"-hedge", "sometimes"}, "want off, fixed, or adaptive"},
+		{"bad hedge", "", []string{"-hedge", "sometimes"}, "want off or adaptive"},
 		{"no shards", "", []string{"-shards", "0"}, "-shards must be at least 1"},
 	}
 	for _, tc := range cases {
@@ -144,7 +144,7 @@ func TestTimelineVerbs(t *testing.T) {
 		assertWALTreeGone(t, stderr)
 	})
 	t.Run("slow", func(t *testing.T) {
-		code, stdout, stderr := brbLoad(append(cluster, "-hedge", "fixed", "-spec", writeSpec(t,
+		code, stdout, stderr := brbLoad(append(cluster, "-hedge", "adaptive", "-spec", writeSpec(t,
 			`{"at": "0s", "do": "slow", "target": "0/0", "arg": "10ms"}`))...)
 		if code != 0 {
 			t.Errorf("exit %d", code)

@@ -28,10 +28,6 @@ type C3Options struct {
 	CubicC float64
 	// SMax caps the sending rate in requests per interval (default 200).
 	SMax float64
-	// PerRequest selects a replica per individual request instead of per
-	// sub-task batch (ablation; Cassandra-style multiget routing sends
-	// each partition's read to one replica, which is the default).
-	PerRequest bool
 }
 
 func (o C3Options) withDefaults() C3Options {
@@ -188,12 +184,6 @@ func (s *C3) score(c int, sv int) float64 {
 // batched request) but is task-unaware — batches are independent.
 func (s *C3) Submit(ctx *engine.Context, task *core.Task, subs []core.SubTask) {
 	for i := range subs {
-		if s.opts.PerRequest {
-			for _, r := range subs[i].Requests {
-				s.send(task.Client, []*core.Request{r})
-			}
-			continue
-		}
 		s.send(task.Client, subs[i].Requests)
 	}
 }

@@ -78,14 +78,3 @@ func TestRateControlDefersUnderOverload(t *testing.T) {
 		t.Fatal("rate control never engaged under overload")
 	}
 }
-
-func TestPerRequestModeCompletes(t *testing.T) {
-	s := baseline.NewC3(baseline.C3Options{PerRequest: true})
-	res, err := engine.Run(smallConfig(), s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TaskLatency.Count == 0 {
-		t.Fatal("no tasks measured in per-request mode")
-	}
-}

@@ -1079,11 +1079,91 @@ func (c *Cluster) place(st *topoState, b shardBatch, pieces []piece) []piece {
 	return pieces
 }
 
-// fetchBatch sends one batch of a shard's keys to replica rep, where
-// the caller already counted them outstanding (place, nextReplica),
-// failing over through the remaining replicas on transport errors.
-// Every path out balances the scorer: a counted attempt ends in Observe
-// (answered) or OnError (send failure, dead connection, ctx).
+// leg is one attempt at a batch: its request to one replica, where the
+// scorer counts the batch's keys outstanding until the leg ends. A leg
+// whose ch is nil is not in flight.
+type leg struct {
+	rep  int
+	slot *serverSlot
+	sc   *serverConn
+	id   uint64
+	ch   chan wire.Message
+	sent time.Time
+}
+
+// send starts a leg of b to replica rep, where the scorer already
+// counts b outstanding. A leg that cannot go out is not in flight: its
+// count is unwound and, unless ctx ended, its replica marked down.
+func (c *Cluster) send(ctx context.Context, st *topoState, p *piece, b shardBatch, rep int) leg {
+	l := leg{rep: rep, slot: st.slotOf(b.shard, rep)}
+	if l.sc = l.slot.conn.Load(); l.sc == nil {
+		// The replica went down since it was chosen (or we lost a race
+		// with markDown's connection teardown).
+		st.scorers[b.shard].OnError(rep, len(b.keys))
+		return l
+	}
+	l.sent = time.Now()
+	c.batches.Add(1)
+	var err error
+	if l.id, l.ch, err = l.sc.start(ctx, p.request(st, b, rep), "batch"); err != nil {
+		c.lose(ctx, st.scorers[b.shard], len(b.keys), l)
+	}
+	return l
+}
+
+// lose unwinds a leg whose connection died. The scorer only unwinds
+// outstanding — a lost batch says nothing about service times — and the
+// replica is marked down (arming the revival prober) unless ctx ended
+// the leg: then the caller gave up, and the replica may be fine.
+func (c *Cluster) lose(ctx context.Context, scorer *c3.Scorer, n int, l leg) {
+	scorer.OnError(l.rep, n)
+	if ctx.Err() == nil {
+		c.markDown(l.slot, l.sc)
+	}
+}
+
+// land folds what leg l's channel delivered into the shard's scorer and
+// returns the answer. A closed channel — the connection died — loses
+// the leg and returns nil. Every answer carries authoritative versions,
+// so the cache checks its entries against them.
+func (c *Cluster) land(ctx context.Context, scorer *c3.Scorer, b shardBatch, l leg, m wire.Message) *wire.BatchResp {
+	resp, _ := m.(*wire.BatchResp)
+	if resp == nil {
+		c.lose(ctx, scorer, len(b.keys), l)
+		return nil
+	}
+	replyChans.Put(l.ch)
+	c.observe(scorer, l.rep, b, l.sent, resp)
+	c.noteResponseVersions(b, resp)
+	return resp
+}
+
+// outlive waits, bounded by ctx, for a leg its batch no longer needs, so
+// that a late answer still reaches the scorer and the cache. The
+// protocol has no cancel frame: the replica does the work anyway.
+func (c *Cluster) outlive(ctx context.Context, scorer *c3.Scorer, b shardBatch, l leg) {
+	select {
+	case m := <-l.ch:
+		if resp := c.land(ctx, scorer, b, l, m); resp != nil {
+			resp.Release()
+		}
+	case <-ctx.Done():
+		l.sc.abandon(l.id)
+		scorer.OnError(l.rep, len(b.keys))
+	}
+}
+
+// fetchBatch gets one batch of a shard's keys answered, starting at
+// replica rep, where the caller already counted them outstanding
+// (place, nextReplica). It runs one loop over at most two legs in
+// flight: the primary and, once the hedge trigger fires, one hedge to
+// the best-ranked untried live replica. The first answer decides the
+// batch. A leg whose connection dies is lost; when no leg is left in
+// flight the batch fails over to the next-ranked untried replica, as a
+// new primary that may hedge once again. Every path out balances the
+// scorer: a leg ends in Observe (answered) or OnError (send failure,
+// dead connection, ctx), and a leg still in flight when the batch is
+// decided is left to outlive.
 //
 // Keys the server rejects as strays (a rebalance moved them) are
 // re-bucketed under a refreshed topology and retried, up to
@@ -1091,29 +1171,34 @@ func (c *Cluster) place(st *topoState, b shardBatch, pieces []piece) []piece {
 // are re-sent under st instead. Result slots are disjoint across concurrent
 // calls, so writes into res need no locking.
 //
-// The whole failover chain observes ctx: each attempt's wait selects on
-// ctx.Done(), a ctx-terminated attempt does not mark the replica down
-// (the caller gave up; the replica may be fine), and no further
-// failover is attempted once ctx is done.
-//
-// With opts.Hedge armed, each attempt runs through hedgedBatch: a batch
-// outstanding past the policy's trigger fans out to the next-ranked
-// replica and the first complete answer wins (hedge.go). The hedged
-// replicas share this call's tried set, so the failover loop never
-// re-picks a replica a hedge already asked.
+// The whole chain observes ctx: the select waits on ctx.Done(), a leg
+// that ctx ended does not mark its replica down, and no further leg
+// starts once ctx is done.
 func (c *Cluster) fetchBatch(ctx context.Context, st *topoState, p *piece, res *TaskResult, depth int, opts ReadOptions) error {
 	// b.shard is always bucketed from st.topo by the caller (Multiget or
 	// retryStrays), so the shard exists in st by construction.
 	b, rep := p.shardBatch, p.rep
 	scorer := st.scorers[b.shard]
 	n := len(b.keys)
-	pol := opts.Hedge.withDefaults()
 	tried := p.tried(st.topo.Replicas())
+	// trigger fires the hedge. It stays nil with hedging off or no
+	// second replica, and goes nil again once it fired.
+	var trigger <-chan time.Time
+	stop := func() {}
+	defer func() { stop() }()
+	pol := opts.Hedge.withDefaults()
+	hedging := pol.Mode != HedgeOff && st.topo.Replicas() > 1
+	arm := func(primary int) {
+		stop()
+		trigger, stop = c.newHedgeTimer(pol.triggerDelay(scorer, primary))
+	}
 	// behind: a replica answered strays from an OLDER topology than st's
 	// (see the stray handling below); b has shrunk to those strays.
 	behind := false
 	// expired counts keys shed by answers whose strays went around again.
 	expired := 0
+	// Each pass starts a primary leg: the first try, a failover once
+	// every leg's connection died, or strays re-sent under st.
 	for ; ; rep = c.nextReplica(st, b.shard, n, tried) {
 		if rep < 0 && behind {
 			// Every sibling has been asked and the lagging replicas are
@@ -1148,56 +1233,84 @@ func (c *Cluster) fetchBatch(ctx context.Context, st *topoState, p *piece, res *
 			return fmt.Errorf("%w %d", ErrNoReplica, b.shard)
 		}
 		tried[rep] = true
-		slot := st.slotOf(b.shard, rep)
-		sc := slot.conn.Load()
-		if sc == nil {
-			// The replica went down since it was chosen (or we lost a race
-			// with markDown's connection teardown): treat like a transport
-			// failure and fail over.
-			scorer.OnError(rep, n)
+		// legs[0] is the primary, legs[1] its hedge once hedged.
+		var legs [2]leg
+		if legs[0] = c.send(ctx, st, p, b, rep); legs[0].ch == nil {
+			if ctx.Err() != nil {
+				return ctxErr(ctx, fmt.Sprintf("multiget batch on shard %d", b.shard))
+			}
 			continue
 		}
-
+		if hedging {
+			arm(rep)
+		}
+		// l is the leg that answered last; resp is its answer, nil while
+		// no leg has answered or when l's connection died. won says the
+		// hedge answered first.
+		var l leg
 		var resp *wire.BatchResp
-		if pol.Mode != HedgeOff && st.topo.Replicas() > 1 {
-			var err error
-			var fired int
-			resp, rep, fired, err = c.hedgedBatch(ctx, st, scorer, p, b, rep, slot, sc, tried, pol)
-			if fired > 0 {
+		hedged, won := false, false
+		for resp == nil && (legs[0].ch != nil || legs[1].ch != nil) {
+			var m wire.Message
+			i := 0
+			select {
+			case m = <-legs[0].ch:
+			case m = <-legs[1].ch:
+				i = 1
+			case <-trigger:
+				trigger = nil
+				if _, ok := budgetOf(ctx); !ok {
+					continue // deadline spent: a hedge would be shed on arrival
+				}
+				h := c.nextReplica(st, b.shard, n, tried)
+				if h < 0 {
+					continue // nothing left to hedge to; ride out the primary
+				}
+				tried[h] = true
+				if legs[1] = c.send(ctx, st, p, b, h); legs[1].ch == nil {
+					arm(rep) // re-arm and re-rank
+					continue
+				}
+				hedged = true
+				c.hedgesFired.Add(1)
 				// res slots are disjoint across sub-batches but Hedged is
-				// shared; hedges from a failed attempt still cost real work,
-				// so they count even when this attempt fails over.
-				atomic.AddInt32(&res.Hedged, int32(fired))
-			}
-			if err != nil {
-				if ctx.Err() != nil {
-					return ctxErr(ctx, fmt.Sprintf("multiget batch on shard %d", b.shard))
+				// shared; a hedge costs real work whether or not it wins.
+				atomic.AddInt32(&res.Hedged, 1)
+				continue
+			case <-ctx.Done():
+				// The caller's deadline or cancellation ended the wait, not
+				// the replicas: no down-mark, no failover. With ctx done,
+				// outlive returns at once.
+				for j := range legs {
+					if legs[j].ch != nil {
+						c.outlive(ctx, scorer, b, legs[j])
+						legs[j].ch = nil
+					}
 				}
-				// Every hedged attempt's connection died (each already
-				// marked down inside): fail over like any transport loss.
 				continue
 			}
-		} else {
-			sent := time.Now()
-			var err error
-			c.batches.Add(1)
-			resp, err = sc.batch(ctx, p.request(st, b, rep))
-			if err != nil {
-				// The scorer only unwinds outstanding — an aborted batch says
-				// nothing about service times.
-				scorer.OnError(rep, n)
-				if ctx.Err() != nil {
-					// The caller's deadline/cancellation ended the wait, not
-					// the replica: no down-mark, no failover — the next
-					// attempt would be aborted the same way.
-					return ctxErr(ctx, fmt.Sprintf("multiget batch on shard %d", b.shard))
-				}
-				// Transport failure: mark the replica down (arming the
-				// revival prober) and fail over to the next-ranked one.
-				c.markDown(slot, sc)
-				continue
+			l = legs[i]
+			legs[i].ch = nil
+			// A dead connection leaves resp nil: ride out the other leg.
+			resp = c.land(ctx, scorer, b, l, m)
+			won = resp != nil && i == 1
+		}
+		if won {
+			c.hedgesWon.Add(1)
+		} else if hedged {
+			c.hedgesWasted.Add(1)
+		}
+		if resp == nil {
+			// Every leg's connection died, or ctx ended.
+			if ctx.Err() != nil {
+				return ctxErr(ctx, fmt.Sprintf("multiget batch on shard %d", b.shard))
 			}
-			c.observe(scorer, rep, b, sent, resp)
+			continue // fail over
+		}
+		for _, o := range legs {
+			if o.ch != nil {
+				go c.outlive(ctx, scorer, b, o)
+			}
 		}
 		if resp.Epoch > st.topo.Epoch() {
 			// The server is ahead of us. Our keys were still served (any
@@ -1210,7 +1323,7 @@ func (c *Cluster) fetchBatch(ctx context.Context, st *topoState, p *piece, res *
 			// configuration skew, not an epoch change, and failover
 			// cannot fix it.
 			resp.Release()
-			return fmt.Errorf("netstore: server %d rejected batch for shard %d as misrouted", slot.id, b.shard)
+			return fmt.Errorf("netstore: server %d rejected batch for shard %d as misrouted", l.slot.id, b.shard)
 		}
 		if len(resp.Values) != n {
 			resp.Release()
@@ -1390,13 +1503,22 @@ func (c *Cluster) DownReplicas() int {
 	return n
 }
 
-// PendingHints returns the number of keys hint-buffered for one replica
+// PendingHints returns the number of hinted writes the client has yet
+// to deliver to one replica, those a replay has in flight included
 // (test and operations hook).
 func (c *Cluster) PendingHints(shard, replica int) int {
-	hb := &c.state.Load().slotOf(shard, replica).hints
-	hb.mu.Lock()
-	defer hb.mu.Unlock()
-	return len(hb.hints)
+	return c.state.Load().slotOf(shard, replica).hints.owed()
+}
+
+// HintsOwed is PendingHints summed over every server slot the client
+// holds, retired ones included: a client that closes while it owes
+// hints loses those writes on the replicas that missed them.
+func (c *Cluster) HintsOwed() int {
+	n := 0
+	for _, slot := range c.state.Load().slots {
+		n += slot.hints.owed()
+	}
+	return n
 }
 
 // ScoreOf exposes the C3 score of one replica of one shard (test hook).

@@ -9,6 +9,7 @@ package netstore
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -25,11 +26,11 @@ func TestHedgePolicyValidate(t *testing.T) {
 		wantErr string // substring; "" = valid
 	}{
 		{"zero value (off)", HedgePolicy{}, ""},
-		{"fixed defaults", HedgePolicy{Mode: HedgeFixed}, ""},
+		{"adaptive defaults", HedgePolicy{Mode: HedgeAdaptive}, ""},
 		{"adaptive full", HedgePolicy{Mode: HedgeAdaptive, Delay: time.Millisecond, Quantile: 0.99}, ""},
 		{"quantile lower edge", HedgePolicy{Mode: HedgeAdaptive, Quantile: 0}, ""},
 		{"unknown mode", HedgePolicy{Mode: HedgeMode(42)}, "unknown hedge mode"},
-		{"negative delay", HedgePolicy{Mode: HedgeFixed, Delay: -time.Second}, "negative hedge delay"},
+		{"negative delay", HedgePolicy{Mode: HedgeAdaptive, Delay: -time.Second}, "negative hedge delay"},
 		{"quantile one", HedgePolicy{Mode: HedgeAdaptive, Quantile: 1}, "quantile"},
 		{"quantile negative", HedgePolicy{Mode: HedgeAdaptive, Quantile: -0.5}, "quantile"},
 	} {
@@ -60,7 +61,7 @@ func TestHedgePolicyDefaults(t *testing.T) {
 		t.Fatalf("withDefaults() = %+v, want %+v", got, want)
 	}
 	// Explicit fields survive.
-	set := HedgePolicy{Mode: HedgeFixed, Delay: 7 * time.Millisecond, Quantile: 0.5}
+	set := HedgePolicy{Mode: HedgeAdaptive, Delay: 7 * time.Millisecond, Quantile: 0.5}
 	if got := set.withDefaults(); got != set {
 		t.Fatalf("withDefaults() clobbered explicit fields: %+v", got)
 	}
@@ -69,7 +70,6 @@ func TestHedgePolicyDefaults(t *testing.T) {
 func TestHedgeModeString(t *testing.T) {
 	for mode, want := range map[HedgeMode]string{
 		HedgeOff:      "off",
-		HedgeFixed:    "fixed",
 		HedgeAdaptive: "adaptive",
 		HedgeMode(9):  "HedgeMode(9)",
 	} {
@@ -79,9 +79,9 @@ func TestHedgeModeString(t *testing.T) {
 	}
 }
 
-// triggerDelay: fixed mode ignores the scorer; adaptive mode takes the
-// replica's forecast quantile but never less than the configured floor
-// (a cold replica forecasts 0 and must not hedge instantly).
+// triggerDelay takes the replica's forecast quantile but never less
+// than the configured floor (a cold replica forecasts 0 and must not
+// hedge instantly: it waits exactly the floor).
 func TestHedgeTriggerDelay(t *testing.T) {
 	s := c3.NewScorer(2, c3.ScorerOptions{})
 	// Train replica 1 on a tight 10ms response distribution; leave
@@ -89,11 +89,6 @@ func TestHedgeTriggerDelay(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		s.OnSend(1, 1)
 		s.Observe(1, 1, float64(10*time.Millisecond), float64(time.Millisecond), 0)
-	}
-
-	fixed := HedgePolicy{Mode: HedgeFixed, Delay: 3 * time.Millisecond}.withDefaults()
-	if got := fixed.triggerDelay(s, 1); got != 3*time.Millisecond {
-		t.Fatalf("fixed trigger = %v, want 3ms regardless of scorer", got)
 	}
 
 	ad := HedgePolicy{Mode: HedgeAdaptive, Delay: 3 * time.Millisecond, Quantile: 0.9}.withDefaults()
@@ -113,7 +108,7 @@ func TestHedgeTriggerDelay(t *testing.T) {
 
 // fakeHedgeTimer is the ClusterOptions.hedgeTimer test hook: it records
 // every armed duration and exposes one shared unbuffered channel, so
-// fire() both triggers the hedge and synchronizes with hedgedBatch's
+// fire() both triggers the hedge and synchronizes with fetchBatch's
 // select (the send cannot complete until the trigger is being waited
 // on).
 type fakeHedgeTimer struct {
@@ -149,12 +144,21 @@ func (ft *fakeHedgeTimer) armedDelays() []time.Duration {
 // c3.Scorer.Best breaks ties by index.
 func hedgeCluster(t *testing.T) (*Cluster, *fakeHedgeTimer, [2]*FaultInjector) {
 	t.Helper()
-	var injs [2]*FaultInjector
+	c, ft, injs, _ := hedgeClusterOf(t, 2)
+	return c, ft, [2]*FaultInjector(injs)
+}
+
+// hedgeClusterOf is hedgeCluster over a 1 × replicas layout, with the
+// servers, so a test can kill a leg's connection. A hedge goes to the
+// lowest-numbered untried replica for the same tie-break reason.
+func hedgeClusterOf(t *testing.T, replicas int) (*Cluster, *fakeHedgeTimer, []*FaultInjector, []*Server) {
+	t.Helper()
+	injs := make([]*FaultInjector, replicas)
 	for i := range injs {
 		injs[i] = NewFaultInjector()
 	}
-	m := cluster.MustNewShardTopology(cluster.ShardConfig{Shards: 1, Replicas: 2})
-	addrs, _ := startShardedCluster(t, m, func(_, replica int) ServerOptions {
+	m := cluster.MustNewShardTopology(cluster.ShardConfig{Shards: 1, Replicas: replicas})
+	addrs, servers := startShardedCluster(t, m, func(_, replica int) ServerOptions {
 		return ServerOptions{Workers: 1, Fault: injs[replica]}
 	})
 	ft := newFakeHedgeTimer()
@@ -166,7 +170,7 @@ func hedgeCluster(t *testing.T) (*Cluster, *fakeHedgeTimer, [2]*FaultInjector) {
 	if err := c.Set(bg, "k", []byte("v"), WriteOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	return c, ft, injs
+	return c, ft, injs, servers
 }
 
 // The tentpole scenario: the primary replica stalls mid-service, the
@@ -225,7 +229,7 @@ func TestHedgeWastedWhenPrimaryWins(t *testing.T) {
 	done := make(chan got, 1)
 	go func() {
 		v, found, err := c.Get(bg, "k", ReadOptions{
-			Hedge: HedgePolicy{Mode: HedgeFixed, Delay: 5 * time.Millisecond},
+			Hedge: HedgePolicy{Mode: HedgeAdaptive, Delay: 5 * time.Millisecond},
 		})
 		done <- got{v, found, err}
 	}()
@@ -263,7 +267,7 @@ func TestHedgeExpiredCountsWasted(t *testing.T) {
 	go func() {
 		_, _, err := c.Get(bg, "k", ReadOptions{
 			Timeout: 300 * time.Millisecond,
-			Hedge:   HedgePolicy{Mode: HedgeFixed, Delay: 5 * time.Millisecond},
+			Hedge:   HedgePolicy{Mode: HedgeAdaptive, Delay: 5 * time.Millisecond},
 		})
 		done <- err
 	}()
@@ -308,5 +312,109 @@ func TestHedgeInvalidPolicyRejected(t *testing.T) {
 	_, err := c.Multiget(bg, []string{"k"}, ReadOptions{Hedge: HedgePolicy{Mode: HedgeMode(42)}})
 	if err == nil || !strings.Contains(err.Error(), "unknown hedge mode") {
 		t.Fatalf("Multiget with bogus hedge policy: err = %v", err)
+	}
+}
+
+// getAsync runs a hedged Get of "k" under ctx and delivers its outcome.
+func getAsync(ctx context.Context, c *Cluster) <-chan error {
+	done := make(chan error, 1)
+	go func() {
+		v, found, err := c.Get(ctx, "k", ReadOptions{
+			Hedge: HedgePolicy{Mode: HedgeAdaptive, Delay: 5 * time.Millisecond},
+		})
+		if err == nil && (!found || string(v) != "v") {
+			err = fmt.Errorf("got %q found=%v, want \"v\"", v, found)
+		}
+		done <- err
+	}()
+	return done
+}
+
+// The primary's connection dies after the hedge fired: the batch rides
+// out the hedge instead of failing over, and the hedge's answer wins.
+func TestHedgeWinsAfterPrimaryConnectionDies(t *testing.T) {
+	c, ft, injs, servers := hedgeClusterOf(t, 2)
+
+	injs[0].StallNext(1)
+	injs[1].StallNext(1)
+	done := getAsync(bg, c)
+	waitFor(t, 5*time.Second, "primary stalled in service", func() bool {
+		return injs[0].StalledCount() == 1
+	})
+	ft.fire()
+	waitFor(t, 5*time.Second, "hedge stalled in service", func() bool {
+		return injs[1].StalledCount() == 1
+	})
+	servers[0].Close()
+	waitFor(t, 5*time.Second, "primary marked down", func() bool { return c.ReplicaDown(0, 0) })
+	injs[1].Release()
+	if err := <-done; err != nil {
+		t.Fatalf("hedged Get: %v", err)
+	}
+	if s := c.Stats(); s.HedgesFired != 1 || s.HedgesWon != 1 || s.HedgesWasted != 0 {
+		t.Fatalf("hedge counters fired=%d won=%d wasted=%d, want 1/1/0", s.HedgesFired, s.HedgesWon, s.HedgesWasted)
+	}
+	waitScorerBalanced(t, c)
+}
+
+// Both legs die: the batch fails over to the third replica as a new
+// primary with a trigger of its own, and the dead hedge counts wasted.
+func TestHedgeBothLegsDieFailoverToThird(t *testing.T) {
+	c, ft, injs, servers := hedgeClusterOf(t, 3)
+
+	injs[0].StallNext(1)
+	injs[1].StallNext(1)
+	done := getAsync(bg, c)
+	waitFor(t, 5*time.Second, "primary stalled in service", func() bool {
+		return injs[0].StalledCount() == 1
+	})
+	ft.fire()
+	waitFor(t, 5*time.Second, "hedge stalled in service", func() bool {
+		return injs[1].StalledCount() == 1
+	})
+	servers[0].Close()
+	waitFor(t, 5*time.Second, "primary marked down", func() bool { return c.ReplicaDown(0, 0) })
+	servers[1].Close()
+	if err := <-done; err != nil {
+		t.Fatalf("Get after both legs died: %v", err)
+	}
+	if !c.ReplicaDown(0, 1) {
+		t.Fatal("the hedge's replica is not marked down")
+	}
+	if s := c.Stats(); s.HedgesFired != 1 || s.HedgesWon != 0 || s.HedgesWasted != 1 {
+		t.Fatalf("hedge counters fired=%d won=%d wasted=%d, want 1/0/1", s.HedgesFired, s.HedgesWon, s.HedgesWasted)
+	}
+	if armed := ft.armedDelays(); len(armed) != 2 {
+		t.Fatalf("armed %d triggers, want 2 (the primary's and the failover's)", len(armed))
+	}
+	waitScorerBalanced(t, c)
+}
+
+// A loser's late answer reaches its replica's EWMA. The caller's own
+// deadline bounds the wait for it (Multiget's default deadline would end
+// with the call), so after the release the stalled primary's score
+// carries the answer's feedback rather than returning to a cold one.
+func TestHedgeLoserFeedsScorer(t *testing.T) {
+	c, ft, injs := hedgeCluster(t)
+	cold := c.ScoreOf(0, 0)
+
+	ctx, cancel := context.WithTimeout(bg, 10*time.Second)
+	defer cancel()
+	injs[0].StallNext(1)
+	done := getAsync(ctx, c)
+	waitFor(t, 5*time.Second, "primary stalled in service", func() bool {
+		return injs[0].StalledCount() == 1
+	})
+	ft.fire()
+	if err := <-done; err != nil {
+		t.Fatalf("hedged Get: %v", err)
+	}
+	if s := c.Stats(); s.HedgesWon != 1 {
+		t.Fatalf("hedges won = %d, want 1", s.HedgesWon)
+	}
+	injs[0].Release()
+	waitScorerBalanced(t, c)
+	if got := c.ScoreOf(0, 0); got == cold {
+		t.Fatalf("primary's score %v after its late answer, want it moved from the cold %v", got, cold)
 	}
 }

@@ -88,6 +88,17 @@ type hintBuffer struct {
 	// overflowed marks a dropped write: replayHints catches the server
 	// up from its siblings.
 	overflowed bool
+	// inFlight counts hints a replay took out of the buffer and has not
+	// yet delivered, forwarded or put back.
+	inFlight int
+}
+
+// owed returns how many hinted writes the buffer has yet to deliver:
+// those buffered and those a replay has in flight.
+func (hb *hintBuffer) owed() int {
+	hb.mu.Lock()
+	defer hb.mu.Unlock()
+	return len(hb.hints) + hb.inFlight
 }
 
 // addHint buffers a write the slot's server missed. Values are copied
@@ -158,7 +169,14 @@ func (c *Cluster) replayHints(slot *serverSlot, sc *serverConn) error {
 	hb.mu.Lock()
 	pending, overflowed := hb.hints, hb.overflowed
 	hb.hints, hb.overflowed = nil, false
+	taken := len(pending)
+	hb.inFlight += taken
 	hb.mu.Unlock()
+	defer func() {
+		hb.mu.Lock()
+		hb.inFlight -= taken
+		hb.mu.Unlock()
+	}()
 	putBack := func(err error) error {
 		hb.mu.Lock()
 		if hb.hints == nil {

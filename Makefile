@@ -40,10 +40,12 @@ race:
 	$(GO) test -race -count=20 -run 'Hedge' ./internal/netstore/
 
 # Every decoder is fuzzed for a short while beyond its seed corpus (which
-# `test` already runs): the spec reader and the wire codec.
+# `test` already runs): the spec reader, the wire codec and the WAL
+# record reader.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime 15s ./internal/loadgen
 	$(GO) test -run '^$$' -fuzz FuzzDecodeModes -fuzztime 15s ./internal/wire
+	$(GO) test -run '^$$' -fuzz FuzzParseRecord -fuzztime 15s ./internal/kv
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 100x -benchmem ./internal/wire/ ./internal/netstore/

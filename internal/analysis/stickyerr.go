@@ -16,9 +16,9 @@ import (
 // carry a //brb:allow stickyerr comment stating exactly that.
 var StickyErr = &Analyzer{
 	Name: "stickyerr",
-	Doc: "errors from ConnWriter sends, WAL append/fsync/rotate/close, and " +
-		"snapshot writes must be checked: these APIs fail-stop, and dropping " +
-		"the error drops the stop",
+	Doc: "errors from ConnWriter sends, durable writes (Stage and its Commit's " +
+		"Wait), WAL buffer/wait/rotate/close, and snapshot writes must be " +
+		"checked: these APIs fail-stop, and dropping the error drops the stop",
 	Run: runStickyErr,
 }
 
@@ -37,14 +37,15 @@ var stickyTargets = []stickyTarget{
 	// ConnWriter.Send with the same contract.
 	{"internal/netstore", "connState", "send"},
 	// WAL internals (package kv's own call sites).
-	{"internal/kv", "wal", "append"},
-	{"internal/kv", "wal", "appendAsync"},
+	{"internal/kv", "wal", "buffer"},
+	{"internal/kv", "wal", "wait"},
 	{"internal/kv", "wal", "rotate"},
 	{"internal/kv", "wal", "close"},
-	// The durable store's public write/snapshot surface.
-	{"internal/kv", "Durable", "Set"},
+	// The durable store's public write/snapshot surface: the server
+	// stages each write and waits for its Commit before acking.
+	{"internal/kv", "Durable", "Stage"},
+	{"internal/kv", "Commit", "Wait"},
 	{"internal/kv", "Durable", "SetVersion"},
-	{"internal/kv", "Durable", "Delete"},
 	{"internal/kv", "Durable", "DeleteVersion"},
 	{"internal/kv", "Durable", "Snapshot"},
 	{"internal/kv", "Durable", "Close"},

@@ -1,14 +1,14 @@
 // Fixtures for the stickyerr analyzer's kv-side targets. The path suffix
-// internal/kv makes wal/Durable/writeSnapshot call sites here match the
-// real package's, including the unexported methods only callable
-// in-package.
+// internal/kv makes wal/Durable/Commit/writeSnapshot call sites here
+// match the real package's, including the unexported methods only
+// callable in-package.
 package kv
 
 type wal struct{ err error }
 
-func (w *wal) append(op byte, key string) error { return w.err }
+func (w *wal) buffer(op byte, key string) (uint64, error) { return 0, w.err }
 
-func (w *wal) appendAsync(op byte, key string) error { return w.err }
+func (w *wal) wait(seq uint64) error { return w.err }
 
 func (w *wal) rotate() error { return w.err }
 
@@ -16,14 +16,32 @@ func (w *wal) close() error { return w.err }
 
 func writeSnapshot(path string) error { return nil }
 
+type Commit struct {
+	w   *wal
+	seq uint64
+}
+
+func (c Commit) Wait() error { return c.w.wait(c.seq) }
+
 type Durable struct{ w wal }
 
-func (d *Durable) Set(key string, val []byte) error { return d.w.append(1, key) }
+func (d *Durable) Stage(key string, value []byte, ver uint64, dead bool) (Commit, error) {
+	seq, err := d.w.buffer(1, key)
+	return Commit{w: &d.w, seq: seq}, err
+}
+
+func (d *Durable) SetVersion(key string, value []byte, ver uint64) (bool, error) {
+	c, err := d.Stage(key, value, ver, false)
+	if err == nil {
+		err = c.Wait()
+	}
+	return true, err
+}
 
 func (d *Durable) Close() error { return d.w.close() }
 
 func (d *Durable) purge(key string) {
-	d.w.appendAsync(2, key) // want `error discarded`
+	d.w.buffer(2, key) // want `error discarded`
 }
 
 func (d *Durable) shutdown() {
@@ -35,8 +53,19 @@ func (d *Durable) spin() {
 	go d.w.rotate() // want `error unobservable`
 }
 
+// applyUnchecked acks a write the WAL may have refused: the dropped
+// Stage error is the fail-stop the server depends on.
+func (d *Durable) applyUnchecked(key string) error {
+	c, _ := d.Stage(key, nil, 1, false) // want `assigned to _`
+	return c.Wait()
+}
+
+func (d *Durable) ackLater(c Commit) {
+	go c.Wait() // want `error unobservable`
+}
+
 func (d *Durable) flushAll(key string) error {
-	if err := d.w.append(1, key); err != nil {
+	if _, err := d.SetVersion(key, nil, 1); err != nil {
 		return err
 	}
 	return writeSnapshot("snap")
@@ -44,5 +73,5 @@ func (d *Durable) flushAll(key string) error {
 
 func (d *Durable) bestEffort(key string) {
 	//brb:allow stickyerr best-effort purge: the WAL is already fail-stopped
-	_ = d.w.appendAsync(2, key)
+	_, _ = d.w.buffer(2, key)
 }

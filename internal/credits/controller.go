@@ -1,15 +1,15 @@
-package core
+package credits
 
-// CreditController is BRB's logically-centralized credit controller (paper
+// Controller is BRB's logically-centralized credit controller (paper
 // §2.2): it aggregates per-interval demand reports into a smoothed view
 // and assigns each client a share of every server's capacity
 // proportional to its demand, with a floor so idle clients can ramp up.
 // When reported demand exceeds a server's capacity it raises the
 // congestion signal the 1 s adaptation loop consumes.
 //
-// The simulator's credits strategy (internal/credits) runs it; the
-// networked store has no credits path and picks replicas by C3 ranking.
-type CreditController struct {
+// Only the simulator's credits strategy runs it; the networked store has
+// no credits path and picks replicas by C3 ranking.
+type Controller struct {
 	clients, servers int
 	// capacityPerNano is one server's service capacity per nanosecond of
 	// wall time: cores (a server performs `cores` ns of service work per
@@ -25,14 +25,14 @@ type CreditController struct {
 	demandWeight float64
 }
 
-// NewCreditController builds a controller for the given tier dimensions.
+// NewController builds a controller for the given tier dimensions.
 // capacityPerNano is a server's parallel service capacity (= cores).
-func NewCreditController(clients, servers int, capacityPerNano float64) *CreditController {
-	return &CreditController{
+func NewController(clients, servers int, capacityPerNano float64) *Controller {
+	return &Controller{
 		clients:         clients,
 		servers:         servers,
 		capacityPerNano: capacityPerNano,
-		ewma:            newMatrix(clients, servers),
+		ewma:            mat(clients, servers),
 		alpha:           0.5,
 		demandWeight:    0.3,
 	}
@@ -40,7 +40,7 @@ func NewCreditController(clients, servers int, capacityPerNano float64) *CreditC
 
 // Report folds one interval's demand snapshot (estimated service-ns sent
 // per client/server during the interval) into the smoothed demand view.
-func (ct *CreditController) Report(demand [][]float64) {
+func (ct *Controller) Report(demand [][]float64) {
 	for c := 0; c < ct.clients && c < len(demand); c++ {
 		for s := 0; s < ct.servers && s < len(demand[c]); s++ {
 			ct.ewma[c][s] = ct.alpha*ct.ewma[c][s] + (1-ct.alpha)*demand[c][s]
@@ -53,8 +53,8 @@ func (ct *CreditController) Report(demand [][]float64) {
 // proportional to smoothed demand. It also evaluates the congestion
 // signal: aggregate smoothed demand above a server's capacity latches the
 // signal until TakeCongestionSignal.
-func (ct *CreditController) AllocateInterval(intervalNanos float64) [][]float64 {
-	alloc := newMatrix(ct.clients, ct.servers)
+func (ct *Controller) AllocateInterval(intervalNanos float64) [][]float64 {
+	alloc := mat(ct.clients, ct.servers)
 	capacity := ct.capacityPerNano * intervalNanos
 	equal := capacity / float64(ct.clients)
 	for s := 0; s < ct.servers; s++ {
@@ -85,7 +85,7 @@ func (ct *CreditController) AllocateInterval(intervalNanos float64) [][]float64 
 
 // TakeCongestionSignal returns whether congestion was detected since the
 // last call, clearing the latch.
-func (ct *CreditController) TakeCongestionSignal() bool {
+func (ct *Controller) TakeCongestionSignal() bool {
 	c := ct.congested
 	ct.congested = false
 	return c
@@ -93,7 +93,7 @@ func (ct *CreditController) TakeCongestionSignal() bool {
 
 // ResetHistory drops the smoothed demand view (used by the 1 s adaptation
 // on congestion so assignments re-converge from fresh measurements).
-func (ct *CreditController) ResetHistory() {
+func (ct *Controller) ResetHistory() {
 	for c := range ct.ewma {
 		for s := range ct.ewma[c] {
 			ct.ewma[c][s] = 0
@@ -102,12 +102,4 @@ func (ct *CreditController) ResetHistory() {
 }
 
 // Congested exposes the current latch state without clearing it (tests).
-func (ct *CreditController) Congested() bool { return ct.congested }
-
-func newMatrix(r, c int) [][]float64 {
-	m := make([][]float64, r)
-	for i := range m {
-		m[i] = make([]float64, c)
-	}
-	return m
-}
+func (ct *Controller) Congested() bool { return ct.congested }

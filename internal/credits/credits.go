@@ -83,7 +83,7 @@ type Strategy struct {
 	// outstanding[c][s] tracks in-flight estimated work for tie-breaks.
 	outstanding [][]int64
 
-	controller *core.CreditController
+	controller *Controller
 	adaptions  int
 }
 
@@ -118,7 +118,7 @@ func (s *Strategy) Setup(ctx *engine.Context) {
 		s.outstanding[i] = make([]int64, nS)
 	}
 
-	s.controller = core.NewCreditController(nC, nS, float64(ctx.Cfg.Cores))
+	s.controller = NewController(nC, nS, float64(ctx.Cfg.Cores))
 
 	// Initial allocation: equal shares of each server's capacity.
 	perInterval := s.capacityNanosPerMeasure() / float64(nC)

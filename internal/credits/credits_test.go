@@ -58,7 +58,7 @@ func TestOptionsDefaults(t *testing.T) {
 }
 
 func TestControllerProportionalAllocation(t *testing.T) {
-	ct := core.NewCreditController(2, 1, 4) // 2 clients, 1 server, 4 cores
+	ct := NewController(2, 1, 4) // 2 clients, 1 server, 4 cores
 	demand := [][]float64{{3000}, {1000}}
 	for i := 0; i < 20; i++ { // converge the EWMA
 		ct.Report(demand)
@@ -79,7 +79,7 @@ func TestControllerProportionalAllocation(t *testing.T) {
 }
 
 func TestControllerEqualSplitWithoutDemand(t *testing.T) {
-	ct := core.NewCreditController(3, 2, 4)
+	ct := NewController(3, 2, 4)
 	alloc := ct.AllocateInterval(900) // capacity 3600 per server
 	for s := 0; s < 2; s++ {
 		for c := 0; c < 3; c++ {
@@ -91,7 +91,7 @@ func TestControllerEqualSplitWithoutDemand(t *testing.T) {
 }
 
 func TestControllerCongestionSignal(t *testing.T) {
-	ct := core.NewCreditController(1, 1, 4)
+	ct := NewController(1, 1, 4)
 	ct.Report([][]float64{{100}})
 	ct.AllocateInterval(1000)
 	if ct.Congested() {
@@ -114,7 +114,7 @@ func TestControllerCongestionSignal(t *testing.T) {
 }
 
 func TestControllerResetHistory(t *testing.T) {
-	ct := core.NewCreditController(2, 1, 4)
+	ct := NewController(2, 1, 4)
 	ct.Report([][]float64{{5000}, {0}})
 	ct.ResetHistory()
 	alloc := ct.AllocateInterval(1000)

@@ -76,7 +76,7 @@ type DurableStats struct {
 }
 
 // Durable is a Store bound to an on-disk WAL and snapshot set. Writes
-// must go through it (Set/SetVersion/Delete/DeleteVersion); reads go
+// must go through it (Stage, SetVersion, DeleteVersion); reads go
 // straight to the Store, which serves even after a disk fault has
 // fail-stopped the write path.
 type Durable struct {
@@ -143,8 +143,6 @@ func OpenDurable(dir string, store *Store, opts DurableOptions) (*Durable, Repla
 				store.SetVersion(rec.key, rec.value, rec.ver)
 			case opDel:
 				store.DeleteVersion(rec.key, rec.ver)
-			case opRawDel:
-				store.Delete(rec.key)
 			case opPurge:
 				store.purgeTombstone(rec.key, rec.ver)
 			}
@@ -175,9 +173,11 @@ func OpenDurable(dir string, store *Store, opts DurableOptions) (*Durable, Repla
 	// GC sweeps must reach the log or replay will remember tombstones
 	// the live store forgot. Losing a purge record on crash is safe
 	// (replay resurrects a tombstone, which only re-suppresses already-
-	// dead writes), so purges ride the next flush without waiting.
+	// dead writes), so purges are buffered without a wait: they ride the
+	// next flush a write's Wait, the interval ticker, a rotation or Close
+	// performs.
 	store.setPurgeHook(func(key string, ver uint64) {
-		if err := w.appendAsync(opPurge, key, nil, ver); err != nil {
+		if _, err := w.buffer(opPurge, key, nil, ver); err != nil {
 			// The WAL has fail-stopped, so foreground writes are
 			// already erroring; an unlogged purge at worst resurrects
 			// a tombstone on replay. Count it so the drop is visible.
@@ -195,34 +195,25 @@ func OpenDurable(dir string, store *Store, opts DurableOptions) (*Durable, Repla
 // Store returns the wrapped in-memory store (reads go here directly).
 func (d *Durable) Store() *Store { return d.store }
 
-// Set applies a local write and logs it at its assigned version.
-func (d *Durable) Set(key string, value []byte) error {
-	ver := d.store.Set(key, value)
-	return d.w.append(opSet, key, value, ver)
-}
-
-// SetVersion applies a replicated write; only an applied (LWW-winning)
-// write is logged.
+// SetVersion applies a replicated write and waits for its log record;
+// only an applied (LWW-winning) write is logged. It is Stage followed
+// by Wait.
 func (d *Durable) SetVersion(key string, value []byte, ver uint64) (bool, error) {
-	if !d.store.SetVersion(key, value, ver) {
-		return false, nil
-	}
-	return true, d.w.append(opSet, key, value, ver)
+	return d.stageWait(key, value, ver, false)
 }
 
-// Delete applies a local delete-outright and logs it.
-func (d *Durable) Delete(key string) error {
-	d.store.Delete(key)
-	return d.w.append(opRawDel, key, nil, 0)
-}
-
-// DeleteVersion applies a replicated tombstone; only an applied delete
-// is logged.
+// DeleteVersion applies a replicated tombstone the way SetVersion
+// applies a write.
 func (d *Durable) DeleteVersion(key string, ver uint64) (bool, error) {
-	if !d.store.DeleteVersion(key, ver) {
-		return false, nil
+	return d.stageWait(key, nil, ver, true)
+}
+
+func (d *Durable) stageWait(key string, value []byte, ver uint64, dead bool) (bool, error) {
+	c, err := d.Stage(key, value, ver, dead)
+	if err == nil {
+		err = c.Wait()
 	}
-	return true, d.w.append(opDel, key, nil, ver)
+	return c.Logged(), err
 }
 
 // Commit is a mutation that is applied to memory and buffered in the
@@ -248,33 +239,24 @@ func (c Commit) Wait() error {
 	return c.w.wait(c.seq)
 }
 
-// StageSet is Set (ver 0) or SetVersion (ver > 0) split at the disk:
-// the write is applied and its record buffered in call order, and the
-// caller owes the returned Commit a Wait before acknowledging the write
-// to anyone. A server's connection loop stages and hands the Wait to
-// another goroutine, so the reads behind a write on the same connection
-// do not queue behind its fsync.
-func (d *Durable) StageSet(key string, value []byte, ver uint64) (Commit, error) {
-	if ver == 0 {
-		ver = d.store.Set(key, value)
+// Stage applies one versioned write — value at ver, or a tombstone at
+// ver when dead — last-writer-wins, and buffers its log record in call
+// order; a write that lost its LWW race changes nothing and logs
+// nothing (the zero Commit). The caller owes the returned Commit a Wait
+// before acknowledging the write to anyone. A server's connection loop
+// stages and hands the Wait to another goroutine, so the reads behind a
+// write on the same connection do not queue behind its fsync.
+func (d *Durable) Stage(key string, value []byte, ver uint64, dead bool) (Commit, error) {
+	op := opSet
+	if dead {
+		op, value = opDel, nil
+		if !d.store.DeleteVersion(key, ver) {
+			return Commit{}, nil
+		}
 	} else if !d.store.SetVersion(key, value, ver) {
 		return Commit{}, nil
 	}
-	seq, err := d.w.buffer(opSet, key, value, ver)
-	return Commit{w: d.w, seq: seq}, err
-}
-
-// StageDelete is Delete (ver 0) or DeleteVersion (ver > 0), split like
-// StageSet.
-func (d *Durable) StageDelete(key string, ver uint64) (Commit, error) {
-	op := opDel
-	if ver == 0 {
-		d.store.Delete(key)
-		op = opRawDel
-	} else if !d.store.DeleteVersion(key, ver) {
-		return Commit{}, nil
-	}
-	seq, err := d.w.buffer(op, key, nil, ver)
+	seq, err := d.w.buffer(op, key, value, ver)
 	return Commit{w: d.w, seq: seq}, err
 }
 

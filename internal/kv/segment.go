@@ -11,8 +11,8 @@ package kv
 //	crc   uint32  CRC32C (Castagnoli) of the payload bytes
 //	size  uint32  payload length
 //	payload:
-//	  op    uint8   opSet | opDel | opRawDel | opPurge
-//	  ver   uint64  write version (0 for unversioned ops)
+//	  op    uint8   opSet | opDel | opPurge
+//	  ver   uint64  write version
 //	  klen  uint32  key length
 //	  key   klen bytes
 //	  value size-13-klen bytes (opSet only; empty otherwise)
@@ -20,7 +20,9 @@ package kv
 // The CRC is what makes replay safe against torn writes: a crash mid
 // append leaves a record whose frame is short or whose checksum does
 // not match, and replay stops there — everything before the tear was
-// written (and, under FsyncAlways, synced) in full.
+// written (and, under FsyncAlways, synced) in full. A record with an op
+// the writer never emits (op 3 was an unversioned delete) is corrupt
+// the same way.
 
 import (
 	"encoding/binary"
@@ -32,14 +34,12 @@ import (
 	"strings"
 )
 
-// WAL record opcodes.
+// WAL record opcodes. 3 is retired.
 const (
-	// opSet is a versioned set (local writes log their assigned version).
+	// opSet is a versioned set.
 	opSet byte = 1
 	// opDel is a versioned delete: replay lays a tombstone at ver.
 	opDel byte = 2
-	// opRawDel is an unversioned local delete-outright (no tombstone).
-	opRawDel byte = 3
 	// opPurge records a tombstone-GC sweep: replay forgets the tombstone
 	// for key if it still sits at exactly ver. Without purge records,
 	// replay would remember deletes the live store had aged out and
@@ -86,10 +86,12 @@ type walRecord struct {
 	value []byte
 }
 
-// parseRecord decodes the first record in data, returning the remainder.
-// ok=false means data does not start with a whole, checksum-valid record
-// — a torn tail or corruption; len(data)==0 is the clean end-of-segment.
-func parseRecord(data []byte) (rec walRecord, rest []byte, ok bool) {
+// parseFrame decodes the first CRC-framed record in data, returning the
+// remainder. ok=false means data does not start with a whole,
+// checksum-valid frame — a torn tail or corruption. WAL segments and
+// snapshots share the framing; their first payload byte is a WAL op or
+// snapshot flags respectively.
+func parseFrame(data []byte) (rec walRecord, rest []byte, ok bool) {
 	if len(data) < recordHeaderSize {
 		return rec, data, false
 	}
@@ -111,6 +113,18 @@ func parseRecord(data []byte) (rec walRecord, rest []byte, ok bool) {
 	rec.key = string(payload[recordPayloadFixed : recordPayloadFixed+klen])
 	rec.value = payload[recordPayloadFixed+klen : n]
 	return rec, data[recordHeaderSize+n:], true
+}
+
+// parseRecord is parseFrame for a WAL segment, where a record whose op
+// the writer never emits is corrupt too; len(data)==0 is the clean
+// end-of-segment.
+func parseRecord(data []byte) (walRecord, []byte, bool) {
+	rec, rest, ok := parseFrame(data)
+	switch rec.op {
+	case opSet, opDel, opPurge:
+		return rec, rest, ok
+	}
+	return walRecord{}, data, false
 }
 
 // Segment and snapshot file naming: zero-padded indices so

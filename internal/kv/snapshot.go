@@ -129,7 +129,7 @@ func readSnapshot(path string, store *Store) (entries uint64, err error) {
 	}
 	data = data[len(snapshotMagic):]
 	for len(data) > 0 {
-		rec, rest, ok := parseRecord(data)
+		rec, rest, ok := parseFrame(data)
 		if !ok {
 			return entries, fmt.Errorf("kv: snapshot %s: corrupt frame after %d entries", path, entries)
 		}

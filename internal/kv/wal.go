@@ -2,20 +2,21 @@ package kv
 
 // Segmented write-ahead log with group commit.
 //
-// Appends reuse the coalescing trick of wire.ConnWriter, applied to
-// fsync instead of write(2): when no flush is in flight, an appender
+// A record is buffered in call order (buffer) and then waited for
+// (wait), which reuses the coalescing trick of wire.ConnWriter, applied
+// to fsync instead of write(2): when no flush is in flight, a waiter
 // becomes the flusher — one write + one fsync, same latency as a naive
-// implementation. When a flush IS in flight, appenders encode into a
-// shared pending buffer and wait; the next flusher drains everything
-// that accumulated into one write and one fsync, so under concurrent
-// writers many acknowledged records share a single disk sync. Records
-// are always written in Append order.
+// implementation. When a flush IS in flight, records accumulate in a
+// shared pending buffer and their waiters wait; the next flusher drains
+// everything that accumulated into one write and one fsync, so under
+// concurrent writers many acknowledged records share a single disk
+// sync. Records are always written in buffer order.
 //
 // Fsync policy:
 //
-//	FsyncAlways   every Append returns only after an fsync covers its
+//	FsyncAlways   every wait returns only after an fsync covers its
 //	              record (group-committed). Acked ⇒ durable.
-//	FsyncInterval appends return once the record reaches the file; a
+//	FsyncInterval waits return once the record reaches the file; a
 //	              background ticker fsyncs every fsyncTick (50ms). Acked
 //	              ⇒ durable within one tick, unless the process and the
 //	              machine die together inside it.
@@ -23,8 +24,8 @@ package kv
 //	              benchmarks and data you can re-derive.
 //
 // Any write or fsync error is sticky: the WAL fails every subsequent
-// Append, because after a failed sync there is no telling which bytes
-// reached the platter — the only honest answer is to stop
+// buffer and wait, because after a failed sync there is no telling
+// which bytes reached the platter — the only honest answer is to stop
 // acknowledging. Reads are unaffected (the in-memory store serves on).
 
 import (
@@ -61,7 +62,7 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 	return "", fmt.Errorf("kv: unknown fsync policy %q (want always, interval, or never)", s)
 }
 
-// ErrWALClosed is returned by Append after Close or Abort.
+// ErrWALClosed is returned by writes after Close or Abort.
 var ErrWALClosed = errors.New("kv: WAL closed")
 
 // Process-wide mirrors of DurableStats.Appends, Bytes and Fsyncs, kept
@@ -152,16 +153,6 @@ func openWAL(dir string, opts walOptions) (*wal, error) {
 	return w, nil
 }
 
-// append buffers one record and waits for the durability the policy
-// promises (see wait).
-func (w *wal) append(op byte, key string, value []byte, ver uint64) error {
-	seq, err := w.buffer(op, key, value, ver)
-	if err != nil {
-		return err
-	}
-	return w.wait(seq)
-}
-
 // wait blocks until record seq has the durability the policy promises:
 // an fsync covering it (FsyncAlways) or its write reaching the file
 // (FsyncInterval/FsyncNever). The first waiter to find no flush in
@@ -190,15 +181,6 @@ func (w *wal) wait(seq uint64) error {
 		}
 		w.cond.Wait()
 	}
-}
-
-// appendAsync buffers one record without waiting for any flush. Used
-// for records whose loss on crash is safe (tombstone-purge markers):
-// they ride the next flush a durable append, the interval ticker, a
-// rotation, or Close performs.
-func (w *wal) appendAsync(op byte, key string, value []byte, ver uint64) error {
-	_, err := w.buffer(op, key, value, ver)
-	return err
 }
 
 // buffer encodes one record into the pending buffer, in call order,

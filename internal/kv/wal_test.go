@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"runtime"
@@ -34,13 +35,21 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// set writes key at the version after the one it holds, the way a
+// replicated writer would stamp it.
+func set(d *Durable, key string, value []byte) error {
+	_, ver, _ := d.Store().GetVersion(key)
+	_, err := d.SetVersion(key, value, ver+1)
+	return err
+}
+
 func TestWALRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	d, stats := openTestDurable(t, dir, DurableOptions{})
 	if stats.WALRecords != 0 || stats.SnapshotIndex != 0 {
 		t.Fatalf("fresh dir replayed something: %+v", stats)
 	}
-	if err := d.Set("a", []byte("alpha")); err != nil {
+	if err := set(d, "a", []byte("alpha")); err != nil {
 		t.Fatal(err)
 	}
 	if applied, err := d.SetVersion("b", []byte("beta"), 7); err != nil || !applied {
@@ -53,8 +62,8 @@ func TestWALRoundTrip(t *testing.T) {
 	if applied, err := d.DeleteVersion("c", 9); err != nil || !applied {
 		t.Fatalf("DeleteVersion: applied=%v err=%v", applied, err)
 	}
-	if err := d.Delete("a"); err != nil {
-		t.Fatal(err)
+	if applied, err := d.DeleteVersion("a", 2); err != nil || !applied {
+		t.Fatalf("DeleteVersion: applied=%v err=%v", applied, err)
 	}
 	d.Abort() // crash: no snapshot, recovery is pure WAL replay
 
@@ -87,11 +96,11 @@ func TestWALGroupCommit(t *testing.T) {
 	// appenders behind it, then release: the three must share ONE fsync.
 	fi.StallFsyncs(1)
 	errs := make(chan error, 4)
-	go func() { errs <- d.Set("k0", []byte("v")) }()
+	go func() { errs <- set(d, "k0", []byte("v")) }()
 	waitFor(t, "first fsync stalled", func() bool { return fi.StalledFsyncs() == 1 })
 	for i := 0; i < 3; i++ {
 		key := string(rune('a' + i))
-		go func() { errs <- d.Set(key, []byte("v")) }()
+		go func() { errs <- set(d, key, []byte("v")) }()
 	}
 	waitFor(t, "3 appends buffered behind the stalled flush", func() bool {
 		d.w.mu.Lock()
@@ -117,16 +126,16 @@ func TestWALFsyncErrorFailStop(t *testing.T) {
 	fi := NewDiskFaultInjector()
 	d, _ := openTestDurable(t, dir, DurableOptions{Fault: fi})
 	defer d.Abort()
-	if err := d.Set("pre", []byte("ok")); err != nil {
+	if err := set(d, "pre", []byte("ok")); err != nil {
 		t.Fatal(err)
 	}
 	fi.FailFsyncs(1)
-	if err := d.Set("k", []byte("v")); !errors.Is(err, ErrInjectedFsync) {
+	if err := set(d, "k", []byte("v")); !errors.Is(err, ErrInjectedFsync) {
 		t.Fatalf("append over failed fsync: %v, want ErrInjectedFsync", err)
 	}
 	// The error is sticky: no later append may be acknowledged, because
 	// the disk's state is unknown after a failed sync.
-	if err := d.Set("k2", []byte("v")); !errors.Is(err, ErrInjectedFsync) {
+	if err := set(d, "k2", []byte("v")); !errors.Is(err, ErrInjectedFsync) {
 		t.Fatalf("append after sticky error: %v, want ErrInjectedFsync", err)
 	}
 	// Reads still serve from memory (fail-stop is write-side only).
@@ -139,7 +148,7 @@ func TestWALTornTail(t *testing.T) {
 	dir := t.TempDir()
 	d, _ := openTestDurable(t, dir, DurableOptions{})
 	for _, k := range []string{"a", "b", "c"} {
-		if err := d.Set(k, []byte("v-"+k)); err != nil {
+		if err := set(d, k, []byte("v-"+k)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -179,7 +188,7 @@ func TestWALTornTail(t *testing.T) {
 	}
 	// The store still serves writes: the torn segment is left behind and
 	// appends go to a brand-new segment.
-	if err := d2.Set("d", []byte("post")); err != nil {
+	if err := set(d2, "d", []byte("post")); err != nil {
 		t.Fatalf("write after torn-tail recovery: %v", err)
 	}
 }
@@ -188,7 +197,7 @@ func TestWALCorruptCRCMidSegment(t *testing.T) {
 	dir := t.TempDir()
 	d, _ := openTestDurable(t, dir, DurableOptions{})
 	for _, k := range []string{"a", "b", "c"} {
-		if err := d.Set(k, []byte("v-"+k)); err != nil {
+		if err := set(d, k, []byte("v-"+k)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -228,7 +237,7 @@ func TestWALSnapshotRotateTruncate(t *testing.T) {
 	dir := t.TempDir()
 	d, _ := openTestDurable(t, dir, DurableOptions{})
 	for i := 0; i < 50; i++ {
-		if err := d.Set(string(rune('a'+i%26))+string(rune('0'+i/26)), []byte{byte(i)}); err != nil {
+		if err := set(d, string(rune('a'+i%26))+string(rune('0'+i/26)), []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -244,7 +253,7 @@ func TestWALSnapshotRotateTruncate(t *testing.T) {
 		t.Fatalf("after snapshot: segments %v snapshots %v, want one of each at the same index", segs, snaps)
 	}
 	// Writes after the snapshot land in the new tail segment.
-	if err := d.Set("post-snap", []byte("tail")); err != nil {
+	if err := set(d, "post-snap", []byte("tail")); err != nil {
 		t.Fatal(err)
 	}
 	d.Abort()
@@ -276,7 +285,7 @@ func TestWALSnapshotRenameCrash(t *testing.T) {
 	fi := NewDiskFaultInjector()
 	d, _ := openTestDurable(t, dir, DurableOptions{Fault: fi})
 	for _, k := range []string{"a", "b"} {
-		if err := d.Set(k, []byte("v-"+k)); err != nil {
+		if err := set(d, k, []byte("v-"+k)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -315,7 +324,7 @@ func TestWALSegmentRotationBySize(t *testing.T) {
 	d, _ := openTestDurable(t, dir, DurableOptions{SegmentBytes: 256})
 	val := make([]byte, 100)
 	for i := 0; i < 10; i++ {
-		if err := d.Set(string(rune('a'+i)), val); err != nil {
+		if err := set(d, string(rune('a'+i)), val); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -355,11 +364,8 @@ func TestWALTombstonePurgeReplay(t *testing.T) {
 	}
 	// The live store now accepts a write older than the swept delete —
 	// the documented consequence of aging a tombstone out.
-	if !st.SetVersion("k", []byte("old"), 6) {
-		t.Fatal("live store rejected post-sweep write")
-	}
-	if err := d.w.append(opSet, "k", []byte("old"), 6); err != nil {
-		t.Fatal(err)
+	if applied, err := d.SetVersion("k", []byte("old"), 6); err != nil || !applied {
+		t.Fatalf("post-sweep write: applied=%v err=%v, want applied", applied, err)
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
@@ -403,7 +409,7 @@ func TestWALAbortDropsUnwrittenOnly(t *testing.T) {
 		key := string(rune('a' + i))
 		go func() {
 			defer wg.Done()
-			_ = d.Set(key, []byte("v"))
+			_ = set(d, key, []byte("v"))
 		}()
 	}
 	wg.Wait() // all 8 acked ⇒ all fsynced
@@ -414,7 +420,7 @@ func TestWALAbortDropsUnwrittenOnly(t *testing.T) {
 		t.Fatalf("recovered %d of 8 acked writes after Abort", got)
 	}
 	// Appends after Abort fail closed.
-	if err := d.Set("late", nil); !errors.Is(err, ErrWALClosed) {
+	if err := set(d, "late", nil); !errors.Is(err, ErrWALClosed) {
 		t.Fatalf("append after Abort: %v, want ErrWALClosed", err)
 	}
 }
@@ -428,4 +434,33 @@ func TestWALParseFsyncPolicy(t *testing.T) {
 	if _, err := ParseFsyncPolicy("sometimes"); err == nil {
 		t.Error("ParseFsyncPolicy accepted garbage")
 	}
+}
+
+// Fuzz the WAL record decoder on arbitrary bytes: no panics, a rejected
+// prefix is handed back whole, and whatever it accepts is a record of
+// an op the writer emits whose re-encoding is exactly the bytes it
+// consumed.
+func FuzzParseRecord(f *testing.F) {
+	f.Add(appendRecord(nil, opSet, "k", []byte("v"), 7))
+	f.Add(appendRecord(nil, opDel, "k", nil, 8))
+	f.Add(appendRecord(nil, opPurge, "k", nil, 8))
+	f.Add(appendRecord(nil, 3, "k", nil, 0)) // the retired unversioned delete
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rec, rest, ok := parseRecord(data)
+		if !ok {
+			if len(rest) != len(data) {
+				t.Fatalf("rejected record consumed %d bytes", len(data)-len(rest))
+			}
+			return
+		}
+		switch rec.op {
+		case opSet, opDel, opPurge:
+		default:
+			t.Fatalf("accepted op %d, which the writer never emits", rec.op)
+		}
+		used := data[:len(data)-len(rest)]
+		if again := appendRecord(nil, rec.op, rec.key, rec.value, rec.ver); !bytes.Equal(again, used) {
+			t.Fatalf("record %+v re-encodes to %x, read from %x", rec, again, used)
+		}
+	})
 }

@@ -631,8 +631,7 @@ func (c *Cluster) write(ctx context.Context, key string, value []byte, del bool,
 	ver := c.versions.next()
 	st := c.state.Load()
 	for hop := 0; hop < maxEpochHops; hop++ {
-		shard := st.topo.ShardOfKey(key)
-		rt := writeRoute{shard: shard, epoch: st.topo.Epoch()}
+		shard, epoch := st.topo.ShardOfKey(key), st.topo.Epoch()
 		reps := st.topo.Replicas()
 		results := make(chan writeVerdict, reps)
 		inflight := 0
@@ -647,7 +646,7 @@ func (c *Cluster) write(ctx context.Context, key string, value []byte, del bool,
 			}
 			inflight++
 			go func(slot *serverSlot, sc *serverConn) {
-				werr := sc.write(ctx, key, value, ver, del, rt)
+				werr := sc.write(ctx, key, versioned{value, ver, del}, epoch)
 				v := writeVerdict{err: werr}
 				switch {
 				case werr == nil:
@@ -1138,19 +1137,37 @@ func (c *Cluster) land(ctx context.Context, scorer *c3.Scorer, b shardBatch, l l
 	return resp
 }
 
-// outlive waits, bounded by ctx, for a leg its batch no longer needs, so
-// that a late answer still reaches the scorer and the cache. The
-// protocol has no cancel frame: the replica does the work anyway.
+// outlive waits for a leg its batch no longer needs, so that a late
+// answer still reaches the scorer and the cache. The protocol has no
+// cancel frame: the replica does the work anyway. The wait is detached
+// from ctx's cancellation — Multiget ends its context when it returns,
+// usually before a loser answers — but bounded by ctx's deadline, the
+// budget that rode the wire with the leg, and by Close.
 func (c *Cluster) outlive(ctx context.Context, scorer *c3.Scorer, b shardBatch, l leg) {
+	d, bounded := ctx.Deadline()
+	ctx = context.WithoutCancel(ctx) // which drops the deadline too
+	if bounded {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, d)
+		defer cancel()
+	}
 	select {
 	case m := <-l.ch:
 		if resp := c.land(ctx, scorer, b, l, m); resp != nil {
 			resp.Release()
 		}
 	case <-ctx.Done():
-		l.sc.abandon(l.id)
-		scorer.OnError(l.rep, len(b.keys))
+		c.drop(scorer, b, l)
+	case <-c.rootCtx.Done():
+		c.drop(scorer, b, l)
 	}
+}
+
+// drop gives up on leg l: its late reply is discarded and the scorer
+// unwinds the leg's outstanding keys.
+func (c *Cluster) drop(scorer *c3.Scorer, b shardBatch, l leg) {
+	l.sc.abandon(l.id)
+	scorer.OnError(l.rep, len(b.keys))
 }
 
 // fetchBatch gets one batch of a shard's keys answered, starting at
@@ -1279,11 +1296,10 @@ func (c *Cluster) fetchBatch(ctx context.Context, st *topoState, p *piece, res *
 				continue
 			case <-ctx.Done():
 				// The caller's deadline or cancellation ended the wait, not
-				// the replicas: no down-mark, no failover. With ctx done,
-				// outlive returns at once.
+				// the replicas: no down-mark, no failover.
 				for j := range legs {
 					if legs[j].ch != nil {
-						c.outlive(ctx, scorer, b, legs[j])
+						c.drop(scorer, b, legs[j])
 						legs[j].ch = nil
 					}
 				}

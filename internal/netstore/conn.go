@@ -68,12 +68,6 @@ func (e *NotOwnerError) Error() string {
 	return fmt.Sprintf("netstore: server does not own key (its epoch %d says shard %d)", e.Epoch, e.OwnerShard)
 }
 
-// writeRoute is the topology routing header stamped on Set/Del frames.
-type writeRoute struct {
-	shard int
-	epoch uint64
-}
-
 // serverConn is the one way netstore's client side talks to a server.
 // Requests multiplex over one TCP connection, each under an id its reply
 // echoes, and one read loop hands every reply to the waiter registered
@@ -117,12 +111,8 @@ func replyID(m wire.Message) (uint64, bool) {
 	switch m := m.(type) {
 	case *wire.BatchResp:
 		return m.Batch, true
-	case *wire.SetResp:
+	case *wire.WriteResp:
 		return m.Seq, true
-	case *wire.DelResp:
-		return m.Seq, true
-	case *wire.NotOwner:
-		return m.ID, true
 	case *wire.Topo:
 		return m.Seq, true
 	case *wire.ScanResp:
@@ -134,8 +124,8 @@ func replyID(m wire.Message) (uint64, bool) {
 }
 
 // stamp writes a request's id into the field its reply echoes, and the
-// caller's remaining budget into the requests that carry one (a batch
-// keeps a budget its caller pre-set).
+// caller's remaining budget into a batch (unless its caller pre-set
+// one): the one request that carries a budget.
 func stamp(req wire.Message, id uint64, budget int64) {
 	switch m := req.(type) {
 	case *wire.BatchReq:
@@ -143,10 +133,8 @@ func stamp(req wire.Message, id uint64, budget int64) {
 		if m.Budget == 0 {
 			m.Budget = budget
 		}
-	case *wire.Set:
-		m.Seq, m.Budget = id, budget
-	case *wire.Del:
-		m.Seq, m.Budget = id, budget
+	case *wire.Write:
+		m.Seq = id
 	case *wire.TopoGet:
 		m.Seq = id
 	case *wire.Topo:
@@ -291,29 +279,26 @@ func (sc *serverConn) batch(ctx context.Context, req *wire.BatchReq) (*wire.Batc
 	return replyAs[*wire.BatchResp](sc.call(ctx, req, "batch"))
 }
 
-// writeReq is the frame of one versioned write under the given topology
-// route: a Set, or with del a Del (version 0 = server-assigned local
-// version).
-func writeReq(key string, value []byte, version uint64, del bool, rt writeRoute) wire.Message {
-	if del {
-		return &wire.Del{Version: version, Shard: uint32(rt.shard), Epoch: rt.epoch, Key: key}
-	}
-	return &wire.Set{Version: version, Shard: uint32(rt.shard), Epoch: rt.epoch, Key: key, Value: value}
+// writeReq is the frame of one versioned write routed under the
+// topology at epoch.
+func writeReq(key string, v versioned, epoch uint64) *wire.Write {
+	return &wire.Write{Version: v.ver, Epoch: epoch, Key: key, Value: v.val, Dead: v.dead}
 }
 
 // ackOf is a write's verdict from its reply: nil for an ack, a
 // *NotOwnerError when the server rejected the key as not its own.
 func ackOf(m wire.Message, err error) error {
-	if no, ok := m.(*wire.NotOwner); ok {
-		return &NotOwnerError{Epoch: no.Epoch, OwnerShard: int(no.Hint)}
+	r, err := replyAs[*wire.WriteResp](m, err)
+	if err == nil && r.NotOwner {
+		return &NotOwnerError{Epoch: r.Epoch, OwnerShard: int(r.Owner)}
 	}
 	return err
 }
 
-// write sends one versioned write and waits for its verdict until ctx
-// ends.
-func (sc *serverConn) write(ctx context.Context, key string, value []byte, version uint64, del bool, rt writeRoute) error {
-	return ackOf(sc.call(ctx, writeReq(key, value, version, del, rt), "write"))
+// write sends one versioned write, routed under the topology at epoch,
+// and waits for its verdict until ctx ends.
+func (sc *serverConn) write(ctx context.Context, key string, v versioned, epoch uint64) error {
+	return ackOf(sc.call(ctx, writeReq(key, v, epoch), "write"))
 }
 
 // topoGet asks the server for its current topology and waits for the

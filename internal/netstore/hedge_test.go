@@ -390,31 +390,43 @@ func TestHedgeBothLegsDieFailoverToThird(t *testing.T) {
 	waitScorerBalanced(t, c)
 }
 
-// A loser's late answer reaches its replica's EWMA. The caller's own
-// deadline bounds the wait for it (Multiget's default deadline would end
-// with the call), so after the release the stalled primary's score
-// carries the answer's feedback rather than returning to a cold one.
+// A loser's late answer reaches its replica's EWMA: after the release
+// the stalled primary's score carries the answer's feedback rather than
+// returning to a cold one. The wait for it is bounded by the call's
+// deadline, whether the caller set one or Multiget's default did — not
+// by the call's own end, which comes first under a caller with no
+// deadline (Multiget then ends the one it derived when it returns).
 func TestHedgeLoserFeedsScorer(t *testing.T) {
-	c, ft, injs := hedgeCluster(t)
-	cold := c.ScoreOf(0, 0)
+	for _, tc := range []struct {
+		name string
+		ctx  func() (context.Context, context.CancelFunc)
+	}{
+		{"caller deadline", func() (context.Context, context.CancelFunc) { return context.WithTimeout(bg, 10*time.Second) }},
+		{"caller cancel only", func() (context.Context, context.CancelFunc) { return context.WithCancel(bg) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, ft, injs := hedgeCluster(t)
+			cold := c.ScoreOf(0, 0)
 
-	ctx, cancel := context.WithTimeout(bg, 10*time.Second)
-	defer cancel()
-	injs[0].StallNext(1)
-	done := getAsync(ctx, c)
-	waitFor(t, 5*time.Second, "primary stalled in service", func() bool {
-		return injs[0].StalledCount() == 1
-	})
-	ft.fire()
-	if err := <-done; err != nil {
-		t.Fatalf("hedged Get: %v", err)
-	}
-	if s := c.Stats(); s.HedgesWon != 1 {
-		t.Fatalf("hedges won = %d, want 1", s.HedgesWon)
-	}
-	injs[0].Release()
-	waitScorerBalanced(t, c)
-	if got := c.ScoreOf(0, 0); got == cold {
-		t.Fatalf("primary's score %v after its late answer, want it moved from the cold %v", got, cold)
+			ctx, cancel := tc.ctx()
+			defer cancel()
+			injs[0].StallNext(1)
+			done := getAsync(ctx, c)
+			waitFor(t, 5*time.Second, "primary stalled in service", func() bool {
+				return injs[0].StalledCount() == 1
+			})
+			ft.fire()
+			if err := <-done; err != nil {
+				t.Fatalf("hedged Get: %v", err)
+			}
+			if s := c.Stats(); s.HedgesWon != 1 {
+				t.Fatalf("hedges won = %d, want 1", s.HedgesWon)
+			}
+			injs[0].Release()
+			waitScorerBalanced(t, c)
+			if got := c.ScoreOf(0, 0); got == cold {
+				t.Fatalf("primary's score %v after its late answer, want it moved from the cold %v", got, cold)
+			}
+		})
 	}
 }

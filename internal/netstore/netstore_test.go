@@ -677,7 +677,7 @@ func TestQueuedBatchKeysSurviveFrameReuse(t *testing.T) {
 	// would look up one of these instead of its own.
 	for i := 0; i < 100; i++ {
 		k := fmt.Sprintf("other!:%02d", i)
-		if err := sc.write(bg, k, []byte("value of "+k), 0, false, writeRoute{}); err != nil {
+		if err := sc.write(bg, k, versioned{[]byte("value of " + k), 1, false}, 0); err != nil {
 			t.Fatal(err)
 		}
 	}

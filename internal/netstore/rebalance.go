@@ -223,7 +223,7 @@ func copyMoved(ctx context.Context, cur, next *cluster.ShardTopology, donors []i
 			continue
 		}
 		for _, sid := range next.ReplicaServers(owner) {
-			if err := replayEntries(ctx, next.Addr(sid), owner, next.Epoch(), entries); err != nil {
+			if err := replayEntries(ctx, next.Addr(sid), next.Epoch(), entries); err != nil {
 				return total, fmt.Errorf("replay %d keys to shard %d server %s: %w", len(entries), owner, next.Addr(sid), err)
 			}
 		}
@@ -340,13 +340,12 @@ func scanAll(ctx context.Context, addr string, fn func(key string, val []byte, v
 // original versions (idempotent), one window of migrationWindow writes
 // at a time: a window's writes all go out before its acks are awaited,
 // and each window is one exchange bounded by clientDialTimeout.
-func replayEntries(ctx context.Context, addr string, shard int, epoch uint64, entries latest) error {
+func replayEntries(ctx context.Context, addr string, epoch uint64, entries latest) error {
 	sc, err := dialServer(addr)
 	if err != nil {
 		return err
 	}
 	defer sc.close()
-	rt := writeRoute{shard: shard, epoch: epoch}
 	keys := make([]string, 0, len(entries))
 	for k := range entries {
 		keys = append(keys, k)
@@ -358,9 +357,8 @@ func replayEntries(ctx context.Context, addr string, shard int, epoch uint64, en
 		keys = keys[len(window):]
 		if err := sc.within(ctx, func(ctx context.Context) error {
 			for i, key := range window {
-				e := entries[key]
 				var err error
-				if ids[i], acks[i], err = sc.start(ctx, writeReq(key, e.val, e.ver, e.dead, rt), "migration write"); err != nil {
+				if ids[i], acks[i], err = sc.start(ctx, writeReq(key, entries[key], epoch), "migration write"); err != nil {
 					return err
 				}
 			}

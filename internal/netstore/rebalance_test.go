@@ -393,11 +393,11 @@ func TestServerPerKeyOwnership(t *testing.T) {
 	}
 
 	// Writes: owned accepted, foreign rejected with the owner hint.
-	rt := writeRoute{shard: 0, epoch: topo.Epoch()}
-	if err := sc.write(bg, owned, []byte("mine"), 7, false, rt); err != nil {
+	epoch := topo.Epoch()
+	if err := sc.write(bg, owned, versioned{[]byte("mine"), 7, false}, epoch); err != nil {
 		t.Fatalf("owned Set rejected: %v", err)
 	}
-	err = sc.write(bg, foreign, []byte("stray"), 8, false, rt)
+	err = sc.write(bg, foreign, versioned{[]byte("stray"), 8, false}, epoch)
 	var noe *NotOwnerError
 	if !errors.As(err, &noe) {
 		t.Fatalf("foreign Set err = %v, want NotOwnerError", err)
@@ -405,7 +405,7 @@ func TestServerPerKeyOwnership(t *testing.T) {
 	if noe.OwnerShard != 1 || noe.Epoch != topo.Epoch() {
 		t.Fatalf("NotOwner hint = %+v, want owner 1 epoch %d", noe, topo.Epoch())
 	}
-	if err := sc.write(bg, foreign, nil, 9, true, rt); err == nil {
+	if err := sc.write(bg, foreign, versioned{nil, 9, true}, epoch); err == nil {
 		t.Fatal("foreign Del accepted")
 	}
 	if _, ok := srv.Store().Get(foreign); ok {
@@ -483,7 +483,7 @@ func TestTopoPushDoesNotAliasFrame(t *testing.T) {
 		}
 	}
 	for i := 0; i < 50; i++ {
-		if err := sc.write(bg, owned, []byte("kkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkk"), uint64(i+1), false, writeRoute{shard: 0, epoch: 1}); err != nil {
+		if err := sc.write(bg, owned, versioned{[]byte("kkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkk"), uint64(i + 1), false}, 1); err != nil {
 			t.Fatal(err)
 		}
 	}

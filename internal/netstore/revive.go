@@ -56,10 +56,10 @@ func (c *Cluster) repairCtx() (context.Context, context.CancelFunc) {
 }
 
 // repairWrite is one ctx-bounded versioned write of repair traffic.
-func (c *Cluster) repairWrite(sc *serverConn, key string, v versioned, rt writeRoute) error {
+func (c *Cluster) repairWrite(sc *serverConn, key string, v versioned, epoch uint64) error {
 	ctx, cancel := c.repairCtx()
 	defer cancel()
-	return sc.write(ctx, key, v.val, v.ver, v.dead, rt)
+	return sc.write(ctx, key, v, epoch)
 }
 
 // versioned is one key's copy as a write left it — a value, or a
@@ -200,11 +200,10 @@ func (c *Cluster) replayHints(slot *serverSlot, sc *serverConn) error {
 		}
 		return fresh
 	}
-	rt := writeRoute{shard: shard, epoch: st.topo.Epoch()}
 	for key, h := range pending {
 		if st.topo.ShardOfKey(key) != shard {
 			c.rerouteHint(st, key, h)
-		} else if err := c.repairWrite(sc, key, h, rt); errors.As(err, new(*NotOwnerError)) {
+		} else if err := c.repairWrite(sc, key, h, st.topo.Epoch()); errors.As(err, new(*NotOwnerError)) {
 			c.rerouteHint(freshState(), key, h)
 		} else if err != nil {
 			return putBack(err)
@@ -246,7 +245,7 @@ func (c *Cluster) catchUp(st *topoState, slot *serverSlot, shard int) (bool, err
 	if !scanned {
 		return false, nil
 	}
-	err := replayEntries(c.rootCtx, slot.addr, shard, st.topo.Epoch(), entries)
+	err := replayEntries(c.rootCtx, slot.addr, st.topo.Epoch(), entries)
 	if errors.As(err, new(*NotOwnerError)) {
 		c.epochLag.Store(true)
 	}
@@ -263,11 +262,10 @@ func (c *Cluster) catchUp(st *topoState, slot *serverSlot, shard int) (bool, err
 // vanishing.
 func (c *Cluster) rerouteHint(st *topoState, key string, h versioned) {
 	shard := st.topo.ShardOfKey(key)
-	rt := writeRoute{shard: shard, epoch: st.topo.Epoch()}
 	for r := 0; r < st.topo.Replicas(); r++ {
 		owner := st.slotOf(shard, r)
 		osc := owner.conn.Load()
-		if osc == nil || owner.down.Load() || c.repairWrite(osc, key, h, rt) != nil {
+		if osc == nil || owner.down.Load() || c.repairWrite(osc, key, h, st.topo.Epoch()) != nil {
 			c.addHint(owner, key, h.val, h.ver, h.dead)
 		}
 	}

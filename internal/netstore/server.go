@@ -613,12 +613,8 @@ func (s *Server) handle(conn net.Conn) {
 			if cs.send(&wire.Pong{Nonce: m.Nonce}) != nil {
 				return
 			}
-		case *wire.Set:
-			if !s.handleWrite(cs, m.Key, m.Value, m.Version, m.Epoch, m.Seq, false) {
-				return
-			}
-		case *wire.Del:
-			if !s.handleWrite(cs, m.Key, nil, m.Version, m.Epoch, m.Seq, true) {
+		case *wire.Write:
+			if !s.handleWrite(cs, m) {
 				return
 			}
 		case *wire.TopoGet:
@@ -651,53 +647,45 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// handleWrite serves one Set or Del (del); false means the connection
-// is finished.
-func (s *Server) handleWrite(cs *connState, key string, value []byte, ver, epoch, seq uint64, del bool) bool {
+// handleWrite serves one write; false means the connection is
+// finished.
+func (s *Server) handleWrite(cs *connState, m *wire.Write) bool {
 	// Ownership gate first: with a topology installed, a key this server
 	// does not own is rejected, not silently stored where no reader will
 	// ever look for it.
-	if owner, cur, ok := s.ownsKey(key, epoch); !ok {
-		s.notOwnerWrites.Add(1)
-		return cs.send(&wire.NotOwner{ID: seq, Epoch: cur, Hint: uint32(owner)}) == nil
+	if rej := s.rejectWrite(m); rej != nil {
+		return cs.send(rej) == nil
 	}
-	c, err := s.apply(key, value, ver, del)
-	return err == nil && s.ackWrite(cs, c, key, epoch, seq, del)
+	c, err := s.apply(m)
+	return err == nil && s.ackWrite(cs, c, m)
 }
 
-// apply applies one write (del: a delete) to the store and, on a durable
-// server, buffers its log record; the returned Commit is what ackWrite
-// waits on. ver 0 is a local (loader) write that auto-advances the key's
-// version, or deletes outright; a non-zero version is a replicated write
-// applied last-writer-wins (a delete lays a tombstone), so
-// hint replays, catch-up copies and migrations are idempotent. An error
-// is a durability failure: fail-stop the write path — no ack is sent and
-// the connection drops, so the client marks this replica down and
+// apply applies one versioned write to the store last-writer-wins (a
+// dead write lays a tombstone), so hint replays, catch-up copies and
+// migrations are idempotent, and on a durable server buffers its log
+// record; the returned Commit is what ackWrite waits on. An error is a
+// durability failure: fail-stop the write path — no ack is sent and the
+// connection drops, so the client marks this replica down and
 // hints/reroutes the write, and an acked write is never one the WAL
 // refused.
-func (s *Server) apply(key string, value []byte, ver uint64, del bool) (c kv.Commit, err error) {
-	switch {
-	case s.dur != nil && del:
-		c, err = s.dur.StageDelete(key, ver)
-	case s.dur != nil:
-		c, err = s.dur.StageSet(key, value, ver)
-	case del && ver == 0:
-		s.store.Delete(key)
-	case del:
-		s.store.DeleteVersion(key, ver)
-	case ver == 0:
-		s.store.Set(key, value)
-	default:
-		s.store.SetVersion(key, value, ver)
+func (s *Server) apply(m *wire.Write) (kv.Commit, error) {
+	if s.dur == nil {
+		if m.Dead {
+			s.store.DeleteVersion(m.Key, m.Version)
+		} else {
+			s.store.SetVersion(m.Key, m.Value, m.Version)
+		}
+		return kv.Commit{}, nil
 	}
+	c, err := s.dur.Stage(m.Key, m.Value, m.Version, m.Dead)
 	if err != nil {
 		s.durabilityErrors.Add(1)
 	}
 	return c, err
 }
 
-// ackWrite answers an applied write (del: a delete), reporting false
-// when the connection is finished. A logged write is acknowledged from a
+// ackWrite answers an applied write, reporting false when the
+// connection is finished. A logged write is acknowledged from a
 // goroutine of its own once the WAL says it is durable, so the
 // connection loop goes straight back to reading: the requests behind a
 // write — reads above all — do not queue behind its fsync, and writes
@@ -712,22 +700,12 @@ func (s *Server) apply(key string, value []byte, ver uint64, del bool) (c kv.Com
 // visible — the donor would then ack a write the new owner never
 // receives. Post-apply, either the install came later (the catch-up
 // scan, which starts after the push completes, sees the applied write)
-// or this recheck sees the new topology and converts the ack into
-// NotOwner, making the client re-route the same versioned write to the
-// real owner.
-func (s *Server) ackWrite(cs *connState, c kv.Commit, key string, epoch, seq uint64, del bool) bool {
-	ack := func() wire.Message {
-		if owner, cur, ok := s.ownsKey(key, epoch); !ok {
-			s.notOwnerWrites.Add(1)
-			return &wire.NotOwner{ID: seq, Epoch: cur, Hint: uint32(owner)}
-		}
-		if del {
-			return &wire.DelResp{Seq: seq}
-		}
-		return &wire.SetResp{Seq: seq}
-	}
+// or this recheck sees the new topology and turns the ack into a
+// NotOwner rejection, making the client re-route the same versioned
+// write to the real owner.
+func (s *Server) ackWrite(cs *connState, c kv.Commit, m *wire.Write) bool {
 	if !c.Logged() {
-		return cs.send(ack()) == nil
+		return cs.send(s.writeAck(m)) == nil
 	}
 	s.wg.Add(1)
 	go func() {
@@ -737,9 +715,29 @@ func (s *Server) ackWrite(cs *connState, c kv.Commit, key string, epoch, seq uin
 			_ = cs.conn.Close()
 			return
 		}
-		cs.reply(ack())
+		cs.reply(s.writeAck(m))
 	}()
 	return true
+}
+
+// writeAck is an applied write's reply: its ack, or its rejection when
+// the key moved away meanwhile.
+func (s *Server) writeAck(m *wire.Write) *wire.WriteResp {
+	if rej := s.rejectWrite(m); rej != nil {
+		return rej
+	}
+	return &wire.WriteResp{Seq: m.Seq}
+}
+
+// rejectWrite is the NotOwner reply to m when this server does not own
+// m's key under its current topology (ownsKey), nil when it does.
+func (s *Server) rejectWrite(m *wire.Write) *wire.WriteResp {
+	owner, cur, ok := s.ownsKey(m.Key, m.Epoch)
+	if ok {
+		return nil
+	}
+	s.notOwnerWrites.Add(1)
+	return &wire.WriteResp{Seq: m.Seq, NotOwner: true, Epoch: cur, Owner: uint32(owner)}
 }
 
 // srvExpiredDropsTotal is the process-wide mirror of
@@ -760,7 +758,7 @@ var srvExpiredDropsTotal = metrics.GetCounter("netstore_server_expired_drops_tot
 // topologies before data (re-opening a read-missing window on drained
 // shards). Writers at or behind our epoch get the full per-key check.
 // On rejection it returns the owning shard and the server's epoch for
-// the NotOwner hint.
+// the NotOwner reply.
 func (s *Server) ownsKey(key string, writerEpoch uint64) (owner int, epoch uint64, ok bool) {
 	if !s.opts.CheckShard {
 		return 0, 0, true

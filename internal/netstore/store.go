@@ -7,7 +7,7 @@ package netstore
 // batch responses, write acknowledgments, failover retries — selects on
 // ctx.Done(), so a wedged-but-open connection can never hang a caller
 // past its deadline. Wire-side, the remaining budget rides each
-// BatchReq/Set/Del frame, and the server sheds work items whose budget
+// BatchReq frame, and the server sheds work items whose budget
 // ran out while they queued (per-key Expired bits) instead of wasting
 // service time on answers nobody is waiting for — deadline-aware
 // shedding in the spirit of receiver-driven transports.

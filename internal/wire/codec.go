@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -233,54 +234,66 @@ func decodeBatchResp(r *reader) (*BatchResp, error) {
 	return m, r.done()
 }
 
-func (m *Set) msgType() MsgType { return TSet }
-func (m *Set) bodySize() int    { return 42 + len(m.Key) + len(m.Value) }
-func (m *Set) appendBody(dst []byte) []byte {
+func (m *Write) msgType() MsgType { return TWrite }
+func (m *Write) bodySize() int {
+	if m.Dead {
+		return 27 + len(m.Key)
+	}
+	return 31 + len(m.Key) + len(m.Value)
+}
+func (m *Write) appendBody(dst []byte) []byte {
 	dst = appendU64(dst, m.Seq)
 	dst = appendU64(dst, m.Version)
-	dst = appendU32(dst, m.Shard)
 	dst = appendU64(dst, m.Epoch)
-	dst = appendI64(dst, m.Budget)
+	if m.Dead {
+		dst = append(dst, 1)
+		return appendKey(dst, m.Key)
+	}
+	dst = append(dst, 0)
 	dst = appendKey(dst, m.Key)
 	return appendVal(dst, m.Value)
 }
 
-func decodeSet(r *reader) (*Set, error) {
-	m := &Set{Seq: r.u64(), Version: r.u64(), Shard: r.u32(), Epoch: r.u64(), Budget: r.i64(), Key: r.key(), Value: r.val()}
-	return m, r.done()
+// errVersionZero rejects a Write without a version: every writer stamps
+// one, and last-writer-wins has nothing to order a zero by.
+var errVersionZero = errors.New("wire: write at version 0")
+
+func decodeWrite(r *reader) (*Write, error) {
+	m := &Write{Seq: r.u64(), Version: r.u64(), Epoch: r.u64(), Dead: r.u8() == 1, Key: r.key()}
+	if !m.Dead {
+		m.Value = r.val()
+	}
+	if err := r.done(); err != nil {
+		return m, err
+	}
+	if m.Version == 0 {
+		return m, errVersionZero
+	}
+	return m, nil
 }
 
-func (m *Del) msgType() MsgType { return TDel }
-func (m *Del) bodySize() int    { return 38 + len(m.Key) }
-func (m *Del) appendBody(dst []byte) []byte {
+func (m *WriteResp) msgType() MsgType { return TWriteResp }
+func (m *WriteResp) bodySize() int {
+	if m.NotOwner {
+		return 21
+	}
+	return 9
+}
+func (m *WriteResp) appendBody(dst []byte) []byte {
 	dst = appendU64(dst, m.Seq)
-	dst = appendU64(dst, m.Version)
-	dst = appendU32(dst, m.Shard)
+	if !m.NotOwner {
+		return append(dst, 0)
+	}
+	dst = append(dst, 1)
 	dst = appendU64(dst, m.Epoch)
-	dst = appendI64(dst, m.Budget)
-	return appendKey(dst, m.Key)
+	return appendU32(dst, m.Owner)
 }
 
-func decodeDel(r *reader) (*Del, error) {
-	m := &Del{Seq: r.u64(), Version: r.u64(), Shard: r.u32(), Epoch: r.u64(), Budget: r.i64(), Key: r.key()}
-	return m, r.done()
-}
-
-func (m *DelResp) msgType() MsgType             { return TDelResp }
-func (m *DelResp) bodySize() int                { return 8 }
-func (m *DelResp) appendBody(dst []byte) []byte { return appendU64(dst, m.Seq) }
-
-func decodeDelResp(r *reader) (*DelResp, error) {
-	m := &DelResp{Seq: r.u64()}
-	return m, r.done()
-}
-
-func (m *SetResp) msgType() MsgType             { return TSetResp }
-func (m *SetResp) bodySize() int                { return 8 }
-func (m *SetResp) appendBody(dst []byte) []byte { return appendU64(dst, m.Seq) }
-
-func decodeSetResp(r *reader) (*SetResp, error) {
-	m := &SetResp{Seq: r.u64()}
+func decodeWriteResp(r *reader) (*WriteResp, error) {
+	m := &WriteResp{Seq: r.u64(), NotOwner: r.u8() == 1}
+	if m.NotOwner {
+		m.Epoch, m.Owner = r.u64(), r.u32()
+	}
 	return m, r.done()
 }
 
@@ -299,19 +312,6 @@ func (m *Pong) appendBody(dst []byte) []byte { return appendU64(dst, m.Nonce) }
 
 func decodePong(r *reader) (*Pong, error) {
 	m := &Pong{Nonce: r.u64()}
-	return m, r.done()
-}
-
-func (m *NotOwner) msgType() MsgType { return TNotOwner }
-func (m *NotOwner) bodySize() int    { return 20 }
-func (m *NotOwner) appendBody(dst []byte) []byte {
-	dst = appendU64(dst, m.ID)
-	dst = appendU64(dst, m.Epoch)
-	return appendU32(dst, m.Hint)
-}
-
-func decodeNotOwner(r *reader) (*NotOwner, error) {
-	m := &NotOwner{ID: r.u64(), Epoch: r.u64(), Hint: r.u32()}
 	return m, r.done()
 }
 
@@ -475,20 +475,10 @@ func Decode(frame []byte) (Message, error) {
 		return decodeBatchReq(r)
 	case TBatchResp:
 		return decodeBatchResp(r)
-	case TSet:
-		return decodeSet(r)
-	case TSetResp:
-		return decodeSetResp(r)
 	case TPing:
 		return decodePing(r)
 	case TPong:
 		return decodePong(r)
-	case TDel:
-		return decodeDel(r)
-	case TDelResp:
-		return decodeDelResp(r)
-	case TNotOwner:
-		return decodeNotOwner(r)
 	case TTopoGet:
 		return decodeTopoGet(r)
 	case TTopo:
@@ -497,6 +487,10 @@ func Decode(frame []byte) (Message, error) {
 		return decodeScan(r)
 	case TScanResp:
 		return decodeScanResp(r)
+	case TWrite:
+		return decodeWrite(r)
+	case TWriteResp:
+		return decodeWriteResp(r)
 	}
 	return nil, fmt.Errorf("wire: unknown message type %d", frame[0])
 }

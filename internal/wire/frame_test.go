@@ -80,7 +80,7 @@ func TestQuickPooledAliasRoundTrip(t *testing.T) {
 // Decode must never alias the frame: corrupting the frame after
 // decoding cannot change the message.
 func TestCopyDecodeDoesNotAliasFrame(t *testing.T) {
-	m := &Set{Seq: 9, Key: "playlist:42", Value: bytes.Repeat([]byte{0xAB}, 512)}
+	m := &Write{Seq: 9, Version: 1, Key: "playlist:42", Value: bytes.Repeat([]byte{0xAB}, 512)}
 	enc := Encode(m)
 	frame := append([]byte(nil), enc[4:]...)
 	got, err := Decode(frame)
@@ -90,7 +90,7 @@ func TestCopyDecodeDoesNotAliasFrame(t *testing.T) {
 	for i := range frame {
 		frame[i] = 0xFF
 	}
-	gs := got.(*Set)
+	gs := got.(*Write)
 	if gs.Key != "playlist:42" || !bytes.Equal(gs.Value, m.Value) {
 		t.Fatal("decode aliased the frame buffer")
 	}
@@ -112,10 +112,11 @@ func TestPooledRecycleAcrossGoroutines(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				want := &Set{
-					Seq:   uint64(g)<<32 | uint64(r),
-					Key:   fmt.Sprintf("key:%d:%d", g, r),
-					Value: bytes.Repeat([]byte{byte(g), byte(r)}, 64),
+				want := &Write{
+					Seq:     uint64(g)<<32 | uint64(r),
+					Version: 1,
+					Key:     fmt.Sprintf("key:%d:%d", g, r),
+					Value:   bytes.Repeat([]byte{byte(g), byte(r)}, 64),
 				}
 				enc := AppendEncode(nil, want)
 				frame := GetFrame(len(enc) - 4)
@@ -126,7 +127,7 @@ func TestPooledRecycleAcrossGoroutines(t *testing.T) {
 					return
 				}
 				frame.Release() // recycled before the message is checked
-				gs := got.(*Set)
+				gs := got.(*Write)
 				if gs.Seq != want.Seq || gs.Key != want.Key || !bytes.Equal(gs.Value, want.Value) {
 					errCh <- fmt.Errorf("goroutine %d round %d: message corrupted after frame recycle", g, r)
 					return
@@ -175,8 +176,11 @@ func TestHotPathAllocs(t *testing.T) {
 func FuzzDecodeModes(f *testing.F) {
 	f.Add(Encode(benchBatchReq())[4:])
 	f.Add(Encode(benchBatchResp())[4:])
-	f.Add(Encode(&Set{Seq: 1, Key: "k", Value: []byte{1}})[4:])
+	f.Add(Encode(&Write{Seq: 1, Version: 1, Key: "k", Value: []byte{1}})[4:])
 	f.Add([]byte{0xFF, 0, 1, 2})
+	f.Add(Encode(&Write{Seq: 2, Version: 9, Epoch: 3, Key: "k", Dead: true})[4:])
+	f.Add(Encode(&WriteResp{Seq: 1})[4:])
+	f.Add(Encode(&WriteResp{Seq: 2, NotOwner: true, Epoch: 4, Owner: 1})[4:])
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		m, err := Decode(frame)
 		if err != nil {

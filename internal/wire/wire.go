@@ -35,27 +35,17 @@ const (
 	TBatchReq MsgType = 1
 	// TBatchResp is the server→client response to a TBatchReq.
 	TBatchResp MsgType = 2
-	// TSet is a client→server write (used by loaders and examples).
-	TSet MsgType = 3
-	// TSetResp acknowledges a TSet.
-	TSetResp MsgType = 4
-	// Types 5 and 6 are retired (they carried the store's credits
-	// controller's demand reports and grants): no message may reuse
-	// them, so a frame from an old controller decodes as an unknown type.
+	// Types 3, 4, 9, 10 and 11 are retired (Set, SetResp, Del, DelResp
+	// and NotOwner, which Write and WriteResp replaced), and so are 5 and
+	// 6 (the store's credits controller's demand reports and grants): no
+	// message may reuse them, so a frame from an old peer decodes as an
+	// unknown type.
 
 	// TPing/TPong are liveness probes; the cluster client's revival
 	// prober uses them to verify a redialed replica actually serves
 	// before swapping the connection in.
 	TPing MsgType = 7
 	TPong MsgType = 8
-	// TDel is a client→server versioned delete.
-	TDel MsgType = 9
-	// TDelResp acknowledges a TDel.
-	TDelResp MsgType = 10
-	// TNotOwner rejects a Set/Del whose key the serving server does not
-	// own under its current topology (batched reads mark strays per key
-	// instead; see BatchResp.Stray).
-	TNotOwner MsgType = 11
 	// TTopoGet asks a server for its current topology.
 	TTopoGet MsgType = 12
 	// TTopo carries a full epoch-versioned topology: the reply to
@@ -68,6 +58,12 @@ const (
 	TScan MsgType = 14
 	// TScanResp answers a TScan.
 	TScanResp MsgType = 15
+	// TWrite is a client→server versioned write: a value, or a
+	// tombstone.
+	TWrite MsgType = 16
+	// TWriteResp answers a TWrite: its ack, or its rejection by a server
+	// that does not own the key.
+	TWriteResp MsgType = 17
 )
 
 // MaxFrame bounds frame payloads (16 MiB) to fail fast on corrupt length
@@ -160,53 +156,35 @@ type BatchResp struct {
 // routing header.
 func (m *BatchResp) Misrouted() bool { return m.Flags&FlagMisrouted != 0 }
 
-// Set writes one key.
-type Set struct {
-	Seq uint64
-	// Version orders writes per key: the server applies the Set only if
-	// Version exceeds the stored version (last-writer-wins), making
-	// hint replays and catch-up copies idempotent. Version 0
-	// asks the server to assign the next local version (the pre-versioning
-	// behavior, kept for simple loaders).
-	Version uint64
-	// Shard and Epoch are the routing header of epoch-versioned writes:
-	// the shard the key hashes to under the client's topology and that
-	// topology's epoch. Servers holding a topology reject Sets for keys
-	// they do not own with NotOwner; unsharded writers leave both zero.
-	Shard uint32
-	Epoch uint64
-	// Budget is the writer's remaining deadline budget in nanoseconds at
-	// send time (0 = unbounded). Writes are applied inline on receipt, so
-	// today the budget is carried for symmetry with BatchReq and for
-	// queue-admission decisions a future server may make; expired writers
-	// stop waiting client-side.
-	Budget int64
-	Key    string
-	Value  []byte
-}
-
-// SetResp acknowledges a Set.
-type SetResp struct {
-	Seq uint64
-}
-
-// Del deletes one key, versioned like Set: the server applies the
-// delete (leaving a tombstone) only if Version exceeds the stored
-// version. Version 0 deletes unconditionally. Shard/Epoch route it the
-// way Set's do; Budget carries the writer's remaining deadline like
-// Set's.
-type Del struct {
+// Write is the one write on the wire, from every writer — a client,
+// hint replay, catch-up, migration: key at Version, holding Value, or
+// a tombstone when Dead. The server applies it only if Version exceeds
+// the key's stored version (last-writer-wins), which makes replays and
+// copies idempotent. Version 0 is never sent: Decode rejects it.
+type Write struct {
 	Seq     uint64
 	Version uint64
-	Shard   uint32
-	Epoch   uint64
-	Budget  int64
-	Key     string
+	// Epoch is the topology epoch the writer routed under (0 = none). A
+	// server holding a topology at or past it rejects a key it does not
+	// own with a NotOwner WriteResp.
+	Epoch uint64
+	Key   string
+	// Value is empty, and not encoded, when Dead.
+	Value []byte
+	Dead  bool
 }
 
-// DelResp acknowledges a Del.
-type DelResp struct {
-	Seq uint64
+// WriteResp answers a Write echoing its Seq: an ack, or, when NotOwner
+// is set, a rejection of a key the server does not own under its
+// current topology. The client must refresh its topology (Epoch, the
+// server's, tells it how stale it is) and re-route to Owner, the shard
+// that owns the key there. Batched reads mark strays per key instead
+// (BatchResp.Stray).
+type WriteResp struct {
+	Seq      uint64
+	NotOwner bool
+	Epoch    uint64
+	Owner    uint32
 }
 
 // Ping is a liveness probe.
@@ -214,19 +192,6 @@ type Ping struct{ Nonce uint64 }
 
 // Pong answers a Ping.
 type Pong struct{ Nonce uint64 }
-
-// NotOwner rejects a write (Set or Del) for a key the serving server
-// does not own under its current topology. The client must refresh its
-// topology (the server's epoch tells it how stale it is) and re-route.
-type NotOwner struct {
-	// ID echoes the rejected request's Seq.
-	ID uint64
-	// Epoch is the server's current topology epoch.
-	Epoch uint64
-	// Hint is the shard that owns the key under the server's topology —
-	// where the client should retry once its topology catches up.
-	Hint uint32
-}
 
 // TopoGet asks a server for its current topology; the reply is a Topo
 // with the same Seq (Epoch 0 and no shards when the server holds none).
@@ -271,8 +236,8 @@ type Scan struct {
 }
 
 // ScanResp answers a Scan: every entry of the scanned store shard, with
-// versions and tombstone markers so replaying them via versioned
-// Set/Del is idempotent.
+// versions and tombstone markers so replaying them as Writes is
+// idempotent.
 type ScanResp struct {
 	Seq        uint64
 	NextCursor uint32

@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -138,26 +139,33 @@ func TestMisroutedRoundTrip(t *testing.T) {
 }
 
 func TestSetRoundTrip(t *testing.T) {
-	m := &Set{Seq: 1, Version: 77, Shard: 2, Epoch: 8, Budget: 1_500_000, Key: "k", Value: bytes.Repeat([]byte{0xAB}, 1000)}
-	got := roundTrip(t, m).(*Set)
-	if got.Seq != 1 || got.Version != 77 || got.Shard != 2 || got.Epoch != 8 || got.Budget != 1_500_000 || got.Key != "k" || !bytes.Equal(got.Value, m.Value) {
-		t.Fatal("set mismatch")
+	m := &Write{Seq: 1, Version: 77, Epoch: 8, Key: "k", Value: bytes.Repeat([]byte{0xAB}, 1000)}
+	if got := roundTrip(t, m).(*Write); !reflect.DeepEqual(m, got) {
+		t.Fatalf("write mismatch: %+v vs %+v", m, got)
 	}
-	ack := roundTrip(t, &SetResp{Seq: 5}).(*SetResp)
-	if ack.Seq != 5 {
-		t.Fatal("setresp mismatch")
+	ack := &WriteResp{Seq: 5}
+	if got := roundTrip(t, ack).(*WriteResp); !reflect.DeepEqual(ack, got) {
+		t.Fatalf("ack mismatch: %+v vs %+v", ack, got)
 	}
 }
 
 func TestDelRoundTrip(t *testing.T) {
-	m := &Del{Seq: 3, Version: 41, Shard: 1, Epoch: 2, Budget: 42, Key: "gone"}
-	got := roundTrip(t, m).(*Del)
-	if !reflect.DeepEqual(m, got) {
-		t.Fatalf("del mismatch: %+v vs %+v", m, got)
+	m := &Write{Seq: 3, Version: 41, Epoch: 2, Key: "gone", Dead: true}
+	if got := roundTrip(t, m).(*Write); !reflect.DeepEqual(m, got) {
+		t.Fatalf("dead write mismatch: %+v vs %+v", m, got)
 	}
-	ack := roundTrip(t, &DelResp{Seq: 3}).(*DelResp)
-	if ack.Seq != 3 {
-		t.Fatal("delresp mismatch")
+	// A tombstone carries no value: one set beside Dead is not encoded.
+	if got := roundTrip(t, &Write{Seq: 3, Version: 41, Key: "gone", Dead: true, Value: []byte("x")}).(*Write); got.Value != nil {
+		t.Fatalf("dead write decoded with value %q", got.Value)
+	}
+}
+
+// Every writer stamps a version, so a version-0 write is malformed.
+func TestWriteVersionZeroRejected(t *testing.T) {
+	for _, m := range []*Write{{Seq: 1, Key: "k", Value: []byte("v")}, {Seq: 2, Key: "k", Dead: true}} {
+		if _, err := Decode(Encode(m)[4:]); !errors.Is(err, errVersionZero) {
+			t.Fatalf("Decode(%+v): err %v, want %v", m, err, errVersionZero)
+		}
 	}
 }
 
@@ -171,8 +179,8 @@ func TestPingPong(t *testing.T) {
 }
 
 func TestNotOwnerRoundTrip(t *testing.T) {
-	m := &NotOwner{ID: 12, Epoch: 5, Hint: 3}
-	if got := roundTrip(t, m).(*NotOwner); !reflect.DeepEqual(m, got) {
+	m := &WriteResp{Seq: 12, NotOwner: true, Epoch: 5, Owner: 3}
+	if got := roundTrip(t, m).(*WriteResp); !reflect.DeepEqual(m, got) {
 		t.Fatalf("notowner mismatch: %+v vs %+v", m, got)
 	}
 }

@@ -264,9 +264,9 @@ func TestConnWriterBackpressure(t *testing.T) {
 	<-w.started
 
 	// Fill the pending buffer to just past maxPendingBytes with large
-	// Sets: Send's bound check runs before appending, so each of these
+	// Writes: Send's bound check runs before appending, so each of these
 	// still returns, and the last one tips the buffer over the bound.
-	big := &Set{Key: "k", Value: make([]byte, 1<<20)}
+	big := &Write{Version: 1, Key: "k", Value: make([]byte, 1<<20)}
 	for i := 0; i < maxPendingBytes/(1<<20); i++ {
 		if err := cw.Send(big); err != nil {
 			t.Fatal(err)

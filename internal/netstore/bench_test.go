@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/brb-repro/brb/internal/cluster"
 	"github.com/brb-repro/brb/internal/kv"
 )
 
@@ -103,6 +104,49 @@ func TestServerPipelineAllocs(t *testing.T) {
 	}
 	if allocs > bound {
 		t.Fatalf("8-key round trip: %.0f allocs, must stay ≤ %.0f", allocs, bound)
+	}
+}
+
+// TestTwoShardMultigetAllocs pins the allocations of a multiget whose
+// keys span two shards, both endpoints counted: two pieces, each a
+// message to its own server. The call sends both from the caller's
+// goroutine and waits for both in one loop, so it starts no goroutine
+// and allocates nothing per piece but what each server's round trip
+// does: 12 measured, against 10 for the one-shard round trip of
+// TestServerPipelineAllocs. A goroutine per extra piece, with the
+// closure it ran, cost 2 more (14); the bound of 13 leaves a margin of
+// one and still fails that. Under -race, where sync.Pool drops Puts at
+// random, 26–27 measured against 28, and the bound is 32.
+func TestTwoShardMultigetAllocs(t *testing.T) {
+	m := cluster.MustNewShardTopology(cluster.ShardConfig{Shards: 2, Replicas: 1})
+	addrs, _ := startShardedCluster(t, m, nil)
+	c, err := DialCluster(addrs, ClusterOptions{Topology: m, ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	keys := pipelineKeys()
+	shards := map[int]bool{}
+	for _, k := range keys {
+		shards[m.ShardOfKey(k)] = true
+		if err := c.Set(bg, k, make([]byte, 128), WriteOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(shards) != 2 {
+		t.Fatalf("keys span %d shards, want 2", len(shards))
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := c.Multiget(bg, keys, ReadOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	bound := 13.0
+	if raceBuild {
+		bound = 32
+	}
+	if allocs > bound {
+		t.Fatalf("two-shard 8-key multiget: %.0f allocs, must stay ≤ %.0f", allocs, bound)
 	}
 }
 

@@ -261,7 +261,7 @@ func TestCancellationMidMultiget(t *testing.T) {
 		// stalled wait, which is the state cancellation must escape —
 		// and the live shard's answer is in: its scorer shows nothing
 		// outstanding once observe has folded the reply, and from there
-		// fetchBatch stores the result without looking at ctx. Without
+		// the multiget loop stores the result without looking at ctx. Without
 		// that second wait the cancel can beat the live answer.
 		// Cancel unconditionally so a missed observation can't stall the
 		// test until DefaultRequestTimeout.
@@ -421,7 +421,7 @@ func TestDeadlineEndToEndShedding(t *testing.T) {
 }
 
 // Regression: when a shard's replicas are all exhausted (down-marked),
-// fetchBatch polls for a newer topology before reporting a dead shard —
+// the multiget polls for a newer topology before reporting a dead shard —
 // and that poll must honor the caller's deadline even when the only
 // live server to poll is wedged-but-open. The caller gets its
 // DeadlineExceeded within budget, never a clientDialTimeout-long stall.
@@ -499,5 +499,55 @@ func TestWriteWaitsOutStalledReplica(t *testing.T) {
 	}
 	if v, _ := servers[m.Server(0, 0)].Store().Get("k"); string(v) != "v1" {
 		t.Fatalf("live replica holds %q, want v1", v)
+	}
+}
+
+// lateCtx is a context whose deadline has passed while its Done channel
+// is still open: the window between a deadline and the timer that
+// closes Done, which can last a timer quantum on a loaded host.
+type lateCtx struct{ context.Context }
+
+func (lateCtx) Deadline() (time.Time, bool) { return time.Now().Add(-time.Millisecond), true }
+
+// A budget spent before Done closes is the deadline: a read and a write
+// under it fail with an error that prints and matches
+// context.DeadlineExceeded, and neither marks a healthy replica down.
+func TestSpentBudgetBeforeDone(t *testing.T) {
+	m := cluster.MustNewShardTopology(cluster.ShardConfig{Shards: 1, Replicas: 2})
+	addrs, _ := startShardedCluster(t, m, nil)
+	c, err := DialCluster(addrs, ClusterOptions{Topology: m, ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Set(bg, "k", []byte("v"), WriteOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	ctx := lateCtx{bg}
+	check := func(what string, err error) {
+		t.Helper()
+		var msg string
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("%s: Error() panicked: %v", what, r)
+				}
+			}()
+			msg = err.Error()
+		}()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%s under a spent budget: err = %v, want context.DeadlineExceeded", what, msg)
+		}
+	}
+	_, err = c.Multiget(ctx, []string{"k"}, ReadOptions{})
+	check("Multiget", err)
+	_, err = c.Multiget(ctx, []string{"k"}, ReadOptions{Hedge: HedgePolicy{Mode: HedgeAdaptive}})
+	check("hedged Multiget", err)
+	check("Set", c.Set(ctx, "k", []byte("w"), WriteOptions{}))
+	if n := c.DownReplicas(); n != 0 {
+		t.Fatalf("%d replicas marked down by a spent budget, want 0", n)
+	}
+	if v, found, err := c.Get(bg, "k", ReadOptions{}); err != nil || !found || string(v) != "v" {
+		t.Fatalf("Get after the spent-budget calls = %q found=%v err=%v, want \"v\"", v, found, err)
 	}
 }

@@ -25,3 +25,11 @@ func (c HotKeyCache) Put(key string, val []byte, ver uint64) { c.hc.put(key, val
 func (c HotKeyCache) Invalidate(key string)                  { c.hc.invalidate(key) }
 func (c HotKeyCache) Evictions() uint64                      { return c.hc.evicts.Load() }
 func (c HotKeyCache) Rejects() uint64                        { return c.hc.rejects.Load() }
+
+// sizeLearned reports whether c holds a learned value size for key.
+func (c *Cluster) sizeLearned(key string) bool {
+	c.sizesMu.RLock()
+	defer c.sizesMu.RUnlock()
+	_, ok := c.sizes[key]
+	return ok
+}

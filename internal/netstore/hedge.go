@@ -6,12 +6,14 @@ package netstore
 // takes is probably straggling — queued behind a GC pause, a slow disk,
 // an overloaded worker pool. Rather than wait it out, the client
 // re-issues the same keys to the next-C3-ranked replica and takes
-// whichever complete answer lands first. There is one attempt loop per
-// read batch, Cluster.fetchBatch, with at most two legs in flight: the
+// whichever complete answer lands first. Each piece of a multiget — a
+// batch decided on its own — has at most two legs in flight: the
 // primary and one hedge. Failover and hedging are its two ways to start
-// a leg — failover when no leg is left in flight, the hedge when the
-// trigger fires — so they share one tried set and one scorer account.
-// With hedging off the trigger is nil and the loop is plain failover.
+// a leg — failover when no leg is left in flight, the hedge when its
+// deadline passes — so they share one tried set and one scorer account.
+// One loop on the caller's goroutine drives every piece of the call
+// (Cluster.gather), with one timer for the earliest hedge deadline. With
+// hedging off no piece has a deadline and the loop is plain failover.
 //
 // The trigger is a quantile of the primary replica's observed
 // response-time distribution (the C3 scorer's EWMA mean +

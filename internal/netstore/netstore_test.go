@@ -151,13 +151,13 @@ func TestClientDelete(t *testing.T) {
 	if err := c.Set(bg, "k1", []byte("v1"), WriteOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.sizes.Load("k1"); !ok {
+	if !c.sizeLearned("k1") {
 		t.Fatal("size not learned on Set")
 	}
 	if err := c.Delete(bg, "k1", WriteOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.sizes.Load("k1"); ok {
+	if c.sizeLearned("k1") {
 		t.Fatal("size cache not invalidated on Delete")
 	}
 	for sid, srv := range servers {

@@ -410,13 +410,13 @@ func TestClusterDelete(t *testing.T) {
 	if err := c.Set(bg, "k", []byte("v"), WriteOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.sizes.Load("k"); !ok {
+	if !c.sizeLearned("k") {
 		t.Fatal("size not learned on Set")
 	}
 	if err := c.Delete(bg, "k", WriteOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.sizes.Load("k"); ok {
+	if c.sizeLearned("k") {
 		t.Fatal("size cache not invalidated on Delete")
 	}
 	for r := 0; r < 2; r++ {

@@ -115,6 +115,14 @@ func budgetOf(ctx context.Context) (int64, bool) {
 	return b.Nanoseconds(), true
 }
 
+// spent reports whether ctx can carry no further request: it ended,
+// or its deadline passed before its timer closed Done — a window that
+// can last a timer quantum.
+func spent(ctx context.Context) bool {
+	_, ok := budgetOf(ctx)
+	return !ok || ctx.Err() != nil
+}
+
 // countCtxErr counts a finished operation's deadline expiry or
 // cancellation (call once per public-API operation).
 func (c *Cluster) countCtxErr(err error) {
@@ -128,9 +136,15 @@ func (c *Cluster) countCtxErr(err error) {
 }
 
 // ctxErr wraps a context's termination so errors.Is sees the cause
-// while the message says what was abandoned.
+// while the message says what was abandoned. A context whose deadline
+// passed before its timer closed Done has no cause yet: its cause is
+// the deadline.
 func ctxErr(ctx context.Context, what string) error {
-	return &opCtxError{what: what, cause: context.Cause(ctx)}
+	cause := context.Cause(ctx)
+	if cause == nil {
+		cause = context.DeadlineExceeded
+	}
+	return &opCtxError{what: what, cause: cause}
 }
 
 type opCtxError struct {

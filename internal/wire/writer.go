@@ -23,37 +23,38 @@ const maxPendingBytes = 4 << 20
 // When the connection is idle, Send writes its frame inline — same
 // latency as a direct Write, and the write error surfaces synchronously.
 // When a Write is already in flight, Send encodes into a shared pending
-// buffer and returns; the writer goroutine drains everything that
-// accumulated into one Write call, so under load many frames ride one
-// syscall. Frames are always written in Send order.
+// buffer and returns; the sender whose Write is in flight then writes
+// everything that accumulated behind it in one Write call, and goes on
+// until nothing is queued, so under load many frames ride one syscall.
+// No goroutine of its own runs: a frame is written by a sender, never
+// handed to another goroutine to write. Frames are always written in
+// Send order.
 type ConnWriter struct {
 	mu      sync.Mutex
-	cond    *sync.Cond
+	cond    *sync.Cond // backpressure, Flush and Close wait on it
 	w       io.Writer
 	pending []byte // frames queued behind the in-flight Write
 	spare   []byte // recycled buffer for double-buffered swaps
-	writing bool   // a Write (inline or goroutine) is in flight
+	writing bool   // a sender is writing: its own frame, then the queue
 	err     error  // sticky first write error
 	closed  bool
-	done    chan struct{}
 }
 
-// NewConnWriter starts a coalescing writer over w (w's Write must be
-// safe for one concurrent caller, as net.Conn is). Close stops it.
+// NewConnWriter returns a coalescing writer over w (w's Write must be
+// safe for one concurrent caller, as net.Conn is).
 func NewConnWriter(w io.Writer) *ConnWriter {
-	cw := &ConnWriter{w: w, done: make(chan struct{})}
+	cw := &ConnWriter{w: w}
 	cw.cond = sync.NewCond(&cw.mu)
-	go cw.loop()
 	return cw
 }
 
-// Send writes m's frame inline when the connection is idle, or queues
-// it for the writer goroutine's next coalesced Write when one is
-// already in flight. A non-nil return is the write's own error (inline
-// path), the connection's sticky error, or ErrWriterClosed. A nil
-// return on the queued path means the frame will be written unless the
-// connection fails first — callers needing the stronger guarantee call
-// Flush.
+// Send writes m's frame inline when the connection is idle, and then
+// every frame other senders queued meanwhile; when a Write is already in
+// flight it queues the frame for that writer instead. A non-nil return
+// is a write's own error (inline path), the connection's sticky error,
+// or ErrWriterClosed. A nil return on the queued path means the frame
+// will be written unless the connection fails first — callers needing
+// the stronger guarantee call Flush.
 func (cw *ConnWriter) Send(m Message) error {
 	cw.mu.Lock()
 	defer cw.mu.Unlock()
@@ -67,29 +68,29 @@ func (cw *ConnWriter) Send(m Message) error {
 		return ErrWriterClosed
 	}
 	n := FrameSize(m)
-	if !cw.writing && len(cw.pending) == 0 {
-		// Idle connection: become the writer for this one frame, encoded
-		// into the retained buffer — grown once, to the frame's exact
-		// size, when the frame does not fit — or, for a frame too large
-		// to retain, into a pooled frame buffer, so the retained one
-		// survives it.
-		if n > maxSpareBytes {
-			f := GetFrame(n)
-			cw.write(AppendEncode(f.b[:0], m))
-			f.Release()
-			return cw.err
-		}
+	if cw.writing {
+		cw.pending = AppendEncode(slices.Grow(cw.pending, n), m)
+		return nil
+	}
+	// Idle connection: become the writer, with this frame encoded into
+	// the retained buffer — grown once, to the frame's exact size, when
+	// the frame does not fit — or, for a frame too large to retain, into
+	// a pooled frame buffer, so the retained one survives it.
+	cw.writing = true
+	if n > maxSpareBytes {
+		f := GetFrame(n)
+		cw.write(AppendEncode(f.b[:0], m))
+		f.Release()
+	} else {
 		buf := cw.spare
 		cw.spare = nil
 		if cap(buf) < n {
 			buf = make([]byte, 0, max(n, minWriteBuf))
 		}
 		cw.write(AppendEncode(buf[:0], m))
-		return cw.err
 	}
-	cw.pending = AppendEncode(slices.Grow(cw.pending, n), m)
-	cw.cond.Broadcast()
-	return nil
+	cw.drain()
+	return cw.err
 }
 
 // minWriteBuf is the smallest buffer a ConnWriter allocates, so a
@@ -103,20 +104,40 @@ const minWriteBuf = 4096
 // buffers are dropped to the GC once drained.
 const maxSpareBytes = 64 << 10
 
-// write performs one Write outside the lock and publishes the result.
-// Called with cw.mu held and cw.writing false; returns with cw.mu held.
+// write performs one Write outside the lock and publishes its error.
+// Called and returns with cw.mu held and cw.writing set.
 func (cw *ConnWriter) write(buf []byte) {
-	cw.writing = true
 	cw.mu.Unlock()
 	_, err := cw.w.Write(buf)
 	cw.mu.Lock()
-	cw.writing = false
 	if cap(buf) <= maxSpareBytes && cw.spare == nil {
 		cw.spare = buf[:0]
 	}
 	if err != nil && cw.err == nil {
 		cw.err = err
 	}
+}
+
+// drain writes what queued behind the writer's Write, one coalesced
+// Write per accumulation, until nothing is queued or a Write failed,
+// and then gives the writer role up. Only a Send blocked on
+// backpressure, a Flush or a Close can be waiting, so only a swap out
+// of an over-full queue and the end of the drain wake them.
+func (cw *ConnWriter) drain() {
+	for cw.err == nil && len(cw.pending) > 0 {
+		full := len(cw.pending) > maxPendingBytes
+		next := cw.spare
+		if next == nil {
+			next = make([]byte, 0, minWriteBuf)
+		}
+		buf := cw.pending
+		cw.pending, cw.spare = next[:0], nil
+		if full {
+			cw.cond.Broadcast()
+		}
+		cw.write(buf)
+	}
+	cw.writing = false
 	cw.cond.Broadcast()
 }
 
@@ -125,52 +146,26 @@ func (cw *ConnWriter) write(buf []byte) {
 func (cw *ConnWriter) Flush() error {
 	cw.mu.Lock()
 	defer cw.mu.Unlock()
-	for cw.err == nil && (len(cw.pending) > 0 || cw.writing) {
+	for cw.err == nil && cw.writing {
 		cw.cond.Wait()
 	}
 	return cw.err
 }
 
-// Close drains queued frames and stops the writer goroutine. It does
-// not close the underlying connection; teardown paths that must not
-// block close the connection first, which fails the in-flight Write and
-// unblocks Close.
+// Close refuses further Sends and waits until the frames already queued
+// are written — the in-flight writer drains them before it returns. It
+// does not close the underlying connection; teardown paths that must
+// not block close the connection first, which fails the in-flight Write
+// and unblocks Close.
 func (cw *ConnWriter) Close() error {
 	cw.mu.Lock()
+	defer cw.mu.Unlock()
 	if !cw.closed {
 		cw.closed = true
 		cw.cond.Broadcast()
 	}
-	cw.mu.Unlock()
-	<-cw.done
-	cw.mu.Lock()
-	defer cw.mu.Unlock()
-	return cw.err
-}
-
-// loop drains frames that queued up behind an in-flight Write, one
-// coalesced Write per accumulation.
-func (cw *ConnWriter) loop() {
-	cw.mu.Lock()
-	for {
-		// Wait while there is nothing to drain or another writer (an
-		// inline Send) is in flight; wake on queued frames, writer
-		// completion, error, or Close.
-		for cw.err == nil && ((len(cw.pending) == 0 && !cw.closed) || cw.writing) {
-			cw.cond.Wait()
-		}
-		if cw.err != nil || len(cw.pending) == 0 {
-			// Error, or closed with nothing left to drain.
-			break
-		}
-		buf := cw.pending
-		if cw.spare == nil {
-			cw.spare = make([]byte, 0, minWriteBuf)
-		}
-		cw.pending = cw.spare[:0]
-		cw.spare = nil
-		cw.write(buf)
+	for cw.writing {
+		cw.cond.Wait()
 	}
-	cw.mu.Unlock()
-	close(cw.done)
+	return cw.err
 }

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -207,7 +208,7 @@ func TestConnWriterCloseDrains(t *testing.T) {
 	}
 }
 
-// A write error hit by the drain goroutine surfaces to writers that
+// A write error hit while draining the queue surfaces to writers that
 // queued behind the in-flight Write: the first queued Send returned nil
 // (frame accepted), but every Send and the Flush after the failure
 // report the sticky error.
@@ -314,13 +315,87 @@ func TestConnWriterBackpressure(t *testing.T) {
 	}
 }
 
-// Close terminates the drain goroutine: the done channel closes, a
-// second Close returns immediately, and Sends racing Close either
-// deliver or report ErrWriterClosed — nothing hangs.
+// A ConnWriter has no goroutine of its own: creating writers starts
+// none, and closing an idle one returns at once, twice.
+func TestConnWriterStartsNoGoroutine(t *testing.T) {
+	const n = 64
+	before := runtime.NumGoroutine()
+	cws := make([]*ConnWriter, n)
+	for i := range cws {
+		cws[i] = NewConnWriter(&blockingWriter{})
+	}
+	if started := runtime.NumGoroutine() - before; started >= n/2 {
+		t.Fatalf("%d writers started %d goroutines, want none", n, started)
+	}
+	for _, cw := range cws {
+		if err := cw.Send(&Ping{Nonce: 1}); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			if err := cw.Close(); err != nil {
+				t.Fatalf("Close #%d: %v", i+1, err)
+			}
+		}
+	}
+}
+
+// The sender whose Write is in flight writes what queued behind it: by
+// the time that Send returns, every frame queued meanwhile is on the
+// connection, in Send order, in one more Write — no Flush, and no other
+// goroutine, needed.
+func TestConnWriterSenderDrainsQueue(t *testing.T) {
+	const frames = 10
+	w := &blockingWriter{
+		gate:    make(chan struct{}, frames+1),
+		started: make(chan struct{}, frames+1),
+	}
+	cw := NewConnWriter(w)
+	firstDone := make(chan error, 1)
+	go func() { firstDone <- cw.Send(&Ping{Nonce: 0}) }()
+	<-w.started
+	for i := 1; i < frames; i++ {
+		if err := cw.Send(&Ping{Nonce: uint64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		w.gate <- struct{}{}
+	}
+	if err := <-firstDone; err != nil {
+		t.Fatal(err)
+	}
+	writes, data := w.snapshot()
+	if writes != 2 {
+		t.Fatalf("%d Writes for one inline frame and %d queued ones, want 2", writes, frames-1)
+	}
+	msgs := readAllFrames(t, data)
+	if len(msgs) != frames {
+		t.Fatalf("%d of %d frames written when the in-flight Send returned", len(msgs), frames)
+	}
+	for i, m := range msgs {
+		if m.(*Ping).Nonce != uint64(i) {
+			t.Fatalf("frame %d out of order: nonce %d", i, m.(*Ping).Nonce)
+		}
+	}
+	if err := cw.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Close during a drain waits for the drain to end: it returns only once
+// the frames queued before it are written, a second Close returns too,
+// and Sends after it fail fast with ErrWriterClosed — nothing hangs,
+// nothing is dropped.
 func TestConnWriterDrainShutdown(t *testing.T) {
-	var w blockingWriter
-	cw := NewConnWriter(&w)
-	for i := 0; i < 10; i++ {
+	w := &blockingWriter{
+		gate:    make(chan struct{}, 4),
+		started: make(chan struct{}, 4),
+	}
+	cw := NewConnWriter(w)
+	firstDone := make(chan error, 1)
+	go func() { firstDone <- cw.Send(&Ping{Nonce: 0}) }()
+	<-w.started
+	for i := 1; i < 5; i++ {
 		if err := cw.Send(&Ping{Nonce: uint64(i)}); err != nil {
 			t.Fatal(err)
 		}
@@ -328,6 +403,14 @@ func TestConnWriterDrainShutdown(t *testing.T) {
 	closed := make(chan error, 2)
 	go func() { closed <- cw.Close() }()
 	go func() { closed <- cw.Close() }()
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned (%v) while the drain was in flight", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	w.gate <- struct{}{} // the inline Write
+	<-w.started
+	w.gate <- struct{}{} // the drain's coalesced Write
 	for i := 0; i < 2; i++ {
 		select {
 		case err := <-closed:
@@ -335,16 +418,16 @@ func TestConnWriterDrainShutdown(t *testing.T) {
 				t.Fatalf("Close: %v", err)
 			}
 		case <-time.After(5 * time.Second):
-			t.Fatal("Close hung — drain goroutine did not shut down")
+			t.Fatal("Close hung after the drain ended")
 		}
 	}
-	select {
-	case <-cw.done:
-	default:
-		t.Fatal("drain goroutine still running after Close returned")
+	if err := <-firstDone; err != nil {
+		t.Fatal(err)
 	}
-	// Writes after close fail fast with ErrWriterClosed, not a hang or a
-	// silent drop.
+	_, data := w.snapshot()
+	if got := len(readAllFrames(t, data)); got != 5 {
+		t.Fatalf("Close dropped frames: %d of 5 arrived", got)
+	}
 	for i := 0; i < 3; i++ {
 		if err := cw.Send(&Ping{Nonce: 99}); !errors.Is(err, ErrWriterClosed) {
 			t.Fatalf("Send after Close = %v, want ErrWriterClosed", err)

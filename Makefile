@@ -36,7 +36,7 @@ race:
 	$(GO) test -race -count=10 -run 'TestSched' ./internal/netstore/
 	$(GO) test -race -run 'HotKeyCache|ClusterCache|CacheReplay' ./internal/netstore/
 	$(GO) test -race -count=10 -run 'Revival|HintOverflow|Hint|ProbeRace|LiveAddShard|LiveRemoveShard|MidRebalance|CrashRecovery|ReaderAhead|MisconfiguredLayout|Wedged' ./internal/netstore/
-	$(GO) test -race -count=20 -run 'TestCancellationMidMultiget|TestMultigetDeadlineAgainstStalledReplica|TestSpentBudgetBeforeDone|TestQueuedBatchKeysSurviveFrameReuse|TestMultigetValuesSurviveReuse' ./internal/netstore/
+	$(GO) test -race -count=20 -run 'TestCancellationMidMultiget|TestMultigetDeadlineAgainstStalledReplica|TestDeadShard|TestSpentBudgetBeforeDone|TestQueuedBatchKeysSurviveFrameReuse|TestMultigetValuesSurviveReuse' ./internal/netstore/
 	$(GO) test -race -count=20 -run 'Hedge' ./internal/netstore/
 	$(GO) test -race -count=20 -run 'ConnWriter' ./internal/wire/
 

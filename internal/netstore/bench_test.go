@@ -110,13 +110,13 @@ func TestServerPipelineAllocs(t *testing.T) {
 // TestTwoShardMultigetAllocs pins the allocations of a multiget whose
 // keys span two shards, both endpoints counted: two pieces, each a
 // message to its own server. The call sends both from the caller's
-// goroutine and waits for both in one loop, so it starts no goroutine
-// and allocates nothing per piece but what each server's round trip
-// does: 12 measured, against 10 for the one-shard round trip of
-// TestServerPipelineAllocs. A goroutine per extra piece, with the
-// closure it ran, cost 2 more (14); the bound of 13 leaves a margin of
-// one and still fails that. Under -race, where sync.Pool drops Puts at
-// random, 26–27 measured against 28, and the bound is 32.
+// goroutine, then waits for the second on a goroutine of its own, whose
+// closure is the one allocation a piece adds beyond its servers' round
+// trip: 13 measured, against 10 for the one-shard round trip of
+// TestServerPipelineAllocs. Handing the piece to its goroutine as a go
+// statement's argument cost one more (14), which the bound of 13 fails.
+// Under -race, where sync.Pool drops Puts at random, 28 measured, and
+// the bound is 32.
 func TestTwoShardMultigetAllocs(t *testing.T) {
 	m := cluster.MustNewShardTopology(cluster.ShardConfig{Shards: 2, Replicas: 1})
 	addrs, _ := startShardedCluster(t, m, nil)

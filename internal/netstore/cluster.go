@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,11 +52,10 @@ type ClusterOptions struct {
 	// topology epoch changes (see cache.go). 0 (default) disables it.
 	CacheSize int
 
-	// hedgeTimer overrides the timer a multiget waits on for its
-	// earliest hedge or beat deadline (test hook): it returns a channel
-	// that fires after d plus an idempotent stop function. nil uses
-	// time.NewTimer.
-	hedgeTimer func(d time.Duration) (<-chan time.Time, func())
+	// hedgeTimer overrides the hedge-trigger timer (test hook): it
+	// returns a channel that fires at deadline at plus an idempotent
+	// stop function. nil uses time.NewTimer.
+	hedgeTimer func(at time.Time) (<-chan time.Time, func())
 	// requestTimeout overrides DefaultRequestTimeout (test hook).
 	requestTimeout time.Duration
 }
@@ -660,7 +658,8 @@ func (c *Cluster) write(ctx context.Context, key string, value []byte, del bool,
 				case spent(ctx):
 					// The caller's deadline/cancellation cut the wait
 					// short, or left no budget to send with; the replica
-					// may be healthy and may even have applied the write. Hint it (versioned, idempotent —
+					// may be healthy and may even have applied the
+					// write. Hint it (versioned, idempotent —
 					// a duplicate replay is a no-op) but do not mark the
 					// replica down for the caller's impatience.
 					c.addHint(slot, key, value, ver, del)
@@ -841,6 +840,12 @@ func (c *Cluster) Multiget(ctx context.Context, keys []string, opts ReadOptions)
 		}
 	}
 	mg := multigets.Get().(*multiget)
+	if opts.Hedge.Mode == HedgeOff {
+		// A hedge's losing attempt outlives the call and still reads its
+		// batch's keys (noteResponseVersions), so a hedged call leaves its
+		// working set to the collector.
+		defer mg.recycle()
+	}
 
 	// Build the task over the uncached keys with forecasted costs;
 	// Group carries the shard so core.DecomposeInto yields exactly one
@@ -892,16 +897,49 @@ func (c *Cluster) Multiget(ctx context.Context, keys []string, opts ReadOptions)
 	}
 	mg.keys, mg.prios, mg.sizes, mg.idx, mg.pieces = ks, ps, zs, ix, pieces
 	c.subtasks.Add(uint64(len(mg.subs)))
-	return res, c.gather(ctx, mg, res, opts)
+	if last := len(pieces) - 1; cap(mg.errs) < last {
+		mg.errs = make(chan error, last)
+	}
+	return res, c.scatter(ctx, st, pieces, mg.errs, res, opts)
+}
+
+// scatter fetches every piece into res and joins their errors. It
+// sends every piece's first leg from the caller's goroutine, so the
+// whole task is on the wire before any piece waits and no goroutine
+// grows a stack on the send path. Then every piece but the last waits
+// on a goroutine of its own and reports on errCh; the last waits here,
+// so a multiget that is one message (Get, a single-shard read) starts
+// none. A piece with no live replica sends nothing here: its topology
+// poll waits in fetchBatch, beside the other pieces' waits.
+func (c *Cluster) scatter(ctx context.Context, st *topoState, pieces []piece, errCh chan error, res *TaskResult, opts ReadOptions) error {
+	last := len(pieces) - 1
+	for i := range pieces {
+		if p := &pieces[i]; p.rep >= 0 {
+			p.lead, p.sent = c.send(ctx, st, p, p.shardBatch, p.rep), true
+		}
+	}
+	for i := range pieces[:last] {
+		p := &pieces[i]
+		go func() { errCh <- c.fetchBatch(ctx, st, p, res, 0, opts) }()
+	}
+	var errs []error
+	if err := c.fetchBatch(ctx, st, &pieces[last], res, 0, opts); err != nil {
+		errs = append(errs, err)
+	}
+	for range pieces[:last] {
+		if err := <-errCh; err != nil {
+			errs = append(errs, err)
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // multiget is one Multiget call's working set: the task with its
 // request slab and sub-tasks, the per-key slabs its batches are windows
-// of, the pieces with every leg sent for them, and the inbox their
-// replies reach the call through. It comes from multigets and goes back
-// when the call returns — or, when a hedge's loser is still in flight
-// then, once outlive is done with it. Only the TaskResult and the values
-// it holds are the caller's.
+// of, the scatter's pieces (each with its wire request and tried set)
+// and the channel they report on. It comes from multigets and goes back
+// when the call returns; only the TaskResult and the values it holds
+// are the caller's.
 type multiget struct {
 	task   core.Task
 	reqs   []core.Request
@@ -911,33 +949,16 @@ type multiget struct {
 	sizes  []int64
 	idx    []int
 	pieces []piece
-	legs   []leg
-	in     *inbox
-	got    []delivery
-
-	// The call in progress.
-	c     *Cluster
-	ctx   context.Context
-	res   *TaskResult
-	hedge HedgePolicy
-	open  int // pieces not yet decided
-	live  int // legs in flight
-	// timer serves the earliest pending hedge or beat deadline, timerAt.
-	timer   <-chan time.Time
-	timerAt time.Time
-	stop    func()
+	errs   chan error
 }
 
-var multigets = sync.Pool{New: func() any { return &multiget{in: newInbox()} }}
+var multigets = sync.Pool{New: func() any { return new(multiget) }}
 
 // recycle returns mg to the pool, dropping its references to callers'
-// key strings and to the call.
+// key strings.
 func (mg *multiget) recycle() {
 	clear(mg.keys[:cap(mg.keys)])
 	clear(mg.pieces[:cap(mg.pieces)])
-	clear(mg.legs[:cap(mg.legs)])
-	clear(mg.got)
-	mg.c, mg.ctx, mg.res, mg.stop = nil, nil, nil, nil
 	multigets.Put(mg)
 }
 
@@ -989,79 +1010,44 @@ func (b *shardBatch) add(from shardBatch, i int) {
 	b.idx = append(b.idx, from.idx[i])
 }
 
-// piece is one batch of a multiget that is decided on its own: the keys
-// of one sub-task that placement put on replica rep, or a bucket of
-// strays re-routed under a newer topology, depth epoch hops below the
-// call's. It carries its own attempt state: the tried set, the primary
-// leg and its hedge, the hedge deadline, and the beat it may be waiting
-// out. Pieces live in the call's slice and are named by index, since a
-// re-bucket appends to it.
+// piece is one message of a multiget's scatter: the keys of one
+// sub-task that placement put on replica rep, already counted
+// outstanding in the shard's scorer. rep < 0: the shard has no live
+// replica. The request and tried set are what fetchBatch reuses across
+// the piece's attempts.
 type piece struct {
 	shardBatch
-	// rep is the replica the next primary leg goes to, already counted
-	// outstanding there (place, nextReplica); -1: no live replica left.
 	rep    int
-	st     *topoState
-	depth  int
 	req    wire.BatchReq
 	triedR [c3.InlineReplicas]bool
-	triedX []bool // the tried set of a shard with more replicas
-	nrep   int
-	// legs[0] is the primary leg in flight, legs[1] its hedge: indices
-	// into the call's legs, -1 when none.
-	legs   [2]int
-	hedged bool
-	// hedgeAt is when the primary hedges, beatAt when a wait for a
-	// topology push ends; zero when not pending. A beat either polls
-	// again for the newer topology a stray re-bucket needs (repoll;
-	// polls counts them) or retries replicas behind st (behind).
-	hedgeAt, beatAt time.Time
-	behind, repoll  bool
-	polls           int
-	// expired counts keys shed by answers whose strays went around again.
-	expired int
-	done    bool
-	err     error
+	// lead is the first leg, which scatter sent to rep before any piece
+	// waited; sent says fetchBatch has yet to take it over.
+	lead leg
+	sent bool
 }
 
-// newPiece is batch b under st, to be sent to replica rep first.
-func newPiece(st *topoState, b shardBatch, rep, depth int) piece {
-	p := piece{shardBatch: b, rep: rep, st: st, depth: depth, legs: [2]int{-1, -1}, nrep: st.topo.Replicas()}
-	if p.nrep > len(p.triedR) {
-		p.triedX = make([]bool, p.nrep)
-	}
-	return p
-}
-
-// tried is the set of replicas p has sent a leg to since its tried set
-// was last cleared.
-func (p *piece) tried() []bool {
-	if p.triedX != nil {
-		return p.triedX
-	}
-	return p.triedR[:p.nrep]
-}
-
-// request fills p's wire request with its batch for replica rep. Send
+// request fills p's wire request with batch b for replica rep. Send
 // encodes a request before it returns, so each attempt may refill it.
-func (p *piece) request(rep int) *wire.BatchReq {
+func (p *piece) request(st *topoState, b shardBatch, rep int) *wire.BatchReq {
 	p.req = wire.BatchReq{
-		TaskID:   p.taskID,
-		Shard:    uint32(p.shard),
+		TaskID:   b.taskID,
+		Shard:    uint32(b.shard),
 		Replica:  uint32(rep),
-		Epoch:    p.st.topo.Epoch(),
-		Priority: p.prios,
-		Keys:     p.keys,
+		Epoch:    st.topo.Epoch(),
+		Priority: b.prios,
+		Keys:     b.keys,
 	}
 	return &p.req
 }
 
-// expiredErr reports the keys p's answers shed, if any.
-func (p *piece) expiredErr() error {
-	if p.expired == 0 {
-		return nil
+// tried returns an empty tried set over r replicas.
+func (p *piece) tried(r int) []bool {
+	if r > len(p.triedR) {
+		return make([]bool, r)
 	}
-	return expiredKeysError(p.expired)
+	t := p.triedR[:r]
+	clear(t)
+	return t
 }
 
 // nextReplica picks the replica for one whole batch of n keys — a
@@ -1099,114 +1085,171 @@ func (c *Cluster) place(st *topoState, b shardBatch, pieces []piece) []piece {
 		counts = make([]int, r)
 	}
 	if scorer.Spread(n, live, counts) < 0 {
-		return append(pieces, newPiece(st, b, -1, 0))
+		return append(pieces, piece{shardBatch: b, rep: -1})
 	}
 	lo := 0
 	for r, k := range counts {
 		if k > 0 {
-			pieces = append(pieces, newPiece(st, b.slice(lo, lo+k), r, 0))
+			pieces = append(pieces, piece{shardBatch: b.slice(lo, lo+k), rep: r})
 			lo += k
 		}
 	}
 	return pieces
 }
 
-// leg is one attempt at a piece: its request, for the keys of batch
-// shardBatch, to one replica, where the shard's scorer counts the keys
-// outstanding until the leg ends. Its index in the call's legs is the
-// tag its reply reaches the inbox under. A leg outlives its piece's
-// decision when it lost a hedge race: its answer still feeds the
-// scorer and the cache.
+// leg is one attempt at a batch: its request to one replica, where the
+// scorer counts the batch's keys outstanding until the leg ends. A leg
+// whose ch is nil is not in flight.
 type leg struct {
-	shardBatch
-	piece  int
-	scorer *c3.Scorer
-	rep    int
-	slot   *serverSlot
-	sc     *serverConn
-	id     uint64
-	sent   time.Time
-	live   bool
+	rep  int
+	slot *serverSlot
+	sc   *serverConn
+	id   uint64
+	ch   chan wire.Message
+	sent time.Time
 }
 
-// gather gets every piece of a multiget answered, on the caller's
-// goroutine. It sends each piece's first leg, so every piece is on the
-// wire before any waits, then drives all of them in one loop over the
-// call's inbox, one timer and ctx:
-//
-//   - A reply decides its piece, or is a hedge loser's late answer.
-//   - A leg whose connection died is lost; when its piece has no leg
-//     left in flight, the piece fails over to the next-ranked untried
-//     replica, as a new primary that may hedge once again.
-//   - The timer fires the hedges due — one per primary, to the
-//     best-ranked untried live replica — and ends the beats due.
-//   - ctx's end drops every leg still deciding a piece: the caller
-//     gave up, so no down-mark and no failover.
-//
-// Every path out balances the scorer: a leg ends in Observe (answered)
-// or OnError (send failure, dead connection, ctx). Legs still in
-// flight when the last piece is decided are hedge losers, left to
-// outlive with the working set.
-func (c *Cluster) gather(ctx context.Context, mg *multiget, res *TaskResult, opts ReadOptions) error {
-	mg.c, mg.ctx, mg.res = c, ctx, res
-	mg.hedge = opts.Hedge.withDefaults()
-	mg.legs = mg.legs[:0]
-	mg.open, mg.live = len(mg.pieces), 0
-	for i, n := 0, len(mg.pieces); i < n; i++ {
-		mg.launch(i)
+// send starts a leg of b to replica rep, where the scorer already
+// counts b outstanding. A leg that cannot go out is not in flight: its
+// count is unwound and, unless the connection was already gone or ctx's
+// budget is spent, its replica marked down.
+func (c *Cluster) send(ctx context.Context, st *topoState, p *piece, b shardBatch, rep int) leg {
+	l := leg{rep: rep, slot: st.slotOf(b.shard, rep)}
+	if l.sc = l.slot.conn.Load(); l.sc == nil {
+		// The replica went down since it was chosen (or we lost a race
+		// with markDown's connection teardown).
+		st.scorers[b.shard].OnError(rep, len(b.keys))
+		return l
 	}
-	for mg.open > 0 {
-		if mg.got = mg.in.swap(mg.got); len(mg.got) > 0 {
-			for _, d := range mg.got {
-				mg.land(d)
-			}
-			continue
-		}
-		mg.arm()
-		select {
-		case <-mg.in.note:
-		case now := <-mg.timer:
-			// A timer fires at or after its deadline; the test hook's may
-			// fire early, and what it fires is everything due by then.
-			mg.timer = nil
-			if now.Before(mg.timerAt) {
-				now = mg.timerAt
-			}
-			mg.fire(now)
-		case <-ctx.Done():
-			mg.abort()
-		}
+	l.sent = time.Now()
+	c.batches.Add(1)
+	var err error
+	if l.id, l.ch, err = l.sc.start(ctx, p.request(st, b, rep), "batch"); err != nil {
+		c.lose(ctx, st.scorers[b.shard], len(b.keys), l)
 	}
-	mg.disarm()
-	var errs []error
-	for i := range mg.pieces {
-		if err := mg.pieces[i].err; err != nil {
-			errs = append(errs, err)
-		}
-	}
-	if mg.live > 0 {
-		go c.outlive(mg)
-	} else {
-		mg.recycle()
-	}
-	return errors.Join(errs...)
+	return l
 }
 
-// launch sends piece pi's primary leg to p.rep, failing over down the
-// ranking while sends fail. A piece out of replicas under its topology
-// refreshes it and re-buckets, waits a beat for replicas behind its
-// epoch, or fails.
-func (mg *multiget) launch(pi int) {
-	c, ctx := mg.c, mg.ctx
-	for {
-		p := &mg.pieces[pi]
-		if p.rep < 0 && p.behind {
+// lose unwinds a leg whose connection died or whose request could not
+// be sent. The scorer only unwinds outstanding — a lost batch says
+// nothing about service times — and the replica is marked down (arming
+// the revival prober) unless ctx's budget is spent: then the caller gave
+// up, and the replica may be fine.
+func (c *Cluster) lose(ctx context.Context, scorer *c3.Scorer, n int, l leg) {
+	scorer.OnError(l.rep, n)
+	if !spent(ctx) {
+		c.markDown(l.slot, l.sc)
+	}
+}
+
+// land folds what leg l's channel delivered into the shard's scorer and
+// returns the answer. A closed channel — the connection died — loses
+// the leg and returns nil. Every answer carries authoritative versions,
+// so the cache checks its entries against them.
+func (c *Cluster) land(ctx context.Context, scorer *c3.Scorer, b shardBatch, l leg, m wire.Message) *wire.BatchResp {
+	resp, _ := m.(*wire.BatchResp)
+	if resp == nil {
+		c.lose(ctx, scorer, len(b.keys), l)
+		return nil
+	}
+	replyChans.Put(l.ch)
+	c.observe(scorer, l.rep, b, l.sent, resp)
+	c.noteResponseVersions(b, resp)
+	return resp
+}
+
+// outlive waits for a leg its batch no longer needs, so that a late
+// answer still reaches the scorer and the cache. The protocol has no
+// cancel frame: the replica does the work anyway. The wait is detached
+// from ctx's cancellation — Multiget ends its context when it returns,
+// usually before a loser answers — but bounded by ctx's deadline, the
+// budget that rode the wire with the leg, and by Close.
+func (c *Cluster) outlive(ctx context.Context, scorer *c3.Scorer, b shardBatch, l leg) {
+	d, bounded := ctx.Deadline()
+	ctx = context.WithoutCancel(ctx) // which drops the deadline too
+	if bounded {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, d)
+		defer cancel()
+	}
+	select {
+	case m := <-l.ch:
+		if resp := c.land(ctx, scorer, b, l, m); resp != nil {
+			resp.Release()
+		}
+	case <-ctx.Done():
+		c.drop(scorer, b, l)
+	case <-c.rootCtx.Done():
+		c.drop(scorer, b, l)
+	}
+}
+
+// drop gives up on leg l: its late reply is discarded and the scorer
+// unwinds the leg's outstanding keys.
+func (c *Cluster) drop(scorer *c3.Scorer, b shardBatch, l leg) {
+	l.sc.abandon(l.id)
+	scorer.OnError(l.rep, len(b.keys))
+}
+
+// fetchBatch gets one batch of a shard's keys answered, starting at
+// replica rep, where the caller already counted them outstanding
+// (place, nextReplica). It runs one loop over at most two legs in
+// flight: the primary and, once the hedge trigger fires, one hedge to
+// the best-ranked untried live replica. The first answer decides the
+// batch. A leg whose connection dies is lost; when no leg is left in
+// flight the batch fails over to the next-ranked untried replica, as a
+// new primary that may hedge once again. Every path out balances the
+// scorer: a leg ends in Observe (answered) or OnError (send failure,
+// dead connection, ctx), and a leg still in flight when the batch is
+// decided is left to outlive.
+//
+// Keys the server rejects as strays (a rebalance moved them) are
+// re-bucketed under a refreshed topology and retried, up to
+// maxEpochHops epochs deep; strays from a server still BEHIND st's epoch
+// are re-sent under st instead. Result slots are disjoint across concurrent
+// calls, so writes into res need no locking.
+//
+// The whole chain observes ctx: the select waits on ctx.Done(), a leg
+// that ctx ended does not mark its replica down, and no further leg
+// starts once ctx is done.
+func (c *Cluster) fetchBatch(ctx context.Context, st *topoState, p *piece, res *TaskResult, depth int, opts ReadOptions) error {
+	// b.shard is always bucketed from st.topo by the caller (Multiget or
+	// retryStrays), so the shard exists in st by construction.
+	b, rep := p.shardBatch, p.rep
+	scorer := st.scorers[b.shard]
+	n := len(b.keys)
+	tried := p.tried(st.topo.Replicas())
+	// trigger fires the hedge. It stays nil with hedging off or no
+	// second replica, and goes nil again once it fired.
+	var trigger <-chan time.Time
+	stop := func() {}
+	defer func() { stop() }()
+	pol := opts.Hedge.withDefaults()
+	hedging := pol.Mode != HedgeOff && st.topo.Replicas() > 1
+	// arm sets the trigger for the primary leg sent at from.
+	arm := func(primary int, from time.Time) {
+		stop()
+		trigger, stop = c.newHedgeTimer(from.Add(pol.triggerDelay(scorer, primary)))
+	}
+	// behind: a replica answered strays from an OLDER topology than st's
+	// (see the stray handling below); b has shrunk to those strays.
+	behind := false
+	// expired counts keys shed by answers whose strays went around again.
+	expired := 0
+	// Each pass starts a primary leg: the first try, a failover once
+	// every leg's connection died, or strays re-sent under st.
+	for ; ; rep = c.nextReplica(st, b.shard, n, tried) {
+		if rep < 0 && behind {
 			// Every sibling has been asked and the lagging replicas are
 			// about to install st's epoch: wait a beat, then ask again.
-			p.beatAt = time.Now().Add(strayBeat)
-			return
+			if !sleepCtx(ctx, strayBeat) {
+				return ctxErr(ctx, fmt.Sprintf("shard %d replicas behind epoch %d", b.shard, st.topo.Epoch()))
+			}
+			clear(tried)
+			behind = false
+			continue
 		}
-		if p.rep < 0 {
+		if rep < 0 {
 			// Every replica of the shard is exhausted under THIS state —
 			// either our view is stale (a rebalance retired the shard and
 			// an install closed its connections out from under us, with
@@ -1216,423 +1259,152 @@ func (mg *multiget) launch(pi int) {
 			// a concurrent install) surfaces a newer state, the shard is
 			// not dead, our view of it is — re-bucket the batch under the
 			// fresh state.
-			if p.depth < maxEpochHops {
-				if nst := c.refreshTopology(ctx, p.st); nst != p.st {
-					mg.rebucket(pi)
-					return
+			if depth < maxEpochHops {
+				if nst := c.refreshTopology(ctx, st); nst != st {
+					return c.retryStrays(ctx, st, b, res, depth, opts)
 				}
 			}
 			if spent(ctx) {
 				// The budget ran out while the replicas were exhausted:
 				// report the deadline, not a dead shard.
-				mg.finish(pi, ctxErr(ctx, fmt.Sprintf("shard %d replicas exhausted", p.shard)))
-				return
+				return ctxErr(ctx, fmt.Sprintf("shard %d replicas exhausted", b.shard))
 			}
-			mg.finish(pi, fmt.Errorf("%w %d", ErrNoReplica, p.shard))
-			return
+			return fmt.Errorf("%w %d", ErrNoReplica, b.shard)
 		}
-		p.tried()[p.rep] = true
-		li := mg.send(pi, p.rep)
-		p = &mg.pieces[pi]
-		if li < 0 {
+		tried[rep] = true
+		// legs[0] is the primary, legs[1] its hedge once hedged.
+		var legs [2]leg
+		if p.sent {
+			legs[0], p.sent = p.lead, false
+		} else {
+			legs[0] = c.send(ctx, st, p, b, rep)
+		}
+		if legs[0].ch == nil {
 			if spent(ctx) {
-				mg.finish(pi, ctxErr(ctx, fmt.Sprintf("multiget batch on shard %d", p.shard)))
-				return
+				return ctxErr(ctx, fmt.Sprintf("multiget batch on shard %d", b.shard))
 			}
-			p.rep = c.nextReplica(p.st, p.shard, len(p.keys), p.tried())
 			continue
 		}
-		p.legs[0] = li
-		if mg.hedge.Mode != HedgeOff && p.nrep > 1 {
-			p.hedgeAt = mg.legs[li].sent.Add(mg.hedge.triggerDelay(p.st.scorers[p.shard], p.rep))
+		if hedging {
+			arm(rep, legs[0].sent)
 		}
-		return
-	}
-}
-
-// send starts a leg of piece pi to replica rep, where the scorer already
-// counts the piece's keys outstanding, and returns its index, or -1 if
-// it could not go out: then its count is unwound and, unless the
-// connection was already gone or ctx's budget is spent, its replica
-// marked down.
-func (mg *multiget) send(pi, rep int) int {
-	c, p := mg.c, &mg.pieces[pi]
-	l := leg{shardBatch: p.shardBatch, piece: pi, scorer: p.st.scorers[p.shard], rep: rep, slot: p.st.slotOf(p.shard, rep)}
-	if l.sc = l.slot.conn.Load(); l.sc == nil {
-		// The replica went down since it was chosen (or we lost a race
-		// with markDown's connection teardown).
-		l.scorer.OnError(rep, len(l.keys))
-		return -1
-	}
-	li := len(mg.legs)
-	l.sent = time.Now()
-	c.batches.Add(1)
-	var err error
-	if l.id, err = l.sc.send(mg.ctx, p.request(rep), "batch", waiter{in: mg.in, tag: li}); err != nil {
-		c.lose(mg.ctx, &l)
-		return -1
-	}
-	l.live = true
-	mg.legs = append(mg.legs, l)
-	mg.live++
-	return li
-}
-
-// land takes one delivery: it ends its leg — answered or lost — and
-// decides the leg's piece with it, rides out the piece's other leg, or
-// fails the piece over. A stale delivery, or a loser's, decides nothing.
-func (mg *multiget) land(d delivery) {
-	if d.tag >= len(mg.legs) || !mg.legs[d.tag].live || mg.legs[d.tag].sc != d.sc || mg.legs[d.tag].id != d.id {
-		if resp, ok := d.m.(*wire.BatchResp); ok {
-			resp.Release()
+		// l is the leg that answered last; resp is its answer, nil while
+		// no leg has answered or when l's connection died. won says the
+		// hedge answered first.
+		var l leg
+		var resp *wire.BatchResp
+		hedged, won := false, false
+		for resp == nil && (legs[0].ch != nil || legs[1].ch != nil) {
+			var m wire.Message
+			i := 0
+			select {
+			case m = <-legs[0].ch:
+			case m = <-legs[1].ch:
+				i = 1
+			case <-trigger:
+				trigger = nil
+				if _, ok := budgetOf(ctx); !ok {
+					continue // deadline spent: a hedge would be shed on arrival
+				}
+				h := c.nextReplica(st, b.shard, n, tried)
+				if h < 0 {
+					continue // nothing left to hedge to; ride out the primary
+				}
+				tried[h] = true
+				if legs[1] = c.send(ctx, st, p, b, h); legs[1].ch == nil {
+					arm(rep, time.Now()) // re-arm and re-rank
+					continue
+				}
+				hedged = true
+				c.hedgesFired.Add(1)
+				// res slots are disjoint across sub-batches but Hedged is
+				// shared; a hedge costs real work whether or not it wins.
+				atomic.AddInt32(&res.Hedged, 1)
+				continue
+			case <-ctx.Done():
+				// The caller's deadline or cancellation ended the wait, not
+				// the replicas: no down-mark, no failover.
+				for j := range legs {
+					if legs[j].ch != nil {
+						c.drop(scorer, b, legs[j])
+						legs[j].ch = nil
+					}
+				}
+				continue
+			}
+			l = legs[i]
+			legs[i].ch = nil
+			// A dead connection leaves resp nil: ride out the other leg.
+			resp = c.land(ctx, scorer, b, l, m)
+			won = resp != nil && i == 1
 		}
-		return
-	}
-	c, l := mg.c, &mg.legs[d.tag]
-	l.live = false
-	mg.live--
-	resp := c.land(mg.ctx, l, d.m)
-	pi := l.piece
-	p := &mg.pieces[pi]
-	i := slices.Index(p.legs[:], d.tag)
-	if i < 0 {
-		// A hedge loser: its piece was decided by the other leg.
-		if resp != nil {
-			resp.Release()
-		}
-		return
-	}
-	p.legs[i] = -1
-	if resp == nil {
-		if p.legs[1-i] >= 0 {
-			return // a dead connection: ride out the other leg
-		}
-		// Every leg's connection died.
-		if p.hedged {
+		if won {
+			c.hedgesWon.Add(1)
+		} else if hedged {
 			c.hedgesWasted.Add(1)
-			p.hedged = false
 		}
-		p.hedgeAt = time.Time{}
-		if spent(mg.ctx) {
-			mg.finish(pi, ctxErr(mg.ctx, fmt.Sprintf("multiget batch on shard %d", p.shard)))
-			return
+		if resp == nil {
+			// Every leg's connection died, or ctx ended.
+			if spent(ctx) {
+				return ctxErr(ctx, fmt.Sprintf("multiget batch on shard %d", b.shard))
+			}
+			continue // fail over
 		}
-		p.rep = c.nextReplica(p.st, p.shard, len(p.keys), p.tried())
-		mg.launch(pi) // fail over
-		return
-	}
-	if i == 1 {
-		c.hedgesWon.Add(1)
-	} else if p.hedged {
-		c.hedgesWasted.Add(1)
-	}
-	p.hedged, p.hedgeAt, p.legs = false, time.Time{}, [2]int{-1, -1}
-	mg.answer(pi, l.slot, resp)
-}
-
-// answer settles piece pi with resp, the first answer one of its legs
-// got from slot. Keys the server rejects as strays (a rebalance moved
-// them) are re-bucketed under a refreshed topology, up to maxEpochHops
-// epochs deep; strays from a server still BEHIND the piece's epoch are
-// re-sent under it instead.
-func (mg *multiget) answer(pi int, slot *serverSlot, resp *wire.BatchResp) {
-	c, p := mg.c, &mg.pieces[pi]
-	st, b := p.st, p.shardBatch
-	if resp.Epoch > st.topo.Epoch() {
-		// The server is ahead of us. Our keys were still served (any
-		// strays are handled below), so no retry is needed — but flag
-		// the lag so the prober refreshes before a stray forces it.
-		c.epochLag.Store(true)
-	}
-	if resp.Misrouted() {
-		// Pre-topology servers cannot tell us what moved; this is
-		// configuration skew, not an epoch change, and failover
-		// cannot fix it.
+		for _, o := range legs {
+			if o.ch != nil {
+				go c.outlive(ctx, scorer, b, o)
+			}
+		}
+		if resp.Epoch > st.topo.Epoch() {
+			// The server is ahead of us. Our keys were still served (any
+			// strays are handled below), so no retry is needed — but flag
+			// the lag so the prober refreshes before a stray forces it.
+			c.epochLag.Store(true)
+		}
+		if resp.Misrouted() {
+			// Pre-topology servers cannot tell us what moved; this is
+			// configuration skew, not an epoch change, and failover
+			// cannot fix it.
+			resp.Release()
+			return fmt.Errorf("netstore: server %d rejected batch for shard %d as misrouted", l.slot.id, b.shard)
+		}
+		if len(resp.Values) != n {
+			resp.Release()
+			return fmt.Errorf("netstore: shard %d returned %d values for %d keys", b.shard, len(resp.Values), n)
+		}
+		stray, shed := c.take(b, resp, res)
+		behindUs := resp.Epoch < st.topo.Epoch()
 		resp.Release()
-		mg.finish(pi, fmt.Errorf("netstore: server %d rejected batch for shard %d as misrouted", slot.id, b.shard))
-		return
-	}
-	if len(resp.Values) != len(b.keys) {
-		resp.Release()
-		mg.finish(pi, fmt.Errorf("netstore: shard %d returned %d values for %d keys", b.shard, len(resp.Values), len(b.keys)))
-		return
-	}
-	stray, shed := c.take(b, resp, mg.res)
-	behindUs := resp.Epoch < st.topo.Epoch()
-	resp.Release()
-	p.expired += shed
-	if len(stray.keys) == 0 {
-		mg.finish(pi, p.expiredErr())
-		return
-	}
-	// Served keys stand, strays go around again.
-	stray.cost = b.share(len(stray.keys))
-	c.strayRetries.Add(uint64(len(stray.keys)))
-	p.shardBatch = stray
-	if behindUs {
-		// The server is BEHIND us: a rebalance's push reached the
-		// server we learned st from before it reached this one, so
-		// the strays are keys st rightly routes here and this replica
-		// does not know it yet. There is nothing newer to refresh to;
-		// re-send exactly the strays under the SAME state, untried
-		// siblings first (they may already hold st's epoch).
-		p.behind = true
-		p.rep = c.nextReplica(st, stray.shard, len(stray.keys), p.tried())
-		mg.launch(pi)
-		return
-	}
-	// The server owns only part of this batch under its newer
-	// topology: refresh ours and re-route the strays. The multiget
-	// now spans two epochs.
-	if p.depth >= maxEpochHops {
-		mg.finish(pi, errors.Join(p.expiredErr(), fmt.Errorf("%w (%d stray keys on shard %d)", ErrTopologySkew, len(stray.keys), b.shard)))
-		return
-	}
-	mg.rebucket(pi)
-}
-
-// rebucket refreshes piece pi's topology and re-buckets its keys by
-// their new owners, as new pieces one epoch deeper, each launched at
-// once; pi itself is then decided. Its callers hold evidence of a newer
-// topology (a server AHEAD of the piece's rejected the keys, or an
-// install retired the shard's connections), so if the poll comes back
-// empty it raced the rebalancer's push — wait a beat and poll again,
-// four times, before declaring skew. A server BEHIND the piece's epoch
-// never gets here: answer re-sends its strays under the piece's.
-func (mg *multiget) rebucket(pi int) {
-	c, p := mg.c, &mg.pieces[pi]
-	nst := c.refreshTopology(mg.ctx, p.st)
-	if nst == p.st {
-		if p.polls < 4 {
-			p.polls++
-			p.repoll = true
-			p.beatAt = time.Now().Add(strayBeat)
-			return
+		expired += shed
+		var expErr error
+		if expired > 0 {
+			expErr = expiredKeysError(expired)
 		}
-		if nst.topo.HasShard(p.shard) {
-			mg.finish(pi, errors.Join(p.expiredErr(), fmt.Errorf("%w (%d keys of shard %d)", ErrTopologySkew, len(p.keys), p.shard)))
-			return
+		if len(stray.keys) == 0 {
+			return expErr
 		}
-	}
-	b, depth := p.shardBatch, p.depth
-	mg.finish(pi, p.expiredErr())
-	first := len(mg.pieces)
-	for i, k := range b.keys {
-		sh := nst.topo.ShardOfKey(k)
-		j := first
-		for j < len(mg.pieces) && mg.pieces[j].shard != sh {
-			j++
-		}
-		if j == len(mg.pieces) {
-			mg.pieces = append(mg.pieces, newPiece(nst, shardBatch{shard: sh, taskID: b.taskID}, -1, depth+1))
-		}
-		mg.pieces[j].add(b, i)
-	}
-	last := len(mg.pieces)
-	for j := first; j < last; j++ {
-		q := &mg.pieces[j]
-		q.cost = b.share(len(q.keys))
-		q.rep = c.nextReplica(nst, q.shard, len(q.keys), nil)
-		mg.open++
-		mg.launch(j)
-	}
-}
-
-// finish decides piece pi with err, nil for success.
-func (mg *multiget) finish(pi int, err error) {
-	p := &mg.pieces[pi]
-	p.done, p.err, p.legs = true, err, [2]int{-1, -1}
-	p.hedgeAt, p.beatAt = time.Time{}, time.Time{}
-	mg.open--
-}
-
-// fire acts on every deadline due by now: it hedges the primaries whose
-// trigger passed and ends the beats that ran out.
-func (mg *multiget) fire(now time.Time) {
-	for pi, n := 0, len(mg.pieces); pi < n; pi++ {
-		p := &mg.pieces[pi]
-		if p.done {
+		// Served keys stand, strays go around again.
+		stray.cost = b.share(len(stray.keys))
+		c.strayRetries.Add(uint64(len(stray.keys)))
+		if behindUs {
+			// The server is BEHIND us: a rebalance's push reached the
+			// server we learned st from before it reached this one, so
+			// the strays are keys st rightly routes here and this replica
+			// does not know it yet. There is nothing newer to refresh to;
+			// re-send exactly the strays under the SAME state, untried
+			// siblings first (they may already hold st's epoch).
+			b, n = stray, len(stray.keys)
+			behind = true
 			continue
 		}
-		if !p.hedgeAt.IsZero() && !p.hedgeAt.After(now) {
-			mg.hedgePiece(pi)
+		// The server owns only part of this batch under its newer
+		// topology: refresh ours and re-route the strays. The multiget
+		// now spans two epochs.
+		if depth >= maxEpochHops {
+			return errors.Join(expErr, fmt.Errorf("%w (%d stray keys on shard %d)", ErrTopologySkew, len(stray.keys), b.shard))
 		}
-		if p = &mg.pieces[pi]; p.beatAt.IsZero() || p.beatAt.After(now) {
-			continue
-		}
-		p.beatAt = time.Time{}
-		if p.repoll {
-			p.repoll = false
-			mg.rebucket(pi) // poll again for the topology the strays need
-			continue
-		}
-		clear(p.tried())
-		p.behind = false
-		p.rep = mg.c.nextReplica(p.st, p.shard, len(p.keys), nil)
-		mg.launch(pi)
+		return errors.Join(expErr, c.retryStrays(ctx, st, stray, res, depth, opts))
 	}
-}
-
-// hedgePiece fires piece pi's hedge: one more leg, to the best-ranked
-// untried live replica, raced against the primary. With the budget
-// spent, a hedge would be shed on arrival; with nothing left to hedge
-// to, the primary is ridden out; a hedge that cannot go out re-arms.
-func (mg *multiget) hedgePiece(pi int) {
-	c, p := mg.c, &mg.pieces[pi]
-	p.hedgeAt = time.Time{}
-	if _, ok := budgetOf(mg.ctx); !ok {
-		return
-	}
-	h := c.nextReplica(p.st, p.shard, len(p.keys), p.tried())
-	if h < 0 {
-		return
-	}
-	p.tried()[h] = true
-	li := mg.send(pi, h)
-	p = &mg.pieces[pi]
-	if li < 0 {
-		primary := mg.legs[p.legs[0]].rep
-		p.hedgeAt = time.Now().Add(mg.hedge.triggerDelay(p.st.scorers[p.shard], primary))
-		return
-	}
-	p.legs[1] = li
-	p.hedged = true
-	c.hedgesFired.Add(1)
-	mg.res.Hedged++
-}
-
-// abort ends every piece still undecided when ctx ends: the caller's
-// deadline or cancellation, not the replicas — its legs are dropped
-// with no down-mark and no failover.
-func (mg *multiget) abort() {
-	c, ctx := mg.c, mg.ctx
-	for pi := range mg.pieces {
-		p := &mg.pieces[pi]
-		if p.done {
-			continue
-		}
-		for _, li := range p.legs {
-			if li >= 0 {
-				mg.drop(li)
-			}
-		}
-		p.legs = [2]int{-1, -1}
-		if p.hedged {
-			c.hedgesWasted.Add(1)
-			p.hedged = false
-		}
-		what := fmt.Sprintf("multiget batch on shard %d", p.shard)
-		switch {
-		case p.repoll:
-			what = fmt.Sprintf("stray retry on shard %d", p.shard)
-		case !p.beatAt.IsZero():
-			what = fmt.Sprintf("shard %d replicas behind epoch %d", p.shard, p.st.topo.Epoch())
-		}
-		mg.finish(pi, ctxErr(ctx, what))
-	}
-}
-
-// drop gives up on leg li: its late reply is discarded and the scorer
-// unwinds the leg's outstanding keys.
-func (mg *multiget) drop(li int) {
-	l := &mg.legs[li]
-	l.sc.abandon(l.id)
-	l.scorer.OnError(l.rep, len(l.keys))
-	l.live = false
-	mg.live--
-}
-
-// arm points the timer at the earliest pending deadline. A timer armed
-// for a later deadline is re-armed; one armed earlier is kept, and its
-// firing finds nothing due and re-arms.
-func (mg *multiget) arm() {
-	var at time.Time
-	for i := range mg.pieces {
-		p := &mg.pieces[i]
-		for _, t := range [2]time.Time{p.hedgeAt, p.beatAt} {
-			if !t.IsZero() && (at.IsZero() || t.Before(at)) {
-				at = t
-			}
-		}
-	}
-	if at.IsZero() || (mg.timer != nil && !mg.timerAt.After(at)) {
-		return
-	}
-	mg.disarm()
-	mg.timer, mg.stop = mg.c.newHedgeTimer(max(time.Until(at), 0))
-	mg.timerAt = at
-}
-
-// disarm stops the timer, if armed.
-func (mg *multiget) disarm() {
-	if mg.timer != nil {
-		mg.stop()
-		mg.timer = nil
-	}
-}
-
-// outlive waits for the legs a multiget no longer needs — hedge losers
-// — so that a late answer still reaches the scorer and the cache, and
-// then recycles the working set. The protocol has no cancel frame: the
-// replica does the work anyway. The wait is detached from ctx's
-// cancellation — Multiget ends its context when it returns, usually
-// before a loser answers — but bounded by ctx's deadline, the budget
-// that rode the wire with the legs, and by Close.
-func (c *Cluster) outlive(mg *multiget) {
-	ctx := context.WithoutCancel(mg.ctx) // which drops the deadline too
-	if d, bounded := mg.ctx.Deadline(); bounded {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, d)
-		defer cancel()
-	}
-	mg.ctx = ctx
-	for mg.live > 0 {
-		if mg.got = mg.in.swap(mg.got); len(mg.got) > 0 {
-			for _, d := range mg.got {
-				mg.land(d)
-			}
-			continue
-		}
-		select {
-		case <-mg.in.note:
-			continue
-		case <-ctx.Done():
-		case <-c.rootCtx.Done():
-		}
-		for li := range mg.legs {
-			if mg.legs[li].live {
-				mg.drop(li)
-			}
-		}
-	}
-	mg.recycle()
-}
-
-// lose unwinds a leg whose connection died or whose request could not
-// be sent. The scorer only unwinds outstanding — a lost batch says
-// nothing about service times — and the replica is marked down (arming
-// the revival prober) unless ctx's budget is spent: then the caller gave
-// up, and the replica may be fine.
-func (c *Cluster) lose(ctx context.Context, l *leg) {
-	l.scorer.OnError(l.rep, len(l.keys))
-	if !spent(ctx) {
-		c.markDown(l.slot, l.sc)
-	}
-}
-
-// land folds m, what leg l's request got, into the shard's scorer and
-// returns the answer. A nil m — the connection died — loses the leg and
-// returns nil. Every answer carries authoritative versions, so the
-// cache checks its entries against them.
-func (c *Cluster) land(ctx context.Context, l *leg, m wire.Message) *wire.BatchResp {
-	resp, _ := m.(*wire.BatchResp)
-	if resp == nil {
-		c.lose(ctx, l)
-		return nil
-	}
-	c.observe(l.scorer, l.rep, l.shardBatch, l.sent, resp)
-	c.noteResponseVersions(l.shardBatch, resp)
-	return resp
 }
 
 // take stores the keys of b that resp served into res — each value
@@ -1653,7 +1425,7 @@ func (c *Cluster) take(b shardBatch, resp *wire.BatchResp, res *TaskResult) (str
 		if resp.Expired != nil && resp.Expired[i] {
 			// The server shed this key before service: the budget ran
 			// out while it queued. Not a miss, not a stray — deadline
-			// expiry, reported as such by answer.
+			// expiry, reported as such by fetchBatch.
 			expired++
 			continue
 		}
@@ -1700,6 +1472,45 @@ func (c *Cluster) observe(scorer *c3.Scorer, rep int, b shardBatch, sent time.Ti
 // strayBeat is how long a reader waits for a topology push it has seen
 // evidence of to reach the server it is talking to.
 const strayBeat = 25 * time.Millisecond
+
+// retryStrays refreshes the topology and re-buckets b's keys by their
+// new owners, fetching each bucket one epoch deeper. Its callers hold
+// evidence of a newer topology (a server AHEAD of st rejected the keys,
+// or an install retired the shard's connections), so if the poll comes
+// back empty it raced the rebalancer's push — wait a beat (ctx-bounded)
+// and poll again before declaring skew. A server BEHIND st never gets
+// here: fetchBatch re-sends its strays under st.
+func (c *Cluster) retryStrays(ctx context.Context, st *topoState, b shardBatch, res *TaskResult, depth int, opts ReadOptions) error {
+	nst := c.refreshTopology(ctx, st)
+	for i := 0; i < 4 && nst == st; i++ {
+		if !sleepCtx(ctx, strayBeat) {
+			return ctxErr(ctx, fmt.Sprintf("stray retry on shard %d", b.shard))
+		}
+		nst = c.refreshTopology(ctx, st)
+	}
+	if nst == st && nst.topo.HasShard(b.shard) {
+		return fmt.Errorf("%w (%d keys of shard %d)", ErrTopologySkew, len(b.keys), b.shard)
+	}
+	buckets := make(map[int]*piece)
+	for i, k := range b.keys {
+		sh := nst.topo.ShardOfKey(k)
+		p := buckets[sh]
+		if p == nil {
+			p = &piece{shardBatch: shardBatch{shard: sh, taskID: b.taskID}}
+			buckets[sh] = p
+		}
+		p.add(b, i)
+	}
+	var errs []error
+	for _, p := range buckets {
+		p.cost = b.share(len(p.keys))
+		p.rep = c.nextReplica(nst, p.shard, len(p.keys), nil)
+		if err := c.fetchBatch(ctx, nst, p, res, depth+1, opts); err != nil {
+			errs = append(errs, err)
+		}
+	}
+	return errors.Join(errs...)
+}
 
 // sleepCtx sleeps for d or until ctx ends, reporting whether the full
 // sleep completed.

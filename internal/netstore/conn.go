@@ -43,6 +43,9 @@ type TaskResult struct {
 	// Found marks which keys existed.
 	Found []bool
 	// Hedged counts hedge attempts fired while serving this task.
+	// Sub-batches update it with atomic
+	// adds while the call is in flight; read it only after the call
+	// returns.
 	Hedged int32
 }
 
@@ -69,90 +72,17 @@ func (e *NotOwnerError) Error() string {
 // Requests multiplex over one TCP connection, each under an id its reply
 // echoes, and one read loop hands every reply to the waiter registered
 // under that id. Outbound frames ride a coalescing ConnWriter:
-// concurrent callers queue their requests into one buffer and share
-// Write syscalls.
+// concurrent sub-task goroutines queue their requests into one buffer
+// and share Write syscalls.
 type serverConn struct {
 	conn net.Conn
 	w    *wire.ConnWriter
 
 	mu       sync.Mutex
 	nextID   uint64
-	waiters  map[uint64]waiter
+	waiters  map[uint64]chan wire.Message
 	closed   bool
 	closeErr error
-}
-
-// waiter is where the read loop hands one request's reply: a channel of
-// the request's own (call, a pipelined migration write) or, under a tag,
-// the inbox every leg of one Multiget shares.
-type waiter struct {
-	ch  chan wire.Message
-	in  *inbox
-	tag int
-}
-
-// inbox is one Multiget's mailbox: the read loops of every connection
-// its legs went out on put each reply here, tagged with the leg it
-// answers, and the call's one goroutine takes them in batches. A put
-// never blocks, so a read loop never waits on a slow caller.
-type inbox struct {
-	mu    sync.Mutex
-	items []delivery
-	note  chan struct{} // holds a token while items may be non-empty
-}
-
-// delivery is one reply put into an inbox: leg tag's answer from sc
-// under request id, or a nil m when sc died with the request unanswered.
-// sc and id tell a leg's reply from a stale one — a reply to a leg that
-// was abandoned while the read loop was already handing it over, which
-// may reach the inbox after the call that owned it ended.
-type delivery struct {
-	tag int
-	sc  *serverConn
-	id  uint64
-	m   wire.Message
-}
-
-func newInbox() *inbox { return &inbox{note: make(chan struct{}, 1)} }
-
-func (in *inbox) put(d delivery) {
-	in.mu.Lock()
-	in.items = append(in.items, d)
-	in.mu.Unlock()
-	select {
-	case in.note <- struct{}{}:
-	default:
-	}
-}
-
-// swap hands back buf, the batch the caller has dealt with, and takes
-// what arrived since.
-func (in *inbox) swap(buf []delivery) []delivery {
-	clear(buf)
-	in.mu.Lock()
-	got := in.items
-	in.items = buf[:0]
-	in.mu.Unlock()
-	return got
-}
-
-// deliver hands m, the reply to request id, to w; a nil m says the
-// connection died first.
-func (sc *serverConn) deliver(w waiter, id uint64, m wire.Message) {
-	switch {
-	case w.in != nil:
-		w.in.put(delivery{tag: w.tag, sc: sc, id: id, m: m})
-	case m == nil:
-		close(w.ch)
-	default:
-		// The channel is buffered and receives exactly once, so this send
-		// cannot block the read loop; a server double-answering an id
-		// would hit the default case.
-		select {
-		case w.ch <- m:
-		default:
-		}
-	}
 }
 
 // dialServer dials addr, bounded by clientDialTimeout, and starts a
@@ -169,7 +99,7 @@ func newServerConn(conn net.Conn) *serverConn {
 	sc := &serverConn{
 		conn:    conn,
 		w:       wire.NewConnWriter(conn),
-		waiters: make(map[uint64]waiter),
+		waiters: make(map[uint64]chan wire.Message),
 	}
 	go sc.readLoop(bufio.NewReaderSize(conn, 64<<10))
 	return sc
@@ -228,8 +158,8 @@ func (sc *serverConn) readLoop(r *bufio.Reader) {
 			sc.mu.Lock()
 			sc.closed = true
 			sc.closeErr = err
-			for id, w := range sc.waiters {
-				sc.deliver(w, id, nil)
+			for _, ch := range sc.waiters {
+				close(ch)
 			}
 			sc.waiters = nil
 			sc.mu.Unlock()
@@ -240,50 +170,48 @@ func (sc *serverConn) readLoop(r *bufio.Reader) {
 			continue
 		}
 		sc.mu.Lock()
-		w, live := sc.waiters[id]
+		ch, live := sc.waiters[id]
 		delete(sc.waiters, id)
 		sc.mu.Unlock()
-		// A reply whose waiter gave up is dropped.
+		// A reply whose waiter gave up is dropped. The waiter's channel is
+		// buffered and receives exactly once, so this send cannot block the
+		// read loop; a server double-answering an id would hit the default
+		// case.
 		if live {
-			sc.deliver(w, id, msg)
+			select {
+			case ch <- msg:
+			default:
+			}
 		}
 	}
 }
 
-// send is the one request primitive: it registers w under a fresh id,
-// stamps the id and ctx's remaining budget onto req, and sends it
-// without waiting. The caller owns the wait — a Multiget waits on one
-// inbox for all its legs at once. w yields exactly one reply, or the
-// connection's death; a caller that stops caring must abandon(id) so a
-// late reply is dropped instead of leaking the waiter. A budget already
-// spent fails before any byte is sent, with ctx's error.
-func (sc *serverConn) send(ctx context.Context, req wire.Message, what string, w waiter) (uint64, error) {
+// start is the one request primitive: it registers a waiter under a
+// fresh id, stamps the id and ctx's remaining budget onto req, and sends
+// it without waiting. The caller owns the wait — a hedged read selects
+// over several of these channels at once. The channel yields exactly one
+// reply, or is closed if the connection dies; a caller that stops caring
+// must abandon(id) so a late reply is dropped instead of leaking the
+// waiter. A budget already spent fails before any byte is sent.
+func (sc *serverConn) start(ctx context.Context, req wire.Message, what string) (uint64, chan wire.Message, error) {
 	budget, ok := budgetOf(ctx)
 	if !ok {
-		return 0, ctxErr(ctx, what+" not sent")
+		return 0, nil, ctxErr(ctx, what+" not sent")
 	}
+	ch := replyChans.Get().(chan wire.Message)
 	sc.mu.Lock()
 	if sc.closed {
 		sc.mu.Unlock()
-		return 0, fmt.Errorf("netstore: connection closed: %v", sc.closeErr)
+		replyChans.Put(ch)
+		return 0, nil, fmt.Errorf("netstore: connection closed: %v", sc.closeErr)
 	}
 	sc.nextID++
 	id := sc.nextID
-	sc.waiters[id] = w
+	sc.waiters[id] = ch
 	sc.mu.Unlock()
 	stamp(req, id, budget)
 	if err := sc.w.Send(req); err != nil {
 		sc.abandon(id)
-		return 0, err
-	}
-	return id, nil
-}
-
-// start sends req under a reply channel of its own, for wait.
-func (sc *serverConn) start(ctx context.Context, req wire.Message, what string) (uint64, chan wire.Message, error) {
-	ch := replyChans.Get().(chan wire.Message)
-	id, err := sc.send(ctx, req, what, waiter{ch: ch})
-	if err != nil {
 		return 0, nil, err
 	}
 	return id, ch, nil
@@ -292,9 +220,9 @@ func (sc *serverConn) start(ctx context.Context, req wire.Message, what string) 
 // replyChans recycles the channels start registers. A channel goes back
 // only once its one reply was received: the read loop deregisters a
 // waiter before it sends, so a channel that delivered is empty and
-// nobody else holds it. One whose request failed to send or whose wait
-// was abandoned may still receive a late reply, and one the read loop
-// closed is spent; all three are left to the collector.
+// nobody else holds it. One whose wait was abandoned may still receive
+// a late reply, and one the read loop closed is spent; both are left to
+// the collector.
 var replyChans = sync.Pool{New: func() any { return make(chan wire.Message, 1) }}
 
 // abandon deregisters a waiter; the read loop then drops its reply on

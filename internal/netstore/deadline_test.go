@@ -261,7 +261,7 @@ func TestCancellationMidMultiget(t *testing.T) {
 		// stalled wait, which is the state cancellation must escape —
 		// and the live shard's answer is in: its scorer shows nothing
 		// outstanding once observe has folded the reply, and from there
-		// the multiget loop stores the result without looking at ctx. Without
+		// fetchBatch stores the result without looking at ctx. Without
 		// that second wait the cancel can beat the live answer.
 		// Cancel unconditionally so a missed observation can't stall the
 		// test until DefaultRequestTimeout.
@@ -421,7 +421,7 @@ func TestDeadlineEndToEndShedding(t *testing.T) {
 }
 
 // Regression: when a shard's replicas are all exhausted (down-marked),
-// the multiget polls for a newer topology before reporting a dead shard —
+// fetchBatch polls for a newer topology before reporting a dead shard —
 // and that poll must honor the caller's deadline even when the only
 // live server to poll is wedged-but-open. The caller gets its
 // DeadlineExceeded within budget, never a clientDialTimeout-long stall.
@@ -468,6 +468,55 @@ func TestDeadShardTopologyPollHonorsDeadline(t *testing.T) {
 	}
 	if elapsed > 2*time.Second {
 		t.Fatalf("multiget took %v; the topology poll ignored the 200ms deadline", elapsed)
+	}
+}
+
+// A dead shard's topology poll must not hold the rest of the task: the
+// keys of a healthy shard in the same multiget go out before the poll
+// starts, and their values come back beside the dead shard's deadline
+// error even when the poll spends the whole budget.
+func TestDeadShardPollSparesHealthyShard(t *testing.T) {
+	m := cluster.MustNewShardTopology(cluster.ShardConfig{Shards: 3, Replicas: 1})
+	addrs, servers := startShardedCluster(t, m, nil)
+	// Shard 0's server sits behind a (soon-stalled) proxy, so the poll
+	// never ends before the deadline; shard 1 is killed; shard 2 stays
+	// healthy.
+	proxy := newStallProxy(t, addrs[m.Server(0, 0)])
+	dialAddrs := append([]string(nil), addrs...)
+	dialAddrs[m.Server(0, 0)] = proxy.addr()
+	c, err := DialCluster(dialAddrs, ClusterOptions{Topology: m, ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	keyOn := func(shard int) string {
+		for i := 0; ; i++ {
+			if k := fmt.Sprintf("key:%d", i); m.ShardOfKey(k) == shard {
+				return k
+			}
+		}
+	}
+	dead, healthy := keyOn(1), keyOn(2)
+	for _, k := range []string{dead, healthy} {
+		if err := c.Set(bg, k, []byte("v:"+k), WriteOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	servers[m.Server(1, 0)].Close()
+	if _, err := c.Multiget(bg, []string{dead}, ReadOptions{Timeout: time.Second}); err == nil {
+		t.Fatal("multiget against a killed shard succeeded")
+	}
+	proxy.stall()
+
+	res, err := c.Multiget(bg, []string{dead, healthy}, ReadOptions{Timeout: 200 * time.Millisecond})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded for the dead shard", err)
+	}
+	if !res.Found[1] || string(res.Values[1]) != "v:"+healthy {
+		t.Fatalf("healthy shard's key = %q found=%v, want %q beside the dead shard's error", res.Values[1], res.Found[1], "v:"+healthy)
+	}
+	if res.Found[0] {
+		t.Fatal("dead shard's key reported found")
 	}
 }
 

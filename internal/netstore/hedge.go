@@ -6,21 +6,19 @@ package netstore
 // takes is probably straggling — queued behind a GC pause, a slow disk,
 // an overloaded worker pool. Rather than wait it out, the client
 // re-issues the same keys to the next-C3-ranked replica and takes
-// whichever complete answer lands first. Each piece of a multiget — a
-// batch decided on its own — has at most two legs in flight: the
+// whichever complete answer lands first. There is one attempt loop per
+// read batch, Cluster.fetchBatch, with at most two legs in flight: the
 // primary and one hedge. Failover and hedging are its two ways to start
-// a leg — failover when no leg is left in flight, the hedge when its
-// deadline passes — so they share one tried set and one scorer account.
-// One loop on the caller's goroutine drives every piece of the call
-// (Cluster.gather), with one timer for the earliest hedge deadline. With
-// hedging off no piece has a deadline and the loop is plain failover.
+// a leg — failover when no leg is left in flight, the hedge when the
+// trigger fires — so they share one tried set and one scorer account.
+// With hedging off the trigger is nil and the loop is plain failover.
 //
-// The trigger is a quantile of the primary replica's observed
-// response-time distribution (the C3 scorer's EWMA mean +
-// mean-absolute-deviation, read through c3.ResponseQuantile), floored at
-// Delay, so hedges fire when a request has outlived its forecast, not
-// on a wall-clock guess; a replica with no feedback yet waits exactly
-// Delay.
+// The trigger is a deadline counted from the primary's send: a
+// quantile of the primary replica's observed response-time
+// distribution (the C3 scorer's EWMA mean + mean-absolute-deviation,
+// read through c3.ResponseQuantile), floored at Delay, so hedges fire
+// when a request has outlived its forecast, not on a wall-clock guess;
+// a replica with no feedback yet waits exactly Delay.
 //
 // Hedging trades redundancy for latency: every fired hedge is real work
 // a second server performs. It is bounded (at most one hedge per
@@ -125,13 +123,13 @@ func (c *Cluster) HedgesFired() uint64  { return c.hedgesFired.Load() }
 func (c *Cluster) HedgesWon() uint64    { return c.hedgesWon.Load() }
 func (c *Cluster) HedgesWasted() uint64 { return c.hedgesWasted.Load() }
 
-// newHedgeTimer arms the hedge-trigger timer, honoring the test hook
-// (ClusterOptions.hedgeTimer) when installed. The returned stop func
-// must be safe to call after the timer fired.
-func (c *Cluster) newHedgeTimer(d time.Duration) (<-chan time.Time, func()) {
+// newHedgeTimer arms the hedge-trigger timer for deadline at, honoring
+// the test hook (ClusterOptions.hedgeTimer) when installed. The returned
+// stop func must be safe to call after the timer fired.
+func (c *Cluster) newHedgeTimer(at time.Time) (<-chan time.Time, func()) {
 	if c.opts.hedgeTimer != nil {
-		return c.opts.hedgeTimer(d)
+		return c.opts.hedgeTimer(at)
 	}
-	t := time.NewTimer(d)
+	t := time.NewTimer(max(time.Until(at), 0))
 	return t.C, func() { t.Stop() }
 }

@@ -107,13 +107,13 @@ func TestHedgeTriggerDelay(t *testing.T) {
 }
 
 // fakeHedgeTimer is the ClusterOptions.hedgeTimer test hook: it records
-// every armed duration and exposes one shared unbuffered channel, so
-// fire() both triggers the hedge and synchronizes with the multiget
-// loop's select (the send cannot complete until the trigger is being
-// waited on).
+// every armed deadline and exposes one shared unbuffered channel, so
+// fire() both triggers the hedge and synchronizes with fetchBatch's
+// select (the send cannot complete until the trigger is being waited
+// on).
 type fakeHedgeTimer struct {
 	mu    sync.Mutex
-	armed []time.Duration
+	armed []time.Time
 	ch    chan time.Time
 }
 
@@ -121,19 +121,19 @@ func newFakeHedgeTimer() *fakeHedgeTimer {
 	return &fakeHedgeTimer{ch: make(chan time.Time)}
 }
 
-func (ft *fakeHedgeTimer) hook(d time.Duration) (<-chan time.Time, func()) {
+func (ft *fakeHedgeTimer) hook(at time.Time) (<-chan time.Time, func()) {
 	ft.mu.Lock()
-	ft.armed = append(ft.armed, d)
+	ft.armed = append(ft.armed, at)
 	ft.mu.Unlock()
 	return ft.ch, func() {}
 }
 
 func (ft *fakeHedgeTimer) fire() { ft.ch <- time.Now() }
 
-func (ft *fakeHedgeTimer) armedDelays() []time.Duration {
+func (ft *fakeHedgeTimer) armedAt() []time.Time {
 	ft.mu.Lock()
 	defer ft.mu.Unlock()
-	return append([]time.Duration(nil), ft.armed...)
+	return append([]time.Time(nil), ft.armed...)
 }
 
 // hedgeCluster builds a 1-shard × 2-replica cluster with a FaultInjector
@@ -187,6 +187,7 @@ func TestHedgedReadBeatsStalledReplica(t *testing.T) {
 		err   error
 	}
 	done := make(chan got, 1)
+	before := time.Now()
 	go func() {
 		v, found, err := c.Get(bg, "k", ReadOptions{
 			Hedge: HedgePolicy{Mode: HedgeAdaptive, Delay: 5 * time.Millisecond},
@@ -196,6 +197,7 @@ func TestHedgedReadBeatsStalledReplica(t *testing.T) {
 	waitFor(t, 5*time.Second, "primary stalled in service", func() bool {
 		return injs[0].StalledCount() == 1
 	})
+	after := time.Now()
 	ft.fire()
 	g := <-done
 	if g.err != nil || !g.found || string(g.val) != "v" {
@@ -205,12 +207,15 @@ func TestHedgedReadBeatsStalledReplica(t *testing.T) {
 		t.Fatalf("hedge counters fired=%d won=%d wasted=%d, want 1/1/0", s.HedgesFired, s.HedgesWon, s.HedgesWasted)
 	}
 	// The primary had no response feedback yet, so the adaptive trigger
-	// must have been floored at the configured Delay. The deadline counts
-	// from the primary's send and the timer is armed a moment later, so
-	// it waits a little less than the floor — but never zero, which is
-	// what a cold replica's unfloored forecast would give.
-	if armed := ft.armedDelays(); len(armed) == 0 || armed[0] <= 0 || armed[0] > 5*time.Millisecond {
-		t.Fatalf("armed trigger delays = %v, want the 5ms cold-start floor (less the time to arm) first", armed)
+	// must have been floored at the configured Delay: the first deadline
+	// armed is 5ms after the primary's send, which happened after before
+	// and before the stall was seen at after.
+	armed := ft.armedAt()
+	if len(armed) == 0 {
+		t.Fatal("no hedge deadline armed")
+	}
+	if at := armed[0]; at.Sub(before) < 5*time.Millisecond || at.Sub(after) > 5*time.Millisecond {
+		t.Fatalf("first hedge deadline %v after the call began, for a send within %v of it; want the send plus the 5ms cold-start floor", at.Sub(before), after.Sub(before))
 	}
 	injs[0].Release()
 	waitScorerBalanced(t, c) // the abandoned primary attempt unwinds too
@@ -301,7 +306,7 @@ func TestHedgeOffArmsNoTimer(t *testing.T) {
 			t.Fatalf("Get: found=%v err=%v", found, err)
 		}
 	}
-	if armed := ft.armedDelays(); len(armed) != 0 {
+	if armed := ft.armedAt(); len(armed) != 0 {
 		t.Fatalf("HedgeOff armed %d trigger timer(s): %v", len(armed), armed)
 	}
 	if fired := c.Stats().HedgesFired; fired != 0 {
@@ -387,7 +392,7 @@ func TestHedgeBothLegsDieFailoverToThird(t *testing.T) {
 	if s := c.Stats(); s.HedgesFired != 1 || s.HedgesWon != 0 || s.HedgesWasted != 1 {
 		t.Fatalf("hedge counters fired=%d won=%d wasted=%d, want 1/0/1", s.HedgesFired, s.HedgesWon, s.HedgesWasted)
 	}
-	if armed := ft.armedDelays(); len(armed) != 2 {
+	if armed := ft.armedAt(); len(armed) != 2 {
 		t.Fatalf("armed %d triggers, want 2 (the primary's and the failover's)", len(armed))
 	}
 	waitScorerBalanced(t, c)

@@ -4,7 +4,7 @@
 GO ?= go
 BIN := bin
 
-.PHONY: all build lint vet fmt test race fuzz-smoke bench profile bench-check check clean
+.PHONY: all build lint vet fmt test race fuzz-smoke deploy-smoke bench profile bench-check check clean
 
 all: build
 
@@ -48,6 +48,11 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeModes -fuzztime 15s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzParseRecord -fuzztime 15s ./internal/kv
 
+# README's sharded-cluster deployment as separate processes: servers,
+# brb-load, brb-controller's bootstrap, add-shard and remove-shard.
+deploy-smoke:
+	bash scripts/deploy-smoke.sh
+
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 100x -benchmem ./internal/wire/ ./internal/netstore/
 
@@ -72,7 +77,7 @@ profile:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-check: fmt lint build test race fuzz-smoke bench-check
+check: fmt lint build test race fuzz-smoke deploy-smoke bench-check
 
 clean:
 	rm -rf $(BIN)

@@ -6,7 +6,7 @@ import (
 )
 
 // StickyErr guards the fail-stop contract from PRs 2 and 7: the
-// coalescing ConnWriter and the WAL both latch their first error and
+// ConnWriter and the WAL both latch their first error and
 // refuse further work, which only fail-stops the system if callers
 // actually look at the returned error. A discarded error on these paths
 // — dropped as a bare statement, assigned to _, or detached via go or

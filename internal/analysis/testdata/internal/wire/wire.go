@@ -8,7 +8,7 @@ type Message interface {
 	Kind() uint8
 }
 
-// ConnWriter latches its first error, like the real coalescing writer.
+// ConnWriter latches its first error, like the real one.
 type ConnWriter struct{ err error }
 
 func (w *ConnWriter) Send(m Message) error { return w.err }

@@ -3,14 +3,15 @@ package kv
 // Segmented write-ahead log with group commit.
 //
 // A record is buffered in call order (buffer) and then waited for
-// (wait), which reuses the coalescing trick of wire.ConnWriter, applied
-// to fsync instead of write(2): when no flush is in flight, a waiter
+// (wait), with group commit: when no flush is in flight, a waiter
 // becomes the flusher — one write + one fsync, same latency as a naive
 // implementation. When a flush IS in flight, records accumulate in a
 // shared pending buffer and their waiters wait; the next flusher drains
 // everything that accumulated into one write and one fsync, so under
 // concurrent writers many acknowledged records share a single disk
-// sync. Records are always written in buffer order.
+// sync. Records are always written in buffer order. (An fsync takes
+// milliseconds, so writers do queue behind one; wire.ConnWriter's
+// per-frame Writes take microseconds, and it writes each frame alone.)
 //
 // Fsync policy:
 //
@@ -93,8 +94,8 @@ func (o walOptions) withDefaults() walOptions {
 	return o
 }
 
-// maxWALSpare bounds the retained pending buffer between flushes, like
-// ConnWriter's spare cap.
+// maxWALSpare bounds the retained pending buffer between flushes, so a
+// burst does not pin a large buffer on an idle log.
 const maxWALSpare = 256 << 10
 
 // wal is the segmented append-only log. All mutating access goes

@@ -48,7 +48,7 @@ func pipelineKeys() []string {
 // client encode, server decode/schedule/serve, response encode, client
 // decode — for an 8-key batch. allocs/op covers both endpoints; this is
 // the hot path whose per-frame allocation cost the pooled codec and
-// coalesced ConnWriter are meant to eliminate. TestServerPipelineAllocs
+// ConnWriter's retained encode buffer are meant to eliminate. TestServerPipelineAllocs
 // guards the allocation count.
 func BenchmarkServerPipeline(b *testing.B) {
 	srv, c := benchStore(b, 64)
@@ -152,8 +152,8 @@ func TestTwoShardMultigetAllocs(t *testing.T) {
 
 // BenchmarkServerSaturation drives one server to saturation from many
 // client goroutines over loopback and reports aggregate read throughput
-// (keys/s). The values are 4 KiB, so each 8-key response copies 32 KiB
-// into the coalescing writer. Run with -cpu 1,2,4 to see the scaling.
+// (keys/s). The values are 4 KiB, so each 8-key response encodes 32 KiB
+// into its connection's writer. Run with -cpu 1,2,4 to see the scaling.
 func BenchmarkServerSaturation(b *testing.B) {
 	const (
 		nKeys     = 512

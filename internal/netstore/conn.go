@@ -71,9 +71,9 @@ func (e *NotOwnerError) Error() string {
 // serverConn is the one way netstore's client side talks to a server.
 // Requests multiplex over one TCP connection, each under an id its reply
 // echoes, and one read loop hands every reply to the waiter registered
-// under that id. Outbound frames ride a coalescing ConnWriter:
-// concurrent sub-task goroutines queue their requests into one buffer
-// and share Write syscalls.
+// under that id. Outbound frames go through a ConnWriter: each request
+// is one Write, made by the goroutine that sends it, under the writer's
+// lock.
 type serverConn struct {
 	conn net.Conn
 	w    *wire.ConnWriter
@@ -332,7 +332,7 @@ func (sc *serverConn) closeError() error {
 
 func (sc *serverConn) close() {
 	// Connection first: a stuck in-flight Write fails instead of
-	// blocking the writer drain.
+	// holding the writer's lock.
 	_ = sc.conn.Close()
 	_ = sc.w.Close()
 }

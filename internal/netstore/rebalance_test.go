@@ -202,8 +202,8 @@ func TestClusterLiveAddShard(t *testing.T) {
 
 // A migration onto a receiver that accepts connections but never reads
 // must fail within its ctx instead of hanging on a blocked write. The
-// donor's moving keys are more bytes than the socket buffers and the
-// connection's coalescing buffer absorb, so the replay's writes block;
+// donor's moving keys are more bytes than the socket buffers absorb,
+// so a replay write blocks in its Send;
 // AddShard must give up soon after its 500ms deadline and publish no
 // new epoch.
 func TestAddShardWedgedReceiverFails(t *testing.T) {

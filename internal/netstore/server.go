@@ -402,9 +402,9 @@ func (s *Server) shutdown(kill bool) {
 // QueueLen returns the current scheduler backlog.
 func (s *Server) QueueLen() int { return s.sched.len() }
 
-// connState couples one connection with its coalescing frame writer:
-// concurrent workers finishing batches enqueue responses that ride a
-// shared Write, instead of serializing one syscall each behind a mutex.
+// connState couples one connection with its frame writer: a worker
+// finishing a batch writes the response itself, one Write under the
+// writer's lock.
 type connState struct {
 	conn net.Conn
 	w    *wire.ConnWriter
@@ -414,7 +414,7 @@ func newConnState(conn net.Conn) *connState {
 	return &connState{conn: conn, w: wire.NewConnWriter(conn)}
 }
 
-// send queues one response frame. Send encodes it, values included,
+// send writes one response frame. Send encodes it, values included,
 // before it returns, so the batch state that built it may recycle
 // immediately.
 func (cs *connState) send(m wire.Message) error {
@@ -430,7 +430,7 @@ func (cs *connState) reply(m wire.Message) {
 }
 
 // close tears the connection down first so the writer's in-flight Write
-// cannot block the drain.
+// fails instead of holding Close behind it.
 func (cs *connState) close() {
 	_ = cs.conn.Close()
 	_ = cs.w.Close()
@@ -569,8 +569,8 @@ func (bs *batchState) finish(index, qlen int, r keyResult) {
 }
 
 // respond sends the assembled response and recycles the batch. Send
-// encodes synchronously into the coalescing buffer, so the state
-// recycles the moment it returns.
+// encodes and writes synchronously, so the state recycles the moment it
+// returns.
 func (bs *batchState) respond() {
 	bs.cs.reply(&bs.resp)
 	bs.release()

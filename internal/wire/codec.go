@@ -447,7 +447,7 @@ func decodeScanResp(r *reader) (*ScanResp, error) {
 // AppendEncode appends m's framed encoding (length prefix, type byte,
 // body) to dst and returns the extended slice. It is the allocation-free
 // encode path: callers that reuse dst across messages pay only the
-// appends, and many messages can be coalesced into one buffer.
+// appends.
 func AppendEncode(dst []byte, m Message) []byte {
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0, byte(m.msgType()))

@@ -12,8 +12,8 @@
 // pooled Frame for a frame too large for it), Decode copies a message
 // out of its frame (one slab for a batch's keys or values, so the frame
 // recycles as soon as it is decoded) into a batch message shell that
-// Release hands back for the next decode, and ConnWriter coalesces
-// concurrently queued frames into single Write calls.
+// Release hands back for the next decode, and ConnWriter encodes each
+// frame into a retained buffer and writes it in one Write call.
 package wire
 
 import (

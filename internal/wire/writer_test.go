@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"net"
 	"runtime"
 	"sync"
 	"testing"
@@ -14,7 +15,7 @@ import (
 )
 
 // blockingWriter counts Write calls and can stall them, so tests can
-// force frames to pile up behind an in-flight Write.
+// hold a Send in its Write while others try to send.
 type blockingWriter struct {
 	mu      sync.Mutex
 	buf     bytes.Buffer
@@ -56,60 +57,9 @@ func readAllFrames(t *testing.T, data []byte) []Message {
 			return msgs
 		}
 		if err != nil {
-			t.Fatalf("parsing coalesced stream: %v", err)
+			t.Fatalf("parsing the written stream: %v", err)
 		}
 		msgs = append(msgs, m)
-	}
-}
-
-// Frames queued while a Write is stalled must coalesce into fewer
-// Writes, arrive intact, and preserve Send order.
-func TestConnWriterCoalesces(t *testing.T) {
-	const frames = 100
-	w := &blockingWriter{
-		gate:    make(chan struct{}, frames+1),
-		started: make(chan struct{}, frames+1),
-	}
-	cw := NewConnWriter(w)
-
-	// The first Send takes the inline path and stalls in Write on
-	// another goroutine; the rest queue behind it.
-	firstDone := make(chan error, 1)
-	go func() { firstDone <- cw.Send(&Ping{Nonce: 0}) }()
-	<-w.started
-	for i := 1; i < frames; i++ {
-		if err := cw.Send(&Ping{Nonce: uint64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < frames; i++ {
-		w.gate <- struct{}{}
-	}
-	if err := <-firstDone; err != nil {
-		t.Fatal(err)
-	}
-	if err := cw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for len(w.started) > 0 {
-		<-w.started
-	}
-	w.started = nil
-	writes, data := w.snapshot()
-	if writes >= frames {
-		t.Fatalf("no coalescing: %d writes for %d frames", writes, frames)
-	}
-	msgs := readAllFrames(t, data)
-	if len(msgs) != frames {
-		t.Fatalf("got %d frames, want %d", len(msgs), frames)
-	}
-	for i, m := range msgs {
-		if m.(*Ping).Nonce != uint64(i) {
-			t.Fatalf("frame %d out of order: nonce %d", i, m.(*Ping).Nonce)
-		}
-	}
-	if err := cw.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -171,145 +121,157 @@ func TestConnWriterStickyError(t *testing.T) {
 	}
 }
 
-// Close drains everything queued before it.
-func TestConnWriterCloseDrains(t *testing.T) {
+// waitBlocked fails the test if done yields within a short window: the
+// goroutine behind it is expected to be blocked.
+func waitBlocked(t *testing.T, done <-chan error, what string) {
+	t.Helper()
+	select {
+	case err := <-done:
+		t.Fatalf("%s returned (%v); want it blocked", what, err)
+	case <-time.After(50 * time.Millisecond):
+	}
+}
+
+// A Send behind an in-flight Write waits for that Write to return and
+// then writes its own frame: it neither returns early nor hands its
+// frame to the stalled sender, and both frames arrive whole, in order.
+func TestConnWriterSendWaitsForInFlightWrite(t *testing.T) {
 	w := &blockingWriter{
-		gate:    make(chan struct{}, 64),
-		started: make(chan struct{}, 64),
+		gate:    make(chan struct{}, 2),
+		started: make(chan struct{}, 2),
 	}
 	cw := NewConnWriter(w)
 	firstDone := make(chan error, 1)
 	go func() { firstDone <- cw.Send(&Ping{Nonce: 0}) }()
 	<-w.started
-	for i := 1; i < 10; i++ {
-		if err := cw.Send(&Ping{Nonce: uint64(i)}); err != nil {
-			t.Fatal(err)
-		}
+	secondDone := make(chan error, 1)
+	go func() { secondDone <- cw.Send(&Ping{Nonce: 1}) }()
+	waitBlocked(t, secondDone, "Send behind a stalled Write")
+	if n := len(w.started); n != 0 {
+		t.Fatalf("%d more Writes began while the first was in flight, want 0", n)
 	}
-	for i := 0; i < 20; i++ {
-		w.gate <- struct{}{}
-	}
+	w.gate <- struct{}{}
 	if err := <-firstDone; err != nil {
 		t.Fatal(err)
+	}
+	<-w.started
+	w.gate <- struct{}{}
+	if err := <-secondDone; err != nil {
+		t.Fatal(err)
+	}
+	writes, data := w.snapshot()
+	msgs := readAllFrames(t, data)
+	if writes != 2 || len(msgs) != 2 {
+		t.Fatalf("%d Writes carrying %d frames, want 2 and 2", writes, len(msgs))
+	}
+	for i, m := range msgs {
+		if m.(*Ping).Nonce != uint64(i) {
+			t.Fatalf("frame %d out of order: nonce %d", i, m.(*Ping).Nonce)
+		}
 	}
 	if err := cw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for len(w.started) > 0 {
-		<-w.started
-	}
-	w.started = nil
-	_, data := w.snapshot()
-	if got := len(readAllFrames(t, data)); got != 10 {
-		t.Fatalf("Close dropped frames: %d of 10 arrived", got)
-	}
-	if err := cw.Send(&Ping{Nonce: 99}); !errors.Is(err, ErrWriterClosed) {
-		t.Fatalf("Send after Close = %v, want ErrWriterClosed", err)
-	}
 }
 
-// A write error hit while draining the queue surfaces to writers that
-// queued behind the in-flight Write: the first queued Send returned nil
-// (frame accepted), but every Send and the Flush after the failure
-// report the sticky error.
-func TestConnWriterQueuedWriterSeesStickyError(t *testing.T) {
-	wantErr := errors.New("pipe burst")
-	w := &blockingWriter{
-		gate:    make(chan struct{}, 64),
-		started: make(chan struct{}, 64),
-	}
-	cw := NewConnWriter(w)
-	firstDone := make(chan error, 1)
-	go func() { firstDone <- cw.Send(&Ping{Nonce: 0}) }()
-	<-w.started
-	// Queued behind the stalled inline Write; accepted without error.
-	if err := cw.Send(&Ping{Nonce: 1}); err != nil {
-		t.Fatalf("queued Send before failure: %v", err)
-	}
-	// Fail every Write from now on, then release the stalled one (which
-	// fails) and the drain's coalesced Write of the queued frame.
-	w.mu.Lock()
-	w.err = wantErr
-	w.mu.Unlock()
-	for i := 0; i < 4; i++ {
-		w.gate <- struct{}{}
-	}
-	if err := <-firstDone; !errors.Is(err, wantErr) {
-		t.Fatalf("inline Send err = %v, want %v", err, wantErr)
-	}
-	// The queued frame's loss is observable: Flush and any later Send
-	// report the sticky error instead of pretending delivery.
-	waitErr := func(f func() error, what string) {
-		testutil.Eventually(t, 2*time.Second, what+" surfacing the sticky error", func() bool {
-			return errors.Is(f(), wantErr)
-		})
-	}
-	waitErr(func() error { return cw.Flush() }, "Flush")
-	waitErr(func() error { return cw.Send(&Ping{Nonce: 2}) }, "Send")
-	if err := cw.Close(); !errors.Is(err, wantErr) {
-		t.Fatalf("Close err = %v, want %v", err, wantErr)
-	}
+// startSignal reports each Write as it begins, then hands it on.
+type startSignal struct {
+	io.Writer
+	started chan struct{}
 }
 
-// Send blocks once maxPendingBytes of encoded frames are queued behind a
-// stalled Write, and unblocks when the connection drains — backpressure,
-// not unbounded buffering.
-func TestConnWriterBackpressure(t *testing.T) {
-	w := &blockingWriter{
-		gate:    make(chan struct{}, 1024),
-		started: make(chan struct{}, 1024),
-	}
-	cw := NewConnWriter(w)
+func (s startSignal) Write(p []byte) (int, error) {
+	s.started <- struct{}{}
+	return s.Writer.Write(p)
+}
+
+// Teardown closes the connection first: that fails the Send blocked in
+// Write, every later Send returns the sticky error or ErrWriterClosed,
+// and a Close waiting behind the blocked Send returns.
+func TestConnWriterCloseDrains(t *testing.T) {
+	conn, peer := net.Pipe() // nobody reads peer: the first Write blocks
+	defer peer.Close()
+	// Room for Writes that must not happen, so the test counts them
+	// instead of blocking on them.
+	sig := startSignal{Writer: conn, started: make(chan struct{}, 4)}
+	cw := NewConnWriter(sig)
 	firstDone := make(chan error, 1)
 	go func() { firstDone <- cw.Send(&Ping{Nonce: 0}) }()
-	<-w.started
+	<-sig.started
+	secondDone := make(chan error, 1)
+	go func() { secondDone <- cw.Send(&Ping{Nonce: 1}) }()
+	closed := make(chan error, 1)
+	go func() { closed <- cw.Close() }()
+	waitBlocked(t, closed, "Close behind a blocked Write")
 
-	// Fill the pending buffer to just past maxPendingBytes with large
-	// Writes: Send's bound check runs before appending, so each of these
-	// still returns, and the last one tips the buffer over the bound.
-	big := &Write{Version: 1, Key: "k", Value: make([]byte, 1<<20)}
-	for i := 0; i < maxPendingBytes/(1<<20); i++ {
-		if err := cw.Send(big); err != nil {
-			t.Fatal(err)
-		}
+	_ = conn.Close()
+	stuckErr := <-firstDone
+	if !errors.Is(stuckErr, io.ErrClosedPipe) {
+		t.Fatalf("blocked Send err = %v, want %v", stuckErr, io.ErrClosedPipe)
 	}
-	// The buffer is now over the bound: the next Send must block.
-	blocked := make(chan error, 1)
-	go func() { blocked <- cw.Send(&Ping{Nonce: 9}) }()
 	select {
-	case err := <-blocked:
-		t.Fatalf("Send returned (%v) with %d+ MiB pending; want it to block", err, maxPendingBytes>>20)
-	case <-time.After(100 * time.Millisecond):
-	}
-	// Drain: release every Write; the blocked Send completes.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			select {
-			case w.gate <- struct{}{}:
-			case <-time.After(50 * time.Millisecond):
-				return
-			}
-		}
-	}()
-	select {
-	case err := <-blocked:
-		if err != nil {
-			t.Fatalf("blocked Send failed after drain: %v", err)
+	case err := <-closed:
+		if !errors.Is(err, stuckErr) {
+			t.Fatalf("Close err = %v, want the sticky %v", err, stuckErr)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Send still blocked after the connection drained")
+		t.Fatal("Close hung after the connection closed")
 	}
+	later := []error{<-secondDone}
+	for i := 0; i < 3; i++ {
+		later = append(later, cw.Send(&Ping{Nonce: 2}))
+	}
+	for _, err := range later {
+		if !errors.Is(err, stuckErr) && !errors.Is(err, ErrWriterClosed) {
+			t.Fatalf("Send after teardown = %v, want %v or ErrWriterClosed", err, stuckErr)
+		}
+	}
+	if n := len(sig.started); n != 0 {
+		t.Fatalf("%d Writes began after the connection closed, want 0", n)
+	}
+}
+
+// A stalled Write of a frame too large to retain holds later Sends back
+// until the connection takes it (the blocking Write is the backpressure),
+// and the writer keeps no buffer over maxRetainedBytes afterwards.
+func TestConnWriterBackpressure(t *testing.T) {
+	w := &blockingWriter{
+		gate:    make(chan struct{}, 2),
+		started: make(chan struct{}, 2),
+	}
+	cw := NewConnWriter(w)
+	big := &Write{Version: 1, Key: "k", Value: make([]byte, 1<<20)}
+	firstDone := make(chan error, 1)
+	go func() { firstDone <- cw.Send(big) }()
+	<-w.started
+	blocked := make(chan error, 1)
+	go func() { blocked <- cw.Send(&Ping{Nonce: 9}) }()
+	waitBlocked(t, blocked, "Send behind a stalled 1 MiB Write")
+	w.gate <- struct{}{}
+	w.gate <- struct{}{}
 	if err := <-firstDone; err != nil {
 		t.Fatal(err)
 	}
-	<-done
-	for len(w.started) > 0 {
-		<-w.started
+	select {
+	case err := <-blocked:
+		if err != nil {
+			t.Fatalf("blocked Send failed after the Write returned: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Send still blocked after the stalled Write returned")
 	}
-	w.started = nil
-	w.gate = nil
+	<-w.started
+	_, data := w.snapshot()
+	msgs := readAllFrames(t, data)
+	if len(msgs) != 2 || len(msgs[0].(*Write).Value) != 1<<20 || msgs[1].(*Ping).Nonce != 9 {
+		t.Fatalf("got %d frames, want the 1 MiB write then ping 9", len(msgs))
+	}
+	cw.mu.Lock()
+	retained := cap(cw.buf)
+	cw.mu.Unlock()
+	if retained > maxRetainedBytes {
+		t.Fatalf("writer retains a %d-byte buffer, want at most %d", retained, maxRetainedBytes)
+	}
 	if err := cw.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -336,105 +298,6 @@ func TestConnWriterStartsNoGoroutine(t *testing.T) {
 				t.Fatalf("Close #%d: %v", i+1, err)
 			}
 		}
-	}
-}
-
-// The sender whose Write is in flight writes what queued behind it: by
-// the time that Send returns, every frame queued meanwhile is on the
-// connection, in Send order, in one more Write — no Flush, and no other
-// goroutine, needed.
-func TestConnWriterSenderDrainsQueue(t *testing.T) {
-	const frames = 10
-	w := &blockingWriter{
-		gate:    make(chan struct{}, frames+1),
-		started: make(chan struct{}, frames+1),
-	}
-	cw := NewConnWriter(w)
-	firstDone := make(chan error, 1)
-	go func() { firstDone <- cw.Send(&Ping{Nonce: 0}) }()
-	<-w.started
-	for i := 1; i < frames; i++ {
-		if err := cw.Send(&Ping{Nonce: uint64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 2; i++ {
-		w.gate <- struct{}{}
-	}
-	if err := <-firstDone; err != nil {
-		t.Fatal(err)
-	}
-	writes, data := w.snapshot()
-	if writes != 2 {
-		t.Fatalf("%d Writes for one inline frame and %d queued ones, want 2", writes, frames-1)
-	}
-	msgs := readAllFrames(t, data)
-	if len(msgs) != frames {
-		t.Fatalf("%d of %d frames written when the in-flight Send returned", len(msgs), frames)
-	}
-	for i, m := range msgs {
-		if m.(*Ping).Nonce != uint64(i) {
-			t.Fatalf("frame %d out of order: nonce %d", i, m.(*Ping).Nonce)
-		}
-	}
-	if err := cw.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Close during a drain waits for the drain to end: it returns only once
-// the frames queued before it are written, a second Close returns too,
-// and Sends after it fail fast with ErrWriterClosed — nothing hangs,
-// nothing is dropped.
-func TestConnWriterDrainShutdown(t *testing.T) {
-	w := &blockingWriter{
-		gate:    make(chan struct{}, 4),
-		started: make(chan struct{}, 4),
-	}
-	cw := NewConnWriter(w)
-	firstDone := make(chan error, 1)
-	go func() { firstDone <- cw.Send(&Ping{Nonce: 0}) }()
-	<-w.started
-	for i := 1; i < 5; i++ {
-		if err := cw.Send(&Ping{Nonce: uint64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	closed := make(chan error, 2)
-	go func() { closed <- cw.Close() }()
-	go func() { closed <- cw.Close() }()
-	select {
-	case err := <-closed:
-		t.Fatalf("Close returned (%v) while the drain was in flight", err)
-	case <-time.After(50 * time.Millisecond):
-	}
-	w.gate <- struct{}{} // the inline Write
-	<-w.started
-	w.gate <- struct{}{} // the drain's coalesced Write
-	for i := 0; i < 2; i++ {
-		select {
-		case err := <-closed:
-			if err != nil {
-				t.Fatalf("Close: %v", err)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("Close hung after the drain ended")
-		}
-	}
-	if err := <-firstDone; err != nil {
-		t.Fatal(err)
-	}
-	_, data := w.snapshot()
-	if got := len(readAllFrames(t, data)); got != 5 {
-		t.Fatalf("Close dropped frames: %d of 5 arrived", got)
-	}
-	for i := 0; i < 3; i++ {
-		if err := cw.Send(&Ping{Nonce: 99}); !errors.Is(err, ErrWriterClosed) {
-			t.Fatalf("Send after Close = %v, want ErrWriterClosed", err)
-		}
-	}
-	if err := cw.Flush(); err != nil {
-		t.Fatalf("Flush after clean Close: %v", err)
 	}
 }
 
